@@ -89,7 +89,6 @@ int main() {
         .field("unknown_probes", sizing.unknown_probes)
         .field("sizing_probes", sizing.probes.size())
         .field("sizing_solver_checks", sizing.solver_checks)
-        .field("sizing_incremental", sizing.incremental)
         .field("sizing_seconds", sizing.seconds)
         .solver_stats(sizing.solve_stats)
         .field("deadlock_verdict", v_deadlock)

@@ -57,9 +57,8 @@ int main(int argc, char** argv) {
   std::printf("minimal safe queue capacity: %zu  (%.2fs, %zu probes)\n",
               result.minimal_capacity, result.seconds, result.probes.size());
   std::printf("pipeline stages: %zu validation(s), %zu invariant "
-              "generation(s), %zu encode(s), %zu solver checks%s\n",
+              "generation(s), %zu encode(s), %zu solver checks\n",
               result.validations, result.invariant_generations,
-              result.encodes, result.solver_checks,
-              result.incremental ? " (one incremental session)" : "");
+              result.encodes, result.solver_checks);
   return 0;
 }

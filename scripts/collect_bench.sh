@@ -15,8 +15,8 @@
 #   ADVOCAT_FULL=1   paper-scale instances (hours)
 #
 # Exit status is non-zero when any harness fails, so CI fails fast on
-# incremental-path regressions (fig4 exits non-zero when the incremental
-# and re-encode paths *definitely* disagree on a minimal capacity — an
+# sizing regressions (fig4 exits non-zero when a conclusive cell's minimal
+# capacity *definitely* differs from its reference table — an
 # unknown/timeout verdict is reported but is not a failure). In smoke mode
 # the script additionally fails when the native solver reports zero learned
 # clauses on the 2x2 fig4 sizing probe: that would mean CDCL clause

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -335,7 +334,7 @@ bool Verifier::probe_compatible(const xmas::Network& other) const {
   // derived per-channel color sets are a semantic fingerprint of them, so
   // any behavioural drift that changes what flows where is caught here.
   // A factory whose functions differ *without* moving any color remains
-  // the caller's responsibility (see QueueSizingOptions::incremental).
+  // the caller's responsibility (see find_minimal_queue_size).
   const xmas::Typing other_typing = xmas::Typing::derive(other);
   if (other_typing.num_channels() != typing_.num_channels()) return false;
   for (xmas::ChanId c = 0;
@@ -354,27 +353,6 @@ VerifyResult verify(const xmas::Network& net, const VerifyOptions& options) {
 }
 
 namespace {
-
-/// One-shot fallback probe (legacy path): rebuild and re-verify.
-smt::SatResult probe_from_scratch(const xmas::Network& net,
-                                  const VerifyOptions& vo,
-                                  QueueSizingResult& result) {
-  const VerifyResult r = verify(net, vo);
-  ++result.validations;
-  ++result.encodes;
-  ++result.solver_checks;
-  if (vo.use_invariants) ++result.invariant_generations;
-  result.solve_stats = r.solve_stats;
-  result.analysis_ms += r.analysis_ms;
-  result.diagnostics = std::max(result.diagnostics, r.diagnostics.size());
-  if (r.report.result == smt::SatResult::Unknown) {
-    result.stop_reason = util::combine(
-        result.stop_reason, r.stop_reason == util::StopReason::kNone
-                                ? util::StopReason::kDegraded
-                                : r.stop_reason);
-  }
-  return r.report.result;
-}
 
 /// Overall-search deadline for a sizing run (QueueSizingOptions::budget).
 /// The discrete ceilings are per-probe and travel on the VerifyOptions.
@@ -427,27 +405,47 @@ void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
   into.threads = std::max(into.threads, s.threads);
 }
 
-/// Parallel round-based capacity search: a ladder round probes the next W
-/// exponential rungs concurrently, then k-section rounds narrow the
-/// bad/good interval with up to W evenly spaced midpoints per round.
-/// Each worker owns a full Verifier session, so PR4 learned-clause
-/// persistence still applies within a worker across its rounds; make_net
-/// and all result bookkeeping stay on the scheduling thread. Probes are
-/// assigned worker i % W statically, so for a fixed W the whole probe
-/// sequence (and QueueSizingResult::probes) is deterministic; the final
-/// verdict never depends on W because a capacity is only accepted on its
-/// own definite Unsat.
-QueueSizingResult find_minimal_parallel(
+/// A probe's candidate network as the sessions see it: pruned exactly as
+/// the Verifier constructor prunes under VerifyOptions::prune_dead_channels,
+/// so the candidate's primitive ids line up with the session's.
+xmas::Network session_view(xmas::Network net, const VerifyOptions& vo) {
+  if (!vo.prune_dead_channels) return net;
+  const analysis::AnalysisResult ar = analysis::analyze(net);
+  if (ar.has_errors() || ar.prunable_prims.empty()) return net;
+  return analysis::prune_idle(net, ar);
+}
+
+}  // namespace
+
+// Round-based capacity search: a ladder round probes the next W exponential
+// rungs concurrently, then k-section rounds narrow the bad/good interval
+// with up to W evenly spaced midpoints per round; at W = 1 that is the
+// plain exponential + binary search. Each worker owns a full Verifier
+// session, so learned clauses persist within a worker across its rounds.
+// make_net, the probe_compatible contract check and all result
+// bookkeeping stay on the scheduling thread. Probes are assigned worker
+// i % W statically, so for a fixed W the whole probe sequence (and
+// QueueSizingResult::probes) is deterministic; the final verdict never
+// depends on W because a capacity is only accepted on its own definite
+// Unsat.
+QueueSizingResult find_minimal_queue_size(
     const std::function<xmas::Network(std::size_t)>& make_net,
-    const QueueSizingOptions& options, unsigned probe_threads) {
+    const QueueSizingOptions& options) {
+  if (options.min_capacity > options.max_capacity) {
+    throw std::invalid_argument(
+        "find_minimal_queue_size: min_capacity " +
+        std::to_string(options.min_capacity) + " exceeds max_capacity " +
+        std::to_string(options.max_capacity));
+  }
+  const unsigned width = std::min(
+      options.probe_threads == 0 ? util::env_threads(1) : options.probe_threads,
+      16u);
   util::Stopwatch total;
   QueueSizingResult result;
-  result.incremental = true;
   const SizingDeadline deadline(options.budget);
 
   VerifyOptions vo = with_probe_budget(options.verify, options.budget);
   vo.symbolic_capacities = true;
-  const unsigned width = std::min(probe_threads, 16u);
   std::vector<std::unique_ptr<Verifier>> sessions;
   sessions.reserve(width);
   for (unsigned w = 0; w < width; ++w) {
@@ -460,24 +458,26 @@ QueueSizingResult find_minimal_parallel(
   auto run_round = [&](const std::vector<std::size_t>& caps) {
     std::vector<xmas::Network> candidates;
     candidates.reserve(caps.size());
-    for (std::size_t cap : caps) candidates.push_back(make_net(cap));
+    for (std::size_t cap : caps) {
+      candidates.push_back(session_view(make_net(cap), vo));
+      if (!sessions[0]->probe_compatible(candidates.back())) {
+        throw std::invalid_argument(
+            "find_minimal_queue_size: make_net(" + std::to_string(cap) +
+            ") differs from make_net(" + std::to_string(options.min_capacity) +
+            ") in more than queue capacities");
+      }
+    }
     std::vector<smt::SatResult> verdicts(caps.size(),
                                          smt::SatResult::Unknown);
     std::vector<util::StopReason> reasons(caps.size(),
                                           util::StopReason::kNone);
-    std::vector<char> incompatible(caps.size(), 0);
     util::parallel_for_static(caps.size(), width, [&](std::size_t i) {
-      Verifier& s = *sessions[i % width];
-      if (!s.probe_compatible(candidates[i])) {
-        incompatible[i] = 1;
-        return;
-      }
       CheckOverrides o;
       for (xmas::PrimId qid :
            candidates[i].prims_of_kind(xmas::PrimKind::Queue)) {
         o.queue_capacities.emplace_back(qid, candidates[i].prim(qid).capacity);
       }
-      const VerifyResult r = s.check_with(o);
+      const VerifyResult r = sessions[i % width]->check_with(o);
       verdicts[i] = r.report.result;
       // Captured per probe (a session's own stop_reason only remembers
       // its most recent check, which may be a later probe of this round).
@@ -488,13 +488,6 @@ QueueSizingResult find_minimal_parallel(
       }
     });
     for (std::size_t i = 0; i < caps.size(); ++i) {
-      if (incompatible[i] != 0) {
-        // make_net changed more than capacities: probe the slow,
-        // always-correct way (serially — verify() rebuilds everything).
-        result.incremental = false;
-        verdicts[i] =
-            probe_from_scratch(candidates[i], options.verify, result);
-      }
       result.probes.emplace_back(caps[i], verdicts[i]);
       if (verdicts[i] == smt::SatResult::Unknown) {
         ++result.unknown_probes;
@@ -504,8 +497,10 @@ QueueSizingResult find_minimal_parallel(
     return verdicts;
   };
 
-  // Ladder rounds: the same exponential rung sequence as the sequential
-  // search, W rungs at a time.
+  // Ladder rounds: exponential rungs min, min + 2min, min + 2min + 4min,
+  // ... clamped to max_capacity, W rungs at a time. Only a definite Unsat
+  // ends the ladder; Unknown keeps climbing (sound under monotonicity,
+  // possibly over-sized — unknown_probes tells the caller).
   std::size_t hi = 0;
   std::size_t last_bad = options.min_capacity - 1;
   std::size_t step = options.min_capacity;
@@ -575,7 +570,6 @@ QueueSizingResult find_minimal_parallel(
     result.minimal_capacity = hi;
   }
 
-  result.solve_stats = {};
   for (const auto& s : sessions) {
     add_stats(result.solve_stats, s->solve_stats());
     const SessionStats& st = s->stats();
@@ -586,118 +580,6 @@ QueueSizingResult find_minimal_parallel(
     result.analysis_ms += s->analysis_ms();
     result.diagnostics =
         std::max(result.diagnostics, s->diagnostics().size());
-  }
-  result.seconds = total.seconds();
-  return result;
-}
-
-}  // namespace
-
-QueueSizingResult find_minimal_queue_size(
-    const std::function<xmas::Network(std::size_t)>& make_net,
-    const QueueSizingOptions& options) {
-  const unsigned probe_threads = options.probe_threads == 0
-                                     ? util::env_threads(1)
-                                     : options.probe_threads;
-  if (options.incremental && probe_threads > 1) {
-    return find_minimal_parallel(make_net, options, probe_threads);
-  }
-  util::Stopwatch total;
-  QueueSizingResult result;
-  result.incremental = options.incremental;
-  const SizingDeadline deadline(options.budget);
-
-  // The session is built once from the smallest instance; every probe then
-  // binds the capacities the candidate network would have via assumptions.
-  std::optional<Verifier> session;
-  if (options.incremental) {
-    VerifyOptions vo = with_probe_budget(options.verify, options.budget);
-    vo.symbolic_capacities = true;
-    session.emplace(make_net(options.min_capacity), vo);
-  }
-
-  auto probe = [&](std::size_t capacity) {
-    smt::SatResult verdict = smt::SatResult::Unknown;
-    if (session.has_value()) {
-      xmas::Network candidate = make_net(capacity);
-      if (session->probe_compatible(candidate)) {
-        CheckOverrides o;
-        for (xmas::PrimId qid :
-             candidate.prims_of_kind(xmas::PrimKind::Queue)) {
-          o.queue_capacities.emplace_back(qid, candidate.prim(qid).capacity);
-        }
-        const VerifyResult r = session->check_with(o);
-        verdict = r.report.result;
-        result.solve_stats = r.solve_stats;
-        if (verdict == smt::SatResult::Unknown) {
-          result.stop_reason = util::combine(
-              result.stop_reason, r.stop_reason == util::StopReason::kNone
-                                      ? util::StopReason::kDegraded
-                                      : r.stop_reason);
-        }
-      } else {
-        // make_net changed more than capacities: probe this capacity the
-        // slow, always-correct way.
-        result.incremental = false;
-        verdict = probe_from_scratch(candidate, options.verify, result);
-      }
-    } else {
-      verdict = probe_from_scratch(make_net(capacity), options.verify, result);
-    }
-    result.probes.emplace_back(capacity, verdict);
-    if (verdict == smt::SatResult::Unknown) ++result.unknown_probes;
-    // Only a definite Unsat accepts the capacity; Unknown keeps searching
-    // upward (sound under the monotonicity assumption, possibly
-    // over-sized — unknown_probes tells the caller).
-    return verdict == smt::SatResult::Unsat;
-  };
-
-  // Exponential search for the first deadlock-free capacity.
-  std::size_t lo = options.min_capacity;  // invariant: lo-1 known-bad or min
-  std::size_t hi = 0;                     // first known-good capacity
-  std::size_t step = options.min_capacity;
-  std::size_t last_bad = options.min_capacity - 1;
-  for (std::size_t cap = options.min_capacity; cap <= options.max_capacity;) {
-    if (deadline.expired()) {
-      result.stop_reason =
-          util::combine(result.stop_reason, util::StopReason::kDeadline);
-      break;
-    }
-    if (probe(cap)) {
-      hi = cap;
-      break;
-    }
-    last_bad = cap;
-    step *= 2;
-    cap = cap + step > options.max_capacity && cap != options.max_capacity
-              ? options.max_capacity
-              : cap + step;
-  }
-  if (hi != 0) {
-    // Binary search in (last_bad, hi].
-    lo = last_bad + 1;
-    while (lo < hi) {
-      if (deadline.expired()) {
-        // hi is proven free; stopping here is sound, just un-narrowed.
-        result.stop_reason =
-            util::combine(result.stop_reason, util::StopReason::kDeadline);
-        break;
-      }
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (probe(mid)) hi = mid;
-      else lo = mid + 1;
-    }
-    result.minimal_capacity = hi;
-  }
-  if (session.has_value()) {
-    const SessionStats& s = session->stats();
-    result.validations += s.validations;
-    result.invariant_generations += s.invariant_generations;
-    result.encodes += s.encodes;
-    result.solver_checks += s.checks;
-    result.analysis_ms += session->analysis_ms();
-    result.diagnostics =
-        std::max(result.diagnostics, session->diagnostics().size());
   }
   result.seconds = total.seconds();
   return result;

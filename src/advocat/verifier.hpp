@@ -270,20 +270,14 @@ struct QueueSizingOptions {
   std::size_t min_capacity = 1;
   std::size_t max_capacity = 256;
   VerifyOptions verify;
-  /// Probe capacities as assumption flips on one Verifier session (the
-  /// incremental path). Requires make_net to vary only queue capacities
-  /// with its argument — verified structurally per probe, with a
-  /// per-probe fallback to a fresh one-shot verify() when the shapes
-  /// diverge. Set false to force the legacy re-encode-per-probe path.
-  bool incremental = true;
-  /// Concurrent capacity probes (incremental path only). 1 keeps the
-  /// sequential exponential + binary search; N > 1 runs a round-based
-  /// parallel ladder then k-section narrowing over N worker sessions,
-  /// each its own Verifier (learned clauses persist per worker across its
-  /// rounds). make_net is only ever called from the scheduling thread.
-  /// 0 takes the ADVOCAT_THREADS environment default. Probe order — and
-  /// therefore QueueSizingResult::probes — is deterministic for a fixed
-  /// thread count; the verdict is thread-count-independent.
+  /// Concurrent capacity probes. 1 gives the sequential exponential +
+  /// binary search; N > 1 runs each exponential ladder round and each
+  /// narrowing round (k-section) N probes at a time over N worker
+  /// sessions, each its own Verifier (learned clauses persist per worker
+  /// across its rounds). make_net is only ever called from the scheduling
+  /// thread. 0 takes the ADVOCAT_THREADS environment default. Probe order
+  /// — and therefore QueueSizingResult::probes — is deterministic for a
+  /// fixed thread count; the verdict is thread-count-independent.
   unsigned probe_threads = 1;
   /// Resource governance for the whole sizing run: deadline_ms bounds the
   /// *overall* search wall clock (the scheduler stops launching probes
@@ -312,25 +306,23 @@ struct QueueSizingResult {
   /// every probe was definite and the search ran to completion).
   util::StopReason stop_reason = util::StopReason::kNone;
   double seconds = 0.0;
-  /// Final solver search effort (incremental path: session-cumulative
-  /// totals over every probe; fallback path: the last one-shot check).
+  /// Final solver search effort, summed over the worker sessions (each
+  /// session-cumulative over its probes).
   smt::SolveStats solve_stats;
 
-  // Instrumentation (see SessionStats): on the incremental path a whole
-  // sizing run costs one validation + one invariant generation + one
-  // encode, and one solver check per probe. (Each probe additionally
+  // Instrumentation (see SessionStats): a whole sizing run costs one
+  // validation + one invariant generation + one encode per worker
+  // session, and one solver check per probe. (Each probe additionally
   // builds the candidate network and derives its typing as the
-  // probe_compatible fingerprint; that safety net is not a pipeline stage
-  // and is not counted here.)
+  // probe_compatible fingerprint; that contract check is not a pipeline
+  // stage and is not counted here.)
   std::size_t validations = 0;
   std::size_t invariant_generations = 0;
   std::size_t encodes = 0;
   std::size_t solver_checks = 0;
-  /// Whether the incremental session path was used for every probe.
-  bool incremental = false;
 
-  /// Cumulative static-analysis wall clock across every session/probe the
-  /// search built, in milliseconds, and the number of analyzer diagnostics
+  /// Cumulative static-analysis wall clock across every session the search
+  /// built, in milliseconds, and the number of analyzer diagnostics
   /// (warnings) the probed network carries.
   double analysis_ms = 0.0;
   std::size_t diagnostics = 0;
@@ -339,9 +331,14 @@ struct QueueSizingResult {
 /// Finds the minimal uniform queue capacity for which `make_net(capacity)`
 /// verifies deadlock-free. Assumes monotonicity (larger queues never
 /// introduce deadlocks — true for the paper's case studies): exponential
-/// probe up from min_capacity, then binary search. With
-/// QueueSizingOptions::incremental (the default) all probes are assumption
-/// flips on one live Verifier session.
+/// probe up from min_capacity, then binary search (k-section with
+/// QueueSizingOptions::probe_threads > 1). Every probe is an assumption
+/// flip on a live Verifier session built once from
+/// `make_net(min_capacity)`, so make_net must vary only queue capacities
+/// with its argument. Throws std::invalid_argument when min_capacity
+/// exceeds max_capacity, or when a probed network fails
+/// Verifier::probe_compatible against the session's (the message names
+/// the capacity).
 QueueSizingResult find_minimal_queue_size(
     const std::function<xmas::Network(std::size_t)>& make_net,
     const QueueSizingOptions& options = {});

@@ -275,6 +275,7 @@ TEST_P(AnalysisBackend, PruningPreservesMinimalCapacity) {
     o.verify = options(prune);
     const core::QueueSizingResult r = core::find_minimal_queue_size(make, o);
     EXPECT_EQ(r.minimal_capacity, 3u) << "prune = " << prune;
+    EXPECT_EQ(r.validations, 1u);  // one session, pruned or not
     EXPECT_EQ(r.unknown_probes, 0u);
     EXPECT_GE(r.diagnostics, 2u);  // the ring warnings ride along
     EXPECT_GE(r.analysis_ms, 0.0);

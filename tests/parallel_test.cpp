@@ -487,7 +487,6 @@ TEST(ParallelSizing, ProbeThreadsAgreeWithSequentialAndAreDeterministic) {
 
   EXPECT_EQ(seq.minimal_capacity, 3u);  // the paper's 2x2 value
   EXPECT_EQ(par.minimal_capacity, 3u);
-  EXPECT_TRUE(par.incremental);
   EXPECT_EQ(par.unknown_probes, 0u);
   // Fixed thread count → identical probe sequence (capacities and
   // verdicts), run to run.

@@ -2,6 +2,8 @@
 // solver backend: native and Z3 must produce identical verdicts.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "advocat/verifier.hpp"
 #include "backend_fixture.hpp"
 #include "coherence/mi_abstract.hpp"
@@ -180,7 +182,6 @@ TEST_P(QueueSizing, SizingRunsThePipelineExactlyOnce) {
   o.verify = options();
   const QueueSizingResult r = find_minimal_queue_size(make, o);
   EXPECT_EQ(r.minimal_capacity, 3u);
-  EXPECT_TRUE(r.incremental);
   // The tentpole contract: one validation + one invariant generation + one
   // encode for the whole sizing run; one solver check per probe.
   EXPECT_EQ(r.validations, 1u);
@@ -190,7 +191,9 @@ TEST_P(QueueSizing, SizingRunsThePipelineExactlyOnce) {
   EXPECT_EQ(r.solver_checks, r.probes.size());
 }
 
-TEST_P(QueueSizing, LegacyPathAgreesWithIncremental) {
+TEST_P(QueueSizing, MinimalCapacityMatchesOneShotVerify) {
+  // The one-shot verify() is the reference: the sized minimum must verify
+  // deadlock-free on its own, and one below it must not.
   auto make = [](std::size_t cap) {
     coh::MiAbstractConfig config;
     config.queue_capacity = cap;
@@ -200,17 +203,21 @@ TEST_P(QueueSizing, LegacyPathAgreesWithIncremental) {
   o.min_capacity = 1;
   o.max_capacity = 16;
   o.verify = options();
-  o.incremental = false;
-  const QueueSizingResult legacy = find_minimal_queue_size(make, o);
-  EXPECT_EQ(legacy.minimal_capacity, 3u);
-  EXPECT_FALSE(legacy.incremental);
-  // The legacy path re-runs the pipeline per probe.
-  EXPECT_EQ(legacy.validations, legacy.probes.size());
+  for (const unsigned width : {1u, 2u}) {
+    o.probe_threads = width;
+    const QueueSizingResult r = find_minimal_queue_size(make, o);
+    ASSERT_GT(r.minimal_capacity, 1u) << "width " << width;
+    EXPECT_TRUE(verify(make(r.minimal_capacity), options()).deadlock_free())
+        << "width " << width;
+    EXPECT_FALSE(
+        verify(make(r.minimal_capacity - 1), options()).deadlock_free())
+        << "width " << width;
+  }
 }
 
-TEST_P(QueueSizing, ShapeChangingFactoryFallsBackSafely) {
-  // make_net(cap) changes structure, not just capacities: the session
-  // detects the mismatch per probe and falls back to one-shot verifies.
+TEST_P(QueueSizing, ShapeChangingFactoryIsRejected) {
+  // make_net(cap) changes structure, not just capacities: the first probe
+  // past the session's shape breaks the probe_compatible contract.
   auto make = [](std::size_t cap) {
     xmas::Network net;
     const xmas::ColorId d = net.colors().intern("d");
@@ -231,9 +238,33 @@ TEST_P(QueueSizing, ShapeChangingFactoryFallsBackSafely) {
   o.min_capacity = 1;
   o.max_capacity = 8;
   o.verify = options();
-  const QueueSizingResult r = find_minimal_queue_size(make, o);
-  EXPECT_EQ(r.minimal_capacity, 3u);
-  EXPECT_FALSE(r.incremental);  // the session could not be reused
+  for (const unsigned width : {1u, 2u}) {
+    o.probe_threads = width;
+    EXPECT_THROW((void)find_minimal_queue_size(make, o),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+}
+
+TEST_P(QueueSizing, RejectsMinCapacityAboveMax) {
+  std::size_t calls = 0;
+  auto make = [&calls](std::size_t cap) {
+    ++calls;
+    coh::MiAbstractConfig config;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  QueueSizingOptions o;
+  o.min_capacity = 9;
+  o.max_capacity = 4;
+  o.verify = options();
+  for (const unsigned width : {1u, 2u}) {
+    o.probe_threads = width;
+    EXPECT_THROW((void)find_minimal_queue_size(make, o),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+  EXPECT_EQ(calls, 0u);  // rejected before any network is built
 }
 
 TEST_P(QueueSizing, TrivialSystemNeedsMinCapacity) {
@@ -253,6 +284,68 @@ TEST_P(QueueSizing, TrivialSystemNeedsMinCapacity) {
   const QueueSizingResult r = find_minimal_queue_size(make, o);
   EXPECT_EQ(r.minimal_capacity, 2u);
 }
+
+/// One pinned sizing run: probe width, k x k mesh and directory position,
+/// then the expected probes ("<capacity><s|u>", s = Sat, u = Unsat).
+struct ProbePin {
+  unsigned width;
+  int mesh;
+  int dir;
+  const char* probes;
+};
+
+std::string probe_string(const QueueSizingResult& r) {
+  std::string out;
+  for (const auto& [cap, verdict] : r.probes) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(cap);
+    out += verdict == smt::SatResult::Sat     ? 's'
+           : verdict == smt::SatResult::Unsat ? 'u'
+                                              : '?';
+  }
+  return out;
+}
+
+// The scheduler's probe order is deterministic for a fixed width, so the
+// exact sequence is pinned on the native backend. The width-1 rows are
+// the plain exponential + binary search.
+class QueueSizingProbes : public ::testing::TestWithParam<ProbePin> {};
+
+TEST_P(QueueSizingProbes, SequenceIsPinned) {
+  const ProbePin pin = GetParam();
+  auto make = [&pin](std::size_t cap) {
+    coh::MiAbstractConfig config;
+    config.width = pin.mesh;
+    config.height = pin.mesh;
+    config.directory_node = pin.dir;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  QueueSizingOptions o;
+  o.verify.backend = smt::Backend::Native;
+  o.probe_threads = pin.width;
+  const QueueSizingResult r = find_minimal_queue_size(make, o);
+  EXPECT_EQ(probe_string(r), pin.probes);
+  EXPECT_EQ(r.unknown_probes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Native, QueueSizingProbes,
+    ::testing::Values(ProbePin{1, 2, 0, "1s 3u 2s"},
+                      ProbePin{1, 3, 0, "1s 3s 7s 15u 11u 9s 10s"},
+                      ProbePin{1, 3, 3, "1s 3s 7u 5u 4s"},
+                      ProbePin{2, 2, 0, "1s 3u 2s"},
+                      ProbePin{2, 3, 0, "1s 3s 7s 15u 10s 12u 11u"},
+                      ProbePin{2, 3, 3, "1s 3s 7u 15u 5u 6u 4s"},
+                      ProbePin{4, 2, 0, "1s 3u 7u 15u 2s"},
+                      ProbePin{4, 3, 0, "1s 3s 7s 15u 9s 10s 12u 13u 11u"},
+                      ProbePin{4, 3, 3, "1s 3s 7u 15u 4s 5u 6u"}),
+    [](const ::testing::TestParamInfo<ProbePin>& info) {
+      return "w" + std::to_string(info.param.width) + "_" +
+             std::to_string(info.param.mesh) + "x" +
+             std::to_string(info.param.mesh) + "_dir" +
+             std::to_string(info.param.dir);
+    });
 
 }  // namespace
 }  // namespace advocat::core
