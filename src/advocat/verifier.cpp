@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -63,11 +62,6 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
   }
   diagnostics_ = std::move(ar.diagnostics);
   analysis_ms_ = analysis_watch.seconds() * 1000.0;
-  if (!diagnostics_.empty()) {
-    std::fprintf(stderr,
-                 "[advocat] network analysis: %zu warning(s); first: %s\n",
-                 diagnostics_.size(), diagnostics_.front().to_string().c_str());
-  }
 
   util::Stopwatch watch;
   typing_ = xmas::Typing::derive(net_);
@@ -98,52 +92,27 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
   for (smt::ExprId e : enc_.definitions) solver_->add(e);
   solver_->add(enc_.deadlock);
 
-  if (options_.use_invariants) ensure_invariants(options_.use_inequalities);
+  if (options_.use_invariants) ensure_invariants();
   if (options_.use_flow_completion) ensure_flow_completion();
 
   construct_seconds_ = total.seconds();
 }
 
-void Verifier::ensure_invariants(bool want_inequalities) {
-  if (!invariants_ready_) {
-    util::Stopwatch watch;
-    invariants_ = inv::generate(net_, typing_, want_inequalities);
-    invariant_seconds_ += watch.seconds();
-    ++stats_.invariant_generations;
-    const std::vector<smt::ExprId> smt = invariants_.to_smt(factory_);
-    inv_guard_ = factory_.bool_var("G[invariants]");
-    ineq_guard_ = factory_.bool_var("G[inequalities]");
-    for (std::size_t i = 0; i < smt.size(); ++i) {
-      const smt::ExprId guard =
-          i < invariants_.equalities.size() ? inv_guard_ : ineq_guard_;
-      solver_->add(factory_.implies(guard, smt[i]));
-    }
-    invariants_ready_ = true;
-    inequalities_ready_ = want_inequalities;
-    return;
+void Verifier::ensure_invariants() {
+  if (invariants_ready_) return;
+  util::Stopwatch watch;
+  invariants_ = inv::generate(net_, typing_);
+  invariant_seconds_ += watch.seconds();
+  ++stats_.invariant_generations;
+  const std::vector<smt::ExprId> smt = invariants_.to_smt(factory_);
+  inv_guard_ = factory_.bool_var("G[invariants]");
+  ineq_guard_ = factory_.bool_var("G[inequalities]");
+  for (std::size_t i = 0; i < smt.size(); ++i) {
+    const smt::ExprId guard =
+        i < invariants_.equalities.size() ? inv_guard_ : ineq_guard_;
+    solver_->add(factory_.implies(guard, smt[i]));
   }
-  if (want_inequalities && !inequalities_ready_) {
-    // The session was built without inequalities; derive the full set now
-    // and (re-)assert every row. Not just the ≤-rows: that would bake in
-    // the assumption that both generate() calls produce an identical
-    // equality prefix. Re-asserting instead is unconditionally sound —
-    // every generated row is a true invariant of (net, typing), so the
-    // union of both generations is valid — and rows identical to the
-    // first generation are hash-consed to the same ExprId, making their
-    // re-assertion free for the solver.
-    util::Stopwatch watch;
-    inv::InvariantSet with_ineqs = inv::generate(net_, typing_, true);
-    invariant_seconds_ += watch.seconds();
-    ++stats_.invariant_generations;
-    const std::vector<smt::ExprId> smt = with_ineqs.to_smt(factory_);
-    for (std::size_t i = 0; i < smt.size(); ++i) {
-      const smt::ExprId guard =
-          i < with_ineqs.equalities.size() ? inv_guard_ : ineq_guard_;
-      solver_->add(factory_.implies(guard, smt[i]));
-    }
-    invariants_ = std::move(with_ineqs);
-    inequalities_ready_ = true;
-  }
+  invariants_ready_ = true;
 }
 
 void Verifier::ensure_flow_completion() {
@@ -161,8 +130,7 @@ VerifyResult Verifier::run_check(const CheckOverrides& o) {
   util::Stopwatch watch;
 
   const bool use_inv = o.use_invariants.value_or(options_.use_invariants);
-  const bool use_ineq =
-      o.use_inequalities.value_or(options_.use_inequalities);
+  const bool use_ineq = o.use_inequalities.value_or(true);
   const bool use_flow =
       o.use_flow_completion.value_or(options_.use_flow_completion);
   const unsigned timeout = o.timeout_ms.value_or(options_.timeout_ms);
@@ -174,7 +142,7 @@ VerifyResult Verifier::run_check(const CheckOverrides& o) {
         "VerifyOptions::symbolic_capacities");
   }
 
-  if (use_inv) ensure_invariants(use_ineq);
+  if (use_inv) ensure_invariants();
   if (use_flow) ensure_flow_completion();
 
   std::vector<smt::ExprId> assumptions;

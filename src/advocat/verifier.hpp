@@ -35,8 +35,6 @@ struct VerifyOptions {
   /// Conjoin generated flow invariants (the paper's method). Without them
   /// the query degenerates to plain Gotmanov-style detection.
   bool use_invariants = true;
-  /// Also conjoin derived ≤-inequalities (extension; tightens pruning).
-  bool use_inequalities = true;
   /// Assert the unprojected flow system with nonnegative λ/κ variables
   /// (extension; subsumes the equalities and prunes candidates whose only
   /// flow completions need negative counters — required for the
@@ -135,10 +133,12 @@ struct VerifyResult {
 };
 
 /// Per-check deviations from a session's base VerifyOptions. Everything
-/// here is expressed through scoped assertion or assumptions, so no state
-/// leaks into later checks.
+/// here is expressed through assumptions, so no state leaks into later
+/// checks.
 struct CheckOverrides {
   std::optional<bool> use_invariants;
+  /// Conjoin the derived ≤-inequalities alongside the invariants
+  /// (extension; tightens pruning). Defaults to true.
   std::optional<bool> use_inequalities;
   std::optional<bool> use_flow_completion;
   std::optional<unsigned> timeout_ms;
@@ -230,7 +230,7 @@ class Verifier {
 
  private:
   VerifyResult run_check(const CheckOverrides& o);
-  void ensure_invariants(bool want_inequalities);
+  void ensure_invariants();
   void ensure_flow_completion();
 
   xmas::Network net_;
@@ -249,7 +249,6 @@ class Verifier {
   smt::ExprId ineq_guard_ = smt::kNoExpr;
   smt::ExprId flow_guard_ = smt::kNoExpr;
   bool invariants_ready_ = false;
-  bool inequalities_ready_ = false;
   bool flow_ready_ = false;
   inv::InvariantSet invariants_;
 

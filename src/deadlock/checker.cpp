@@ -5,7 +5,6 @@
 #include "deadlock/encoder.hpp"
 #include "deadlock/varnames.hpp"
 #include "smt/eval.hpp"
-#include "util/stopwatch.hpp"
 
 namespace advocat::deadlock {
 
@@ -51,35 +50,6 @@ void decode_witness(const xmas::Network& net, const xmas::Typing& typing,
       }
     }
   }
-}
-
-Report check(const xmas::Network& net, const xmas::Typing& typing,
-             smt::ExprFactory& factory,
-             const std::vector<smt::ExprId>& extra_assertions,
-             unsigned timeout_ms, smt::Backend backend, unsigned threads) {
-  Report report;
-  util::Stopwatch watch;
-
-  Encoder encoder(net, typing, factory);
-  Encoding enc = encoder.encode();
-  report.num_definitions = enc.definitions.size();
-  report.encode_seconds = watch.seconds();
-
-  auto solver = smt::make_solver(factory, backend);
-  if (threads != 0) solver->set_threads(threads);
-  for (smt::ExprId e : enc.structural) solver->add(e);
-  for (smt::ExprId e : enc.definitions) solver->add(e);
-  for (smt::ExprId e : extra_assertions) solver->add(e);
-  solver->add(enc.deadlock);
-
-  watch.reset();
-  report.result = solver->check(timeout_ms);
-  report.solve_seconds = watch.seconds();
-  report.solve_stats = solver->solve_stats();
-
-  if (report.result != smt::SatResult::Sat) return report;
-  decode_witness(net, typing, factory, enc, solver->model(), report);
-  return report;
 }
 
 }  // namespace advocat::deadlock

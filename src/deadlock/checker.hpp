@@ -1,5 +1,5 @@
-// End-to-end deadlock check: encode, assert optional invariants, solve,
-// decode the witness.
+// The verdict report of one block/idle deadlock query and the decoder that
+// fills its witness fields from a Sat model. core::Verifier runs the query.
 #pragma once
 
 #include <string>
@@ -37,22 +37,8 @@ struct Report {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Runs the block/idle deadlock query. `extra_assertions` (typically the
-/// generated invariants) are conjoined; they must come from `factory`.
-/// `timeout_ms` 0 = no limit. `backend` selects the solver (Auto = Z3 when
-/// compiled in, native otherwise). `threads` requests parallel search
-/// workers inside the solver check (see smt::Solver::set_threads); 0 keeps
-/// the ADVOCAT_THREADS environment default.
-Report check(const xmas::Network& net, const xmas::Typing& typing,
-             smt::ExprFactory& factory,
-             const std::vector<smt::ExprId>& extra_assertions = {},
-             unsigned timeout_ms = 0,
-             smt::Backend backend = smt::Backend::Auto,
-             unsigned threads = 0);
-
 /// Decodes a Sat model into the witness fields of `report` (fired
-/// disjuncts, queue contents, automaton states). Shared between the
-/// one-shot check() above and the incremental core::Verifier session.
+/// disjuncts, queue contents, automaton states).
 void decode_witness(const xmas::Network& net, const xmas::Typing& typing,
                     const smt::ExprFactory& factory, const Encoding& enc,
                     const smt::Model& model, Report& report);

@@ -2,10 +2,9 @@
 //
 // Soundness rests on the assumption-level invariant from the sequential
 // solver (see native_solver.hpp): every non-tainted learned clause is
-// entailed by the *permanent* material alone (translation gates, scope-0
-// assertions), never by scoped roots, per-check assumptions, or cube
-// literals — those can only appear inside a clause as explicit negated
-// literals. All workers of one NativeSolver share the same variable
+// entailed by the *permanent* material alone (translation gates, root
+// assertions), never by per-check assumptions or cube literals — those
+// can only appear inside a clause as explicit negated literals. All workers of one NativeSolver share the same variable
 // numbering (the translation is done before workers spawn), so a clause
 // learned by any worker is a valid permanent clause for every other
 // worker, and for the primary context that persists it across checks.

@@ -10,16 +10,16 @@
 // restarts, interval propagation with provenance explanations, the exact
 // simplex — lives in search_context.cpp.
 //
-// Learned clauses persist across check() calls AND across push()/pop():
-// scoped root assertions and per-check assumptions are placed on their own
-// decision levels (MiniSat assumption style) instead of level 0, so a
+// Learned clauses persist across check() calls: every root assertion is
+// a level-0 fact, while per-check assumptions (and a worker's cube) are
+// placed on their own decision levels (MiniSat assumption style), so a
 // learned clause can only depend on them by *mentioning* their negations.
-// Every learned clause is therefore entailed by the permanent material
-// alone and stays valid after any pop — and, by the same argument, valid
-// on every parallel worker sharing the translation, which is what makes
-// cross-worker clause exchange and harvest-back sound. Tainted clauses
-// (learned after an Unknown-degraded leaf) are the one exception; they
-// are purged at check boundaries and never exported.
+// Every learned clause is therefore entailed by the root assertions alone
+// and stays valid once the assumptions are retracted — and, by the same
+// argument, valid on every parallel worker sharing the translation, which
+// is what makes cross-worker clause exchange and harvest-back sound.
+// Tainted clauses (learned after an Unknown-degraded leaf) are the one
+// exception; they are purged at check boundaries and never exported.
 //
 // Parallel modes (threads > 1, default ADVOCAT_THREADS):
 //  - cube-and-conquer: the primary context probes under a conflict
@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -110,33 +109,6 @@ class NativeSolver final : public Solver {
 
   void add(ExprId assertion) override { roots_.push_back(assertion); }
 
-  // Scopes are marks into roots_. Translation artifacts (Tseitin gate
-  // clauses, atoms, variables) are *definitional* — for any assignment of
-  // the original variables there is a consistent assignment of the gates —
-  // so they are sound to keep forever; pop() only retracts the unit
-  // literals that assert the scoped roots. Learned clauses survive pop()
-  // too: scoped roots are solved on assumption-style decision levels, so
-  // any learned clause depending on one mentions its negation explicitly
-  // and remains a valid (vacuously satisfiable) clause after the pop.
-  void push() override { scopes_.push_back(roots_.size()); }
-
-  void pop() override {
-    if (scopes_.empty()) {
-      throw std::logic_error("NativeSolver::pop: no open scope");
-    }
-    const std::size_t mark = scopes_.back();
-    scopes_.pop_back();
-    roots_.resize(mark);
-    if (translated_roots_ > mark) {
-      translated_roots_ = mark;
-      root_lits_.resize(mark);
-    }
-  }
-
-  [[nodiscard]] std::size_t num_scopes() const override {
-    return scopes_.size();
-  }
-
   void set_threads(unsigned n) override {
     threads_ = n == 0 ? util::env_threads(1) : std::min(n, 256u);
   }
@@ -159,7 +131,6 @@ class NativeSolver final : public Solver {
  protected:
   SatResult do_check(const std::vector<ExprId>& assumptions,
                      unsigned timeout_ms) override {
-    const SolveStats before = solve_stats();
     CheckJob job;
     // The per-call timeout and the session budget's deadline compose as
     // the tighter of the two; both surface as Unknown(kDeadline).
@@ -178,8 +149,8 @@ class NativeSolver final : public Solver {
     job.budget = budget().unlimited() ? nullptr : &budget();
     job.cancel = cancel_flag();
     last_stop_ = util::StopReason::kNone;
-    for (; translated_roots_ < roots_.size(); ++translated_roots_) {
-      root_lits_.push_back(translate_bool(roots_[translated_roots_]));
+    for (std::size_t i = root_lits_.size(); i < roots_.size(); ++i) {
+      root_lits_.push_back(translate_bool(roots_[i]));
     }
     // Assumption literals reuse the same memoized translation, so repeated
     // probes over the same expressions add no clauses after the first.
@@ -188,23 +159,9 @@ class NativeSolver final : public Solver {
     for (ExprId a : assumptions) assumption_lits.push_back(translate_bool(a));
     last_cubes_.clear();
     SatResult result = SatResult::Unsat;
-    std::vector<Lit> permanent_roots;
-    std::vector<Lit> scoped_roots;
     if (!trivially_unsat_) {
-      // Level-0 permanent roots vs. the retractable scoped prefix.
-      const std::size_t permanent = std::min(
-          scopes_.empty() ? root_lits_.size() : scopes_.front(),
-          root_lits_.size());
-      permanent_roots.assign(root_lits_.begin(),
-                             root_lits_.begin() +
-                                 static_cast<std::ptrdiff_t>(permanent));
-      scoped_roots.assign(root_lits_.begin() +
-                              static_cast<std::ptrdiff_t>(permanent),
-                          root_lits_.end());
-      job.permanent_roots = &permanent_roots;
-      job.scoped_roots = &scoped_roots;
+      job.roots = &root_lits_;
       job.assumption_lits = &assumption_lits;
-      job.assumptions = &assumptions;
       try {
         result = threads_ <= 1 ? adopt(*primary_, primary_->solve(job))
                                : solve_parallel(job);
@@ -222,31 +179,9 @@ class NativeSolver final : public Solver {
       }
     }
     if (result == SatResult::Unsat && proof_sink() != nullptr) {
-      emit_certificate(permanent_roots, scoped_roots, assumption_lits);
+      emit_certificate(assumption_lits);
     }
     refresh_stats();
-    if (std::getenv("ADVOCAT_NATIVE_STATS") != nullptr) {
-      const SolveStats& s = solve_stats();
-      std::fprintf(
-          stderr,
-          "[native] %s: +%llu decisions, +%llu conflicts, +%llu propagations, "
-          "+%llu restarts, +%llu learned (%zu live, %llu deleted), "
-          "+%llu prior-clause hits, %u threads, %d bool vars, %zu atoms, "
-          "%zu clauses\n",
-          smt::to_string(result),
-          static_cast<unsigned long long>(s.decisions - before.decisions),
-          static_cast<unsigned long long>(s.conflicts - before.conflicts),
-          static_cast<unsigned long long>(s.propagations -
-                                          before.propagations),
-          static_cast<unsigned long long>(s.restarts - before.restarts),
-          static_cast<unsigned long long>(s.learned_clauses -
-                                          before.learned_clauses),
-          s.learned_kept,
-          static_cast<unsigned long long>(s.deleted_clauses),
-          static_cast<unsigned long long>(s.learned_hits -
-                                          before.learned_hits),
-          s.threads, sh_.num_bvars, sh_.atoms.size(), sh_.clauses.size());
-    }
     return result;
   }
 
@@ -444,13 +379,9 @@ class NativeSolver final : public Solver {
     }
   }
 
-  /// Publishes a context's result (model or core) into the Solver base.
+  /// Publishes a context's result (its model, if any) into the Solver base.
   SatResult adopt(const SearchContext& ctx, Outcome out) {
-    if (out == Outcome::Sat) {
-      store_model(Model(ctx.model()));
-    } else if (out == Outcome::Unsat && !ctx.core().empty()) {
-      store_core(std::vector<ExprId>(ctx.core()));
-    }
+    if (out == Outcome::Sat) store_model(Model(ctx.model()));
     const SatResult r = from_outcome(out);
     if (r == SatResult::Unknown) {
       // A Budget outcome reaching adoption means a conflict ceiling ended
@@ -471,9 +402,7 @@ class NativeSolver final : public Solver {
   /// learned clauses persist across checks, so every certificate replays
   /// the whole session's logged learning; stamps restore one coherent
   /// order over the merged per-worker logs.
-  void emit_certificate(const std::vector<Lit>& permanent_roots,
-                        const std::vector<Lit>& scoped_roots,
-                        const std::vector<Lit>& assumption_lits) {
+  void emit_certificate(const std::vector<Lit>& assumption_lits) {
     if (primary_log_ != nullptr) primary_log_->drain_into(trace_);
     std::sort(trace_.begin(), trace_.end(),
               [](const ProofRecord& a, const ProofRecord& b) {
@@ -482,9 +411,7 @@ class NativeSolver final : public Solver {
     CertificateInputs in;
     in.sh = &sh_;
     in.trace = &trace_;
-    in.assume_lits = permanent_roots;
-    in.assume_lits.insert(in.assume_lits.end(), scoped_roots.begin(),
-                          scoped_roots.end());
+    in.assume_lits = root_lits_;
     in.assume_lits.insert(in.assume_lits.end(), assumption_lits.begin(),
                           assumption_lits.end());
     in.cubes = std::move(last_cubes_);
@@ -711,15 +638,6 @@ class NativeSolver final : public Solver {
         // The certificate must close the case split: record the refuted
         // cubes so the serializer can fold ¬cube clauses down to empty.
         last_cubes_ = std::move(cubes);
-        // Union of the per-cube assumption cores, in cube order.
-        std::vector<ExprId> core;
-        std::set<ExprId> seen;
-        for (std::size_t i = 0; i < tasks; ++i) {
-          for (ExprId e : workers[i % width]->core()) {
-            if (seen.insert(e).second) core.push_back(e);
-          }
-        }
-        if (!core.empty()) store_core(std::move(core));
       } else {
         verdict = SatResult::Unknown;
       }
@@ -735,10 +653,6 @@ class NativeSolver final : public Solver {
           if (decider == tasks) decider = i;
           verdict = SatResult::Unsat;
         }
-      }
-      if (verdict == SatResult::Unsat &&
-          !workers[decider % width]->core().empty()) {
-        store_core(std::vector<ExprId>(workers[decider % width]->core()));
       }
     }
     if (verdict == SatResult::Sat) {
@@ -770,10 +684,8 @@ class NativeSolver final : public Solver {
 
   const ExprFactory& f_;
 
-  // Translation state (persists across check() calls and pop()).
+  // Translation state (persists across check() calls).
   std::vector<ExprId> roots_;
-  std::vector<std::size_t> scopes_;  // push() marks into roots_
-  std::size_t translated_roots_ = 0;
   std::vector<Lit> root_lits_;  // per translated root, aligned with roots_
   std::unordered_map<ExprId, Lit> lit_memo_;
   std::unordered_map<ExprId, int> int_index_;
@@ -781,7 +693,7 @@ class NativeSolver final : public Solver {
   bool trivially_unsat_ = false;
 
   // The encoded problem, shared read-only by every search context, and
-  // the primary context that persists learning across checks and pops.
+  // the primary context that persists learning across checks.
   SharedProblem sh_;
   std::unique_ptr<SearchContext> primary_;
   SolveStats extra_;  // accumulated counters of completed workers

@@ -13,10 +13,10 @@
 //      first-UIP clause learning with minimization, non-chronological
 //      backjumping, an EVSIDS activity heuristic, Luby restarts, and an
 //      LBD/activity-managed learned-clause database. Learned clauses
-//      persist across check() calls *and* across push()/pop(): scoped
-//      assertions and per-check assumptions are solved on assumption-style
-//      decision levels, so every learned clause is entailed by the
-//      permanent material alone and never has to be discarded.
+//      persist across check() calls: per-check assumptions are solved on
+//      assumption-style decision levels, so every learned clause is
+//      entailed by the permanent assertions alone and never has to be
+//      discarded.
 //   3. Every assigned atom activates interval rows; bounds propagation
 //      runs to fixpoint after each boolean step, prunes on conflict, and
 //      explains entailed atoms to the conflict analyzer.

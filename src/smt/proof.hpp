@@ -122,7 +122,7 @@ struct CertificateInputs {
   const SharedProblem* sh = nullptr;
   /// Session trace, already merged and stamp-sorted.
   const std::vector<ProofRecord>* trace = nullptr;
-  /// Permanent roots + scoped roots + this check's assumption literals:
+  /// Root assertions + this check's assumption literals:
   /// serialized as `assume` units, the hypotheses of the refutation.
   std::vector<Lit> assume_lits;
   /// Cube-mode Unsat: the refuted cubes (all sign combinations of the

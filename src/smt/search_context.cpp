@@ -1023,69 +1023,6 @@ int SearchContext::analyze(const Lit* conflict, std::size_t nconf,
   return bt;
 }
 
-// Conflict analysis over the assumption prefix (MiniSat analyzeFinal):
-// prefix literal `p` (entry `p_at` of assume_q_) came up false during
-// placement. Walks the implication trail backwards from ¬p, collects
-// every prefix literal the derivation rests on, and maps the involved
-// literals back to this check's assumption expressions as the unsat core
-// (scoped-root and cube prefix entries carry no assumption index and are
-// not reported).
-void SearchContext::analyze_final(Lit p, int p_at) {
-  core_.clear();
-  std::vector<char> used(assume_src_.size(), 0);
-  auto add_source = [&](Lit q, int upto) {
-    // Several prefix entries can share one literal (duplicate or
-    // entailed assumptions); every matching assumption up to the failing
-    // entry was genuinely placed, so each is part of the refutation.
-    for (int i = 0; i <= upto && i < static_cast<int>(assume_q_.size());
-         ++i) {
-      if (assume_q_[static_cast<std::size_t>(i)] != q ||
-          used[static_cast<std::size_t>(i)] != 0) {
-        continue;
-      }
-      used[static_cast<std::size_t>(i)] = 1;
-      const int src = assume_src_[static_cast<std::size_t>(i)];
-      if (src >= 0 && job_->assumptions != nullptr) {
-        core_.push_back(job_->assumptions->at(static_cast<std::size_t>(src)));
-      }
-    }
-  };
-  add_source(p, p_at);  // the failing assumption itself
-  if (level_[static_cast<std::size_t>(var_of(p))] > 0) {
-    seen_[static_cast<std::size_t>(var_of(p))] = 1;
-    for (std::size_t i = trail_.size(); i-- > 0;) {
-      const int v = var_of(trail_[i]);
-      if (!seen_[static_cast<std::size_t>(v)]) continue;
-      seen_[static_cast<std::size_t>(v)] = 0;
-      const int r = reason_[static_cast<std::size_t>(v)];
-      if (r == kReasonNone) {
-        // Level > 0 with no reason: during prefix placement every such
-        // literal is a placed prefix entry (heuristic decisions cannot
-        // precede an unplaced prefix literal).
-        add_source(trail_[i], p_at);
-      } else if (r == kReasonTheory) {
-        const std::uint32_t off = expl_off_[static_cast<std::size_t>(v)];
-        const std::uint32_t len = expl_len_[static_cast<std::size_t>(v)];
-        for (std::uint32_t k = 0; k < len; ++k) {
-          const int u = var_of(expl_pool_[off + k]);
-          if (level_[static_cast<std::size_t>(u)] > 0) {
-            seen_[static_cast<std::size_t>(u)] = 1;
-          }
-        }
-      } else {
-        const Lit* rl = arena_.lits(r);
-        const std::uint32_t rn = arena_.size(r);
-        for (std::uint32_t k = 0; k < rn; ++k) {
-          const int u = var_of(rl[k]);
-          if (u != v && level_[static_cast<std::size_t>(u)] > 0) {
-            seen_[static_cast<std::size_t>(u)] = 1;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Learns from a conflict (clause index `ci`, or a theory conflict when
 // ci < 0): analyzes, backjumps, attaches the learnt clause and asserts
 // its first literal. Returns false when the conflict is at level 0 — the
@@ -1762,8 +1699,8 @@ Outcome SearchContext::run_check() {
   }
 
   // Level 0 holds only *permanent* facts: definitional units, learned
-  // unit consequences, and the scope-0 roots, which no pop() can ever
-  // retract. Conflict analysis silently drops level-0 literals, so
+  // unit consequences, and the root assertions, which are never
+  // retracted. Conflict analysis silently drops level-0 literals, so
   // everything placed here must stay true for the session's lifetime.
   for (Lit l : sh_.def_units) {
     if (!enqueue(l, kReasonNone)) return finish_unsat();
@@ -1771,35 +1708,22 @@ Outcome SearchContext::run_check() {
   for (Lit l : learned_units_) {
     if (!enqueue(l, kReasonNone)) return finish_unsat();
   }
-  if (job_->permanent_roots != nullptr) {
-    for (Lit l : *job_->permanent_roots) {
+  if (job_->roots != nullptr) {
+    for (Lit l : *job_->roots) {
       if (!enqueue(l, kReasonNone)) return finish_unsat();
     }
   }
-  // Scoped roots, this check's assumptions, and the worker's cube form
-  // the assumption prefix: each gets its own decision level (MiniSat
-  // style), so learned clauses can only depend on them by mentioning
-  // their negations — the clauses stay valid after any pop(), after the
-  // assumptions are retracted, and on workers solving a different cube.
+  // This check's assumptions and the worker's cube form the assumption
+  // prefix: each gets its own decision level (MiniSat style), so learned
+  // clauses can only depend on them by mentioning their negations — the
+  // clauses stay valid after the assumptions are retracted, and on
+  // workers solving a different cube.
   assume_q_.clear();
-  assume_src_.clear();
-  if (job_->scoped_roots != nullptr) {
-    for (Lit l : *job_->scoped_roots) {
-      assume_q_.push_back(l);
-      assume_src_.push_back(-1);  // scoped root, not a per-check assumption
-    }
-  }
   if (job_->assumption_lits != nullptr) {
-    for (std::size_t i = 0; i < job_->assumption_lits->size(); ++i) {
-      assume_q_.push_back((*job_->assumption_lits)[i]);
-      assume_src_.push_back(static_cast<int>(i));
-    }
+    assume_q_ = *job_->assumption_lits;
   }
   if (job_->cube != nullptr) {
-    for (Lit l : *job_->cube) {
-      assume_q_.push_back(l);
-      assume_src_.push_back(-1);  // cube literal: never part of a core
-    }
+    assume_q_.insert(assume_q_.end(), job_->cube->begin(), job_->cube->end());
   }
 
   for (;;) {
@@ -1849,10 +1773,7 @@ Outcome SearchContext::run_check() {
     }
     if (prefix_placed_ < static_cast<int>(assume_q_.size())) {
       const Lit p = assume_q_[static_cast<std::size_t>(prefix_placed_)];
-      if (value_lit(p) == kFalse) {
-        analyze_final(p, prefix_placed_);
-        return finish_unsat();
-      }
+      if (value_lit(p) == kFalse) return finish_unsat();
       push_level();  // pseudo level when p already holds: keeps the
                      // prefix 1:1 with levels across backjumps
       ++prefix_placed_;
@@ -1923,7 +1844,6 @@ Outcome SearchContext::solve(const CheckJob& job) {
   check_prop_base_ = stats_.propagations;
   units_base_ = learned_units_.size();
   hot_vars_.clear();
-  core_.clear();
   last_stop_ = util::StopReason::kNone;
   sync_problem();
   Outcome out = Outcome::Unknown;

@@ -15,9 +15,9 @@
 //    clauses persist across checks exactly as before); cube/portfolio
 //    workers are seeded from it per parallel check and harvested back.
 //
-// A SearchContext solves one CheckJob at a time: permanent roots at level
-// 0, then the assumption prefix (scoped roots, per-check assumptions, and
-// an optional cube) each on its own decision level, then CDCL(T) search.
+// A SearchContext solves one CheckJob at a time: root assertions at level
+// 0, then the assumption prefix (per-check assumptions and an optional
+// cube) each on its own decision level, then CDCL(T) search.
 // The single-threaded path is the primary context solving the job with no
 // cube, no exchange, and no stop flag — the same deterministic algorithm
 // as the pre-split solver.
@@ -139,11 +139,9 @@ enum class Outcome { Sat, Unsat, Unknown, Budget, Cancelled };
 /// orchestrating NativeSolver and outlives the solve call; everything but
 /// the job-specific cube is identical across the workers of one check.
 struct CheckJob {
-  const std::vector<Lit>* permanent_roots = nullptr;  ///< level-0 roots
-  const std::vector<Lit>* scoped_roots = nullptr;     ///< prefix, no core id
-  const std::vector<Lit>* assumption_lits = nullptr;  ///< prefix, core id = index
-  const std::vector<ExprId>* assumptions = nullptr;   ///< for core mapping
-  const std::vector<Lit>* cube = nullptr;             ///< prefix, no core id
+  const std::vector<Lit>* roots = nullptr;            ///< level-0 roots
+  const std::vector<Lit>* assumption_lits = nullptr;  ///< prefix
+  const std::vector<Lit>* cube = nullptr;  ///< prefix, after the assumptions
   bool deadline_active = false;
   Clock::time_point deadline{};
   std::uint64_t conflict_budget = 0;  ///< 0 = unlimited (cube-probe internal)
@@ -178,8 +176,6 @@ class SearchContext {
 
   /// Model captured by the last Sat solve on this context.
   [[nodiscard]] const Model& model() const { return model_; }
-  /// Failed-assumption subset of the last Unsat solve (may be empty).
-  [[nodiscard]] const std::vector<ExprId>& core() const { return core_; }
   /// Cumulative counters over this context's lifetime.
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
   /// Why the last solve() on this context stopped early (kNone after a
@@ -292,7 +288,6 @@ class SearchContext {
   // span is consumed before any arena allocation can invalidate it.
   int analyze(const Lit* conflict, std::size_t nconf, ClauseRef conflict_ci,
               int& lbd_out);
-  void analyze_final(Lit p, int p_at);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
   void export_learnt(int lbd, std::uint64_t proof_stamp);
   // Records `clause` as a theory lemma (with the level-0 atom context in
@@ -341,8 +336,7 @@ class SearchContext {
   std::size_t qhead_ = 0;
   std::size_t theory_head_ = 0;
   std::vector<LevelMark> levels_;
-  std::vector<Lit> assume_q_;    // scoped roots + assumptions + cube
-  std::vector<int> assume_src_;  // per entry: assumption index or -1
+  std::vector<Lit> assume_q_;    // assumptions + cube
   int prefix_placed_ = 0;        // prefix literals placed (1:1 with levels)
   int prefix_levels_ = 0;        // levels occupied by the placed prefix
   std::vector<std::int64_t> lo_, hi_;
@@ -431,7 +425,6 @@ class SearchContext {
   SolveStats stats_;
   util::StopReason last_stop_ = util::StopReason::kNone;
   Model model_;
-  std::vector<ExprId> core_;
   std::vector<int> hot_vars_;
 };
 

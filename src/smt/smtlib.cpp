@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <sstream>
-#include <stdexcept>
 
 namespace advocat::smt {
 
@@ -89,19 +88,6 @@ void Script::add(ExprId assertion) {
   commands_.push_back({Command::Kind::Assert, assertion, {}});
 }
 
-void Script::push() {
-  commands_.push_back({Command::Kind::Push, kNoExpr, {}});
-  ++open_scopes_;
-}
-
-void Script::pop() {
-  if (open_scopes_ == 0) {
-    throw std::logic_error("Script::pop: no open scope");
-  }
-  commands_.push_back({Command::Kind::Pop, kNoExpr, {}});
-  --open_scopes_;
-}
-
 void Script::check_sat(std::vector<ExprId> assumptions) {
   commands_.push_back({Command::Kind::CheckSat, kNoExpr,
                        std::move(assumptions)});
@@ -115,12 +101,6 @@ std::string Script::to_smtlib(const ExprFactory& factory) const {
     switch (c.kind) {
       case Command::Kind::Assert:
         emit_assert(factory, c.expr, os);
-        break;
-      case Command::Kind::Push:
-        os << "(push 1)\n";
-        break;
-      case Command::Kind::Pop:
-        os << "(pop 1)\n";
         break;
       case Command::Kind::CheckSat:
         if (c.assumptions.empty()) {
@@ -142,8 +122,6 @@ std::vector<SatResult> Script::replay(Solver& solver,
   for (const Command& c : commands_) {
     switch (c.kind) {
       case Command::Kind::Assert: solver.add(c.expr); break;
-      case Command::Kind::Push: solver.push(); break;
-      case Command::Kind::Pop: solver.pop(); break;
       case Command::Kind::CheckSat:
         verdicts.push_back(solver.check_assuming(c.assumptions, timeout_ms));
         break;
@@ -164,20 +142,6 @@ class RecordingSolver final : public Solver {
     inner_->add(assertion);
   }
 
-  void push() override {
-    script_.push();
-    inner_->push();
-  }
-
-  void pop() override {
-    inner_->pop();  // throws before the script is touched when unbalanced
-    script_.pop();
-  }
-
-  [[nodiscard]] std::size_t num_scopes() const override {
-    return inner_->num_scopes();
-  }
-
   void set_threads(unsigned n) override { inner_->set_threads(n); }
 
   void set_deterministic(bool on) override { inner_->set_deterministic(on); }
@@ -194,10 +158,6 @@ class RecordingSolver final : public Solver {
 
   [[nodiscard]] const SolveStats& solve_stats() const override {
     return inner_->solve_stats();
-  }
-
-  [[nodiscard]] const std::vector<ExprId>& unsat_core() const override {
-    return inner_->unsat_core();
   }
 
  protected:

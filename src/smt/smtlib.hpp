@@ -18,33 +18,28 @@ namespace advocat::smt {
 
 /// One recorded session command.
 struct Command {
-  enum class Kind { Assert, Push, Pop, CheckSat };
+  enum class Kind { Assert, CheckSat };
   Kind kind = Kind::Assert;
   ExprId expr = kNoExpr;           ///< Assert only
   std::vector<ExprId> assumptions; ///< CheckSat only (may be empty)
 };
 
-/// Recorded incremental session: the sequence of assert/push/pop/check-sat
-/// commands issued against a Solver, replayable onto any backend and
-/// serializable as an SMT-LIB2 script.
+/// Recorded incremental session: the sequence of assert/check-sat commands
+/// issued against a Solver, replayable onto any backend and serializable as
+/// an SMT-LIB2 script.
 class Script {
  public:
   void add(ExprId assertion);
-  void push();
-  /// Throws std::logic_error when no scope is open (an unbalanced script
-  /// would not be replayable).
-  void pop();
   void check_sat(std::vector<ExprId> assumptions = {});
 
   [[nodiscard]] const std::vector<Command>& commands() const {
     return commands_;
   }
-  [[nodiscard]] std::size_t num_scopes() const { return open_scopes_; }
   [[nodiscard]] std::size_t num_checks() const { return num_checks_; }
 
   /// Serializes the session: (set-logic), declarations for every variable
-  /// in `factory`, then the commands in order. push/pop emit `(push 1)` /
-  /// `(pop 1)`; a check-sat with assumptions is emitted as the equivalent
+  /// in `factory`, then the commands in order. A check-sat with
+  /// assumptions is emitted as the equivalent
   ///   (push 1) (assert a)... (check-sat) (pop 1)
   /// bracket, since the encoders' assumptions (e.g. capacity bindings
   /// `(= C[q] k)`) are arbitrary formulas, not the bare literals SMT-LIB's
@@ -58,11 +53,10 @@ class Script {
 
  private:
   std::vector<Command> commands_;
-  std::size_t open_scopes_ = 0;
   std::size_t num_checks_ = 0;
 };
 
-/// Wraps `inner` so every add/push/pop/check is mirrored into `script`
+/// Wraps `inner` so every add/check is mirrored into `script`
 /// (which must outlive the returned solver). Verdicts, models, and solve
 /// statistics pass through unchanged.
 std::unique_ptr<Solver> make_recording_solver(std::unique_ptr<Solver> inner,

@@ -26,7 +26,6 @@ SatResult Solver::check(unsigned timeout_ms) {
 SatResult Solver::check_assuming(const std::vector<ExprId>& assumptions,
                                  unsigned timeout_ms) {
   ++num_checks_;
-  core_.clear();  // a stale core must not outlive the check that built it
   // Re-arm the one-shot cancellation flag: a cancel() that landed after
   // the previous check returned must not poison this one.
   cancel_.store(false, std::memory_order_relaxed);

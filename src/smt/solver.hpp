@@ -5,15 +5,16 @@
 // (native_solver.cpp, always available). make_solver() picks one at
 // runtime; smtlib.hpp serializes the same sessions for external solvers.
 //
-// The interface is *incremental*: a solver is a live session. Assertions
-// accumulate across check() calls, push()/pop() open and discard assertion
-// scopes, and check(assumptions) solves under temporary hypotheses that are
-// retracted automatically when the call returns. Declarations (variables,
-// and each backend's internal translation of expressions) are persistent —
-// they survive pop() — so repeated checks over the same expression DAG
-// never pay the translation cost twice. This is what makes capacity
-// probing (core::Verifier::probe_capacity) a sequence of assumption flips
-// instead of a rebuild of the whole pipeline.
+// The interface is *incremental*: a solver is a live session with one
+// contract — permanent assertions plus per-check assumptions. Assertions
+// accumulate across check() calls and are never retracted;
+// check_assuming() solves under temporary hypotheses that are retracted
+// automatically when the call returns, and that is the only way to
+// retract anything. Declarations (variables, and each backend's internal
+// translation of expressions) are persistent, so repeated checks over the
+// same expression DAG never pay the translation cost twice. This is what
+// makes capacity probing (core::Verifier::probe_capacity) a sequence of
+// assumption flips instead of a rebuild of the whole pipeline.
 #pragma once
 
 #include <atomic>
@@ -148,18 +149,9 @@ class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// Asserts `assertion` in the current scope: it stays active until the
-  /// enclosing push() is popped (or forever at scope 0).
+  /// Asserts `assertion` permanently: it constrains every later check.
+  /// Pass a formula to check_assuming() instead to make it retractable.
   virtual void add(ExprId assertion) = 0;
-
-  /// Opens an assertion scope.
-  virtual void push() = 0;
-  /// Discards every assertion added since the matching push(). Throws
-  /// std::logic_error when no scope is open. Declarations and the last
-  /// model survive.
-  virtual void pop() = 0;
-  /// Number of open scopes.
-  [[nodiscard]] virtual std::size_t num_scopes() const = 0;
 
   /// Requests `n` parallel workers for subsequent checks; 0 restores the
   /// environment default (ADVOCAT_THREADS, itself defaulting to 1).
@@ -210,11 +202,9 @@ class Solver {
   SatResult check_assuming(const std::vector<ExprId>& assumptions,
                            unsigned timeout_ms = 0);
 
-  /// Model of the most recent Sat check. Survives push()/pop() and later
-  /// non-Sat checks; throws std::logic_error when no check ever was Sat.
+  /// Model of the most recent Sat check. Survives later non-Sat checks;
+  /// throws std::logic_error when no check ever was Sat.
   [[nodiscard]] const Model& model() const;
-  /// Alias of model() emphasizing the retraction-survival contract.
-  [[nodiscard]] const Model& last_model() const { return model(); }
   /// Whether any check so far returned Sat (i.e. model() is valid).
   [[nodiscard]] bool has_model() const { return has_model_; }
 
@@ -228,21 +218,6 @@ class Solver {
     return stats_;
   }
 
-  /// After a check_assuming() that returned Unsat: the subset of that
-  /// call's assumptions the refutation actually used. Order is
-  /// backend-defined, and an assumption passed several times may appear
-  /// once per occurrence — treat the core as a set. An empty core after
-  /// Unsat means the
-  /// active assertions are unsatisfiable on their own. Reset by every
-  /// check; meaningless (empty) after Sat or Unknown. Both backends fill
-  /// it (the native solver from conflict analysis over the assumption
-  /// levels, Z3 from its native unsat_core()); cores are minimal-ish, not
-  /// guaranteed minimal — every reported assumption was used, but a
-  /// smaller refutation may exist.
-  [[nodiscard]] virtual const std::vector<ExprId>& unsat_core() const {
-    return core_;
-  }
-
  protected:
   /// Backend hook behind both check() overloads.
   virtual SatResult do_check(const std::vector<ExprId>& assumptions,
@@ -254,9 +229,6 @@ class Solver {
   }
   /// Backends update their counters through this.
   [[nodiscard]] SolveStats& mutable_stats() { return stats_; }
-  /// Backends report the failed-assumption subset of an Unsat
-  /// check_assuming() here; the shared check plumbing clears it first.
-  void store_core(std::vector<ExprId> core) { core_ = std::move(core); }
   /// The live cancellation flag backends poll during a check. The shared
   /// check plumbing re-arms it at every check entry.
   [[nodiscard]] const std::atomic<bool>* cancel_flag() const {
@@ -271,7 +243,6 @@ class Solver {
   bool has_model_ = false;
   std::size_t num_checks_ = 0;
   SolveStats stats_;
-  std::vector<ExprId> core_;
   util::ResourceBudget budget_;
   std::atomic<bool> cancel_{false};
   ProofSink* proof_sink_ = nullptr;

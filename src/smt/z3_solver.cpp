@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -22,21 +21,6 @@ class Z3Solver final : public Solver {
       : factory_(factory), solver_(ctx_) {}
 
   void add(ExprId assertion) override { solver_.add(translate(assertion)); }
-
-  void push() override {
-    solver_.push();
-    ++num_scopes_;
-  }
-
-  void pop() override {
-    if (num_scopes_ == 0) {
-      throw std::logic_error("Z3Solver::pop: no open scope");
-    }
-    solver_.pop(1);
-    --num_scopes_;
-  }
-
-  [[nodiscard]] std::size_t num_scopes() const override { return num_scopes_; }
 
   /// Asynchronous cancellation: raises the base flag (for the StopReason
   /// mapping) and interrupts the Z3 context, which aborts the in-flight
@@ -100,7 +84,6 @@ class Z3Solver final : public Solver {
       z3::expr_vector av(ctx_);
       for (ExprId a : assumptions) av.push_back(translate(a));
       r = solver_.check(av);
-      if (r == z3::unsat) extract_core(assumptions, av);
     }
     import_statistics();
     switch (r) {
@@ -257,31 +240,6 @@ class Z3Solver final : public Solver {
     }
   }
 
-  // Maps Z3's unsat core (a subset of the assumption terms) back onto the
-  // caller's ExprIds. Z3 hash-conses ASTs per context, so membership is a
-  // pointer comparison between each translated assumption and the core
-  // terms. Duplicate assumptions translating to one term are all reported
-  // (each was genuinely assumed).
-  void extract_core(const std::vector<ExprId>& assumptions,
-                    const z3::expr_vector& av) {
-    try {
-      const z3::expr_vector z3core = solver_.unsat_core();
-      std::vector<ExprId> core;
-      for (unsigned i = 0; i < av.size(); ++i) {
-        const Z3_ast ai = static_cast<Z3_ast>(av[i]);
-        for (unsigned k = 0; k < z3core.size(); ++k) {
-          if (static_cast<Z3_ast>(z3core[k]) == ai) {
-            core.push_back(assumptions[i]);
-            break;
-          }
-        }
-      }
-      store_core(std::move(core));
-    } catch (const z3::exception&) {
-      // A missing core is diagnostics lost, never a failed check.
-    }
-  }
-
   void extract_model() {
     Model out;
     z3::model m = solver_.get_model();
@@ -301,12 +259,11 @@ class Z3Solver final : public Solver {
   const ExprFactory& factory_;
   z3::context ctx_;
   z3::solver solver_;
-  std::size_t num_scopes_ = 0;
   // Whether cancel() fired during the in-flight check — distinguishes a
   // user interrupt from a timeout (Z3 reports both as "canceled").
   std::atomic<bool> cancel_seen_{false};
   // Translation cache. z3::expr handles are owned by ctx_, not by the
-  // solver's assertion stack, so cached terms stay valid across pop().
+  // solver's assertion stack, so cached terms stay valid across checks.
   std::unordered_map<ExprId, z3::expr> cache_;
 };
 

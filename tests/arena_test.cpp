@@ -126,25 +126,20 @@ TEST(Arena, IncrementalProbesSurviveCompaction) {
 }
 
 TEST(Arena, CompactionPreservedAcrossPushPop) {
-  // Scoped variant: learn + compact inside a scope, pop it, and re-solve.
-  // The boundary rebuild drops tainted clauses and rewrites the arena; the
-  // re-run must be cheaper (clause reuse) and still correct.
+  // Retractable variant: learn + compact under assumptions, retract them,
+  // and re-solve. The boundary rebuild drops tainted clauses and rewrites
+  // the arena; the re-run must be cheaper (clause reuse) and still correct.
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
 
-  solver->push();
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
-  ASSERT_EQ(solver->check(), SatResult::Unsat);
+  const std::vector<ExprId> php = pigeonhole(f, 7, 6);
+  ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats first = solver->solve_stats();
   EXPECT_GT(first.arena_compactions, 0u);
-  solver->pop();
 
-  solver->push();
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
-  ASSERT_EQ(solver->check(), SatResult::Unsat);
+  ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats second = solver->solve_stats();
   EXPECT_LT(second.conflicts - first.conflicts, first.conflicts);
-  solver->pop();
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // CDCL behavior of the native solver: clause learning is active and
-// persists across pop() and between incremental checks, backjumping and
-// restarts produce correct verdicts, the search is deterministic, the
-// learned-clause database is bounded by deletion, and degraded searches
-// (unbounded domains, timeouts) answer Unknown — never a wrong Unsat.
+// persists across retracted assumptions and between incremental checks,
+// backjumping and restarts produce correct verdicts, the search is
+// deterministic, the learned-clause database is bounded by deletion, and
+// degraded searches (unbounded domains, timeouts) answer Unknown — never
+// a wrong Unsat.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -64,28 +64,23 @@ TEST(Cdcl, LearnsClausesAndKeepsThemAcrossPop) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
 
-  solver->push();
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
-  ASSERT_EQ(solver->check(), SatResult::Unsat);
+  const std::vector<ExprId> php = pigeonhole(f, 7, 6);
+  ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats first = solver->solve_stats();
   EXPECT_GT(first.conflicts, 0u);
   EXPECT_GT(first.learned_clauses, 0u);
   EXPECT_GT(first.learned_kept, 0u);
-  solver->pop();
 
-  // The popped scope's learned clauses survive: they mention the scoped
-  // roots' negations explicitly, so they stay valid — and make the same
-  // query much cheaper the second time.
-  solver->push();
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
-  ASSERT_EQ(solver->check(), SatResult::Unsat);
+  // The retracted formula's learned clauses survive: they mention the
+  // assumptions' negations explicitly, so they stay valid — and make the
+  // same query much cheaper the second time.
+  ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats second = solver->solve_stats();
   EXPECT_GT(second.learned_kept, 0u);
   EXPECT_LT(second.conflicts - first.conflicts, first.conflicts)
-      << "re-checking the popped formula should reuse learned clauses";
-  solver->pop();
+      << "re-checking the retracted formula should reuse learned clauses";
 
-  // And the popped clauses do not poison an unrelated satisfiable query.
+  // And those clauses do not poison an unrelated satisfiable query.
   const ExprId x = f.int_var("x");
   solver->add(f.le(f.int_const(2), x));
   solver->add(f.le(x, f.int_const(5)));
@@ -115,69 +110,6 @@ TEST(Cdcl, LearningCarriesAcrossAssumptionProbes) {
   EXPECT_GT(second.learned_hits, first.learned_hits)
       << "the reuse must be visible as prior-clause hits, not just fewer "
          "conflicts";
-}
-
-// check_assuming() on an Unsat verdict reports which assumptions the
-// refutation used — the contract capacity probing leans on to tell a
-// capacity-induced Unsat from one forced by the assertions alone.
-TEST(Cdcl, UnsatCoreReportsFailedAssumptions) {
-  for (const Backend backend : advocat::testing::solver_backends()) {
-    ExprFactory f;
-    auto solver = make_solver(f, backend);
-    const ExprId x = f.int_var("core_x");
-    const ExprId y = f.int_var("core_y");
-    solver->add(f.le(f.int_const(0), y));
-    const ExprId a_hi = f.le(f.int_const(6), x);  // x >= 6
-    const ExprId a_lo = f.le(x, f.int_const(2));  // x <= 2 — clashes with a_hi
-    const ExprId a_y = f.eq(y, f.int_const(5));   // satisfiable, irrelevant
-    ASSERT_EQ(solver->check_assuming({a_y, a_hi, a_lo}), SatResult::Unsat)
-        << to_string(backend);
-
-    const std::vector<ExprId>& core = solver->unsat_core();
-    auto in_core = [&core](ExprId e) {
-      return std::find(core.begin(), core.end(), e) != core.end();
-    };
-    EXPECT_TRUE(in_core(a_hi)) << to_string(backend);
-    EXPECT_TRUE(in_core(a_lo)) << to_string(backend);
-    EXPECT_FALSE(in_core(a_y))
-        << to_string(backend) << ": the refutation never touched y";
-
-    // A Sat check clears the core; an assertion-only Unsat leaves it empty
-    // (the assumptions were not needed).
-    ASSERT_EQ(solver->check_assuming({a_y}), SatResult::Sat);
-    EXPECT_TRUE(solver->unsat_core().empty());
-    solver->push();
-    solver->add(a_hi);
-    solver->add(a_lo);
-    ASSERT_EQ(solver->check_assuming({a_y}), SatResult::Unsat);
-    EXPECT_FALSE(in_core(a_y));  // note: vector reference stays valid
-    EXPECT_TRUE(solver->unsat_core().empty())
-        << to_string(backend) << ": unsat without the assumptions";
-    solver->pop();
-  }
-}
-
-// The core machinery composes with clause learning: a later probe whose
-// refutation reuses learned clauses must still trace those clauses back
-// to the assumptions that (re-)enable them.
-TEST(Cdcl, UnsatCoreSurvivesLearnedClauseReuse) {
-  ExprFactory f;
-  auto solver = make_solver(f, Backend::Native);
-  const ExprId guard = f.bool_var("core_guard");
-  std::vector<ExprId> php = pigeonhole(f, 7, 6);
-  for (ExprId c : php) solver->add(f.implies(guard, c));
-
-  ASSERT_EQ(solver->check_assuming({guard}), SatResult::Unsat);
-  ASSERT_EQ(solver->unsat_core().size(), 1u);
-  EXPECT_EQ(solver->unsat_core()[0], guard);
-
-  // Second probe: mostly answered from learned clauses, same core.
-  ASSERT_EQ(solver->check_assuming({guard}), SatResult::Unsat);
-  ASSERT_EQ(solver->unsat_core().size(), 1u);
-  EXPECT_EQ(solver->unsat_core()[0], guard);
-
-  // Dropping the guard assumption drops the contradiction.
-  EXPECT_EQ(solver->check(), SatResult::Sat);
 }
 
 TEST(Cdcl, BackjumpsOverIrrelevantDecisionsCorrectly) {
@@ -284,10 +216,7 @@ TEST(Cdcl, IntegerDivisibilityCutRefutesAtTranslation) {
   const ExprId y = f.int_var("g_y");
   const ExprId odd =
       f.eq(f.mul_const(2, x), f.add({f.mul_const(2, y), f.int_const(1)}));
-  solver->push();
-  solver->add(odd);
-  EXPECT_EQ(solver->check(), SatResult::Unsat);
-  solver->pop();
+  EXPECT_EQ(solver->check_assuming({odd}), SatResult::Unsat);
   solver->add(f.not_(odd));  // the disequality is an integer tautology
   EXPECT_EQ(solver->check(), SatResult::Sat);
 }
@@ -402,41 +331,42 @@ TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
     }
     const int asserts = std::uniform_int_distribution<int>(1, 3)(rng);
     for (int i = 0; i < asserts; ++i) add_all(formula(3));
+    // A stack of retractable formulas: a push op appends one, a pop op
+    // drops the last, and every check assumes the whole stack.
+    std::vector<ExprId> scoped;
     const int ops = std::uniform_int_distribution<int>(2, 5)(rng);
     for (int i = 0; i < ops; ++i) {
       switch (std::uniform_int_distribution<int>(0, 3)(rng)) {
-        case 0: {
-          for (auto& s : solvers) s->push();
-          add_all(formula(2));
+        case 0:
+          scoped.push_back(formula(2));
           break;
-        }
         case 1:
-          if (solvers[0]->num_scopes() > 0) {
-            for (auto& s : solvers) s->pop();
-          }
+          if (!scoped.empty()) scoped.pop_back();
           break;
         case 2: {
-          const ExprId a = formula(2);
-          const SatResult rn = solvers[0]->check_assuming({a});
-          ASSERT_EQ(rn, solvers[1]->check_assuming({a}))
+          std::vector<ExprId> a = scoped;
+          a.push_back(formula(2));
+          const SatResult rn = solvers[0]->check_assuming(a);
+          ASSERT_EQ(rn, solvers[1]->check_assuming(a))
               << "native twins diverged, round " << round;
           expect_twins_in_sync("check_assuming");
           // The native solver may degrade a search to Unknown
           // (documented); definite verdicts must agree with the oracle
           // exactly.
           if (with_z3 && rn != SatResult::Unknown) {
-            ASSERT_EQ(rn, solvers[2]->check_assuming({a}))
+            ASSERT_EQ(rn, solvers[2]->check_assuming(a))
                 << "round " << round;
           }
           break;
         }
         default: {
-          const SatResult rn = solvers[0]->check();
-          ASSERT_EQ(rn, solvers[1]->check())
+          const SatResult rn = solvers[0]->check_assuming(scoped);
+          ASSERT_EQ(rn, solvers[1]->check_assuming(scoped))
               << "native twins diverged, round " << round;
           expect_twins_in_sync("check");
           if (with_z3 && rn != SatResult::Unknown) {
-            ASSERT_EQ(rn, solvers[2]->check()) << "round " << round;
+            ASSERT_EQ(rn, solvers[2]->check_assuming(scoped))
+                << "round " << round;
           }
         }
       }

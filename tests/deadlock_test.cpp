@@ -3,6 +3,7 @@
 // available backend; the verdicts must agree.
 #include <gtest/gtest.h>
 
+#include "advocat/verifier.hpp"
 #include "automata/builder.hpp"
 #include "backend_fixture.hpp"
 #include "deadlock/checker.hpp"
@@ -19,10 +20,12 @@ using xmas::PrimId;
 
 class Deadlock : public advocat::testing::BackendTest {
  protected:
+  // The bare block/idle query: no invariants conjoined.
   Report run(const Network& net) {
-    const xmas::Typing typing = xmas::Typing::derive(net);
-    smt::ExprFactory f;
-    return check(net, typing, f, {}, /*timeout_ms=*/0, GetParam());
+    core::VerifyOptions o;
+    o.use_invariants = false;
+    o.backend = GetParam();
+    return core::verify(net, o).report;
   }
 };
 ADVOCAT_INSTANTIATE_BACKENDS(Deadlock);

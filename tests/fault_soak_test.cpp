@@ -161,13 +161,16 @@ std::vector<ExprId> pigeonhole(ExprFactory& f, int pigeons, int holes) {
 
 // Bounded-domain incremental fuzz session, shared by the reference and
 // the faulted run: the same seed replays the same assertion DAG and the
-// same push/pop/check sequence. Bounded domains keep the fault-free
+// same push/pop/check sequence, where push and pop grow and shrink a stack
+// of formulas every check assumes. Bounded domains keep the fault-free
 // native solver complete, so reference verdicts are definite and any
 // faulted divergence other than Unknown is a soundness bug.
 struct FuzzScript {
   explicit FuzzScript(std::uint64_t seed) : rng(seed) {}
 
   std::mt19937_64 rng;
+  // The formula stack after run(): what the final check assumed.
+  std::vector<ExprId> scoped;
 
   // Runs the scripted session on `solver` and returns the verdict of
   // every check in order. `factory` must outlive the solver. With
@@ -221,17 +224,22 @@ struct FuzzScript {
     for (int i = 0; i < ops; ++i) {
       switch (std::uniform_int_distribution<int>(0, 3)(rng)) {
         case 0:
-          solver.push();
-          solver.add(formula(2));
+          scoped.push_back(formula(2));
           break;
         case 1:
-          if (solver.num_scopes() > 0) solver.pop();
+          if (!scoped.empty()) scoped.pop_back();
           break;
-        case 2: verdicts.push_back(solver.check_assuming({formula(2)})); break;
-        default: verdicts.push_back(solver.check()); break;
+        case 2: {
+          std::vector<ExprId> a = scoped;
+          a.push_back(formula(2));
+          verdicts.push_back(solver.check_assuming(a));
+          break;
+        }
+        default: verdicts.push_back(solver.check_assuming(scoped)); break;
       }
     }
-    verdicts.push_back(solver.check());  // every script ends on a check
+    // Every script ends on a check.
+    verdicts.push_back(solver.check_assuming(scoped));
     return verdicts;
   }
 };
@@ -318,8 +326,8 @@ TEST(FaultSoak, NeverAWrongVerdictAcrossRandomSchedules) {
     solver->set_threads(threads);
     CaptureSink sink;
     solver->set_proof_sink(&sink);
-    std::vector<SatResult> faulted =
-        FuzzScript(seed).run(f_flt, *solver, with_php);
+    FuzzScript script(seed);
+    std::vector<SatResult> faulted = script.run(f_flt, *solver, with_php);
 
     ASSERT_EQ(faulted.size(), reference.size()) << spec;
     for (std::size_t i = 0; i < faulted.size(); ++i) {
@@ -338,7 +346,7 @@ TEST(FaultSoak, NeverAWrongVerdictAcrossRandomSchedules) {
     // Clearing the schedule re-arms the session: the final check must
     // now reproduce the reference verdict on the same live solver.
     ASSERT_TRUE(fault::configure(""));
-    EXPECT_EQ(solver->check(), reference.back())
+    EXPECT_EQ(solver->check_assuming(script.scoped), reference.back())
         << "session not reusable after faults: spec=" << spec
         << " seed=" << seed;
 

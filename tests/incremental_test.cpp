@@ -1,6 +1,6 @@
-// The incremental Solver contract, on every available backend: push/pop
-// scoping, assumption-based checks with automatic retraction, model
-// survival across pop, session recording/replay through smt::Script, and
+// The incremental Solver contract, on every available backend:
+// assumption-based checks with automatic retraction, model survival
+// across retraction, session recording/replay through smt::Script, and
 // native-vs-Z3 verdict agreement on interleaved check sequences.
 #include <gtest/gtest.h>
 
@@ -17,52 +17,6 @@ namespace {
 
 class Incremental : public advocat::testing::BackendTest {};
 ADVOCAT_INSTANTIATE_BACKENDS(Incremental);
-
-TEST_P(Incremental, PushPopScopesAssertions) {
-  ExprFactory f;
-  const ExprId x = f.int_var("x");
-  auto solver = make_solver(f, GetParam());
-  solver->add(f.le(x, f.int_const(1)));
-  EXPECT_EQ(solver->check(), SatResult::Sat);
-
-  solver->push();
-  EXPECT_EQ(solver->num_scopes(), 1u);
-  solver->add(f.le(f.int_const(2), x));
-  EXPECT_EQ(solver->check(), SatResult::Unsat);
-  solver->pop();
-
-  EXPECT_EQ(solver->num_scopes(), 0u);
-  EXPECT_EQ(solver->check(), SatResult::Sat);  // x >= 2 retracted
-}
-
-TEST_P(Incremental, NestedScopesUnwindIndependently) {
-  ExprFactory f;
-  const ExprId x = f.int_var("x");
-  auto solver = make_solver(f, GetParam());
-  solver->add(f.le(f.int_const(0), x));
-  solver->add(f.le(x, f.int_const(10)));
-
-  solver->push();
-  solver->add(f.le(f.int_const(5), x));  // x in [5, 10]
-  solver->push();
-  solver->add(f.le(x, f.int_const(4)));  // contradiction
-  EXPECT_EQ(solver->check(), SatResult::Unsat);
-  solver->pop();
-  ASSERT_EQ(solver->check(), SatResult::Sat);
-  EXPECT_GE(solver->model().int_value("x"), 5);
-  solver->pop();
-
-  ASSERT_EQ(solver->check(), SatResult::Sat);
-  const std::int64_t v = solver->model().int_value("x");
-  EXPECT_GE(v, 0);
-  EXPECT_LE(v, 10);
-}
-
-TEST_P(Incremental, PopWithoutPushThrows) {
-  ExprFactory f;
-  auto solver = make_solver(f, GetParam());
-  EXPECT_THROW(solver->pop(), std::logic_error);
-}
 
 TEST_P(Incremental, AssumptionsAreRetractedPerCheck) {
   ExprFactory f;
@@ -82,26 +36,6 @@ TEST_P(Incremental, AssumptionsAreRetractedPerCheck) {
   }
 }
 
-TEST_P(Incremental, AssumptionsComposeWithScopes) {
-  ExprFactory f;
-  const ExprId x = f.int_var("x");
-  const ExprId g = f.bool_var("g");
-  auto solver = make_solver(f, GetParam());
-  solver->add(f.le(f.int_const(0), x));
-  solver->add(f.le(x, f.int_const(5)));
-  // Guarded constraint, enabled per check by assuming the guard.
-  solver->add(f.implies(g, f.le(f.int_const(3), x)));
-
-  ASSERT_EQ(solver->check_assuming({g, f.le(x, f.int_const(2))}), SatResult::Unsat);
-  ASSERT_EQ(solver->check_assuming({f.le(x, f.int_const(2))}), SatResult::Sat);
-
-  solver->push();
-  solver->add(f.le(x, f.int_const(2)));
-  EXPECT_EQ(solver->check_assuming({g}), SatResult::Unsat);
-  solver->pop();
-  EXPECT_EQ(solver->check_assuming({g}), SatResult::Sat);
-}
-
 TEST_P(Incremental, LastModelSurvivesPop) {
   ExprFactory f;
   const ExprId x = f.int_var("x");
@@ -109,20 +43,17 @@ TEST_P(Incremental, LastModelSurvivesPop) {
   auto solver = make_solver(f, GetParam());
   solver->add(f.le(f.int_const(0), x));
 
-  solver->push();
-  solver->add(inner);
-  ASSERT_EQ(solver->check(), SatResult::Sat);
-  solver->pop();
+  ASSERT_EQ(solver->check_assuming({inner}), SatResult::Sat);
 
-  // The scoped assertion is gone, but the model it produced is not, and
-  // still satisfies the popped formula under the reference evaluator.
+  // The assumption is retracted, but the model it produced is not, and
+  // still satisfies the retracted formula under the reference evaluator.
   ASSERT_TRUE(solver->has_model());
-  EXPECT_EQ(solver->last_model().int_value("x"), 7);
-  EXPECT_TRUE(eval_bool(f, solver->last_model(), inner));
+  EXPECT_EQ(solver->model().int_value("x"), 7);
+  EXPECT_TRUE(eval_bool(f, solver->model(), inner));
 
   // A later Unsat check does not clobber the last Sat model either.
   EXPECT_EQ(solver->check_assuming({f.le(x, f.int_const(-1))}), SatResult::Unsat);
-  EXPECT_EQ(solver->last_model().int_value("x"), 7);
+  EXPECT_EQ(solver->model().int_value("x"), 7);
 }
 
 TEST_P(Incremental, ModelBeforeAnySatCheckThrows) {
@@ -150,39 +81,33 @@ TEST_P(Incremental, DeclarationsPersistAcrossPop) {
   auto solver = make_solver(f, GetParam());
   solver->add(f.le(f.int_const(0), x));
 
-  solver->push();
-  solver->add(f.eq(y, f.add({x, f.int_const(1)})));  // first mention of y
-  ASSERT_EQ(solver->check(), SatResult::Sat);
-  solver->pop();
+  // First mention of y, in an assumption.
+  ASSERT_EQ(solver->check_assuming({f.eq(y, f.add({x, f.int_const(1)}))}),
+            SatResult::Sat);
 
   // y's declaration (and each backend's translation of it) survives the
-  // pop; re-asserting over y works without re-declaration.
+  // retraction; asserting over y works without re-declaration.
   solver->add(f.eq(y, f.int_const(3)));
   ASSERT_EQ(solver->check(), SatResult::Sat);
   EXPECT_EQ(solver->model().int_value("y"), 3);
 }
 
-// A deterministic interleaved session: scopes, assumptions, retraction.
-// Returns the verdict sequence, used both for cross-backend agreement and
-// for the Script replay round-trip.
+// A deterministic interleaved session: assertions between checks,
+// assumptions, retraction. Returns the verdict sequence, used both for
+// cross-backend agreement and for the Script replay round-trip.
 std::vector<SatResult> run_session(ExprFactory& f, Solver& solver) {
   const ExprId x = f.int_var("x");
   const ExprId y = f.int_var("y");
+  const ExprId sum = f.eq(f.add({x, y}), f.int_const(4));
   std::vector<SatResult> verdicts;
   solver.add(f.le(f.int_const(0), x));
   solver.add(f.le(x, f.int_const(6)));
+  verdicts.push_back(solver.check());
   solver.add(f.le(f.int_const(0), y));
-  verdicts.push_back(solver.check());
-  solver.push();
-  solver.add(f.eq(f.add({x, y}), f.int_const(4)));
-  verdicts.push_back(solver.check_assuming({f.le(f.int_const(5), y)}));
-  verdicts.push_back(solver.check());
-  solver.push();
-  solver.add(f.le(f.int_const(7), x));
-  verdicts.push_back(solver.check());
-  solver.pop();
-  verdicts.push_back(solver.check_assuming({f.eq(x, f.int_const(4))}));
-  solver.pop();
+  verdicts.push_back(solver.check_assuming({sum, f.le(f.int_const(5), y)}));
+  verdicts.push_back(solver.check_assuming({sum}));
+  verdicts.push_back(solver.check_assuming({sum, f.le(f.int_const(7), x)}));
+  verdicts.push_back(solver.check_assuming({sum, f.eq(x, f.int_const(4))}));
   verdicts.push_back(solver.check_assuming({f.le(f.int_const(7), x)}));
   return verdicts;
 }
@@ -196,12 +121,12 @@ ADVOCAT_INSTANTIATE_BACKENDS(InterleavedSession);
 
 TEST_P(InterleavedSession, VerdictsMatchTheGroundTruth) {
   const std::vector<SatResult> expected{
-      SatResult::Sat,    // x in [0,6], y >= 0
-      SatResult::Unsat,  // x+y = 4 under y >= 5
+      SatResult::Sat,    // x in [0,6]
+      SatResult::Unsat,  // x+y = 4 under y >= 0, y >= 5
       SatResult::Sat,    // x+y = 4 alone
       SatResult::Unsat,  // plus x >= 7 against x <= 6
-      SatResult::Sat,    // x = 4, y = 0 after the inner pop
-      SatResult::Unsat,  // x >= 7 assumption at the outer scope
+      SatResult::Sat,    // x+y = 4 with x = 4, y = 0
+      SatResult::Unsat,  // x >= 7 alone
   };
   ExprFactory f;
   auto solver = make_solver(f, GetParam());
@@ -215,7 +140,6 @@ TEST(Script, RecordsAndSerializesSessions) {
   const std::vector<SatResult> verdicts = run_session(f, *solver);
 
   EXPECT_EQ(script.num_checks(), verdicts.size());
-  EXPECT_EQ(script.num_scopes(), 0u);  // balanced session
 
   const std::string text = script.to_smtlib(f);
   EXPECT_NE(text.find("(push 1)"), std::string::npos);
@@ -235,14 +159,6 @@ TEST(Script, RecordsAndSerializesSessions) {
   }
   EXPECT_EQ(pushes, pops);
   EXPECT_GE(pushes, 2u);
-}
-
-TEST(Script, UnbalancedPopThrows) {
-  Script script;
-  EXPECT_THROW(script.pop(), std::logic_error);
-  script.push();
-  script.pop();
-  EXPECT_THROW(script.pop(), std::logic_error);
 }
 
 // Round-trip: a recorded session replayed onto a fresh solver of every

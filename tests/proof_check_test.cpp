@@ -113,11 +113,8 @@ TEST(ProofCertificate, IncrementalSessionCertifiesEveryUnsat) {
   s->add(f.le(f.int_const(3), x));
   s->add(f.le(f.add({x, y}), f.int_const(4)));
   for (int k = 0; k <= 3; ++k) {
-    s->push();
-    s->add(f.le(f.int_const(k), y));
-    const SatResult r = s->check();
+    const SatResult r = s->check_assuming({f.le(f.int_const(k), y)});
     EXPECT_EQ(r, k <= 1 ? SatResult::Sat : SatResult::Unsat) << "k=" << k;
-    s->pop();
   }
   ASSERT_EQ(sink.certs.size(), 2u);  // k = 2 and k = 3
   for (const Certificate& cert : sink.certs) {

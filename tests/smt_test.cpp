@@ -162,11 +162,7 @@ TEST_P(SolverBackend, CanonicalSignEqualityDedupIsSemantics) {
                           f.int_const(6));
   const ExprId flip = f.eq(f.add({f.mul_const(-3, x), f.mul_const(2, y)}),
                            f.int_const(-6));
-  solver->push();
-  solver->add(pos);
-  solver->add(f.not_(flip));
-  EXPECT_EQ(solver->check(), SatResult::Unsat);
-  solver->pop();
+  EXPECT_EQ(solver->check_assuming({pos, f.not_(flip)}), SatResult::Unsat);
   solver->add(pos);
   solver->add(flip);
   EXPECT_EQ(solver->check(), SatResult::Sat);
@@ -181,12 +177,11 @@ TEST_P(SolverBackend, RowAndItsNegationDoNotCollide) {
   ExprFactory f;
   const ExprId x = f.int_var("x");
   auto solver = make_solver(f, GetParam());
-  solver->push();
-  solver->add(f.le(x, f.int_const(3)));
-  solver->add(f.le(f.mul_const(-1, x), f.int_const(-3)));
-  ASSERT_EQ(solver->check(), SatResult::Sat);
+  ASSERT_EQ(solver->check_assuming({f.le(x, f.int_const(3)),
+                                     f.le(f.mul_const(-1, x),
+                                          f.int_const(-3))}),
+            SatResult::Sat);
   EXPECT_EQ(solver->model().int_value("x"), 3);
-  solver->pop();
   solver->add(f.le(x, f.int_const(3)));
   solver->add(f.le(f.mul_const(-1, x), f.int_const(-4)));
   EXPECT_EQ(solver->check(), SatResult::Unsat);
