@@ -57,9 +57,6 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
     }
     throw std::invalid_argument(msg);
   }
-  if (options_.prune_dead_channels && !ar.prunable_prims.empty()) {
-    net_ = analysis::prune_idle(net_, ar);
-  }
   diagnostics_ = std::move(ar.diagnostics);
   analysis_ms_ = analysis_watch.seconds() * 1000.0;
 
@@ -77,9 +74,6 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
   construct_encode_seconds_ = watch.seconds();
 
   solver_ = smt::make_solver(factory_, options_.backend);
-  if (options_.record_script) {
-    solver_ = smt::make_recording_solver(std::move(solver_), script_);
-  }
   if (options_.threads != 0) solver_->set_threads(options_.threads);
   if (options_.deterministic) solver_->set_deterministic(true);
   // Before any assertion reaches the solver, so every Unsat of the session
@@ -87,86 +81,60 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
   if (options_.proof_sink != nullptr) {
     solver_->set_proof_sink(options_.proof_sink);
   }
-  if (!options_.budget.unlimited()) solver_->set_budget(options_.budget);
+  const util::ResourceBudget budget = solver_budget();
+  if (!budget.unlimited()) solver_->set_budget(budget);
   for (smt::ExprId e : enc_.structural) solver_->add(e);
   for (smt::ExprId e : enc_.definitions) solver_->add(e);
   solver_->add(enc_.deadlock);
 
-  if (options_.use_invariants) ensure_invariants();
-  if (options_.use_flow_completion) ensure_flow_completion();
+  if (options_.use_invariants) {
+    util::Stopwatch inv_watch;
+    invariants_ = inv::generate(net_, typing_);
+    invariant_seconds_ = inv_watch.seconds();
+    ++stats_.invariant_generations;
+    const std::vector<smt::ExprId> smt = invariants_.to_smt(factory_);
+    inv_guard_ = factory_.bool_var("G[invariants]");
+    ineq_guard_ = factory_.bool_var("G[inequalities]");
+    for (std::size_t i = 0; i < smt.size(); ++i) {
+      const smt::ExprId guard =
+          i < invariants_.equalities.size() ? inv_guard_ : ineq_guard_;
+      solver_->add(factory_.implies(guard, smt[i]));
+    }
+  }
+  if (options_.use_flow_completion) {
+    const std::vector<smt::ExprId> flow =
+        inv::flow_completion_smt(net_, typing_, factory_);
+    flow_guard_ = factory_.bool_var("G[flow_completion]");
+    for (smt::ExprId e : flow) {
+      solver_->add(factory_.implies(flow_guard_, e));
+    }
+  }
 
   construct_seconds_ = total.seconds();
 }
 
-void Verifier::ensure_invariants() {
-  if (invariants_ready_) return;
-  util::Stopwatch watch;
-  invariants_ = inv::generate(net_, typing_);
-  invariant_seconds_ += watch.seconds();
-  ++stats_.invariant_generations;
-  const std::vector<smt::ExprId> smt = invariants_.to_smt(factory_);
-  inv_guard_ = factory_.bool_var("G[invariants]");
-  ineq_guard_ = factory_.bool_var("G[inequalities]");
-  for (std::size_t i = 0; i < smt.size(); ++i) {
-    const smt::ExprId guard =
-        i < invariants_.equalities.size() ? inv_guard_ : ineq_guard_;
-    solver_->add(factory_.implies(guard, smt[i]));
-  }
-  invariants_ready_ = true;
+util::ResourceBudget Verifier::solver_budget() const {
+  util::ResourceBudget b = options_.budget;
+  const unsigned t = options_.timeout_ms;
+  if (t != 0 && (b.deadline_ms == 0 || t < b.deadline_ms)) b.deadline_ms = t;
+  return b;
 }
 
-void Verifier::ensure_flow_completion() {
-  if (flow_ready_) return;
-  const std::vector<smt::ExprId> flow =
-      inv::flow_completion_smt(net_, typing_, factory_);
-  flow_guard_ = factory_.bool_var("G[flow_completion]");
-  for (smt::ExprId e : flow) {
-    solver_->add(factory_.implies(flow_guard_, e));
-  }
-  flow_ready_ = true;
-}
-
-VerifyResult Verifier::run_check(const CheckOverrides& o) {
+VerifyResult Verifier::run_check(
+    const std::function<std::size_t(xmas::PrimId)>& capacity_of) {
   util::Stopwatch watch;
-
-  const bool use_inv = o.use_invariants.value_or(options_.use_invariants);
-  const bool use_ineq = o.use_inequalities.value_or(true);
-  const bool use_flow =
-      o.use_flow_completion.value_or(options_.use_flow_completion);
-  const unsigned timeout = o.timeout_ms.value_or(options_.timeout_ms);
-
-  if (!options_.symbolic_capacities &&
-      (o.uniform_capacity.has_value() || !o.queue_capacities.empty())) {
-    throw std::logic_error(
-        "Verifier: capacity overrides require "
-        "VerifyOptions::symbolic_capacities");
-  }
-
-  if (use_inv) ensure_invariants();
-  if (use_flow) ensure_flow_completion();
 
   std::vector<smt::ExprId> assumptions;
-  if (use_inv) {
-    assumptions.push_back(inv_guard_);
-    if (use_ineq) assumptions.push_back(ineq_guard_);
+  for (smt::ExprId g : {inv_guard_, ineq_guard_, flow_guard_}) {
+    if (g != smt::kNoExpr) assumptions.push_back(g);
   }
-  if (use_flow) assumptions.push_back(flow_guard_);
   // Capacity bindings: every symbolic capacity variable must be pinned per
   // check, or the solver could pick capacities that fabricate candidates.
   for (const auto& [qid, capvar] : enc_.capacity_vars) {
-    std::size_t k = net_.prim(qid).capacity;
-    if (o.uniform_capacity.has_value()) k = *o.uniform_capacity;
-    for (const auto& [oq, ok] : o.queue_capacities) {
-      if (oq == qid) {
-        k = ok;
-        break;
-      }
-    }
-    assumptions.push_back(
-        factory_.eq(capvar, factory_.int_const(static_cast<std::int64_t>(k))));
+    assumptions.push_back(factory_.eq(
+        capvar,
+        factory_.int_const(static_cast<std::int64_t>(capacity_of(qid)))));
   }
-  assumptions.insert(assumptions.end(), o.assumptions.begin(),
-                     o.assumptions.end());
 
   VerifyResult result;
   result.report.num_definitions = enc_.definitions.size();
@@ -175,7 +143,7 @@ VerifyResult Verifier::run_check(const CheckOverrides& o) {
   util::Stopwatch solve;
   bool fault_unwound = false;
   try {
-    result.report.result = solver_->check_assuming(assumptions, timeout);
+    result.report.result = solver_->check_assuming(assumptions);
   } catch (const util::fault::FaultInjected&) {
     // Safety net: an injected fault that escapes the solver's own
     // handling (they all unwind at assumption-retracted safe points)
@@ -207,9 +175,9 @@ VerifyResult Verifier::run_check(const CheckOverrides& o) {
     }
   }
 
-  if (use_inv) {
+  if (options_.use_invariants) {
     result.num_invariants = invariants_.equalities.size();
-    result.num_inequalities = use_ineq ? invariants_.inequalities.size() : 0;
+    result.num_inequalities = invariants_.inequalities.size();
     result.invariant_text = invariants_.to_strings();
   }
   result.diagnostics = diagnostics_;
@@ -230,15 +198,14 @@ const smt::SolveStats& Verifier::solve_stats() const {
 
 void Verifier::set_budget(const util::ResourceBudget& budget) {
   options_.budget = budget;
-  solver_->set_budget(budget);
+  solver_->set_budget(solver_budget());
 }
 
 void Verifier::cancel() { solver_->cancel(); }
 
-VerifyResult Verifier::check() { return run_check(CheckOverrides{}); }
-
-VerifyResult Verifier::check_with(const CheckOverrides& overrides) {
-  return run_check(overrides);
+VerifyResult Verifier::check() {
+  return run_check(
+      [this](xmas::PrimId q) { return net_.prim(q).capacity; });
 }
 
 VerifyResult Verifier::probe_capacity(std::size_t capacity) {
@@ -246,9 +213,22 @@ VerifyResult Verifier::probe_capacity(std::size_t capacity) {
     throw std::logic_error(
         "Verifier::probe_capacity requires VerifyOptions::symbolic_capacities");
   }
-  CheckOverrides o;
-  o.uniform_capacity = capacity;
-  return run_check(o);
+  if (capacity > xmas::kMaxQueueCapacity) {
+    throw std::invalid_argument(
+        "Verifier::probe_capacity: capacity " + std::to_string(capacity) +
+        " exceeds " + std::to_string(xmas::kMaxQueueCapacity));
+  }
+  return run_check([capacity](xmas::PrimId) { return capacity; });
+}
+
+VerifyResult Verifier::probe_capacities(const xmas::Network& candidate) {
+  if (!options_.symbolic_capacities) {
+    throw std::logic_error(
+        "Verifier::probe_capacities requires "
+        "VerifyOptions::symbolic_capacities");
+  }
+  return run_check(
+      [&candidate](xmas::PrimId q) { return candidate.prim(q).capacity; });
 }
 
 bool Verifier::probe_compatible(const xmas::Network& other) const {
@@ -373,16 +353,6 @@ void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
   into.threads = std::max(into.threads, s.threads);
 }
 
-/// A probe's candidate network as the sessions see it: pruned exactly as
-/// the Verifier constructor prunes under VerifyOptions::prune_dead_channels,
-/// so the candidate's primitive ids line up with the session's.
-xmas::Network session_view(xmas::Network net, const VerifyOptions& vo) {
-  if (!vo.prune_dead_channels) return net;
-  const analysis::AnalysisResult ar = analysis::analyze(net);
-  if (ar.has_errors() || ar.prunable_prims.empty()) return net;
-  return analysis::prune_idle(net, ar);
-}
-
 }  // namespace
 
 // Round-based capacity search: a ladder round probes the next W exponential
@@ -404,6 +374,12 @@ QueueSizingResult find_minimal_queue_size(
         "find_minimal_queue_size: min_capacity " +
         std::to_string(options.min_capacity) + " exceeds max_capacity " +
         std::to_string(options.max_capacity));
+  }
+  if (options.max_capacity > xmas::kMaxQueueCapacity) {
+    throw std::invalid_argument(
+        "find_minimal_queue_size: max_capacity " +
+        std::to_string(options.max_capacity) + " exceeds " +
+        std::to_string(xmas::kMaxQueueCapacity));
   }
   const unsigned width = std::min(
       options.probe_threads == 0 ? util::env_threads(1) : options.probe_threads,
@@ -427,7 +403,7 @@ QueueSizingResult find_minimal_queue_size(
     std::vector<xmas::Network> candidates;
     candidates.reserve(caps.size());
     for (std::size_t cap : caps) {
-      candidates.push_back(session_view(make_net(cap), vo));
+      candidates.push_back(make_net(cap));
       if (!sessions[0]->probe_compatible(candidates.back())) {
         throw std::invalid_argument(
             "find_minimal_queue_size: make_net(" + std::to_string(cap) +
@@ -440,12 +416,8 @@ QueueSizingResult find_minimal_queue_size(
     std::vector<util::StopReason> reasons(caps.size(),
                                           util::StopReason::kNone);
     util::parallel_for_static(caps.size(), width, [&](std::size_t i) {
-      CheckOverrides o;
-      for (xmas::PrimId qid :
-           candidates[i].prims_of_kind(xmas::PrimKind::Queue)) {
-        o.queue_capacities.emplace_back(qid, candidates[i].prim(qid).capacity);
-      }
-      const VerifyResult r = sessions[i % width]->check_with(o);
+      const VerifyResult r =
+          sessions[i % width]->probe_capacities(candidates[i]);
       verdicts[i] = r.report.result;
       // Captured per probe (a session's own stop_reason only remembers
       // its most recent check, which may be a later probe of this round).

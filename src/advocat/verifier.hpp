@@ -7,7 +7,8 @@
 // expensive, capacity-independent stages — validation, T-derivation,
 // invariant generation, the block/idle encoding, and the solver-side
 // translation — run once at construction; every subsequent check() /
-// check_with() / probe_capacity() is a solver call under retractable
+// probe_capacity() / probe_capacities() is one solver call whose only
+// per-check input is the queue capacities, bound by retractable
 // assumptions on one live smt::Solver. The one-shot verify() and the
 // queue-capacity search find_minimal_queue_size() are thin wrappers.
 #pragma once
@@ -24,7 +25,7 @@
 #include "deadlock/encoder.hpp"
 #include "deadlock/witness.hpp"
 #include "invariants/generator.hpp"
-#include "smt/smtlib.hpp"
+#include "smt/solver.hpp"
 #include "util/budget.hpp"
 #include "xmas/network.hpp"
 #include "xmas/typing.hpp"
@@ -40,23 +41,17 @@ struct VerifyOptions {
   /// flow completions need negative counters — required for the
   /// GEM5-style MI protocol).
   bool use_flow_completion = false;
-  /// Solver timeout per query; 0 = unlimited.
+  /// Wall-clock limit per check; 0 = unlimited. Folded into the solver's
+  /// budget together with budget.deadline_ms (the tighter of the two wins).
   unsigned timeout_ms = 0;
   /// Solver backend: Auto picks Z3 when compiled in, the portable native
   /// solver otherwise.
   smt::Backend backend = smt::Backend::Auto;
   /// Encode queue capacities as symbolic variables bound per check by
   /// solver assumptions instead of baked-in constants. Required for
-  /// Verifier::probe_capacity(); the encoding is otherwise equivalent.
+  /// Verifier::probe_capacity() / probe_capacities(); the encoding is
+  /// otherwise equivalent.
   bool symbolic_capacities = false;
-  /// Mirror the solver session into an SMT-LIB script (Verifier::script()).
-  bool record_script = false;
-  /// Drop provably-idle components (every channel dead, no source or
-  /// automaton — see analysis::prune_idle) before encoding. Shrinks the
-  /// SMT problem without changing the verdict; off by default because a
-  /// pruned session's network no longer matches the caller's shape (e.g.
-  /// for probe_compatible fingerprints).
-  bool prune_dead_channels = false;
   /// Parallel search workers inside each solver check (native backend
   /// cube-and-conquer / portfolio; see smt::Solver::set_threads). 0 keeps
   /// the solver's environment default (ADVOCAT_THREADS, itself defaulting
@@ -132,26 +127,6 @@ struct VerifyResult {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Per-check deviations from a session's base VerifyOptions. Everything
-/// here is expressed through assumptions, so no state leaks into later
-/// checks.
-struct CheckOverrides {
-  std::optional<bool> use_invariants;
-  /// Conjoin the derived ≤-inequalities alongside the invariants
-  /// (extension; tightens pruning). Defaults to true.
-  std::optional<bool> use_inequalities;
-  std::optional<bool> use_flow_completion;
-  std::optional<unsigned> timeout_ms;
-  /// Uniform capacity assumed for every queue (symbolic sessions only).
-  std::optional<std::size_t> uniform_capacity;
-  /// Per-queue capacity bindings (symbolic sessions only); wins over
-  /// uniform_capacity. Queues in neither keep their network capacity.
-  std::vector<std::pair<xmas::PrimId, std::size_t>> queue_capacities;
-  /// Extra assumptions, built from the session's factory(), held for this
-  /// check only.
-  std::vector<smt::ExprId> assumptions;
-};
-
 /// Instrumentation: how often each pipeline stage actually ran on a
 /// session. A capacity-sizing run over N probes should show one
 /// validation/typing/generation/encode and N checks.
@@ -181,22 +156,23 @@ class Verifier {
 
   /// Forwards util::ResourceBudget ceilings to the session's solver for
   /// every subsequent check; a default-constructed budget clears them.
+  /// VerifyOptions::timeout_ms keeps applying on top (tighter one wins).
   void set_budget(const util::ResourceBudget& budget);
   /// Cancels the in-flight check from another thread: it returns Unknown
   /// with StopReason::kCancelled at the solver's next cancellation point,
   /// and the session stays fully reusable (the flag is one-shot).
   void cancel();
 
-  /// Re-solves the deadlock query under the session's base options.
+  /// Re-solves the deadlock query at the network's own queue capacities.
   VerifyResult check();
-  /// Re-solves under per-check overrides (see CheckOverrides). Feature
-  /// groups toggled off are disabled via unasserted guard assumptions;
-  /// groups toggled on that were never prepared are generated lazily and
-  /// asserted incrementally — later checks get them for free.
-  VerifyResult check_with(const CheckOverrides& overrides);
   /// Assumes capacity `k` for every queue and re-solves: one assumption
-  /// flip per probe. Requires VerifyOptions::symbolic_capacities.
+  /// flip per probe. Requires VerifyOptions::symbolic_capacities; throws
+  /// std::invalid_argument when `k` exceeds xmas::kMaxQueueCapacity.
   VerifyResult probe_capacity(std::size_t capacity);
+  /// Assumes every queue's capacity in `candidate` and re-solves. Requires
+  /// VerifyOptions::symbolic_capacities, and `candidate` must pass
+  /// probe_compatible() (the caller's contract; not re-checked here).
+  VerifyResult probe_capacities(const xmas::Network& candidate);
 
   [[nodiscard]] const xmas::Network& network() const { return net_; }
   [[nodiscard]] const xmas::Typing& typing() const { return typing_; }
@@ -212,11 +188,6 @@ class Verifier {
   /// Session-cumulative solver search statistics (see smt::SolveStats) —
   /// the same snapshot every VerifyResult carries, without a check.
   [[nodiscard]] const smt::SolveStats& solve_stats() const;
-  /// The session's expression arena — build CheckOverrides::assumptions
-  /// against this factory.
-  [[nodiscard]] smt::ExprFactory& factory() { return factory_; }
-  /// The recorded SMT-LIB session (empty unless options.record_script).
-  [[nodiscard]] const smt::Script& script() const { return script_; }
 
   /// Whether `other` differs from the session's network only in queue
   /// capacities — the precondition for probing `other`'s capacities on
@@ -229,9 +200,12 @@ class Verifier {
   [[nodiscard]] bool probe_compatible(const xmas::Network& other) const;
 
  private:
-  VerifyResult run_check(const CheckOverrides& o);
-  void ensure_invariants();
-  void ensure_flow_completion();
+  /// One check with every symbolic capacity bound to `capacity_of(queue)`.
+  VerifyResult run_check(
+      const std::function<std::size_t(xmas::PrimId)>& capacity_of);
+  /// The solver's budget: options_.budget with options_.timeout_ms folded
+  /// into its deadline.
+  [[nodiscard]] util::ResourceBudget solver_budget() const;
 
   xmas::Network net_;
   VerifyOptions options_;
@@ -240,16 +214,14 @@ class Verifier {
   xmas::Typing typing_;
   smt::ExprFactory factory_;
   deadlock::Encoding enc_;
-  smt::Script script_;
   std::unique_ptr<smt::Solver> solver_;
 
-  // Feature-group guard literals: each group is asserted once as
-  // guard → constraint; a check enables the group by assuming the guard.
+  // Feature-group guard literals: each group the options enable is
+  // asserted once as guard → constraint, and every check assumes its
+  // guard (kNoExpr for a disabled group).
   smt::ExprId inv_guard_ = smt::kNoExpr;
   smt::ExprId ineq_guard_ = smt::kNoExpr;
   smt::ExprId flow_guard_ = smt::kNoExpr;
-  bool invariants_ready_ = false;
-  bool flow_ready_ = false;
   inv::InvariantSet invariants_;
 
   SessionStats stats_;
@@ -335,7 +307,8 @@ struct QueueSizingResult {
 /// flip on a live Verifier session built once from
 /// `make_net(min_capacity)`, so make_net must vary only queue capacities
 /// with its argument. Throws std::invalid_argument when min_capacity
-/// exceeds max_capacity, or when a probed network fails
+/// exceeds max_capacity, when max_capacity exceeds
+/// xmas::kMaxQueueCapacity, or when a probed network fails
 /// Verifier::probe_compatible against the session's (the message names
 /// the capacity).
 QueueSizingResult find_minimal_queue_size(

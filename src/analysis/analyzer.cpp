@@ -357,8 +357,7 @@ std::vector<ColorSet> derive_checked(const Network& net,
   return T;
 }
 
-/// dead-channel + unreachable-sink warnings, plus the prunable-component
-/// computation over the checked typing.
+/// dead-channel + unreachable-sink warnings over the checked typing.
 void check_liveness(const Network& net, const std::vector<ColorSet>& T,
                     AnalysisResult& result) {
   const std::size_t n = net.num_channels();
@@ -404,58 +403,6 @@ void check_liveness(const Network& net, const std::vector<ColorSet>& T,
            "packets here can never reach a sink or automaton");
     }
   }
-
-  // Prunable components: undirected connected components (primitives
-  // joined by channels) in which every channel is dead and that contain no
-  // source and no automaton. Such a component contributes no deadlock
-  // disjunct — no packet can be stuck, no fair source refused, no
-  // automaton starved — so removing it preserves the verdict. Automata
-  // are excluded because an automaton that can never fire *is* reported
-  // dead by the encoding; pruning one would flip a deadlock to free.
-  std::vector<int> comp(net.num_prims(), -1);
-  int num_comps = 0;
-  for (std::size_t p = 0; p < net.num_prims(); ++p) {
-    if (comp[p] != -1) continue;
-    std::vector<PrimId> frontier{static_cast<PrimId>(p)};
-    comp[p] = num_comps;
-    while (!frontier.empty()) {
-      const PrimId u = frontier.back();
-      frontier.pop_back();
-      const Primitive& prim = net.prim(u);
-      auto visit = [&](ChanId c) {
-        if (c == kNoChan) return;
-        const xmas::Channel& ch = net.channel(c);
-        for (PrimId v : {ch.initiator, ch.target}) {
-          if (comp[static_cast<std::size_t>(v)] == -1) {
-            comp[static_cast<std::size_t>(v)] = num_comps;
-            frontier.push_back(v);
-          }
-        }
-      };
-      for (ChanId c : prim.in) visit(c);
-      for (ChanId c : prim.out) visit(c);
-    }
-    ++num_comps;
-  }
-  std::vector<char> prunable(static_cast<std::size_t>(num_comps), 1);
-  for (std::size_t p = 0; p < net.num_prims(); ++p) {
-    const PrimKind kind = net.prims()[p].kind;
-    if (kind == PrimKind::Source || kind == PrimKind::Automaton) {
-      prunable[static_cast<std::size_t>(comp[p])] = 0;
-    }
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    if (!T[c].empty()) {
-      const PrimId owner = net.channels()[c].initiator;
-      prunable[static_cast<std::size_t>(comp[static_cast<std::size_t>(
-          owner)])] = 0;
-    }
-  }
-  for (std::size_t p = 0; p < net.num_prims(); ++p) {
-    if (prunable[static_cast<std::size_t>(comp[p])] != 0) {
-      result.prunable_prims.push_back(static_cast<PrimId>(p));
-    }
-  }
 }
 
 }  // namespace
@@ -470,60 +417,6 @@ AnalysisResult analyze(const Network& net) {
   if (result.diagnostics.size() != before) return result;  // type errors
   check_liveness(net, T, result);
   return result;
-}
-
-Network prune_idle(const Network& net, const AnalysisResult& analysis) {
-  Network out;
-  out.colors() = net.colors();
-  std::vector<char> drop(net.num_prims(), 0);
-  for (PrimId p : analysis.prunable_prims) {
-    drop[static_cast<std::size_t>(p)] = 1;
-  }
-  std::vector<PrimId> remap(net.num_prims(), -1);
-  for (std::size_t i = 0; i < net.num_prims(); ++i) {
-    if (drop[i] != 0) continue;
-    const Primitive& p = net.prims()[i];
-    switch (p.kind) {
-      case PrimKind::Source:
-        remap[i] = out.add_source(p.name, p.source_colors, p.fair);
-        break;
-      case PrimKind::Sink:
-        remap[i] = out.add_sink(p.name, p.fair);
-        break;
-      case PrimKind::Queue:
-        remap[i] = out.add_queue(p.name, p.capacity, p.fifo);
-        break;
-      case PrimKind::Function:
-        remap[i] = out.add_function(p.name, p.func);
-        break;
-      case PrimKind::Fork:
-        remap[i] = out.add_fork(p.name);
-        break;
-      case PrimKind::Join:
-        remap[i] = out.add_join(p.name);
-        break;
-      case PrimKind::Switch:
-        remap[i] = out.add_switch(p.name, static_cast<int>(p.out.size()),
-                                  p.route);
-        break;
-      case PrimKind::Merge:
-        remap[i] = out.add_merge(p.name, static_cast<int>(p.in.size()));
-        break;
-      case PrimKind::Automaton:
-        remap[i] = out.add_automaton(net.automaton_of(p));
-        break;
-    }
-  }
-  for (std::size_t c = 0; c < net.num_channels(); ++c) {
-    const xmas::Channel& ch = net.channels()[c];
-    const PrimId from = remap[static_cast<std::size_t>(ch.initiator)];
-    const PrimId to = remap[static_cast<std::size_t>(ch.target)];
-    // Channels never straddle a component boundary, so a dropped endpoint
-    // implies the whole channel was pruned with its component.
-    if (from == -1 || to == -1) continue;
-    out.connect(from, ch.init_port, to, ch.tgt_port, ch.name);
-  }
-  return out;
 }
 
 }  // namespace advocat::analysis

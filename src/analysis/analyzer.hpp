@@ -29,13 +29,7 @@
 //                                 or automaton)
 //
 // Errors reject the network (core::Verifier throws std::invalid_argument
-// carrying them); warnings are surfaced through VerifyResult and logged.
-//
-// `prune_idle` removes provably-idle components — connected components in
-// which every channel is dead and that contain neither a source nor an
-// automaton — producing a smaller network with the same deadlock verdict
-// and the same minimal capacities (idle components contribute no blocked
-// packet, no fair-source refusal, and no dead automaton to the encoding).
+// carrying them); warnings are surfaced through VerifyResult.
 #pragma once
 
 #include <string>
@@ -68,8 +62,6 @@ struct AnalysisResult {
   /// Channels with an empty derived color set, ascending. Only populated
   /// when the network has no errors (the sets are meaningless otherwise).
   std::vector<xmas::ChanId> dead_channels;
-  /// Primitives of provably-idle components (see prune_idle), ascending.
-  std::vector<xmas::PrimId> prunable_prims;
 
   [[nodiscard]] bool has_errors() const;
   [[nodiscard]] std::size_t num_errors() const;
@@ -81,12 +73,5 @@ struct AnalysisResult {
 /// Runs every rule. Structural errors (connectivity, parameters) suppress
 /// the semantic passes, which need a fully wired net to make sense.
 [[nodiscard]] AnalysisResult analyze(const xmas::Network& net);
-
-/// Returns a copy of `net` without `analysis.prunable_prims` (and the
-/// channels among them). Primitive ids are compacted; names, parameters,
-/// colors, and all surviving wiring are preserved. `analysis` must come
-/// from `analyze(net)` and carry no errors.
-[[nodiscard]] xmas::Network prune_idle(const xmas::Network& net,
-                                       const AnalysisResult& analysis);
 
 }  // namespace advocat::analysis

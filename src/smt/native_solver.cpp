@@ -129,19 +129,12 @@ class NativeSolver final : public Solver {
   }
 
  protected:
-  SatResult do_check(const std::vector<ExprId>& assumptions,
-                     unsigned timeout_ms) override {
+  SatResult do_check(const std::vector<ExprId>& assumptions) override {
     CheckJob job;
-    // The per-call timeout and the session budget's deadline compose as
-    // the tighter of the two; both surface as Unknown(kDeadline).
-    unsigned effective_ms = timeout_ms;
-    const unsigned budget_ms = budget().deadline_ms;
-    if (budget_ms != 0 && (effective_ms == 0 || budget_ms < effective_ms)) {
-      effective_ms = budget_ms;
-    }
-    job.deadline_active = effective_ms > 0;
+    const unsigned deadline_ms = budget().deadline_ms;
+    job.deadline_active = deadline_ms > 0;
     if (job.deadline_active) {
-      job.deadline = Clock::now() + std::chrono::milliseconds(effective_ms);
+      job.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
     }
     // Null budget pointer when the session has no ceilings: the search's
     // cancellation point then pays one pointer test, and verdicts and

@@ -18,18 +18,17 @@ bool Model::bool_value(const std::string& name) const {
   return it != bools_.end() && it->second;
 }
 
-SatResult Solver::check(unsigned timeout_ms) {
+SatResult Solver::check() {
   static const std::vector<ExprId> kNoAssumptions;
-  return check_assuming(kNoAssumptions, timeout_ms);
+  return check_assuming(kNoAssumptions);
 }
 
-SatResult Solver::check_assuming(const std::vector<ExprId>& assumptions,
-                                 unsigned timeout_ms) {
+SatResult Solver::check_assuming(const std::vector<ExprId>& assumptions) {
   ++num_checks_;
   // Re-arm the one-shot cancellation flag: a cancel() that landed after
   // the previous check returned must not poison this one.
   cancel_.store(false, std::memory_order_relaxed);
-  return do_check(assumptions, timeout_ms);
+  return do_check(assumptions);
 }
 
 const Model& Solver::model() const {

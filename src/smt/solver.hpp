@@ -3,7 +3,7 @@
 // Two interchangeable backends implement it: Z3 (z3_solver.cpp, compiled
 // only when libz3 is available) and the portable in-tree solver
 // (native_solver.cpp, always available). make_solver() picks one at
-// runtime; smtlib.hpp serializes the same sessions for external solvers.
+// runtime; smtlib.hpp serializes assertion sets for external solvers.
 //
 // The interface is *incremental*: a solver is a live session with one
 // contract — permanent assertions plus per-check assumptions. Assertions
@@ -168,12 +168,11 @@ class Solver {
   /// every subsequent check on this session; a default-constructed budget
   /// clears them. Exhausting any ceiling returns Unknown with the matching
   /// StopReason on solve_stats() — state stays consistent and the session
-  /// remains usable, exactly like a timeout. The native backend enforces
-  /// all fields; Z3 maps deadline/conflicts/propagations/memory onto its
+  /// remains usable. deadline_ms is a check's only wall-clock limit. The
+  /// native backend enforces all fields; Z3 maps
+  /// deadline/conflicts/propagations/memory onto its
   /// timeout/rlimit/max_memory parameters (best effort, same taxonomy).
-  virtual void set_budget(const util::ResourceBudget& budget) {
-    budget_ = budget;
-  }
+  void set_budget(const util::ResourceBudget& budget) { budget_ = budget; }
   [[nodiscard]] const util::ResourceBudget& budget() const { return budget_; }
 
   /// Installs a proof sink: every subsequent Unsat check emits an
@@ -192,15 +191,13 @@ class Solver {
   /// session stays fully reusable.
   virtual void cancel() { cancel_.store(true, std::memory_order_relaxed); }
 
-  /// Checks all active assertions; `timeout_ms` 0 means no limit.
-  SatResult check(unsigned timeout_ms = 0);
+  /// Checks all active assertions. The only wall-clock limit is
+  /// budget().deadline_ms.
+  SatResult check();
   /// Checks all active assertions conjoined with `assumptions`, which are
   /// retracted when the call returns (they never leak into later checks).
-  /// Unsat means unsat *under these assumptions*. A distinct name — not a
-  /// check() overload — so a braced assumption list can never silently
-  /// bind to the timeout parameter.
-  SatResult check_assuming(const std::vector<ExprId>& assumptions,
-                           unsigned timeout_ms = 0);
+  /// Unsat means unsat *under these assumptions*.
+  SatResult check_assuming(const std::vector<ExprId>& assumptions);
 
   /// Model of the most recent Sat check. Survives later non-Sat checks;
   /// throws std::logic_error when no check ever was Sat.
@@ -211,17 +208,12 @@ class Solver {
   /// Total check() calls on this session (instrumentation hook).
   [[nodiscard]] std::size_t num_checks() const { return num_checks_; }
 
-  /// Session-cumulative search statistics (see SolveStats). Virtual so
-  /// wrappers (e.g. the recording solver) can forward to the wrapped
-  /// backend's counters.
-  [[nodiscard]] virtual const SolveStats& solve_stats() const {
-    return stats_;
-  }
+  /// Session-cumulative search statistics (see SolveStats).
+  [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
 
  protected:
-  /// Backend hook behind both check() overloads.
-  virtual SatResult do_check(const std::vector<ExprId>& assumptions,
-                             unsigned timeout_ms) = 0;
+  /// Backend hook behind check() and check_assuming().
+  virtual SatResult do_check(const std::vector<ExprId>& assumptions) = 0;
   /// Backends store each Sat model here.
   void store_model(Model m) {
     model_ = std::move(m);

@@ -37,24 +37,18 @@ class Z3Solver final : public Solver {
   }
 
  protected:
-  SatResult do_check(const std::vector<ExprId>& assumptions,
-                     unsigned timeout_ms) override {
+  SatResult do_check(const std::vector<ExprId>& assumptions) override {
     cancel_seen_.store(false, std::memory_order_relaxed);
     // Z3 parameters persist on the solver object, so a limit set for one
     // check of the session must be cleared for the next (0 = no limit is
-    // Z3's UINT_MAX default). The session budget composes with the
-    // per-call timeout as the tighter of the two, and the discrete
-    // ceilings map best-effort onto Z3's abstract rlimit / max_memory —
-    // both backends then degrade through the same StopReason taxonomy
-    // even though Z3's counters are not exactly ours.
+    // Z3's UINT_MAX default). The budget's deadline maps onto Z3's
+    // timeout, and the discrete ceilings map best-effort onto Z3's
+    // abstract rlimit / max_memory — both backends then degrade through
+    // the same StopReason taxonomy even though Z3's counters are not
+    // exactly ours.
     const util::ResourceBudget& b = budget();
-    unsigned effective_ms = timeout_ms;
-    if (b.deadline_ms != 0 &&
-        (effective_ms == 0 || b.deadline_ms < effective_ms)) {
-      effective_ms = b.deadline_ms;
-    }
     z3::params p(ctx_);
-    p.set("timeout", effective_ms > 0 ? effective_ms : 4294967295u);
+    p.set("timeout", b.deadline_ms > 0 ? b.deadline_ms : 4294967295u);
     // rlimit: Z3's abstract resource counter ticks roughly per
     // propagation; a conflict costs orders of magnitude more. Scale the
     // conflict/decision ceilings accordingly and take the tightest.
@@ -108,7 +102,7 @@ class Z3Solver final : public Solver {
         }
         return SatResult::Unsat;
       default:
-        mutable_stats().stop_reason = map_unknown_reason(effective_ms);
+        mutable_stats().stop_reason = map_unknown_reason();
         return SatResult::Unknown;
     }
   }
@@ -120,7 +114,7 @@ class Z3Solver final : public Solver {
   /// exceeded", "max. memory exceeded", "(incomplete ...)"), so the match
   /// is substring-based, with our own cancel flag disambiguating
   /// "canceled" (which Z3 also uses for timeouts).
-  util::StopReason map_unknown_reason(unsigned effective_ms) {
+  util::StopReason map_unknown_reason() {
     std::string why;
     try {
       why = solver_.reason_unknown();
@@ -152,7 +146,7 @@ class Z3Solver final : public Solver {
     if (has("timeout") || has("cancel")) {
       return util::StopReason::kDeadline;
     }
-    if (effective_ms != 0 && why.empty()) {
+    if (budget().deadline_ms != 0 && why.empty()) {
       // Old libz3 builds report an empty reason for a timed-out check.
       return util::StopReason::kDeadline;
     }

@@ -19,7 +19,7 @@ namespace advocat::util {
 /// always carry a non-kNone reason.
 enum class StopReason : std::uint8_t {
   kNone = 0,           ///< definite result, nothing was cut short
-  kDeadline,           ///< wall-clock deadline (timeout_ms or budget)
+  kDeadline,           ///< wall-clock deadline (budget deadline_ms)
   kConflictBudget,     ///< ResourceBudget::max_conflicts exhausted
   kDecisionBudget,     ///< ResourceBudget::max_decisions exhausted
   kPropagationBudget,  ///< ResourceBudget::max_propagations exhausted

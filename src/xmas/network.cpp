@@ -49,6 +49,10 @@ PrimId Network::add_sink(const std::string& name, bool fair) {
 PrimId Network::add_queue(const std::string& name, std::size_t capacity,
                           bool fifo) {
   if (capacity == 0) throw std::invalid_argument("queue capacity must be > 0");
+  if (capacity > kMaxQueueCapacity) {
+    throw std::invalid_argument(util::cat("queue capacity ", capacity,
+                                          " exceeds ", kMaxQueueCapacity));
+  }
   Primitive p;
   p.kind = PrimKind::Queue;
   p.name = name;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ namespace advocat::xmas {
 using PrimId = std::int32_t;
 using ChanId = std::int32_t;
 inline constexpr ChanId kNoChan = -1;
+/// Largest queue capacity a network accepts. The encodings carry
+/// capacities as int64 and sum them in rows and intervals, so the cap
+/// leaves that arithmetic far from overflow.
+inline constexpr std::size_t kMaxQueueCapacity =
+    std::numeric_limits<std::int32_t>::max();
 
 enum class PrimKind {
   Source,
@@ -73,6 +79,7 @@ class Network {
   // --- builders (names must be unique; used in reports and invariants) ---
   PrimId add_source(const std::string& name, ColorSet colors, bool fair = true);
   PrimId add_sink(const std::string& name, bool fair = true);
+  /// Throws std::invalid_argument unless 0 < capacity <= kMaxQueueCapacity.
   PrimId add_queue(const std::string& name, std::size_t capacity,
                    bool fifo = true);
   PrimId add_function(const std::string& name,

