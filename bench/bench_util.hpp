@@ -96,6 +96,15 @@ class JsonLine {
   /// collect_bench.sh's smoke-mode learned-clause regression guard).
   JsonLine& solver_stats(const smt::SolveStats& s) {
     return field("conflicts", static_cast<std::size_t>(s.conflicts))
+        .field("conflicts_clause",
+               static_cast<std::size_t>(s.conflicts_clause))
+        .field("conflicts_interval_farkas",
+               static_cast<std::size_t>(s.conflicts_interval_farkas))
+        .field("conflicts_interval_provenance",
+               static_cast<std::size_t>(s.conflicts_interval_provenance))
+        .field("leaves_reached", static_cast<std::size_t>(s.leaves_reached))
+        .field("leaves_refuted", static_cast<std::size_t>(s.leaves_refuted))
+        .field("mean_conflict_lits", s.mean_conflict_lits)
         .field("decisions", static_cast<std::size_t>(s.decisions))
         .field("propagations", static_cast<std::size_t>(s.propagations))
         .field("restarts", static_cast<std::size_t>(s.restarts))

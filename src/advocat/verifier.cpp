@@ -92,21 +92,11 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
     invariants_ = inv::generate(net_, typing_);
     invariant_seconds_ = inv_watch.seconds();
     ++stats_.invariant_generations;
-    const std::vector<smt::ExprId> smt = invariants_.to_smt(factory_);
-    inv_guard_ = factory_.bool_var("G[invariants]");
-    ineq_guard_ = factory_.bool_var("G[inequalities]");
-    for (std::size_t i = 0; i < smt.size(); ++i) {
-      const smt::ExprId guard =
-          i < invariants_.equalities.size() ? inv_guard_ : ineq_guard_;
-      solver_->add(factory_.implies(guard, smt[i]));
-    }
+    for (smt::ExprId e : invariants_.to_smt(factory_)) solver_->add(e);
   }
   if (options_.use_flow_completion) {
-    const std::vector<smt::ExprId> flow =
-        inv::flow_completion_smt(net_, typing_, factory_);
-    flow_guard_ = factory_.bool_var("G[flow_completion]");
-    for (smt::ExprId e : flow) {
-      solver_->add(factory_.implies(flow_guard_, e));
+    for (smt::ExprId e : inv::flow_completion_smt(net_, typing_, factory_)) {
+      solver_->add(e);
     }
   }
 
@@ -125,9 +115,6 @@ VerifyResult Verifier::run_check(
   util::Stopwatch watch;
 
   std::vector<smt::ExprId> assumptions;
-  for (smt::ExprId g : {inv_guard_, ineq_guard_, flow_guard_}) {
-    if (g != smt::kNoExpr) assumptions.push_back(g);
-  }
   // Capacity bindings: every symbolic capacity variable must be pinned per
   // check, or the solver could pick capacities that fabricate candidates.
   for (const auto& [qid, capvar] : enc_.capacity_vars) {
@@ -334,7 +321,13 @@ VerifyOptions with_probe_budget(const VerifyOptions& base,
 }
 
 void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
+  into.mean_conflict_lits = smt::merged_mean_conflict_lits(into, s);
   into.conflicts += s.conflicts;
+  into.conflicts_clause += s.conflicts_clause;
+  into.conflicts_interval_farkas += s.conflicts_interval_farkas;
+  into.conflicts_interval_provenance += s.conflicts_interval_provenance;
+  into.leaves_reached += s.leaves_reached;
+  into.leaves_refuted += s.leaves_refuted;
   into.decisions += s.decisions;
   into.propagations += s.propagations;
   into.restarts += s.restarts;

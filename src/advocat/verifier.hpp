@@ -216,12 +216,6 @@ class Verifier {
   deadlock::Encoding enc_;
   std::unique_ptr<smt::Solver> solver_;
 
-  // Feature-group guard literals: each group the options enable is
-  // asserted once as guard → constraint, and every check assumes its
-  // guard (kNoExpr for a disabled group).
-  smt::ExprId inv_guard_ = smt::kNoExpr;
-  smt::ExprId ineq_guard_ = smt::kNoExpr;
-  smt::ExprId flow_guard_ = smt::kNoExpr;
   inv::InvariantSet invariants_;
 
   SessionStats stats_;

@@ -114,15 +114,17 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
     }
   }
 
+  // The frontier points into `visited` (set elements never move), so every
+  // reached state is stored once.
   std::unordered_set<sim::State, sim::StateHash> visited{state};
-  std::deque<sim::State> frontier{state};
+  std::deque<const sim::State*> frontier{&*visited.begin()};
   bool truncated = false;
   std::size_t explored = 0;
   while (!frontier.empty()) {
-    const sim::State cur = std::move(frontier.front());
+    const sim::State& cur = *frontier.front();
     frontier.pop_front();
     ++explored;
-    for (const sim::Event& e : sim.events(cur)) {
+    for (sim::Event& e : sim.events(cur)) {
       for (std::size_t i = 0; i < claims.size(); ++i) {
         const Claim& c = claims[i];
         switch (c.kind) {
@@ -160,8 +162,7 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
           truncated = true;
           continue;
         }
-        visited.insert(e.next);
-        frontier.push_back(e.next);
+        frontier.push_back(&*visited.insert(std::move(e.next)).first);
       }
     }
   }

@@ -13,6 +13,7 @@ std::size_t CsrTableau::add_row(int owner, const SparseRow& expr) {
   cols_.reserve(cols_.size() + s.len);
   coeffs_.reserve(coeffs_.size() + s.len);
   for (const Entry& e : expr.entries()) {
+    count_col(e.col, 1);
     cols_.push_back(e.col);
     coeffs_.push_back(e.coeff);
   }
@@ -22,14 +23,23 @@ std::size_t CsrTableau::add_row(int owner, const SparseRow& expr) {
 }
 
 Rational CsrTableau::coeff(std::size_t r, std::int32_t col) const {
+  const Rational* c = find(r, col);
+  return c != nullptr ? *c : Rational(0);
+}
+
+const Rational* CsrTableau::find(std::size_t r, std::int32_t col) const {
   const Span& s = spans_[r];
   const std::int32_t* begin = cols_.data() + s.off;
   const std::int32_t* end = begin + s.len;
   const std::int32_t* it = std::lower_bound(begin, end, col);
-  if (it != end && *it == col) {
-    return coeffs_[s.off + static_cast<std::size_t>(it - begin)];
-  }
-  return Rational(0);
+  if (it == end || *it != col) return nullptr;
+  return coeffs_.data() + s.off + static_cast<std::size_t>(it - begin);
+}
+
+void CsrTableau::count_col(std::int32_t col, int delta) {
+  const auto c = static_cast<std::size_t>(col);
+  if (c >= col_count_.size()) col_count_.resize(c + 1, 0);
+  col_count_[c] += delta;
 }
 
 SparseRow CsrTableau::to_sparse(std::size_t r) const {
@@ -43,6 +53,8 @@ SparseRow CsrTableau::to_sparse(std::size_t r) const {
 }
 
 void CsrTableau::write_row(Span& s, const std::vector<Entry>& entries) {
+  for (std::uint32_t i = 0; i < s.len; ++i) count_col(cols_[s.off + i], -1);
+  for (const Entry& e : entries) count_col(e.col, 1);
   if (entries.size() <= s.cap) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       cols_[s.off + i] = entries[i].col;
@@ -159,6 +171,15 @@ std::string CsrTableau::audit() const {
   if (live_cap + wasted_ > cols_.size()) {
     return "csr: live capacity + waste exceeds pool";
   }
+  std::vector<std::int32_t> counts(col_count_.size(), 0);
+  for (const Span& s : spans_) {
+    for (std::uint32_t i = 0; i < s.len; ++i) {
+      const auto c = static_cast<std::size_t>(cols_[s.off + i]);
+      if (c >= counts.size()) return "csr: column without a count";
+      ++counts[c];
+    }
+  }
+  if (counts != col_count_) return "csr: column counts disagree with rows";
   return {};
 }
 

@@ -51,6 +51,14 @@ class CsrTableau {
   /// Coefficient of column `col` in row `r` (binary search over the sorted
   /// span); zero when absent.
   [[nodiscard]] Rational coeff(std::size_t r, std::int32_t col) const;
+  /// The stored coefficient of column `col` in row `r`, or null when
+  /// absent; invalidated by any mutation of the tableau.
+  [[nodiscard]] const Rational* find(std::size_t r, std::int32_t col) const;
+  /// Number of rows mentioning column `col`.
+  [[nodiscard]] std::int32_t col_count(std::int32_t col) const {
+    const auto c = static_cast<std::size_t>(col);
+    return c < col_count_.size() ? col_count_[c] : 0;
+  }
 
   /// Copies row `r` out into SparseRow form (for the cold paths that reuse
   /// SparseRow's merge arithmetic, e.g. slack expansion and row pivoting).
@@ -85,9 +93,11 @@ class CsrTableau {
 
   void write_row(Span& s, const std::vector<Entry>& entries);
   void maybe_compact();
+  void count_col(std::int32_t col, int delta);
 
   std::vector<int> owners_;
   std::vector<Span> spans_;
+  std::vector<std::int32_t> col_count_;  // column -> rows mentioning it
   std::vector<std::int32_t> cols_;   // all rows' columns, span-addressed
   std::vector<Rational> coeffs_;     // parallel coefficient pool
   std::size_t wasted_ = 0;           // words abandoned by span relocation

@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace advocat::linalg {
+namespace {
+
+// check() iterations after which the entering-variable choice falls back to
+// Bland's rule, which terminates from any basis.
+constexpr std::uint64_t kBlandAfter = 1000;
+
+}  // namespace
 
 int Simplex::new_var() {
   vars_.emplace_back();
@@ -100,9 +107,8 @@ bool Simplex::assert_lower(int x, const Rational& b, int tag) {
 void Simplex::update(int x, const Rational& v) {
   const Rational delta = v - vars_[static_cast<std::size_t>(x)].beta;
   for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
-    const Rational c = tab_.coeff(r, x);
-    if (!c.is_zero()) {
-      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += c * delta;
+    if (const Rational* c = tab_.find(r, x)) {
+      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += *c * delta;
     }
   }
   vars_[static_cast<std::size_t>(x)].beta = v;
@@ -121,11 +127,14 @@ void Simplex::pivot_and_update(int leave, int enter, const Rational& v) {
       (v - vars_[static_cast<std::size_t>(leave)].beta) / a;
   vars_[static_cast<std::size_t>(leave)].beta = v;
   vars_[static_cast<std::size_t>(enter)].beta += theta;
+  // One sweep finds the other rows mentioning `enter`: their values move
+  // now, and the row pivot below substitutes into exactly those rows.
+  pivot_rows_.clear();
   for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
-    if (tab_.owner(r) == leave) continue;
-    const Rational c = tab_.coeff(r, enter);
-    if (!c.is_zero()) {
-      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += c * theta;
+    if (r == ri) continue;
+    if (const Rational* c = tab_.find(r, enter)) {
+      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += *c * theta;
+      pivot_rows_.emplace_back(r, *c);
     }
   }
 
@@ -135,11 +144,7 @@ void Simplex::pivot_and_update(int leave, int enter, const Rational& v) {
   nr.add(enter, -a);            // rest
   nr.scale(-a.reciprocal());    // −rest/a
   nr.add(leave, a.reciprocal());
-  for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
-    if (tab_.owner(r) == leave) continue;
-    const Rational c = tab_.coeff(r, enter);
-    if (!c.is_zero()) tab_.pivot_merge(r, enter, c, nr);
-  }
+  for (const auto& [r, c] : pivot_rows_) tab_.pivot_merge(r, enter, c, nr);
   tab_.replace_row(ri, nr.entries());
   tab_.set_owner(ri, enter);
   vars_[static_cast<std::size_t>(enter)].basic_row = static_cast<int>(ri);
@@ -246,7 +251,7 @@ std::string Simplex::audit() const {
 
 bool Simplex::check() {
   ++stats_.checks;
-  for (;;) {
+  for (std::uint64_t iter = 0;; ++iter) {
     if (tick_) tick_();
     // Bland's rule: smallest violating basic variable.
     int x = -1;
@@ -269,19 +274,26 @@ bool Simplex::check() {
 
     const VarState& vs = vars_[static_cast<std::size_t>(x)];
     const std::size_t ri = static_cast<std::size_t>(vs.basic_row);
-    // Smallest suitable entering variable (columns are sorted by id).
+    // Entering variable: the suitable one in the fewest rows (the pivot
+    // rewrites exactly those, and the tableau stays sparse), smallest id
+    // first; past kBlandAfter iterations, the smallest suitable id.
     const std::int32_t* cols = tab_.row_cols(ri);
     const Rational* coeffs = tab_.row_coeffs(ri);
+    const bool bland = iter >= kBlandAfter;
     int enter = -1;
+    std::int32_t fewest = 0;
     for (std::uint32_t i = 0; i < tab_.row_len(ri); ++i) {
       const VarState& u = vars_[static_cast<std::size_t>(cols[i])];
       const bool want_up = below == !coeffs[i].is_negative();
       const bool can = want_up ? (!u.has_hi || u.beta < u.hi)
                                : (!u.has_lo || u.beta > u.lo);
-      if (can) {
+      if (!can) continue;
+      const std::int32_t n = tab_.col_count(cols[i]);
+      if (enter < 0 || n < fewest) {
         enter = cols[i];
-        break;
+        fewest = n;
       }
+      if (bland) break;
     }
     if (enter < 0) {
       explain_row(x, below);

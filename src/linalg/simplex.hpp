@@ -27,9 +27,12 @@
 // simplex sense — one violated row plus the binding bounds of its non-basic
 // variables — and are what the SMT layer turns into learned theory clauses.
 //
-// Pivot selection uses Bland's rule (smallest extended-variable index for
-// both the leaving and the entering variable), so check() terminates on
-// every input without perturbation; the solver is fully deterministic.
+// The leaving variable is the smallest-index violated basic variable. The
+// entering variable is the suitable non-basic one that the fewest rows
+// mention (the pivot rewrites exactly those rows, so the tableau stays
+// sparse); after a fixed number of iterations in one check() the choice
+// falls back to Bland's rule (smallest index), so check() terminates on
+// every input without perturbation. The solver is fully deterministic.
 #pragma once
 
 #include <cstdint>
@@ -164,6 +167,9 @@ class Simplex {
   std::vector<std::pair<std::int32_t, int>> col_index_;  // sorted col → var
   std::vector<TrailEntry> trail_;
   std::vector<FarkasTerm> farkas_;
+  // pivot_and_update scratch: the other rows mentioning the entering
+  // variable, with its coefficient there.
+  std::vector<std::pair<std::size_t, Rational>> pivot_rows_;
   SimplexStats stats_;
   std::function<void()> tick_;
 };

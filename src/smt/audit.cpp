@@ -53,8 +53,8 @@ void Auditor::check_search(const SearchContext& ctx, const char* site) {
   for (std::size_t i = 0; i < ctx.levels_.size(); ++i) {
     const SearchContext::LevelMark& m = ctx.levels_[i];
     if (m.trail < prev_trail || m.trail > nt || m.rows > ctx.active_rows_.size() ||
-        m.diseqs > ctx.active_diseqs_.size() || m.undo > ctx.undo_.size() ||
-        m.expl > ctx.expl_pool_.size() || m.blog > ctx.blog_.size()) {
+        m.undo > ctx.undo_.size() || m.expl > ctx.expl_pool_.size() ||
+        m.blog > ctx.blog_.size()) {
       fail("level-marks", "level " + std::to_string(i + 1) +
                               ": mark out of range or non-monotone");
     }
@@ -334,6 +334,22 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
                              " activation literals vs " +
                              std::to_string(ctx.active_rows_.size()) +
                              " active rows");
+  }
+  // The simplex bounds follow the active rows: one trail mark per row,
+  // monotone, none past the simplex's own trail.
+  if (ctx.row_stx_mark_.size() != ctx.active_rows_.size()) {
+    fail("row-simplex-marks", std::to_string(ctx.row_stx_mark_.size()) +
+                                  " simplex marks vs " +
+                                  std::to_string(ctx.active_rows_.size()) +
+                                  " active rows");
+  }
+  for (std::size_t ri = 0; ri < ctx.row_stx_mark_.size(); ++ri) {
+    if ((ri > 0 && ctx.row_stx_mark_[ri] < ctx.row_stx_mark_[ri - 1]) ||
+        ctx.row_stx_mark_[ri] > ctx.stx_.mark()) {
+      fail("row-simplex-marks", "row " + std::to_string(ri) +
+                                    ": mark non-monotone or past the "
+                                    "simplex trail");
+    }
   }
   for (std::size_t v = 0; v < ctx.row_occ_.size(); ++v) {
     for (const int ri : ctx.row_occ_[v]) {

@@ -81,6 +81,7 @@ using native::StaticRow;
 using native::audit_enabled;
 using native::mk_lit;
 using native::neg;
+using native::var_of;
 
 // Conflict budget for the cube-probe run on the primary context: easy
 // checks (the common incremental-probe case) finish inside the budget
@@ -227,66 +228,81 @@ class NativeSolver final : public Solver {
     }
   }
 
+  using Terms = std::vector<std::pair<int, std::int64_t>>;
+
+  static std::string form_key(char op, const Terms& terms,
+                              std::int64_t bound) {
+    std::string key(1, op);
+    for (const auto& [v, c] : terms) {
+      key += std::to_string(v) + "*" + std::to_string(c) + ",";
+    }
+    return key + std::to_string(bound);
+  }
+
+  static Terms negated(Terms terms) {
+    for (auto& t : terms) t.second = -t.second;
+    return terms;
+  }
+
   Lit translate_atom(const Node& n) {
     std::map<int, std::int64_t> coeffs;
     std::int64_t constant = 0;
     linearize(n.kids[0], 1, coeffs, constant);
     linearize(n.kids[1], -1, coeffs, constant);
-
-    Atom a;
-    a.is_eq = n.op == Op::Eq;
+    Terms terms;
     for (const auto& [v, c] : coeffs) {
-      if (c != 0) a.terms.emplace_back(v, c);
+      if (c != 0) terms.emplace_back(v, c);
     }
-    a.bound = -constant;
-    if (a.terms.empty()) {
-      const bool truth = a.is_eq ? (a.bound == 0) : (0 <= a.bound);
-      return mk_lit(sh_.true_var, !truth);
-    }
-    if (a.is_eq) {
-      // Divisibility cut at translation time: Σ c·x = b with gcd(c) ∤ b
-      // has no integer solution, so the atom is the constant false (and
-      // its negation, the disequality, the constant true) — no search
-      // ever has to discover it.
-      std::int64_t g = 0;
-      for (const auto& [v, c] : a.terms) g = std::gcd(g, c < 0 ? -c : c);
-      if (g > 1 && a.bound % g != 0) return mk_lit(sh_.true_var, true);
-    }
-    if (a.is_eq && a.terms[0].second < 0) {  // canonical sign for dedup
-      for (auto& t : a.terms) t.second = -t.second;
-      a.bound = -a.bound;
-    }
-    std::string key(a.is_eq ? "=" : "<");
-    for (const auto& [v, c] : a.terms) {
-      key += std::to_string(v) + "*" + std::to_string(c) + ",";
-    }
-    key += std::to_string(a.bound);
-    auto it = atom_index_.find(key);
-    if (it != atom_index_.end()) return mk_lit(it->second, false);
+    std::int64_t bound = -constant;
+    if (n.op == Op::Le) return le_atom(std::move(terms), bound);
 
-    const StaticRow le{a.terms, a.bound};
-    StaticRow flipped;
-    flipped.terms = a.terms;
-    for (auto& t : flipped.terms) t.second = -t.second;
-    if (a.is_eq) {
-      flipped.bound = -a.bound;
-      a.when_true = {le, flipped};  // when_false stays empty: disequality
-    } else {
-      flipped.bound = -a.bound - 1;  // ¬(Σ ≤ b)  ⇔  -Σ ≤ -b-1
-      a.when_true = {le};
-      a.when_false = {flipped};
+    // Σ c·x = b is a gate over the bound pair Σ ≤ b and −Σ ≤ −b, so no
+    // disequality ever reaches the theory: a false gate just asks the
+    // boolean search to refute one of the two bounds.
+    if (terms.empty()) return mk_lit(sh_.true_var, bound != 0);
+    // Divisibility cut at translation time: Σ c·x = b with gcd(c) ∤ b has
+    // no integer solution, so the equality is the constant false — no
+    // search ever has to discover it.
+    std::int64_t g = 0;
+    for (const auto& [v, c] : terms) g = std::gcd(g, c < 0 ? -c : c);
+    if (g > 1 && bound % g != 0) return mk_lit(sh_.true_var, true);
+    if (terms[0].second < 0) {  // canonical sign for dedup
+      terms = negated(std::move(terms));
+      bound = -bound;
     }
+    std::string key = form_key('=', terms, bound);
+    const auto it = atom_index_.find(key);
+    if (it != atom_index_.end()) return mk_lit(it->second, false);
+    const Lit le = le_atom(terms, bound);
+    const Lit ge = le_atom(negated(terms), -bound);
+    const Lit gate = mk_lit(new_bvar(), false);
+    add_clause({neg(gate), le});
+    add_clause({neg(gate), ge});
+    add_clause({neg(le), neg(ge), gate});
+    atom_index_.emplace(std::move(key), var_of(gate));
+    return gate;
+  }
+
+  // The theory atom Σ terms ≤ bound, hash-consed by its exact form.
+  Lit le_atom(Terms terms, std::int64_t bound) {
+    if (terms.empty()) return mk_lit(sh_.true_var, bound < 0);
+    std::string key = form_key('<', terms, bound);
+    const auto it = atom_index_.find(key);
+    if (it != atom_index_.end()) return mk_lit(it->second, false);
     const int v = new_bvar();
     const int ai = static_cast<int>(sh_.atoms.size());
     sh_.atom_of_var[static_cast<std::size_t>(v)] = ai;
     sh_.atom_var.push_back(v);
-    for (const auto& [iv, c] : a.terms) {
+    for (const auto& [iv, c] : terms) {
       (void)c;
       if (static_cast<std::size_t>(iv) >= sh_.atom_occ.size()) {
         sh_.atom_occ.resize(static_cast<std::size_t>(iv) + 1);
       }
       sh_.atom_occ[static_cast<std::size_t>(iv)].push_back(ai);
     }
+    Atom a;
+    a.negation = StaticRow{negated(terms), -bound - 1};  // ¬(Σ ≤ b)
+    a.row = StaticRow{std::move(terms), bound};
     sh_.atoms.push_back(std::move(a));
     atom_index_.emplace(std::move(key), v);
     return mk_lit(v, false);
@@ -434,8 +450,14 @@ class NativeSolver final : public Solver {
   /// (extra_), with the gauges (learned_kept, threads) from the present.
   void refresh_stats() {
     SolveStats s = primary_->stats();
+    s.mean_conflict_lits = merged_mean_conflict_lits(s, extra_);
     s.decisions += extra_.decisions;
     s.conflicts += extra_.conflicts;
+    s.conflicts_clause += extra_.conflicts_clause;
+    s.conflicts_interval_farkas += extra_.conflicts_interval_farkas;
+    s.conflicts_interval_provenance += extra_.conflicts_interval_provenance;
+    s.leaves_reached += extra_.leaves_reached;
+    s.leaves_refuted += extra_.leaves_refuted;
     s.propagations += extra_.propagations;
     s.restarts += extra_.restarts;
     s.learned_clauses += extra_.learned_clauses;
@@ -458,8 +480,14 @@ class NativeSolver final : public Solver {
   }
 
   void accumulate(const SolveStats& w) {
+    extra_.mean_conflict_lits = merged_mean_conflict_lits(extra_, w);
     extra_.decisions += w.decisions;
     extra_.conflicts += w.conflicts;
+    extra_.conflicts_clause += w.conflicts_clause;
+    extra_.conflicts_interval_farkas += w.conflicts_interval_farkas;
+    extra_.conflicts_interval_provenance += w.conflicts_interval_provenance;
+    extra_.leaves_reached += w.leaves_reached;
+    extra_.leaves_refuted += w.leaves_refuted;
     extra_.propagations += w.propagations;
     extra_.restarts += w.restarts;
     extra_.learned_clauses += w.learned_clauses;

@@ -7,8 +7,9 @@
 // small finite-domain solver sound and complete for them:
 //
 //   1. Tseitin-encode the boolean skeleton of the assertion DAG; each
-//      distinct linear atom (Σ c·x ≤ k, Σ c·x = k) becomes one
-//      propositional variable.
+//      distinct linear atom Σ c·x ≤ k becomes one propositional
+//      variable, and an equality Σ c·x = k a gate over the bound pair
+//      Σ c·x ≤ k, −Σ c·x ≤ −k.
 //   2. CDCL over the skeleton: two-watched-literal unit propagation,
 //      first-UIP clause learning with minimization, non-chronological
 //      backjumping, an EVSIDS activity heuristic, Luby restarts, and an
@@ -17,17 +18,18 @@
 //      assumption-style decision levels, so every learned clause is
 //      entailed by the permanent assertions alone and never has to be
 //      discarded.
-//   3. Every assigned atom activates interval rows; bounds propagation
-//      runs to fixpoint after each boolean step, prunes on conflict, and
-//      explains entailed atoms to the conflict analyzer.
+//   3. Every assigned atom activates one row; bounds propagation runs
+//      to fixpoint after each boolean step, prunes on conflict, and
+//      explains entailed atoms to the conflict analyzer. The row's bound
+//      is asserted in an exact rational simplex in step with the trail,
+//      and every interval conflict is explained by its Farkas rows.
 //   4. At a full boolean assignment, fail-first branch-and-bound over the
 //      remaining integer domains completes (or refutes) the assignment;
 //      refuted leaves are learned as blocking clauses over the theory
 //      atoms, so shared substructure is never re-refuted.
 //   5. Where intervals are structurally weak — tightening exhausts its
-//      budget with unbounded variables in play, or a leaf degrades — an
-//      exact rational simplex (smt/simplex_theory.hpp over
-//      linalg/simplex.hpp) decides the active rows outright: Farkas
+//      budget, or a leaf degrades — the simplex (smt/simplex_theory.hpp
+//      over linalg/simplex.hpp) decides the active rows outright: Farkas
 //      infeasibility explanations become learned theory clauses, and
 //      divisibility plus branch-on-rational-vertex cuts extend the
 //      refutations to the integers, so infeasible *unbounded* flow

@@ -1,9 +1,9 @@
 // Certificate generation: re-derives each logged theory lemma's integer
 // infeasibility as an explicit branch-and-cut proof tree (interval
-// tightening with Chvátal–Gomory rounding, single-variable splits,
-// disequality forcing, and exact Farkas combinations from a fresh rational
-// simplex), then serializes the session trace into the line grammar the
-// standalone checker (tools/proof_check.cpp) validates.
+// tightening with Chvátal–Gomory rounding, single-variable splits, and
+// exact Farkas combinations from a fresh rational simplex), then serializes
+// the session trace into the line grammar the standalone checker
+// (tools/proof_check.cpp) validates.
 //
 // The checker re-runs the *same* bound-tightening algorithm (tighten()
 // below is duplicated there by design — the checker must not link solver
@@ -33,15 +33,7 @@ using util::Rational;
 struct Ineq {
   std::vector<std::pair<int, std::int64_t>> terms;
   BigInt bound;
-  std::string ref;  // proof reference: "p<i>" premise, "q<i>" the ≥-half
-                    // of an equality premise
-};
-
-// One disequality premise (an equality atom asserted false).
-struct Diseq {
-  std::vector<std::pair<int, std::int64_t>> terms;
-  std::int64_t bound = 0;
-  std::size_t premise = 0;
+  std::string ref;  // proof reference: "p<i>" for premise i
 };
 
 struct VarBound {
@@ -123,7 +115,6 @@ int tighten(const std::vector<Ineq>& rows, CertState& st) {
 // Certifier context for one lemma.
 struct Certifier {
   const std::vector<Ineq>& rows;
-  const std::vector<Diseq>& diseqs;
   std::size_t num_vars;
   int steps_left = 20000;
 
@@ -146,27 +137,7 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     return true;
   }
 
-  // 2. A disequality whose linear form is pinned to exactly its excluded
-  // value refutes the branch.
-  for (const Diseq& d : diseqs) {
-    BigInt sum(0);
-    bool fixed = true;
-    for (const auto& [v, c] : d.terms) {
-      const VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-      const VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-      if (!lb.has || !hb.has || lb.val != hb.val) {
-        fixed = false;
-        break;
-      }
-      sum += BigInt(c) * lb.val;
-    }
-    if (fixed && sum == BigInt(d.bound)) {
-      out << "dq " << d.premise << "\n";
-      return true;
-    }
-  }
-
-  // 3. Exact rational simplex over the rows plus the current bounds; an
+  // 2. Exact rational simplex over the rows plus the current bounds; an
   // infeasibility yields the Farkas combination verbatim.
   linalg::Simplex spx;
   std::vector<std::string> tag_names;
@@ -230,7 +201,7 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     return true;
   }
 
-  // 4. Rationally feasible: split on an unfixed variable. Prefer the
+  // 3. Rationally feasible: split on an unfixed variable. Prefer the
   // narrowest finite interval; fall back to cutting at the simplex
   // vertex value for half-open intervals.
   int best = -1;
@@ -289,7 +260,7 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
 // Returns false when some literal is not a theory atom (cannot occur for
 // the logged lemma sources; defensive).
 bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
-                    std::vector<Ineq>& rows, std::vector<Diseq>& diseqs) {
+                    std::vector<Ineq>& rows) {
   const std::size_t n = rec.lits.size();
   for (std::size_t i = 0; i < n + rec.ctx.size(); ++i) {
     const Lit pl = i < n ? neg(rec.lits[i]) : rec.ctx[i - n];
@@ -297,34 +268,10 @@ bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
     if (v < 0 || v >= sh.num_bvars) return false;
     const int ai = sh.atom_of_var[static_cast<std::size_t>(v)];
     if (ai < 0) return false;
+    // Σ ≤ b asserted true, or false: Σ ≥ b+1 over the integers.
     const Atom& a = sh.atoms[static_cast<std::size_t>(ai)];
-    const std::string idx = std::to_string(i);
-    if (!is_neg(pl)) {  // atom asserted true
-      Ineq le;
-      le.terms = a.terms;
-      le.bound = BigInt(a.bound);
-      le.ref = "p" + idx;
-      rows.push_back(std::move(le));
-      if (a.is_eq) {
-        Ineq ge;
-        for (const auto& [u, c] : a.terms) ge.terms.emplace_back(u, -c);
-        ge.bound = BigInt(-a.bound);
-        ge.ref = "q" + idx;
-        rows.push_back(std::move(ge));
-      }
-    } else if (!a.is_eq) {  // Σ ≤ b false  ⇔  Σ ≥ b+1 (integers)
-      Ineq gt;
-      for (const auto& [u, c] : a.terms) gt.terms.emplace_back(u, -c);
-      gt.bound = BigInt(-a.bound) - BigInt(1);
-      gt.ref = "p" + idx;
-      rows.push_back(std::move(gt));
-    } else {  // equality asserted false: a disequality
-      Diseq d;
-      d.terms = a.terms;
-      d.bound = a.bound;
-      d.premise = i;
-      diseqs.push_back(std::move(d));
-    }
+    const StaticRow& r = is_neg(pl) ? a.negation : a.row;
+    rows.push_back(Ineq{r.terms, BigInt(r.bound), "p" + std::to_string(i)});
   }
   return true;
 }
@@ -332,12 +279,11 @@ bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
 // Certifies one lemma; returns the proof body ("" on failure).
 std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec) {
   std::vector<Ineq> rows;
-  std::vector<Diseq> diseqs;
-  if (!lemma_premises(sh, rec, rows, diseqs)) return "";
+  if (!lemma_premises(sh, rec, rows)) return "";
   CertState st;
   st.lo.resize(sh.int_names.size());
   st.hi.resize(sh.int_names.size());
-  Certifier cert{rows, diseqs, sh.int_names.size()};
+  Certifier cert{rows, sh.int_names.size()};
   std::ostringstream body;
   if (!cert.branch(std::move(st), body, 0)) return "";
   return body.str();
@@ -392,10 +338,10 @@ Certificate build_certificate(
   out << "nvars " << sh.num_bvars << "\n";
   out << "nints " << sh.int_names.size() << "\n";
   for (std::size_t ai = 0; ai < sh.atoms.size(); ++ai) {
-    const Atom& a = sh.atoms[ai];
-    out << "atom " << sh.atom_var[ai] + 1 << (a.is_eq ? " eq " : " le ")
-        << a.bound << " " << a.terms.size();
-    for (const auto& [v, c] : a.terms) out << " " << v << " " << c;
+    const StaticRow& r = sh.atoms[ai].row;
+    out << "atom " << sh.atom_var[ai] + 1 << " le " << r.bound << " "
+        << r.terms.size();
+    for (const auto& [v, c] : r.terms) out << " " << v << " " << c;
     out << "\n";
   }
   for (std::size_t ci = 0; ci < sh.clauses.size(); ++ci) {

@@ -14,7 +14,7 @@
 // and theory-atom table, this check's assumption units, the stamped
 // rup/lem/del trace — each theory lemma carrying an inline branch-and-cut
 // proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
-// variable splits, disequality steps) produced here by re-deriving the
+// variable splits) produced here by re-deriving the
 // lemma's integer infeasibility with the exact rational simplex — and a
 // closing `qed`. tools/proof_check.cpp validates the result with zero
 // dependencies on solver code.

@@ -311,18 +311,30 @@ void SearchContext::rewind_blog(std::size_t mark) {
   }
 }
 
+// Activation also asserts the row's bound in the simplex (tagged by row
+// index), so the tableau's bounds follow the trail. A bound that crosses
+// one already asserted on the same linear form is a two-row Farkas
+// conflict, reported by activate_theory.
 void SearchContext::activate_row(const StaticRow* r, Lit cause) {
   const int ri = static_cast<int>(active_rows_.size());
   active_rows_.push_back(r);
   active_row_lit_.push_back(cause);
+  row_stx_mark_.push_back(stx_.mark());
   for (const auto& [v, c] : r->terms) {
     (void)c;
     row_occ_[static_cast<std::size_t>(v)].push_back(ri);
   }
   row_work_.push_back(ri);
+  if (!stx_.assert_row(*r, ri) && sconf_rows_.empty()) {
+    sconf_rows_ = stx_.crossing();
+  }
 }
 
 void SearchContext::deactivate_rows_to(std::size_t mark) {
+  if (active_rows_.size() > mark) {
+    stx_.retract_to(row_stx_mark_[mark]);
+    row_stx_mark_.resize(mark);
+  }
   while (active_rows_.size() > mark) {
     const StaticRow* r = active_rows_.back();
     for (const auto& [v, c] : r->terms) {
@@ -362,29 +374,14 @@ bool SearchContext::scan_violated_row() {
   return false;
 }
 
-// Exact fallback for an exhausted tightening budget: on divergent systems
-// — some active variable still unbounded; a bounded system's fixpoint
-// always converges, it is merely large — the rational simplex decides the
-// active rows (plus branch-and-bound pins) outright. An infeasibility
-// lands its Farkas tags in sconf_rows_/sconf_pins_ and becomes the theory
-// conflict, so an infeasible unbounded flow cycle is refuted in a handful
-// of pivots instead of walked one unit at a time.
+// The rational simplex decides the active rows (plus branch-and-bound
+// pins) from its persistent basis. An infeasibility lands its Farkas tags
+// in sconf_rows_/sconf_pins_ and becomes the theory conflict. Runs on
+// every interval conflict (for a short explanation) and when tightening
+// exhausts its budget (an infeasible unbounded flow cycle is refuted in a
+// handful of pivots instead of walked one unit at a time).
 bool SearchContext::simplex_refute() {
-  bool unbounded = false;
-  for (const StaticRow* r : active_rows_) {
-    for (const auto& [v, c] : r->terms) {
-      (void)c;
-      if (lo_[static_cast<std::size_t>(v)] == kNegInf ||
-          hi_[static_cast<std::size_t>(v)] == kPosInf) {
-        unbounded = true;
-        break;
-      }
-    }
-    if (unbounded) break;
-  }
-  if (!unbounded) return false;
-  const SimplexTheory::Result res =
-      stx_.check(active_rows_, pin_trail_, /*integer_complete=*/false);
+  const SimplexTheory::Result res = stx_.check(pin_trail_);
   sync_theory_stats();
   if (res.verdict != SimplexTheory::Verdict::Infeasible) return false;
   sconf_rows_ = res.conflict_rows;
@@ -400,19 +397,40 @@ void SearchContext::sync_theory_stats() {
 }
 
 // Turns the pending simplex conflict into theory_conflict_ literals: the
-// negated activating atoms of the Farkas rows. The ≤/≥ rows of one
-// equality atom share a literal, hence the dedup.
+// negated activating atoms of the Farkas rows (one row per atom literal).
 void SearchContext::emit_simplex_conflict() {
   for (const int ri : sconf_rows_) {
     theory_conflict_.push_back(
         neg(active_row_lit_[static_cast<std::size_t>(ri)]));
   }
-  std::sort(theory_conflict_.begin(), theory_conflict_.end());
-  theory_conflict_.erase(
-      std::unique(theory_conflict_.begin(), theory_conflict_.end()),
-      theory_conflict_.end());
   sconf_rows_.clear();
   sconf_pins_.clear();
+}
+
+// Explains the pending theory conflict in theory_conflict_: the Farkas
+// rows of the simplex when it refutes the active rows (the common case —
+// a few atoms), else the provenance walk over the interval derivations
+// that actually produced the contradiction.
+void SearchContext::explain_interval_conflict() {
+  if (sconf_rows_.empty() && sconf_pins_.empty()) simplex_refute();
+  if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
+    ++stats_.conflicts_interval_farkas;
+    sync_theory_stats();  // a bound crossing never ran a check
+    emit_simplex_conflict();
+    return;
+  }
+  ++stats_.conflicts_interval_provenance;
+  expl_begin();
+  const int now = static_cast<int>(blog_.size());
+  if (conflict_row_ >= 0) {
+    expl_seed_row(conflict_row_, now, &theory_conflict_);
+  } else {
+    for (const bool hi : {false, true}) {
+      const int e = entry_before(bnode(conflict_var_, hi), now);
+      if (e >= 0) expl_push(e);
+    }
+  }
+  expl_run(&theory_conflict_, nullptr);
 }
 
 // Interval tightening to fixpoint over the worklist; true on conflict.
@@ -509,11 +527,11 @@ bool SearchContext::activate_theory() {
     const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
     if (ai < 0) continue;
     const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-    const bool tv = !is_neg(l);
-    for (const StaticRow& r : tv ? a.when_true : a.when_false) {
-      activate_row(&r, l);
-    }
-    if (a.is_eq && !tv) active_diseqs_.push_back(ai);
+    activate_row(is_neg(l) ? &a.negation : &a.row, l);
+  }
+  if (!sconf_rows_.empty()) {  // bound crossing in the simplex
+    row_work_.clear();
+    return true;
   }
   return propagate_rows();
 }
@@ -623,35 +641,19 @@ bool SearchContext::propagate_entailed_atoms() {
       scan_stamp_[static_cast<std::size_t>(ai)] = scan_gen_;
       const int v = sh_.atom_var[static_cast<std::size_t>(ai)];
       if (assign_[static_cast<std::size_t>(v)] != kUndef) continue;
-      const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-      int entailed = 0;  // +1 atom true, -1 atom false
-      expl_begin();
-      const int now = static_cast<int>(blog_.size());
-      // Seed the walk with the bound entries the decisive row status
-      // read: min-side bounds for a forced-false row (its minimum
-      // already exceeds the bound), max-side bounds for forced-true.
-      auto seed_sides = [&](const StaticRow& r, bool min_side) {
-        for (const auto& [u, c] : r.terms) {
-          const int e = entry_before(bnode(u, min_side ? c < 0 : c > 0), now);
+      const StaticRow& row = sh_.atoms[static_cast<std::size_t>(ai)].row;
+      const int entailed = row_status(row);  // +1 atom true, -1 atom false
+      if (entailed != 0) {
+        // Seed the walk with the bound entries the decisive row status
+        // read: min-side bounds for a forced-false row (its minimum
+        // already exceeds the bound), max-side bounds for forced-true.
+        expl_begin();
+        const int now = static_cast<int>(blog_.size());
+        for (const auto& [u, c] : row.terms) {
+          const int e = entry_before(bnode(u, entailed < 0 ? c < 0 : c > 0),
+                                     now);
           if (e >= 0) expl_push(e);
         }
-      };
-      if (!a.is_eq) {
-        entailed = row_status(a.when_true[0]);
-        if (entailed != 0) seed_sides(a.when_true[0], entailed < 0);
-      } else {
-        const int s0 = row_status(a.when_true[0]);
-        const int s1 = row_status(a.when_true[1]);
-        if (s0 < 0 || s1 < 0) {
-          entailed = -1;
-          seed_sides(a.when_true[s0 < 0 ? 0 : 1], true);
-        } else if (s0 > 0 && s1 > 0) {
-          entailed = +1;
-          seed_sides(a.when_true[0], false);
-          seed_sides(a.when_true[1], false);
-        }
-      }
-      if (entailed != 0) {
         // Explanation must be captured now: bounds keep tightening
         // after this enqueue, and a later snapshot could cite atoms
         // assigned *after* this literal, breaking the analyzer's
@@ -728,16 +730,8 @@ int SearchContext::row_status(const StaticRow& r) const {
 bool SearchContext::decide_phase_negated(int v) const {
   const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
   if (ai >= 0) {
-    const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-    if (!a.is_eq) {
-      const int s = row_status(a.when_true[0]);
-      if (s != 0) return s < 0;
-    } else {
-      const int s0 = row_status(a.when_true[0]);
-      const int s1 = row_status(a.when_true[1]);
-      if (s0 < 0 || s1 < 0) return true;
-      if (s0 > 0 && s1 > 0) return false;
-    }
+    const int s = row_status(sh_.atoms[static_cast<std::size_t>(ai)].row);
+    if (s != 0) return s < 0;
   }
   if (polarity_[static_cast<std::size_t>(v)] != kUndef) {
     return polarity_[static_cast<std::size_t>(v)] == kFalse;
@@ -846,8 +840,7 @@ int SearchContext::pick_branch() {
 void SearchContext::push_level() {
   ++undo_era_;
   levels_.push_back(LevelMark{trail_.size(), active_rows_.size(),
-                              active_diseqs_.size(), undo_.size(),
-                              expl_pool_.size(), blog_.size()});
+                              undo_.size(), expl_pool_.size(), blog_.size()});
 }
 
 void SearchContext::backjump(int target) {
@@ -865,7 +858,6 @@ void SearchContext::backjump(int target) {
   qhead_ = mark.trail;
   theory_head_ = mark.trail;
   deactivate_rows_to(mark.rows);
-  active_diseqs_.resize(mark.diseqs);
   undo_to(mark.undo);
   rewind_blog(mark.blog);
   expl_pool_.resize(mark.expl);
@@ -879,19 +871,15 @@ void SearchContext::backjump(int target) {
 
 // -------------------------------------------------- learning (first UIP)
 
-void SearchContext::collect_theory_lits(bool with_diseqs, std::size_t limit,
+void SearchContext::collect_theory_lits(std::size_t limit,
                                         std::vector<Lit>& out) const {
   for (std::size_t i = 0; i < limit; ++i) {
     const Lit l = trail_[i];
     const int v = var_of(l);
     if (level_[static_cast<std::size_t>(v)] == 0) continue;  // permanent
-    const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
-    if (ai < 0) continue;
-    const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-    const bool tv = !is_neg(l);
-    const bool activates = !(tv ? a.when_true : a.when_false).empty();
-    const bool diseq = a.is_eq && !tv;
-    if (activates || (with_diseqs && diseq)) out.push_back(neg(l));
+    if (sh_.atom_of_var[static_cast<std::size_t>(v)] >= 0) {
+      out.push_back(neg(l));
+    }
   }
 }
 
@@ -1033,6 +1021,9 @@ int SearchContext::analyze(const Lit* conflict, std::size_t nconf,
 bool SearchContext::resolve_conflict(const Lit* conflict, std::size_t nconf,
                                      ClauseRef ci) {
   ++stats_.conflicts;
+  conflict_lits_ += nconf;
+  stats_.mean_conflict_lits = static_cast<double>(conflict_lits_) /
+                              static_cast<double>(stats_.conflicts);
   int clevel = 0;
   for (std::size_t qi = 0; qi < nconf; ++qi) {
     clevel = std::max(
@@ -1329,26 +1320,6 @@ SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
     }
   }
   if (best < 0) {  // every constrained variable is fixed
-    for (int ai : active_diseqs_) {
-      const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-      __int128 sum = 0;
-      for (const auto& [v, c] : a.terms) {
-        sum += static_cast<__int128>(c) * lo_[static_cast<std::size_t>(v)];
-      }
-      if (sum == a.bound) {  // disequality violated by the fixed values
-        expl_begin();
-        const int now = static_cast<int>(blog_.size());
-        for (const auto& [v, c] : a.terms) {
-          (void)c;
-          for (const bool hi : {false, true}) {
-            const int e = entry_before(bnode(v, hi), now);
-            if (e >= 0) expl_push(e);
-          }
-        }
-        expl_run(nullptr, &conflict_pins);
-        return SatResult::Unsat;
-      }
-    }
     capture_model();
     return SatResult::Sat;
   }
@@ -1471,52 +1442,24 @@ SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
 // Unknown: the simplex decides the active rows exactly — rationally and,
 // via branch-on-rational-vertex cuts, over the integers. Unsat leaves the
 // Farkas rows in sconf_rows_ for the caller's blocking clause; Sat pins
-// the integer witness and captures the model; a blown branch budget (or
-// an active disequality the witness misses — the simplex never sees
-// disequalities) keeps the honest Unknown.
-SatResult SearchContext::simplex_rescue() {
-  const SimplexTheory::Result res =
-      stx_.check(active_rows_, /*pins=*/{}, /*integer_complete=*/true);
+// the integer witness and captures the model; a blown branch budget keeps
+// the honest Unknown.
+SatResult SearchContext::simplex_rescue(const std::vector<int>& int_vars) {
+  const SimplexTheory::Result res = stx_.check_integer(int_vars);
   sync_theory_stats();
   switch (res.verdict) {
     case SimplexTheory::Verdict::Infeasible:
       sconf_rows_ = res.conflict_rows;
       sconf_pins_.clear();  // no pins were passed
       return SatResult::Unsat;
-    case SimplexTheory::Verdict::IntegerModel: {
-      const std::size_t mark = undo_.size();
-      const std::size_t bmark = blog_.size();
+    case SimplexTheory::Verdict::IntegerModel:
       ++undo_era_;
       for (const theory::Pin& p : res.model) {
         set_bound(p.var, false, p.value, pin_src(p.var));
         set_bound(p.var, true, p.value, pin_src(p.var));
       }
-      bool diseqs_ok = true;
-      for (const int ai : active_diseqs_) {
-        const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-        __int128 sum = 0;
-        bool fixed = true;
-        for (const auto& [v, c] : a.terms) {
-          const std::int64_t lo = lo_[static_cast<std::size_t>(v)];
-          if (lo == kNegInf || lo != hi_[static_cast<std::size_t>(v)]) {
-            fixed = false;  // variable outside the active rows: unknown
-            break;
-          }
-          sum += static_cast<__int128>(c) * lo;
-        }
-        if (!fixed || sum == a.bound) {
-          diseqs_ok = false;
-          break;
-        }
-      }
-      if (diseqs_ok) {
-        capture_model();
-        return SatResult::Sat;
-      }
-      undo_to(mark);
-      rewind_blog(bmark);
-      return SatResult::Unknown;
-    }
+      capture_model();
+      return SatResult::Sat;
     case SimplexTheory::Verdict::Feasible:
       break;  // rationally feasible, integer-open: stay Unknown
   }
@@ -1538,22 +1481,18 @@ SatResult SearchContext::int_complete() {
       mark_var(v);
     }
   }
-  for (int ai : active_diseqs_) {
-    for (const auto& [v, c] : sh_.atoms[static_cast<std::size_t>(ai)].terms) {
-      (void)c;
-      mark_var(v);
-    }
-  }
   const std::size_t mark = undo_.size();
   const std::size_t bmark = blog_.size();
   ++undo_era_;
   int_budget_ = kIntNodeBudget;
   std::vector<int> conflict_pins;  // top-level pins: none to report to
-  const SatResult r = int_branch(branch_vars, conflict_pins);
+  SatResult r = int_branch(branch_vars, conflict_pins);
   if (r != SatResult::Sat) {
     undo_to(mark);
     rewind_blog(bmark);
   }
+  // A degraded leaf gets the exact simplex as a second opinion.
+  if (r == SatResult::Unknown) r = simplex_rescue(branch_vars);
   return r;
 }
 
@@ -1572,6 +1511,7 @@ void SearchContext::reset_search() {
   // saving its polarities as the next check's phase hints.
   levels_.clear();
   deactivate_rows_to(0);
+  stx_.retract_to(0);  // a Timeout can unwind past a check's pin retraction
   undo_to(0);
   rewind_blog(0);
   polarity_.resize(static_cast<std::size_t>(sh_.num_bvars), kUndef);
@@ -1582,7 +1522,6 @@ void SearchContext::reset_search() {
   }
   trail_.clear();
   qhead_ = theory_head_ = 0;
-  active_diseqs_.clear();
   row_work_.clear();
   pin_trail_.clear();  // a Timeout can unwind past the leaf search's pops
   sconf_rows_.clear();
@@ -1731,27 +1670,10 @@ Outcome SearchContext::run_check() {
     if (confl.kind != Conflict::kNone) {
       theory_conflict_.clear();
       if (confl.kind == Conflict::kTheory) {
-        if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
-          // Farkas conflict: the refutation names its rows directly (no
-          // pins can exist during boolean search — the pin trail is
-          // empty outside the integer leaf search).
-          emit_simplex_conflict();
-        } else {
-          // Provenance expansion of the conflict: the negated atoms
-          // whose rows actually produced the contradiction.
-          expl_begin();
-          const int now = static_cast<int>(blog_.size());
-          if (conflict_row_ >= 0) {
-            expl_seed_row(conflict_row_, now, &theory_conflict_);
-          } else {
-            for (const bool hi : {false, true}) {
-              const int e = entry_before(bnode(conflict_var_, hi), now);
-              if (e >= 0) expl_push(e);
-            }
-          }
-          expl_run(&theory_conflict_, nullptr);
-        }
+        explain_interval_conflict();
         if (plog_ != nullptr) log_theory_lemma(theory_conflict_);
+      } else {
+        ++stats_.conflicts_clause;
       }
       const bool is_clause = confl.kind == Conflict::kClause;
       const Lit* lits = is_clause ? arena_.lits(confl.ci)
@@ -1796,12 +1718,12 @@ Outcome SearchContext::run_check() {
       (void)ok;  // unassigned by construction
       continue;
     }
-    // Full boolean assignment: complete (or refute) the integer domains;
-    // a degraded leaf gets the exact simplex as a second opinion.
-    SatResult leaf = int_complete();
-    if (leaf == SatResult::Unknown) leaf = simplex_rescue();
+    // Full boolean assignment: complete (or refute) the integer domains.
+    ++stats_.leaves_reached;
+    const SatResult leaf = int_complete();
     if (leaf == SatResult::Sat) return Outcome::Sat;
     if (leaf == SatResult::Unknown) saw_unknown_ = true;
+    else ++stats_.leaves_refuted;
     // Block this combination of theory atoms. For a refuted leaf the
     // blocking clause is a theory lemma — the exact Farkas atoms when
     // the simplex produced the refutation, the full asserted-atom set
@@ -1812,7 +1734,7 @@ Outcome SearchContext::run_check() {
     if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
       emit_simplex_conflict();
     } else {
-      collect_theory_lits(true, trail_.size(), theory_conflict_);
+      collect_theory_lits(trail_.size(), theory_conflict_);
     }
     if (plog_ != nullptr && leaf == SatResult::Unsat) {
       // Only a refuted leaf's blocking clause is theory-entailed; an

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,12 +57,12 @@ enum Val : std::int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 // row type (smt/theory.hpp).
 using StaticRow = theory::Row;
 
+// A theory atom Σ terms ≤ bound (translation turns an equality into a gate
+// over two of these). Asserted true it activates `row`, asserted false its
+// integer complement `negation`: −Σ terms ≤ −bound − 1.
 struct Atom {
-  std::vector<std::pair<int, std::int64_t>> terms;
-  std::int64_t bound = 0;
-  bool is_eq = false;
-  std::vector<StaticRow> when_true;   // Le: {≤}; Eq: {≤, ≥}
-  std::vector<StaticRow> when_false;  // Le: {>}; Eq: empty (disequality)
+  StaticRow row;
+  StaticRow negation;
 };
 
 // One watch-list entry: the watching clause plus a *blocker* literal — a
@@ -110,7 +111,9 @@ struct SharedProblem {
   std::vector<int> atom_of_var;             // bool var -> atom index or -1
   std::vector<int> atom_var;                // atom index -> bool var
   std::vector<std::vector<int>> atom_occ;   // int var -> atom indices
-  std::vector<Atom> atoms;
+  // A deque keeps every atom's rows at a stable address while translation
+  // appends: active rows and the simplex's slack cache hold row pointers.
+  std::deque<Atom> atoms;
   std::vector<std::string> int_names;
   std::vector<std::pair<int, std::string>> named_bools;
   PackedClauses clauses;                    // problem clauses (size >= 2)
@@ -238,6 +241,7 @@ class SearchContext {
   void deactivate_rows_to(std::size_t mark);
   bool scan_violated_row();
   bool simplex_refute();
+  void explain_interval_conflict();
   void sync_theory_stats();
   void emit_simplex_conflict();
   bool propagate_rows();
@@ -275,14 +279,13 @@ class SearchContext {
 
   // ----------------------------------------------------- levels, backjump
   struct LevelMark {
-    std::size_t trail, rows, diseqs, undo, expl, blog;
+    std::size_t trail, rows, undo, expl, blog;
   };
   void push_level();
   void backjump(int target);
 
   // ------------------------------------------------- learning (first UIP)
-  void collect_theory_lits(bool with_diseqs, std::size_t limit,
-                           std::vector<Lit>& out) const;
+  void collect_theory_lits(std::size_t limit, std::vector<Lit>& out) const;
   // Conflict literals arrive as a raw span: clause conflicts point straight
   // into the arena (no copy), theory conflicts into theory_conflict_. The
   // span is consumed before any arena allocation can invalidate it.
@@ -305,7 +308,7 @@ class SearchContext {
   void seed_row_conflict();
   SatResult int_branch(const std::vector<int>& branch_vars,
                        std::vector<int>& conflict_pins);
-  SatResult simplex_rescue();
+  SatResult simplex_rescue(const std::vector<int>& int_vars);
   SatResult int_complete();
 
   // -------------------------------------------------------- check driving
@@ -350,8 +353,8 @@ class SearchContext {
   std::vector<UndoEntry> undo_;
   std::vector<const StaticRow*> active_rows_;
   std::vector<Lit> active_row_lit_;  // activating atom literal, per row
+  std::vector<std::size_t> row_stx_mark_;  // simplex trail mark, per row
   std::vector<std::vector<int>> row_occ_;  // int var -> active row indices
-  std::vector<int> active_diseqs_;         // atom indices asserted ≠
   std::vector<int> row_work_;
   std::vector<Val> polarity_;    // saved phases
   std::vector<int> dirty_vars_;  // int vars with bound changes to rescan
@@ -363,7 +366,8 @@ class SearchContext {
   std::uint64_t int_budget_ = 0;
 
   // Exact theory layer (tableau, basis and slack dedup persist with the
-  // context — the incremental half of the simplex).
+  // context — the incremental half of the simplex). Its bounds follow the
+  // trail: exactly the active rows are asserted, tagged by row index.
   SimplexTheory stx_;
   std::vector<theory::Pin> pin_trail_;  // branch-and-bound pins in effect
   std::vector<int> sconf_rows_;  // pending simplex conflict: row indices
@@ -423,6 +427,7 @@ class SearchContext {
 
   // Results of the last solve + lifetime counters.
   SolveStats stats_;
+  std::uint64_t conflict_lits_ = 0;  // Σ conflict sizes (mean_conflict_lits)
   util::StopReason last_stop_ = util::StopReason::kNone;
   Model model_;
   std::vector<int> hot_vars_;

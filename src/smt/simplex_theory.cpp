@@ -68,14 +68,21 @@ SimplexTheory::SlackRef SimplexTheory::intern_slack(const theory::Row& row) {
 }
 
 bool SimplexTheory::assert_row(const theory::Row& row, int tag) {
-  if (row.terms.empty()) {  // constant row: 0 ≤ bound
-    return row.bound >= 0;  // on conflict the caller's tag alone explains
-  }
-  const SlackRef s = slack_for(row);
-  // Σ terms ≤ b  ⇔  canonical ≤ b   (positive sign)
-  //            ⇔  canonical ≥ −b   (negated sign)
-  return s.negated ? spx_.assert_lower(s.var, Rational(-row.bound), tag)
+  crossing_.clear();
+  bool ok = true;
+  if (row.terms.empty()) {  // constant row: 0 ≤ bound, refuted by itself
+    ok = row.bound >= 0;
+    if (!ok) crossing_.push_back(tag);
+  } else {
+    const SlackRef s = slack_for(row);
+    // Σ terms ≤ b  ⇔  canonical ≤ b   (positive sign)
+    //            ⇔  canonical ≥ −b   (negated sign)
+    ok = s.negated ? spx_.assert_lower(s.var, Rational(-row.bound), tag)
                    : spx_.assert_upper(s.var, Rational(row.bound), tag);
+    if (!ok) collect_farkas_tags(crossing_);
+  }
+  if (!ok) ++explanations_;
+  return ok;
 }
 
 void SimplexTheory::collect_farkas_tags(std::vector<int>& used) const {
@@ -187,31 +194,28 @@ std::string SimplexTheory::audit() const {
 }
 
 SimplexTheory::Result SimplexTheory::check(
-    const std::vector<const theory::Row*>& rows,
-    const std::vector<theory::Pin>& pins, bool integer_complete) {
-  // Injected theory timeout. Thrown before any bound is (re)asserted, so
-  // it unwinds exactly like a deadline tick fired on the first pivot —
-  // the host's established recovery path.
+    const std::vector<theory::Pin>& pins) {
+  return decide(pins, nullptr);
+}
+
+SimplexTheory::Result SimplexTheory::check_integer(
+    const std::vector<int>& int_vars) {
+  return decide({}, &int_vars);
+}
+
+SimplexTheory::Result SimplexTheory::decide(
+    const std::vector<theory::Pin>& pins, const std::vector<int>* int_vars) {
+  // Injected theory timeout. Thrown before any bound is asserted, so it
+  // unwinds exactly like a deadline tick fired on the first pivot — the
+  // host's established recovery path.
   if (util::fault::enabled() &&
       util::fault::fire(util::fault::Site::kTheoryTimeout)) {
     throw util::fault::FaultInjected{};
   }
-  spx_.retract_to(0);
+  const std::size_t base = spx_.mark();
   Result out;
   std::vector<int> used;
   bool conflict = false;
-
-  for (std::size_t i = 0; i < rows.size() && !conflict; ++i) {
-    if (!assert_row(*rows[i], static_cast<int>(i))) {
-      if (rows[i]->terms.empty()) {
-        used.push_back(static_cast<int>(i));  // 0 ≤ negative, alone
-      } else {
-        collect_farkas_tags(used);
-        capture_farkas(out);
-      }
-      conflict = true;
-    }
-  }
   for (std::size_t p = 0; p < pins.size() && !conflict; ++p) {
     const int ext = spx_.var(pins[p].var);
     const Rational v(pins[p].value);
@@ -222,31 +226,24 @@ SimplexTheory::Result SimplexTheory::check(
       conflict = true;
     }
   }
-
   if (!conflict) {
     if (spx_.check()) {
-      if (!integer_complete) return out;  // Feasible
-      std::vector<int> int_vars;
-      for (const theory::Row* r : rows) {
-        for (const auto& [v, c] : r->terms) {
-          (void)c;
-          int_vars.push_back(v);
-        }
+      if (int_vars != nullptr) {
+        branch_budget_ = kBranchBudget;
+        out.verdict = branch(*int_vars, 0, used, out);
       }
-      for (const theory::Pin& p : pins) int_vars.push_back(p.var);
-      std::sort(int_vars.begin(), int_vars.end());
-      int_vars.erase(std::unique(int_vars.begin(), int_vars.end()),
-                     int_vars.end());
-      branch_budget_ = kBranchBudget;
-      out.verdict = branch(int_vars, 0, used, out);
-      if (out.verdict != Verdict::Infeasible) return out;
+      if (out.verdict != Verdict::Infeasible) {
+        spx_.retract_to(base);
+        return out;
+      }
     } else {
       collect_farkas_tags(used);
       capture_farkas(out);
     }
   }
+  spx_.retract_to(base);
 
-  // Infeasible: map the internal tags back onto the caller's rows/pins.
+  // Infeasible: split the internal tags into the caller's rows and pins.
   out.verdict = Verdict::Infeasible;
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());

@@ -1,20 +1,24 @@
 // Exact linear-arithmetic theory layer: bridges the native solver's active
 // row/pin state onto the incremental rational simplex (linalg/simplex.hpp).
 //
-// The bridge owns one persistent Simplex per solver session. Tableau
+// The bridge owns one persistent Simplex per search context. Tableau
 // structure is permanent and deduplicated: each distinct linear form gets
 // one slack variable, keyed by its canonical sign (leading coefficient
-// positive), so the ≤ and ≥ rows of one equality atom — and re-activations
-// of the same row across checks and probes — all land on the same slack.
-// Per check() call only the *bounds* are (re)asserted, and the basis
-// persists, so repeated calls pivot from the previous vertex.
+// positive), so a ≤ atom and its negation — and re-activations of the same
+// row across checks and probes — all land on the same slack.
+//
+// Bounds follow the caller's trail (Dutertre & de Moura, CAV 2006): the
+// caller asserts each row as it becomes active (assert_row) and retracts
+// them LIFO on backjump (mark/retract_to), so check() always pivots from
+// the previous vertex over exactly the active rows. Pins are asserted on
+// top for the duration of one check() and retracted before it returns.
 //
 // Verdicts are exact or honest: `Infeasible` comes with a Farkas
 // explanation mapped back to row/pin tags (the SMT layer learns it as a
 // theory clause); `IntegerModel` is a full integer assignment for every
-// variable the active system mentions; `Feasible` means rationally
-// feasible but integer-openness remains (rational-only mode, or the
-// branch budget ran out) — the caller keeps its Unknown degradation.
+// requested variable; `Feasible` means rationally feasible but
+// integer-openness remains (rational-only mode, or the branch budget ran
+// out) — the caller keeps its Unknown degradation.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,7 @@ class SimplexTheory {
 
   struct Result {
     Verdict verdict = Verdict::Feasible;
-    /// Infeasible: indices into the `rows` argument the refutation used.
+    /// Infeasible: tags of the asserted rows the refutation used.
     std::vector<int> conflict_rows;
     /// Infeasible: indices into the `pins` argument the refutation used.
     std::vector<int> conflict_pins;
@@ -50,17 +54,29 @@ class SimplexTheory {
     /// when the refutation composed several branch-and-bound leaves (no
     /// single combination exists) or a constant row refuted alone.
     std::vector<linalg::FarkasTerm> farkas;
-    /// IntegerModel: value per integer variable the system mentions.
+    /// IntegerModel: value per requested integer variable.
     std::vector<theory::Pin> model;
   };
 
-  /// Decides the conjunction of the active rows (Σ terms ≤ bound each) and
-  /// pins (var = value each). With `integer_complete`, a rationally
-  /// feasible system is further decided over the integers by
-  /// branch-on-rational-vertex cuts under a node budget; without it the
-  /// rational verdict is returned as-is (cheap mode for mid-search calls).
-  Result check(const std::vector<const theory::Row*>& rows,
-               const std::vector<theory::Pin>& pins, bool integer_complete);
+  /// Asserts `row` (Σ terms ≤ bound) with tag `tag` ≥ 0 on top of the
+  /// bounds already asserted. False when it crosses an asserted bound on
+  /// the same linear form; crossing() then names the refuting tags.
+  bool assert_row(const theory::Row& row, int tag);
+  /// Tags of the last refutation assert_row reported.
+  [[nodiscard]] const std::vector<int>& crossing() const { return crossing_; }
+
+  /// Bound-trail mark for retract_to(); LIFO, like the caller's trail.
+  [[nodiscard]] std::size_t mark() const { return spx_.mark(); }
+  void retract_to(std::size_t mark) { spx_.retract_to(mark); }
+
+  /// Decides the asserted rows plus `pins` (var = value each) over the
+  /// rationals, starting from the persistent basis. Pin p explains as
+  /// conflict_pins entry p.
+  Result check(const std::vector<theory::Pin>& pins);
+  /// Decides the asserted rows over the integers: a rationally feasible
+  /// system is completed by branch-on-rational-vertex cuts on `int_vars`
+  /// under a node budget.
+  Result check_integer(const std::vector<int>& int_vars);
 
   /// Cumulative counters, session-lifetime (mirrors SolveStats).
   [[nodiscard]] std::uint64_t pivots() const { return spx_.stats().pivots; }
@@ -89,8 +105,11 @@ class SimplexTheory {
 
   SlackRef slack_for(const theory::Row& row);
   SlackRef intern_slack(const theory::Row& row);
-  // Asserts row/pin bounds; returns false on immediate conflict.
-  bool assert_row(const theory::Row& row, int tag);
+  // Shared body of check()/check_integer(): pins on top, integer
+  // completion when `int_vars` is non-null; everything it asserts is
+  // retracted before it returns.
+  Result decide(const std::vector<theory::Pin>& pins,
+                const std::vector<int>* int_vars);
   // Branch-on-rational-vertex integer completion; appends used non-branch
   // tags to `used`. Returns the verdict for the current bound state.
   Verdict branch(const std::vector<int>& int_vars, int depth,
@@ -107,6 +126,7 @@ class SimplexTheory {
   // same form, e.g. the ≤/≥ halves of an equality, share one slack).
   std::unordered_map<const theory::Row*, SlackRef> row_slack_;
   std::unordered_map<std::string, SlackRef> slack_index_;
+  std::vector<int> crossing_;
   std::uint64_t explanations_ = 0;
   std::uint64_t branch_budget_ = 0;  // per-check node budget (see .cpp)
 };

@@ -39,6 +39,22 @@ enum class SatResult { Sat, Unsat, Unknown };
 /// 1..k, so per-check deltas are snapshot differences.
 struct SolveStats {
   std::uint64_t conflicts = 0;     ///< conflicts analyzed (incl. theory/leaf)
+  /// Native backend: where the conflicts came from. A clause conflict is a
+  /// falsified clause; an interval conflict is explained either by the
+  /// simplex's Farkas rows (`_farkas`, incl. bound crossings between two
+  /// rows on one linear form) or, when the active rows are rationally
+  /// feasible, by the interval provenance walk (`_provenance`). The rest
+  /// are refuted or degraded leaves.
+  std::uint64_t conflicts_clause = 0;
+  std::uint64_t conflicts_interval_farkas = 0;
+  std::uint64_t conflicts_interval_provenance = 0;
+  /// Full boolean assignments handed to the integer leaf search, and the
+  /// ones it refuted (each refutation becomes a blocking clause).
+  std::uint64_t leaves_reached = 0;
+  std::uint64_t leaves_refuted = 0;
+  /// Mean literal count of the conflict sets handed to conflict analysis
+  /// (clause, theory explanation or leaf blocking clause).
+  double mean_conflict_lits = 0.0;
   std::uint64_t decisions = 0;     ///< branching decisions
   std::uint64_t propagations = 0;  ///< literals enqueued by propagation
   std::uint64_t restarts = 0;      ///< search restarts (Luby schedule)
@@ -87,6 +103,17 @@ struct SolveStats {
   /// is what the memory ceiling and capacity planning care about.
   std::uint64_t peak_arena_bytes = 0;
 };
+
+/// mean_conflict_lits of two SolveStats blocks summed together: the mean
+/// over both, weighted by their conflict counts.
+inline double merged_mean_conflict_lits(const SolveStats& a,
+                                        const SolveStats& b) {
+  const std::uint64_t n = a.conflicts + b.conflicts;
+  if (n == 0) return 0.0;
+  return (a.mean_conflict_lits * static_cast<double>(a.conflicts) +
+          b.mean_conflict_lits * static_cast<double>(b.conflicts)) /
+         static_cast<double>(n);
+}
 
 /// An independently checkable refutation of one Unsat check. `text` is the
 /// full certificate in the line-oriented grammar of docs/PROOFS.md: the

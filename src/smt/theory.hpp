@@ -6,9 +6,9 @@
 // the boolean search:
 //
 //  - A `Row` is the canonical constraint form  Σ coeff·var ≤ bound  over
-//    integer-variable indices. Atom translation produces one or two Rows
-//    per atom (an equality asserts the ≤ and ≥ Rows; a negated ≤ asserts
-//    the strict complement as  −Σ ≤ −bound−1, exact over integers), and
+//    integer-variable indices. Each atom literal asserts one Row (a true
+//    ≤ atom its row; a false one the strict complement  −Σ ≤ −bound−1,
+//    exact over integers — equalities are gates over two ≤ atoms), so
 //    activating a row is always justified by exactly one atom literal.
 //  - Every theory deduction is explained as a set of *tags* naming the
 //    asserted facts it used: row tags (indices into the activation order,
@@ -19,12 +19,13 @@
 //
 // The layers divide the work by strength and cost: interval propagation is
 // cheap, runs to a budget on every assertion batch, and carries per-bound
-// provenance for eager atom entailment; the simplex is exact and complete
-// over the rationals (plus an integer completion by divisibility and
-// branch-on-rational-vertex cuts), and runs where intervals are
-// structurally weak — when tightening exhausts its budget with unbounded
-// variables in play, and as the final-check rescue for leaves the
-// branch-and-bound search would otherwise degrade to Unknown.
+// provenance for eager atom entailment; the simplex holds the same rows'
+// bounds in step with the trail, is exact and complete over the rationals
+// (plus an integer completion by divisibility and branch-on-rational-
+// vertex cuts), and explains every interval conflict with its Farkas
+// rows. It also decides the rows when tightening exhausts its budget, and
+// rescues leaves the branch-and-bound search would otherwise degrade to
+// Unknown.
 #pragma once
 
 #include <cstdint>

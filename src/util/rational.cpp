@@ -33,15 +33,21 @@ Rational Rational::operator-() const {
   return r;
 }
 
+// Integer operands (denominator 1 — nearly every coefficient of a
+// network-flow tableau) skip the cross products and the gcd: an integer
+// result is already canonical.
 Rational Rational::operator+(const Rational& rhs) const {
+  if (is_integer() && rhs.is_integer()) return Rational(num_ + rhs.num_);
   return Rational(num_ * rhs.den_ + rhs.num_ * den_, den_ * rhs.den_);
 }
 
 Rational Rational::operator-(const Rational& rhs) const {
+  if (is_integer() && rhs.is_integer()) return Rational(num_ - rhs.num_);
   return Rational(num_ * rhs.den_ - rhs.num_ * den_, den_ * rhs.den_);
 }
 
 Rational Rational::operator*(const Rational& rhs) const {
+  if (is_integer() && rhs.is_integer()) return Rational(num_ * rhs.num_);
   return Rational(num_ * rhs.num_, den_ * rhs.den_);
 }
 
@@ -56,6 +62,7 @@ Rational Rational::reciprocal() const {
 }
 
 std::strong_ordering Rational::operator<=>(const Rational& rhs) const {
+  if (is_integer() && rhs.is_integer()) return num_ <=> rhs.num_;
   return (num_ * rhs.den_) <=> (rhs.num_ * den_);
 }
 

@@ -2,8 +2,10 @@
 // solver backend: native and Z3 must produce identical verdicts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "advocat/verifier.hpp"
 #include "backend_fixture.hpp"
@@ -141,13 +143,14 @@ TEST_P(VerifierTest, ProbeCapacityRequiresSymbolicSession) {
 
 TEST_P(VerifierTest, TimeoutAndBudgetDeadlineComposeAsTheTighter) {
   // VerifyOptions::timeout_ms and budget.deadline_ms are folded into one
-  // solver deadline, the tighter of the two. A 4x4 MI mesh at capacity 22
-  // cannot be decided within 50 ms, while a 60 s limit would let the check
-  // run far past the 5 s bound below.
+  // solver deadline, the tighter of the two. A 6x6 MI mesh at capacity 30
+  // takes the native solver over a second to decide from cold, so a 50 ms
+  // limit ends every check here Unknown, while a 60 s limit would let it
+  // reach its verdict.
   coh::MiAbstractConfig config;
-  config.width = 4;
-  config.height = 4;
-  config.queue_capacity = 22;
+  config.width = 6;
+  config.height = 6;
+  config.queue_capacity = 30;
   const xmas::Network net = std::move(coh::build_mi_abstract(config).net);
   struct Case {
     unsigned timeout_ms;
@@ -378,6 +381,72 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.mesh) + "_dir" +
              std::to_string(info.param.dir);
     });
+
+/// Native sizing of directory position `dir` of the k x k MI mesh.
+QueueSizingResult size_mesh(int mesh, int dir,
+                            const util::ResourceBudget& budget = {}) {
+  auto make = [mesh, dir](std::size_t cap) {
+    coh::MiAbstractConfig config;
+    config.width = mesh;
+    config.height = mesh;
+    config.directory_node = dir;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  QueueSizingOptions o;
+  o.verify.backend = smt::Backend::Native;
+  o.verify.budget = budget;
+  return find_minimal_queue_size(make, o);
+}
+
+// The solver counters show how the search closes a sizing run: with
+// equalities as bound pairs no leaf is ever refuted, and interval conflicts
+// are explained by the simplex's Farkas rows. Every conflict has one
+// origin; every leaf that is not refuted is the model of a Sat probe.
+TEST(SolverCounters, SizingRefutesNoLeafAndExplainsWithFarkasRows) {
+  const QueueSizingResult r = size_mesh(3, 4);
+  EXPECT_EQ(r.minimal_capacity, 5u);
+  const smt::SolveStats& s = r.solve_stats;
+  EXPECT_EQ(s.leaves_refuted, 0u);
+  EXPECT_GT(s.conflicts_interval_farkas, 0u);
+  std::uint64_t sat_probes = 0;
+  for (const auto& [cap, verdict] : r.probes) {
+    sat_probes += verdict == smt::SatResult::Sat ? 1 : 0;
+  }
+  EXPECT_EQ(s.leaves_reached, sat_probes);
+  EXPECT_EQ(s.conflicts, s.conflicts_clause + s.conflicts_interval_farkas +
+                             s.conflicts_interval_provenance);
+  EXPECT_GT(s.mean_conflict_lits, 0.0);
+}
+
+// Deterministic regression over the mesh's x/y reflection orbits: under a
+// 5,000-conflict ceiling per check every cell answers, and the positions of
+// one orbit share one minimal capacity.
+TEST(QueueSizingOrbits, EveryCellAnswersAndOrbitsAgree) {
+  struct Orbit {
+    int mesh;
+    std::vector<int> dirs;
+    std::size_t minimal;
+  };
+  const std::vector<Orbit> orbits = {
+      {4, {0, 3, 12, 15}, 23},  // 4x4 corners
+      {3, {0, 2, 6, 8}, 11},    // 3x3 corners
+      {3, {1, 7}, 11},          // 3x3 top/bottom edges
+      {3, {3, 5}, 5},           // 3x3 side edges
+      {3, {4}, 5},              // 3x3 centre
+  };
+  util::ResourceBudget budget;
+  budget.max_conflicts = 5000;
+  for (const Orbit& orbit : orbits) {
+    for (const int dir : orbit.dirs) {
+      const QueueSizingResult r = size_mesh(orbit.mesh, dir, budget);
+      EXPECT_EQ(r.unknown_probes, 0u)
+          << orbit.mesh << "x" << orbit.mesh << " dir " << dir;
+      EXPECT_EQ(r.minimal_capacity, orbit.minimal)
+          << orbit.mesh << "x" << orbit.mesh << " dir " << dir;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace advocat::core

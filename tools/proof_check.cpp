@@ -11,9 +11,9 @@
 //     the first bound crossing — so a proof step can reference derived
 //     bounds as `lo<v>` / `hi<v>` without serializing their derivation;
 //  3. a recursive-descent verifier for lemma proof bodies: `f` Farkas
-//     combinations re-summed in exact rational arithmetic, `s … alt …
+//     combinations re-summed in exact rational arithmetic, and `s … alt …
 //     join` single-variable splits (integer tautologies, so any split is
-//     admissible), `dq` disequality closures on fully-pinned forms.
+//     admissible).
 #include "proof_check.hpp"
 
 #include <cctype>
@@ -47,12 +47,6 @@ BigInt floor_div_big(const BigInt& a, const BigInt& b) {
 struct Ineq {
   std::vector<std::pair<int, std::int64_t>> terms;
   BigInt bound;
-};
-
-struct Diseq {
-  std::vector<std::pair<int, std::int64_t>> terms;
-  std::int64_t bound = 0;
-  std::size_t premise = 0;
 };
 
 struct VarBound {
@@ -278,7 +272,6 @@ class PropEngine {
 
 struct AtomInfo {
   bool present = false;
-  bool is_eq = false;
   std::int64_t bound = 0;
   std::vector<std::pair<int, std::int64_t>> terms;
 };
@@ -420,13 +413,12 @@ class Checker {
     std::int64_t bound = 0;
     std::size_t k = 0;
     if (!(ls >> bvar >> kind >> bound >> k) || bvar == 0 ||
-        bvar > engine_.num_vars() || (kind != "le" && kind != "eq")) {
+        bvar > engine_.num_vars() || kind != "le") {
       fail("parse-error", "line " + std::to_string(lineno_) + ": bad atom");
       return false;
     }
     AtomInfo a;
     a.present = true;
-    a.is_eq = kind == "eq";
     a.bound = bound;
     for (std::size_t i = 0; i < k; ++i) {
       int v = 0;
@@ -444,12 +436,11 @@ class Checker {
   }
 
   // Premise system of one lemma: negated clause literals then ctx
-  // literals, each mapped through the atom table. `refs` names the
-  // inequality rows ("p<i>", and "q<i>" for an equality's ≥-half).
+  // literals, each mapped through the atom table. `refs` names premise i's
+  // inequality row "p<i>".
   bool build_premises(const std::vector<int>& lits,
                       const std::vector<int>& ctx, std::vector<Ineq>& rows,
-                      std::unordered_map<std::string, std::size_t>& refs,
-                      std::vector<Diseq>& diseqs) {
+                      std::unordered_map<std::string, std::size_t>& refs) {
     const std::size_t n = lits.size();
     for (std::size_t i = 0; i < n + ctx.size(); ++i) {
       const int pl = i < n ? -lits[i] : ctx[i - n];
@@ -459,32 +450,14 @@ class Checker {
                                   " is not a theory atom");
         return false;
       }
-      const std::string idx = std::to_string(i);
+      refs.emplace("p" + std::to_string(i), rows.size());
       if (pl > 0) {
-        Ineq le;
-        le.terms = a.terms;
-        le.bound = BigInt(a.bound);
-        refs.emplace("p" + idx, rows.size());
-        rows.push_back(std::move(le));
-        if (a.is_eq) {
-          Ineq ge;
-          for (const auto& [u, c] : a.terms) ge.terms.emplace_back(u, -c);
-          ge.bound = BigInt(-a.bound);
-          refs.emplace("q" + idx, rows.size());
-          rows.push_back(std::move(ge));
-        }
-      } else if (!a.is_eq) {
+        rows.push_back(Ineq{a.terms, BigInt(a.bound)});
+      } else {  // Σ ≤ b false  ⇔  Σ ≥ b+1 (integers)
         Ineq gt;
         for (const auto& [u, c] : a.terms) gt.terms.emplace_back(u, -c);
         gt.bound = BigInt(-a.bound) - BigInt(1);
-        refs.emplace("p" + idx, rows.size());
         rows.push_back(std::move(gt));
-      } else {
-        Diseq d;
-        d.terms = a.terms;
-        d.bound = a.bound;
-        d.premise = i;
-        diseqs.push_back(std::move(d));
       }
     }
     return true;
@@ -575,55 +548,12 @@ class Checker {
     return true;
   }
 
-  bool check_diseq(std::istringstream& ls, const std::vector<Diseq>& diseqs,
-                   const CertState& st) {
-    std::size_t i = 0;
-    if (!(ls >> i)) {
-      fail("parse-error", "line " + std::to_string(lineno_) + ": bad dq");
-      return false;
-    }
-    const Diseq* d = nullptr;
-    for (const Diseq& cand : diseqs) {
-      if (cand.premise == i) {
-        d = &cand;
-        break;
-      }
-    }
-    if (d == nullptr) {
-      fail("lemma-bad-ref", "line " + std::to_string(lineno_) +
-                                ": premise " + std::to_string(i) +
-                                " is not a disequality");
-      return false;
-    }
-    BigInt sum(0);
-    for (const auto& [v, c] : d->terms) {
-      const VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-      const VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-      if (!lb.has || !hb.has || lb.val != hb.val) {
-        fail("lemma-diseq-unforced",
-             "line " + std::to_string(lineno_) + ": variable " +
-                 std::to_string(v) + " not pinned");
-        return false;
-      }
-      sum += BigInt(c) * lb.val;
-    }
-    if (sum != BigInt(d->bound)) {
-      fail("lemma-diseq-unforced",
-           "line " + std::to_string(lineno_) +
-               ": pinned value misses the excluded bound");
-      return false;
-    }
-    ++res_.steps;
-    return true;
-  }
-
   // One proof branch: tighten (lockstep with the certifier), then a
   // closing step or a split into two sub-branches.
   bool check_branch(const std::vector<std::string>& body, std::size_t& pos,
                     const std::vector<Ineq>& rows,
                     const std::unordered_map<std::string, std::size_t>& refs,
-                    const std::vector<Diseq>& diseqs, CertState st,
-                    int depth) {
+                    CertState st, int depth) {
     if (depth > 64) {
       fail("parse-error", "proof nesting too deep");
       return false;
@@ -638,7 +568,6 @@ class Checker {
     std::string head;
     ls >> head;
     if (head == "f") return check_farkas(ls, rows, refs, st);
-    if (head == "dq") return check_diseq(ls, diseqs, st);
     if (head == "s") {
       long long v = 0;
       std::string ktok;
@@ -654,8 +583,7 @@ class Checker {
       VarBound& lhi = left.hi[static_cast<std::size_t>(v)];
       lhi.has = true;
       lhi.val = cut;
-      if (!check_branch(body, pos, rows, refs, diseqs, std::move(left),
-                        depth + 1)) {
+      if (!check_branch(body, pos, rows, refs, std::move(left), depth + 1)) {
         return false;
       }
       if (pos >= body.size() || body[pos] != "alt") {
@@ -668,8 +596,7 @@ class Checker {
       VarBound& rlo = right.lo[static_cast<std::size_t>(v)];
       rlo.has = true;
       rlo.val = cut + BigInt(1);
-      if (!check_branch(body, pos, rows, refs, diseqs, std::move(right),
-                        depth + 1)) {
+      if (!check_branch(body, pos, rows, refs, std::move(right), depth + 1)) {
         return false;
       }
       if (pos >= body.size() || body[pos] != "join") {
@@ -744,13 +671,12 @@ class Checker {
     }
     std::vector<Ineq> rows;
     std::unordered_map<std::string, std::size_t> refs;
-    std::vector<Diseq> diseqs;
-    if (!build_premises(lits, ctx, rows, refs, diseqs)) return false;
+    if (!build_premises(lits, ctx, rows, refs)) return false;
     CertState st;
     st.lo.resize(nints_);
     st.hi.resize(nints_);
     std::size_t pos = 0;
-    if (!check_branch(body, pos, rows, refs, diseqs, std::move(st), 0)) {
+    if (!check_branch(body, pos, rows, refs, std::move(st), 0)) {
       return false;
     }
     if (pos != body.size()) {

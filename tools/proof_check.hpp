@@ -12,8 +12,8 @@
 //    problem clauses, the `assume` hypotheses, and earlier derived clauses;
 //  - every `lem` clause carries an inline branch-and-cut proof that checks
 //    under exact rational re-substitution (Farkas combinations cancel and
-//    cross zero; splits are integer tautologies; disequality steps are
-//    forced), with every `ctx` literal independently re-derived; and
+//    cross zero; splits are integer tautologies), with every `ctx` literal
+//    independently re-derived; and
 //  - `qed` closes the file and the accumulated clause set propagates to a
 //    contradiction.
 // Rejections name the first failing ingredient (see CheckResult::reason).
@@ -28,7 +28,7 @@ struct CheckResult {
   /// Rejection reason, stable across releases (mutation tests key on it):
   /// "parse-error", "bad-header", "rup-failed", "lemma-unproven",
   /// "lemma-invalid-farkas", "lemma-open-branch", "lemma-bad-ref",
-  /// "lemma-diseq-unforced", "ctx-underived", "truncated", "qed-failed".
+  /// "ctx-underived", "truncated", "qed-failed".
   /// Empty when ok.
   std::string reason;
   /// Free-text location/context for the failure (line number, step).
