@@ -115,11 +115,6 @@ class JsonLine {
         .field("theory_pivots", static_cast<std::size_t>(s.theory_pivots))
         .field("farkas_explanations",
                static_cast<std::size_t>(s.farkas_explanations))
-        .field("threads", static_cast<std::size_t>(s.threads))
-        .field("clauses_exported",
-               static_cast<std::size_t>(s.clauses_exported))
-        .field("clauses_imported",
-               static_cast<std::size_t>(s.clauses_imported))
         .field("arena_bytes", static_cast<std::size_t>(s.arena_bytes))
         .field("arena_compactions",
                static_cast<std::size_t>(s.arena_compactions))

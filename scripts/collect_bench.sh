@@ -25,9 +25,13 @@
 # After collecting, the script diffs the new native sizing times against
 # the newest *other* BENCH_PR*.json next to the output (and in the repo
 # root) and prints per-scenario and total old/new ratios, so the
-# cross-PR perf trajectory is visible directly in CI logs. The diff is
-# informational only — it never changes the exit status (timings on
-# shared CI runners are too noisy to gate on).
+# cross-PR perf trajectory is visible directly in CI logs. It then lists
+# every sequential native fig4 cell (probe_threads 1) whose conflicts,
+# decisions or propagations differ from that trajectory: those counters
+# are deterministic, so a listed cell means the search itself changed.
+# Both diffs are informational only — they never change the exit status
+# (timings on shared CI runners are too noisy to gate on, and a search
+# change may be intended).
 set -eu
 
 # Previous-trajectory selection, shared by the diff below and the
@@ -182,6 +186,39 @@ for (bench, label), (p, n) in sorted(totals.items()):
     print(f"  {bench} [{label}]: {p:.3f}s -> {n:.3f}s  ratio {p / n:.2f}x")
 if not totals:
     print("  (no comparable scenarios)")
+PYEOF
+  python3 - "$prev" "$out" >&2 <<'PYEOF' || true
+import json, sys
+
+COUNTERS = ("conflicts", "decisions", "propagations")
+
+def cells(path):
+    rows = {}
+    for line in open(path):
+        try:
+            j = json.loads(line)
+        except ValueError:
+            continue
+        if (j.get("bench") != "fig4_queue_sizes"
+                or j.get("backend") != "native"
+                or j.get("probe_threads", 1) != 1
+                or j.get("threads", 1) != 1
+                or any(k not in j for k in COUNTERS)):
+            continue
+        rows[(j.get("mesh"), j.get("directory_node"))] = j
+    return rows
+
+old, new = cells(sys.argv[1]), cells(sys.argv[2])
+shared = sorted(k for k in new if k in old)
+changed = 0
+print(f"collect_bench: sequential native fig4 counters vs {sys.argv[1]}:")
+for mesh, node in shared:
+    o, n = old[(mesh, node)], new[(mesh, node)]
+    diffs = [f"{k} {o[k]} -> {n[k]}" for k in COUNTERS if o[k] != n[k]]
+    if diffs:
+        changed += 1
+        print(f"  {mesh}x{mesh} dir {node}: " + ", ".join(diffs))
+print(f"  {changed} of {len(shared)} cells changed")
 PYEOF
 fi
 exit "$status"

@@ -3,8 +3,9 @@
 # (the --print-prev entry point): the numeric PR suffix decides — not
 # lexicographic or version order — and artifacts that ride the same
 # BENCH_PR* glob without being per-PR trajectories (threads variants,
-# non-numeric suffixes) are ignored. Registered as the ctest
-# `collect_bench_select_prev`.
+# non-numeric suffixes) are ignored. A last case runs a whole collection
+# over a stub fig4 harness and checks the counter diff against the
+# previous trajectory. Registered as the ctest `collect_bench_select_prev`.
 set -eu
 
 script_dir=$(CDPATH='' cd -- "$(dirname -- "$0")" && pwd)
@@ -59,5 +60,43 @@ mkdir sub
 : > sub/BENCH_PR12.json
 check "siblings of the output directory are candidates" \
   sub/BENCH_PR13.json BENCH_PR12.json
+
+# Counter diff: a stub build whose only harness prints three fig4 cells.
+# Against the previous trajectory, the sequential native cell 2x2 dir 1
+# changed its conflicts and decisions and must be listed; 2x2 dir 0 is
+# unchanged, and the z3 and probe_threads 4 cells changed but are not
+# sequential native cells, so none of those three may appear.
+mkdir diff
+cd diff
+cell() {  # cell <backend> <node> <probe_threads> <conflicts> <decisions>
+  printf '{"bench":"fig4_queue_sizes","backend":"%s","mesh":2,' "$1"
+  printf '"directory_node":%s,"probe_threads":%s,' "$2" "$3"
+  printf '"conflicts":%s,"decisions":%s,"propagations":70,' "$4" "$5"
+  printf '"seconds":0.01}\n'
+}
+{
+  cell native 0 1 10 20
+  cell native 1 1 11 21
+  cell z3 1 1 12 22
+  cell native 2 4 13 23
+} > BENCH_PR16.json
+mkdir -p build/bench
+{
+  echo '#!/bin/sh'
+  printf "echo 'BENCH_JSON %s'\n" "$(cell native 0 1 10 20)" \
+    "$(cell native 1 1 15 25)" "$(cell z3 1 1 99 22)" \
+    "$(cell native 2 4 99 23)"
+} > build/bench/fig4_queue_sizes
+chmod +x build/bench/fig4_queue_sizes
+ADVOCAT_SMOKE='' BENCH_PR='' "$collect" build BENCH_PR17.json 2> log \
+  || fail "collection over the stub harness failed: $(cat log)"
+grep -q '^  2x2 dir 1: conflicts 11 -> 15, decisions 21 -> 25$' log \
+  || fail "changed cell not listed: $(cat log)"
+grep -q '^  1 of 2 cells changed$' log \
+  || fail "wrong changed-cell count: $(cat log)"
+if grep -q 'dir 0:\|dir 2:' log; then
+  fail "unchanged or parallel cell listed: $(cat log)"
+fi
+cd ..
 
 echo "test_collect_bench: PASS"

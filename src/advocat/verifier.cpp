@@ -43,6 +43,13 @@ std::string VerifyResult::to_string() const {
 
 Verifier::Verifier(xmas::Network net, VerifyOptions options)
     : net_(std::move(net)), options_(options) {
+  if (options_.threads > 1) {
+    throw std::invalid_argument(
+        "verify: VerifyOptions::threads = " +
+        std::to_string(options_.threads) +
+        " is not supported: each check is one sequential search (use 0 or "
+        "1; QueueSizingOptions::probe_threads runs probes in parallel)");
+  }
   util::Stopwatch total;
 
   util::Stopwatch analysis_watch;
@@ -74,8 +81,6 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
   construct_encode_seconds_ = watch.seconds();
 
   solver_ = smt::make_solver(factory_, options_.backend);
-  if (options_.threads != 0) solver_->set_threads(options_.threads);
-  if (options_.deterministic) solver_->set_deterministic(true);
   // Before any assertion reaches the solver, so every Unsat of the session
   // is certified from a complete clause log.
   if (options_.proof_sink != nullptr) {
@@ -337,13 +342,10 @@ void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
   into.learned_hits += s.learned_hits;
   into.theory_pivots += s.theory_pivots;
   into.farkas_explanations += s.farkas_explanations;
-  into.clauses_exported += s.clauses_exported;
-  into.clauses_imported += s.clauses_imported;
   into.arena_compactions += s.arena_compactions;
   into.arena_bytes = std::max(into.arena_bytes, s.arena_bytes);
   into.peak_arena_bytes = std::max(into.peak_arena_bytes, s.peak_arena_bytes);
   into.stop_reason = util::combine(into.stop_reason, s.stop_reason);
-  into.threads = std::max(into.threads, s.threads);
 }
 
 }  // namespace

@@ -52,16 +52,12 @@ struct VerifyOptions {
   /// Verifier::probe_capacity() / probe_capacities(); the encoding is
   /// otherwise equivalent.
   bool symbolic_capacities = false;
-  /// Parallel search workers inside each solver check (native backend
-  /// cube-and-conquer / portfolio; see smt::Solver::set_threads). 0 keeps
-  /// the solver's environment default (ADVOCAT_THREADS, itself defaulting
-  /// to 1 — strictly sequential).
+  /// Retired: every solver check is one sequential search. Only 0 and 1
+  /// are accepted (both mean that search); a larger value makes Verifier
+  /// construction throw std::invalid_argument. Parallelism lives one level
+  /// up, in QueueSizingOptions::probe_threads. The field stays until the
+  /// callers that still set it are updated.
   unsigned threads = 0;
-  /// Force solver determinism mode: parallel verdicts and SolveStats
-  /// become reproducible run to run (disables clause exchange and early
-  /// cancellation). No effect on sequential checks, which are always
-  /// deterministic.
-  bool deterministic = false;
   /// Per-check resource ceilings (deadline, conflicts, decisions,
   /// propagations, memory — see util::ResourceBudget and
   /// docs/ROBUSTNESS.md). Exhausting one degrades the check to Unknown

@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <vector>
 
-#include "smt/clause_exchange.hpp"
 #include "smt/search_context.hpp"
 #include "util/env.hpp"
 
@@ -396,46 +394,6 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
   // the deadline poll throws before any tableau mutation.
   const std::string spx = ctx.stx_.audit();
   if (!spx.empty()) fail("simplex", spx);
-}
-
-void Auditor::check_exchange(ClauseExchange& ex, int num_bvars,
-                             const char* site) {
-  if (!audit_enabled()) return;
-  const auto fail = [site](const char* invariant, const std::string& detail) {
-    audit_fail(site, invariant, detail);
-  };
-  for (std::size_t s = 0; s < ClauseExchange::kShards; ++s) {
-    ClauseExchange::Shard& sh = ex.shards_[s];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.clauses.size() > ClauseExchange::kShardCap) {
-      fail("exchange-shard-cap", "shard " + std::to_string(s) + " holds " +
-                                     std::to_string(sh.clauses.size()) +
-                                     " clauses");
-    }
-    for (std::size_t i = 0; i < sh.clauses.size(); ++i) {
-      const ClauseExchange::Lits& lits = sh.clauses[i];
-      if (lits.empty()) {
-        fail("exchange-empty-clause",
-             "shard " + std::to_string(s) + " clause " + std::to_string(i));
-      }
-      for (std::size_t a = 0; a < lits.size(); ++a) {
-        const int v = var_of(lits[a]);
-        if (v < 0 || v >= num_bvars) {
-          fail("exchange-var-range", "shard " + std::to_string(s) +
-                                         " clause " + std::to_string(i) +
-                                         " mentions v" + std::to_string(v));
-        }
-        for (std::size_t b = a + 1; b < lits.size(); ++b) {
-          if (var_of(lits[b]) == v) {
-            fail("exchange-duplicate-var", "shard " + std::to_string(s) +
-                                               " clause " + std::to_string(i) +
-                                               " mentions v" +
-                                               std::to_string(v) + " twice");
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace advocat::smt::native

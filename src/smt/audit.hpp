@@ -3,8 +3,7 @@
 // ADVOCAT_AUDIT environment variable (or the ADVOCAT_AUDIT CMake option)
 // turns them on.
 //
-// The auditor is a pure observer — it never mutates solver state (the one
-// exception is taking shard locks to read the clause exchange) — and a
+// The auditor is a pure observer — it never mutates solver state — and a
 // violation is a *hard* failure: the process aborts with a message naming
 // the check site and the broken invariant. Tests and the soundness fuzzer
 // run with the auditor enabled, so any drift between the solver's
@@ -22,10 +21,6 @@
 //    validity for every implied trail literal, active-row/occurrence
 //    agreement, interval-bound sanity, and the exact simplex layer's own
 //    audit (basis partition, row identities, slack-interning canonicity).
-//  - check_exchange (import points, after the parallel harvest): shard
-//    caps respected and every published clause well-formed (non-empty,
-//    in-range distinct variables) — i.e. nothing a vetting importer would
-//    have to reject.
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
 // every integer interval and an empty branch-and-bound pin trail; a check
@@ -38,7 +33,6 @@
 namespace advocat::smt::native {
 
 class SearchContext;
-class ClauseExchange;
 
 /// True when the auditor is on for this process (ADVOCAT_AUDIT env var,
 /// falling back to the ADVOCAT_AUDIT build option). Cached on first call.
@@ -51,7 +45,7 @@ bool audit_enabled();
                              const std::string& detail);
 
 /// Static deep-check passes over the solver's data structures. A friend
-/// of SearchContext and ClauseExchange; all entry points are no-ops when
+/// of SearchContext; all entry points are no-ops when
 /// the auditor is disabled, so call sites need no guard.
 class Auditor {
  public:
@@ -62,10 +56,6 @@ class Auditor {
   /// everywhere and no in-flight branch-and-bound pins.
   static void check_deep(const SearchContext& ctx, const char* site,
                          bool bounds_settled);
-  /// Exchange pass (takes shard locks): caps and clause well-formedness
-  /// against `num_bvars` variables.
-  static void check_exchange(ClauseExchange& ex, int num_bvars,
-                             const char* site);
 };
 
 }  // namespace advocat::smt::native

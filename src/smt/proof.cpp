@@ -390,30 +390,6 @@ Certificate build_certificate(
     }
   }
 
-  // Cube-mode refutation: one RUP clause per refuted cube, then the
-  // binary folding ladder down to the empty clause (a bare set of 2^k
-  // leaf clauses is not unit-refutable; each prefix clause resolves the
-  // two one-longer clauses that extend it).
-  if (!in.cubes.empty()) {
-    for (const std::vector<Lit>& cube : in.cubes) {
-      out << "rup";
-      for (const Lit l : cube) out << " " << proof_lit(neg(l));
-      out << " 0\n";
-    }
-    const std::vector<Lit>& first = in.cubes.front();
-    const std::size_t k = first.size();
-    std::vector<int> vars(k);
-    for (std::size_t b = 0; b < k; ++b) vars[b] = var_of(first[b]);
-    for (std::size_t j = k; j-- > 1;) {
-      for (std::uint64_t m = 0; m < (std::uint64_t{1} << j); ++m) {
-        out << "rup";
-        for (std::size_t b = 0; b < j; ++b) {
-          out << " " << proof_lit(neg(mk_lit(vars[b], (m >> b & 1) != 0)));
-        }
-        out << " 0\n";
-      }
-    }
-  }
   out << "qed\n";
 
   cert.text = out.str();

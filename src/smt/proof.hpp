@@ -1,17 +1,15 @@
 // Proof logging and certificate generation for the native CDCL(T) solver.
 //
-// While a ProofSink is installed, every SearchContext appends ProofRecords
-// to a ProofLog as it learns: non-tainted learned clauses (RUP steps),
-// theory lemmas (the implicit reason clauses of theory propagations,
-// theory-conflict clauses, and leaf blocking clauses), and clause
-// deletions. Records carry globally ordered stamps from one atomic counter
-// shared by every worker, so the per-worker logs merge into one coherent
-// session trace: a clause is always stamped before any worker that
-// imported it can use it.
+// While a ProofSink is installed, the SearchContext appends ProofRecords
+// to the session's ProofLog as it learns: non-tainted learned clauses (RUP
+// steps), theory lemmas (the implicit reason clauses of theory
+// propagations, theory-conflict clauses, and leaf blocking clauses), and
+// clause deletions. The log is the session trace: append order is
+// emission order.
 //
 // At an Unsat check boundary NativeSolver serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
-// and theory-atom table, this check's assumption units, the stamped
+// and theory-atom table, this check's assumption units, the ordered
 // rup/lem/del trace — each theory lemma carrying an inline branch-and-cut
 // proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
 // variable splits) produced here by re-deriving the
@@ -20,7 +18,7 @@
 // dependencies on solver code.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
@@ -39,12 +37,10 @@ struct ProofRecord {
   enum class Kind : std::uint8_t {
     kRup,     ///< learned clause, checkable by reverse unit propagation
     kLemma,   ///< theory-valid clause, checkable by its inline proof
-    kDelete,  ///< advisory deletion (the checker keeps every clause: a
-              ///< deletion applies to one worker's copy, not the session)
+    kDelete,  ///< advisory deletion (the checker keeps every clause)
   };
   Kind kind = Kind::kRup;
-  std::uint64_t stamp = 0;  ///< global emission order across all workers
-  std::vector<Lit> lits;    ///< the clause
+  std::vector<Lit> lits;  ///< the clause
   /// kLemma only: atom literals asserted at level 0 when the lemma was
   /// produced. Leaf blocking clauses and conflict explanations omit
   /// level-0 literals (they are permanent), so the lemma clause alone
@@ -53,23 +49,17 @@ struct ProofRecord {
   std::vector<Lit> ctx;
 };
 
-/// Per-context proof log. Near-zero overhead: SearchContext holds a
+/// The session proof trace. Near-zero overhead: SearchContext holds a
 /// nullable pointer and logs only while a sink is installed; no SolveStats
-/// field is touched, so determinism-mode stats are bit-identical with and
-/// without logging.
+/// field is touched, so stats are bit-identical with and without logging.
 class ProofLog {
  public:
-  explicit ProofLog(std::atomic<std::uint64_t>* stamp) : stamp_(stamp) {}
-
-  /// Logs a learned clause; returns its stamp (exchanged clauses carry it
-  /// as their origin proof id).
-  std::uint64_t log_rup(const Lit* lits, std::size_t n) {
+  /// Logs a learned clause.
+  void log_rup(const Lit* lits, std::size_t n) {
     ProofRecord r;
     r.kind = ProofRecord::Kind::kRup;
-    r.stamp = stamp_->fetch_add(1, std::memory_order_relaxed);
     r.lits.assign(lits, lits + n);
     records_.push_back(std::move(r));
-    return records_.back().stamp;
   }
 
   /// Logs a theory lemma with its level-0 atom context; deduplicated by
@@ -88,7 +78,6 @@ class ProofLog {
     if (!lemma_seen_.insert(key).second) return;
     ProofRecord r;
     r.kind = ProofRecord::Kind::kLemma;
-    r.stamp = stamp_->fetch_add(1, std::memory_order_relaxed);
     r.lits.assign(lits, lits + n);
     r.ctx.assign(ctx, ctx + nctx);
     records_.push_back(std::move(r));
@@ -97,22 +86,16 @@ class ProofLog {
   void log_delete(const Lit* lits, std::size_t n) {
     ProofRecord r;
     r.kind = ProofRecord::Kind::kDelete;
-    r.stamp = stamp_->fetch_add(1, std::memory_order_relaxed);
     r.lits.assign(lits, lits + n);
     records_.push_back(std::move(r));
   }
 
-  /// Moves this log's records out (used when merging worker logs into the
-  /// session trace at harvest/join points).
-  void drain_into(std::vector<ProofRecord>& out) {
-    for (ProofRecord& r : records_) out.push_back(std::move(r));
-    records_.clear();
+  /// Every record logged so far, in emission order.
+  [[nodiscard]] const std::vector<ProofRecord>& records() const {
+    return records_;
   }
 
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
  private:
-  std::atomic<std::uint64_t>* stamp_;
   std::vector<ProofRecord> records_;
   std::unordered_set<std::string> lemma_seen_;
 };
@@ -120,14 +103,11 @@ class ProofLog {
 /// Everything build_certificate needs from the solver session.
 struct CertificateInputs {
   const SharedProblem* sh = nullptr;
-  /// Session trace, already merged and stamp-sorted.
+  /// Session trace, in emission order.
   const std::vector<ProofRecord>* trace = nullptr;
   /// Root assertions + this check's assumption literals:
   /// serialized as `assume` units, the hypotheses of the refutation.
   std::vector<Lit> assume_lits;
-  /// Cube-mode Unsat: the refuted cubes (all sign combinations of the
-  /// split variables). Empty for sequential/portfolio Unsat.
-  std::vector<std::vector<Lit>> cubes;
   bool trivially_unsat = false;
   /// True when the sink was attached after checks had already run: the
   /// earlier learned material cannot be reconstructed, so the certificate

@@ -1,10 +1,7 @@
 // Search half of the native CDCL(T) solver — see search_context.hpp for
 // the SharedProblem/SearchContext split and native_solver.cpp for the
-// translation/orchestration half. The algorithm is unchanged from the
-// pre-split solver: the bodies here are the former NativeSolver search
-// methods reading the immutable problem through sh_ and counting into the
-// context's own SolveStats, plus the parallel seams (stop-flag polling,
-// clause export/import, seeding and harvesting).
+// translation half. The search reads the encoded problem through sh_ and
+// counts into the context's own SolveStats.
 #include "smt/search_context.hpp"
 
 #include <algorithm>
@@ -32,10 +29,10 @@ constexpr std::uint64_t kIntNodeBudget = 50'000;
 // Widest finite domain enumerated exhaustively before the same degradation.
 constexpr std::int64_t kEnumWindow = 1 << 16;
 
-// CDCL tuning. Restarts follow the Luby sequence scaled by the per-worker
-// restart base (SearchConfig::restart_base, default 192); learned-clause
-// reduction triggers once the live learned set exceeds kReduceBase +
-// kReduceInc per reduction already performed.
+// CDCL tuning. Restarts follow the Luby sequence scaled by kRestartBase;
+// learned-clause reduction triggers once the live learned set exceeds
+// kReduceBase + kReduceInc per reduction already performed.
+constexpr std::uint64_t kRestartBase = 192;
 constexpr std::size_t kReduceBase = 2000;
 constexpr std::size_t kReduceInc = 1000;
 
@@ -57,11 +54,6 @@ constexpr double kVarActInc = 1.0 / 0.95;   // EVSIDS decay 0.95
 constexpr double kClaActInc = 1.0 / 0.999;  // clause-activity decay 0.999
 constexpr double kVarActRescale = 1e100;
 constexpr double kClaActRescale = 1e20;
-
-// Clause-exchange policy: only clauses likely to help another worker are
-// published — binaries always, otherwise low-LBD and short.
-constexpr int kExportLbdMax = 3;
-constexpr std::size_t kExportLenMax = 30;
 
 constexpr int kReasonNone = -1;    // decision / assumption / level-0 fact
 constexpr int kReasonTheory = -2;  // entailed by the active interval rows
@@ -92,32 +84,27 @@ std::uint64_t luby(std::uint64_t i) {
 
 }  // namespace
 
-SearchContext::SearchContext(const SharedProblem& shared, SearchConfig config)
-    : sh_(shared), cfg_(config) {
-  // The simplex layer honors the same deadline/stop polling as every
+SearchContext::SearchContext(const SharedProblem& shared) : sh_(shared) {
+  // The simplex layer honors the same deadline/cancel polling as every
   // other loop. The callback pins this context's address, which is why
   // SearchContext is non-copyable.
   stx_.set_tick([this] { bump_ops(); });
-  restart_limit_ = cfg_.restart_base;
+  restart_limit_ = kRestartBase;
 }
 
 // ---------------------------------------------------------------- plumbing
 
 // The cooperative cancellation point. The deadline, the session-level
-// cancel() flag, the cross-worker stop flag, the propagation/memory
-// budgets, and deferred faults are all polled here — and bump_ops is
-// called from *every* potentially long loop: boolean propagation,
-// interval tightening, the entailed-atom rescan, value enumeration and
-// node expansion in branch-and-bound, and (through the tick hook) the
-// simplex pivot loop. Every governed unwind therefore originates from the
+// cancel() flag, the propagation/memory budgets, and deferred faults are
+// all polled here — and bump_ops is called from *every* potentially long
+// loop: boolean propagation, interval tightening, the entailed-atom
+// rescan, value enumeration and node expansion in branch-and-bound, and
+// (through the tick hook) the simplex pivot loop. Every governed unwind therefore originates from the
 // same program points a deadline can, so one proven exception-safety path
 // covers them all.
 void SearchContext::bump_ops() {
   if ((++ops_ & 0x3ff) != 0) return;
   if (deadline_active_ && Clock::now() > deadline_) throw Timeout{};
-  if (cfg_.stop != nullptr && cfg_.stop->load(std::memory_order_relaxed)) {
-    throw Cancelled{};
-  }
   ++slow_polls_;
   if (job_ != nullptr) {
     if (job_->cancel != nullptr &&
@@ -137,12 +124,8 @@ void SearchContext::bump_ops() {
       }
     }
   }
-  if (util::fault::enabled()) {
-    if (util::fault::take_deferred()) throw util::fault::FaultInjected{};
-    if (cfg_.is_worker &&
-        util::fault::fire(util::fault::Site::kWorkerKill)) {
-      throw util::fault::FaultInjected{};
-    }
+  if (util::fault::enabled() && util::fault::take_deferred()) {
+    throw util::fault::FaultInjected{};
   }
 }
 
@@ -192,10 +175,8 @@ bool SearchContext::enqueue(Lit l, int reason) {
 }
 
 // Copies problem clauses translated since this context last looked. The
-// shared problem is append-only and frozen while workers run, so the copy
-// needs no lock; appending at the arena end reproduces exactly the clause
-// order the monolithic solver had (translation appended to the same
-// arena between checks).
+// problem is append-only, so appending at the arena end keeps the clauses
+// in translation order.
 void SearchContext::sync_problem() {
   for (; clauses_synced_ < sh_.clauses.size(); ++clauses_synced_) {
     arena_.alloc(sh_.clauses.begin(clauses_synced_),
@@ -726,7 +707,7 @@ int SearchContext::row_status(const StaticRow& r) const {
 // already entail so the first branch is not an immediate theory conflict;
 // otherwise the saved polarity (phase saving — seeded from the previous
 // check's final assignment, updated on every unassign), defaulting to
-// false — or true on portfolio workers diversified by inverted phase.
+// false.
 bool SearchContext::decide_phase_negated(int v) const {
   const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
   if (ai >= 0) {
@@ -736,7 +717,7 @@ bool SearchContext::decide_phase_negated(int v) const {
   if (polarity_[static_cast<std::size_t>(v)] != kUndef) {
     return polarity_[static_cast<std::size_t>(v)] == kFalse;
   }
-  return !cfg_.invert_default_phase;
+  return true;
 }
 
 // ---------------------------------------------- activity heap (VSIDS)
@@ -1016,8 +997,7 @@ int SearchContext::analyze(const Lit* conflict, std::size_t nconf,
 // its first literal. Returns false when the conflict is at level 0 — the
 // check is decided. Clauses learned after this check saw an
 // Unknown-degraded leaf are tainted: any of them may transitively depend
-// on an unproven refutation, so they all die at the next check boundary
-// and are never exported to other workers.
+// on an unproven refutation, so they all die at the next check boundary.
 bool SearchContext::resolve_conflict(const Lit* conflict, std::size_t nconf,
                                      ClauseRef ci) {
   ++stats_.conflicts;
@@ -1041,13 +1021,10 @@ bool SearchContext::resolve_conflict(const Lit* conflict, std::size_t nconf,
   backjump(bt);
   const bool tainted = saw_unknown_;
   ++stats_.learned_clauses;
-  // Logged before the clause can be exported: the exchange entry carries
-  // this stamp as its origin proof id, so an importer's use of the clause
-  // always postdates its appearance in the merged session trace. Tainted
-  // clauses are never logged — they may rest on an unproven refutation.
-  std::uint64_t proof_stamp = 0;
+  // Tainted clauses are never logged — they may rest on an unproven
+  // refutation.
   if (plog_ != nullptr && !tainted) {
-    proof_stamp = plog_->log_rup(learnt_.data(), learnt_.size());
+    plog_->log_rup(learnt_.data(), learnt_.size());
   }
   if (learnt_.size() == 1) {
     // Unit consequence: permanent — re-asserted at level 0 of every
@@ -1073,105 +1050,23 @@ bool SearchContext::resolve_conflict(const Lit* conflict, std::size_t nconf,
     const bool ok = enqueue(learnt_[0], lci);
     (void)ok;
   }
-  if (!tainted) export_learnt(lbd, proof_stamp);
   var_inc_ *= kVarActInc;
   cla_inc_ *= kClaActInc;
   ++conflicts_since_restart_;
   return true;
 }
 
-// Publishes the just-learnt clause when it is worth another worker's
-// attention. Sound because a non-tainted learnt clause is entailed by the
-// permanent material alone (the assumption-level invariant).
-void SearchContext::export_learnt(int lbd, std::uint64_t proof_stamp) {
-  if (cfg_.exchange == nullptr) return;
-  if (learnt_.size() > 2 && (lbd > kExportLbdMax ||
-                             learnt_.size() > kExportLenMax)) {
-    return;
-  }
-  if (cfg_.exchange->publish(learnt_, cfg_.id, proof_stamp)) {
-    ++stats_.clauses_exported;
-  }
-}
-
-// Adopts clauses other workers published since the last import. Called at
-// restart points only: the backjump to the prefix makes attachment cases
-// simple. Vetting keeps the watch invariant intact — the two watches are
-// non-false when possible, otherwise the highest-level false literal
-// backs up an undef first watch (last to unassign); clauses false under
-// the current assignment are skipped outright (a lost import is only lost
-// learning, never unsoundness). Units are deferred to learned_units_ and
-// take effect at the next solve on this context.
-void SearchContext::import_clauses() {
-  if (cfg_.exchange == nullptr) return;
-  import_scratch_.clear();
-  cfg_.exchange->drain(import_cursor_, import_scratch_,
-                       cfg_.id % ClauseExchange::kShards);
-  for (ClauseExchange::Lits& lits : import_scratch_) {
-    bool valid = !lits.empty();
-    for (const Lit l : lits) {
-      const int v = var_of(l);
-      if (v < 0 || v >= sh_.num_bvars) {
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) continue;
-    if (lits.size() == 1) {
-      if (std::find(learned_units_.begin(), learned_units_.end(), lits[0]) ==
-          learned_units_.end()) {
-        learned_units_.push_back(lits[0]);
-        ++stats_.clauses_imported;
-      }
-      continue;
-    }
-    // Non-false literals first; ties among the false tail broken toward
-    // the highest decision level in slot 1.
-    std::size_t nf = 0;
-    for (std::size_t i = 0; i < lits.size(); ++i) {
-      if (value_lit(lits[i]) != kFalse) std::swap(lits[nf++], lits[i]);
-    }
-    if (nf == 0) continue;  // conflicting right now: skip, stay simple
-    if (nf == 1) {
-      std::size_t at = 1;
-      for (std::size_t i = 2; i < lits.size(); ++i) {
-        if (level_[static_cast<std::size_t>(var_of(lits[i]))] >
-            level_[static_cast<std::size_t>(var_of(lits[at]))]) {
-          at = i;
-        }
-      }
-      std::swap(lits[1], lits[at]);
-    }
-    // Cross-worker material: prior, so reuse counts as learned hits.
-    const ClauseRef ci = arena_.alloc(
-        lits.data(), static_cast<std::uint32_t>(lits.size()),
-        /*learned=*/true, /*tainted=*/false, /*prior=*/true,
-        static_cast<std::int32_t>(lits.size()), cla_inc_);
-    ++num_learned_live_;
-    watches_[static_cast<std::size_t>(lits[0])].push_back(
-        Watcher{ci, lits[1]});
-    watches_[static_cast<std::size_t>(lits[1])].push_back(
-        Watcher{ci, lits[0]});
-    ++stats_.clauses_imported;
-  }
-}
-
 // Luby-scheduled restart (back to the assumption prefix — re-deciding
 // assumptions would only redo identical propagation) and LBD/activity
-// clause-database reduction. Restarts are also the clause-import points:
-// the solver is at its quietest and the attachment rules stay simple.
+// clause-database reduction.
 void SearchContext::maybe_restart_or_reduce() {
   if (conflicts_since_restart_ >= restart_limit_) {
     ++stats_.restarts;
     conflicts_since_restart_ = 0;
-    restart_limit_ = luby(++restart_seq_) * cfg_.restart_base;
+    restart_limit_ = luby(++restart_seq_) * kRestartBase;
     backjump(std::min(prefix_levels_, current_level()));
-    import_clauses();
     if (audit_enabled()) {
       Auditor::check_deep(*this, "restart", /*bounds_settled=*/true);
-      if (cfg_.exchange != nullptr) {
-        Auditor::check_exchange(*cfg_.exchange, sh_.num_bvars, "import");
-      }
     }
   }
   if (num_learned_live_ >= reduce_base() + reduce_inc() * num_reductions_) {
@@ -1215,10 +1110,9 @@ void SearchContext::reduce_db() {
   const std::size_t victims = reduce_order_.size() / 2;
   for (std::size_t i = 0; i < victims; ++i) {
     if (plog_ != nullptr) {
-      // Advisory only: the checker never applies deletions (a deletion
-      // holds for this worker's copy, not for every context that
-      // imported the clause), but the trace records them so certificate
-      // consumers can reconstruct the live database if they care to.
+      // Advisory only: the checker never applies deletions, but the trace
+      // records them so certificate consumers can reconstruct the live
+      // database if they care to.
       plog_->log_delete(arena_.lits(reduce_order_[i]),
                         arena_.size(reduce_order_[i]));
     }
@@ -1565,13 +1459,11 @@ void SearchContext::reset_search() {
   // sizing probes vs. deciding in creation order). Stale activity from
   // a previous check pointed at that check's conflicts, not this one's,
   // so it is deliberately not carried over — phase saving and the
-  // learned clauses carry the cross-check memory instead. Portfolio
-  // workers may flip the bias to gate variables as diversification.
+  // learned clauses carry the cross-check memory instead.
   activity_.clear();
   while (activity_.size() < nv) {
     const auto v = activity_.size();
-    const bool hot = (sh_.atom_of_var[v] >= 0) != cfg_.reverse_atom_bias;
-    activity_.push_back(hot ? 1e-6 : 0.0);
+    activity_.push_back(sh_.atom_of_var[v] >= 0 ? 1e-6 : 0.0);
   }
   var_inc_ = 1.0;
   heap_pos_.assign(nv, -1);
@@ -1603,35 +1495,14 @@ void SearchContext::reset_search() {
   prefix_placed_ = prefix_levels_ = 0;
   conflicts_since_restart_ = 0;
   restart_seq_ = 0;
-  restart_limit_ = luby(restart_seq_) * cfg_.restart_base;
+  restart_limit_ = luby(restart_seq_) * kRestartBase;
 }
 
-Outcome SearchContext::finish_unsat() const {
-  return saw_unknown_ ? Outcome::Unknown : Outcome::Unsat;
+SatResult SearchContext::finish_unsat() const {
+  return saw_unknown_ ? SatResult::Unknown : SatResult::Unsat;
 }
 
-// Top-activity variables still open above the assumption prefix — the
-// cube-and-conquer splitter. Collected at the Budget exit of the primary
-// probe, where the EVSIDS activities reflect where the conflicts are.
-void SearchContext::collect_hot_vars(std::size_t k) {
-  hot_vars_.clear();
-  if (k == 0) return;
-  for (int v = 0; v < sh_.num_bvars; ++v) {
-    if (v == sh_.true_var) continue;
-    const auto sv = static_cast<std::size_t>(v);
-    if (assign_[sv] != kUndef && level_[sv] <= prefix_levels_) continue;
-    hot_vars_.push_back(v);
-  }
-  std::sort(hot_vars_.begin(), hot_vars_.end(), [this](int a, int b) {
-    const double aa = activity_[static_cast<std::size_t>(a)];
-    const double ab = activity_[static_cast<std::size_t>(b)];
-    if (aa != ab) return aa > ab;
-    return a < b;  // deterministic tie-break
-  });
-  if (hot_vars_.size() > k) hot_vars_.resize(k);
-}
-
-Outcome SearchContext::run_check() {
+SatResult SearchContext::run_check() {
   reset_search();
   if (audit_enabled()) {
     Auditor::check_deep(*this, "check-begin", /*bounds_settled=*/true);
@@ -1652,17 +1523,13 @@ Outcome SearchContext::run_check() {
       if (!enqueue(l, kReasonNone)) return finish_unsat();
     }
   }
-  // This check's assumptions and the worker's cube form the assumption
-  // prefix: each gets its own decision level (MiniSat style), so learned
-  // clauses can only depend on them by mentioning their negations — the
-  // clauses stay valid after the assumptions are retracted, and on
-  // workers solving a different cube.
+  // This check's assumptions form the assumption prefix: each gets its
+  // own decision level (MiniSat style), so learned clauses can only depend
+  // on them by mentioning their negations — the clauses stay valid after
+  // the assumptions are retracted.
   assume_q_.clear();
   if (job_->assumption_lits != nullptr) {
     assume_q_ = *job_->assumption_lits;
-  }
-  if (job_->cube != nullptr) {
-    assume_q_.insert(assume_q_.end(), job_->cube->begin(), job_->cube->end());
   }
 
   for (;;) {
@@ -1686,11 +1553,6 @@ Outcome SearchContext::run_check() {
       }
       maybe_restart_or_reduce();
       check_search_budgets();
-      if (job_->conflict_budget != 0 &&
-          stats_.conflicts - check_conflict_base_ >= job_->conflict_budget) {
-        collect_hot_vars(job_->hot_k);
-        return Outcome::Budget;
-      }
       continue;
     }
     if (prefix_placed_ < static_cast<int>(assume_q_.size())) {
@@ -1721,7 +1583,7 @@ Outcome SearchContext::run_check() {
     // Full boolean assignment: complete (or refute) the integer domains.
     ++stats_.leaves_reached;
     const SatResult leaf = int_complete();
-    if (leaf == SatResult::Sat) return Outcome::Sat;
+    if (leaf == SatResult::Sat) return SatResult::Sat;
     if (leaf == SatResult::Unknown) saw_unknown_ = true;
     else ++stats_.leaves_refuted;
     // Block this combination of theory atoms. For a refuted leaf the
@@ -1747,15 +1609,10 @@ Outcome SearchContext::run_check() {
     }
     maybe_restart_or_reduce();
     check_search_budgets();
-    if (job_->conflict_budget != 0 &&
-        stats_.conflicts - check_conflict_base_ >= job_->conflict_budget) {
-      collect_hot_vars(job_->hot_k);
-      return Outcome::Budget;
-    }
   }
 }
 
-Outcome SearchContext::solve(const CheckJob& job) {
+SatResult SearchContext::solve(const CheckJob& job) {
   job_ = &job;
   deadline_active_ = job.deadline_active;
   deadline_ = job.deadline;
@@ -1764,11 +1621,9 @@ Outcome SearchContext::solve(const CheckJob& job) {
   check_conflict_base_ = stats_.conflicts;
   check_decision_base_ = stats_.decisions;
   check_prop_base_ = stats_.propagations;
-  units_base_ = learned_units_.size();
-  hot_vars_.clear();
   last_stop_ = util::StopReason::kNone;
   sync_problem();
-  Outcome out = Outcome::Unknown;
+  SatResult out = SatResult::Unknown;
   // Every governed unwind — deadline, cancel, budget ceiling, injected
   // fault — originates at a cancellation point (bump_ops / the simplex
   // tick / the theory-check entry), so they all ride the same
@@ -1777,20 +1632,16 @@ Outcome SearchContext::solve(const CheckJob& job) {
   try {
     out = run_check();
   } catch (const Timeout&) {
-    out = Outcome::Unknown;
+    out = SatResult::Unknown;
     last_stop_ = util::StopReason::kDeadline;
-  } catch (const Cancelled&) {
-    out = Outcome::Cancelled;
-    last_stop_ = util::StopReason::kCancelled;
   } catch (const util::Stop& s) {
-    out = s.reason == util::StopReason::kCancelled ? Outcome::Cancelled
-                                                   : Outcome::Unknown;
+    out = SatResult::Unknown;
     last_stop_ = s.reason;
   } catch (const util::fault::FaultInjected&) {
-    out = Outcome::Unknown;
+    out = SatResult::Unknown;
     last_stop_ = util::StopReason::kFaultInjected;
   }
-  if (out == Outcome::Unknown && last_stop_ == util::StopReason::kNone) {
+  if (out == SatResult::Unknown && last_stop_ == util::StopReason::kNone) {
     // Honest degradation (integer-open leaves): still never silent.
     last_stop_ = util::StopReason::kDegraded;
   }
@@ -1812,76 +1663,6 @@ Outcome SearchContext::solve(const CheckJob& job) {
   ops_ = 0;
   job_ = nullptr;
   return out;
-}
-
-// -------------------------------------------------- seeding & harvesting
-
-void SearchContext::seed_from(const SearchContext& primary) {
-  arena_.clear();
-  num_learned_live_ = 0;
-  num_tainted_ = 0;
-  arena_has_tombstones_ = false;
-  for (ClauseRef ci = primary.arena_.first(); ci != kClauseRefUndef;
-       ci = primary.arena_.next(ci)) {
-    if (primary.arena_.deleted(ci) || primary.arena_.tainted(ci)) continue;
-    const bool learned = primary.arena_.learned(ci);
-    arena_.alloc(primary.arena_.lits(ci), primary.arena_.size(ci), learned,
-                 /*tainted=*/false, /*prior=*/learned,
-                 primary.arena_.lbd(ci), /*act=*/0.0);
-    if (learned) ++num_learned_live_;
-  }
-  clauses_synced_ = primary.clauses_synced_;
-  learned_units_ = primary.learned_units_;
-  polarity_ = primary.polarity_;
-}
-
-void SearchContext::harvest_into(std::vector<std::vector<Lit>>& out,
-                                 std::size_t max) const {
-  std::size_t taken = 0;
-  for (ClauseRef ci = arena_.first(); ci != kClauseRefUndef;
-       ci = arena_.next(ci)) {
-    if (taken >= max) break;
-    if (!arena_.learned(ci) || arena_.prior(ci) || arena_.tainted(ci) ||
-        arena_.deleted(ci)) {
-      continue;
-    }
-    const std::uint32_t n = arena_.size(ci);
-    if (n > 2 && (arena_.lbd(ci) > kExportLbdMax || n > kExportLenMax)) {
-      continue;
-    }
-    const Lit* c = arena_.lits(ci);
-    out.emplace_back(c, c + n);
-    ++taken;
-  }
-}
-
-void SearchContext::harvest_units_into(std::vector<Lit>& out) const {
-  for (std::size_t i = units_base_; i < learned_units_.size(); ++i) {
-    out.push_back(learned_units_[i]);
-  }
-}
-
-// Adoption happens between checks (trail empty, no watch lists attached):
-// the clauses are appended as prior learned material and the next
-// reset_search() builds their watches along with everything else.
-void SearchContext::adopt_clauses(
-    const std::vector<std::vector<Lit>>& clauses) {
-  for (const std::vector<Lit>& lits : clauses) {
-    if (lits.size() < 2) continue;
-    arena_.alloc(lits.data(), static_cast<std::uint32_t>(lits.size()),
-                 /*learned=*/true, /*tainted=*/false, /*prior=*/true,
-                 static_cast<std::int32_t>(lits.size()), /*act=*/0.0);
-    ++num_learned_live_;
-  }
-}
-
-void SearchContext::adopt_units(const std::vector<Lit>& units) {
-  for (const Lit l : units) {
-    if (std::find(learned_units_.begin(), learned_units_.end(), l) ==
-        learned_units_.end()) {
-      learned_units_.push_back(l);
-    }
-  }
 }
 
 }  // namespace advocat::smt::native

@@ -1,26 +1,21 @@
-// Per-worker search engine of the native CDCL(T) solver.
+// Search engine of the native CDCL(T) solver.
 //
-// PR 6 split the former monolithic NativeSolver into two halves:
+// The solver keeps two halves:
 //
-//  - SharedProblem: the immutable encoded problem — Tseitin variables,
-//    deduplicated linear atoms with their static theory rows, problem
-//    clauses and definitional units. Owned by NativeSolver, extended only
-//    by translation *between* checks, and read-only while any worker is
-//    searching, so workers share it without synchronization.
+//  - SharedProblem: the encoded problem — Tseitin variables, deduplicated
+//    linear atoms with their static theory rows, problem clauses and
+//    definitional units. Owned by NativeSolver, written only by
+//    translation *between* checks, and read by the search, by
+//    build_certificate and by the auditor.
 //  - SearchContext: everything mutable — trail, watch lists, EVSIDS
 //    activity heap, phase array, the learned-clause arena, interval
 //    bounds with their undo/provenance machinery, the exact simplex
-//    theory state, and the ops/deadline polling — one instance per
-//    worker. The primary context lives for the solver session (learned
-//    clauses persist across checks exactly as before); cube/portfolio
-//    workers are seeded from it per parallel check and harvested back.
+//    theory state, and the ops/deadline polling. One context lives for
+//    the solver session, so learned clauses persist across checks.
 //
 // A SearchContext solves one CheckJob at a time: root assertions at level
-// 0, then the assumption prefix (per-check assumptions and an optional
-// cube) each on its own decision level, then CDCL(T) search.
-// The single-threaded path is the primary context solving the job with no
-// cube, no exchange, and no stop flag — the same deterministic algorithm
-// as the pre-split solver.
+// 0, then the per-check assumptions each on its own decision level, then
+// CDCL(T) search.
 #pragma once
 
 #include <atomic>
@@ -32,7 +27,6 @@
 #include <vector>
 
 #include "smt/clause_arena.hpp"
-#include "smt/clause_exchange.hpp"
 #include "smt/expr.hpp"
 #include "smt/simplex_theory.hpp"
 #include "smt/solver.hpp"
@@ -77,8 +71,8 @@ struct Watcher {
 };
 
 /// Problem clauses packed into one literal pool with a CSR-style offset
-/// table — the shared, read-only mirror of the per-worker clause arena.
-/// Append-only, like everything else in SharedProblem.
+/// table — the read-only mirror of the search's clause arena. Append-only,
+/// like everything else in SharedProblem.
 class PackedClauses {
  public:
   void push(const std::vector<Lit>& lits) {
@@ -98,13 +92,12 @@ class PackedClauses {
   std::vector<std::uint32_t> off_{0};
 };
 
-struct Timeout {};    // deadline exceeded (thrown from bump_ops)
-struct Cancelled {};  // another worker decided the check (stop flag)
+struct Timeout {};  // deadline exceeded (thrown from bump_ops)
 
-/// The immutable encoded problem, shared read-only across workers.
-/// Append-only: translation (between checks, single-threaded) grows it;
-/// nothing is ever removed or reordered, so a worker syncs by remembering
-/// how many clauses it has already copied.
+/// The encoded problem, read-only while a check runs. Append-only:
+/// translation (between checks) grows it; nothing is ever removed or
+/// reordered, so the search syncs by remembering how many clauses it has
+/// already copied.
 struct SharedProblem {
   int num_bvars = 0;
   int true_var = -1;
@@ -120,45 +113,19 @@ struct SharedProblem {
   std::vector<Lit> def_units;               // translation units
 };
 
-/// Per-worker knobs. The defaults are the deterministic single-threaded
-/// configuration; portfolio mode diversifies restart pacing, default
-/// phase, and the branching tie-break between atoms and gate variables.
-struct SearchConfig {
-  unsigned id = 0;                      ///< worker id (exchange sharding)
-  std::uint64_t restart_base = 192;     ///< Luby scale (kRestartBase)
-  bool invert_default_phase = false;    ///< unseen vars decide true first
-  bool reverse_atom_bias = false;       ///< seed gate vars (not atoms) hot
-  ClauseExchange* exchange = nullptr;   ///< learned-clause exchange, or null
-  const std::atomic<bool>* stop = nullptr;  ///< cooperative cancellation
-  bool is_worker = false;  ///< parallel worker (worker_kill fault target)
-};
-
-/// Verdict of one SearchContext::solve call. Budget and Cancelled are
-/// orchestration-internal: Budget means the conflict budget expired (used
-/// by the cube probe), Cancelled that the stop flag fired.
-enum class Outcome { Sat, Unsat, Unknown, Budget, Cancelled };
-
-/// One check, as seen by a worker. All pointed-to data is owned by the
-/// orchestrating NativeSolver and outlives the solve call; everything but
-/// the job-specific cube is identical across the workers of one check.
+/// One check. All pointed-to data is owned by the orchestrating
+/// NativeSolver and outlives the solve call.
 struct CheckJob {
   const std::vector<Lit>* roots = nullptr;            ///< level-0 roots
   const std::vector<Lit>* assumption_lits = nullptr;  ///< prefix
-  const std::vector<Lit>* cube = nullptr;  ///< prefix, after the assumptions
   bool deadline_active = false;
   Clock::time_point deadline{};
-  std::uint64_t conflict_budget = 0;  ///< 0 = unlimited (cube-probe internal)
-  std::size_t hot_k = 0;              ///< hot vars to report at Budget exit
   /// User-facing resource ceilings (conflicts/decisions/propagations/
   /// memory), polled at the cooperative cancellation point. Null when the
   /// session has no budget — the polls then cost one pointer test.
-  /// Distinct from conflict_budget above, which is the orchestration-
-  /// internal cube-probe budget (Outcome::Budget, not a degraded verdict).
   const util::ResourceBudget* budget = nullptr;
   /// Session-level cancel() flag (Solver::cancel_flag), observed at the
-  /// cancellation point with bounded latency. Distinct from
-  /// SearchConfig::stop, the intra-check worker stop used when a sibling
-  /// already decided the verdict.
+  /// cancellation point with bounded latency.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -167,7 +134,7 @@ class ProofLog;
 
 class SearchContext {
  public:
-  SearchContext(const SharedProblem& shared, SearchConfig config);
+  explicit SearchContext(const SharedProblem& shared);
 
   SearchContext(const SearchContext&) = delete;
   SearchContext& operator=(const SearchContext&) = delete;
@@ -175,7 +142,7 @@ class SearchContext {
   /// Solves one job. Transient per-check state (deadline, ops counter,
   /// job pointers) is fully reset on every exit path — a timed-out check
   /// cannot leak a stale deadline into the next solve on this context.
-  Outcome solve(const CheckJob& job);
+  SatResult solve(const CheckJob& job);
 
   /// Model captured by the last Sat solve on this context.
   [[nodiscard]] const Model& model() const { return model_; }
@@ -184,34 +151,11 @@ class SearchContext {
   /// Why the last solve() on this context stopped early (kNone after a
   /// definite Sat/Unsat); see util::StopReason.
   [[nodiscard]] util::StopReason stop_reason() const { return last_stop_; }
-  /// Learned clauses currently live in this context's arena.
-  [[nodiscard]] std::size_t learned_live() const { return num_learned_live_; }
-  /// Top-activity undecided variables collected at the last Budget exit.
-  [[nodiscard]] const std::vector<int>& hot_vars() const { return hot_vars_; }
-
-  /// Copies `primary`'s clause arena (problem + non-tainted learned
-  /// clauses, as prior material) and saved phases into this freshly
-  /// constructed worker, so cube/portfolio workers start from everything
-  /// the session has learned.
-  void seed_from(const SearchContext& primary);
-
-  /// Appends this context's exportable learned clauses (non-tainted,
-  /// short or low-LBD, at most `max`) to `out` — used to harvest worker
-  /// learning back into the primary context in deterministic worker order.
-  void harvest_into(std::vector<std::vector<Lit>>& out, std::size_t max) const;
-  /// Appends this context's learned unit literals to `out`.
-  void harvest_units_into(std::vector<Lit>& out) const;
-
-  /// Adopts harvested clauses/units as prior learned material (entailed by
-  /// the permanent problem, so sound on any context sharing the problem).
-  void adopt_clauses(const std::vector<std::vector<Lit>>& clauses);
-  void adopt_units(const std::vector<Lit>& units);
-
   /// Attaches (or detaches, with nullptr) a proof log: while set,
   /// non-tainted learned clauses, theory lemmas, and deletions are
   /// recorded for certificate generation. Logging touches no SolveStats
-  /// field and makes no search decision, so verdicts and determinism-mode
-  /// stats are identical with and without a log.
+  /// field and makes no search decision, so verdicts and stats are
+  /// identical with and without a log.
   void set_proof_log(ProofLog* log) { plog_ = log; }
 
  private:
@@ -292,12 +236,10 @@ class SearchContext {
   int analyze(const Lit* conflict, std::size_t nconf, ClauseRef conflict_ci,
               int& lbd_out);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
-  void export_learnt(int lbd, std::uint64_t proof_stamp);
   // Records `clause` as a theory lemma (with the level-0 atom context in
   // force, which leaf blocking clauses omit as permanent). No-op while no
   // proof log is attached.
   void log_theory_lemma(const std::vector<Lit>& clause);
-  void import_clauses();
   void maybe_restart_or_reduce();
   void reduce_db();
   void compact_arena();
@@ -313,12 +255,10 @@ class SearchContext {
 
   // -------------------------------------------------------- check driving
   void reset_search();
-  [[nodiscard]] Outcome finish_unsat() const;
-  void collect_hot_vars(std::size_t k);
-  Outcome run_check();
+  [[nodiscard]] SatResult finish_unsat() const;
+  SatResult run_check();
 
   const SharedProblem& sh_;
-  SearchConfig cfg_;
 
   // Clause database (persists across solve() calls on this context): one
   // packed arena addressed by 32-bit refs; see clause_arena.hpp.
@@ -339,7 +279,7 @@ class SearchContext {
   std::size_t qhead_ = 0;
   std::size_t theory_head_ = 0;
   std::vector<LevelMark> levels_;
-  std::vector<Lit> assume_q_;    // assumptions + cube
+  std::vector<Lit> assume_q_;    // this check's assumptions
   int prefix_placed_ = 0;        // prefix literals placed (1:1 with levels)
   int prefix_levels_ = 0;        // levels occupied by the placed prefix
   std::vector<std::int64_t> lo_, hi_;
@@ -415,22 +355,16 @@ class SearchContext {
   std::uint64_t check_conflict_base_ = 0;
   std::uint64_t check_decision_base_ = 0;
   std::uint64_t check_prop_base_ = 0;
-  std::size_t units_base_ = 0;  // learned_units_ size at solve() entry
   bool deadline_active_ = false;
   Clock::time_point deadline_;
   std::uint64_t ops_ = 0;
   std::uint64_t slow_polls_ = 0;  // bump_ops slow-path count (memory cadence)
-
-  // Clause-exchange state.
-  ClauseExchange::Cursor import_cursor_{};
-  std::vector<ClauseExchange::Lits> import_scratch_;
 
   // Results of the last solve + lifetime counters.
   SolveStats stats_;
   std::uint64_t conflict_lits_ = 0;  // Σ conflict sizes (mean_conflict_lits)
   util::StopReason last_stop_ = util::StopReason::kNone;
   Model model_;
-  std::vector<int> hot_vars_;
 };
 
 }  // namespace advocat::smt::native

@@ -75,18 +75,7 @@ struct SolveStats {
   /// one became a learned theory clause (or a conflict-directed backjump
   /// inside the integer leaf search).
   std::uint64_t farkas_explanations = 0;
-  /// Configured worker count for parallel checks (native backend; see
-  /// set_threads). 1 means the sequential solver — no thread is ever
-  /// spawned and no parallel-only code runs.
-  unsigned threads = 1;
-  /// Learned clauses a parallel worker published to the cross-worker
-  /// exchange (short or low-LBD, never tainted). 0 with threads == 1 or
-  /// in determinism mode, where the exchange is disabled.
-  std::uint64_t clauses_exported = 0;
-  /// Exchange clauses a worker attached into its own database after
-  /// vetting (variable-range check; all-false clauses are skipped).
-  std::uint64_t clauses_imported = 0;
-  /// Bytes held by the primary context's packed clause arena (gauge, like
+  /// Bytes held by the search context's packed clause arena (gauge, like
   /// learned_kept: the size at the last check boundary, not a cumulative
   /// total). Native backend only.
   std::uint64_t arena_bytes = 0;
@@ -179,17 +168,6 @@ class Solver {
   /// Asserts `assertion` permanently: it constrains every later check.
   /// Pass a formula to check_assuming() instead to make it retractable.
   virtual void add(ExprId assertion) = 0;
-
-  /// Requests `n` parallel workers for subsequent checks; 0 restores the
-  /// environment default (ADVOCAT_THREADS, itself defaulting to 1).
-  /// Backends without parallel search ignore this (default no-op).
-  virtual void set_threads(unsigned n) { (void)n; }
-  /// Forces (true) or clears (false) determinism mode for parallel
-  /// checks: static cube partition, no clause exchange, no early
-  /// cancellation — verdicts *and* SolveStats become a pure function of
-  /// the problem and thread count. Overrides ADVOCAT_DETERMINISTIC.
-  /// No-op on backends without parallel search.
-  virtual void set_deterministic(bool on) { (void)on; }
 
   /// Installs per-check resource ceilings (see util::ResourceBudget) for
   /// every subsequent check on this session; a default-constructed budget

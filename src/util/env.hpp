@@ -47,8 +47,9 @@ inline unsigned long env_uint(const char* name, unsigned long fallback,
   return static_cast<unsigned long>(u);
 }
 
-/// ADVOCAT_THREADS: worker threads for the parallel solver / probe
-/// scheduler. Unset or 1 = the bit-identical single-threaded path.
+/// ADVOCAT_THREADS: worker threads for the capacity-probe scheduler when
+/// QueueSizingOptions::probe_threads is 0 (and for fig4's --threads
+/// default). Unset or 1 = one probe at a time.
 inline unsigned env_threads(unsigned fallback = 1) {
   return static_cast<unsigned>(
       env_uint("ADVOCAT_THREADS", fallback, 1, 256));
@@ -75,14 +76,6 @@ inline unsigned env_test_timeout_ms(unsigned fallback) {
 /// invariant. Expensive — meant for tests, fuzzing, and debugging.
 inline bool env_audit() {
   return env_uint("ADVOCAT_AUDIT", ADVOCAT_AUDIT_DEFAULT, 0, 1) != 0;
-}
-
-/// ADVOCAT_DETERMINISTIC: when set (nonzero), parallel solving trades
-/// speed for reproducibility — static cube partition, no mid-search
-/// clause exchange, no early cancellation — so identical runs produce
-/// identical verdicts *and* identical SolveStats.
-inline bool env_deterministic() {
-  return env_uint("ADVOCAT_DETERMINISTIC", 0, 0, 1) != 0;
 }
 
 }  // namespace advocat::util

@@ -17,8 +17,9 @@ namespace {
 constexpr unsigned kNumSites = static_cast<unsigned>(Site::kCount);
 
 const char* const kSiteNames[kNumSites] = {
-    "worker_kill",    "arena_alloc",       "bigint_alloc",
-    "exchange_stall", "exchange_overflow", "theory_timeout",
+    "arena_alloc",
+    "bigint_alloc",
+    "theory_timeout",
 };
 
 struct SiteState {

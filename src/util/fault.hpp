@@ -7,17 +7,16 @@
 // configure() in tests. With no schedule configured every site is a
 // single relaxed atomic load on an already-slow path — the instrumented
 // build is behaviorally and statistically identical to an uninstrumented
-// one, which is what keeps determinism-mode runs bit-identical when
-// ADVOCAT_FAULTS is unset.
+// one, so runs stay bit-identical when ADVOCAT_FAULTS is unset.
 //
 // Spec grammar (see docs/ROBUSTNESS.md):
 //   spec   := token (',' token)*
 //   token  := site '@' count ['+']
-//   site   := worker_kill | arena_alloc | bigint_alloc
-//           | exchange_stall | exchange_overflow | theory_timeout
+//   site   := arena_alloc | bigint_alloc | theory_timeout
 //   count  := 1-based arrival number; a trailing '+' means "this arrival
 //             and every later one" instead of exactly once.
-// Example: ADVOCAT_FAULTS="worker_kill@3,bigint_alloc@100+"
+// Example: ADVOCAT_FAULTS="theory_timeout@3,bigint_alloc@100+"
+// A token naming any other site is skipped with a warning.
 //
 // Delivery discipline: sites that sit inside mutating code (arena and
 // BigInt allocations) must not throw in place — a mid-pivot or
@@ -34,12 +33,9 @@
 namespace advocat::util::fault {
 
 enum class Site : unsigned {
-  kWorkerKill = 0,     ///< kill a parallel worker mid-cube
-  kArenaAlloc,         ///< fail a clause-arena allocation
-  kBigIntAlloc,        ///< fail a BigInt heap materialization
-  kExchangeStall,      ///< stall a clause-exchange shard operation
-  kExchangeOverflow,   ///< force a clause-exchange shard to drop (full)
-  kTheoryTimeout,      ///< time out a theory (simplex) call
+  kArenaAlloc = 0,  ///< fail a clause-arena allocation
+  kBigIntAlloc,     ///< fail a BigInt heap materialization
+  kTheoryTimeout,   ///< time out a theory (simplex) call
   kCount,
 };
 
@@ -53,7 +49,7 @@ struct FaultInjected {};
 
 /// Counts one arrival at `site`; returns true when the schedule says this
 /// arrival faults. Never throws — the caller chooses the failure action
-/// (throw, drop, stall, or defer()).
+/// (throw, or defer()).
 [[nodiscard]] bool fire(Site site);
 
 /// fire() + latch: for sites inside mutating code. The latched fault is

@@ -1,10 +1,12 @@
-// Minimal deterministic fork/join helpers for the parallel layers.
+// Minimal deterministic fork/join helpers for the coarse parallel layers:
+// capacity-probe rounds (QueueSizingOptions::probe_threads) and fig4's
+// directory-position sweep (--position-threads). Each task owns its own
+// solver session; a single solver check is always sequential.
 //
-// No persistent thread pool: the parallel sections (cube solving,
-// portfolio racing, probe rounds, bench position sweeps) are coarse —
-// each task runs for milliseconds to minutes — so std::thread spawn cost
-// is noise, and joining at the end of every section keeps the shared
-// problem state trivially immutable while workers run.
+// No persistent thread pool: the tasks are coarse — each runs for
+// milliseconds to minutes — so std::thread spawn cost is noise, and
+// joining at the end of every section keeps everything the tasks share
+// read-only while they run.
 #pragma once
 
 #include <atomic>
@@ -59,14 +61,13 @@ inline void parallel_for(std::size_t n, unsigned threads,
 
 /// Static variant: task i always runs on worker i % width, and each worker
 /// processes its tasks in increasing order — the schedule (not just the
-/// result) is a pure function of (n, threads), which is what the solver's
-/// determinism mode needs for reproducible per-worker statistics.
+/// result) is a pure function of (n, threads), which is what keeps the
+/// probe scheduler's per-worker sessions, and so its probe sequence,
+/// reproducible for a fixed width.
 ///
 /// Error semantics match parallel_for: every worker is joined, exactly one
 /// exception (the first captured) is rethrown on the caller, and workers
-/// stop picking up new tasks once any task has thrown. The early stop
-/// cannot perturb determinism mode because solver tasks never throw — a
-/// worker's SearchContext::solve catches every governed unwind internally.
+/// stop picking up new tasks once any task has thrown.
 inline void parallel_for_static(std::size_t n, unsigned threads,
                                 const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;

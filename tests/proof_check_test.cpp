@@ -174,12 +174,11 @@ TEST(ProofCertificate, MidSessionAttachMarkedIncomplete) {
 
 TEST(ProofCertificate, LoggingDoesNotPerturbDeterministicStats) {
   // The certification pipeline must be observation-only: the same
-  // deterministic check with and without a sink returns the same verdict
-  // and bit-identical search statistics.
+  // (sequential, hence deterministic) check with and without a sink
+  // returns the same verdict and bit-identical search statistics.
   auto run = [](bool with_sink, SolveStats& stats) {
     ExprFactory f;
     auto s = make_solver(f, Backend::Native);
-    s->set_deterministic(true);
     CaptureSink sink;
     if (with_sink) s->set_proof_sink(&sink);
     const ExprId x = f.int_var("x");
@@ -201,32 +200,6 @@ TEST(ProofCertificate, LoggingDoesNotPerturbDeterministicStats) {
   EXPECT_EQ(with.propagations, without.propagations);
   EXPECT_EQ(with.restarts, without.restarts);
   EXPECT_EQ(with.learned_clauses, without.learned_clauses);
-}
-
-TEST(ProofCertificate, ParallelUnsatCertified) {
-  for (const unsigned threads : {2u, 4u}) {
-    ExprFactory f;
-    auto s = make_solver(f, Backend::Native);
-    s->set_threads(threads);
-    CaptureSink sink;
-    s->set_proof_sink(&sink);
-    // Small pigeonhole-flavoured system: enough conflicts to exercise the
-    // search, refuted whatever the parallel mode decides to do.
-    std::vector<ExprId> vars;
-    ExprId sum = f.int_const(0);
-    for (int i = 0; i < 4; ++i) {
-      const ExprId v = f.int_var("h" + std::to_string(i));
-      s->add(f.le(f.int_const(1), v));
-      vars.push_back(v);
-      sum = f.add({sum, v});
-    }
-    s->add(f.le(sum, f.int_const(3)));
-    ASSERT_EQ(s->check(), SatResult::Unsat) << "threads=" << threads;
-    ASSERT_EQ(sink.certs.size(), 1u);
-    const CheckResult r = check_proof_text(sink.certs[0].text);
-    EXPECT_TRUE(r.ok) << "threads=" << threads << ": " << r.reason << ": "
-                      << r.detail;
-  }
 }
 
 // ------------------------------------------------------- mutation tests

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,28 @@ TEST_P(VerifierTest, ProbeCapacityMatchesOneShotVerify) {
   }
   EXPECT_EQ(session.stats().validations, 1u);
   EXPECT_EQ(session.stats().checks, 4u);
+}
+
+TEST_P(VerifierTest, ThreadsAboveOneAreRejected) {
+  // Every check is one sequential search: 0 and 1 both mean that search,
+  // and any larger worker count is refused with a message naming the
+  // field instead of being silently ignored.
+  testing::RunningExample rx;
+  for (const unsigned threads : {0u, 1u}) {
+    VerifyOptions o = options();
+    o.threads = threads;
+    EXPECT_TRUE(Verifier(rx.net, o).check().deadlock_free()) << threads;
+  }
+  VerifyOptions o = options();
+  o.threads = 2;
+  try {
+    Verifier session(rx.net, o);
+    ADD_FAILURE() << "threads = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("VerifyOptions::threads"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_P(VerifierTest, ProbeCapacityRequiresSymbolicSession) {

@@ -331,7 +331,7 @@ class Checker {
           head == "del") {
         std::vector<int> lits;
         if (!parse_lits(ls, lits)) return result();
-        if (head == "del") continue;  // advisory: one worker's copy only
+        if (head == "del") continue;  // advisory: every clause is kept
         if (head == "rup") {
           ++res_.steps;
           if (!engine_.rup_holds(lits)) {
