@@ -21,9 +21,9 @@ int main() {
   // Smoke stays at 2x2: 3x3+ one-shot proofs are Z3-only until the native
   // solver learns clauses (see ROADMAP), and smoke runs without Z3 in CI.
   const int max_k = bench::smoke() ? 2 : (bench::full_scale() ? 6 : 5);
-  std::printf("\n%-6s %6s %10s %8s %7s %6s %9s %9s %9s %9s\n", "mesh", "vcs",
-              "prims", "automata", "queues", "inv", "t_inv(s)", "t_enc(s)",
-              "t_smt(s)", "total(s)");
+  std::printf("\n%-6s %6s %10s %8s %7s %6s %9s %8s %9s %9s %9s\n", "mesh",
+              "vcs", "prims", "automata", "queues", "inv", "t_inv(s)",
+              "row_ops", "t_enc(s)", "t_smt(s)", "total(s)");
   for (int k = 2; k <= max_k; ++k) {
     const int vcs = k == 6 ? 2 : 1;  // the paper's 6x6 data point uses VCs
     coh::MiAbstractConfig config;
@@ -34,10 +34,12 @@ int main() {
     bench::Timer watch;
     coh::MiAbstractSystem sys = coh::build_mi_abstract(config);
     const core::VerifyResult r = core::verify(sys.net);
-    std::printf("%dx%-4d %6d %10zu %8zu %7zu %6zu %9.2f %9.2f %9.2f %9.2f  [%s]\n",
+    std::printf("%dx%-4d %6d %10zu %8zu %7zu %6zu %9.2f %8zu %9.2f %9.2f "
+                "%9.2f  [%s]\n",
                 k, k, vcs, sys.net.num_prims_desugared(),
                 sys.net.automata().size(), sys.net.num_queues(),
-                r.num_invariants, r.invariant_seconds, r.encode_seconds,
+                r.num_invariants, r.invariant_seconds, r.invariant_row_ops,
+                r.encode_seconds,
                 r.solve_seconds, watch.seconds(),
                 bench::verdict_string(r.report.result));
     bench::JsonLine("tab_scaling")
@@ -46,6 +48,7 @@ int main() {
         .field("primitives", sys.net.num_prims_desugared())
         .field("invariants", r.num_invariants)
         .field("invariant_seconds", r.invariant_seconds)
+        .field("invariant_row_ops", r.invariant_row_ops)
         .field("encode_seconds", r.encode_seconds)
         .field("solve_seconds", r.solve_seconds)
         .field("total_seconds", watch.seconds())

@@ -170,6 +170,7 @@ VerifyResult Verifier::run_check(
   if (options_.use_invariants) {
     result.num_invariants = invariants_.equalities.size();
     result.num_inequalities = invariants_.inequalities.size();
+    result.invariant_row_ops = invariants_.row_ops;
     result.invariant_text = invariants_.to_strings();
   }
   result.diagnostics = diagnostics_;

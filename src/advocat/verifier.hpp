@@ -83,6 +83,7 @@ struct VerifyResult {
   deadlock::Report report;
   std::size_t num_invariants = 0;
   std::size_t num_inequalities = 0;
+  std::size_t invariant_row_ops = 0;  ///< InvariantSet::row_ops
   std::vector<std::string> invariant_text;  ///< pretty-printed invariants
 
   /// Static-analysis findings for the session's network (warnings only —

@@ -35,7 +35,9 @@ smt::ExprId Encoder::capacity_expr(PrimId queue) {
 }
 
 smt::ExprId Encoder::occ(PrimId queue, ColorId d) {
-  return f_.int_var(occ_var_name(net_, queue, d));
+  auto [it, fresh] = occ_vars_.try_emplace(key(queue, d));
+  if (fresh) it->second = f_.int_var(occ_var_name(net_, queue, d));
+  return it->second;
 }
 
 smt::ExprId Encoder::nonneg(smt::ExprId v) {
@@ -43,7 +45,9 @@ smt::ExprId Encoder::nonneg(smt::ExprId v) {
 }
 
 smt::ExprId Encoder::state(int automaton_index, int s) {
-  return f_.int_var(state_var_name(net_, automaton_index, s));
+  auto [it, fresh] = state_vars_.try_emplace(key(automaton_index, s));
+  if (fresh) it->second = f_.int_var(state_var_name(net_, automaton_index, s));
+  return it->second;
 }
 
 smt::ExprId Encoder::block(ChanId c, ColorId d) {

@@ -114,11 +114,14 @@ class Encoder {
   smt::ExprFactory& f_;
   EncoderOptions options_;
 
-  // Memoization keyed by (channel|automaton, color). Definitions are
-  // appended to defs_ on first creation; a key present in the map with a
-  // pending definition is fine because the variable already exists.
+  // Memoization keyed by (channel|queue|automaton, color|state). Block, idle
+  // and dead definitions are appended to defs_ on first creation; a key
+  // present in the map with a pending definition is fine because the
+  // variable already exists.
   std::unordered_map<std::uint64_t, smt::ExprId> block_vars_;
   std::unordered_map<std::uint64_t, smt::ExprId> idle_vars_;
+  std::unordered_map<std::uint64_t, smt::ExprId> occ_vars_;
+  std::unordered_map<std::uint64_t, smt::ExprId> state_vars_;
   std::unordered_map<int, smt::ExprId> dead_vars_;
   std::vector<smt::ExprId> defs_;
   bool encoded_ = false;

@@ -341,6 +341,7 @@ InvariantSet generate(const xmas::Network& net, const xmas::Typing& typing,
       derive_inequalities);
   set.equalities = std::move(res.equalities);
   set.inequalities = std::move(res.inequalities);
+  set.row_ops = res.row_ops;
   set.seconds = watch.seconds();
   return set;
 }

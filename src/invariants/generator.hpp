@@ -34,6 +34,8 @@ struct InvariantSet {
   std::unique_ptr<VarSpace> vars;
 
   std::size_t rows_built = 0;
+  /// Row operations of the λ/κ sweep (EliminationResult::row_ops).
+  std::size_t row_ops = 0;
   double seconds = 0.0;
 
   [[nodiscard]] std::vector<std::string> to_strings() const;

@@ -1,22 +1,24 @@
 #include "linalg/eliminator.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
+#include <utility>
 
 namespace advocat::linalg {
 
 namespace {
 
-// Index from column to the rows that (possibly) contain it. Entries go
-// stale when elimination removes a column from a row; readers re-check.
-using ColIndex = std::unordered_map<std::int32_t, std::vector<std::size_t>>;
-
-void register_row(ColIndex& index, const SparseRow& row, std::size_t row_idx,
-                  const std::function<bool(std::int32_t)>& is_eliminated) {
-  for (const auto& e : row.entries()) {
-    if (is_eliminated(e.col)) index[e.col].push_back(row_idx);
+// Marks, per entry of `pattern`, whether `row` has a nonzero coefficient in
+// that column (one merge pass over the two sorted entry lists).
+void mark_columns(const SparseRow& row, const SparseRow& pattern,
+                  std::vector<char>& out) {
+  const std::vector<Entry>& a = row.entries();
+  const std::vector<Entry>& b = pattern.entries();
+  out.assign(b.size(), 0);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    while (i < a.size() && a[i].col < b[j].col) ++i;
+    out[j] = static_cast<char>(i < a.size() && a[i].col == b[j].col);
   }
 }
 
@@ -28,61 +30,84 @@ EliminationResult Eliminator::eliminate(
     bool derive_inequalities) {
   EliminationResult result;
 
-  std::vector<bool> active(rows.size(), true);
-  ColIndex col_rows;
-  std::unordered_set<std::int32_t> pending_cols;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    register_row(col_rows, rows[r], r, is_eliminated);
+  std::size_t num_cols = 0;
+  for (const SparseRow& row : rows) {
+    if (row.has_variables()) {
+      num_cols = std::max<std::size_t>(num_cols, row.entries().back().col + 1);
+    }
   }
-  for (const auto& [col, _] : col_rows) pending_cols.insert(col);
+  std::vector<char> eliminated(num_cols);
+  for (std::size_t c = 0; c < num_cols; ++c) {
+    eliminated[c] = static_cast<char>(is_eliminated(static_cast<std::int32_t>(c)));
+  }
 
+  // Per swept column: its exact degree (active rows holding it) and the
+  // rows that have held it since the start, a superset of the live ones
+  // that is filtered when the column is pivoted on.
+  std::vector<std::size_t> degree(num_cols, 0);
+  std::vector<std::vector<std::size_t>> col_rows(num_cols);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const Entry& e : rows[r].entries()) {
+      if (!eliminated[e.col]) continue;
+      ++degree[e.col];
+      col_rows[e.col].push_back(r);
+    }
+  }
+  // Pending columns by (degree, column); a column leaves at degree 0.
+  std::set<std::pair<std::size_t, std::int32_t>> pending;
+  for (std::size_t c = 0; c < num_cols; ++c) {
+    if (degree[c] > 0) pending.emplace(degree[c], static_cast<std::int32_t>(c));
+  }
+  auto shift_degree = [&](std::int32_t col, bool up) {
+    std::size_t& d = degree[col];
+    pending.erase({d, col});
+    d = up ? d + 1 : d - 1;
+    if (d > 0) pending.emplace(d, col);
+  };
+
+  std::vector<bool> active(rows.size(), true);
   std::vector<std::size_t> pivot_rows;
+  std::vector<char> before;
+  std::vector<char> after;
+  while (!pending.empty()) {
+    const std::int32_t col = pending.begin()->second;
+    pending.erase(pending.begin());
+    degree[col] = 0;
+    std::vector<std::size_t> candidates = std::move(col_rows[col]);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    std::erase_if(candidates, [&](std::size_t r) {
+      return !active[r] || rows[r].coeff(col).is_zero();
+    });
 
-  while (!pending_cols.empty()) {
-    // Pick the pending column with the fewest live rows (min-degree).
-    std::int32_t best_col = -1;
-    std::size_t best_degree = std::numeric_limits<std::size_t>::max();
-    for (std::int32_t col : pending_cols) {
-      auto it = col_rows.find(col);
-      std::size_t degree = 0;
-      if (it != col_rows.end()) {
-        auto& vec = it->second;
-        vec.erase(std::remove_if(vec.begin(), vec.end(),
-                                 [&](std::size_t r) {
-                                   return !active[r] ||
-                                          rows[r].coeff(col).is_zero();
-                                 }),
-                  vec.end());
-        degree = vec.size();
-      }
-      if (degree < best_degree) {
-        best_degree = degree;
-        best_col = col;
-        if (degree <= 1) break;
-      }
-    }
-    if (best_degree == 0) {
-      pending_cols.erase(best_col);
-      continue;
-    }
-
-    // Pivot on the sparsest row containing the column.
-    auto& candidates = col_rows[best_col];
+    // Pivot on the sparsest row containing the column (lowest index on ties).
     std::size_t pivot = candidates.front();
     for (std::size_t r : candidates) {
       if (rows[r].entries().size() < rows[pivot].entries().size()) pivot = r;
     }
-    const Rational pivot_coeff = rows[pivot].coeff(best_col);
+    const SparseRow& prow = rows[pivot];
+    const Rational pivot_coeff = prow.coeff(col);
     for (std::size_t r : candidates) {
       if (r == pivot) continue;
-      const Rational c = rows[r].coeff(best_col);
-      if (c.is_zero()) continue;
-      rows[r].add_scaled(rows[pivot], -(c / pivot_coeff));
-      register_row(col_rows, rows[r], r, is_eliminated);
+      // Only the pivot row's columns can enter or leave row r.
+      mark_columns(rows[r], prow, before);
+      rows[r].add_scaled(prow, -(rows[r].coeff(col) / pivot_coeff));
+      ++result.row_ops;
+      mark_columns(rows[r], prow, after);
+      for (std::size_t j = 0; j < before.size(); ++j) {
+        const std::int32_t c = prow.entries()[j].col;
+        if (before[j] == after[j] || c == col || !eliminated[c]) continue;
+        if (after[j] != 0) col_rows[c].push_back(r);
+        shift_degree(c, after[j] != 0);
+      }
+    }
+    // Retiring the pivot row lowers the degree of its other swept columns.
+    for (const Entry& e : prow.entries()) {
+      if (e.col != col && eliminated[e.col]) shift_degree(e.col, false);
     }
     active[pivot] = false;
     pivot_rows.push_back(pivot);
-    pending_cols.erase(best_col);
     ++result.pivot_count;
   }
 
@@ -110,7 +135,7 @@ EliminationResult Eliminator::eliminate(
       bool uniform = true;
       SparseRow keep_part;
       for (const auto& e : row.entries()) {
-        if (is_eliminated(e.col)) {
+        if (eliminated[e.col]) {
           const int s = e.coeff.is_negative() ? -1 : 1;
           if (sign == 0) sign = s;
           else if (sign != s) { uniform = false; break; }

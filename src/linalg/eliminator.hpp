@@ -6,9 +6,15 @@
 // Following Chatterjee & Kishinevsky, the λ/κ columns are eliminated; every
 // row that survives with only state columns is an inductive invariant.
 //
-// All arithmetic is exact (rational); pivots are chosen with a minimum
-// row-degree heuristic to limit fill-in on the sparse, mostly-local flow
-// matrices.
+// All arithmetic is exact (rational). Pivoting follows a minimum-degree
+// (Markowitz-style) rule to limit fill-in on the sparse, mostly-local flow
+// matrices: the next column is the pending one held by the fewest active
+// rows, ties to the lowest column, and its pivot row is the one with the
+// fewest entries, ties to the lowest row index. Each column's degree is
+// kept exactly and updated only for the pivot row's columns, so picking a
+// column costs a log-time lookup rather than a rescan. The pivot sequence
+// is a function of the input rows and their order alone, never of
+// hash-container iteration; the equalities do not depend on row order.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,9 @@ struct EliminationResult {
   /// the input system was inconsistent. Never expected for flow matrices.
   bool inconsistent = false;
   std::size_t pivot_count = 0;
+  /// Row operations (row += factor·pivot) the sweep performed: a
+  /// deterministic measure of elimination work.
+  std::size_t row_ops = 0;
 };
 
 class Eliminator {

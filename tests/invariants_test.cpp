@@ -3,13 +3,17 @@
 // state (cross-checked against the explicit-state explorer).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 
 #include "coherence/mi_abstract.hpp"
+#include "coherence/mi_gem5.hpp"
+#include "deadlock/encoder.hpp"
 #include "deadlock/varnames.hpp"
 #include "invariants/generator.hpp"
+#include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
@@ -85,6 +89,111 @@ TEST(Generator, SmtRenderingUsesSharedNames) {
     EXPECT_FALSE(is_bool);
   }
   EXPECT_TRUE(uses_occ_name);
+}
+
+// Pins the exact invariant text and the SMT-LIB rendering of whole
+// sessions, so a change to pivot selection or to the encoder's variable
+// caching that alters any invariant, coefficient or assertion shows here.
+// Each group folds its nets' output into one FNV-1a-64 hash.
+class Fnv64 {
+ public:
+  void add(const std::string& s) {
+    for (const char c : s) {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+    hash_ = (hash_ ^ 0x0aU) * 0x100000001b3ULL;  // line separator
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void add_invariant_text(Fnv64& h, const xmas::Network& net) {
+  const xmas::Typing typing = xmas::Typing::derive(net);
+  for (const std::string& s : generate(net, typing).to_strings()) h.add(s);
+}
+
+std::uint64_t mi_text_hash(int k, const std::vector<int>& positions) {
+  Fnv64 h;
+  for (const int dir : positions) {
+    for (const std::size_t cap : {1u, 3u}) {
+      coh::MiAbstractConfig config;
+      config.width = k;
+      config.height = k;
+      config.directory_node = dir;
+      config.queue_capacity = cap;
+      add_invariant_text(h, coh::build_mi_abstract(config).net);
+    }
+  }
+  return h.value();
+}
+
+std::vector<int> all_positions(int k) {
+  std::vector<int> out(static_cast<std::size_t>(k * k));
+  for (int i = 0; i < k * k; ++i) out[static_cast<std::size_t>(i)] = i;
+  return out;
+}
+
+TEST(InvariantText, PinnedAcrossMeshes) {
+  EXPECT_EQ(mi_text_hash(2, all_positions(2)), 0xfb17c28a24fd50e5ULL);
+  EXPECT_EQ(mi_text_hash(3, all_positions(3)), 0x3f789f980cf52a75ULL);
+  EXPECT_EQ(mi_text_hash(4, all_positions(4)), 0xa40489aaec0cc665ULL);
+  EXPECT_EQ(mi_text_hash(5, {0, 6, 12}), 0x7043d34f0c078f73ULL);
+
+  Fnv64 gem5;
+  for (const int k : {2, 3}) {
+    for (const int vcs : {1, 3}) {
+      for (const int dma : {0, -1}) {
+        coh::MiGem5Config config;
+        config.width = k;
+        config.height = k;
+        config.num_vcs = vcs;
+        config.dma_node = dma;
+        add_invariant_text(gem5, coh::build_mi_gem5(config).net);
+      }
+    }
+  }
+  EXPECT_EQ(gem5.value(), 0xe66507f618d128ebULL);
+
+  // Full session assertions: encoder structure, definitions and deadlock
+  // condition plus the invariants, as SMT-LIB text.
+  Fnv64 smtlib;
+  for (const int k : {2, 3}) {
+    for (const bool symbolic : {true, false}) {
+      coh::MiAbstractConfig config;
+      config.width = k;
+      config.height = k;
+      config.directory_node = 0;
+      const coh::MiAbstractSystem sys = coh::build_mi_abstract(config);
+      const xmas::Typing typing = xmas::Typing::derive(sys.net);
+      smt::ExprFactory f;
+      deadlock::Encoder encoder(sys.net, typing, f,
+                                {.symbolic_capacities = symbolic});
+      std::vector<smt::ExprId> all = encoder.encode().all_assertions();
+      for (const smt::ExprId e : generate(sys.net, typing).to_smt(f)) {
+        all.push_back(e);
+      }
+      smtlib.add(smt::to_smtlib(f, all));
+    }
+  }
+  EXPECT_EQ(smtlib.value(), 0xd9b05de96f8eaf1dULL);
+}
+
+// The sweep's row-operation count is a deterministic work measure: two
+// independent builds of the same net report the same count.
+TEST(Generator, RowOpsAreDeterministic) {
+  auto row_ops = [] {
+    coh::MiAbstractConfig config;
+    config.width = 4;
+    config.height = 4;
+    config.directory_node = 0;
+    const coh::MiAbstractSystem sys = coh::build_mi_abstract(config);
+    return generate(sys.net, xmas::Typing::derive(sys.net)).row_ops;
+  };
+  const std::size_t first = row_ops();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(row_ops(), first);
 }
 
 // Soundness: every generated invariant (equality and inequality) holds in

@@ -1,8 +1,10 @@
 // Sparse rows, the sweeping eliminator, and the incremental simplex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -129,48 +131,133 @@ TEST(Eliminator, RrefIsCanonical) {
 // Property: eliminating a random consistent system never reports
 // inconsistency, and every surviving equality is a valid consequence (the
 // designated solution satisfies it).
-class EliminatorProperty : public ::testing::TestWithParam<int> {};
+class EliminatorProperty : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr int kNumVars = 12;
+  static constexpr int kNumElim = 6;  // columns 0..5 are swept
+
+  // Random rows through a designated solution; with `sparse` most
+  // coefficients are zero, so pivots cause fill-in and cancellation.
+  static std::vector<SparseRow> random_rows(std::mt19937_64& rng,
+                                            const std::vector<int>& solution,
+                                            bool sparse) {
+    std::uniform_int_distribution<int> coeff(-3, 3);
+    std::uniform_int_distribution<int> keep(0, 2);
+    std::vector<SparseRow> rows;
+    for (int i = 0; i < 10; ++i) {
+      SparseRow r;
+      int dot = 0;
+      for (int c = 0; c < kNumVars; ++c) {
+        const int a = coeff(rng);
+        if (a != 0 && (!sparse || keep(rng) == 0)) {
+          r.add(c, Rational(a));
+          dot += a * solution[static_cast<std::size_t>(c)];
+        }
+      }
+      r.add_constant(Rational(-dot));
+      rows.push_back(std::move(r));
+    }
+    return rows;
+  }
+
+  static std::vector<int> random_solution(std::mt19937_64& rng) {
+    std::uniform_int_distribution<int> val(0, 4);
+    std::vector<int> solution(kNumVars);
+    for (auto& v : solution) v = val(rng);
+    return solution;
+  }
+
+  static EliminationResult sweep(std::vector<SparseRow> rows) {
+    return Eliminator::eliminate(
+        std::move(rows), [](std::int32_t c) { return c < kNumElim; },
+        /*derive_inequalities=*/true);
+  }
+};
 
 TEST_P(EliminatorProperty, SolutionsSurviveProjection) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
-  std::uniform_int_distribution<int> coeff(-3, 3);
-  std::uniform_int_distribution<int> val(0, 4);
-  const int num_vars = 12;
-  const int num_elim = 6;
-  // Designated solution.
-  std::vector<int> solution(num_vars);
-  for (auto& v : solution) v = val(rng);
-  // Random rows through the solution.
-  std::vector<SparseRow> rows;
-  for (int i = 0; i < 10; ++i) {
-    SparseRow r;
-    int dot = 0;
-    for (int c = 0; c < num_vars; ++c) {
-      const int a = coeff(rng);
-      if (a != 0) {
-        r.add(c, Rational(a));
-        dot += a * solution[static_cast<std::size_t>(c)];
-      }
-    }
-    r.add_constant(Rational(-dot));
-    rows.push_back(std::move(r));
-  }
+  const std::vector<int> solution = random_solution(rng);
+  const std::vector<SparseRow> rows = random_rows(rng, solution, false);
   auto result = Eliminator::eliminate(
-      rows, [num_elim](std::int32_t c) { return c < num_elim; },
+      rows, [](std::int32_t c) { return c < kNumElim; },
       /*derive_inequalities=*/false);
   EXPECT_FALSE(result.inconsistent);
   for (const SparseRow& inv : result.equalities) {
     Rational acc = inv.constant();
     for (const auto& e : inv.entries()) {
-      EXPECT_GE(e.col, num_elim) << "eliminated column survived";
+      EXPECT_GE(e.col, kNumElim) << "eliminated column survived";
       acc += e.coeff * Rational(solution[static_cast<std::size_t>(e.col)]);
     }
     EXPECT_TRUE(acc.is_zero()) << "projected equality violated by solution";
   }
 }
 
+// Oracle: with the swept columns numbered first, the projection is exactly
+// the rows of the full system's RREF that lead with a kept column — whatever
+// pivot order the sweep chose, and whatever order the rows arrive in.
+TEST_P(EliminatorProperty, EqualitiesMatchRrefOracle) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
+  const std::vector<int> solution = random_solution(rng);
+  for (const bool sparse : {false, true}) {
+    std::vector<SparseRow> rows = random_rows(rng, solution, sparse);
+
+    std::vector<SparseRow> oracle = rows;
+    ASSERT_TRUE(Eliminator::reduce_rref(oracle));
+    std::erase_if(oracle,
+                  [](const SparseRow& r) { return r.min_col() < kNumElim; });
+    for (SparseRow& r : oracle) r.normalize_integer();
+    std::sort(oracle.begin(), oracle.end(),
+              [](const SparseRow& a, const SparseRow& b) {
+                return a.min_col() < b.min_col();
+              });
+
+    const EliminationResult result = sweep(rows);
+    EXPECT_FALSE(result.inconsistent);
+    EXPECT_EQ(result.equalities, oracle) << "sparse=" << sparse;
+
+    std::shuffle(rows.begin(), rows.end(), rng);
+    EXPECT_EQ(sweep(rows).equalities, oracle)
+        << "row order changed the projection, sparse=" << sparse;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EliminatorProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Every swept column of a ring ties at degree 2, so the pivot sequence
+// rests entirely on the (degree, column) and (size, row) tie-breaks. Ring
+// equation i reads k_i + k_{i+1} = x_i over an even ring of six; it is
+// input row 5 - i, so column order and row order run against each other.
+TEST(Eliminator, RingTiesBreakToLowestColumn) {
+  constexpr int n = 6;
+  std::vector<SparseRow> rows;
+  for (int i = n - 1; i >= 0; --i) {
+    rows.push_back(row_of({{10 + i, 1}, {10 + (i + 1) % n, 1}, {i, -1}}));
+  }
+  const auto result = Eliminator::eliminate(
+      rows, [](std::int32_t c) { return c >= 10; });
+  EXPECT_FALSE(result.inconsistent);
+  // k0 pivots on equation 5 (input row 0, not row 5), then k1..k4 on
+  // equations 1..4; equation 0 collects the alternating sum. Taking the
+  // highest column first would retire equation 0 instead of 4, and the
+  // highest row first equation 0 instead of 5.
+  EXPECT_EQ(result.pivot_count, 5u);
+  EXPECT_EQ(result.row_ops, 5u);
+  const auto text = [](const std::vector<SparseRow>& rows) {
+    std::vector<std::string> out;
+    for (const SparseRow& r : rows) {
+      out.push_back(r.to_string(
+          [](std::int32_t c) { return "x" + std::to_string(c); }));
+    }
+    return out;
+  };
+  EXPECT_EQ(text(result.equalities),
+            std::vector<std::string>{"x0 - x1 + x2 - x3 + x4 - x5 = 0"});
+  // Rendered with "= 0"; each reads "-x_i <= 0".
+  EXPECT_EQ(text(result.inequalities),
+            (std::vector<std::string>{"-x1 = 0", "-x2 = 0", "-x3 = 0",
+                                      "-x4 = 0", "-x5 = 0"}));
+}
 
 // ----------------------------------------------------------------- simplex
 
