@@ -100,8 +100,8 @@ class JsonLine {
                static_cast<std::size_t>(s.conflicts_clause))
         .field("conflicts_interval_farkas",
                static_cast<std::size_t>(s.conflicts_interval_farkas))
-        .field("conflicts_interval_provenance",
-               static_cast<std::size_t>(s.conflicts_interval_provenance))
+        .field("conflicts_interval_integer",
+               static_cast<std::size_t>(s.conflicts_interval_integer))
         .field("leaves_reached", static_cast<std::size_t>(s.leaves_reached))
         .field("leaves_refuted", static_cast<std::size_t>(s.leaves_refuted))
         .field("mean_conflict_lits", s.mean_conflict_lits)

@@ -21,6 +21,9 @@
 # the script additionally fails when the native solver reports zero learned
 # clauses on the 2x2 fig4 sizing probe: that would mean CDCL clause
 # learning silently stopped working and the incremental speedups are gone.
+# It also fails when any native fig4 cell reports "conclusive":false: the
+# smoke instances are small enough that an inconclusive cell means a leaf
+# degraded to Unknown.
 #
 # After collecting, the script diffs the new native sizing times against
 # the newest *other* BENCH_PR*.json next to the output (and in the repo
@@ -127,6 +130,13 @@ if [ -n "${ADVOCAT_SMOKE:-}" ]; then
   elif echo "$native_2x2" | grep -q '"learned_clauses":0[,}]'; then
     echo "collect_bench: SMOKE GUARD: native 2x2 sizing reports zero learned clauses — CDCL learning is inactive:" >&2
     echo "$native_2x2" >&2
+    status=1
+  fi
+  inconclusive=$(grep '"bench":"fig4_queue_sizes"' "$out" \
+      | grep '"backend":"native"' | grep '"conclusive":false' || true)
+  if [ -n "$inconclusive" ]; then
+    echo "collect_bench: SMOKE GUARD: native fig4 cells are inconclusive — a leaf degraded to Unknown:" >&2
+    echo "$inconclusive" >&2
     status=1
   fi
 fi

@@ -3,9 +3,10 @@
 # (the --print-prev entry point): the numeric PR suffix decides — not
 # lexicographic or version order — and artifacts that ride the same
 # BENCH_PR* glob without being per-PR trajectories (threads variants,
-# non-numeric suffixes) are ignored. A last case runs a whole collection
-# over a stub fig4 harness and checks the counter diff against the
-# previous trajectory. Registered as the ctest `collect_bench_select_prev`.
+# non-numeric suffixes) are ignored. The last cases run whole collections
+# over stub fig4 harnesses: the counter diff against the previous
+# trajectory, and the smoke guard on inconclusive native cells. Registered
+# as the ctest `collect_bench_select_prev`.
 set -eu
 
 script_dir=$(CDPATH='' cd -- "$(dirname -- "$0")" && pwd)
@@ -97,6 +98,31 @@ grep -q '^  1 of 2 cells changed$' log \
 if grep -q 'dir 0:\|dir 2:' log; then
   fail "unchanged or parallel cell listed: $(cat log)"
 fi
+cd ..
+
+# Smoke guard: a native fig4 cell reporting "conclusive":false fails a
+# smoke collection even with clause learning active; the same cell
+# reported conclusive passes.
+mkdir smoke
+cd smoke
+mkdir -p build/bench
+smoke_stub() {  # smoke_stub <true|false>
+  {
+    echo '#!/bin/sh'
+    printf "echo 'BENCH_JSON %s'\n" \
+      "{\"bench\":\"fig4_queue_sizes\",\"backend\":\"native\",\"mesh\":2,\"conclusive\":$1,\"learned_clauses\":5}"
+  } > build/bench/fig4_queue_sizes
+  chmod +x build/bench/fig4_queue_sizes
+}
+smoke_stub false
+if ADVOCAT_SMOKE=1 BENCH_PR='' "$collect" build BENCH.json 2> log; then
+  fail "inconclusive native cell passed the smoke guard: $(cat log)"
+fi
+grep -q 'SMOKE GUARD: native fig4 cells are inconclusive' log \
+  || fail "smoke guard did not name the inconclusive cell: $(cat log)"
+smoke_stub true
+ADVOCAT_SMOKE=1 BENCH_PR='' "$collect" build BENCH.json 2> log \
+  || fail "conclusive native cell failed the smoke guard: $(cat log)"
 cd ..
 
 echo "test_collect_bench: PASS"

@@ -331,7 +331,7 @@ void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
   into.conflicts += s.conflicts;
   into.conflicts_clause += s.conflicts_clause;
   into.conflicts_interval_farkas += s.conflicts_interval_farkas;
-  into.conflicts_interval_provenance += s.conflicts_interval_provenance;
+  into.conflicts_interval_integer += s.conflicts_interval_integer;
   into.leaves_reached += s.leaves_reached;
   into.leaves_refuted += s.leaves_refuted;
   into.decisions += s.decisions;

@@ -372,9 +372,9 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
     }
   }
 
-  // Interval bounds and branch-and-bound pins: only meaningful at settled
-  // sites — a Timeout can unwind past the leaf search's pops, leaving a
-  // crossed interval or a non-empty pin trail until the next reset.
+  // Interval bounds: only meaningful at settled sites — a Timeout can
+  // unwind between an interval crossing and its explanation, leaving the
+  // crossed interval until the next reset.
   if (bounds_settled) {
     for (std::size_t v = 0; v < ctx.lo_.size(); ++v) {
       if (ctx.lo_[v] > ctx.hi_[v]) {
@@ -382,10 +382,6 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
                                      std::to_string(ctx.lo_[v]) + " > hi " +
                                      std::to_string(ctx.hi_[v]));
       }
-    }
-    if (!ctx.pin_trail_.empty()) {
-      fail("pin-trail", std::to_string(ctx.pin_trail_.size()) +
-                            " pins outside the integer leaf search");
     }
   }
 

@@ -23,9 +23,9 @@
 //    audit (basis partition, row identities, slack-interning canonicity).
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
-// every integer interval and an empty branch-and-bound pin trail; a check
-// boundary reached through a Timeout is *not* settled (the exception can
-// unwind past the leaf search's pops) and skips those two checks.
+// every integer interval; a check boundary reached through a Timeout is
+// *not* settled (the exception can unwind between an interval crossing and
+// its explanation) and skips that check.
 #pragma once
 
 #include <string>
@@ -53,7 +53,7 @@ class Auditor {
   static void check_search(const SearchContext& ctx, const char* site);
   /// Full pass: check_search plus arena, watches, reasons, rows, bounds,
   /// and the simplex layer. `bounds_settled` additionally requires lo ≤ hi
-  /// everywhere and no in-flight branch-and-bound pins.
+  /// everywhere.
   static void check_deep(const SearchContext& ctx, const char* site,
                          bool bounds_settled);
 };

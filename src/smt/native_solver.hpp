@@ -3,8 +3,8 @@
 // The ADVOCAT encodings are boolean combinations of linear integer
 // constraints where every integer is bounded: queue occupancies by the
 // queue capacity, one-hot state indicators by 1, and the flow-completion
-// counters by the equalities tying them to occupancies. That makes a
-// small finite-domain solver sound and complete for them:
+// counters by the equalities tying them to occupancies. A CDCL(T) solver
+// over those bounded rows decides them:
 //
 //   1. Tseitin-encode the boolean skeleton of the assertion DAG; each
 //      distinct linear atom Σ c·x ≤ k becomes one propositional
@@ -21,19 +21,17 @@
 //   3. Every assigned atom activates one row; bounds propagation runs
 //      to fixpoint after each boolean step, prunes on conflict, and
 //      explains entailed atoms to the conflict analyzer. The row's bound
-//      is asserted in an exact rational simplex in step with the trail,
-//      and every interval conflict is explained by its Farkas rows.
-//   4. At a full boolean assignment, fail-first branch-and-bound over the
-//      remaining integer domains completes (or refutes) the assignment;
-//      refuted leaves are learned as blocking clauses over the theory
-//      atoms, so shared substructure is never re-refuted.
-//   5. Where intervals are structurally weak — tightening exhausts its
-//      budget, or a leaf degrades — the simplex (smt/simplex_theory.hpp
-//      over linalg/simplex.hpp) decides the active rows outright: Farkas
-//      infeasibility explanations become learned theory clauses, and
-//      divisibility plus branch-on-rational-vertex cuts extend the
-//      refutations to the integers, so infeasible *unbounded* flow
+//      is asserted in an exact rational simplex (smt/simplex_theory.hpp
+//      over linalg/simplex.hpp) in step with the trail, and interval
+//      conflicts are explained by its Farkas rows. Where intervals are
+//      structurally weak — tightening exhausts its budget — the simplex
+//      decides the active rows outright, so infeasible *unbounded* flow
 //      systems are refuted instead of degraded.
+//   4. At a full boolean assignment the simplex decides the active rows
+//      over the integers (branch-on-rational-vertex cuts): an integral
+//      vertex is the model, and a refuted leaf is learned as a blocking
+//      clause over its Farkas atoms, so shared substructure is never
+//      re-refuted.
 //
 // When neither theory concludes (e.g. the simplex branch budget runs out
 // on a rationally feasible, integer-open system) the solver degrades the

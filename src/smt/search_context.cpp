@@ -19,15 +19,6 @@ constexpr std::int64_t kNegInf = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kPosInf = std::numeric_limits<std::int64_t>::max();
 // Derived bounds are clamped strictly inside the sentinels.
 constexpr std::int64_t kBoundClamp = std::int64_t{1} << 60;
-// Finite window probed for variables the constraints never bounded; an
-// exhausted probe degrades Unsat to Unknown (Sat stays exact).
-constexpr std::int64_t kUnboundedProbes = 4;
-// Branch-and-bound node budget per boolean leaf; an exhausted budget
-// degrades the leaf to Unknown so one pathological leaf cannot stall the
-// whole search.
-constexpr std::uint64_t kIntNodeBudget = 50'000;
-// Widest finite domain enumerated exhaustively before the same degradation.
-constexpr std::int64_t kEnumWindow = 1 << 16;
 
 // CDCL tuning. Restarts follow the Luby sequence scaled by kRestartBase;
 // learned-clause reduction triggers once the live learned set exceeds
@@ -57,12 +48,6 @@ constexpr double kClaActRescale = 1e20;
 
 constexpr int kReasonNone = -1;    // decision / assumption / level-0 fact
 constexpr int kReasonTheory = -2;  // entailed by the active interval rows
-
-// Bound-provenance source codes: >= 0 is an active-row index, <= -2
-// encodes a branch-and-bound pin of integer variable pin_var(src).
-inline int pin_src(int var) { return -2 - var; }
-inline bool src_is_pin(int src) { return src <= -2; }
-inline int pin_var(int src) { return -2 - src; }
 
 // floor(a / b) for b > 0, exact in __int128.
 __int128 floor_div(__int128 a, std::int64_t b) {
@@ -98,9 +83,9 @@ SearchContext::SearchContext(const SharedProblem& shared) : sh_(shared) {
 // cancel() flag, the propagation/memory budgets, and deferred faults are
 // all polled here — and bump_ops is called from *every* potentially long
 // loop: boolean propagation, interval tightening, the entailed-atom
-// rescan, value enumeration and node expansion in branch-and-bound, and
-// (through the tick hook) the simplex pivot loop. Every governed unwind therefore originates from the
-// same program points a deadline can, so one proven exception-safety path
+// rescan, the provenance walk and (through the tick hook) the simplex
+// pivot loop. Every governed unwind therefore originates from the same
+// program points a deadline can, so one proven exception-safety path
 // covers them all.
 void SearchContext::bump_ops() {
   if ((++ops_ & 0x3ff) != 0) return;
@@ -256,7 +241,7 @@ int SearchContext::propagate_bool() {
 // derivation appends one entry so explanations can walk derivation
 // time — but it is rewound in lockstep with every undo mark and its
 // growth between marks is bounded by the same tightening budget.
-void SearchContext::set_bound(int v, bool is_hi, std::int64_t val, int src) {
+void SearchContext::set_bound(int v, bool is_hi, std::int64_t val, int ri) {
   auto& slot = is_hi ? hi_[static_cast<std::size_t>(v)]
                      : lo_[static_cast<std::size_t>(v)];
   auto& stamp = is_hi ? hi_stamp_[static_cast<std::size_t>(v)]
@@ -267,7 +252,7 @@ void SearchContext::set_bound(int v, bool is_hi, std::int64_t val, int src) {
   }
   slot = val;
   const int node = bnode(v, is_hi);
-  blog_.push_back(BoundLog{node, src, bhead_[static_cast<std::size_t>(node)]});
+  blog_.push_back(BoundLog{node, ri, bhead_[static_cast<std::size_t>(node)]});
   bhead_[static_cast<std::size_t>(node)] = static_cast<int>(blog_.size()) - 1;
   if (dirty_stamp_[static_cast<std::size_t>(v)] != dirty_gen_) {
     dirty_stamp_[static_cast<std::size_t>(v)] = dirty_gen_;
@@ -346,29 +331,22 @@ bool SearchContext::scan_violated_row() {
       }
       minsum += static_cast<__int128>(c) * b;
     }
-    if (finite && minsum > r.bound) {
-      conflict_row_ = static_cast<int>(ri);
-      conflict_var_ = -1;
-      return true;
-    }
+    if (finite && minsum > r.bound) return true;
   }
   return false;
 }
 
-// The rational simplex decides the active rows (plus branch-and-bound
-// pins) from its persistent basis. An infeasibility lands its Farkas tags
-// in sconf_rows_/sconf_pins_ and becomes the theory conflict. Runs on
-// every interval conflict (for a short explanation) and when tightening
-// exhausts its budget (an infeasible unbounded flow cycle is refuted in a
-// handful of pivots instead of walked one unit at a time).
+// The rational simplex decides the active rows from its persistent basis.
+// An infeasibility lands its Farkas rows in sconf_rows_ and becomes the
+// theory conflict. Runs on every interval conflict (for a short
+// explanation) and when tightening exhausts its budget (an infeasible
+// unbounded flow cycle is refuted in a handful of pivots instead of walked
+// one unit at a time).
 bool SearchContext::simplex_refute() {
-  const SimplexTheory::Result res = stx_.check(pin_trail_);
+  const SimplexTheory::Result res = stx_.check();
   sync_theory_stats();
   if (res.verdict != SimplexTheory::Verdict::Infeasible) return false;
   sconf_rows_ = res.conflict_rows;
-  sconf_pins_ = res.conflict_pins;
-  conflict_row_ = -1;
-  conflict_var_ = -1;
   return true;
 }
 
@@ -385,40 +363,30 @@ void SearchContext::emit_simplex_conflict() {
         neg(active_row_lit_[static_cast<std::size_t>(ri)]));
   }
   sconf_rows_.clear();
-  sconf_pins_.clear();
 }
 
 // Explains the pending theory conflict in theory_conflict_: the Farkas
 // rows of the simplex when it refutes the active rows (the common case —
-// a few atoms), else the provenance walk over the interval derivations
-// that actually produced the contradiction.
+// a few atoms). An integer-only conflict — the active rows are rationally
+// feasible — is blocked by every asserted atom above level 0: tightening
+// read only active rows, so that clause is entailed.
 void SearchContext::explain_interval_conflict() {
-  if (sconf_rows_.empty() && sconf_pins_.empty()) simplex_refute();
-  if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
+  if (sconf_rows_.empty()) simplex_refute();
+  if (!sconf_rows_.empty()) {
     ++stats_.conflicts_interval_farkas;
     sync_theory_stats();  // a bound crossing never ran a check
     emit_simplex_conflict();
     return;
   }
-  ++stats_.conflicts_interval_provenance;
-  expl_begin();
-  const int now = static_cast<int>(blog_.size());
-  if (conflict_row_ >= 0) {
-    expl_seed_row(conflict_row_, now, &theory_conflict_);
-  } else {
-    for (const bool hi : {false, true}) {
-      const int e = entry_before(bnode(conflict_var_, hi), now);
-      if (e >= 0) expl_push(e);
-    }
-  }
-  expl_run(&theory_conflict_, nullptr);
+  ++stats_.conflicts_interval_integer;
+  collect_theory_lits(trail_.size(), theory_conflict_);
 }
 
 // Interval tightening to fixpoint over the worklist; true on conflict.
 // Bounded: an infeasible integer cycle makes the fixpoint walk bounds one
 // unit per lap (no finite convergence), so refinement stops after a
-// budget proportional to the active system — sound, merely less pruning,
-// and the leaf search degrades the verdict to Unknown.
+// budget proportional to the active system — sound, merely less pruning;
+// the simplex then decides the active rows (simplex_refute).
 bool SearchContext::propagate_rows() {
   std::uint64_t budget = 64 * active_rows_.size() + 1024;
   while (!row_work_.empty()) {
@@ -441,8 +409,6 @@ bool SearchContext::propagate_rows() {
       else minsum += static_cast<__int128>(c) * b;
     }
     if (ninf == 0 && minsum > r.bound) {
-      conflict_row_ = ri;
-      conflict_var_ = -1;
       row_work_.clear();
       return true;
     }
@@ -483,8 +449,6 @@ bool SearchContext::propagate_rows() {
         --budget;
         if (lo_[static_cast<std::size_t>(v)] >
             hi_[static_cast<std::size_t>(v)]) {
-          conflict_row_ = -1;
-          conflict_var_ = v;  // lo/hi crossing: both sides' entries explain
           row_work_.clear();
           return true;
         }
@@ -519,7 +483,8 @@ bool SearchContext::activate_theory() {
 
 // ----------------------------------------------- provenance explanations
 //
-// A derivation's justification is a walk over the chronological bound
+// Explains entailed atoms (conflicts are explained by the simplex). A
+// derivation's justification is a walk over the chronological bound
 // log: entry e (row R derived this bound) is justified by R's activating
 // atom plus, for each min-side input of R, that input's latest log entry
 // OLDER than e. Walking derivation time — instead of a mutable
@@ -538,9 +503,6 @@ void SearchContext::expl_begin() {
   if (row_seen_.size() < active_rows_.size()) {
     row_seen_.resize(active_rows_.size(), 0);
   }
-  if (pin_seen_.size() < sh_.int_names.size()) {
-    pin_seen_.resize(sh_.int_names.size(), 0);
-  }
   if (entry_seen_.size() < blog_.size()) {
     entry_seen_.resize(blog_.size(), 0);
   }
@@ -548,18 +510,10 @@ void SearchContext::expl_begin() {
   expl_stack_.clear();
 }
 
-void SearchContext::emit_row_atom(int ri, std::vector<Lit>* atoms_out) {
-  if (atoms_out == nullptr) return;
+void SearchContext::emit_row_atom(int ri, std::vector<Lit>& atoms_out) {
   if (row_seen_[static_cast<std::size_t>(ri)] == expl_gen_) return;
   row_seen_[static_cast<std::size_t>(ri)] = expl_gen_;
-  atoms_out->push_back(neg(active_row_lit_[static_cast<std::size_t>(ri)]));
-}
-
-void SearchContext::collect_pin(int var, std::vector<int>* pins_out) {
-  if (pins_out == nullptr) return;
-  if (pin_seen_[static_cast<std::size_t>(var)] == expl_gen_) return;
-  pin_seen_[static_cast<std::size_t>(var)] = expl_gen_;
-  pins_out->push_back(var);
+  atoms_out.push_back(neg(active_row_lit_[static_cast<std::size_t>(ri)]));
 }
 
 void SearchContext::expl_push(int e) {
@@ -568,28 +522,14 @@ void SearchContext::expl_push(int e) {
   expl_stack_.push_back(e);
 }
 
-void SearchContext::expl_seed_row(int ri, int before,
-                                  std::vector<Lit>* atoms_out) {
-  emit_row_atom(ri, atoms_out);
-  for (const auto& [u, c] : active_rows_[static_cast<std::size_t>(ri)]->terms) {
-    const int e = entry_before(bnode(u, c < 0), before);
-    if (e >= 0) expl_push(e);
-  }
-}
-
-void SearchContext::expl_run(std::vector<Lit>* atoms_out,
-                             std::vector<int>* pins_out) {
+void SearchContext::expl_run(std::vector<Lit>& atoms_out) {
   while (!expl_stack_.empty()) {
     bump_ops();
     const int e = expl_stack_.back();
     expl_stack_.pop_back();
     const BoundLog& le = blog_[static_cast<std::size_t>(e)];
-    if (src_is_pin(le.src)) {
-      collect_pin(pin_var(le.src), pins_out);
-      continue;
-    }
-    const StaticRow& r = *active_rows_[static_cast<std::size_t>(le.src)];
-    emit_row_atom(le.src, atoms_out);
+    const StaticRow& r = *active_rows_[static_cast<std::size_t>(le.row)];
+    emit_row_atom(le.row, atoms_out);
     const int out_var = le.node >> 1;
     for (const auto& [u, c] : r.terms) {
       // The derivation consumed the row's min-side inputs (lo for
@@ -640,7 +580,7 @@ bool SearchContext::propagate_entailed_atoms() {
         // assigned *after* this literal, breaking the analyzer's
         // reverse-trail walk.
         expl_scratch_.clear();
-        expl_run(&expl_scratch_, nullptr);
+        expl_run(expl_scratch_);
         expl_off_[static_cast<std::size_t>(v)] =
             static_cast<std::uint32_t>(expl_pool_.size());
         expl_len_[static_cast<std::size_t>(v)] =
@@ -1158,236 +1098,51 @@ void SearchContext::compact_arena() {
 
 // ------------------------------------------------------------ leaf search
 
-void SearchContext::capture_model() {
+// The model of a Sat leaf: the boolean assignment plus the simplex's
+// integer values, one per variable of the active rows.
+void SearchContext::capture_model(const std::vector<theory::Pin>& values) {
   Model m;
   for (const auto& [v, name] : sh_.named_bools) {
     if (assign_[static_cast<std::size_t>(v)] != kUndef) {
       m.set_bool(name, assign_[static_cast<std::size_t>(v)] == kTrue);
     }
   }
-  for (std::size_t v = 0; v < sh_.int_names.size(); ++v) {
-    if (lo_[v] != kNegInf && lo_[v] == hi_[v]) {
-      m.set_int(sh_.int_names[v], lo_[v]);
-    }
+  for (const theory::Pin& p : values) {
+    m.set_int(sh_.int_names[static_cast<std::size_t>(p.var)], p.value);
   }
   model_ = std::move(m);
 }
 
-bool SearchContext::pins_contain(const std::vector<int>& pins, int v) {
-  return std::find(pins.begin(), pins.end(), v) != pins.end();
-}
-
-// Queues the justification of the conflict propagate_rows just reported,
-// evaluated at the current end of the provenance log.
-void SearchContext::seed_row_conflict() {
-  const int now = static_cast<int>(blog_.size());
-  if (conflict_row_ >= 0) {
-    expl_seed_row(conflict_row_, now, nullptr);
-  } else {
-    for (const bool hi : {false, true}) {
-      const int e = entry_before(bnode(conflict_var_, hi), now);
-      if (e >= 0) expl_push(e);
-    }
-  }
-}
-
-// Branch-and-bound completion of the integer domains at a full boolean
-// assignment, with conflict-directed backjumping; see the pre-split
-// solver for the full commentary. Sat captures the model before
-// returning; `conflict_pins` accumulates the pin set on Unsat.
-SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
-                                    std::vector<int>& conflict_pins) {
-  bump_ops();
-  if (int_budget_ == 0) return SatResult::Unknown;
-  --int_budget_;
-  int best = -1;
-  std::int64_t best_width = kPosInf;
-  for (int v : branch_vars) {
-    const std::int64_t lo = lo_[static_cast<std::size_t>(v)];
-    const std::int64_t hi = hi_[static_cast<std::size_t>(v)];
-    if (lo == hi) continue;
-    const std::int64_t width =
-        (lo == kNegInf || hi == kPosInf) ? kPosInf - 1 : hi - lo;
-    if (width < best_width) {
-      best_width = width;
-      best = v;
-    }
-  }
-  if (best < 0) {  // every constrained variable is fixed
-    capture_model();
-    return SatResult::Sat;
-  }
-
-  const std::int64_t lo = lo_[static_cast<std::size_t>(best)];
-  const std::int64_t hi = hi_[static_cast<std::size_t>(best)];
-  std::vector<std::int64_t> values;
-  bool artificial = false;
-  if (lo != kNegInf && hi != kPosInf && hi - lo <= kEnumWindow) {
-    // Boundary-first: witnesses pin most variables at a domain endpoint
-    // (empty queues, saturated blockers), so probe lo, hi, then walk the
-    // interior outward from lo. Equality propagation usually fixes the
-    // rest after the first few assignments.
-    values.push_back(lo);
-    if (hi != lo) values.push_back(hi);
-    for (std::int64_t x = lo + 1; x < hi; ++x) {
-      bump_ops();
-      values.push_back(x);
-    }
-  } else if (lo != kNegInf) {
-    artificial = true;
-    for (std::int64_t x = lo; x < lo + kUnboundedProbes; ++x) {
-      values.push_back(x);
-    }
-  } else if (hi != kPosInf) {
-    artificial = true;
-    for (std::int64_t x = hi; x > hi - kUnboundedProbes; --x) {
-      values.push_back(x);
-    }
-  } else {
-    artificial = true;
-    values.push_back(0);
-    for (std::int64_t x = 1; x <= kUnboundedProbes / 2; ++x) {
-      values.push_back(x);
-      values.push_back(-x);
-    }
-  }
-
-  bool unknown = false;
-  std::vector<int> node_pins;   // union of per-value conflicts, sans best
-  std::vector<int> value_pins;  // per-value scratch
-  for (const std::int64_t val : values) {
-    bump_ops();
-    const std::size_t mark = undo_.size();
-    const std::size_t bmark = blog_.size();
-    ++undo_era_;
-    set_bound(best, false, val, pin_src(best));
-    set_bound(best, true, val, pin_src(best));
-    pin_trail_.push_back(theory::Pin{best, val});
-    row_work_.clear();
-    for (int rj : row_occ_[static_cast<std::size_t>(best)]) {
-      row_work_.push_back(rj);
-    }
-    value_pins.clear();
-    bool refuted = false;
-    if (propagate_rows()) {
-      if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
-        // Simplex refutation: the Farkas certificate names the pins it
-        // used directly — exactly the conflict set the backjumping
-        // wants. The rows are boolean-level context covered by the
-        // blocking clause learned at the leaf.
-        for (const int pi : sconf_pins_) {
-          const int pv = pin_trail_[static_cast<std::size_t>(pi)].var;
-          if (!pins_contain(value_pins, pv)) value_pins.push_back(pv);
-        }
-        sconf_rows_.clear();
-        sconf_pins_.clear();
-      } else {
-        expl_begin();
-        seed_row_conflict();
-        expl_run(nullptr, &value_pins);
+// Completes the integer domains at a full boolean assignment: the simplex
+// decides the active rows exactly — rationally and, via branch-on-
+// rational-vertex cuts, over the integers. Unsat leaves the Farkas rows in
+// sconf_rows_ for the caller's blocking clause; Sat captures the model; a
+// blown branch budget keeps the honest Unknown.
+SatResult SearchContext::int_complete() {
+  std::vector<int> int_vars;
+  std::vector<char> seen(sh_.int_names.size(), 0);
+  for (const StaticRow* r : active_rows_) {
+    for (const auto& [v, c] : r->terms) {
+      (void)c;
+      if (!seen[static_cast<std::size_t>(v)]) {
+        seen[static_cast<std::size_t>(v)] = 1;
+        int_vars.push_back(v);
       }
-      refuted = true;
-    } else {
-      const SatResult r = int_branch(branch_vars, value_pins);
-      if (r == SatResult::Sat) {
-        undo_to(mark);
-        rewind_blog(bmark);
-        pin_trail_.pop_back();
-        return SatResult::Sat;
-      }
-      if (r == SatResult::Unknown) unknown = true;
-      else refuted = true;
-    }
-    undo_to(mark);
-    rewind_blog(bmark);
-    pin_trail_.pop_back();
-    if (refuted && !pins_contain(value_pins, best)) {
-      // The refutation never used best's pin: it holds for every value
-      // of best (even ones probed earlier with an Unknown verdict) —
-      // the whole node is refuted, skip the other values.
-      for (int p : value_pins) {
-        if (!pins_contain(conflict_pins, p)) conflict_pins.push_back(p);
-      }
-      return SatResult::Unsat;
-    }
-    for (int p : value_pins) {
-      if (p != best && !pins_contain(node_pins, p)) node_pins.push_back(p);
     }
   }
-  if (artificial) unknown = true;
-  if (unknown) return SatResult::Unknown;
-  for (int p : node_pins) {
-    if (!pins_contain(conflict_pins, p)) conflict_pins.push_back(p);
-  }
-  // The enumerated domain itself rests on best's entry bounds, whose
-  // provenance may reach ancestor pins through rows — collect them
-  // transitively (the loop's rewinds restored the entry state).
-  expl_begin();
-  const int now = static_cast<int>(blog_.size());
-  for (const bool hi : {false, true}) {
-    const int e = entry_before(bnode(best, hi), now);
-    if (e >= 0) expl_push(e);
-  }
-  expl_run(nullptr, &conflict_pins);
-  return SatResult::Unsat;
-}
-
-// Final-check rescue for a leaf the branch-and-bound search degraded to
-// Unknown: the simplex decides the active rows exactly — rationally and,
-// via branch-on-rational-vertex cuts, over the integers. Unsat leaves the
-// Farkas rows in sconf_rows_ for the caller's blocking clause; Sat pins
-// the integer witness and captures the model; a blown branch budget keeps
-// the honest Unknown.
-SatResult SearchContext::simplex_rescue(const std::vector<int>& int_vars) {
   const SimplexTheory::Result res = stx_.check_integer(int_vars);
   sync_theory_stats();
   switch (res.verdict) {
     case SimplexTheory::Verdict::Infeasible:
       sconf_rows_ = res.conflict_rows;
-      sconf_pins_.clear();  // no pins were passed
       return SatResult::Unsat;
     case SimplexTheory::Verdict::IntegerModel:
-      ++undo_era_;
-      for (const theory::Pin& p : res.model) {
-        set_bound(p.var, false, p.value, pin_src(p.var));
-        set_bound(p.var, true, p.value, pin_src(p.var));
-      }
-      capture_model();
+      capture_model(res.model);
       return SatResult::Sat;
     case SimplexTheory::Verdict::Feasible:
       break;  // rationally feasible, integer-open: stay Unknown
   }
   return SatResult::Unknown;
-}
-
-SatResult SearchContext::int_complete() {
-  std::vector<int> branch_vars;
-  std::vector<char> seen(sh_.int_names.size(), 0);
-  auto mark_var = [&](int v) {
-    if (!seen[static_cast<std::size_t>(v)]) {
-      seen[static_cast<std::size_t>(v)] = 1;
-      branch_vars.push_back(v);
-    }
-  };
-  for (const StaticRow* r : active_rows_) {
-    for (const auto& [v, c] : r->terms) {
-      (void)c;
-      mark_var(v);
-    }
-  }
-  const std::size_t mark = undo_.size();
-  const std::size_t bmark = blog_.size();
-  ++undo_era_;
-  int_budget_ = kIntNodeBudget;
-  std::vector<int> conflict_pins;  // top-level pins: none to report to
-  SatResult r = int_branch(branch_vars, conflict_pins);
-  if (r != SatResult::Sat) {
-    undo_to(mark);
-    rewind_blog(bmark);
-  }
-  // A degraded leaf gets the exact simplex as a second opinion.
-  if (r == SatResult::Unknown) r = simplex_rescue(branch_vars);
-  return r;
 }
 
 // ---------------------------------------------------------- check driving
@@ -1401,11 +1156,11 @@ SatResult SearchContext::int_complete() {
 // rebuilt.
 void SearchContext::reset_search() {
   // Unwind the previous check: restore every bound changed since scope 0
-  // (Sat leaves bounds pinned for model capture) and unassign the trail,
-  // saving its polarities as the next check's phase hints.
+  // and unassign the trail, saving its polarities as the next check's
+  // phase hints.
   levels_.clear();
   deactivate_rows_to(0);
-  stx_.retract_to(0);  // a Timeout can unwind past a check's pin retraction
+  stx_.retract_to(0);  // a Timeout can unwind past a check's cut retraction
   undo_to(0);
   rewind_blog(0);
   polarity_.resize(static_cast<std::size_t>(sh_.num_bvars), kUndef);
@@ -1417,9 +1172,7 @@ void SearchContext::reset_search() {
   trail_.clear();
   qhead_ = theory_head_ = 0;
   row_work_.clear();
-  pin_trail_.clear();  // a Timeout can unwind past the leaf search's pops
   sconf_rows_.clear();
-  sconf_pins_.clear();
   clear_dirty();
 
   // Compact the clause arena: drop tombstones and tainted clauses. Safe
@@ -1587,13 +1340,12 @@ SatResult SearchContext::run_check() {
     if (leaf == SatResult::Unknown) saw_unknown_ = true;
     else ++stats_.leaves_refuted;
     // Block this combination of theory atoms. For a refuted leaf the
-    // blocking clause is a theory lemma — the exact Farkas atoms when
-    // the simplex produced the refutation, the full asserted-atom set
-    // otherwise; for an Unknown leaf it is *not* entailed — it (and
-    // everything learned after it) is tainted and the final Unsat
-    // degrades to Unknown.
+    // blocking clause is a theory lemma — the atoms of the simplex's
+    // refutation; for an Unknown leaf it is the full asserted-atom set,
+    // which is *not* entailed — it (and everything learned after it) is
+    // tainted and the final Unsat degrades to Unknown.
     theory_conflict_.clear();
-    if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
+    if (!sconf_rows_.empty()) {
       emit_simplex_conflict();
     } else {
       collect_theory_lits(trail_.size(), theory_conflict_);
@@ -1646,8 +1398,9 @@ SatResult SearchContext::solve(const CheckJob& job) {
     last_stop_ = util::StopReason::kDegraded;
   }
   if (audit_enabled()) {
-    // A Timeout can unwind past the leaf search's pin pops and leave a
-    // transiently crossed interval until the next reset — checked relaxed.
+    // A Timeout can unwind between an interval crossing and its
+    // explanation, leaving the crossed interval until the next reset —
+    // checked relaxed.
     Auditor::check_deep(*this, "check-boundary", /*bounds_settled=*/false);
   }
   stats_.learned_kept = num_learned_live_;

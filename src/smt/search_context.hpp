@@ -178,7 +178,7 @@ class SearchContext {
 
   // ------------------------------------------------------------ propagate
   int propagate_bool();
-  void set_bound(int v, bool is_hi, std::int64_t val, int src);
+  void set_bound(int v, bool is_hi, std::int64_t val, int ri);
   void undo_to(std::size_t mark);
   void rewind_blog(std::size_t mark);
   void activate_row(const StaticRow* r, Lit cause);
@@ -195,11 +195,9 @@ class SearchContext {
   static int bnode(int v, bool is_hi) { return 2 * v + (is_hi ? 1 : 0); }
   [[nodiscard]] int entry_before(int node, int before) const;
   void expl_begin();
-  void emit_row_atom(int ri, std::vector<Lit>* atoms_out);
-  void collect_pin(int var, std::vector<int>* pins_out);
+  void emit_row_atom(int ri, std::vector<Lit>& atoms_out);
   void expl_push(int e);
-  void expl_seed_row(int ri, int before, std::vector<Lit>* atoms_out);
-  void expl_run(std::vector<Lit>* atoms_out, std::vector<int>* pins_out);
+  void expl_run(std::vector<Lit>& atoms_out);
   bool propagate_entailed_atoms();
   void clear_dirty();
 
@@ -245,12 +243,7 @@ class SearchContext {
   void compact_arena();
 
   // ---------------------------------------------------------- leaf search
-  void capture_model();
-  static bool pins_contain(const std::vector<int>& pins, int v);
-  void seed_row_conflict();
-  SatResult int_branch(const std::vector<int>& branch_vars,
-                       std::vector<int>& conflict_pins);
-  SatResult simplex_rescue(const std::vector<int>& int_vars);
+  void capture_model(const std::vector<theory::Pin>& values);
   SatResult int_complete();
 
   // -------------------------------------------------------- check driving
@@ -303,15 +296,12 @@ class SearchContext {
   std::vector<std::uint64_t> scan_stamp_;  // atom index -> last scan
   std::uint64_t scan_gen_ = 0;
   bool saw_unknown_ = false;
-  std::uint64_t int_budget_ = 0;
 
   // Exact theory layer (tableau, basis and slack dedup persist with the
   // context — the incremental half of the simplex). Its bounds follow the
   // trail: exactly the active rows are asserted, tagged by row index.
   SimplexTheory stx_;
-  std::vector<theory::Pin> pin_trail_;  // branch-and-bound pins in effect
   std::vector<int> sconf_rows_;  // pending simplex conflict: row indices
-  std::vector<int> sconf_pins_;  // pending simplex conflict: pin indices
 
   // CDCL working state.
   std::vector<double> activity_;
@@ -331,17 +321,14 @@ class SearchContext {
   // Provenance-explanation machinery (see the .cpp section comment).
   struct BoundLog {
     int node;  // 2*var + (is_hi ? 1 : 0)
-    int src;   // active-row index or pin code
+    int row;   // active-row index that derived the bound
     int prev;  // previous log entry for `node`, or -1
   };
   std::vector<BoundLog> blog_;  // chronological bound-derivation log
   std::vector<int> bhead_;      // bound node -> latest log entry or -1
-  int conflict_row_ = -1;       // set by propagate_rows on conflict
-  int conflict_var_ = -1;
   std::vector<int> expl_stack_;            // justification worklist
   std::vector<std::uint64_t> entry_seen_;  // per log entry, stamped
   std::vector<std::uint64_t> row_seen_;    // per active row: atom emitted
-  std::vector<std::uint64_t> pin_seen_;    // per int var: pin collected
   std::uint64_t expl_gen_ = 0;
   std::vector<Lit> expl_pool_;  // stored explanations, level-scoped
   std::vector<Lit> expl_scratch_;

@@ -12,19 +12,20 @@ using util::BigInt;
 
 namespace {
 
-// Internal tag space: rows keep their index (>= 0), pin p becomes -1-p,
-// and branch-on-vertex cut bounds use a reserved tag that is filtered out
-// of every explanation (over the integers the two branch bounds form a
-// tautology, so a refutation of both branches refutes the node without
-// them).
+// Internal tag space: rows keep their index (>= 0), and branch-on-vertex
+// cut bounds use a reserved tag that is filtered out of every explanation
+// (over the integers the two branch bounds form a tautology, so a
+// refutation of both branches refutes the node without them).
 constexpr int kBranchTag = std::numeric_limits<int>::min();
-inline int pin_tag(int p) { return -1 - p; }
-inline bool tag_is_pin(int t) { return t < 0 && t != kBranchTag; }
 
-// Branch-and-bound node budget per integer-complete check. Each node costs
-// one simplex re-check; an exhausted budget keeps the honest `Feasible`
-// (integer-open) verdict, which the solver degrades to Unknown as before.
-constexpr std::uint64_t kBranchBudget = 128;
+// Branch-and-bound limits per integer-complete check: the node budget
+// (each node costs one simplex re-check) and the recursion depth. Either
+// exhausted keeps the honest `Feasible` (integer-open) verdict, which the
+// solver degrades to Unknown. Sized from measurement: the parity system
+// x = 2y ∧ x = 2z+1 with 0 ≤ x ≤ 2000 and small random bounded systems
+// (docs/SOLVER.md, degradation ladder) decide within them.
+constexpr std::uint64_t kBranchBudget = 50'000;
+constexpr int kBranchDepth = 4096;
 
 // floor of an exact rational as a BigInt (BigInt division truncates toward
 // zero, so negative non-integral quotients need the -1 adjustment).
@@ -91,20 +92,6 @@ void SimplexTheory::collect_farkas_tags(std::vector<int>& used) const {
   }
 }
 
-void SimplexTheory::capture_farkas(Result& out) const {
-  // Only a refutation free of branch-cut bounds is a single Farkas
-  // combination of the caller's rows/pins; a branch-tagged term means the
-  // contradiction needs that cut as a premise, so no flat multiplier list
-  // certifies it.
-  for (const linalg::FarkasTerm& t : spx_.farkas()) {
-    if (t.tag == kBranchTag) {
-      out.farkas.clear();
-      return;
-    }
-  }
-  out.farkas = spx_.farkas();
-}
-
 SimplexTheory::Verdict SimplexTheory::branch(const std::vector<int>& int_vars,
                                              int depth,
                                              std::vector<int>& used,
@@ -126,7 +113,7 @@ SimplexTheory::Verdict SimplexTheory::branch(const std::vector<int>& int_vars,
     }
     return Verdict::IntegerModel;
   }
-  if (branch_budget_ == 0 || depth > 64) return Verdict::Feasible;
+  if (branch_budget_ == 0 || depth > kBranchDepth) return Verdict::Feasible;
   --branch_budget_;
 
   const int ext = spx_.var(frac);
@@ -193,64 +180,37 @@ std::string SimplexTheory::audit() const {
   return spx_.audit();
 }
 
-SimplexTheory::Result SimplexTheory::check(
-    const std::vector<theory::Pin>& pins) {
-  return decide(pins, nullptr);
-}
+SimplexTheory::Result SimplexTheory::check() { return decide(nullptr); }
 
 SimplexTheory::Result SimplexTheory::check_integer(
     const std::vector<int>& int_vars) {
-  return decide({}, &int_vars);
+  return decide(&int_vars);
 }
 
-SimplexTheory::Result SimplexTheory::decide(
-    const std::vector<theory::Pin>& pins, const std::vector<int>* int_vars) {
-  // Injected theory timeout. Thrown before any bound is asserted, so it
+SimplexTheory::Result SimplexTheory::decide(const std::vector<int>* int_vars) {
+  // Injected theory timeout. Thrown before any cut is asserted, so it
   // unwinds exactly like a deadline tick fired on the first pivot — the
   // host's established recovery path.
   if (util::fault::enabled() &&
       util::fault::fire(util::fault::Site::kTheoryTimeout)) {
     throw util::fault::FaultInjected{};
   }
-  const std::size_t base = spx_.mark();
   Result out;
   std::vector<int> used;
-  bool conflict = false;
-  for (std::size_t p = 0; p < pins.size() && !conflict; ++p) {
-    const int ext = spx_.var(pins[p].var);
-    const Rational v(pins[p].value);
-    if (!spx_.assert_upper(ext, v, pin_tag(static_cast<int>(p))) ||
-        !spx_.assert_lower(ext, v, pin_tag(static_cast<int>(p)))) {
-      collect_farkas_tags(used);
-      capture_farkas(out);
-      conflict = true;
-    }
+  if (spx_.check()) {
+    if (int_vars == nullptr) return out;
+    branch_budget_ = kBranchBudget;
+    out.verdict = branch(*int_vars, 0, used, out);
+    if (out.verdict != Verdict::Infeasible) return out;
+  } else {
+    collect_farkas_tags(used);
   }
-  if (!conflict) {
-    if (spx_.check()) {
-      if (int_vars != nullptr) {
-        branch_budget_ = kBranchBudget;
-        out.verdict = branch(*int_vars, 0, used, out);
-      }
-      if (out.verdict != Verdict::Infeasible) {
-        spx_.retract_to(base);
-        return out;
-      }
-    } else {
-      collect_farkas_tags(used);
-      capture_farkas(out);
-    }
-  }
-  spx_.retract_to(base);
 
-  // Infeasible: split the internal tags into the caller's rows and pins.
+  // Infeasible: the refutation's row tags, each once.
   out.verdict = Verdict::Infeasible;
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());
-  for (const int t : used) {
-    if (tag_is_pin(t)) out.conflict_pins.push_back(-1 - t);
-    else out.conflict_rows.push_back(t);
-  }
+  out.conflict_rows = std::move(used);
   ++explanations_;
   return out;
 }

@@ -1,5 +1,5 @@
 // Exact linear-arithmetic theory layer: bridges the native solver's active
-// row/pin state onto the incremental rational simplex (linalg/simplex.hpp).
+// rows onto the incremental rational simplex (linalg/simplex.hpp).
 //
 // The bridge owns one persistent Simplex per search context. Tableau
 // structure is permanent and deduplicated: each distinct linear form gets
@@ -10,11 +10,12 @@
 // Bounds follow the caller's trail (Dutertre & de Moura, CAV 2006): the
 // caller asserts each row as it becomes active (assert_row) and retracts
 // them LIFO on backjump (mark/retract_to), so check() always pivots from
-// the previous vertex over exactly the active rows. Pins are asserted on
-// top for the duration of one check() and retracted before it returns.
+// the previous vertex over exactly the active rows. Branch cuts are
+// asserted on top for the duration of one check_integer() and retracted
+// before it returns.
 //
 // Verdicts are exact or honest: `Infeasible` comes with a Farkas
-// explanation mapped back to row/pin tags (the SMT layer learns it as a
+// explanation mapped back to row tags (the SMT layer learns it as a
 // theory clause); `IntegerModel` is a full integer assignment for every
 // requested variable; `Feasible` means rationally feasible but
 // integer-openness remains (rational-only mode, or the branch budget ran
@@ -36,7 +37,7 @@ class SimplexTheory {
  public:
   enum class Verdict {
     Feasible,      ///< rationally feasible; integers not decided
-    Infeasible,    ///< exact refutation; conflict_rows/conflict_pins set
+    Infeasible,    ///< exact refutation; conflict_rows set
     IntegerModel,  ///< integer witness; model set
   };
 
@@ -44,16 +45,6 @@ class SimplexTheory {
     Verdict verdict = Verdict::Feasible;
     /// Infeasible: tags of the asserted rows the refutation used.
     std::vector<int> conflict_rows;
-    /// Infeasible: indices into the `pins` argument the refutation used.
-    std::vector<int> conflict_pins;
-    /// Infeasible via one rational Farkas combination (no branch cuts
-    /// involved): the exact positive multipliers, in the internal tag
-    /// space (row index >= 0, pin p as -1-p). Summing multiplier-scaled
-    /// rows cancels every variable and leaves a contradictory constant —
-    /// an independently checkable certificate of the refutation. Empty
-    /// when the refutation composed several branch-and-bound leaves (no
-    /// single combination exists) or a constant row refuted alone.
-    std::vector<linalg::FarkasTerm> farkas;
     /// IntegerModel: value per requested integer variable.
     std::vector<theory::Pin> model;
   };
@@ -69,10 +60,9 @@ class SimplexTheory {
   [[nodiscard]] std::size_t mark() const { return spx_.mark(); }
   void retract_to(std::size_t mark) { spx_.retract_to(mark); }
 
-  /// Decides the asserted rows plus `pins` (var = value each) over the
-  /// rationals, starting from the persistent basis. Pin p explains as
-  /// conflict_pins entry p.
-  Result check(const std::vector<theory::Pin>& pins);
+  /// Decides the asserted rows over the rationals, starting from the
+  /// persistent basis.
+  Result check();
   /// Decides the asserted rows over the integers: a rationally feasible
   /// system is completed by branch-on-rational-vertex cuts on `int_vars`
   /// under a node budget.
@@ -105,19 +95,15 @@ class SimplexTheory {
 
   SlackRef slack_for(const theory::Row& row);
   SlackRef intern_slack(const theory::Row& row);
-  // Shared body of check()/check_integer(): pins on top, integer
-  // completion when `int_vars` is non-null; everything it asserts is
-  // retracted before it returns.
-  Result decide(const std::vector<theory::Pin>& pins,
-                const std::vector<int>* int_vars);
+  // Shared body of check()/check_integer(): integer completion when
+  // `int_vars` is non-null; every cut it asserts is retracted before it
+  // returns.
+  Result decide(const std::vector<int>* int_vars);
   // Branch-on-rational-vertex integer completion; appends used non-branch
   // tags to `used`. Returns the verdict for the current bound state.
   Verdict branch(const std::vector<int>& int_vars, int depth,
                  std::vector<int>& used, Result& out);
   void collect_farkas_tags(std::vector<int>& used) const;
-  // Copies the tableau's current Farkas terms into `out.farkas` when they
-  // form a single branch-free combination (see Result::farkas).
-  void capture_farkas(Result& out) const;
 
   linalg::Simplex spx_;
   // Two-level interning: by row identity (rows are stable, immutable atom

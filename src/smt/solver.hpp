@@ -43,11 +43,11 @@ struct SolveStats {
   /// falsified clause; an interval conflict is explained either by the
   /// simplex's Farkas rows (`_farkas`, incl. bound crossings between two
   /// rows on one linear form) or, when the active rows are rationally
-  /// feasible, by the interval provenance walk (`_provenance`). The rest
-  /// are refuted or degraded leaves.
+  /// feasible (an integer-only conflict), by every asserted atom above
+  /// level 0 (`_integer`). The rest are refuted or degraded leaves.
   std::uint64_t conflicts_clause = 0;
   std::uint64_t conflicts_interval_farkas = 0;
-  std::uint64_t conflicts_interval_provenance = 0;
+  std::uint64_t conflicts_interval_integer = 0;
   /// Full boolean assignments handed to the integer leaf search, and the
   /// ones it refuted (each refutation becomes a blocking clause).
   std::uint64_t leaves_reached = 0;
@@ -248,7 +248,7 @@ class Solver {
 /// Selects the solver implementation behind make_solver().
 enum class Backend {
   Auto,    ///< Z3 when compiled in, otherwise the native solver.
-  Native,  ///< In-tree DPLL + bounded-integer branch-and-bound.
+  Native,  ///< In-tree CDCL(T) with an exact simplex leaf decision.
   Z3,      ///< libz3 (only when built with ADVOCAT_WITH_Z3).
 };
 

@@ -318,12 +318,13 @@ TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
       EXPECT_EQ(a.farkas_explanations, b.farkas_explanations)
           << what << " round " << round;
     };
-    // Three rounds in four get bounded domains (native stays complete and
-    // definite verdicts abound); the fourth leaves the variables unbounded
-    // so the sessions exercise the simplex theory layer — Farkas
+    // Three rounds in four get bounded domains, where the native solver is
+    // complete: it never answers Unknown. The fourth leaves the variables
+    // unbounded so the sessions exercise the simplex theory layer — Farkas
     // refutations, divisibility cuts, branch-on-vertex — where Unknown is
     // tolerated but any definite verdict must still match the oracle.
-    if (round % 4 != 3) {
+    const bool bounded = round % 4 != 3;
+    if (bounded) {
       for (ExprId v : ivars) {
         add_all(f.le(f.int_const(-6), v));
         add_all(f.le(v, f.int_const(6)));
@@ -350,9 +351,12 @@ TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
           ASSERT_EQ(rn, solvers[1]->check_assuming(a))
               << "native twins diverged, round " << round;
           expect_twins_in_sync("check_assuming");
-          // The native solver may degrade a search to Unknown
+          // The native solver may degrade an unbounded search to Unknown
           // (documented); definite verdicts must agree with the oracle
           // exactly.
+          if (bounded) {
+            EXPECT_NE(rn, SatResult::Unknown) << "bounded round " << round;
+          }
           if (with_z3 && rn != SatResult::Unknown) {
             ASSERT_EQ(rn, solvers[2]->check_assuming(a))
                 << "round " << round;
@@ -364,6 +368,9 @@ TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
           ASSERT_EQ(rn, solvers[1]->check_assuming(scoped))
               << "native twins diverged, round " << round;
           expect_twins_in_sync("check");
+          if (bounded) {
+            EXPECT_NE(rn, SatResult::Unknown) << "bounded round " << round;
+          }
           if (with_z3 && rn != SatResult::Unknown) {
             ASSERT_EQ(rn, solvers[2]->check_assuming(scoped))
                 << "round " << round;

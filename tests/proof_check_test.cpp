@@ -7,15 +7,15 @@
 // trust anchor of the whole proof pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "backend_fixture.hpp"
 #include "proof_check.hpp"
 #include "smt/expr.hpp"
-#include "smt/simplex_theory.hpp"
 #include "smt/solver.hpp"
-#include "smt/theory.hpp"
 
 namespace advocat::smt {
 namespace {
@@ -137,24 +137,76 @@ TEST(ProofCertificate, AssumptionRefutationCertified) {
   EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
 }
 
+// Equalities whose refutation is integer-only (the rows are rationally
+// feasible) certify on bounded domains of any width the leaf's simplex
+// search covers: parity x = 2y ∧ x = 2z+1 with 0 ≤ x ≤ W, and a random
+// 3-variable system over [0, 60] (seed 1881 of a random bounded-system
+// generator) that the simplex decides only with its full branch budget.
+// The counters pin which path refutes: on a narrow domain tightening walks
+// x's bounds until its budget runs out, the violated-row scan finds the
+// crossed row, and the rationally feasible rows leave the asserted atoms
+// as the explanation (an integer conflict); on a wide one the leaf's
+// simplex refutes.
 TEST(ProofCertificate, EqualityAndDisequalityCertified) {
-  ExprFactory f;
-  auto s = make_solver(f, Backend::Native);
-  CaptureSink sink;
-  s->set_proof_sink(&sink);
-  const ExprId x = f.int_var("x");
-  const ExprId y = f.int_var("y");
-  // x = 2y (even) ∧ x = 2z+1 (odd) — needs equality splitting or cuts.
-  const ExprId z = f.int_var("z");
-  s->add(f.eq(x, f.mul_const(2, y)));
-  s->add(f.eq(x, f.add({f.mul_const(2, z), f.int_const(1)})));
-  s->add(f.le(f.int_const(0), x));
-  s->add(f.le(x, f.int_const(20)));
-  ASSERT_EQ(s->check(), SatResult::Unsat);
-  ASSERT_EQ(sink.certs.size(), 1u);
-  EXPECT_TRUE(sink.certs[0].complete) << sink.certs[0].reason;
-  const CheckResult r = check_proof_text(sink.certs[0].text);
-  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  struct Case {
+    const char* name;
+    std::function<void(ExprFactory&, Solver&)> assert_all;
+    std::uint64_t integer_conflicts;
+    std::uint64_t leaves_refuted;
+  };
+  auto parity = [](std::int64_t w) {
+    return [w](ExprFactory& f, Solver& s) {
+      const ExprId x = f.int_var("x");
+      const ExprId y = f.int_var("y");
+      const ExprId z = f.int_var("z");
+      s.add(f.eq(x, f.mul_const(2, y)));
+      s.add(f.eq(x, f.add({f.mul_const(2, z), f.int_const(1)})));
+      s.add(f.le(f.int_const(0), x));
+      s.add(f.le(x, f.int_const(w)));
+    };
+  };
+  const std::vector<Case> cases = {
+      {"parity W=20", parity(20), 1, 0},
+      {"parity W=200", parity(200), 1, 0},
+      {"parity W=2000", parity(2000), 0, 1},
+      {"seed 1881",
+       [](ExprFactory& f, Solver& s) {
+         // 2a − 3b − 3c = −150 ∧ −3a + 2b − 3c = −137, a, b, c ∈ [0, 60].
+         const ExprId a = f.int_var("a");
+         const ExprId b = f.int_var("b");
+         const ExprId c = f.int_var("c");
+         s.add(f.eq(f.add({f.mul_const(2, a), f.mul_const(-3, b),
+                           f.mul_const(-3, c)}),
+                    f.int_const(-150)));
+         s.add(f.eq(f.add({f.mul_const(-3, a), f.mul_const(2, b),
+                           f.mul_const(-3, c)}),
+                    f.int_const(-137)));
+         for (const ExprId v : {a, b, c}) {
+           s.add(f.le(f.int_const(0), v));
+           s.add(f.le(v, f.int_const(60)));
+         }
+       },
+       0, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExprFactory f;
+    auto s = make_solver(f, Backend::Native);
+    CaptureSink sink;
+    s->set_proof_sink(&sink);
+    c.assert_all(f, *s);
+    EXPECT_EQ(s->check(), SatResult::Unsat);
+    if (sink.certs.size() != 1) {
+      ADD_FAILURE() << sink.certs.size() << " certificates";
+      continue;
+    }
+    EXPECT_TRUE(sink.certs[0].complete) << sink.certs[0].reason;
+    const CheckResult r = check_proof_text(sink.certs[0].text);
+    EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+    EXPECT_EQ(s->solve_stats().conflicts_interval_integer,
+              c.integer_conflicts);
+    EXPECT_EQ(s->solve_stats().leaves_refuted, c.leaves_refuted);
+  }
 }
 
 TEST(ProofCertificate, MidSessionAttachMarkedIncomplete) {
@@ -320,38 +372,6 @@ TEST(ProofMutation, AttestedCertificateAcceptedAsAttested) {
       check_proof_text("advocat-proof 1\nmode attested z3\nqed\n");
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.mode, "attested");
-}
-
-// ---------------------------------------------- Farkas multiplier surface
-// The theory bridge exposes the exact multipliers of a branch-free
-// refutation (SimplexTheory::Result::farkas); re-substituting them must
-// cancel every column and cross zero — the same invariant the proof
-// checker enforces on serialized `f` steps.
-TEST(SimplexFarkas, ExposedMultipliersCancelExactly) {
-  SimplexTheory th;
-  theory::Row r1{{{0, 1}, {1, 1}}, 3};    //  x + y ≤ 3
-  theory::Row r2{{{0, -1}}, -2};          //  x ≥ 2
-  theory::Row r3{{{1, -1}}, -2};          //  y ≥ 2
-  ASSERT_TRUE(th.assert_row(r1, 0));
-  ASSERT_TRUE(th.assert_row(r2, 1));
-  ASSERT_TRUE(th.assert_row(r3, 2));
-  const SimplexTheory::Result res = th.check({});
-  ASSERT_EQ(res.verdict, SimplexTheory::Verdict::Infeasible);
-  ASSERT_FALSE(res.farkas.empty());
-  const std::vector<theory::Row> rows{r1, r2, r3};
-  util::Rational col_x(0), col_y(0), bound(0);
-  for (const linalg::FarkasTerm& t : res.farkas) {
-    ASSERT_GE(t.tag, 0);
-    ASSERT_LT(static_cast<std::size_t>(t.tag), rows.size());
-    EXPECT_FALSE(t.mult.is_negative());
-    for (const auto& [v, c] : rows[static_cast<std::size_t>(t.tag)].terms) {
-      (v == 0 ? col_x : col_y) += t.mult * util::Rational(c);
-    }
-    bound += t.mult * util::Rational(rows[static_cast<std::size_t>(t.tag)].bound);
-  }
-  EXPECT_TRUE(col_x.is_zero());
-  EXPECT_TRUE(col_y.is_zero());
-  EXPECT_TRUE(bound.is_negative());
 }
 
 }  // namespace

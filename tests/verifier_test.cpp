@@ -438,7 +438,7 @@ TEST(SolverCounters, SizingRefutesNoLeafAndExplainsWithFarkasRows) {
   }
   EXPECT_EQ(s.leaves_reached, sat_probes);
   EXPECT_EQ(s.conflicts, s.conflicts_clause + s.conflicts_interval_farkas +
-                             s.conflicts_interval_provenance);
+                             s.conflicts_interval_integer);
   EXPECT_GT(s.mean_conflict_lits, 0.0);
 }
 
