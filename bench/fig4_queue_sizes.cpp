@@ -3,9 +3,10 @@
 //
 // Paper values: 3 for the 2x2 mesh; a 4x4 mesh shows 23 (corner rows) and
 // 15 (inner rows, e.g. directory at (1,1)); a 5x5 mesh shows 39/29/19 by
-// row distance from the centre. Our model reproduces 3 (2x2) and the 4x4
-// values 23/15 exactly; the shape (monotone in mesh size and in the
-// directory row's distance from the centre) is the claim under test.
+// row distance from the centre. Our model reproduces 3 (2x2), the 4x4
+// values 23/15 and the 5x5 values 39/29/19 exactly; the shape (monotone in
+// mesh size and in the directory row's distance from the centre) is the
+// claim under test.
 //
 // Every sizing run probes capacities as assumption flips on one live
 // Verifier session (validate/derive/encode once). Every available backend
@@ -14,17 +15,12 @@
 // scripts/collect_bench.sh checks.
 //
 // Each conclusive cell is checked against a reference table: the paper's
-// values for 2x2 (3 everywhere) and 4x4 (23 in rows 0 and 3, 15 in rows 1
-// and 2), and this model's verified 3x3 values (11 in rows 0 and 2, 5 in
-// row 1). A definite mismatch exits 1. A sizing run that hit an Unknown
-// probe (solver timeout / degraded search) is reported as conclusive=false
-// and not checked. 5x5 (ADVOCAT_FULL) has no verified reference and is
-// reported only.
-// A `--threads N` flag (default: ADVOCAT_THREADS, i.e. 1) runs the sizing
-// searches with N concurrent capacity probes (round-based ladder +
-// k-section; see QueueSizingOptions::probe_threads) — the lever behind the
-// PR6 parallel-speedup trajectory (BENCH_PR6.json compares --threads 16
-// against the sequential baseline).
+// values for 2x2 (3 everywhere), 4x4 (23 in rows 0 and 3, 15 in rows 1
+// and 2) and 5x5 (ADVOCAT_FULL only: 39 in rows 0 and 4, 29 in rows 1 and
+// 3, 19 in row 2), and this model's verified 3x3 values (11 in rows 0 and
+// 2, 5 in row 1). A definite mismatch exits 1. A sizing run that hit an
+// Unknown probe (solver timeout / degraded search) is reported as
+// conclusive=false and not checked.
 // A `--position-threads N` flag (default 1) runs the directory-position
 // sweep itself in parallel: every cell of a mesh's grid is an independent
 // sizing problem (its own nets, Verifier sessions, and solver), so cells
@@ -35,34 +31,30 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "advocat/verifier.hpp"
 #include "bench_util.hpp"
 #include "coherence/mi_abstract.hpp"
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 using namespace advocat;
 
 namespace {
 
-unsigned g_threads = 1;
 unsigned g_position_threads = 1;
 
 /// Per-cell certificate sink, installed only when ADVOCAT_PROOF_DIR is set
 /// (the CI certification step): serializes every refutation of the sizing
 /// ladder so the standalone advocat-check binary can revalidate them, and
-/// accumulates proof cost for the BENCH_JSON line. Thread-safe because
-/// parallel capacity probes share one cell's sink.
+/// accumulates proof cost for the BENCH_JSON line. Each cell owns its
+/// sink, and a cell's probes run one at a time.
 class CellProofSink : public smt::ProofSink {
  public:
   explicit CellProofSink(std::string prefix) : prefix_(std::move(prefix)) {}
 
   void on_unsat_certificate(const smt::Certificate& cert) override {
-    const std::lock_guard<std::mutex> lock(mu_);
     ++count_;
     if (!cert.complete) ++incomplete_;
     bytes_ += cert.proof_bytes;
@@ -77,7 +69,6 @@ class CellProofSink : public smt::ProofSink {
   [[nodiscard]] double ms() const { return ms_; }
 
  private:
-  mutable std::mutex mu_;
   std::string prefix_;
   std::size_t count_ = 0;
   std::size_t incomplete_ = 0;
@@ -100,7 +91,6 @@ core::QueueSizingResult size_run(int k, int dir_node, smt::Backend backend,
   options.max_capacity = 256;
   options.verify.backend = backend;
   options.verify.proof_sink = sink;
-  options.probe_threads = g_threads;
   // Default runs stay bounded: a rare pathological directory position can
   // take the native solver ~1000x longer than its neighbours, and an
   // inconclusive cell (reported, not failed) beats an hour-long stall.
@@ -118,6 +108,7 @@ std::size_t reference_capacity(int k, int dir) {
     case 2: return 3;
     case 3: return outer ? 11 : 5;
     case 4: return outer ? 23 : 15;
+    case 5: return row == 2 ? 19 : (outer ? 39 : 29);
     default: return 0;
   }
 }
@@ -135,20 +126,14 @@ struct CellResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_threads = util::env_threads(1);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      g_threads = n < 1 ? 1 : (n > 256 ? 256u : static_cast<unsigned>(n));
-    } else if (std::strcmp(argv[i], "--position-threads") == 0 &&
-               i + 1 < argc) {
+    if (std::strcmp(argv[i], "--position-threads") == 0 && i + 1 < argc) {
       const long n = std::strtol(argv[++i], nullptr, 10);
       g_position_threads =
           n < 1 ? 1 : (n > 256 ? 256u : static_cast<unsigned>(n));
     }
   }
   bench::header("E4 / Fig. 4", "minimal queue sizes found by ADVOCAT");
-  if (g_threads > 1) std::printf("(parallel probes: %u threads)\n", g_threads);
   if (g_position_threads > 1) {
     std::printf("(parallel position sweep: %u threads)\n", g_position_threads);
   }
@@ -198,7 +183,6 @@ int main(int argc, char** argv) {
               .field("backend", smt::to_string(backend))
               .field("mesh", k)
               .field("directory_node", dir)
-              .field("probe_threads", static_cast<std::size_t>(g_threads))
               .field("position_threads",
                      static_cast<std::size_t>(g_position_threads))
               .field("minimal_capacity", r.minimal_capacity)
@@ -238,6 +222,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nreference: 2x2 -> 3 everywhere; 3x3 -> 11 (outer rows) / "
               "5 (inner row); 4x4 -> 23 (outer rows) / 15 (inner rows); "
-              "paper 5x5 -> 39/29/19 by row (not checked).\n");
+              "5x5 -> 39/29/19 by row distance from the centre.\n");
   return status;
 }

@@ -1,15 +1,12 @@
 #include "advocat/verifier.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "smt/expr.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace advocat::core {
@@ -47,8 +44,7 @@ Verifier::Verifier(xmas::Network net, VerifyOptions options)
     throw std::invalid_argument(
         "verify: VerifyOptions::threads = " +
         std::to_string(options_.threads) +
-        " is not supported: each check is one sequential search (use 0 or "
-        "1; QueueSizingOptions::probe_threads runs probes in parallel)");
+        " is not supported: each check is one sequential search (use 0 or 1)");
   }
   util::Stopwatch total;
 
@@ -293,78 +289,27 @@ VerifyResult verify(const xmas::Network& net, const VerifyOptions& options) {
   return session.check();
 }
 
-namespace {
-
-/// Overall-search deadline for a sizing run (QueueSizingOptions::budget).
-/// The discrete ceilings are per-probe and travel on the VerifyOptions.
-class SizingDeadline {
- public:
-  explicit SizingDeadline(const util::ResourceBudget& b)
-      : active_(b.deadline_ms != 0),
-        at_(std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(b.deadline_ms)) {}
-  [[nodiscard]] bool expired() const {
-    return active_ && std::chrono::steady_clock::now() >= at_;
-  }
-
- private:
-  bool active_;
-  std::chrono::steady_clock::time_point at_;
-};
-
-/// Copies the sizing budget's per-probe ceilings onto the per-check
-/// verify budget wherever the caller left the latter unlimited; the
-/// overall deadline is the scheduler's, never the probe's.
-VerifyOptions with_probe_budget(const VerifyOptions& base,
-                                const util::ResourceBudget& sizing) {
-  VerifyOptions vo = base;
-  util::ResourceBudget& b = vo.budget;
-  if (b.max_conflicts == 0) b.max_conflicts = sizing.max_conflicts;
-  if (b.max_decisions == 0) b.max_decisions = sizing.max_decisions;
-  if (b.max_propagations == 0) b.max_propagations = sizing.max_propagations;
-  if (b.max_memory_bytes == 0) b.max_memory_bytes = sizing.max_memory_bytes;
-  return vo;
-}
-
-void add_stats(smt::SolveStats& into, const smt::SolveStats& s) {
-  into.mean_conflict_lits = smt::merged_mean_conflict_lits(into, s);
-  into.conflicts += s.conflicts;
-  into.conflicts_clause += s.conflicts_clause;
-  into.conflicts_interval_farkas += s.conflicts_interval_farkas;
-  into.conflicts_interval_integer += s.conflicts_interval_integer;
-  into.leaves_reached += s.leaves_reached;
-  into.leaves_refuted += s.leaves_refuted;
-  into.decisions += s.decisions;
-  into.propagations += s.propagations;
-  into.restarts += s.restarts;
-  into.learned_clauses += s.learned_clauses;
-  into.deleted_clauses += s.deleted_clauses;
-  into.learned_kept += s.learned_kept;
-  into.learned_hits += s.learned_hits;
-  into.theory_pivots += s.theory_pivots;
-  into.farkas_explanations += s.farkas_explanations;
-  into.arena_compactions += s.arena_compactions;
-  into.arena_bytes = std::max(into.arena_bytes, s.arena_bytes);
-  into.peak_arena_bytes = std::max(into.peak_arena_bytes, s.peak_arena_bytes);
-  into.stop_reason = util::combine(into.stop_reason, s.stop_reason);
-}
-
-}  // namespace
-
-// Round-based capacity search: a ladder round probes the next W exponential
-// rungs concurrently, then k-section rounds narrow the bad/good interval
-// with up to W evenly spaced midpoints per round; at W = 1 that is the
-// plain exponential + binary search. Each worker owns a full Verifier
-// session, so learned clauses persist within a worker across its rounds.
-// make_net, the probe_compatible contract check and all result
-// bookkeeping stay on the scheduling thread. Probes are assigned worker
-// i % W statically, so for a fixed W the whole probe sequence (and
-// QueueSizingResult::probes) is deterministic; the final verdict never
-// depends on W because a capacity is only accepted on its own definite
-// Unsat.
+// One session, one loop: an exponential ladder min, 3min, 7min, ...
+// (clamped to max_capacity) climbs until a probe is proven free, then a
+// binary search narrows the gap below it. Every probe is an assumption
+// flip on the same Verifier, so learned clauses carry across the whole
+// run. Only a definite Unsat accepts a capacity; an Unknown probe counts
+// as not proven free (sound under monotonicity, possibly over-sized —
+// unknown_probes tells the caller).
 QueueSizingResult find_minimal_queue_size(
     const std::function<xmas::Network(std::size_t)>& make_net,
     const QueueSizingOptions& options) {
+  if (options.probe_threads > 1) {
+    throw std::invalid_argument(
+        "find_minimal_queue_size: QueueSizingOptions::probe_threads = " +
+        std::to_string(options.probe_threads) +
+        " is not supported: capacities are probed one at a time on one "
+        "session (use 0 or 1)");
+  }
+  if (options.min_capacity == 0) {
+    throw std::invalid_argument(
+        "find_minimal_queue_size: min_capacity must be at least 1");
+  }
   if (options.min_capacity > options.max_capacity) {
     throw std::invalid_argument(
         "find_minimal_queue_size: min_capacity " +
@@ -377,146 +322,64 @@ QueueSizingResult find_minimal_queue_size(
         std::to_string(options.max_capacity) + " exceeds " +
         std::to_string(xmas::kMaxQueueCapacity));
   }
-  const unsigned width = std::min(
-      options.probe_threads == 0 ? util::env_threads(1) : options.probe_threads,
-      16u);
   util::Stopwatch total;
   QueueSizingResult result;
-  const SizingDeadline deadline(options.budget);
-
-  VerifyOptions vo = with_probe_budget(options.verify, options.budget);
+  VerifyOptions vo = options.verify;
   vo.symbolic_capacities = true;
-  std::vector<std::unique_ptr<Verifier>> sessions;
-  sessions.reserve(width);
-  for (unsigned w = 0; w < width; ++w) {
-    sessions.push_back(
-        std::make_unique<Verifier>(make_net(options.min_capacity), vo));
-  }
+  Verifier session(make_net(options.min_capacity), vo);
 
-  // Probes one round of capacities concurrently (ascending, deduped by the
-  // callers) and returns their verdicts in the same order.
-  auto run_round = [&](const std::vector<std::size_t>& caps) {
-    std::vector<xmas::Network> candidates;
-    candidates.reserve(caps.size());
-    for (std::size_t cap : caps) {
-      candidates.push_back(make_net(cap));
-      if (!sessions[0]->probe_compatible(candidates.back())) {
-        throw std::invalid_argument(
-            "find_minimal_queue_size: make_net(" + std::to_string(cap) +
-            ") differs from make_net(" + std::to_string(options.min_capacity) +
-            ") in more than queue capacities");
-      }
+  // Probes one capacity and records it; true when proven deadlock-free.
+  auto proven_free = [&](std::size_t cap) {
+    const xmas::Network candidate = make_net(cap);
+    if (!session.probe_compatible(candidate)) {
+      throw std::invalid_argument(
+          "find_minimal_queue_size: make_net(" + std::to_string(cap) +
+          ") differs from make_net(" + std::to_string(options.min_capacity) +
+          ") in more than queue capacities");
     }
-    std::vector<smt::SatResult> verdicts(caps.size(),
-                                         smt::SatResult::Unknown);
-    std::vector<util::StopReason> reasons(caps.size(),
-                                          util::StopReason::kNone);
-    util::parallel_for_static(caps.size(), width, [&](std::size_t i) {
-      const VerifyResult r =
-          sessions[i % width]->probe_capacities(candidates[i]);
-      verdicts[i] = r.report.result;
-      // Captured per probe (a session's own stop_reason only remembers
-      // its most recent check, which may be a later probe of this round).
-      if (verdicts[i] == smt::SatResult::Unknown) {
-        reasons[i] = r.stop_reason == util::StopReason::kNone
-                         ? util::StopReason::kDegraded
-                         : r.stop_reason;
-      }
-    });
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      result.probes.emplace_back(caps[i], verdicts[i]);
-      if (verdicts[i] == smt::SatResult::Unknown) {
-        ++result.unknown_probes;
-        result.stop_reason = util::combine(result.stop_reason, reasons[i]);
-      }
+    const VerifyResult r = session.probe_capacities(candidate);
+    result.probes.emplace_back(cap, r.report.result);
+    if (r.report.result == smt::SatResult::Unknown) {
+      ++result.unknown_probes;
+      result.stop_reason = util::combine(result.stop_reason, r.stop_reason);
     }
-    return verdicts;
+    return r.report.result == smt::SatResult::Unsat;
   };
 
-  // Ladder rounds: exponential rungs min, min + 2min, min + 2min + 4min,
-  // ... clamped to max_capacity, W rungs at a time. Only a definite Unsat
-  // ends the ladder; Unknown keeps climbing (sound under monotonicity,
-  // possibly over-sized — unknown_probes tells the caller).
+  // Candidates for the minimum live in [lo, hi]; hi == 0 until a probe
+  // proves a capacity free.
+  std::size_t lo = options.min_capacity;
   std::size_t hi = 0;
-  std::size_t last_bad = options.min_capacity - 1;
   std::size_t step = options.min_capacity;
-  std::size_t cap = options.min_capacity;
-  bool exhausted = false;
-  while (hi == 0 && !exhausted) {
-    if (deadline.expired()) {
-      // Out of overall budget before a free capacity was found: stop
-      // launching probes. minimal_capacity stays 0 ("none proven"),
-      // which is sound, and the reason is on the result.
-      result.stop_reason =
-          util::combine(result.stop_reason, util::StopReason::kDeadline);
+  for (std::size_t cap = options.min_capacity; hi == 0;) {
+    if (proven_free(cap)) {
+      hi = cap;
+    } else if (cap == options.max_capacity) {
       break;
-    }
-    std::vector<std::size_t> rung;
-    while (rung.size() < width) {
-      rung.push_back(cap);
-      if (cap == options.max_capacity) {
-        exhausted = true;
-        break;
-      }
+    } else {
+      lo = cap + 1;
       step *= 2;
-      cap = cap + step > options.max_capacity ? options.max_capacity
-                                              : cap + step;
-    }
-    const std::vector<smt::SatResult> verdicts = run_round(rung);
-    for (std::size_t i = 0; i < rung.size(); ++i) {
-      if (verdicts[i] == smt::SatResult::Unsat) {
-        hi = rung[i];
-        break;
-      }
-      last_bad = rung[i];
+      cap = std::min(cap + step, options.max_capacity);
     }
   }
+  while (hi != 0 && lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (proven_free(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  result.minimal_capacity = hi;
 
-  if (hi != 0) {
-    // k-section narrowing of (last_bad, hi]: candidates live in
-    // [lo, hi - 1]; every round either lowers hi (some midpoint proved
-    // free) or raises lo past its bad midpoints, so the interval shrinks
-    // every round.
-    std::size_t lo = last_bad + 1;
-    while (lo < hi) {
-      if (deadline.expired()) {
-        // hi is already a proven-free capacity; reporting it un-narrowed
-        // is sound, just possibly oversized — flagged by the reason.
-        result.stop_reason =
-            util::combine(result.stop_reason, util::StopReason::kDeadline);
-        break;
-      }
-      const std::size_t span = hi - lo;
-      const std::size_t k = std::min<std::size_t>(width, span);
-      std::vector<std::size_t> mids;
-      mids.reserve(k);
-      for (std::size_t j = 1; j <= k; ++j) {
-        const std::size_t m = lo + span * j / (k + 1);
-        if (mids.empty() || mids.back() != m) mids.push_back(m);
-      }
-      const std::vector<smt::SatResult> verdicts = run_round(mids);
-      for (std::size_t i = 0; i < mids.size(); ++i) {
-        if (verdicts[i] == smt::SatResult::Unsat) {
-          hi = mids[i];
-          break;
-        }
-        lo = mids[i] + 1;
-      }
-    }
-    result.minimal_capacity = hi;
-  }
-
-  for (const auto& s : sessions) {
-    add_stats(result.solve_stats, s->solve_stats());
-    const SessionStats& st = s->stats();
-    result.validations += st.validations;
-    result.invariant_generations += st.invariant_generations;
-    result.encodes += st.encodes;
-    result.solver_checks += st.checks;
-    result.analysis_ms += s->analysis_ms();
-    result.diagnostics =
-        std::max(result.diagnostics, s->diagnostics().size());
-  }
+  result.solve_stats = session.solve_stats();
+  const SessionStats& st = session.stats();
+  result.validations = st.validations;
+  result.invariant_generations = st.invariant_generations;
+  result.encodes = st.encodes;
+  result.solver_checks = st.checks;
+  result.analysis_ms = session.analysis_ms();
+  result.diagnostics = session.diagnostics().size();
   result.seconds = total.seconds();
   return result;
 }

@@ -54,8 +54,7 @@ struct VerifyOptions {
   bool symbolic_capacities = false;
   /// Retired: every solver check is one sequential search. Only 0 and 1
   /// are accepted (both mean that search); a larger value makes Verifier
-  /// construction throw std::invalid_argument. Parallelism lives one level
-  /// up, in QueueSizingOptions::probe_threads. The field stays until the
+  /// construction throw std::invalid_argument. The field stays until the
   /// callers that still set it are updated.
   unsigned threads = 0;
   /// Per-check resource ceilings (deadline, conflicts, decisions,
@@ -73,9 +72,7 @@ struct VerifyOptions {
   /// Certify Unsat verdicts: receives an independently checkable proof
   /// certificate for every Unsat the session's solver reports (see
   /// smt::Solver::set_proof_sink and docs/PROOFS.md). The sink must
-  /// outlive the session; under parallel capacity probing
-  /// (QueueSizingOptions::probe_threads > 1) it is called concurrently
-  /// from several sessions and must be thread-safe.
+  /// outlive the session.
   smt::ProofSink* proof_sink = nullptr;
 };
 
@@ -229,25 +226,16 @@ class Verifier {
 VerifyResult verify(const xmas::Network& net, const VerifyOptions& options = {});
 
 struct QueueSizingOptions {
-  std::size_t min_capacity = 1;
+  std::size_t min_capacity = 1;  ///< at least 1
   std::size_t max_capacity = 256;
+  /// Per-probe options. Their limits (timeout_ms, budget) bound the whole
+  /// run too: it makes at most about 2·log2(max_capacity) probes.
   VerifyOptions verify;
-  /// Concurrent capacity probes. 1 gives the sequential exponential +
-  /// binary search; N > 1 runs each exponential ladder round and each
-  /// narrowing round (k-section) N probes at a time over N worker
-  /// sessions, each its own Verifier (learned clauses persist per worker
-  /// across its rounds). make_net is only ever called from the scheduling
-  /// thread. 0 takes the ADVOCAT_THREADS environment default. Probe order
-  /// — and therefore QueueSizingResult::probes — is deterministic for a
-  /// fixed thread count; the verdict is thread-count-independent.
+  /// Retired: capacities are probed one at a time on one session. Only 0
+  /// and 1 are accepted (both mean that search); a larger value makes
+  /// find_minimal_queue_size throw std::invalid_argument. The field stays
+  /// until the callers that still set it are updated.
   unsigned probe_threads = 1;
-  /// Resource governance for the whole sizing run: deadline_ms bounds the
-  /// *overall* search wall clock (the scheduler stops launching probes
-  /// once it expires and reports kDeadline), while the discrete ceilings
-  /// (conflicts/decisions/propagations/memory) apply per probe via
-  /// verify.budget semantics. Partial results stay sound: a capacity is
-  /// only ever accepted on its own definite Unsat.
-  util::ResourceBudget budget{};
 };
 
 struct QueueSizingResult {
@@ -263,29 +251,25 @@ struct QueueSizingResult {
   /// still sound (a capacity is only accepted on a definite Unsat) but may
   /// be larger than the true minimum.
   std::size_t unknown_probes = 0;
-  /// Why the search degraded, combined over every Unknown probe and the
-  /// scheduler's own deadline (highest-priority reason wins; kNone when
-  /// every probe was definite and the search ran to completion).
+  /// Why the search degraded, combined over every Unknown probe
+  /// (highest-priority reason wins; kNone when every probe was definite).
   util::StopReason stop_reason = util::StopReason::kNone;
   double seconds = 0.0;
-  /// Final solver search effort, summed over the worker sessions (each
-  /// session-cumulative over its probes).
+  /// The session's final solver search effort, cumulative over its probes.
   smt::SolveStats solve_stats;
 
   // Instrumentation (see SessionStats): a whole sizing run costs one
-  // validation + one invariant generation + one encode per worker
-  // session, and one solver check per probe. (Each probe additionally
-  // builds the candidate network and derives its typing as the
-  // probe_compatible fingerprint; that contract check is not a pipeline
-  // stage and is not counted here.)
+  // validation + one invariant generation + one encode, and one solver
+  // check per probe. (Each probe additionally builds the candidate
+  // network and derives its typing as the probe_compatible fingerprint;
+  // that contract check is not a pipeline stage and is not counted here.)
   std::size_t validations = 0;
   std::size_t invariant_generations = 0;
   std::size_t encodes = 0;
   std::size_t solver_checks = 0;
 
-  /// Cumulative static-analysis wall clock across every session the search
-  /// built, in milliseconds, and the number of analyzer diagnostics
-  /// (warnings) the probed network carries.
+  /// The session's static-analysis wall clock in milliseconds, and the
+  /// number of analyzer diagnostics (warnings) the probed network carries.
   double analysis_ms = 0.0;
   std::size_t diagnostics = 0;
 };
@@ -293,13 +277,13 @@ struct QueueSizingResult {
 /// Finds the minimal uniform queue capacity for which `make_net(capacity)`
 /// verifies deadlock-free. Assumes monotonicity (larger queues never
 /// introduce deadlocks — true for the paper's case studies): exponential
-/// probe up from min_capacity, then binary search (k-section with
-/// QueueSizingOptions::probe_threads > 1). Every probe is an assumption
-/// flip on a live Verifier session built once from
+/// probe up from min_capacity, then binary search. Every probe is an
+/// assumption flip on one live Verifier session built once from
 /// `make_net(min_capacity)`, so make_net must vary only queue capacities
-/// with its argument. Throws std::invalid_argument when min_capacity
-/// exceeds max_capacity, when max_capacity exceeds
-/// xmas::kMaxQueueCapacity, or when a probed network fails
+/// with its argument. Throws std::invalid_argument, before make_net is
+/// called, when probe_threads exceeds 1, when min_capacity is 0 or
+/// exceeds max_capacity, or when max_capacity exceeds
+/// xmas::kMaxQueueCapacity; and when a probed network fails
 /// Verifier::probe_compatible against the session's (the message names
 /// the capacity).
 QueueSizingResult find_minimal_queue_size(

@@ -67,13 +67,13 @@ struct SolveStats {
   /// dead weight; the sizing loops show millions.
   std::uint64_t learned_hits = 0;
   /// Pivot steps performed by the exact simplex theory layer (native
-  /// backend only; see docs/SOLVER.md). Stays 0 on workloads the interval
-  /// theory decides alone — the simplex runs only where intervals are
-  /// structurally weak (unbounded flow systems, degraded leaves).
+  /// backend only; see docs/SOLVER.md). The simplex checks every interval
+  /// conflict and decides every leaf, so any search that reaches either
+  /// pivots (the 4x4 dir 0 sizing run: 788).
   std::uint64_t theory_pivots = 0;
-  /// Farkas infeasibility explanations the simplex layer produced; each
-  /// one became a learned theory clause (or a conflict-directed backjump
-  /// inside the integer leaf search).
+  /// Farkas infeasibility explanations the simplex layer produced (bound
+  /// crossings, infeasible checks, refuted leaves): the rows that explain
+  /// interval conflicts and leaf blocking clauses.
   std::uint64_t farkas_explanations = 0;
   /// Bytes held by the search context's packed clause arena (gauge, like
   /// learned_kept: the size at the last check boundary, not a cumulative
@@ -92,17 +92,6 @@ struct SolveStats {
   /// is what the memory ceiling and capacity planning care about.
   std::uint64_t peak_arena_bytes = 0;
 };
-
-/// mean_conflict_lits of two SolveStats blocks summed together: the mean
-/// over both, weighted by their conflict counts.
-inline double merged_mean_conflict_lits(const SolveStats& a,
-                                        const SolveStats& b) {
-  const std::uint64_t n = a.conflicts + b.conflicts;
-  if (n == 0) return 0.0;
-  return (a.mean_conflict_lits * static_cast<double>(a.conflicts) +
-          b.mean_conflict_lits * static_cast<double>(b.conflicts)) /
-         static_cast<double>(n);
-}
 
 /// An independently checkable refutation of one Unsat check. `text` is the
 /// full certificate in the line-oriented grammar of docs/PROOFS.md: the

@@ -1,11 +1,10 @@
 // Validated environment-variable parsing for the runtime knobs.
 //
-// The knobs (ADVOCAT_THREADS, ADVOCAT_TEST_TIMEOUT_MS, ...) are read in
-// several layers — solver, verifier, benches, test fixtures — so the
-// validation lives here once: garbage, negative, and overflowing values
-// are rejected with a one-line stderr warning and fall back to a sane
-// default instead of feeding raw strtoul bits into thread counts or
-// std::chrono::milliseconds.
+// The knobs (ADVOCAT_TEST_TIMEOUT_MS, ADVOCAT_AUDIT, ...) are read in
+// several layers — solver, benches, test fixtures — so the validation
+// lives here once: garbage, negative, and overflowing values are rejected
+// with a one-line stderr warning and fall back to a sane default instead
+// of feeding raw strtoul bits into std::chrono::milliseconds.
 #pragma once
 
 #include <cerrno>
@@ -45,14 +44,6 @@ inline unsigned long env_uint(const char* name, unsigned long fallback,
     return clamped;
   }
   return static_cast<unsigned long>(u);
-}
-
-/// ADVOCAT_THREADS: worker threads for the capacity-probe scheduler when
-/// QueueSizingOptions::probe_threads is 0 (and for fig4's --threads
-/// default). Unset or 1 = one probe at a time.
-inline unsigned env_threads(unsigned fallback = 1) {
-  return static_cast<unsigned>(
-      env_uint("ADVOCAT_THREADS", fallback, 1, 256));
 }
 
 /// ADVOCAT_TEST_TIMEOUT_MS: global override for per-query test timeouts

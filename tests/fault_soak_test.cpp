@@ -404,21 +404,16 @@ TEST(FaultSoak, SizingUnderFaultsIsSoundAndFaultIndependentWhenDefinite) {
   for (int round = 0; round < 6; ++round) {
     const std::string spec = random_schedule(rng);
     ASSERT_TRUE(fault::configure(spec.c_str())) << spec;
-    for (const unsigned probe_threads : {1u, 3u}) {
-      o.probe_threads = probe_threads;
-      const core::QueueSizingResult r = core::find_minimal_queue_size(make, o);
-      if (r.unknown_probes == 0) {
-        // Every probe definite → the sizing result is fault- and
-        // thread-count-independent.
-        EXPECT_EQ(r.minimal_capacity, reference.minimal_capacity)
-            << spec << " threads=" << probe_threads;
-      } else {
-        // Degraded probes may only ever oversize (or fail to find a
-        // capacity), never undersize: acceptance needs a definite Unsat.
-        EXPECT_NE(r.stop_reason, util::StopReason::kNone) << spec;
-        if (r.minimal_capacity != 0) {
-          EXPECT_GE(r.minimal_capacity, reference.minimal_capacity) << spec;
-        }
+    const core::QueueSizingResult r = core::find_minimal_queue_size(make, o);
+    if (r.unknown_probes == 0) {
+      // Every probe definite → the sizing result is fault-independent.
+      EXPECT_EQ(r.minimal_capacity, reference.minimal_capacity) << spec;
+    } else {
+      // Degraded probes may only ever oversize (or fail to find a
+      // capacity), never undersize: acceptance needs a definite Unsat.
+      EXPECT_NE(r.stop_reason, util::StopReason::kNone) << spec;
+      if (r.minimal_capacity != 0) {
+        EXPECT_GE(r.minimal_capacity, reference.minimal_capacity) << spec;
       }
     }
   }

@@ -234,16 +234,43 @@ TEST_P(QueueSizing, MinimalCapacityMatchesOneShotVerify) {
   o.min_capacity = 1;
   o.max_capacity = 16;
   o.verify = options();
-  for (const unsigned width : {1u, 2u}) {
-    o.probe_threads = width;
-    const QueueSizingResult r = find_minimal_queue_size(make, o);
-    ASSERT_GT(r.minimal_capacity, 1u) << "width " << width;
-    EXPECT_TRUE(verify(make(r.minimal_capacity), options()).deadlock_free())
-        << "width " << width;
-    EXPECT_FALSE(
-        verify(make(r.minimal_capacity - 1), options()).deadlock_free())
-        << "width " << width;
+  const QueueSizingResult r = find_minimal_queue_size(make, o);
+  ASSERT_GT(r.minimal_capacity, 1u);
+  EXPECT_TRUE(verify(make(r.minimal_capacity), options()).deadlock_free());
+  EXPECT_FALSE(verify(make(r.minimal_capacity - 1), options()).deadlock_free());
+}
+
+TEST_P(QueueSizing, ProbeThreadsAboveOneAreRejected) {
+  // Capacities are probed one at a time on one session: 0 and 1 both mean
+  // that search, and any larger width is refused with a message naming the
+  // field instead of being silently ignored.
+  std::size_t calls = 0;
+  auto make = [&calls](std::size_t cap) {
+    ++calls;
+    coh::MiAbstractConfig config;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  QueueSizingOptions o;
+  o.min_capacity = 1;
+  o.max_capacity = 16;
+  o.verify = options();
+  for (const unsigned threads : {0u, 1u}) {
+    o.probe_threads = threads;
+    EXPECT_EQ(find_minimal_queue_size(make, o).minimal_capacity, 3u)
+        << threads;
   }
+  o.probe_threads = 2;
+  calls = 0;
+  try {
+    (void)find_minimal_queue_size(make, o);
+    ADD_FAILURE() << "probe_threads = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("QueueSizingOptions::probe_threads"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(calls, 0u);  // rejected before any network is built
 }
 
 TEST_P(QueueSizing, ShapeChangingFactoryIsRejected) {
@@ -269,12 +296,7 @@ TEST_P(QueueSizing, ShapeChangingFactoryIsRejected) {
   o.min_capacity = 1;
   o.max_capacity = 8;
   o.verify = options();
-  for (const unsigned width : {1u, 2u}) {
-    o.probe_threads = width;
-    EXPECT_THROW((void)find_minimal_queue_size(make, o),
-                 std::invalid_argument)
-        << "width " << width;
-  }
+  EXPECT_THROW((void)find_minimal_queue_size(make, o), std::invalid_argument);
 }
 
 TEST_P(QueueSizing, RejectsMinCapacityAboveMax) {
@@ -289,12 +311,11 @@ TEST_P(QueueSizing, RejectsMinCapacityAboveMax) {
   o.min_capacity = 9;
   o.max_capacity = 4;
   o.verify = options();
-  for (const unsigned width : {1u, 2u}) {
-    o.probe_threads = width;
-    EXPECT_THROW((void)find_minimal_queue_size(make, o),
-                 std::invalid_argument)
-        << "width " << width;
-  }
+  EXPECT_THROW((void)find_minimal_queue_size(make, o), std::invalid_argument);
+  // A zero minimum would make the ladder's step 0: capacity 0 forever.
+  o.min_capacity = 0;
+  o.max_capacity = 8;
+  EXPECT_THROW((void)find_minimal_queue_size(make, o), std::invalid_argument);
   EXPECT_EQ(calls, 0u);  // rejected before any network is built
 }
 
@@ -343,10 +364,11 @@ TEST_P(QueueSizing, TrivialSystemNeedsMinCapacity) {
   EXPECT_EQ(r.minimal_capacity, 2u);
 }
 
-/// One pinned sizing run: probe width, k x k mesh and directory position,
-/// then the expected probes ("<capacity><s|u>", s = Sat, u = Unsat).
+/// One pinned sizing run: the ladder's first capacity, k x k mesh and
+/// directory position, then the expected probes ("<capacity><s|u>",
+/// s = Sat, u = Unsat).
 struct ProbePin {
-  unsigned width;
+  unsigned min_capacity;
   int mesh;
   int dir;
   const char* probes;
@@ -364,9 +386,8 @@ std::string probe_string(const QueueSizingResult& r) {
   return out;
 }
 
-// The scheduler's probe order is deterministic for a fixed width, so the
-// exact sequence is pinned on the native backend. The width-1 rows are
-// the plain exponential + binary search.
+// The probe order (exponential ladder, then binary search) is
+// deterministic, so the exact sequence is pinned on the native backend.
 class QueueSizingProbes : public ::testing::TestWithParam<ProbePin> {};
 
 TEST_P(QueueSizingProbes, SequenceIsPinned) {
@@ -380,8 +401,8 @@ TEST_P(QueueSizingProbes, SequenceIsPinned) {
     return std::move(coh::build_mi_abstract(config).net);
   };
   QueueSizingOptions o;
+  o.min_capacity = pin.min_capacity;
   o.verify.backend = smt::Backend::Native;
-  o.probe_threads = pin.width;
   const QueueSizingResult r = find_minimal_queue_size(make, o);
   EXPECT_EQ(probe_string(r), pin.probes);
   EXPECT_EQ(r.unknown_probes, 0u);
@@ -391,16 +412,10 @@ INSTANTIATE_TEST_SUITE_P(
     Native, QueueSizingProbes,
     ::testing::Values(ProbePin{1, 2, 0, "1s 3u 2s"},
                       ProbePin{1, 3, 0, "1s 3s 7s 15u 11u 9s 10s"},
-                      ProbePin{1, 3, 3, "1s 3s 7u 5u 4s"},
-                      ProbePin{2, 2, 0, "1s 3u 2s"},
-                      ProbePin{2, 3, 0, "1s 3s 7s 15u 10s 12u 11u"},
-                      ProbePin{2, 3, 3, "1s 3s 7u 15u 5u 6u 4s"},
-                      ProbePin{4, 2, 0, "1s 3u 7u 15u 2s"},
-                      ProbePin{4, 3, 0, "1s 3s 7s 15u 9s 10s 12u 13u 11u"},
-                      ProbePin{4, 3, 3, "1s 3s 7u 15u 4s 5u 6u"}),
+                      ProbePin{1, 3, 3, "1s 3s 7u 5u 4s"}),
+    // The "w1_" prefix (one probe at a time) keeps the pins' test names.
     [](const ::testing::TestParamInfo<ProbePin>& info) {
-      return "w" + std::to_string(info.param.width) + "_" +
-             std::to_string(info.param.mesh) + "x" +
+      return "w1_" + std::to_string(info.param.mesh) + "x" +
              std::to_string(info.param.mesh) + "_dir" +
              std::to_string(info.param.dir);
     });
