@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "automata/builder.hpp"
+#include "coherence/mi_abstract.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
 #include "xmas/network.hpp"
@@ -226,6 +227,113 @@ TEST(Explorer, TraceReplaysToDeadlock) {
   for (const auto& label : r.trace) {
     EXPECT_NE(label.find("src"), std::string::npos);
   }
+}
+
+// ---- Pinned explorations. The figures were captured on the
+// std::vector<std::vector<ColorId>> explorer that the packed explorer
+// replaced; they move with any change to the event order or the budget
+// rule.
+
+Network mi2x2(std::size_t capacity) {
+  coh::MiAbstractConfig config;
+  config.queue_capacity = capacity;
+  return std::move(coh::build_mi_abstract(config).net);
+}
+
+TEST(ExplorerPin, Mi2x2Capacity2ReachesTheFig3Deadlock) {
+  const Network net = mi2x2(2);
+  const Simulator sim(net);
+  ExploreOptions options;
+  options.max_states = 500'000;
+  const ExploreResult r = explore(sim, options);
+  EXPECT_EQ(r.states_visited, 1'012u);
+  EXPECT_EQ(r.events_fired, 2'985u);
+  EXPECT_FALSE(r.complete);
+  ASSERT_TRUE(r.deadlock.has_value());
+  EXPECT_EQ(r.trace, (std::vector<std::string>{
+                         "core0!miss(0->0)", "core0!repl(0->0)",
+                         "core1!miss(1->1)", "core2!miss(2->2)",
+                         "core2!repl(2->2)", "q_1_W>get(0->3)",
+                         "q_3_N>get(1->3)", "core3!tok(3->3)",
+                         "core3!tok(3->3)", "q_1_W>put(0->3)"}));
+  EXPECT_EQ(sim.describe(*r.deadlock),
+            "q_1_S: [inv(3->1), inv(3->1)]\n"
+            "q_3_W: [get(2->3), put(2->3)]\n"
+            "q_3_N: [get(0->3), put(0->3)]\n"
+            "cache0: MI\ncache1: M\ncache2: MI\ndir: M(1)\n");
+}
+
+TEST(ExplorerPin, Mi2x2Capacity3IsExhaustivelyFree) {
+  const Network net = mi2x2(3);
+  const Simulator sim(net);
+  ExploreOptions options;
+  options.max_states = 500'000;
+  const ExploreResult r = explore(sim, options);
+  EXPECT_EQ(r.states_visited, 62'297u);
+  EXPECT_EQ(r.events_fired, 348'419u);
+  EXPECT_TRUE(r.complete);
+  EXPECT_FALSE(r.deadlock.has_value());
+  EXPECT_TRUE(r.trace.empty());
+}
+
+// Nets whose values do not fit one byte. A dead sink behind a queue of
+// capacity 300 reaches exactly the 301 fill levels; the last one is the
+// deadlock, reached by 300 injections.
+TEST(Simulator, CapacityAbove255PacksWide) {
+  Pipeline p(300, /*fair_sink=*/false);
+  const Simulator sim(p.net);
+  const ExploreResult r = explore(sim);
+  EXPECT_EQ(r.states_visited, 301u);
+  EXPECT_EQ(r.events_fired, 300u);
+  ASSERT_TRUE(r.deadlock.has_value());
+  EXPECT_EQ(r.deadlock->queues[0].size(), 300u);
+  EXPECT_EQ(r.trace.size(), 300u);
+}
+
+// A source of 300 colours in front of a one-slot queue and a dead sink:
+// the empty state plus one full state per colour, every full state a
+// deadlock (the last one found is reported).
+TEST(Simulator, ManyColoursPackWide) {
+  Network net;
+  xmas::ColorSet colours;
+  for (int i = 0; i < 300; ++i) {
+    colours.push_back(net.colors().intern("c" + std::to_string(i)));
+  }
+  const PrimId src = net.add_source("src", colours);
+  const PrimId q = net.add_queue("q", 1);
+  net.connect(src, 0, q, 0);
+  net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
+  const Simulator sim(net);
+  ExploreOptions options;
+  options.stop_at_deadlock = false;
+  const ExploreResult r = explore(sim, options);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.states_visited, 301u);
+  EXPECT_EQ(r.events_fired, 300u);
+  ASSERT_TRUE(r.deadlock.has_value());
+  EXPECT_EQ(r.trace, std::vector<std::string>{"src!c299"});
+  EXPECT_EQ(sim.describe(*r.deadlock), "q: [c299]\n");
+}
+
+// A queue of capacity 70,000 between a dead source and a fair sink: from
+// one stored packet the only event drains it, and the empty queue is
+// quiescent without being a deadlock (nothing wants to move).
+TEST(Simulator, CapacityAbove65535PacksWidest) {
+  Network net;
+  const ColorId d = net.colors().intern("d");
+  const PrimId src = net.add_source("src", {d}, /*fair=*/false);
+  const PrimId q = net.add_queue("q", 70'000);
+  net.connect(src, 0, q, 0);
+  net.connect(q, 0, net.add_sink("sink"), 0);
+  const Simulator sim(net);
+  State s = sim.initial();
+  s.queues[0] = {d};
+  const auto events = sim.events(s);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].label, "q>d");
+  EXPECT_TRUE(events[0].next.queues[0].empty());
+  EXPECT_FALSE(sim.is_deadlock(events[0].next));
+  EXPECT_FALSE(sim.is_deadlock(s));
 }
 
 }  // namespace

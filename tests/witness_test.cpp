@@ -290,5 +290,157 @@ TEST(WitnessEvents, EffectSummariesMatchLabels) {
   EXPECT_TRUE(sim.is_deadlock(events[0].next));
 }
 
+
+// ---- Pinned replays on the 3x3 MI mesh (native backend, so the Sat model
+// and with it the decoded state are deterministic). The figures were
+// captured on the std::vector<std::vector<ColorId>> replay that the packed
+// replay replaced; any change to the BFS order, the budget rule or the
+// claim logic moves them.
+
+xmas::Network mi3x3(int directory, std::size_t capacity) {
+  coh::MiAbstractConfig config;
+  config.width = 3;
+  config.height = 3;
+  config.directory_node = directory;
+  config.queue_capacity = capacity;
+  return std::move(coh::build_mi_abstract(config).net);
+}
+
+core::VerifyResult verify_with_witness(const Network& net,
+                                       std::size_t max_states) {
+  core::VerifyOptions vo;
+  vo.backend = smt::Backend::Native;
+  vo.witness_replay = true;
+  vo.witness_max_states = max_states;
+  vo.timeout_ms = testing::test_timeout_ms(120'000);
+  return core::verify(net, vo);
+}
+
+std::vector<std::string> claim_lines(
+    const std::vector<deadlock::WitnessClaim>& claims) {
+  std::vector<std::string> out;
+  for (const auto& c : claims) {
+    out.push_back(c.tag + " " + deadlock::to_string(c.status) + " " + c.note);
+  }
+  return out;
+}
+
+TEST(WitnessPin, Mi3x3Dir3Capacity4ConfirmedAndMinimal) {
+  const Network net = mi3x3(3, 4);
+  const core::VerifyResult r = verify_with_witness(net, 50'000);
+  ASSERT_EQ(r.report.result, smt::SatResult::Sat);
+  ASSERT_TRUE(r.witness.has_value());
+  const Witness& w = *r.witness;
+  EXPECT_TRUE(w.consistent);
+  EXPECT_TRUE(w.replayed);
+  EXPECT_EQ(w.states_explored, 12'500u);
+  EXPECT_TRUE(w.exhaustive);
+  EXPECT_TRUE(w.blocked) << w.to_string();
+  EXPECT_TRUE(w.minimal);
+  EXPECT_EQ(w.blocking_queues, (std::vector<std::string>{"q_3_S", "q_6_N"}));
+  EXPECT_EQ(claim_lines(w.claims),
+            (std::vector<std::string>{
+                "source_blocked:core1 confirmed ",
+                "source_blocked:core3 confirmed ",
+                "source_blocked:core5 confirmed ",
+                "source_blocked:core6 confirmed ",
+                "packet_stuck:q_3_S confirmed stuck color: get(7->3)",
+                "packet_stuck:q_6_N confirmed stuck color: inv(3->6)",
+                "dead:cache1 confirmed ",
+                "dead:dir confirmed ",
+                "dead:cache5 confirmed ",
+                "dead:cache6 confirmed ",
+            }));
+  EXPECT_EQ(w.state_text,
+            "q_3_S: [get(7->3), put(7->3), get(8->3), put(8->3)]\n"
+            "q_6_N: [inv(3->6), inv(3->6), inv(3->6), inv(3->6)]\n"
+            "cache0: MI\ncache1: MI\ncache2: MI\ndir: M(6)\ncache4: MI\n"
+            "cache5: MI\ncache6: M\ncache7: MI\ncache8: MI\n");
+}
+
+TEST(WitnessPin, Mi3x3Dir0Capacity10TruncatedAtBudget) {
+  const Network net = mi3x3(0, 10);
+  const core::VerifyResult r = verify_with_witness(net, 5'000);
+  ASSERT_EQ(r.report.result, smt::SatResult::Sat);
+  ASSERT_TRUE(r.witness.has_value());
+  const Witness& w = *r.witness;
+  EXPECT_TRUE(w.replayed);
+  EXPECT_EQ(w.states_explored, 5'000u);
+  EXPECT_FALSE(w.exhaustive);
+  EXPECT_FALSE(w.blocked);
+  EXPECT_FALSE(w.minimal);
+  EXPECT_TRUE(w.blocking_queues.empty());
+  const std::string budget = " inconclusive state budget exhausted";
+  EXPECT_EQ(claim_lines(w.claims),
+            (std::vector<std::string>{
+                "source_blocked:core0" + budget,
+                "source_blocked:core2" + budget,
+                "source_blocked:core3" + budget,
+                "packet_stuck:q_0_S" + budget,
+                "packet_stuck:q_3_N" + budget,
+                "dead:dir" + budget,
+                "dead:cache2" + budget,
+                "dead:cache3" + budget,
+            }));
+}
+
+TEST(WitnessPin, RefutedClaimsCarryTheirEvent) {
+  // Emptying either blocking queue of the dir-3 witness breaks it; the
+  // refuting events are pinned by label.
+  const Network net = mi3x3(3, 4);
+  const core::VerifyResult r = verify_with_witness(net, 50'000);
+  ASSERT_TRUE(r.witness.has_value() && r.witness->blocked);
+  const sim::Simulator sim(net);
+  const auto replay_without = [&](const std::string& queue,
+                                  std::size_t* states) {
+    sim::State probe = r.witness->state;
+    for (std::size_t qi = 0; qi < sim.num_queues(); ++qi) {
+      if (net.prim(sim.queue_prim(static_cast<int>(qi))).name == queue) {
+        probe.queues[qi].clear();
+      }
+    }
+    std::vector<std::string> tags;
+    for (const auto& c : r.witness->claims) {
+      if (c.tag != "packet_stuck:" + queue) tags.push_back(c.tag);
+    }
+    bool exhaustive = false;
+    const auto verdicts = deadlock::replay_claims(net, probe, tags, 50'000,
+                                                  states, &exhaustive);
+    EXPECT_TRUE(exhaustive);
+    return claim_lines(verdicts);
+  };
+  std::size_t states = 0;
+  EXPECT_EQ(replay_without("q_6_N", &states),
+            (std::vector<std::string>{
+                "source_blocked:core1 confirmed ",
+                "source_blocked:core3 refuted reachable injection: "
+                "core3!tok(3->3)",
+                "source_blocked:core5 confirmed ",
+                "source_blocked:core6 confirmed ",
+                "packet_stuck:q_3_S confirmed stuck color: get(7->3)",
+                "dead:cache1 confirmed ",
+                "dead:dir refuted reachable transition: core3!tok(3->3)",
+                "dead:cache5 confirmed ",
+                "dead:cache6 confirmed ",
+            }));
+  EXPECT_EQ(states, 5u);
+  EXPECT_EQ(replay_without("q_3_S", &states),
+            (std::vector<std::string>{
+                "source_blocked:core1 confirmed ",
+                "source_blocked:core3 refuted reachable injection: "
+                "core3!tok(3->3)",
+                "source_blocked:core5 confirmed ",
+                "source_blocked:core6 refuted reachable injection: "
+                "core6!repl(6->6)",
+                "packet_stuck:q_6_N refuted every stored color has a "
+                "reachable pop",
+                "dead:cache1 confirmed ",
+                "dead:dir refuted reachable transition: q_3_S>put(6->3)",
+                "dead:cache5 confirmed ",
+                "dead:cache6 refuted reachable transition: core6!repl(6->6)",
+            }));
+  EXPECT_EQ(states, 31u);
+}
+
 }  // namespace
 }  // namespace advocat
