@@ -1,12 +1,12 @@
 #include "deadlock/witness.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <sstream>
-#include <unordered_set>
 
 #include "deadlock/varnames.hpp"
+#include "sim/state_set.hpp"
+#include "util/stopwatch.hpp"
 
 namespace advocat::deadlock {
 
@@ -90,12 +90,19 @@ const char* to_string(ClaimStatus s) {
   return "?";
 }
 
-std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
-                                        const sim::State& state,
-                                        const std::vector<std::string>& tags,
-                                        std::size_t max_states,
-                                        std::size_t* states_explored,
-                                        bool* exhaustive) {
+namespace {
+
+/// The replay behind replay_claims. With `stop_at_refutation` the search
+/// ends at the first refuted claim; the claims not refuted by then are
+/// Inconclusive. The minimisation probes use it: a probe counts only when
+/// every claim is confirmed.
+std::vector<WitnessClaim> replay(const xmas::Network& net,
+                                 const sim::State& state,
+                                 const std::vector<std::string>& tags,
+                                 std::size_t max_states,
+                                 bool stop_at_refutation,
+                                 std::size_t* states_explored,
+                                 bool* exhaustive) {
   const sim::Simulator sim(net);
   std::vector<Claim> claims;
   claims.reserve(tags.size());
@@ -106,39 +113,46 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
   // PacketStuck: the colors stored at the witness state, minus every color
   // a reachable event pops from that queue. A survivor is a stuck packet.
   std::vector<std::set<ColorId>> stuck(claims.size());
+  std::size_t refuted = 0;
   for (std::size_t i = 0; i < claims.size(); ++i) {
     if (claims[i].kind == Claim::Kind::PacketStuck) {
       const auto& content =
           state.queues[static_cast<std::size_t>(claims[i].queue_ordinal)];
       stuck[i].insert(content.begin(), content.end());
+      refuted += stuck[i].empty();
     }
   }
 
-  // The frontier points into `visited` (set elements never move), so every
-  // reached state is stored once.
-  std::unordered_set<sim::State, sim::StateHash> visited{state};
-  std::deque<const sim::State*> frontier{&*visited.begin()};
+  // Visited states in discovery order; expanding them by index is the BFS.
+  sim::StateSet visited;
+  std::vector<std::uint8_t> packed;
+  sim.pack(state, packed);
+  visited.insert(packed);
+  sim::Successors successors(sim);
   bool truncated = false;
+  bool stopped = false;
   std::size_t explored = 0;
-  while (!frontier.empty()) {
-    const sim::State& cur = *frontier.front();
-    frontier.pop_front();
+  for (std::size_t at = 0; at < visited.size(); ++at) {
+    if (stop_at_refutation && refuted > 0) {
+      stopped = true;
+      break;
+    }
     ++explored;
-    for (sim::Event& e : sim.events(cur)) {
+    successors.for_each(visited[at], [&](const sim::Step& e) {
       for (std::size_t i = 0; i < claims.size(); ++i) {
         const Claim& c = claims[i];
         switch (c.kind) {
           case Claim::Kind::SourceBlocked:
             if (e.initiator == c.source && refuted_by[i].empty()) {
-              refuted_by[i] = "reachable injection: " + e.label;
+              refuted_by[i] = "reachable injection: " + sim.label(e.initiator, e.color);
+              ++refuted;
             }
             break;
           case Claim::Kind::PacketStuck:
             for (const auto& [qo, pos] : e.effects.pops) {
-              if (qo == c.queue_ordinal) {
-                stuck[i].erase(
-                    cur.queues[static_cast<std::size_t>(qo)]
-                              [static_cast<std::size_t>(pos)]);
+              if (qo == c.queue_ordinal && !stuck[i].empty()) {
+                stuck[i].erase(successors.stored(qo, pos));
+                refuted += stuck[i].empty();
               }
             }
             break;
@@ -147,7 +161,8 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
               for (const auto& [ai, to] : e.effects.moves) {
                 (void)to;  // a self-loop transition still fires
                 if (ai == c.automaton) {
-                  refuted_by[i] = "reachable transition: " + e.label;
+                  refuted_by[i] = "reachable transition: " + sim.label(e.initiator, e.color);
+                  ++refuted;
                   break;
                 }
               }
@@ -157,18 +172,18 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
             break;
         }
       }
-      if (visited.count(e.next) == 0) {
-        if (visited.size() >= max_states) {
-          truncated = true;
-          continue;
-        }
-        frontier.push_back(&*visited.insert(std::move(e.next)).first);
+      if (visited.size() < max_states) {
+        visited.insert(e.next);
+      } else if (!truncated && !visited.contains(e.next)) {
+        truncated = true;
       }
-    }
+    });
   }
   if (states_explored != nullptr) *states_explored = explored;
-  if (exhaustive != nullptr) *exhaustive = !truncated;
+  if (exhaustive != nullptr) *exhaustive = !truncated && !stopped;
 
+  const char* unfinished =
+      stopped ? "replay stopped at the first refutation" : "state budget exhausted";
   std::vector<WitnessClaim> out;
   out.reserve(claims.size());
   for (std::size_t i = 0; i < claims.size(); ++i) {
@@ -180,25 +195,24 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
         if (!refuted_by[i].empty()) {
           w.status = ClaimStatus::Refuted;
           w.note = refuted_by[i];
-        } else if (truncated) {
+        } else if (truncated || stopped) {
           w.status = ClaimStatus::Inconclusive;
-          w.note = "state budget exhausted";
+          w.note = unfinished;
         } else {
           w.status = ClaimStatus::Confirmed;
         }
         break;
       case Claim::Kind::PacketStuck:
-        if (!stuck[i].empty()) {
-          // A color no reachable event pops: stuck under every scheduler.
-          // Valid only if we saw the whole reachable space.
-          w.status =
-              truncated ? ClaimStatus::Inconclusive : ClaimStatus::Confirmed;
-          w.note = truncated
-                       ? "state budget exhausted"
-                       : "stuck color: " + net.colors().name(*stuck[i].begin());
-        } else {
+        if (stuck[i].empty()) {
           w.status = ClaimStatus::Refuted;
           w.note = "every stored color has a reachable pop";
+        } else if (truncated || stopped) {
+          w.status = ClaimStatus::Inconclusive;
+          w.note = unfinished;
+        } else {
+          // A color no reachable event pops: stuck under every scheduler.
+          w.status = ClaimStatus::Confirmed;
+          w.note = "stuck color: " + net.colors().name(*stuck[i].begin());
         }
         break;
       case Claim::Kind::Unknown:
@@ -209,6 +223,18 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
     out.push_back(std::move(w));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
+                                        const sim::State& state,
+                                        const std::vector<std::string>& tags,
+                                        std::size_t max_states,
+                                        std::size_t* states_explored,
+                                        bool* exhaustive) {
+  return replay(net, state, tags, max_states, /*stop_at_refutation=*/false,
+                states_explored, exhaustive);
 }
 
 namespace {
@@ -244,6 +270,7 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
                       const smt::Model& model,
                       const std::vector<std::string>& fired,
                       const WitnessOptions& options) {
+  const util::Stopwatch watch;
   Witness w;
   const sim::Simulator sim(net);
 
@@ -313,13 +340,15 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
         }
       }
     }
+    w.replay_seconds = watch.seconds();
     return w;
   }
 
   // ---- minimize: greedily empty queues whose contents the blockage does
   // not need. Passes repeat until none can be removed, so the final set is
   // inclusion-minimal: every single-queue removal was re-replayed against
-  // the final state and broke a claim.
+  // the final state and broke a claim. A probe's verdicts count only when
+  // every claim is confirmed, so its replay stops at the first refutation.
   bool removed = true;
   while (removed) {
     removed = false;
@@ -331,9 +360,13 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
           applicable_tags(net, sim, probe, tags);
       if (probe_tags.empty()) continue;  // nothing left to claim: essential
       bool probe_exhaustive = false;
-      const std::vector<WitnessClaim> verdicts = replay_claims(
-          net, probe, probe_tags, options.max_states, nullptr,
-          &probe_exhaustive);
+      std::size_t probe_states = 0;
+      const std::vector<WitnessClaim> verdicts =
+          replay(net, probe, probe_tags, options.max_states,
+                 /*stop_at_refutation=*/true, &probe_states,
+                 &probe_exhaustive);
+      ++w.minimize_replays;
+      w.minimize_states += probe_states;
       if (probe_exhaustive && all_confirmed(verdicts)) {
         w.state = std::move(probe);
         w.claims = verdicts;
@@ -350,6 +383,7 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
           net.prim(sim.queue_prim(static_cast<int>(qi))).name);
     }
   }
+  w.replay_seconds = watch.seconds();
   return w;
 }
 
@@ -372,6 +406,10 @@ std::string Witness::to_string() const {
     for (const std::string& q : blocking_queues) os << " " << q;
     os << (minimal ? " (minimal)" : "") << "\n";
   }
+  if (replayed) {
+    os << "  replay cost: " << replay_seconds << " s; " << minimize_replays
+       << " minimization replays over " << minimize_states << " states\n";
+  }
   return os.str();
 }
 
@@ -381,7 +419,10 @@ std::string Witness::to_json() const {
      << ",\"replayed\":" << (replayed ? "true" : "false")
      << ",\"blocked\":" << (blocked ? "true" : "false")
      << ",\"exhaustive\":" << (exhaustive ? "true" : "false")
-     << ",\"states_explored\":" << states_explored << ",\"claims\":[";
+     << ",\"states_explored\":" << states_explored
+     << ",\"replay_seconds\":" << replay_seconds
+     << ",\"minimize_replays\":" << minimize_replays
+     << ",\"minimize_states\":" << minimize_states << ",\"claims\":[";
   for (std::size_t i = 0; i < claims.size(); ++i) {
     if (i != 0) os << ",";
     os << "{\"tag\":\"" << json_escape(claims[i].tag) << "\",\"status\":\""

@@ -87,6 +87,13 @@ struct Witness {
   bool exhaustive = false;
   std::size_t states_explored = 0;
 
+  /// What the witness cost: wall-clock seconds of the replay and the
+  /// minimization, the minimization's probe replays (each stops at its
+  /// first refuted claim) and the states those probes expanded.
+  double replay_seconds = 0.0;
+  std::size_t minimize_replays = 0;
+  std::size_t minimize_states = 0;
+
   /// Every fired disjunct's replay verdict.
   std::vector<WitnessClaim> claims;
   /// All claims Confirmed (and at least one claim): the candidate is a

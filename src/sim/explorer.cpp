@@ -1,20 +1,24 @@
 #include "sim/explorer.hpp"
 
-#include <deque>
-#include <unordered_map>
+#include <algorithm>
+#include <limits>
 
+#include "sim/state_set.hpp"
 #include "util/stopwatch.hpp"
 
 namespace advocat::sim {
 
 namespace {
 
-struct NodeInfo {
-  // Predecessor state (by value; states are small) and the event label that
-  // reached this node. Empty label marks the initial state.
-  State pred;
-  std::string label;
+/// How a visited state was first reached: its predecessor's index and the
+/// event (initiator, colour) that led here.
+struct Arrival {
+  std::uint32_t pred;
+  xmas::PrimId initiator;
+  xmas::ColorId color;
 };
+
+constexpr std::uint32_t kRoot = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -22,51 +26,50 @@ ExploreResult explore(const Simulator& sim, const ExploreOptions& options) {
   util::Stopwatch watch;
   ExploreResult result;
 
-  std::unordered_map<State, NodeInfo, StateHash> visited;
-  std::deque<State> frontier;
+  // Visited states in discovery order; expanding them by index is the BFS.
+  StateSet visited;
+  std::vector<Arrival> arrivals;
+  std::vector<std::uint8_t> packed;
+  sim.pack(sim.initial(), packed);
+  visited.insert(packed);
+  arrivals.push_back({kRoot, -1, xmas::kNoColor});
 
-  const State init = sim.initial();
-  visited.emplace(init, NodeInfo{});
-  frontier.push_back(init);
-
-  while (!frontier.empty()) {
+  Successors successors(sim);
+  std::size_t deadlock = kRoot;
+  bool stopped = false;
+  for (std::size_t i = 0; i < visited.size(); ++i) {
     if (visited.size() > options.max_states) {
-      result.states_visited = visited.size();
-      result.seconds = watch.seconds();
-      return result;  // budget exhausted; complete stays false
+      stopped = true;  // budget exhausted; complete stays false
+      break;
     }
-    State cur = std::move(frontier.front());
-    frontier.pop_front();
-
-    std::vector<Event> events = sim.events(cur);
-    result.events_fired += events.size();
-    if (events.empty() && sim.quiescence_is_deadlock(cur)) {
-      result.deadlock = cur;
-      // Reconstruct the trace by walking predecessors.
-      std::vector<std::string> rev;
-      State walk = cur;
-      while (true) {
-        const NodeInfo& info = visited.at(walk);
-        if (info.label.empty()) break;
-        rev.push_back(info.label);
-        walk = info.pred;
-      }
-      result.trace.assign(rev.rbegin(), rev.rend());
+    const std::size_t fired =
+        successors.for_each(visited[i], [&](const Step& e) {
+          if (visited.insert(e.next)) {
+            arrivals.push_back(
+                {static_cast<std::uint32_t>(i), e.initiator, e.color});
+          }
+        });
+    result.events_fired += fired;
+    if (fired == 0 && sim.quiescence_is_deadlock(sim.unpack(visited[i]))) {
+      deadlock = i;
       if (options.stop_at_deadlock) {
-        result.states_visited = visited.size();
-        result.seconds = watch.seconds();
-        return result;
+        stopped = true;
+        break;
       }
-    }
-    for (Event& e : events) {
-      if (visited.contains(e.next)) continue;
-      visited.emplace(e.next, NodeInfo{cur, e.label});
-      frontier.push_back(std::move(e.next));
     }
   }
 
+  if (deadlock != kRoot) {
+    result.deadlock = sim.unpack(visited[deadlock]);
+    // Reconstruct the trace by walking predecessors.
+    for (std::size_t at = deadlock; arrivals[at].pred != kRoot;
+         at = arrivals[at].pred) {
+      result.trace.push_back(sim.label(arrivals[at].initiator, arrivals[at].color));
+    }
+    std::reverse(result.trace.begin(), result.trace.end());
+  }
   result.states_visited = visited.size();
-  result.complete = true;
+  result.complete = !stopped;
   result.seconds = watch.seconds();
   return result;
 }
