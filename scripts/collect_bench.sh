@@ -23,7 +23,9 @@
 # learning silently stopped working and the incremental speedups are gone.
 # It also fails when any native fig4 cell reports "conclusive":false: the
 # smoke instances are small enough that an inconclusive cell means a leaf
-# degraded to Unknown.
+# degraded to Unknown. And it fails unless fig3's capacity-2 line reports
+# "explorer_deadlock":true: the explicit-state explorer must still reach
+# the paper's Fig. 3 deadlock.
 #
 # After collecting, the script diffs the new native sizing times against
 # the newest *other* BENCH_PR*.json next to the output (and in the repo
@@ -137,6 +139,13 @@ if [ -n "${ADVOCAT_SMOKE:-}" ]; then
   if [ -n "$inconclusive" ]; then
     echo "collect_bench: SMOKE GUARD: native fig4 cells are inconclusive — a leaf degraded to Unknown:" >&2
     echo "$inconclusive" >&2
+    status=1
+  fi
+  fig3_reached=$(grep '"bench":"fig3_crosslayer_deadlock"' "$out" \
+      | grep '"capacity":2[,}]' | grep '"explorer_deadlock":true' || true)
+  if [ -z "$fig3_reached" ]; then
+    echo "collect_bench: SMOKE GUARD: fig3's explorer no longer reaches the capacity-2 deadlock:" >&2
+    grep '"bench":"fig3_crosslayer_deadlock"' "$out" >&2 || echo "(no fig3 line in $out)" >&2
     status=1
   fi
 fi

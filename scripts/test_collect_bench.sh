@@ -5,8 +5,8 @@
 # BENCH_PR* glob without being per-PR trajectories (threads variants,
 # non-numeric suffixes) are ignored. The last cases run whole collections
 # over stub fig4 harnesses: the counter diff against the previous
-# trajectory, and the smoke guard on inconclusive native cells. Registered
-# as the ctest `collect_bench_select_prev`.
+# trajectory, the smoke guard on inconclusive native cells and the one on
+# fig3's explorer. Registered as the ctest `collect_bench_select_prev`.
 set -eu
 
 script_dir=$(CDPATH='' cd -- "$(dirname -- "$0")" && pwd)
@@ -102,7 +102,8 @@ cd ..
 
 # Smoke guard: a native fig4 cell reporting "conclusive":false fails a
 # smoke collection even with clause learning active; the same cell
-# reported conclusive passes.
+# reported conclusive passes. A fig3 stub whose explorer reaches the
+# deadlock rides along, so only the fig4 cell decides.
 mkdir smoke
 cd smoke
 mkdir -p build/bench
@@ -114,6 +115,16 @@ smoke_stub() {  # smoke_stub <true|false>
   } > build/bench/fig4_queue_sizes
   chmod +x build/bench/fig4_queue_sizes
 }
+fig3_stub() {  # fig3_stub <true|false>: did the explorer reach the deadlock
+  {
+    echo '#!/bin/sh'
+    printf "echo 'BENCH_JSON %s'\n" \
+      "{\"bench\":\"fig3_crosslayer_deadlock\",\"capacity\":2,\"verdict\":\"deadlock\",\"explorer_deadlock\":$1,\"explorer_states\":1012}" \
+      "{\"bench\":\"fig3_crosslayer_deadlock\",\"capacity\":3,\"verdict\":\"free\"}"
+  } > build/bench/fig3_crosslayer_deadlock
+  chmod +x build/bench/fig3_crosslayer_deadlock
+}
+fig3_stub true
 smoke_stub false
 if ADVOCAT_SMOKE=1 BENCH_PR='' "$collect" build BENCH.json 2> log; then
   fail "inconclusive native cell passed the smoke guard: $(cat log)"
@@ -123,6 +134,16 @@ grep -q 'SMOKE GUARD: native fig4 cells are inconclusive' log \
 smoke_stub true
 ADVOCAT_SMOKE=1 BENCH_PR='' "$collect" build BENCH.json 2> log \
   || fail "conclusive native cell failed the smoke guard: $(cat log)"
+
+# Smoke guard: fig3's capacity-2 line must report that the explorer
+# reached the deadlock; with every fig4 cell fine, "explorer_deadlock":
+# false alone fails the collection.
+fig3_stub false
+if ADVOCAT_SMOKE=1 BENCH_PR='' "$collect" build BENCH.json 2> log; then
+  fail "unreached fig3 deadlock passed the smoke guard: $(cat log)"
+fi
+grep -q "SMOKE GUARD: fig3's explorer no longer reaches the capacity-2 deadlock" log \
+  || fail "smoke guard did not name fig3's explorer: $(cat log)"
 cd ..
 
 echo "test_collect_bench: PASS"

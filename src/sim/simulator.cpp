@@ -21,12 +21,12 @@ std::uint32_t load_element(const std::uint8_t* p, std::size_t i, unsigned w) {
     case 1:
       return p[i];
     case 2: {
-      std::uint16_t v;
+      std::uint16_t v = 0;
       std::memcpy(&v, p + 2 * i, 2);
       return v;
     }
     default: {
-      std::uint32_t v;
+      std::uint32_t v = 0;
       std::memcpy(&v, p + 4 * i, 4);
       return v;
     }
@@ -75,14 +75,6 @@ Simulator::Simulator(const xmas::Network& net) : net_(net) {
     largest = std::max(largest, net.prim(q).capacity);
   }
   for (const xmas::Automaton& a : net.automata()) {
-    auto& from = transitions_from_.emplace_back(
-        static_cast<std::size_t>(std::max(a.num_states(), 0)));
-    for (std::size_t t = 0; t < a.transitions.size(); ++t) {
-      const int s = a.transitions[t].from;
-      if (s >= 0 && s < a.num_states()) {
-        from[static_cast<std::size_t>(s)].push_back(static_cast<int>(t));
-      }
-    }
     if (a.num_states() > 0) {
       largest = std::max(largest, static_cast<std::size_t>(a.num_states() - 1));
     }
@@ -217,6 +209,10 @@ std::size_t Successors::run(const std::uint8_t* packed,
   aut_start_ = queues + stored_total;
   cur_.assign(packed,
               packed + (aut_start_ + net_.automata().size()) * w);
+  // A callback that threw mid-enumeration may have left effects stacked.
+  fx_.pops.clear();
+  fx_.pushes.clear();
+  fx_.moves.clear();
   sink_ = &f;
   emitted_ = 0;
 
@@ -295,11 +291,9 @@ void Successors::accepts(ChanId c, ColorId d, int depth, Then k) {
     }
     case PrimKind::Automaton: {
       const xmas::Automaton& a = net_.automaton_of(p);
-      const auto aut = static_cast<std::size_t>(p.automaton);
-      const std::uint32_t cur = load(aut_start_ + aut);
-      for (int ti : sim_.transitions_from_[aut][cur]) {
-        const auto& t = a.transitions[static_cast<std::size_t>(ti)];
-        if (!t.guard(port, d)) continue;
+      const auto cur = static_cast<int>(load(aut_start_ + static_cast<std::size_t>(p.automaton)));
+      for (const auto& t : a.transitions) {
+        if (t.from != cur || !t.guard(port, d)) continue;
         fx_.moves.emplace_back(p.automaton, t.to);
         const auto em = t.transform(port, d);
         if (!em.has_value()) {

@@ -148,9 +148,6 @@ class Simulator {
   std::vector<int> queue_ordinal_;          // PrimId -> dense queue index (-1)
   std::vector<xmas::PrimId> queue_ids_;     // dense queue index -> PrimId
   std::vector<std::size_t> capacity_;       // dense queue index -> capacity
-  /// Per automaton, per state: indices of the transitions leaving it, in
-  /// declaration order.
-  std::vector<std::vector<std::vector<int>>> transitions_from_;
   unsigned width_ = 1;
 };
 

@@ -17,7 +17,7 @@ std::uint32_t hash_bytes(std::span<const std::uint8_t> bytes) {
     h = ((h << 31) | (h >> 33)) * 0xc2b2ae3d27d4eb4full;
   };
   for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, p, 8);
     mix(word);
   }

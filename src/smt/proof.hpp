@@ -124,14 +124,15 @@ Certificate build_certificate(
     std::unordered_map<std::string, std::string>& lemma_cache);
 
 /// Writes every certificate to `dir/proof_<n>.proof` (numbered in arrival
-/// order). Used by the bench harness and the CI certification step;
-/// ADVOCAT_PROOF_DIR points the fuzz suites here.
+/// order): the ready-made sink of docs/PROOFS.md. The bench harnesses and
+/// the test suites under ADVOCAT_PROOF_DIR keep sinks of their own.
 class FileProofSink : public ProofSink {
  public:
   explicit FileProofSink(std::string dir) : dir_(std::move(dir)) {}
 
-  // Thread-safe: parallel capacity probing drives several solver sessions
-  // into one sink concurrently (see core::VerifyOptions::proof_sink).
+  // A session reports its certificates one check at a time. The lock lets
+  // one sink serve sessions that run on different threads, such as whole
+  // sizing runs side by side.
   void on_unsat_certificate(const Certificate& cert) override {
     const std::lock_guard<std::mutex> lock(mu_);
     const std::string path =

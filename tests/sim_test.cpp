@@ -229,6 +229,21 @@ TEST(Explorer, TraceReplaysToDeadlock) {
   }
 }
 
+TEST(Simulator, PackRoundTripsAndRejectsWhatDoesNotFit) {
+  Pipeline p(2, /*fair_sink=*/true);
+  const Simulator sim(p.net);
+  State s = sim.initial();
+  s.queues[0] = {0, 0};
+  std::vector<std::uint8_t> packed;
+  sim.pack(s, packed);
+  EXPECT_EQ(packed, (std::vector<std::uint8_t>{2, 0, 0}));
+  EXPECT_EQ(sim.unpack(packed.data()), s);
+  s.queues[0].push_back(0);  // over capacity
+  EXPECT_THROW(sim.pack(s, packed), std::invalid_argument);
+  s.queues[0] = {7};  // no such colour
+  EXPECT_THROW(sim.pack(s, packed), std::invalid_argument);
+}
+
 // ---- Pinned explorations. The figures were captured on the
 // std::vector<std::vector<ColorId>> explorer that the packed explorer
 // replaced; they move with any change to the event order or the budget
@@ -243,6 +258,7 @@ Network mi2x2(std::size_t capacity) {
 TEST(ExplorerPin, Mi2x2Capacity2ReachesTheFig3Deadlock) {
   const Network net = mi2x2(2);
   const Simulator sim(net);
+  EXPECT_EQ(sim.element_bytes(), 1u);
   ExploreOptions options;
   options.max_states = 500'000;
   const ExploreResult r = explore(sim, options);
@@ -282,6 +298,7 @@ TEST(ExplorerPin, Mi2x2Capacity3IsExhaustivelyFree) {
 TEST(Simulator, CapacityAbove255PacksWide) {
   Pipeline p(300, /*fair_sink=*/false);
   const Simulator sim(p.net);
+  EXPECT_EQ(sim.element_bytes(), 2u);
   const ExploreResult r = explore(sim);
   EXPECT_EQ(r.states_visited, 301u);
   EXPECT_EQ(r.events_fired, 300u);
@@ -304,6 +321,7 @@ TEST(Simulator, ManyColoursPackWide) {
   net.connect(src, 0, q, 0);
   net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
   const Simulator sim(net);
+  EXPECT_EQ(sim.element_bytes(), 2u);
   ExploreOptions options;
   options.stop_at_deadlock = false;
   const ExploreResult r = explore(sim, options);
@@ -326,6 +344,7 @@ TEST(Simulator, CapacityAbove65535PacksWidest) {
   net.connect(src, 0, q, 0);
   net.connect(q, 0, net.add_sink("sink"), 0);
   const Simulator sim(net);
+  EXPECT_EQ(sim.element_bytes(), 4u);
   State s = sim.initial();
   s.queues[0] = {d};
   const auto events = sim.events(s);

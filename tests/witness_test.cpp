@@ -356,6 +356,16 @@ TEST(WitnessPin, Mi3x3Dir3Capacity4ConfirmedAndMinimal) {
             "q_6_N: [inv(3->6), inv(3->6), inv(3->6), inv(3->6)]\n"
             "cache0: MI\ncache1: MI\ncache2: MI\ndir: M(6)\ncache4: MI\n"
             "cache5: MI\ncache6: M\ncache7: MI\ncache8: MI\n");
+  // The witness reports its cost: 14 minimization probes, each stopped at
+  // its first refuted claim.
+  EXPECT_EQ(w.minimize_replays, 14u);
+  EXPECT_EQ(w.minimize_states, 18'667u);
+  EXPECT_GT(w.replay_seconds, 0.0);
+  const std::string json = w.to_json();
+  EXPECT_NE(json.find("\"minimize_replays\":14,\"minimize_states\":18667"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"replay_seconds\":"), std::string::npos);
 }
 
 TEST(WitnessPin, Mi3x3Dir0Capacity10TruncatedAtBudget) {
@@ -370,6 +380,8 @@ TEST(WitnessPin, Mi3x3Dir0Capacity10TruncatedAtBudget) {
   EXPECT_FALSE(w.blocked);
   EXPECT_FALSE(w.minimal);
   EXPECT_TRUE(w.blocking_queues.empty());
+  EXPECT_EQ(w.minimize_replays, 0u);
+  EXPECT_EQ(w.minimize_states, 0u);
   const std::string budget = " inconclusive state budget exhausted";
   EXPECT_EQ(claim_lines(w.claims),
             (std::vector<std::string>{
