@@ -24,7 +24,9 @@
 //                 the blockage, re-replaying after each removal, until the
 //                 witness is inclusion-minimal: it is still blocked, and
 //                 emptying any single remaining blocking queue un-blocks
-//                 it.
+//                 it. A removal is kept only when every claim is
+//                 confirmed, so each probe replay stops at its first
+//                 refuted claim.
 //
 // The result is attached to core::VerifyResult as the Sat-side
 // counterpart of the Unsat proof certificate (docs/PROOFS.md).

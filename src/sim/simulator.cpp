@@ -407,15 +407,10 @@ void Successors::emit() {
   std::sort(touched_.begin(), touched_.end());
   touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
   for (const int q : touched_) {
-    const auto qi = static_cast<std::size_t>(q);
-    std::size_t n = len_[qi];
-    for (const auto& [pq, pos] : pops) {
-      if (pq != q) continue;
-      if (pos < 0 || static_cast<std::uint32_t>(pos) >= len_[qi]) return;
-      --n;
-    }
+    std::size_t n = len_[static_cast<std::size_t>(q)];
+    for (const auto& pop : pops) n -= pop.first == q;
     for (const auto& push : pushes) n += push.first == q;
-    if (n > sim_.capacity_[qi]) return;
+    if (n > sim_.capacity_[static_cast<std::size_t>(q)]) return;
   }
   for (const auto& push : pushes) {
     if (push.second < 0 || static_cast<std::size_t>(push.second) >= net_.colors().size()) {
