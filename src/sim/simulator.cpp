@@ -52,16 +52,6 @@ void store_element(std::uint8_t* p, std::size_t i, unsigned w,
 
 }  // namespace
 
-std::size_t StateHash::operator()(const State& s) const {
-  std::size_t h = 0x9e3779b97f4a7c15ull;
-  for (const auto& q : s.queues) {
-    h = h * 1099511628211ull + q.size();
-    for (ColorId c : q) h = h * 131 + static_cast<std::size_t>(c + 1);
-  }
-  for (int a : s.aut_states) h = h * 1099511628211ull + static_cast<std::size_t>(a + 1);
-  return h;
-}
-
 Simulator::Simulator(const xmas::Network& net) : net_(net) {
   for (PrimId s : net.prims_of_kind(PrimKind::Source)) {
     if (net.prim(s).fair) fair_sources_.push_back(s);

@@ -50,10 +50,6 @@ struct State {
   bool operator==(const State&) const = default;
 };
 
-struct StateHash {
-  std::size_t operator()(const State& s) const;
-};
-
 /// Structured summary of what one event does to the state. Positions in
 /// `pops` refer to the pre-event state; queue ordinals are the dense
 /// Simulator indices (see Simulator::queue_prim / ordinal_of).

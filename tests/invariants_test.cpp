@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 
 #include "coherence/mi_abstract.hpp"
 #include "coherence/mi_gem5.hpp"
@@ -17,6 +16,7 @@
 #include "smt/solver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
+#include "sim/state_set.hpp"
 #include "xmas/typing.hpp"
 
 #include "backend_fixture.hpp"
@@ -211,7 +211,8 @@ TEST_P(InvariantSoundness, HoldsOnAllReachableStates) {
   // Enumerate reachable states (bounded) and evaluate each invariant.
   sim::Simulator simulator(sys.net);
   std::vector<sim::State> stack = {simulator.initial()};
-  std::unordered_map<std::size_t, int> seen;
+  sim::StateSet seen;
+  std::vector<std::uint8_t> packed;
   const VarSpace& vars = *set.vars;
 
   // Column evaluation against a concrete simulator state.
@@ -243,9 +244,8 @@ TEST_P(InvariantSoundness, HoldsOnAllReachableStates) {
   while (!stack.empty() && states_checked < 3000) {
     sim::State s = std::move(stack.back());
     stack.pop_back();
-    const std::size_t h = sim::StateHash{}(s);
-    if (seen.count(h)) continue;
-    seen[h] = 1;
+    simulator.pack(s, packed);
+    if (!seen.insert(packed)) continue;
     ++states_checked;
     for (const auto& row : set.equalities) {
       linalg::Rational acc = row.constant();
