@@ -105,6 +105,9 @@ class JsonLine {
         .field("leaves_reached", static_cast<std::size_t>(s.leaves_reached))
         .field("leaves_refuted", static_cast<std::size_t>(s.leaves_refuted))
         .field("mean_conflict_lits", s.mean_conflict_lits)
+        .field("entailed_propagations",
+               static_cast<std::size_t>(s.entailed_propagations))
+        .field("mean_entailed_expl_lits", s.mean_entailed_expl_lits)
         .field("decisions", static_cast<std::size_t>(s.decisions))
         .field("propagations", static_cast<std::size_t>(s.propagations))
         .field("restarts", static_cast<std::size_t>(s.restarts))

@@ -370,6 +370,8 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
       if (probe_exhaustive && all_confirmed(verdicts)) {
         w.state = std::move(probe);
         w.claims = verdicts;
+        w.states_explored = probe_states;
+        w.exhaustive = probe_exhaustive;
         tags = probe_tags;
         removed = true;
       }

@@ -86,6 +86,9 @@ struct Witness {
   bool replayed = false;
   /// The replay BFS covered every state reachable from `state` within the
   /// budget. Claims can only be Confirmed on an exhaustive exploration.
+  /// Both this and `states_explored` describe the replay of the reported
+  /// `state`: the decoded one, or after minimization the last accepted
+  /// probe.
   bool exhaustive = false;
   std::size_t states_explored = 0;
 

@@ -334,7 +334,7 @@ class NativeSolver final : public Solver {
     in.attached_mid_session = unlogged_checks_;
     Certificate cert;
     try {
-      cert = native::build_certificate(in, lemma_cache_);
+      cert = native::build_certificate(in, certifier_);
     } catch (...) {
       // Certification is best-effort under fault injection / allocation
       // pressure: the verdict stands (it was reached before this point),
@@ -344,7 +344,7 @@ class NativeSolver final : public Solver {
       cert.mode = "attested";
       cert.complete = false;
       cert.reason = "native certificate construction aborted";
-      cert.text = "advocat-proof 1\nmode attested native-aborted\nqed\n";
+      cert.text = "advocat-proof 2\nmode attested native-aborted\nqed\n";
       cert.proof_bytes = cert.text.size();
     }
     proof_sink()->on_unsat_certificate(cert);
@@ -366,11 +366,11 @@ class NativeSolver final : public Solver {
   SearchContext search_{sh_};
 
   // Proof logging state (alive for the session; empty until a sink is
-  // attached). The lemma cache persists branch-and-cut re-derivations
-  // across certificates (incremental sessions re-serialize the cumulative
-  // trace on every Unsat).
+  // attached). The certifier cache persists branch-and-cut re-derivations
+  // and the context model across certificates (incremental sessions
+  // re-serialize the cumulative trace on every Unsat).
   ProofLog log_;
-  std::unordered_map<std::string, std::string> lemma_cache_;
+  native::CertifierCache certifier_;
   bool unlogged_checks_ = false;
 };
 

@@ -5,16 +5,30 @@
 // the session trace into the line grammar the standalone checker
 // (tools/proof_check.cpp) validates.
 //
-// The checker re-runs the *same* bound-tightening algorithm (tighten()
-// below is duplicated there by design — the checker must not link solver
-// code), so a proof step can reference derived bounds as `lo<v>` / `hi<v>`
-// without serializing every intermediate derivation: both sides reach the
-// identical bound state deterministically.
+// The checker re-runs the *same* bound-tightening algorithm (the bound
+// state, the worklist and propagate() below are duplicated there by
+// design — the checker must not link solver code), so a proof step can
+// reference derived bounds as `lo<v>` / `hi<v>` without serializing every
+// intermediate derivation: both sides reach the identical bound state
+// deterministically. The lockstep contract (docs/PROOFS.md):
+//
+//  - at each `ctx` line the context rows grow and the base bounds are
+//    re-tightened from their previous state, seeded by the new rows;
+//  - a lemma starts from the base bounds, seeded by its own rows; a split
+//    branch starts from its parent's bounds plus the cut, seeded by the
+//    rows that read the cut bound;
+//  - rows are visited first-in first-out, each queued at most once; a
+//    tightened bound queues every premise row that reads it, in premise
+//    order; propagation stops at the first crossing or after 64 visits
+//    per premise row.
 #include "smt/proof.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "linalg/simplex.hpp"
 #include "util/bigint.hpp"
@@ -27,13 +41,10 @@ namespace {
 using util::BigInt;
 using util::Rational;
 
-// ------------------------------------------------------ lemma certifier
-
 // One ≤-inequality over the shared integer columns.
 struct Ineq {
   std::vector<std::pair<int, std::int64_t>> terms;
   BigInt bound;
-  std::string ref;  // proof reference: "p<i>" for premise i
 };
 
 struct VarBound {
@@ -41,11 +52,59 @@ struct VarBound {
   BigInt val;
 };
 
-// Branch state: the premise rows are shared; the bounds are copied per
-// branch (splits only ever tighten bounds — a single-variable split is a
-// bound update, not a new row).
-struct CertState {
+// Derived bounds with an undo trail: a lemma and each split branch tighten
+// in place and roll back to where they started.
+struct Bounds {
+  struct Undo {
+    int var;
+    bool is_hi;
+    VarBound old;
+  };
   std::vector<VarBound> lo, hi;
+  std::vector<Undo> trail;
+
+  void grow(std::size_t n) {
+    if (lo.size() < n) {
+      lo.resize(n);
+      hi.resize(n);
+    }
+  }
+  VarBound& at(int v, bool is_hi) {
+    return (is_hi ? hi : lo)[static_cast<std::size_t>(v)];
+  }
+  void set(int v, bool is_hi, BigInt val) {
+    VarBound& b = at(v, is_hi);
+    trail.push_back(Undo{v, is_hi, b});
+    b.has = true;
+    b.val = std::move(val);
+  }
+  void undo_to(std::size_t mark) {
+    while (trail.size() > mark) {
+      Undo& u = trail.back();
+      at(u.var, u.is_hi) = std::move(u.old);
+      trail.pop_back();
+    }
+  }
+};
+
+// FIFO of premise rows awaiting a visit; a row is queued at most once.
+struct Worklist {
+  std::vector<int> queue;
+  std::size_t head = 0;
+  std::vector<char> queued;
+
+  void push(std::size_t r) {
+    if (queued[r] != 0) return;
+    queued[r] = 1;
+    queue.push_back(static_cast<int>(r));
+  }
+  void clear() {
+    for (std::size_t i = head; i < queue.size(); ++i) {
+      queued[static_cast<std::size_t>(queue[i])] = 0;
+    }
+    queue.clear();
+    head = 0;
+  }
 };
 
 // floor(a/b) for b > 0 (BigInt division truncates toward zero).
@@ -54,147 +113,286 @@ BigInt floor_div_big(const BigInt& a, const BigInt& b) {
   if (!(a % b).is_zero() && a.is_negative()) q -= BigInt(1);
   return q;
 }
-constexpr int kTightenPasses = 64;
 
-// Interval tightening to fixpoint (or pass budget) with integer rounding.
-// Returns the crossed variable on contradiction, -1 otherwise. MUST stay
-// behaviorally identical to the checker's copy: stop at the first
-// crossing, rows in order, terms in order, full passes.
-int tighten(const std::vector<Ineq>& rows, CertState& st) {
-  for (int pass = 0; pass < kTightenPasses; ++pass) {
-    bool changed = false;
-    for (const Ineq& r : rows) {
-      for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
-        const int v = r.terms[ti].first;
-        const std::int64_t c = r.terms[ti].second;
-        BigInt rest(0);
-        bool open = false;
-        for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-          if (tj == ti) continue;
-          const int u = r.terms[tj].first;
-          const std::int64_t cu = r.terms[tj].second;
-          const VarBound& b = cu > 0 ? st.lo[static_cast<std::size_t>(u)]
-                                     : st.hi[static_cast<std::size_t>(u)];
-          if (!b.has) {
-            open = true;
-            break;
-          }
-          rest += BigInt(cu) * b.val;
+// A term c·v reads v's lower bound when c > 0 and its upper bound
+// otherwise: the node of the bound a row reads (and a tightening writes
+// the other one).
+std::size_t reader_node(int v, std::int64_t c) {
+  return 2 * static_cast<std::size_t>(v) + (c > 0 ? 0 : 1);
+}
+
+constexpr std::size_t kVisitsPerRow = 64;
+
+}  // namespace
+
+// The level-0 context as the certifier sees it after `generation` context
+// records: its rows (premises p<n>… of a lemma with n literals), the
+// context rows that read each bound, and the base bounds the context
+// alone implies.
+struct CertifierContext {
+  std::vector<Ineq> rows;
+  std::vector<std::vector<int>> readers;  // reader_node -> context rows
+  Bounds base;
+  int crossed = -1;  // the context alone crosses this variable's bounds
+  std::size_t generation = 0;
+  Worklist work;
+};
+
+namespace {
+
+// The premises of one lemma: its own rows p0…p{n-1} (the negated clause
+// literals), then the context rows.
+struct Premises {
+  const std::vector<Ineq>& own;
+  const CertifierContext& ctx;
+
+  [[nodiscard]] std::size_t size() const {
+    return own.size() + ctx.rows.size();
+  }
+  [[nodiscard]] const Ineq& row(std::size_t i) const {
+    return i < own.size() ? own[i] : ctx.rows[i - own.size()];
+  }
+  // Queues every row that reads bound `node`, in premise order.
+  void queue_readers(std::size_t node, Worklist& wl) const {
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      for (const auto& [u, c] : own[i].terms) {
+        if (reader_node(u, c) == node) {
+          wl.push(i);
+          break;
         }
-        if (open) continue;
-        const BigInt avail = r.bound - rest;  // c·v ≤ avail
-        if (c > 0) {
-          const BigInt nb = floor_div_big(avail, BigInt(c));
-          VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-          if (!hb.has || nb < hb.val) {
-            hb.has = true;
-            hb.val = nb;
-            changed = true;
-          }
-        } else {
-          // c < 0: c·v ≤ avail ⇔ v ≥ avail/c; with cc = -c > 0 that is
-          // v ≥ -(avail/cc), so lo = ceil(-avail/cc) = -floor(avail/cc).
-          const BigInt nb = -floor_div_big(avail, BigInt(-c));
-          VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-          if (!lb.has || nb > lb.val) {
-            lb.has = true;
-            lb.val = nb;
-            changed = true;
-          }
-        }
-        const VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-        const VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-        if (lb.has && hb.has && lb.val > hb.val) return v;
       }
     }
-    if (!changed) break;
+    if (node < ctx.readers.size()) {
+      for (const int r : ctx.readers[node]) {
+        wl.push(own.size() + static_cast<std::size_t>(r));
+      }
+    }
+  }
+};
+
+// The bound row `r` implies on the variable of its term `ti` from the
+// other terms' bounds (an upper bound for a positive coefficient, a lower
+// one otherwise), rounded to the integers into `out`; false when another
+// term's bound is missing. Exact: __int128 while every value fits in 64
+// bits, BigInt beyond.
+bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
+  const std::int64_t c = r.terms[ti].second;
+  bool small = r.bound.fits_int64();
+  __int128 rest = 0;
+  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
+    if (tj == ti) continue;
+    const auto [u, cu] = r.terms[tj];
+    const VarBound& b = st.at(u, cu <= 0);
+    if (!b.has) return false;
+    small = small && b.val.fits_int64() &&
+            !__builtin_add_overflow(
+                rest, static_cast<__int128>(cu) * b.val.to_int64(), &rest);
+  }
+  __int128 avail = 0;  // c·v ≤ avail
+  if (small && !__builtin_sub_overflow(static_cast<__int128>(
+                                           r.bound.to_int64()),
+                                       rest, &avail)) {
+    // c > 0: v ≤ floor(avail/c). c < 0: with cc = -c, v ≥ -(avail/cc),
+    // so lo = ceil(-avail/cc) = -floor(avail/cc).
+    const __int128 cc = c > 0 ? c : -static_cast<__int128>(c);
+    __int128 q = avail / cc;
+    if (avail % cc != 0 && avail < 0) --q;
+    if (c < 0) q = -q;
+    if (q >= INT64_MIN && q <= INT64_MAX) {
+      out = BigInt(static_cast<std::int64_t>(q));
+      return true;
+    }
+  }
+  BigInt big(0);
+  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
+    if (tj == ti) continue;
+    const auto [u, cu] = r.terms[tj];
+    big += BigInt(cu) * st.at(u, cu <= 0).val;
+  }
+  const BigInt avail_big = r.bound - big;
+  out = c > 0 ? floor_div_big(avail_big, BigInt(c))
+              : -floor_div_big(avail_big, -BigInt(c));
+  return true;
+}
+
+// One row visit: each term in order is bounded by the row and the other
+// terms' bounds; a tightened bound queues the rows that read it. Returns
+// the first crossed variable, or -1.
+int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
+  BigInt nb;
+  for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
+    if (!implied_bound(r, ti, st, nb)) continue;
+    const auto [v, c] = r.terms[ti];
+    const bool is_hi = c > 0;
+    const VarBound& cur = st.at(v, is_hi);
+    if (!cur.has || (is_hi ? nb < cur.val : nb > cur.val)) {
+      st.set(v, is_hi, std::move(nb));
+      p.queue_readers(2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
+    }
+    const VarBound& lb = st.at(v, false);
+    const VarBound& hb = st.at(v, true);
+    if (lb.has && hb.has && lb.val > hb.val) return v;
   }
   return -1;
 }
 
-// Certifier context for one lemma.
-struct Certifier {
-  const std::vector<Ineq>& rows;
-  std::size_t num_vars;
-  int steps_left = 20000;
+// Worklist interval tightening: visits the queued rows first-in first-out
+// until the queue drains (a fixpoint), a bound crosses, or 64 visits per
+// premise row are spent. Returns the crossed variable, or -1; the queue is
+// left empty. MUST stay behaviorally identical to the checker's copy.
+int propagate(const Premises& p, Bounds& st, Worklist& wl) {
+  const std::size_t budget = kVisitsPerRow * p.size();
+  std::size_t visits = 0;
+  int crossed = -1;
+  while (crossed < 0 && wl.head < wl.queue.size() && visits < budget) {
+    const auto r = static_cast<std::size_t>(wl.queue[wl.head++]);
+    wl.queued[r] = 0;
+    ++visits;
+    crossed = visit(p.row(r), p, st, wl);
+  }
+  wl.clear();
+  return crossed;
+}
 
-  bool branch(CertState st, std::ostringstream& out, int depth);
-};
+// The inequality an atom literal asserts: Σ ≤ b when true, Σ ≥ b+1 over
+// the integers when false. Null when the literal is not a theory atom.
+const StaticRow* atom_row(const SharedProblem& sh, Lit l) {
+  const int v = var_of(l);
+  if (v < 0 || v >= sh.num_bvars) return nullptr;
+  const int ai = sh.atom_of_var[static_cast<std::size_t>(v)];
+  if (ai < 0) return nullptr;
+  const Atom& a = sh.atoms[static_cast<std::size_t>(ai)];
+  return is_neg(l) ? &a.negation : &a.row;
+}
+
+// Folds one context record into the model: its rows join the context and
+// the base bounds are re-tightened, seeded by the new rows.
+void fold_context(const SharedProblem& sh, const ProofRecord& rec,
+                  CertifierContext& ctx) {
+  const std::size_t first = ctx.rows.size();
+  for (const Lit l : rec.lits) {
+    const StaticRow* r = atom_row(sh, l);
+    if (r == nullptr) {
+      throw std::logic_error("proof context literal is not a theory atom");
+    }
+    const int ri = static_cast<int>(ctx.rows.size());
+    for (const auto& [v, c] : r->terms) {
+      const std::size_t node = reader_node(v, c);
+      if (ctx.readers.size() <= node) ctx.readers.resize(node + 1);
+      std::vector<int>& rs = ctx.readers[node];
+      if (rs.empty() || rs.back() != ri) rs.push_back(ri);
+    }
+    ctx.rows.push_back(Ineq{r->terms, BigInt(r->bound)});
+  }
+  ctx.work.queued.resize(ctx.rows.size(), 0);
+  if (ctx.crossed >= 0) return;
+  const std::vector<Ineq> none;
+  const Premises p{none, ctx};
+  for (std::size_t i = first; i < ctx.rows.size(); ++i) ctx.work.push(i);
+  ctx.crossed = propagate(p, ctx.base, ctx.work);
+  ctx.base.trail.clear();  // the base bounds are permanent
+}
+
+// Folds the context records `records` (trace indices) the model has not
+// seen yet: a certificate only ever extends the trace.
+void sync_context(const SharedProblem& sh,
+                  const std::vector<ProofRecord>& trace,
+                  const std::vector<std::size_t>& records,
+                  CertifierContext& ctx) {
+  ctx.base.grow(sh.int_names.size());
+  for (; ctx.generation < records.size(); ++ctx.generation) {
+    fold_context(sh, trace[records[ctx.generation]], ctx);
+  }
+}
 
 std::string rat_pair(const Rational& r) {
   return r.num().to_string() + " " + r.den().to_string();
 }
 
-bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
+// Certifier for one lemma: tightens the base bounds in place (the caller
+// rolls them back).
+struct Certifier {
+  const Premises& p;
+  Bounds& st;
+  Worklist& wl;
+  std::size_t num_vars;
+  int steps_left = 20000;
+
+  // Closes the branch whose last change is `seed`: a bound node (a split
+  // cut), or -1 for the lemma's own rows.
+  bool branch(int seed, std::ostringstream& out, int depth);
+};
+
+bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
   if (--steps_left <= 0 || depth > 48) return false;
 
   // 1. Integer interval tightening: a bound crossing is a contradiction
   // the checker re-derives, so the step only names the crossed variable's
   // two bounds.
-  const int crossed = tighten(rows, st);
+  int crossed = p.ctx.crossed;
+  if (crossed < 0) {
+    if (seed < 0) {
+      for (std::size_t i = 0; i < p.own.size(); ++i) wl.push(i);
+    } else {
+      p.queue_readers(static_cast<std::size_t>(seed), wl);
+    }
+    crossed = propagate(p, st, wl);
+  }
   if (crossed >= 0) {
     out << "f 2 lo" << crossed << " 1 1 hi" << crossed << " 1 1\n";
     return true;
   }
 
-  // 2. Exact rational simplex over the rows plus the current bounds; an
-  // infeasibility yields the Farkas combination verbatim.
+  // 2. Exact rational simplex over every premise row plus the current
+  // bounds; an infeasibility yields the Farkas combination verbatim. A
+  // tag names a bound (kind 'l' / 'h', variable) or a premise ('p', i).
   linalg::Simplex spx;
-  std::vector<std::string> tag_names;
+  std::vector<std::pair<char, std::size_t>> tags;
   bool infeasible = false;
-  for (std::size_t v = 0; v < num_vars; ++v) {
+  for (std::size_t v = 0; v < num_vars && !infeasible; ++v) {
     const VarBound& lb = st.lo[v];
     const VarBound& hb = st.hi[v];
     if (!lb.has && !hb.has) continue;
     const int x = spx.var(static_cast<std::int32_t>(v));
     if (lb.has) {
-      tag_names.push_back("lo" + std::to_string(v));
-      if (!spx.assert_lower(x, Rational(lb.val),
-                            static_cast<int>(tag_names.size() - 1))) {
-        infeasible = true;
-      }
+      tags.emplace_back('l', v);
+      infeasible = !spx.assert_lower(x, Rational(lb.val),
+                                     static_cast<int>(tags.size() - 1));
     }
     if (!infeasible && hb.has) {
-      tag_names.push_back("hi" + std::to_string(v));
-      if (!spx.assert_upper(x, Rational(hb.val),
-                            static_cast<int>(tag_names.size() - 1))) {
-        infeasible = true;
-      }
+      tags.emplace_back('h', v);
+      infeasible = !spx.assert_upper(x, Rational(hb.val),
+                                     static_cast<int>(tags.size() - 1));
     }
-    if (infeasible) break;
   }
-  if (!infeasible) {
-    for (const Ineq& r : rows) {
-      if (r.terms.empty()) {
-        if (r.bound.is_negative()) {
-          out << "f 1 " << r.ref << " 1 1\n";  // 0 ≤ negative: immediate
-          return true;
-        }
-        continue;
+  for (std::size_t i = 0; i < p.size() && !infeasible; ++i) {
+    const Ineq& r = p.row(i);
+    if (r.terms.empty()) {
+      if (r.bound.is_negative()) {
+        out << "f 1 p" << i << " 1 1\n";  // 0 ≤ negative: immediate
+        return true;
       }
-      std::vector<std::pair<std::int32_t, std::int64_t>> terms;
-      terms.reserve(r.terms.size());
-      for (const auto& [v, c] : r.terms) {
-        terms.emplace_back(static_cast<std::int32_t>(v), c);
-      }
-      const int s = spx.add_slack(terms);
-      tag_names.push_back(r.ref);
-      if (!spx.assert_upper(s, Rational(r.bound),
-                            static_cast<int>(tag_names.size() - 1))) {
-        infeasible = true;
-        break;
-      }
+      continue;
     }
+    std::vector<std::pair<std::int32_t, std::int64_t>> terms;
+    terms.reserve(r.terms.size());
+    for (const auto& [v, c] : r.terms) {
+      terms.emplace_back(static_cast<std::int32_t>(v), c);
+    }
+    const int s = spx.add_slack(terms);
+    tags.emplace_back('p', i);
+    infeasible = !spx.assert_upper(s, Rational(r.bound),
+                                   static_cast<int>(tags.size() - 1));
   }
   if (!infeasible) infeasible = !spx.check();
   if (infeasible) {
-    const auto& fk = spx.farkas();
     std::ostringstream f;
     int n = 0;
-    for (const linalg::FarkasTerm& t : fk) {
+    for (const linalg::FarkasTerm& t : spx.farkas()) {
       if (t.mult.is_zero() || t.mult.is_negative()) continue;
-      f << " " << tag_names[static_cast<std::size_t>(t.tag)] << " "
-        << rat_pair(t.mult);
+      const auto& [kind, idx] = tags[static_cast<std::size_t>(t.tag)];
+      f << " " << (kind == 'p' ? "p" : kind == 'l' ? "lo" : "hi") << idx
+        << " " << rat_pair(t.mult);
       ++n;
     }
     out << "f " << n << f.str() << "\n";
@@ -218,8 +416,7 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
   }
   BigInt cut;
   if (best >= 0) {
-    cut = st.lo[static_cast<std::size_t>(best)].val +
-          floor_div_big(*best_width, BigInt(2));
+    cut = st.at(best, false).val + floor_div_big(*best_width, BigInt(2));
   } else {
     // No finite-width variable: cut a half-open one at its vertex value.
     for (std::size_t v = 0; v < num_vars; ++v) {
@@ -240,162 +437,197 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
                                  // lemma is not certifiable this way
   }
   out << "s " << best << " " << cut.to_string() << "\n";
-  CertState left = st;
-  VarBound& lhi = left.hi[static_cast<std::size_t>(best)];
-  lhi.has = true;
-  lhi.val = cut;
-  if (!branch(std::move(left), out, depth + 1)) return false;
+  const int node = 2 * best;  // + 1 for the upper bound
+  const std::size_t mark = st.trail.size();
+  st.set(best, true, cut);
+  if (!branch(node + 1, out, depth + 1)) return false;
+  st.undo_to(mark);
   out << "alt\n";
-  CertState right = std::move(st);
-  VarBound& rlo = right.lo[static_cast<std::size_t>(best)];
-  rlo.has = true;
-  rlo.val = cut + BigInt(1);
-  if (!branch(std::move(right), out, depth + 1)) return false;
+  st.set(best, false, cut + BigInt(1));
+  if (!branch(node, out, depth + 1)) return false;
+  st.undo_to(mark);
   out << "join\n";
   return true;
 }
 
-// Extracts the premise system of a lemma clause: the negation of each
-// clause literal plus each ctx literal, mapped through the atom table.
-// Returns false when some literal is not a theory atom (cannot occur for
-// the logged lemma sources; defensive).
-bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
-                    std::vector<Ineq>& rows) {
-  const std::size_t n = rec.lits.size();
-  for (std::size_t i = 0; i < n + rec.ctx.size(); ++i) {
-    const Lit pl = i < n ? neg(rec.lits[i]) : rec.ctx[i - n];
-    const int v = var_of(pl);
-    if (v < 0 || v >= sh.num_bvars) return false;
-    const int ai = sh.atom_of_var[static_cast<std::size_t>(v)];
-    if (ai < 0) return false;
-    // Σ ≤ b asserted true, or false: Σ ≥ b+1 over the integers.
-    const Atom& a = sh.atoms[static_cast<std::size_t>(ai)];
-    const StaticRow& r = is_neg(pl) ? a.negation : a.row;
-    rows.push_back(Ineq{r.terms, BigInt(r.bound), "p" + std::to_string(i)});
+// Certifies one lemma against the context model; returns the proof body
+// ("" on failure). The base bounds are restored on every exit.
+std::string certify_lemma(const SharedProblem& sh, const std::vector<Lit>& lits,
+                          CertifierContext& ctx) {
+  std::vector<Ineq> own;
+  own.reserve(lits.size());
+  for (const Lit l : lits) {
+    // Premise: the negated clause literal.
+    const StaticRow* r = atom_row(sh, neg(l));
+    if (r == nullptr) return "";  // not a theory atom (defensive)
+    own.push_back(Ineq{r->terms, BigInt(r->bound)});
   }
-  return true;
-}
-
-// Certifies one lemma; returns the proof body ("" on failure).
-std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec) {
-  std::vector<Ineq> rows;
-  if (!lemma_premises(sh, rec, rows)) return "";
-  CertState st;
-  st.lo.resize(sh.int_names.size());
-  st.hi.resize(sh.int_names.size());
-  Certifier cert{rows, sh.int_names.size()};
+  const Premises p{own, ctx};
+  ctx.work.queued.resize(p.size(), 0);
+  struct Rollback {
+    Bounds& b;
+    ~Rollback() { b.undo_to(0); }
+  } rollback{ctx.base};
+  Certifier cert{p, ctx.base, ctx.work, sh.int_names.size()};
   std::ostringstream body;
-  if (!cert.branch(std::move(st), body, 0)) return "";
+  if (!cert.branch(-1, body, 0)) return "";
   return body.str();
 }
 
-std::string lemma_key(const ProofRecord& rec) {
-  std::vector<Lit> sorted = rec.lits;
-  std::sort(sorted.begin(), sorted.end());
-  std::string key;
-  for (const Lit l : sorted) {
-    key += std::to_string(l);
-    key += ',';
-  }
-  key += '|';
-  sorted = rec.ctx;
-  std::sort(sorted.begin(), sorted.end());
-  for (const Lit l : sorted) {
-    key += std::to_string(l);
-    key += ',';
-  }
-  return key;
+// Appends a decimal integer.
+void put(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
 }
 
-void write_clause(std::ostringstream& out, const char* head,
-                  const std::vector<Lit>& lits) {
-  out << head;
-  for (const Lit l : lits) out << " " << proof_lit(l);
-  out << " 0\n";
+void put_clause(std::string& out, const char* head, const Lit* lits,
+                std::size_t n) {
+  out += head;
+  for (std::size_t k = 0; k < n; ++k) {
+    out += ' ';
+    put(out, proof_lit(lits[k]));
+  }
+  out += " 0\n";
 }
 
 }  // namespace
 
-Certificate build_certificate(
-    const CertificateInputs& in,
-    std::unordered_map<std::string, std::string>& lemma_cache) {
+// What build_certificate keeps between the certificates of a session: the
+// serialized problem and trace (both only grow) and the context model.
+struct CertifierCache::State {
+  std::string atoms, clauses;  // `atom` lines; `in` lines incl. def units
+  std::size_t num_atoms = 0, num_clauses = 0, num_units = 0;
+  std::string trace;  // records [0, num_records), each lemma certified
+  std::size_t num_records = 0;
+  bool unproven = false;  // `trace` holds an `unproven` lemma
+  std::vector<std::size_t> context_records;  // trace indices, in `trace`
+  CertifierContext context;
+};
+
+CertifierCache::CertifierCache() : state_(std::make_unique<State>()) {}
+CertifierCache::~CertifierCache() = default;
+
+namespace {
+
+// Serializes the atoms and problem clauses translated since the last
+// certificate (units follow the clauses: `in` lines are order-free).
+void extend_problem(const SharedProblem& sh, CertifierCache::State& st) {
+  for (; st.num_atoms < sh.atoms.size(); ++st.num_atoms) {
+    const StaticRow& r = sh.atoms[st.num_atoms].row;
+    st.atoms += "atom ";
+    put(st.atoms, sh.atom_var[st.num_atoms] + 1);
+    st.atoms += " le ";
+    put(st.atoms, r.bound);
+    st.atoms += ' ';
+    put(st.atoms, static_cast<std::int64_t>(r.terms.size()));
+    for (const auto& [v, c] : r.terms) {
+      st.atoms += ' ';
+      put(st.atoms, v);
+      st.atoms += ' ';
+      put(st.atoms, c);
+    }
+    st.atoms += '\n';
+  }
+  for (; st.num_clauses < sh.clauses.size(); ++st.num_clauses) {
+    put_clause(st.clauses, "in", sh.clauses.begin(st.num_clauses),
+               sh.clauses.len(st.num_clauses));
+  }
+  for (; st.num_units < sh.def_units.size(); ++st.num_units) {
+    put_clause(st.clauses, "in", &sh.def_units[st.num_units], 1);
+  }
+}
+
+// Serializes (and certifies) the records logged since the last
+// certificate. Commits to `st` only once every new record is done, so a
+// throw leaves the cache as it was (the context model is rebuilt).
+void extend_trace(const SharedProblem& sh,
+                  const std::vector<ProofRecord>& trace,
+                  CertifierCache::State& st) {
+  std::string text;
+  bool unproven = st.unproven;
+  std::vector<std::size_t> context = st.context_records;
+  for (std::size_t i = st.num_records; i < trace.size(); ++i) {
+    const ProofRecord& rec = trace[i];
+    const Lit* lits = rec.lits.data();
+    const std::size_t n = rec.lits.size();
+    switch (rec.kind) {
+      case ProofRecord::Kind::kRup:
+        put_clause(text, "rup", lits, n);
+        break;
+      case ProofRecord::Kind::kDelete:
+        put_clause(text, "del", lits, n);
+        break;
+      case ProofRecord::Kind::kContext:
+        put_clause(text, "ctx", lits, n);
+        context.push_back(i);
+        break;
+      case ProofRecord::Kind::kLemma: {
+        put_clause(text, "lem", lits, n);
+        std::string body;
+        try {
+          sync_context(sh, trace, context, st.context);
+          body = certify_lemma(sh, rec.lits, st.context);
+        } catch (...) {
+          st.context = CertifierContext{};  // possibly half-folded
+          throw;
+        }
+        if (body.empty()) {
+          text += "unproven\n";
+          unproven = true;
+        } else {
+          text += body;
+        }
+        text += "end\n";
+        break;
+      }
+    }
+  }
+  st.trace += text;
+  st.num_records = trace.size();
+  st.unproven = unproven;
+  st.context_records = std::move(context);
+}
+
+}  // namespace
+
+Certificate build_certificate(const CertificateInputs& in,
+                              CertifierCache& cache) {
   const util::Stopwatch sw;
   Certificate cert;
   cert.mode = "native";
-  std::ostringstream out;
-  out << "advocat-proof 1\n";
-  out << "mode native\n";
+  std::string& out = cert.text;
+  out = "advocat-proof 2\nmode native\n";
   if (in.trivially_unsat) {
     // Translation already derived the empty clause.
-    out << "in 0\nqed\n";
-    cert.text = out.str();
-    cert.proof_bytes = cert.text.size();
+    out += "in 0\nqed\n";
+    cert.proof_bytes = out.size();
     cert.proof_ms = sw.millis();
     return cert;
   }
 
   const SharedProblem& sh = *in.sh;
-  out << "nvars " << sh.num_bvars << "\n";
-  out << "nints " << sh.int_names.size() << "\n";
-  for (std::size_t ai = 0; ai < sh.atoms.size(); ++ai) {
-    const StaticRow& r = sh.atoms[ai].row;
-    out << "atom " << sh.atom_var[ai] + 1 << " le " << r.bound << " "
-        << r.terms.size();
-    for (const auto& [v, c] : r.terms) out << " " << v << " " << c;
-    out << "\n";
-  }
-  for (std::size_t ci = 0; ci < sh.clauses.size(); ++ci) {
-    out << "in";
-    const Lit* lits = sh.clauses.begin(ci);
-    const std::uint32_t n = sh.clauses.len(ci);
-    for (std::uint32_t k = 0; k < n; ++k) out << " " << proof_lit(lits[k]);
-    out << " 0\n";
-  }
-  for (const Lit l : sh.def_units) out << "in " << proof_lit(l) << " 0\n";
-  for (const Lit l : in.assume_lits) {
-    out << "assume " << proof_lit(l) << " 0\n";
-  }
+  CertifierCache::State& st = cache.state();
+  extend_problem(sh, st);
+  extend_trace(sh, *in.trace, st);
+  out.reserve(out.size() + 64 + st.atoms.size() + st.clauses.size() +
+              16 * in.assume_lits.size() + st.trace.size());
+  out += "nvars ";
+  put(out, sh.num_bvars);
+  out += "\nnints ";
+  put(out, static_cast<std::int64_t>(sh.int_names.size()));
+  out += '\n';
+  out += st.atoms;
+  out += st.clauses;
+  for (const Lit l : in.assume_lits) put_clause(out, "assume", &l, 1);
+  out += st.trace;
+  out += "qed\n";
 
-  bool complete = !in.attached_mid_session;
-  std::string reason =
-      in.attached_mid_session ? "proof sink attached mid-session" : "";
-  for (const ProofRecord& rec : *in.trace) {
-    switch (rec.kind) {
-      case ProofRecord::Kind::kRup:
-        write_clause(out, "rup", rec.lits);
-        break;
-      case ProofRecord::Kind::kDelete:
-        write_clause(out, "del", rec.lits);
-        break;
-      case ProofRecord::Kind::kLemma: {
-        write_clause(out, "lem", rec.lits);
-        if (!rec.ctx.empty()) write_clause(out, "ctx", rec.ctx);
-        const std::string key = lemma_key(rec);
-        auto it = lemma_cache.find(key);
-        if (it == lemma_cache.end()) {
-          it = lemma_cache.emplace(key, certify_lemma(sh, rec)).first;
-        }
-        if (it->second.empty()) {
-          out << "unproven\n";
-          if (complete) {
-            complete = false;
-            reason = "uncertified theory lemma";
-          }
-        } else {
-          out << it->second;
-        }
-        out << "end\n";
-        break;
-      }
-    }
-  }
-
-  out << "qed\n";
-
-  cert.text = out.str();
-  cert.complete = complete;
-  cert.reason = reason;
-  cert.proof_bytes = cert.text.size();
+  cert.complete = !in.attached_mid_session && !st.unproven;
+  cert.reason = in.attached_mid_session ? "proof sink attached mid-session"
+                : st.unproven           ? "uncertified theory lemma"
+                                        : "";
+  cert.proof_bytes = out.size();
   cert.proof_ms = sw.millis();
   return cert;
 }

@@ -10,7 +10,7 @@
 // At an Unsat check boundary NativeSolver serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
 // and theory-atom table, this check's assumption units, the ordered
-// rup/lem/del trace — each theory lemma carrying an inline branch-and-cut
+// rup/ctx/lem/del trace — each theory lemma carrying an inline branch-and-cut
 // proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
 // variable splits) produced here by re-deriving the
 // lemma's integer infeasibility with the exact rational simplex — and a
@@ -21,9 +21,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,59 +35,63 @@ namespace advocat::smt::native {
 /// One entry of the session proof trace.
 struct ProofRecord {
   enum class Kind : std::uint8_t {
-    kRup,     ///< learned clause, checkable by reverse unit propagation
-    kLemma,   ///< theory-valid clause, checkable by its inline proof
-    kDelete,  ///< advisory deletion (the checker keeps every clause)
+    kRup,      ///< learned clause, checkable by reverse unit propagation
+    kLemma,    ///< theory-valid clause, checkable by its inline proof
+    kDelete,   ///< advisory deletion (the checker keeps every clause)
+    kContext,  ///< atom literals joining the level-0 context
   };
   Kind kind = Kind::kRup;
-  std::vector<Lit> lits;  ///< the clause
-  /// kLemma only: atom literals asserted at level 0 when the lemma was
-  /// produced. Leaf blocking clauses and conflict explanations omit
-  /// level-0 literals (they are permanent), so the lemma clause alone
-  /// need not be theory-valid — the checker re-derives each ctx literal
-  /// by unit propagation and adds it to the lemma's premise set.
-  std::vector<Lit> ctx;
+  /// The clause; for kContext the literals added to the context.
+  std::vector<Lit> lits;
 };
 
 /// The session proof trace. Near-zero overhead: SearchContext holds a
 /// nullable pointer and logs only while a sink is installed; no SolveStats
 /// field is touched, so stats are bit-identical with and without logging.
+///
+/// Leaf blocking clauses and conflict explanations omit level-0 literals
+/// (they are permanent), so a lemma clause alone need not be theory-valid:
+/// its premises include the *context*, every atom literal the search has
+/// held at level 0 so far. The context is a set that only grows across
+/// the session (level 0 only gains consequences of the growing root and
+/// clause sets), logged as kContext records that carry just the literals
+/// it has not held before.
 class ProofLog {
  public:
   /// Logs a learned clause.
   void log_rup(const Lit* lits, std::size_t n) {
-    ProofRecord r;
-    r.kind = ProofRecord::Kind::kRup;
-    r.lits.assign(lits, lits + n);
-    records_.push_back(std::move(r));
+    push(ProofRecord::Kind::kRup, lits, n);
   }
 
-  /// Logs a theory lemma with its level-0 atom context; deduplicated by
-  /// literal set (theory propagations re-derive the same implication many
-  /// times per check).
-  void log_lemma(const Lit* lits, std::size_t n, const Lit* ctx,
-                 std::size_t nctx) {
-    std::string key;
-    key.reserve(8 * n);
+  /// Logs a theory lemma, deduplicated by literal set (theory propagations
+  /// re-derive the same implication many times per check). `level0` holds
+  /// atom literals asserted at level 0; those not yet in the context are
+  /// logged first, as one kContext record. Returns false for a duplicate,
+  /// which logs nothing (the caller keeps `level0` for the next lemma).
+  bool log_lemma(const Lit* lits, std::size_t n,
+                 const std::vector<Lit>& level0) {
     std::vector<Lit> sorted(lits, lits + n);
     std::sort(sorted.begin(), sorted.end());
-    for (const Lit l : sorted) {
-      key += std::to_string(l);
-      key += ',';
+    std::string key(reinterpret_cast<const char*>(sorted.data()),
+                    sorted.size() * sizeof(Lit));
+    if (!lemma_seen_.insert(std::move(key)).second) return false;
+    std::vector<Lit> fresh;
+    for (const Lit l : level0) {
+      const auto i = static_cast<std::size_t>(l);
+      if (i >= in_context_.size()) in_context_.resize(i + 1, 0);
+      if (in_context_[i] != 0) continue;
+      in_context_[i] = 1;
+      fresh.push_back(l);
     }
-    if (!lemma_seen_.insert(key).second) return;
-    ProofRecord r;
-    r.kind = ProofRecord::Kind::kLemma;
-    r.lits.assign(lits, lits + n);
-    r.ctx.assign(ctx, ctx + nctx);
-    records_.push_back(std::move(r));
+    if (!fresh.empty()) {
+      push(ProofRecord::Kind::kContext, fresh.data(), fresh.size());
+    }
+    push(ProofRecord::Kind::kLemma, lits, n);
+    return true;
   }
 
   void log_delete(const Lit* lits, std::size_t n) {
-    ProofRecord r;
-    r.kind = ProofRecord::Kind::kDelete;
-    r.lits.assign(lits, lits + n);
-    records_.push_back(std::move(r));
+    push(ProofRecord::Kind::kDelete, lits, n);
   }
 
   /// Every record logged so far, in emission order.
@@ -96,8 +100,16 @@ class ProofLog {
   }
 
  private:
+  void push(ProofRecord::Kind kind, const Lit* lits, std::size_t n) {
+    ProofRecord r;
+    r.kind = kind;
+    r.lits.assign(lits, lits + n);
+    records_.push_back(std::move(r));
+  }
+
   std::vector<ProofRecord> records_;
   std::unordered_set<std::string> lemma_seen_;
+  std::vector<char> in_context_;  // literal -> already in the context
 };
 
 /// Everything build_certificate needs from the solver session.
@@ -115,13 +127,32 @@ struct CertificateInputs {
   bool attached_mid_session = false;
 };
 
-/// Serializes (and theory-certifies) one Unsat check. `lemma_cache` maps a
-/// lemma's literal key to its certified proof body across calls — sizing
-/// sessions re-certify the same session trace once per Unsat probe, and
-/// the expensive branch-and-cut re-derivation is per-lemma cacheable.
-Certificate build_certificate(
-    const CertificateInputs& in,
-    std::unordered_map<std::string, std::string>& lemma_cache);
+/// Certification state of one session. The trace only grows, and a
+/// record serializes to the same text in every certificate (a lemma's
+/// premises are its literals plus the context logged before it), so the
+/// serialized problem and trace are kept and extended by what was logged
+/// since the previous certificate: each lemma is certified once per
+/// session. The context model — the context's rows, a variable→row index
+/// and the base bounds the context alone implies — grows with the trace.
+class CertifierCache {
+ public:
+  CertifierCache();
+  ~CertifierCache();
+  CertifierCache(const CertifierCache&) = delete;
+  CertifierCache& operator=(const CertifierCache&) = delete;
+
+  struct State;  // defined in proof.cpp
+  [[nodiscard]] State& state() { return *state_; }
+
+ private:
+  std::unique_ptr<State> state_;
+};
+
+/// Serializes (and theory-certifies) one Unsat check. Every certificate
+/// of a session holds the whole trace so far; `cache` carries the text
+/// and the context model from one certificate to the next.
+Certificate build_certificate(const CertificateInputs& in,
+                              CertifierCache& cache);
 
 /// Writes every certificate to `dir/proof_<n>.proof` (numbered in arrival
 /// order): the ready-made sink of docs/PROOFS.md. The bench harnesses and

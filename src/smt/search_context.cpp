@@ -587,6 +587,8 @@ bool SearchContext::propagate_entailed_atoms() {
             static_cast<std::uint32_t>(expl_scratch_.size());
         expl_pool_.insert(expl_pool_.end(), expl_scratch_.begin(),
                           expl_scratch_.end());
+        ++stats_.entailed_propagations;
+        entailed_expl_lits_ += expl_scratch_.size();
         if (plog_ != nullptr) {
           // The implicit reason clause of this theory propagation: the
           // enqueued literal plus its explanation (already in clause
@@ -804,24 +806,26 @@ void SearchContext::collect_theory_lits(std::size_t limit,
   }
 }
 
-// Records a theory-valid clause in the proof trace. The recorded context
-// is every atom literal asserted at level 0 right now: leaf blocking
-// clauses (collect_theory_lits) skip level-0 literals as permanent, so
-// the clause alone need not be theory-valid — the checker re-derives each
-// context literal by unit propagation and adds it to the premise set.
+// Records a theory-valid clause in the proof trace. Leaf blocking clauses
+// (collect_theory_lits) skip level-0 literals as permanent, so the clause
+// alone need not be theory-valid: the log's context holds every atom
+// literal asserted at level 0, which the checker re-derives by unit
+// propagation and adds to the premise set. Within a check the level-0
+// trail prefix only grows, so each of its literals is handed to the log
+// once (proof_scratch_ keeps them until a lemma is actually logged).
 void SearchContext::log_theory_lemma(const std::vector<Lit>& clause) {
   if (plog_ == nullptr) return;
-  proof_scratch_.clear();
   const std::size_t l0 =
       levels_.empty() ? trail_.size() : levels_.front().trail;
-  for (std::size_t i = 0; i < l0; ++i) {
-    const int v = var_of(trail_[i]);
-    if (sh_.atom_of_var[static_cast<std::size_t>(v)] >= 0) {
-      proof_scratch_.push_back(trail_[i]);
+  for (; level0_scanned_ < l0; ++level0_scanned_) {
+    const Lit l = trail_[level0_scanned_];
+    if (sh_.atom_of_var[static_cast<std::size_t>(var_of(l))] >= 0) {
+      proof_scratch_.push_back(l);
     }
   }
-  plog_->log_lemma(clause.data(), clause.size(), proof_scratch_.data(),
-                   proof_scratch_.size());
+  if (plog_->log_lemma(clause.data(), clause.size(), proof_scratch_)) {
+    proof_scratch_.clear();
+  }
 }
 
 // First-UIP conflict analysis; see the pre-split solver for the full
@@ -1171,6 +1175,8 @@ void SearchContext::reset_search() {
   }
   trail_.clear();
   qhead_ = theory_head_ = 0;
+  level0_scanned_ = 0;
+  proof_scratch_.clear();
   row_work_.clear();
   sconf_rows_.clear();
   clear_dirty();
@@ -1404,6 +1410,11 @@ SatResult SearchContext::solve(const CheckJob& job) {
     Auditor::check_deep(*this, "check-boundary", /*bounds_settled=*/false);
   }
   stats_.learned_kept = num_learned_live_;
+  if (stats_.entailed_propagations > 0) {
+    stats_.mean_entailed_expl_lits =
+        static_cast<double>(entailed_expl_lits_) /
+        static_cast<double>(stats_.entailed_propagations);
+  }
   stats_.arena_bytes = arena_.bytes();  // gauge, like learned_kept
   if (stats_.arena_bytes > stats_.peak_arena_bytes) {
     stats_.peak_arena_bytes = stats_.arena_bytes;

@@ -234,9 +234,9 @@ class SearchContext {
   int analyze(const Lit* conflict, std::size_t nconf, ClauseRef conflict_ci,
               int& lbd_out);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
-  // Records `clause` as a theory lemma (with the level-0 atom context in
-  // force, which leaf blocking clauses omit as permanent). No-op while no
-  // proof log is attached.
+  // Records `clause` as a theory lemma (first extending the log's level-0
+  // atom context, which leaf blocking clauses omit as permanent). No-op
+  // while no proof log is attached.
   void log_theory_lemma(const std::vector<Lit>& clause);
   void maybe_restart_or_reduce();
   void reduce_db();
@@ -315,7 +315,8 @@ class SearchContext {
   std::vector<Lit> theory_conflict_;
   std::vector<int> lbd_levels_;
   ProofLog* plog_ = nullptr;        // proof trace, nullptr = logging off
-  std::vector<Lit> proof_scratch_;  // level-0 ctx assembly scratch
+  std::vector<Lit> proof_scratch_;  // level-0 atoms not yet handed to plog_
+  std::size_t level0_scanned_ = 0;  // level-0 trail prefix scanned for them
   std::vector<Lit> lemma_scratch_;  // lemma-clause assembly scratch
   std::vector<int> reduce_order_;
   // Provenance-explanation machinery (see the .cpp section comment).
@@ -350,6 +351,7 @@ class SearchContext {
   // Results of the last solve + lifetime counters.
   SolveStats stats_;
   std::uint64_t conflict_lits_ = 0;  // Σ conflict sizes (mean_conflict_lits)
+  std::uint64_t entailed_expl_lits_ = 0;  // Σ entailed-atom explanation sizes
   util::StopReason last_stop_ = util::StopReason::kNone;
   Model model_;
 };

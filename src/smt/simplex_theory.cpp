@@ -19,7 +19,7 @@ namespace {
 constexpr int kBranchTag = std::numeric_limits<int>::min();
 
 // Branch-and-bound limits per integer-complete check: the node budget
-// (each node costs one simplex re-check) and the recursion depth. Either
+// (each node costs one simplex re-check) and the search depth. Either
 // exhausted keeps the honest `Feasible` (integer-open) verdict, which the
 // solver degrades to Unknown. Sized from measurement: the parity system
 // x = 2y ∧ x = 2z+1 with 0 ≤ x ≤ 2000 and small random bounded systems
@@ -92,55 +92,88 @@ void SimplexTheory::collect_farkas_tags(std::vector<int>& used) const {
   }
 }
 
+// Depth-first over an explicit stack (a deep search would overflow the
+// call stack): each frame is one node's cut x ≤ ⌊v⌋ ∨ x ≥ ⌊v⌋+1, probed
+// lower side first. A refuted probe is answered at once; a feasible one
+// descends, and the child's verdict flows back up once the child closes.
 SimplexTheory::Verdict SimplexTheory::branch(const std::vector<int>& int_vars,
-                                             int depth,
                                              std::vector<int>& used,
                                              Result& out) {
-  // Precondition: bounds feasible over the rationals (spx_.check() held).
-  int frac = -1;
-  for (const int v : int_vars) {
-    if (!spx_.value(spx_.var(v)).is_integer()) {
-      frac = v;
-      break;
-    }
-  }
-  if (frac < 0) {
-    out.model.clear();
-    for (const int v : int_vars) {
-      const Rational& val = spx_.value(spx_.var(v));
-      if (!val.num().fits_int64()) return Verdict::Feasible;  // honest open
-      out.model.push_back(theory::Pin{v, val.num().to_int64()});
-    }
-    return Verdict::IntegerModel;
-  }
-  if (branch_budget_ == 0 || depth > kBranchDepth) return Verdict::Feasible;
-  --branch_budget_;
-
-  const int ext = spx_.var(frac);
-  const Rational f(floor_big(spx_.value(ext)));
-  auto probe = [&](bool upper_branch) {
-    const std::size_t mark = spx_.mark();
-    Verdict v;
-    const bool ok = upper_branch
-                        ? spx_.assert_lower(ext, f + Rational(1), kBranchTag)
-                        : spx_.assert_upper(ext, f, kBranchTag);
-    if (!ok || !spx_.check()) {
-      collect_farkas_tags(used);
-      v = Verdict::Infeasible;
-    } else {
-      v = branch(int_vars, depth + 1, used, out);
-    }
-    spx_.retract_to(mark);
-    return v;
+  struct Frame {
+    int ext;
+    Rational floor;
+    std::size_t mark;
+    bool upper = false;                  // probing x ≥ ⌊v⌋+1
+    Verdict lower = Verdict::Feasible;   // the x ≤ ⌊v⌋ verdict
   };
-  const Verdict lo = probe(false);
-  if (lo == Verdict::IntegerModel) return lo;
-  const Verdict hi = probe(true);
-  if (hi == Verdict::IntegerModel) return hi;
-  if (lo == Verdict::Infeasible && hi == Verdict::Infeasible) {
-    return Verdict::Infeasible;  // x ≤ ⌊v⌋ ∨ x ≥ ⌊v⌋+1 is an integer tautology
+  std::vector<Frame> stack;
+  // Asserts the frame's current side; false (with the refutation's tags
+  // collected and the cut retracted) when it is infeasible.
+  auto probe = [&](const Frame& fr) {
+    const bool ok = fr.upper
+                        ? spx_.assert_lower(fr.ext, fr.floor + Rational(1),
+                                            kBranchTag)
+                        : spx_.assert_upper(fr.ext, fr.floor, kBranchTag);
+    if (ok && spx_.check()) return true;
+    collect_farkas_tags(used);
+    spx_.retract_to(fr.mark);
+    return false;
+  };
+  for (;;) {
+    // Precondition: bounds feasible over the rationals (spx_.check() held).
+    Verdict v = Verdict::Feasible;
+    int frac = -1;
+    for (const int iv : int_vars) {
+      if (!spx_.value(spx_.var(iv)).is_integer()) {
+        frac = iv;
+        break;
+      }
+    }
+    if (frac < 0) {
+      v = Verdict::IntegerModel;
+      out.model.clear();
+      for (const int iv : int_vars) {
+        const Rational& val = spx_.value(spx_.var(iv));
+        if (!val.num().fits_int64()) {
+          v = Verdict::Feasible;  // honest open
+          break;
+        }
+        out.model.push_back(theory::Pin{iv, val.num().to_int64()});
+      }
+    } else if (branch_budget_ > 0 &&
+               static_cast<int>(stack.size()) <= kBranchDepth) {
+      --branch_budget_;
+      const int ext = spx_.var(frac);
+      stack.push_back(
+          Frame{ext, Rational(floor_big(spx_.value(ext))), spx_.mark()});
+      if (probe(stack.back())) continue;  // descend into x ≤ ⌊v⌋
+      v = Verdict::Infeasible;
+    }
+    // Hand `v` up: to the open probe of the innermost frame, until a
+    // frame opens its upper side or the root answers.
+    bool descend = false;
+    while (!stack.empty() && !descend) {
+      Frame& fr = stack.back();
+      spx_.retract_to(fr.mark);
+      if (!fr.upper && v != Verdict::IntegerModel) {
+        fr.lower = v;
+        fr.upper = true;
+        if (probe(fr)) {
+          descend = true;  // into x ≥ ⌊v⌋+1
+          continue;
+        }
+        v = Verdict::Infeasible;
+      }
+      if (fr.upper && v != Verdict::IntegerModel) {
+        // x ≤ ⌊v⌋ ∨ x ≥ ⌊v⌋+1 is an integer tautology.
+        v = fr.lower == Verdict::Infeasible && v == Verdict::Infeasible
+                ? Verdict::Infeasible
+                : Verdict::Feasible;
+      }
+      stack.pop_back();
+    }
+    if (!descend) return v;
   }
-  return Verdict::Feasible;
 }
 
 std::string SimplexTheory::audit() const {
@@ -200,7 +233,7 @@ SimplexTheory::Result SimplexTheory::decide(const std::vector<int>* int_vars) {
   if (spx_.check()) {
     if (int_vars == nullptr) return out;
     branch_budget_ = kBranchBudget;
-    out.verdict = branch(*int_vars, 0, used, out);
+    out.verdict = branch(*int_vars, used, out);
     if (out.verdict != Verdict::Infeasible) return out;
   } else {
     collect_farkas_tags(used);

@@ -101,8 +101,8 @@ class SimplexTheory {
   Result decide(const std::vector<int>* int_vars);
   // Branch-on-rational-vertex integer completion; appends used non-branch
   // tags to `used`. Returns the verdict for the current bound state.
-  Verdict branch(const std::vector<int>& int_vars, int depth,
-                 std::vector<int>& used, Result& out);
+  Verdict branch(const std::vector<int>& int_vars, std::vector<int>& used,
+                 Result& out);
   void collect_farkas_tags(std::vector<int>& used) const;
 
   linalg::Simplex spx_;

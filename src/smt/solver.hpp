@@ -55,6 +55,12 @@ struct SolveStats {
   /// Mean literal count of the conflict sets handed to conflict analysis
   /// (clause, theory explanation or leaf blocking clause).
   double mean_conflict_lits = 0.0;
+  /// Native backend: atom literals the interval bounds entailed and the
+  /// search enqueued as theory propagations, and the mean literal count
+  /// of their stored explanations (the reasons conflict analysis resolves
+  /// them by).
+  std::uint64_t entailed_propagations = 0;
+  double mean_entailed_expl_lits = 0.0;
   std::uint64_t decisions = 0;     ///< branching decisions
   std::uint64_t propagations = 0;  ///< literals enqueued by propagation
   std::uint64_t restarts = 0;      ///< search restarts (Luby schedule)

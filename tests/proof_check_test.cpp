@@ -124,6 +124,49 @@ TEST(ProofCertificate, IncrementalSessionCertifiesEveryUnsat) {
   }
 }
 
+// Two ints sized by a growing session: each round adds root bounds (which
+// land at level 0) and then refutes an assumption only the level-0 rows
+// contradict. The proof context grows between the Unsat checks, so a later
+// certificate carries one `ctx` line per round.
+std::vector<Certificate> growing_context_certificates() {
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  s->add(f.le(f.int_const(0), x));
+  s->add(f.le(x, f.int_const(10)));
+  EXPECT_EQ(s->check_assuming({f.le(f.int_const(11), x)}), SatResult::Unsat);
+  s->add(f.le(f.int_const(0), y));
+  s->add(f.le(y, x));
+  EXPECT_EQ(s->check_assuming({f.le(f.int_const(11), y)}), SatResult::Unsat);
+  return sink.certs;
+}
+
+std::size_t count_lines(const std::string& text, const std::string& head) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find("\n" + head + " "); at != std::string::npos;
+       at = text.find("\n" + head + " ", at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ProofCertificate, GrowingContextCertifiesEveryUnsat) {
+  const std::vector<Certificate> certs = growing_context_certificates();
+  ASSERT_EQ(certs.size(), 2u);
+  for (const Certificate& cert : certs) {
+    EXPECT_TRUE(cert.complete) << cert.reason;
+    const CheckResult r = check_proof_text(cert.text);
+    EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  }
+  // The context is logged as deltas: the first certificate's context
+  // line, then the literals the second round added.
+  EXPECT_EQ(count_lines(certs[0].text, "ctx"), 1u);
+  EXPECT_GT(count_lines(certs[1].text, "ctx"), 1u);
+}
+
 TEST(ProofCertificate, AssumptionRefutationCertified) {
   ExprFactory f;
   auto s = make_solver(f, Backend::Native);
@@ -361,6 +404,80 @@ TEST(ProofMutation, UnprovenLemmaRejected) {
   EXPECT_EQ(r.reason, "lemma-unproven") << r.detail;
 }
 
+// The line of `text` that starts at `at` (which follows a newline),
+// including its newline.
+std::string line_at(const std::string& text, std::size_t at) {
+  return text.substr(at, text.find('\n', at) + 1 - at);
+}
+
+TEST(ProofMutation, UnderivedContextLiteralRejected) {
+  std::string text = growing_context_certificates().back().text;
+  // Negate the first context literal: the clause set derives its
+  // complement, so the `ctx` line cannot vouch for it.
+  const std::size_t at = text.find("\nctx ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t lit = at + 5;
+  if (text[lit] == '-') {
+    text.erase(lit, 1);
+  } else {
+    text.insert(lit, "-");
+  }
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "ctx-underived") << r.detail;
+}
+
+TEST(ProofMutation, ContextIntroducedAfterItsLemmaRejected) {
+  std::string text = growing_context_certificates().back().text;
+  // The second round's lemma is proved from the rows its `ctx` line adds;
+  // moved past the lemma, they are not premises of it yet.
+  const std::size_t at = text.rfind("\nctx ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string ctx = line_at(text, at + 1);
+  const std::size_t end = text.find("\nend\n", at);
+  ASSERT_NE(end, std::string::npos);
+  text.insert(end + 5, ctx);
+  text.erase(at + 1, ctx.size());
+  ASSERT_TRUE(check_proof_text(growing_context_certificates().back().text)
+                  .ok);
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "lemma-bad-ref") << r.detail;
+}
+
+TEST(ProofMutation, PremiseRefPastThePremisesRejected) {
+  std::string text = growing_context_certificates().back().text;
+  // Point the first Farkas term at a premise index no lemma has.
+  const std::size_t at = text.find("\nf ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t ref = text.find(' ', at + 3) + 1;  // after <n>
+  const std::size_t ref_end = text.find(' ', ref);
+  text.replace(ref, ref_end - ref, "p999");
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "lemma-bad-ref") << r.detail;
+}
+
+TEST(ProofMutation, VersionOneHeaderRejected) {
+  std::string text = interval_clash_certificate();
+  ASSERT_EQ(text.rfind("advocat-proof 2\n", 0), 0u);
+  text.replace(0, 15, "advocat-proof 1");
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "bad-header") << r.detail;
+}
+
+TEST(ProofMutation, OversizedCountsRejected) {
+  // Sizes beyond the index range are a rejection, not an allocation.
+  for (const char* sizes : {"nvars 999999999999999\n",
+                            "nvars 1\nnints 999999999999999\n"}) {
+    const CheckResult r = check_proof_text(
+        std::string("advocat-proof 2\nmode native\n") + sizes + "qed\n");
+    EXPECT_FALSE(r.ok) << sizes;
+    EXPECT_EQ(r.reason, "parse-error") << sizes;
+  }
+}
+
 TEST(ProofMutation, GarbageHeaderRejected) {
   const CheckResult r = check_proof_text("not a proof\n");
   EXPECT_FALSE(r.ok);
@@ -369,7 +486,7 @@ TEST(ProofMutation, GarbageHeaderRejected) {
 
 TEST(ProofMutation, AttestedCertificateAcceptedAsAttested) {
   const CheckResult r =
-      check_proof_text("advocat-proof 1\nmode attested z3\nqed\n");
+      check_proof_text("advocat-proof 2\nmode attested z3\nqed\n");
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.mode, "attested");
 }

@@ -422,7 +422,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Native sizing of directory position `dir` of the k x k MI mesh.
 QueueSizingResult size_mesh(int mesh, int dir,
-                            const util::ResourceBudget& budget = {}) {
+                            const util::ResourceBudget& budget = {},
+                            smt::ProofSink* sink = nullptr) {
   auto make = [mesh, dir](std::size_t cap) {
     coh::MiAbstractConfig config;
     config.width = mesh;
@@ -434,6 +435,7 @@ QueueSizingResult size_mesh(int mesh, int dir,
   QueueSizingOptions o;
   o.verify.backend = smt::Backend::Native;
   o.verify.budget = budget;
+  o.verify.proof_sink = sink;
   return find_minimal_queue_size(make, o);
 }
 
@@ -455,6 +457,32 @@ TEST(SolverCounters, SizingRefutesNoLeafAndExplainsWithFarkasRows) {
   EXPECT_EQ(s.conflicts, s.conflicts_clause + s.conflicts_interval_farkas +
                              s.conflicts_interval_integer);
   EXPECT_GT(s.mean_conflict_lits, 0.0);
+}
+
+// Entailed-atom propagation is counted where it happens: 3x3 dir 0 pins the
+// number of entailed atoms and the mean size of their explanations, and a
+// proof sink (which logs every explanation as a theory lemma) moves
+// neither.
+TEST(SolverCounters, EntailedPropagationsPinnedAndUnperturbedByLogging) {
+  class DiscardSink : public smt::ProofSink {
+   public:
+    void on_unsat_certificate(const smt::Certificate& /*cert*/) override {
+      ++certs;
+    }
+    int certs = 0;
+  };
+  DiscardSink sink;
+  const QueueSizingResult logged = size_mesh(3, 0, {}, &sink);
+  const QueueSizingResult plain = size_mesh(3, 0);
+  EXPECT_GT(sink.certs, 0);
+  ASSERT_EQ(plain.minimal_capacity, 11u);
+  const smt::SolveStats& s = plain.solve_stats;
+  EXPECT_EQ(s.entailed_propagations, 5'750u);
+  EXPECT_DOUBLE_EQ(s.mean_entailed_expl_lits, 48'089.0 / 5'750.0);
+  EXPECT_EQ(logged.solve_stats.entailed_propagations, s.entailed_propagations);
+  EXPECT_EQ(logged.solve_stats.mean_entailed_expl_lits,
+            s.mean_entailed_expl_lits);
+  EXPECT_EQ(logged.solve_stats.conflicts, s.conflicts);
 }
 
 // Deterministic regression over the mesh's x/y reflection orbits: under a

@@ -5,11 +5,14 @@
 //     (problem `in` lines, `assume` hypotheses, verified derivations),
 //     with a permanent trail that only grows and a rollback point for the
 //     temporary assumptions of each reverse-unit-propagation check;
-//  2. an exact-integer interval tightener (tighten() below) that MUST stay
-//     behaviorally identical to the certifier's copy in src/smt/proof.cpp
-//     — rows in order, terms in order, Chvátal–Gomory rounding, stop at
-//     the first bound crossing — so a proof step can reference derived
-//     bounds as `lo<v>` / `hi<v>` without serializing their derivation;
+//  2. an exact-integer worklist interval tightener (propagate() below)
+//     that MUST stay behaviorally identical to the certifier's copy in
+//     src/smt/proof.cpp — the same seeds, first-in first-out row visits,
+//     terms in order, Chvátal–Gomory rounding, stop at the first bound
+//     crossing or the visit budget — so a proof step can reference derived
+//     bounds as `lo<v>` / `hi<v>` without serializing their derivation.
+//     The level-0 context (`ctx` lines) is tightened once into base bounds
+//     as it grows; each lemma tightens from them and rolls back;
 //  3. a recursive-descent verifier for lemma proof bodies: `f` Farkas
 //     combinations re-summed in exact rational arithmetic, and `s … alt …
 //     join` single-variable splits (integer tautologies, so any split is
@@ -17,12 +20,16 @@
 #include "proof_check.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <sstream>
-#include <unordered_map>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,68 +61,191 @@ struct VarBound {
   BigInt val;
 };
 
-struct CertState {
+// Derived bounds with an undo trail: a lemma and each split branch tighten
+// in place and roll back to where they started.
+struct Bounds {
+  struct Undo {
+    int var;
+    bool is_hi;
+    VarBound old;
+  };
   std::vector<VarBound> lo, hi;
+  std::vector<Undo> trail;
+
+  VarBound& at(int v, bool is_hi) {
+    return (is_hi ? hi : lo)[static_cast<std::size_t>(v)];
+  }
+  void set(int v, bool is_hi, BigInt val) {
+    VarBound& b = at(v, is_hi);
+    trail.push_back(Undo{v, is_hi, b});
+    b.has = true;
+    b.val = std::move(val);
+  }
+  void undo_to(std::size_t mark) {
+    while (trail.size() > mark) {
+      Undo& u = trail.back();
+      at(u.var, u.is_hi) = std::move(u.old);
+      trail.pop_back();
+    }
+  }
 };
 
-constexpr int kTightenPasses = 64;
+// FIFO of premise rows awaiting a visit; a row is queued at most once.
+struct Worklist {
+  std::vector<int> queue;
+  std::size_t head = 0;
+  std::vector<char> queued;
 
-// Interval tightening to fixpoint (or pass budget) with integer rounding.
-// Returns the crossed variable on contradiction, -1 otherwise. Lockstep
-// twin of tighten() in src/smt/proof.cpp — do not "improve" one side.
-int tighten(const std::vector<Ineq>& rows, CertState& st) {
-  for (int pass = 0; pass < kTightenPasses; ++pass) {
-    bool changed = false;
-    for (const Ineq& r : rows) {
-      for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
-        const int v = r.terms[ti].first;
-        const std::int64_t c = r.terms[ti].second;
-        BigInt rest(0);
-        bool open = false;
-        for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-          if (tj == ti) continue;
-          const int u = r.terms[tj].first;
-          const std::int64_t cu = r.terms[tj].second;
-          const VarBound& b = cu > 0 ? st.lo[static_cast<std::size_t>(u)]
-                                     : st.hi[static_cast<std::size_t>(u)];
-          if (!b.has) {
-            open = true;
-            break;
-          }
-          rest += BigInt(cu) * b.val;
+  void push(std::size_t r) {
+    if (queued[r] != 0) return;
+    queued[r] = 1;
+    queue.push_back(static_cast<int>(r));
+  }
+  void clear() {
+    for (std::size_t i = head; i < queue.size(); ++i) {
+      queued[static_cast<std::size_t>(queue[i])] = 0;
+    }
+    queue.clear();
+    head = 0;
+  }
+};
+
+// A term c·v reads v's lower bound when c > 0 and its upper bound
+// otherwise: the node of the bound a row reads.
+std::size_t reader_node(int v, std::int64_t c) {
+  return 2 * static_cast<std::size_t>(v) + (c > 0 ? 0 : 1);
+}
+
+constexpr std::size_t kVisitsPerRow = 64;
+
+// The level-0 context: rows added by `ctx` lines, the context rows that
+// read each bound, and the base bounds the context alone implies.
+struct Context {
+  std::vector<Ineq> rows;
+  std::vector<std::vector<int>> readers;  // reader_node -> context rows
+  Bounds base;
+  int crossed = -1;  // the context alone crosses this variable's bounds
+  Worklist work;
+};
+
+// The premises of one lemma: its own rows p0…p{n-1} (the negated clause
+// literals), then the context rows.
+struct Premises {
+  const std::vector<Ineq>& own;
+  const Context& ctx;
+
+  [[nodiscard]] std::size_t size() const {
+    return own.size() + ctx.rows.size();
+  }
+  [[nodiscard]] const Ineq& row(std::size_t i) const {
+    return i < own.size() ? own[i] : ctx.rows[i - own.size()];
+  }
+  // Queues every row that reads bound `node`, in premise order.
+  void queue_readers(std::size_t node, Worklist& wl) const {
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      for (const auto& [u, c] : own[i].terms) {
+        if (reader_node(u, c) == node) {
+          wl.push(i);
+          break;
         }
-        if (open) continue;
-        const BigInt avail = r.bound - rest;  // c·v ≤ avail
-        if (c > 0) {
-          const BigInt nb = floor_div_big(avail, BigInt(c));
-          VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-          if (!hb.has || nb < hb.val) {
-            hb.has = true;
-            hb.val = nb;
-            changed = true;
-          }
-        } else {
-          const BigInt nb = -floor_div_big(avail, BigInt(-c));
-          VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-          if (!lb.has || nb > lb.val) {
-            lb.has = true;
-            lb.val = nb;
-            changed = true;
-          }
-        }
-        const VarBound& lb = st.lo[static_cast<std::size_t>(v)];
-        const VarBound& hb = st.hi[static_cast<std::size_t>(v)];
-        if (lb.has && hb.has && lb.val > hb.val) return v;
       }
     }
-    if (!changed) break;
+    if (node < ctx.readers.size()) {
+      for (const int r : ctx.readers[node]) {
+        wl.push(own.size() + static_cast<std::size_t>(r));
+      }
+    }
+  }
+};
+
+// The bound row `r` implies on the variable of its term `ti` from the
+// other terms' bounds (an upper bound for a positive coefficient, a lower
+// one otherwise), rounded to the integers into `out`; false when another
+// term's bound is missing. Exact: __int128 while every value fits in 64
+// bits, BigInt beyond.
+bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
+  const std::int64_t c = r.terms[ti].second;
+  bool small = r.bound.fits_int64();
+  __int128 rest = 0;
+  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
+    if (tj == ti) continue;
+    const auto [u, cu] = r.terms[tj];
+    const VarBound& b = st.at(u, cu <= 0);
+    if (!b.has) return false;
+    small = small && b.val.fits_int64() &&
+            !__builtin_add_overflow(
+                rest, static_cast<__int128>(cu) * b.val.to_int64(), &rest);
+  }
+  __int128 avail = 0;  // c·v ≤ avail
+  if (small && !__builtin_sub_overflow(static_cast<__int128>(
+                                           r.bound.to_int64()),
+                                       rest, &avail)) {
+    // c > 0: v ≤ floor(avail/c). c < 0: with cc = -c, v ≥ -(avail/cc),
+    // so lo = ceil(-avail/cc) = -floor(avail/cc).
+    const __int128 cc = c > 0 ? c : -static_cast<__int128>(c);
+    __int128 q = avail / cc;
+    if (avail % cc != 0 && avail < 0) --q;
+    if (c < 0) q = -q;
+    if (q >= INT64_MIN && q <= INT64_MAX) {
+      out = BigInt(static_cast<std::int64_t>(q));
+      return true;
+    }
+  }
+  BigInt big(0);
+  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
+    if (tj == ti) continue;
+    const auto [u, cu] = r.terms[tj];
+    big += BigInt(cu) * st.at(u, cu <= 0).val;
+  }
+  const BigInt avail_big = r.bound - big;
+  out = c > 0 ? floor_div_big(avail_big, BigInt(c))
+              : -floor_div_big(avail_big, -BigInt(c));
+  return true;
+}
+
+// One row visit: each term in order is bounded by the row and the other
+// terms' bounds; a tightened bound queues the rows that read it. Returns
+// the first crossed variable, or -1.
+int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
+  BigInt nb;
+  for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
+    if (!implied_bound(r, ti, st, nb)) continue;
+    const auto [v, c] = r.terms[ti];
+    const bool is_hi = c > 0;
+    const VarBound& cur = st.at(v, is_hi);
+    if (!cur.has || (is_hi ? nb < cur.val : nb > cur.val)) {
+      st.set(v, is_hi, std::move(nb));
+      p.queue_readers(2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
+    }
+    const VarBound& lb = st.at(v, false);
+    const VarBound& hb = st.at(v, true);
+    if (lb.has && hb.has && lb.val > hb.val) return v;
   }
   return -1;
 }
 
+// Worklist interval tightening: visits the queued rows first-in first-out
+// until the queue drains, a bound crosses, or 64 visits per premise row
+// are spent. Returns the crossed variable, or -1; the queue is left empty.
+// Lockstep twin of propagate() in src/smt/proof.cpp — do not "improve"
+// one side.
+int propagate(const Premises& p, Bounds& st, Worklist& wl) {
+  const std::size_t budget = kVisitsPerRow * p.size();
+  std::size_t visits = 0;
+  int crossed = -1;
+  while (crossed < 0 && wl.head < wl.queue.size() && visits < budget) {
+    const auto r = static_cast<std::size_t>(wl.queue[wl.head++]);
+    wl.queued[r] = 0;
+    ++visits;
+    crossed = visit(p.row(r), p, st, wl);
+  }
+  wl.clear();
+  return crossed;
+}
+
 // ---------------------------------------------------------------- parsing
 
-bool is_int_token(const std::string& s) {
+bool is_int_token(std::string_view s) {
   if (s.empty()) return false;
   std::size_t i = s[0] == '-' ? 1 : 0;
   if (i == s.size()) return false;
@@ -124,6 +254,40 @@ bool is_int_token(const std::string& s) {
   }
   return true;
 }
+
+// The whitespace-separated tokens of one line, consumed front to back.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// The next token; false at the end of the line.
+  bool next(std::string_view& tok) {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    tok = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return !tok.empty();
+  }
+
+  /// The next token as an integer of type T; false when it is missing,
+  /// not a decimal integer or out of T's range.
+  template <class T>
+  bool next_int(T& v) {
+    std::string_view tok;
+    if (!next(tok)) return false;
+    const char* end = tok.data() + tok.size();
+    const auto res = std::from_chars(tok.data(), end, v);
+    return res.ec == std::errc() && res.ptr == end;
+  }
+
+ private:
+  static bool is_space(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+  std::string_view rest_;
+};
 
 // ---------------------------------------------------- propagation engine
 
@@ -278,25 +442,26 @@ struct AtomInfo {
 
 class Checker {
  public:
-  CheckResult run(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
+  CheckResult run(std::string_view text) {
+    text_ = text;
+    std::string_view line;
     bool saw_qed = false;
-    while (std::getline(in, line)) {
-      ++lineno_;
-      std::istringstream ls(line);
-      std::string head;
-      if (!(ls >> head)) continue;  // blank line
+    while (next_line(line)) {
+      Tokens ls(line);
+      std::string_view head;
+      if (!ls.next(head)) continue;  // blank line
       if (saw_qed) return fail("parse-error", "content after qed");
       if (lineno_ == 1) {
-        std::string ver;
-        if (head != "advocat-proof" || !(ls >> ver) || ver != "1") {
-          return fail("bad-header", "expected 'advocat-proof 1'");
+        std::string_view ver;
+        if (head != "advocat-proof" || !ls.next(ver) || ver != "2") {
+          return fail("bad-header", "expected 'advocat-proof 2'");
         }
         continue;
       }
       if (head == "mode") {
-        if (!(ls >> res_.mode)) return fail("bad-header", "missing mode");
+        std::string_view mode;
+        if (!ls.next(mode)) return fail("bad-header", "missing mode");
+        res_.mode = mode;
         if (res_.mode != "native" && res_.mode != "attested") {
           return fail("bad-header", "unknown mode '" + res_.mode + "'");
         }
@@ -310,17 +475,28 @@ class Checker {
           saw_qed = true;
           continue;
         }
-        return fail("parse-error", "unexpected '" + head + "' in attested");
+        return fail("parse-error",
+                    "unexpected '" + std::string(head) + "' in attested");
       }
       if (head == "nvars") {
         std::size_t n = 0;
-        if (!(ls >> n)) return fail("parse-error", "bad nvars");
+        // Literals and variable indices are ints.
+        if (!ls.next_int(n) || !atoms_.empty() || n >= INT_MAX) {
+          return fail("parse-error", "bad or repeated nvars");
+        }
         engine_.set_num_vars(n);
         atoms_.assign(n + 1, AtomInfo{});
+        in_ctx_.assign(2 * (n + 1), 0);
         continue;
       }
       if (head == "nints") {
-        if (!(ls >> nints_)) return fail("parse-error", "bad nints");
+        // The bound arrays are sized once: later lines index them.
+        if (!ctx_.base.lo.empty() || !ls.next_int(nints_) ||
+            nints_ > INT_MAX) {
+          return fail("parse-error", "bad or repeated nints");
+        }
+        ctx_.base.lo.resize(nints_);
+        ctx_.base.hi.resize(nints_);
         continue;
       }
       if (head == "atom") {
@@ -342,10 +518,15 @@ class Checker {
         ++res_.clauses;
         continue;
       }
+      if (head == "ctx") {
+        std::vector<int> lits;
+        if (!parse_lits(ls, lits) || !extend_context(lits)) return result();
+        continue;
+      }
       if (head == "lem") {
         std::vector<int> lits;
         if (!parse_lits(ls, lits)) return result();
-        if (!check_lemma(in, lits)) return result();
+        if (!check_lemma(lits)) return result();
         engine_.add_clause(std::move(lits));
         ++res_.clauses;
         continue;
@@ -359,8 +540,8 @@ class Checker {
         saw_qed = true;
         continue;
       }
-      return fail("parse-error",
-                  "line " + std::to_string(lineno_) + ": '" + head + "'");
+      return fail("parse-error", "line " + std::to_string(lineno_) + ": '" +
+                                     std::string(head) + "'");
     }
     if (!saw_qed) return fail("truncated", "no qed");
     res_.ok = true;
@@ -377,16 +558,29 @@ class Checker {
 
   CheckResult result() { return res_; }
 
-  bool parse_lits(std::istringstream& ls, std::vector<int>& lits) {
-    std::string tok;
+  // The next line of the text (without its newline); counts lines.
+  bool next_line(std::string_view& line) {
+    if (text_.empty()) return false;
+    const std::size_t eol = text_.find('\n');
+    line = text_.substr(0, eol);
+    text_.remove_prefix(eol == std::string_view::npos ? text_.size()
+                                                      : eol + 1);
+    ++lineno_;
+    return true;
+  }
+
+  bool parse_lits(Tokens& ls, std::vector<int>& lits) {
+    std::string_view tok;
     bool closed = false;
-    while (ls >> tok) {
-      if (!is_int_token(tok)) {
+    while (ls.next(tok)) {
+      long long l = 0;
+      const char* end = tok.data() + tok.size();
+      const auto res = std::from_chars(tok.data(), end, l);
+      if (res.ec != std::errc() || res.ptr != end) {
         fail("parse-error", "line " + std::to_string(lineno_) +
-                                ": bad literal '" + tok + "'");
+                                ": bad literal '" + std::string(tok) + "'");
         return false;
       }
-      const long long l = std::stoll(tok);
       if (l == 0) {
         closed = true;
         break;
@@ -407,13 +601,14 @@ class Checker {
     return true;
   }
 
-  bool parse_atom(std::istringstream& ls) {
+  bool parse_atom(Tokens& ls) {
     std::size_t bvar = 0;
-    std::string kind;
+    std::string_view kind;
     std::int64_t bound = 0;
     std::size_t k = 0;
-    if (!(ls >> bvar >> kind >> bound >> k) || bvar == 0 ||
-        bvar > engine_.num_vars() || kind != "le") {
+    if (!ls.next_int(bvar) || !ls.next(kind) || !ls.next_int(bound) ||
+        !ls.next_int(k) || bvar == 0 || bvar > engine_.num_vars() ||
+        kind != "le") {
       fail("parse-error", "line " + std::to_string(lineno_) + ": bad atom");
       return false;
     }
@@ -423,8 +618,8 @@ class Checker {
     for (std::size_t i = 0; i < k; ++i) {
       int v = 0;
       std::int64_t c = 0;
-      if (!(ls >> v >> c) || v < 0 ||
-          static_cast<std::size_t>(v) >= nints_) {
+      if (!ls.next_int(v) || !ls.next_int(c) || v < 0 ||
+          static_cast<std::size_t>(v) >= nints_ || c == 0) {
         fail("parse-error",
              "line " + std::to_string(lineno_) + ": bad atom term");
         return false;
@@ -435,71 +630,108 @@ class Checker {
     return true;
   }
 
-  // Premise system of one lemma: negated clause literals then ctx
-  // literals, each mapped through the atom table. `refs` names premise i's
-  // inequality row "p<i>".
-  bool build_premises(const std::vector<int>& lits,
-                      const std::vector<int>& ctx, std::vector<Ineq>& rows,
-                      std::unordered_map<std::string, std::size_t>& refs) {
-    const std::size_t n = lits.size();
-    for (std::size_t i = 0; i < n + ctx.size(); ++i) {
-      const int pl = i < n ? -lits[i] : ctx[i - n];
-      const AtomInfo& a = atoms_[static_cast<std::size_t>(std::abs(pl))];
-      if (!a.present) {
-        fail("lemma-bad-ref", "premise " + std::to_string(i) +
-                                  " is not a theory atom");
-        return false;
-      }
-      refs.emplace("p" + std::to_string(i), rows.size());
-      if (pl > 0) {
-        rows.push_back(Ineq{a.terms, BigInt(a.bound)});
-      } else {  // Σ ≤ b false  ⇔  Σ ≥ b+1 (integers)
-        Ineq gt;
-        for (const auto& [u, c] : a.terms) gt.terms.emplace_back(u, -c);
-        gt.bound = BigInt(-a.bound) - BigInt(1);
-        rows.push_back(std::move(gt));
-      }
+  // The inequality an atom literal asserts: Σ ≤ b when true, Σ ≥ b+1 over
+  // the integers when false. False when the literal is not a theory atom.
+  bool atom_row(int l, Ineq& out) const {
+    const AtomInfo& a = atoms_[static_cast<std::size_t>(std::abs(l))];
+    if (!a.present) return false;
+    if (l > 0) {
+      out = Ineq{a.terms, BigInt(a.bound)};
+    } else {  // Σ ≤ b false  ⇔  Σ ≥ b+1 (integers)
+      out.terms.clear();
+      for (const auto& [u, c] : a.terms) out.terms.emplace_back(u, -c);
+      out.bound = BigInt(-a.bound) - BigInt(1);
     }
     return true;
   }
 
-  // Resolves a Farkas reference against the premise rows or the current
-  // derived bounds. Returns false (with reason set) on a dangling ref.
-  bool resolve_ref(const std::string& ref, const std::vector<Ineq>& rows,
-                   const std::unordered_map<std::string, std::size_t>& refs,
-                   const CertState& st, Ineq& out) {
-    const auto it = refs.find(ref);
-    if (it != refs.end()) {
-      out = rows[it->second];
-      return true;
+  // A `ctx` line: every literal not yet in the context must itself be a
+  // consequence of the clause set so far — the solver had it at decision
+  // level 0. A conflicted DB (e.g. an assumption contradicting a unit
+  // problem clause: the trivially-unsat session shape) entails every
+  // literal, so the check is vacuous there — the engine stopped assigning
+  // values at ⊥. The new rows then re-tighten the base bounds.
+  bool extend_context(const std::vector<int>& lits) {
+    const std::size_t first = ctx_.rows.size();
+    for (const int l : lits) {
+      const std::size_t key =
+          2 * static_cast<std::size_t>(std::abs(l)) + (l < 0 ? 1 : 0);
+      if (in_ctx_[key] != 0) continue;  // already in the context
+      Ineq row;
+      if (!atom_row(l, row)) {
+        fail("lemma-bad-ref", "line " + std::to_string(lineno_) +
+                                  ": context literal " + std::to_string(l) +
+                                  " is not a theory atom");
+        return false;
+      }
+      if (!engine_.conflicted() && engine_.value(l) != 1) {
+        fail("ctx-underived", "line " + std::to_string(lineno_) +
+                                  ": literal " + std::to_string(l) +
+                                  " does not follow from the clause set");
+        return false;
+      }
+      in_ctx_[key] = 1;
+      const int ri = static_cast<int>(ctx_.rows.size());
+      for (const auto& [v, c] : row.terms) {
+        const std::size_t node = reader_node(v, c);
+        if (ctx_.readers.size() <= node) ctx_.readers.resize(node + 1);
+        std::vector<int>& rs = ctx_.readers[node];
+        if (rs.empty() || rs.back() != ri) rs.push_back(ri);
+      }
+      ctx_.rows.push_back(std::move(row));
     }
-    if (ref.size() > 2 && (ref.rfind("lo", 0) == 0 || ref.rfind("hi", 0) == 0)
-        && is_int_token(ref.substr(2))) {
-      const long long v = std::stoll(ref.substr(2));
-      if (v >= 0 && static_cast<std::size_t>(v) < nints_) {
-        const bool want_lo = ref[0] == 'l';
-        const VarBound& b = want_lo ? st.lo[static_cast<std::size_t>(v)]
-                                    : st.hi[static_cast<std::size_t>(v)];
-        if (b.has) {
+    ctx_.work.queued.resize(ctx_.rows.size(), 0);
+    if (ctx_.crossed >= 0) return true;
+    const std::vector<Ineq> none;
+    const Premises p{none, ctx_};
+    for (std::size_t i = first; i < ctx_.rows.size(); ++i) ctx_.work.push(i);
+    ctx_.crossed = propagate(p, ctx_.base, ctx_.work);
+    ctx_.base.trail.clear();  // the base bounds are permanent
+    return true;
+  }
+
+  // Resolves a Farkas reference by index: `p<i>` names premise row i,
+  // `lo<v>` / `hi<v>` the current derived bounds on integer var v. Returns
+  // false (with reason set) on a dangling ref.
+  bool resolve_ref(std::string_view ref, const Premises& p, Bounds& st,
+                   Ineq& out) {
+    const bool premise = ref.size() > 1 && ref[0] == 'p';
+    const bool bound = ref.size() > 2 && (ref.substr(0, 2) == "lo" ||
+                                          ref.substr(0, 2) == "hi");
+    std::size_t idx = 0;
+    if (premise || bound) {
+      const char* end = ref.data() + ref.size();
+      const auto res = std::from_chars(ref.data() + (premise ? 1 : 2), end,
+                                       idx);
+      if (res.ec == std::errc() && res.ptr == end) {
+        if (premise && idx < p.size()) {
+          out = p.row(idx);
+          return true;
+        }
+        const VarBound* b =
+            bound && idx < nints_
+                ? &st.at(static_cast<int>(idx), ref[0] == 'h')
+                : nullptr;
+        if (b != nullptr && b->has) {
           // lo: v ≥ L  ⇔  −v ≤ −L ;  hi: v ≤ H.
-          out.terms = {{static_cast<int>(v), want_lo ? -1 : 1}};
-          out.bound = want_lo ? -b.val : b.val;
+          const bool want_lo = ref[0] == 'l';
+          out.terms = {{static_cast<int>(idx), want_lo ? -1 : 1}};
+          out.bound = want_lo ? -b->val : b->val;
           return true;
         }
       }
     }
-    fail("lemma-bad-ref", "line " + std::to_string(lineno_) + ": '" + ref +
+    fail("lemma-bad-ref", "line " + std::to_string(lineno_) + ": '" +
+                              std::string(ref) +
                               "' names no premise or derived bound");
     return false;
   }
 
   // Verifies `f n (ref num den)*`: positive multipliers, every integer
   // column cancels, combined bound strictly negative.
-  bool check_farkas(std::istringstream& ls, const std::vector<Ineq>& rows,
-                    const std::unordered_map<std::string, std::size_t>& refs,
-                    const CertState& st) {
+  bool check_farkas(Tokens& ls, const Premises& p, Bounds& st) {
     std::size_t n = 0;
-    if (!(ls >> n) || n == 0) {
+    if (!ls.next_int(n) || n == 0) {
       fail("lemma-invalid-farkas",
            "line " + std::to_string(lineno_) + ": empty combination");
       return false;
@@ -507,15 +739,15 @@ class Checker {
     std::map<int, Rational> cols;
     Rational total(0);
     for (std::size_t i = 0; i < n; ++i) {
-      std::string ref, num, den;
-      if (!(ls >> ref >> num >> den) || !is_int_token(num) ||
-          !is_int_token(den)) {
+      std::string_view ref, num, den;
+      if (!ls.next(ref) || !ls.next(num) || !ls.next(den) ||
+          !is_int_token(num) || !is_int_token(den)) {
         fail("parse-error",
              "line " + std::to_string(lineno_) + ": bad farkas term");
         return false;
       }
-      const BigInt bn = BigInt::from_string(num);
-      const BigInt bd = BigInt::from_string(den);
+      const BigInt bn = BigInt::from_string(std::string(num));
+      const BigInt bd = BigInt::from_string(std::string(den));
       if (bn.is_zero() || bn.is_negative() || bd.is_zero() ||
           bd.is_negative()) {
         fail("lemma-invalid-farkas",
@@ -524,7 +756,7 @@ class Checker {
       }
       const Rational mult(bn, bd);
       Ineq row;
-      if (!resolve_ref(ref, rows, refs, st, row)) return false;
+      if (!resolve_ref(ref, p, st, row)) return false;
       for (const auto& [v, c] : row.terms) {
         cols[v] += mult * Rational(BigInt(c));
       }
@@ -548,57 +780,61 @@ class Checker {
     return true;
   }
 
-  // One proof branch: tighten (lockstep with the certifier), then a
-  // closing step or a split into two sub-branches.
-  bool check_branch(const std::vector<std::string>& body, std::size_t& pos,
-                    const std::vector<Ineq>& rows,
-                    const std::unordered_map<std::string, std::size_t>& refs,
-                    CertState st, int depth) {
+  // One proof branch whose last change is `seed` (a split's bound node, or
+  // -1 for the lemma's own rows): tighten (lockstep with the certifier),
+  // then a closing step or a split into two sub-branches.
+  bool check_branch(const std::vector<std::string_view>& body,
+                    std::size_t& pos, const Premises& p, Bounds& st, int seed,
+                    int depth) {
     if (depth > 64) {
       fail("parse-error", "proof nesting too deep");
       return false;
     }
-    tighten(rows, st);
+    if (ctx_.crossed < 0) {
+      if (seed < 0) {
+        for (std::size_t i = 0; i < p.own.size(); ++i) ctx_.work.push(i);
+      } else {
+        p.queue_readers(static_cast<std::size_t>(seed), ctx_.work);
+      }
+      propagate(p, st, ctx_.work);
+    }
     if (pos >= body.size()) {
       fail("lemma-open-branch", "proof body ends inside a branch");
       return false;
     }
     ++lineno_;
-    std::istringstream ls(body[pos++]);
-    std::string head;
-    ls >> head;
-    if (head == "f") return check_farkas(ls, rows, refs, st);
+    Tokens ls(body[pos++]);
+    std::string_view head;
+    ls.next(head);
+    if (head == "f") return check_farkas(ls, p, st);
     if (head == "s") {
-      long long v = 0;
-      std::string ktok;
-      if (!(ls >> v >> ktok) || v < 0 ||
-          static_cast<std::size_t>(v) >= nints_ || !is_int_token(ktok)) {
+      int var = 0;
+      std::string_view ktok;
+      if (!ls.next_int(var) || !ls.next(ktok) || var < 0 ||
+          static_cast<std::size_t>(var) >= nints_ || !is_int_token(ktok)) {
         fail("parse-error", "line " + std::to_string(lineno_) + ": bad split");
         return false;
       }
-      const BigInt cut = BigInt::from_string(ktok);
+      const BigInt cut = BigInt::from_string(std::string(ktok));
       // v ≤ cut  ∨  v ≥ cut+1 is an integer tautology: any split closes
       // the lemma iff both branches close.
-      CertState left = st;
-      VarBound& lhi = left.hi[static_cast<std::size_t>(v)];
-      lhi.has = true;
-      lhi.val = cut;
-      if (!check_branch(body, pos, rows, refs, std::move(left), depth + 1)) {
+      const std::size_t mark = st.trail.size();
+      st.set(var, true, cut);
+      if (!check_branch(body, pos, p, st, 2 * var + 1, depth + 1)) {
         return false;
       }
+      st.undo_to(mark);
       if (pos >= body.size() || body[pos] != "alt") {
         fail("lemma-open-branch", "missing alt after left branch");
         return false;
       }
       ++pos;
       ++lineno_;
-      CertState right = std::move(st);
-      VarBound& rlo = right.lo[static_cast<std::size_t>(v)];
-      rlo.has = true;
-      rlo.val = cut + BigInt(1);
-      if (!check_branch(body, pos, rows, refs, std::move(right), depth + 1)) {
+      st.set(var, false, cut + BigInt(1));
+      if (!check_branch(body, pos, p, st, 2 * var, depth + 1)) {
         return false;
       }
+      st.undo_to(mark);
       if (pos >= body.size() || body[pos] != "join") {
         fail("lemma-open-branch", "missing join after right branch");
         return false;
@@ -608,33 +844,24 @@ class Checker {
       ++res_.steps;
       return true;
     }
-    fail("parse-error",
-         "line " + std::to_string(lineno_) + ": bad proof step '" + head +
-             "'");
+    fail("parse-error", "line " + std::to_string(lineno_) +
+                            ": bad proof step '" + std::string(head) + "'");
     return false;
   }
 
-  // Full lemma check: optional ctx line, proof body through `end`, then
-  // ctx re-derivation and the branch-and-cut verification (or, for an
-  // `unproven` marker, rejection unless plain reverse unit propagation
+  // Full lemma check: proof body through `end`, then the branch-and-cut
+  // verification against the lemma's premises — its negated literals,
+  // then the current context — from the context's base bounds (or, for
+  // an `unproven` marker, rejection unless plain reverse unit propagation
   // already entails the clause).
-  bool check_lemma(std::istringstream& in, const std::vector<int>& lits) {
-    std::vector<int> ctx;
-    std::vector<std::string> body;
-    std::string line;
+  bool check_lemma(const std::vector<int>& lits) {
+    std::vector<std::string_view> body;
+    std::string_view line;
     bool closed = false;
-    bool first = true;
-    while (std::getline(in, line)) {
-      ++lineno_;
-      std::istringstream ls(line);
-      std::string head;
-      if (!(ls >> head)) continue;
-      if (first && head == "ctx") {
-        first = false;
-        if (!parse_lits(ls, ctx)) return false;
-        continue;
-      }
-      first = false;
+    while (next_line(line)) {
+      Tokens ls(line);
+      std::string_view head;
+      if (!ls.next(head)) continue;
       if (head == "end") {
         closed = true;
         break;
@@ -655,30 +882,20 @@ class Checker {
       return false;
     }
 
-    // Every ctx literal must itself be a consequence of the clause set so
-    // far — the solver had it at decision level 0. A conflicted DB (e.g.
-    // an assumption contradicting a unit problem clause: the trivially-
-    // unsat session shape) entails every literal, so the check is
-    // vacuous there — the engine stopped assigning values at ⊥.
-    if (!engine_.conflicted()) {
-      for (const int l : ctx) {
-        if (engine_.value(l) != 1) {
-          fail("ctx-underived", "literal " + std::to_string(l) +
-                                    " does not follow from the clause set");
-          return false;
-        }
+    std::vector<Ineq> own(lits.size());
+    for (std::size_t i = 0; i < lits.size(); ++i) {
+      if (!atom_row(-lits[i], own[i])) {
+        fail("lemma-bad-ref", "premise " + std::to_string(i) +
+                                  " is not a theory atom");
+        return false;
       }
     }
-    std::vector<Ineq> rows;
-    std::unordered_map<std::string, std::size_t> refs;
-    if (!build_premises(lits, ctx, rows, refs)) return false;
-    CertState st;
-    st.lo.resize(nints_);
-    st.hi.resize(nints_);
+    const Premises p{own, ctx_};
+    ctx_.work.queued.resize(p.size(), 0);
     std::size_t pos = 0;
-    if (!check_branch(body, pos, rows, refs, std::move(st), 0)) {
-      return false;
-    }
+    const bool ok = check_branch(body, pos, p, ctx_.base, -1, 0);
+    ctx_.base.undo_to(0);
+    if (!ok) return false;
     if (pos != body.size()) {
       fail("parse-error", "trailing proof steps after the branch closed");
       return false;
@@ -687,18 +904,36 @@ class Checker {
     return true;
   }
 
+  std::string_view text_;  // not yet read
   PropEngine engine_;
-  std::vector<AtomInfo> atoms_{AtomInfo{}};
+  std::vector<AtomInfo> atoms_;  // by boolean var; sized by `nvars`
   std::size_t nints_ = 0;
+  Context ctx_;
+  std::vector<char> in_ctx_;  // literal -> in the context
   std::size_t lineno_ = 0;
   CheckResult res_;
 };
 
+// A size line (`nvars`, `nints`) within the index range that still asks
+// for more than memory holds.
+CheckResult oversized() {
+  CheckResult r;
+  r.reason = "parse-error";
+  r.detail = "certificate sizes exceed available memory";
+  return r;
+}
+
 }  // namespace
 
 CheckResult check_proof_text(const std::string& text) {
-  Checker ck;
-  return ck.run(text);
+  try {
+    Checker ck;
+    return ck.run(text);
+  } catch (const std::bad_alloc&) {
+    return oversized();
+  } catch (const std::length_error&) {
+    return oversized();
+  }
 }
 
 CheckResult check_proof_file(const std::string& path) {
