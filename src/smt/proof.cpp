@@ -174,7 +174,8 @@ struct Premises {
 // other terms' bounds (an upper bound for a positive coefficient, a lower
 // one otherwise), rounded to the integers into `out`; false when another
 // term's bound is missing. Exact: __int128 while every value fits in 64
-// bits, BigInt beyond.
+// bits, BigInt beyond (the __int128 path saves a sixth of a certified
+// sizing run; docs/BENCHMARKS.md has the ablation).
 bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
   const std::int64_t c = r.terms[ti].second;
   bool small = r.bound.fits_int64();
@@ -512,76 +513,86 @@ namespace {
 
 // Serializes the atoms and problem clauses translated since the last
 // certificate (units follow the clauses: `in` lines are order-free).
+// Commits to `st` only at the end, so a throw leaves it as it was.
 void extend_problem(const SharedProblem& sh, CertifierCache::State& st) {
-  for (; st.num_atoms < sh.atoms.size(); ++st.num_atoms) {
-    const StaticRow& r = sh.atoms[st.num_atoms].row;
-    st.atoms += "atom ";
-    put(st.atoms, sh.atom_var[st.num_atoms] + 1);
-    st.atoms += " le ";
-    put(st.atoms, r.bound);
-    st.atoms += ' ';
-    put(st.atoms, static_cast<std::int64_t>(r.terms.size()));
+  std::string atoms, clauses;
+  for (std::size_t i = st.num_atoms; i < sh.atoms.size(); ++i) {
+    const StaticRow& r = sh.atoms[i].row;
+    atoms += "atom ";
+    put(atoms, sh.atom_var[i] + 1);
+    atoms += " le ";
+    put(atoms, r.bound);
+    atoms += ' ';
+    put(atoms, static_cast<std::int64_t>(r.terms.size()));
     for (const auto& [v, c] : r.terms) {
-      st.atoms += ' ';
-      put(st.atoms, v);
-      st.atoms += ' ';
-      put(st.atoms, c);
+      atoms += ' ';
+      put(atoms, v);
+      atoms += ' ';
+      put(atoms, c);
     }
-    st.atoms += '\n';
+    atoms += '\n';
   }
-  for (; st.num_clauses < sh.clauses.size(); ++st.num_clauses) {
-    put_clause(st.clauses, "in", sh.clauses.begin(st.num_clauses),
-               sh.clauses.len(st.num_clauses));
+  for (std::size_t i = st.num_clauses; i < sh.clauses.size(); ++i) {
+    put_clause(clauses, "in", sh.clauses.begin(i), sh.clauses.len(i));
   }
-  for (; st.num_units < sh.def_units.size(); ++st.num_units) {
-    put_clause(st.clauses, "in", &sh.def_units[st.num_units], 1);
+  for (std::size_t i = st.num_units; i < sh.def_units.size(); ++i) {
+    put_clause(clauses, "in", &sh.def_units[i], 1);
   }
+  // Reserved first, so the appends that commit cannot throw.
+  st.atoms.reserve(st.atoms.size() + atoms.size());
+  st.clauses.reserve(st.clauses.size() + clauses.size());
+  st.atoms += atoms;
+  st.clauses += clauses;
+  st.num_atoms = sh.atoms.size();
+  st.num_clauses = sh.clauses.size();
+  st.num_units = sh.def_units.size();
 }
 
 // Serializes (and certifies) the records logged since the last
 // certificate. Commits to `st` only once every new record is done, so a
-// throw leaves the cache as it was (the context model is rebuilt).
+// throw leaves the serialized trace as it was; the context model may by
+// then have folded records `st` does not list, so it is reset and rebuilt
+// from `st.context_records` by the next certificate.
 void extend_trace(const SharedProblem& sh,
                   const std::vector<ProofRecord>& trace,
                   CertifierCache::State& st) {
   std::string text;
   bool unproven = st.unproven;
   std::vector<std::size_t> context = st.context_records;
-  for (std::size_t i = st.num_records; i < trace.size(); ++i) {
-    const ProofRecord& rec = trace[i];
-    const Lit* lits = rec.lits.data();
-    const std::size_t n = rec.lits.size();
-    switch (rec.kind) {
-      case ProofRecord::Kind::kRup:
-        put_clause(text, "rup", lits, n);
-        break;
-      case ProofRecord::Kind::kDelete:
-        put_clause(text, "del", lits, n);
-        break;
-      case ProofRecord::Kind::kContext:
-        put_clause(text, "ctx", lits, n);
-        context.push_back(i);
-        break;
-      case ProofRecord::Kind::kLemma: {
-        put_clause(text, "lem", lits, n);
-        std::string body;
-        try {
+  try {
+    for (std::size_t i = st.num_records; i < trace.size(); ++i) {
+      const ProofRecord& rec = trace[i];
+      const Lit* lits = rec.lits.data();
+      const std::size_t n = rec.lits.size();
+      switch (rec.kind) {
+        case ProofRecord::Kind::kRup:
+          put_clause(text, "rup", lits, n);
+          break;
+        case ProofRecord::Kind::kDelete:
+          put_clause(text, "del", lits, n);
+          break;
+        case ProofRecord::Kind::kContext:
+          put_clause(text, "ctx", lits, n);
+          context.push_back(i);
+          break;
+        case ProofRecord::Kind::kLemma: {
+          put_clause(text, "lem", lits, n);
           sync_context(sh, trace, context, st.context);
-          body = certify_lemma(sh, rec.lits, st.context);
-        } catch (...) {
-          st.context = CertifierContext{};  // possibly half-folded
-          throw;
+          const std::string body = certify_lemma(sh, rec.lits, st.context);
+          if (body.empty()) {
+            text += "unproven\n";
+            unproven = true;
+          } else {
+            text += body;
+          }
+          text += "end\n";
+          break;
         }
-        if (body.empty()) {
-          text += "unproven\n";
-          unproven = true;
-        } else {
-          text += body;
-        }
-        text += "end\n";
-        break;
       }
     }
+  } catch (...) {
+    st.context = CertifierContext{};
+    throw;
   }
   st.trace += text;
   st.num_records = trace.size();

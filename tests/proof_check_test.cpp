@@ -167,6 +167,43 @@ TEST(ProofCertificate, GrowingContextCertifiesEveryUnsat) {
   EXPECT_GT(count_lines(certs[1].text, "ctx"), 1u);
 }
 
+TEST(ProofCertificate, BoundsBeyondInt64Certified) {
+  // x ≥ 2w ≥ 10^19 and x ≤ y + z ≤ 8·10^18: each atom fits in 64 bits,
+  // but the lower bound tightening derives on x does not, so certifier
+  // and checker both leave their __int128 path for BigInt.
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  const ExprId z = f.int_var("z");
+  const ExprId w = f.int_var("w");
+  s->add(f.le(f.mul_const(2, w), x));
+  s->add(f.le(x, f.add({y, z})));
+  s->add(f.le(f.int_const(5'000'000'000'000'000'000), w));
+  s->add(f.le(y, f.int_const(4'000'000'000'000'000'000)));
+  s->add(f.le(z, f.int_const(4'000'000'000'000'000'000)));
+  ASSERT_EQ(s->check(), SatResult::Unsat);
+  ASSERT_EQ(sink.certs.size(), 1u);
+  const Certificate& cert = sink.certs[0];
+  EXPECT_TRUE(cert.complete) << cert.reason;
+  EXPECT_NE(cert.text.find("lem"), std::string::npos);
+  const CheckResult r = check_proof_text(cert.text);
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  // With y, z ≤ 5·10^18 both bounds on x are 10^19, beyond 64 bits, and
+  // meet without crossing: the same proof must no longer close.
+  std::string weaker = cert.text;
+  for (int k = 0; k < 2; ++k) {
+    const std::size_t at = weaker.find(" le 4000000000000000000 ");
+    ASSERT_NE(at, std::string::npos);
+    weaker[at + 4] = '5';
+  }
+  const CheckResult w_r = check_proof_text(weaker);
+  EXPECT_FALSE(w_r.ok);
+  EXPECT_EQ(w_r.reason, "lemma-invalid-farkas") << w_r.detail;
+}
+
 TEST(ProofCertificate, AssumptionRefutationCertified) {
   ExprFactory f;
   auto s = make_solver(f, Backend::Native);
@@ -465,6 +502,30 @@ TEST(ProofMutation, VersionOneHeaderRejected) {
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.reason, "bad-header") << r.detail;
+}
+
+TEST(ProofMutation, RepeatedAtomRejected) {
+  std::string text = interval_clash_certificate();
+  // Define the first atom twice: a variable has one meaning per
+  // certificate, so even an identical second definition is refused.
+  const std::size_t at = text.find("\natom ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string atom = line_at(text, at + 1);
+  text.insert(at + 1, atom);
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
+TEST(ProofMutation, RepeatedNintsRejected) {
+  for (const char* sizes : {"nvars 1\nnints 0\nnints 0\n",
+                            "nvars 1\nnints 1\nnints 1\n"}) {
+    const CheckResult r = check_proof_text(
+        std::string("advocat-proof 2\nmode native\n") + sizes +
+        "in 0\nqed\n");
+    EXPECT_FALSE(r.ok) << sizes;
+    EXPECT_EQ(r.reason, "parse-error") << sizes;
+  }
 }
 
 TEST(ProofMutation, OversizedCountsRejected) {

@@ -162,7 +162,8 @@ struct Premises {
 // other terms' bounds (an upper bound for a positive coefficient, a lower
 // one otherwise), rounded to the integers into `out`; false when another
 // term's bound is missing. Exact: __int128 while every value fits in 64
-// bits, BigInt beyond.
+// bits, BigInt beyond (the __int128 path saves a sixth of a certified
+// sizing run; docs/BENCHMARKS.md has the ablation).
 bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
   const std::int64_t c = r.terms[ti].second;
   bool small = r.bound.fits_int64();
@@ -446,6 +447,7 @@ class Checker {
     text_ = text;
     std::string_view line;
     bool saw_qed = false;
+    bool saw_nints = false;
     while (next_line(line)) {
       Tokens ls(line);
       std::string_view head;
@@ -491,10 +493,10 @@ class Checker {
       }
       if (head == "nints") {
         // The bound arrays are sized once: later lines index them.
-        if (!ctx_.base.lo.empty() || !ls.next_int(nints_) ||
-            nints_ > INT_MAX) {
+        if (saw_nints || !ls.next_int(nints_) || nints_ > INT_MAX) {
           return fail("parse-error", "bad or repeated nints");
         }
+        saw_nints = true;
         ctx_.base.lo.resize(nints_);
         ctx_.base.hi.resize(nints_);
         continue;
@@ -610,6 +612,13 @@ class Checker {
         !ls.next_int(k) || bvar == 0 || bvar > engine_.num_vars() ||
         kind != "le") {
       fail("parse-error", "line " + std::to_string(lineno_) + ": bad atom");
+      return false;
+    }
+    // One meaning per variable: context rows are copied at their `ctx`
+    // line, while a lemma's own rows are read from this table.
+    if (atoms_[bvar].present) {
+      fail("parse-error",
+           "line " + std::to_string(lineno_) + ": repeated atom");
       return false;
     }
     AtomInfo a;
