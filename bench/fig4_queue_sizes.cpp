@@ -21,6 +21,9 @@
 // 2, 5 in row 1). A definite mismatch exits 1. A sizing run that hit an
 // Unknown probe (solver timeout / degraded search) is reported as
 // conclusive=false and not checked.
+// With ADVOCAT_PROOF_DIR set, every cell writes its certificates to
+// `<dir>/fig4_<backend>_k<k>_d<dir>_<n>.proof` through its own
+// smt::native::FileProofSink; a certificate that cannot be written exits 1.
 // A `--position-threads N` flag (default 1) runs the directory-position
 // sweep itself in parallel: every cell of a mesh's grid is an independent
 // sizing problem (its own nets, Verifier sessions, and solver), so cells
@@ -30,13 +33,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "advocat/verifier.hpp"
 #include "bench_util.hpp"
 #include "coherence/mi_abstract.hpp"
+#include "smt/proof.hpp"
 #include "util/parallel.hpp"
 
 using namespace advocat;
@@ -44,37 +47,6 @@ using namespace advocat;
 namespace {
 
 unsigned g_position_threads = 1;
-
-/// Per-cell certificate sink, installed only when ADVOCAT_PROOF_DIR is set
-/// (the CI certification step): serializes every refutation of the sizing
-/// ladder so the standalone advocat-check binary can revalidate them, and
-/// accumulates proof cost for the BENCH_JSON line. Each cell owns its
-/// sink, and a cell's probes run one at a time.
-class CellProofSink : public smt::ProofSink {
- public:
-  explicit CellProofSink(std::string prefix) : prefix_(std::move(prefix)) {}
-
-  void on_unsat_certificate(const smt::Certificate& cert) override {
-    ++count_;
-    if (!cert.complete) ++incomplete_;
-    bytes_ += cert.proof_bytes;
-    ms_ += cert.proof_ms;
-    std::ofstream out(prefix_ + std::to_string(count_) + ".proof");
-    out << cert.text;
-  }
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] std::size_t incomplete() const { return incomplete_; }
-  [[nodiscard]] std::size_t bytes() const { return bytes_; }
-  [[nodiscard]] double ms() const { return ms_; }
-
- private:
-  std::string prefix_;
-  std::size_t count_ = 0;
-  std::size_t incomplete_ = 0;
-  std::size_t bytes_ = 0;
-  double ms_ = 0.0;
-};
 
 core::QueueSizingResult size_run(int k, int dir_node, smt::Backend backend,
                                  smt::ProofSink* sink) {
@@ -121,6 +93,7 @@ struct CellResult {
   std::size_t proofs_incomplete = 0;
   std::size_t proof_bytes = 0;
   double proof_ms = 0.0;
+  std::size_t proofs_unwritten = 0;
 };
 
 }  // namespace
@@ -160,15 +133,17 @@ int main(int argc, char** argv) {
               cell.sizing = size_run(k, dir, backend, nullptr);
               return;
             }
-            CellProofSink sink(std::string(proof_dir) + "/fig4_" +
-                               smt::to_string(backend) + "_k" +
-                               std::to_string(k) + "_d" + std::to_string(dir) +
-                               "_");
+            // Each cell owns its sink, and a cell's probes run one at a
+            // time.
+            smt::native::FileProofSink sink(
+                std::string(proof_dir) + "/fig4_" + smt::to_string(backend) +
+                "_k" + std::to_string(k) + "_d" + std::to_string(dir) + "_");
             cell.sizing = size_run(k, dir, backend, &sink);
             cell.proofs = sink.count();
             cell.proofs_incomplete = sink.incomplete();
-            cell.proof_bytes = sink.bytes();
-            cell.proof_ms = sink.ms();
+            cell.proof_bytes = sink.total_bytes();
+            cell.proof_ms = sink.total_ms();
+            cell.proofs_unwritten = sink.failed();
           });
       for (int y = 0; y < k; ++y) {
         std::printf("  ");
@@ -201,6 +176,13 @@ int main(int argc, char** argv) {
               .field("proof_ms", cell.proof_ms)
               .field("seconds", r.seconds)
               .print();
+          if (cell.proofs_unwritten != 0) {
+            std::printf("\nPROOF WRITE FAILED: %zu of %zu certificates not "
+                        "written at mesh=%d dir=%d backend=%s\n",
+                        cell.proofs_unwritten, cell.proofs, k, dir,
+                        smt::to_string(backend));
+            status = 1;
+          }
           if (!conclusive) {
             std::printf("\nnote: inconclusive sizing (%zu unknown probes) "
                         "at mesh=%d dir=%d — not checked against the "

@@ -5,255 +5,45 @@
 // the session trace into the line grammar the standalone checker
 // (tools/proof_check.cpp) validates.
 //
-// The checker re-runs the *same* bound-tightening algorithm (the bound
-// state, the worklist and propagate() below are duplicated there by
-// design — the checker must not link solver code), so a proof step can
-// reference derived bounds as `lo<v>` / `hi<v>` without serializing every
-// intermediate derivation: both sides reach the identical bound state
-// deterministically. The lockstep contract (docs/PROOFS.md):
-//
-//  - at each `ctx` line the context rows grow and the base bounds are
-//    re-tightened from their previous state, seeded by the new rows;
-//  - a lemma starts from the base bounds, seeded by its own rows; a split
-//    branch starts from its parent's bounds plus the cut, seeded by the
-//    rows that read the cut bound;
-//  - rows are visited first-in first-out, each queued at most once; a
-//    tightened bound queues every premise row that reads it, in premise
-//    order; propagation stops at the first crossing or after 64 visits
-//    per premise row.
+// The interval tightening is proof/tighten.hpp, the code the checker runs
+// too, so a proof step can reference derived bounds as `lo<v>` / `hi<v>`
+// without serializing every intermediate derivation: the checker reaches
+// the same bound state on its own. What is the certifier's own is the
+// context model kept per session, the simplex fallback, the split choice
+// and the serialization.
 #include "smt/proof.hpp"
 
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "linalg/simplex.hpp"
+#include "proof/tighten.hpp"
 #include "util/bigint.hpp"
 #include "util/rational.hpp"
 #include "util/stopwatch.hpp"
 
 namespace advocat::smt::native {
-namespace {
 
+using tighten::Bounds;
+using tighten::Ineq;
+using tighten::Premises;
+using tighten::VarBound;
 using util::BigInt;
 using util::Rational;
 
-// One ≤-inequality over the shared integer columns.
-struct Ineq {
-  std::vector<std::pair<int, std::int64_t>> terms;
-  BigInt bound;
-};
-
-struct VarBound {
-  bool has = false;
-  BigInt val;
-};
-
-// Derived bounds with an undo trail: a lemma and each split branch tighten
-// in place and roll back to where they started.
-struct Bounds {
-  struct Undo {
-    int var;
-    bool is_hi;
-    VarBound old;
-  };
-  std::vector<VarBound> lo, hi;
-  std::vector<Undo> trail;
-
-  void grow(std::size_t n) {
-    if (lo.size() < n) {
-      lo.resize(n);
-      hi.resize(n);
-    }
-  }
-  VarBound& at(int v, bool is_hi) {
-    return (is_hi ? hi : lo)[static_cast<std::size_t>(v)];
-  }
-  void set(int v, bool is_hi, BigInt val) {
-    VarBound& b = at(v, is_hi);
-    trail.push_back(Undo{v, is_hi, b});
-    b.has = true;
-    b.val = std::move(val);
-  }
-  void undo_to(std::size_t mark) {
-    while (trail.size() > mark) {
-      Undo& u = trail.back();
-      at(u.var, u.is_hi) = std::move(u.old);
-      trail.pop_back();
-    }
-  }
-};
-
-// FIFO of premise rows awaiting a visit; a row is queued at most once.
-struct Worklist {
-  std::vector<int> queue;
-  std::size_t head = 0;
-  std::vector<char> queued;
-
-  void push(std::size_t r) {
-    if (queued[r] != 0) return;
-    queued[r] = 1;
-    queue.push_back(static_cast<int>(r));
-  }
-  void clear() {
-    for (std::size_t i = head; i < queue.size(); ++i) {
-      queued[static_cast<std::size_t>(queue[i])] = 0;
-    }
-    queue.clear();
-    head = 0;
-  }
-};
-
-// floor(a/b) for b > 0 (BigInt division truncates toward zero).
-BigInt floor_div_big(const BigInt& a, const BigInt& b) {
-  BigInt q = a / b;
-  if (!(a % b).is_zero() && a.is_negative()) q -= BigInt(1);
-  return q;
-}
-
-// A term c·v reads v's lower bound when c > 0 and its upper bound
-// otherwise: the node of the bound a row reads (and a tightening writes
-// the other one).
-std::size_t reader_node(int v, std::int64_t c) {
-  return 2 * static_cast<std::size_t>(v) + (c > 0 ? 0 : 1);
-}
-
-constexpr std::size_t kVisitsPerRow = 64;
-
-}  // namespace
-
 // The level-0 context as the certifier sees it after `generation` context
-// records: its rows (premises p<n>… of a lemma with n literals), the
-// context rows that read each bound, and the base bounds the context
-// alone implies.
+// records.
 struct CertifierContext {
-  std::vector<Ineq> rows;
-  std::vector<std::vector<int>> readers;  // reader_node -> context rows
-  Bounds base;
-  int crossed = -1;  // the context alone crosses this variable's bounds
+  tighten::Context model;
   std::size_t generation = 0;
-  Worklist work;
 };
 
 namespace {
-
-// The premises of one lemma: its own rows p0…p{n-1} (the negated clause
-// literals), then the context rows.
-struct Premises {
-  const std::vector<Ineq>& own;
-  const CertifierContext& ctx;
-
-  [[nodiscard]] std::size_t size() const {
-    return own.size() + ctx.rows.size();
-  }
-  [[nodiscard]] const Ineq& row(std::size_t i) const {
-    return i < own.size() ? own[i] : ctx.rows[i - own.size()];
-  }
-  // Queues every row that reads bound `node`, in premise order.
-  void queue_readers(std::size_t node, Worklist& wl) const {
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      for (const auto& [u, c] : own[i].terms) {
-        if (reader_node(u, c) == node) {
-          wl.push(i);
-          break;
-        }
-      }
-    }
-    if (node < ctx.readers.size()) {
-      for (const int r : ctx.readers[node]) {
-        wl.push(own.size() + static_cast<std::size_t>(r));
-      }
-    }
-  }
-};
-
-// The bound row `r` implies on the variable of its term `ti` from the
-// other terms' bounds (an upper bound for a positive coefficient, a lower
-// one otherwise), rounded to the integers into `out`; false when another
-// term's bound is missing. Exact: __int128 while every value fits in 64
-// bits, BigInt beyond (the __int128 path saves a sixth of a certified
-// sizing run; docs/BENCHMARKS.md has the ablation).
-bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
-  const std::int64_t c = r.terms[ti].second;
-  bool small = r.bound.fits_int64();
-  __int128 rest = 0;
-  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-    if (tj == ti) continue;
-    const auto [u, cu] = r.terms[tj];
-    const VarBound& b = st.at(u, cu <= 0);
-    if (!b.has) return false;
-    small = small && b.val.fits_int64() &&
-            !__builtin_add_overflow(
-                rest, static_cast<__int128>(cu) * b.val.to_int64(), &rest);
-  }
-  __int128 avail = 0;  // c·v ≤ avail
-  if (small && !__builtin_sub_overflow(static_cast<__int128>(
-                                           r.bound.to_int64()),
-                                       rest, &avail)) {
-    // c > 0: v ≤ floor(avail/c). c < 0: with cc = -c, v ≥ -(avail/cc),
-    // so lo = ceil(-avail/cc) = -floor(avail/cc).
-    const __int128 cc = c > 0 ? c : -static_cast<__int128>(c);
-    __int128 q = avail / cc;
-    if (avail % cc != 0 && avail < 0) --q;
-    if (c < 0) q = -q;
-    if (q >= INT64_MIN && q <= INT64_MAX) {
-      out = BigInt(static_cast<std::int64_t>(q));
-      return true;
-    }
-  }
-  BigInt big(0);
-  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-    if (tj == ti) continue;
-    const auto [u, cu] = r.terms[tj];
-    big += BigInt(cu) * st.at(u, cu <= 0).val;
-  }
-  const BigInt avail_big = r.bound - big;
-  out = c > 0 ? floor_div_big(avail_big, BigInt(c))
-              : -floor_div_big(avail_big, -BigInt(c));
-  return true;
-}
-
-// One row visit: each term in order is bounded by the row and the other
-// terms' bounds; a tightened bound queues the rows that read it. Returns
-// the first crossed variable, or -1.
-int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
-  BigInt nb;
-  for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
-    if (!implied_bound(r, ti, st, nb)) continue;
-    const auto [v, c] = r.terms[ti];
-    const bool is_hi = c > 0;
-    const VarBound& cur = st.at(v, is_hi);
-    if (!cur.has || (is_hi ? nb < cur.val : nb > cur.val)) {
-      st.set(v, is_hi, std::move(nb));
-      p.queue_readers(2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
-    }
-    const VarBound& lb = st.at(v, false);
-    const VarBound& hb = st.at(v, true);
-    if (lb.has && hb.has && lb.val > hb.val) return v;
-  }
-  return -1;
-}
-
-// Worklist interval tightening: visits the queued rows first-in first-out
-// until the queue drains (a fixpoint), a bound crosses, or 64 visits per
-// premise row are spent. Returns the crossed variable, or -1; the queue is
-// left empty. MUST stay behaviorally identical to the checker's copy.
-int propagate(const Premises& p, Bounds& st, Worklist& wl) {
-  const std::size_t budget = kVisitsPerRow * p.size();
-  std::size_t visits = 0;
-  int crossed = -1;
-  while (crossed < 0 && wl.head < wl.queue.size() && visits < budget) {
-    const auto r = static_cast<std::size_t>(wl.queue[wl.head++]);
-    wl.queued[r] = 0;
-    ++visits;
-    crossed = visit(p.row(r), p, st, wl);
-  }
-  wl.clear();
-  return crossed;
-}
 
 // The inequality an atom literal asserts: Σ ≤ b when true, Σ ≥ b+1 over
 // the integers when false. Null when the literal is not a theory atom.
@@ -266,43 +56,25 @@ const StaticRow* atom_row(const SharedProblem& sh, Lit l) {
   return is_neg(l) ? &a.negation : &a.row;
 }
 
-// Folds one context record into the model: its rows join the context and
-// the base bounds are re-tightened, seeded by the new rows.
-void fold_context(const SharedProblem& sh, const ProofRecord& rec,
-                  CertifierContext& ctx) {
-  const std::size_t first = ctx.rows.size();
-  for (const Lit l : rec.lits) {
-    const StaticRow* r = atom_row(sh, l);
-    if (r == nullptr) {
-      throw std::logic_error("proof context literal is not a theory atom");
-    }
-    const int ri = static_cast<int>(ctx.rows.size());
-    for (const auto& [v, c] : r->terms) {
-      const std::size_t node = reader_node(v, c);
-      if (ctx.readers.size() <= node) ctx.readers.resize(node + 1);
-      std::vector<int>& rs = ctx.readers[node];
-      if (rs.empty() || rs.back() != ri) rs.push_back(ri);
-    }
-    ctx.rows.push_back(Ineq{r->terms, BigInt(r->bound)});
-  }
-  ctx.work.queued.resize(ctx.rows.size(), 0);
-  if (ctx.crossed >= 0) return;
-  const std::vector<Ineq> none;
-  const Premises p{none, ctx};
-  for (std::size_t i = first; i < ctx.rows.size(); ++i) ctx.work.push(i);
-  ctx.crossed = propagate(p, ctx.base, ctx.work);
-  ctx.base.trail.clear();  // the base bounds are permanent
-}
-
 // Folds the context records `records` (trace indices) the model has not
 // seen yet: a certificate only ever extends the trace.
 void sync_context(const SharedProblem& sh,
                   const std::vector<ProofRecord>& trace,
                   const std::vector<std::size_t>& records,
                   CertifierContext& ctx) {
-  ctx.base.grow(sh.int_names.size());
+  ctx.model.base.grow(sh.int_names.size());
   for (; ctx.generation < records.size(); ++ctx.generation) {
-    fold_context(sh, trace[records[ctx.generation]], ctx);
+    const ProofRecord& rec = trace[records[ctx.generation]];
+    std::vector<Ineq> rows;
+    rows.reserve(rec.lits.size());
+    for (const Lit l : rec.lits) {
+      const StaticRow* r = atom_row(sh, l);
+      if (r == nullptr) {
+        throw std::logic_error("proof context literal is not a theory atom");
+      }
+      rows.push_back(Ineq{r->terms, BigInt(r->bound)});
+    }
+    ctx.model.extend(std::move(rows));
   }
 }
 
@@ -315,7 +87,6 @@ std::string rat_pair(const Rational& r) {
 struct Certifier {
   const Premises& p;
   Bounds& st;
-  Worklist& wl;
   std::size_t num_vars;
   int steps_left = 20000;
 
@@ -330,15 +101,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
   // 1. Integer interval tightening: a bound crossing is a contradiction
   // the checker re-derives, so the step only names the crossed variable's
   // two bounds.
-  int crossed = p.ctx.crossed;
-  if (crossed < 0) {
-    if (seed < 0) {
-      for (std::size_t i = 0; i < p.own.size(); ++i) wl.push(i);
-    } else {
-      p.queue_readers(static_cast<std::size_t>(seed), wl);
-    }
-    crossed = propagate(p, st, wl);
-  }
+  const int crossed = tighten::tighten_branch(p, st, seed);
   if (crossed >= 0) {
     out << "f 2 lo" << crossed << " 1 1 hi" << crossed << " 1 1\n";
     return true;
@@ -417,7 +180,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
   }
   BigInt cut;
   if (best >= 0) {
-    cut = st.at(best, false).val + floor_div_big(*best_width, BigInt(2));
+    cut = st.at(best, false).val + tighten::floor_div(*best_width, BigInt(2));
   } else {
     // No finite-width variable: cut a half-open one at its vertex value.
     for (std::size_t v = 0; v < num_vars; ++v) {
@@ -427,7 +190,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
       if (!lb.has && !hb.has) continue;
       const int x = spx.var(static_cast<std::int32_t>(v));
       const Rational& val = spx.value(x);
-      BigInt k = floor_div_big(val.num(), val.den());
+      BigInt k = tighten::floor_div(val.num(), val.den());
       if (hb.has && k >= hb.val) k = hb.val - BigInt(1);
       if (lb.has && k < lb.val) k = lb.val;
       best = static_cast<int>(v);
@@ -454,7 +217,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
 // Certifies one lemma against the context model; returns the proof body
 // ("" on failure). The base bounds are restored on every exit.
 std::string certify_lemma(const SharedProblem& sh, const std::vector<Lit>& lits,
-                          CertifierContext& ctx) {
+                          tighten::Context& ctx) {
   std::vector<Ineq> own;
   own.reserve(lits.size());
   for (const Lit l : lits) {
@@ -464,12 +227,11 @@ std::string certify_lemma(const SharedProblem& sh, const std::vector<Lit>& lits,
     own.push_back(Ineq{r->terms, BigInt(r->bound)});
   }
   const Premises p{own, ctx};
-  ctx.work.queued.resize(p.size(), 0);
   struct Rollback {
     Bounds& b;
     ~Rollback() { b.undo_to(0); }
   } rollback{ctx.base};
-  Certifier cert{p, ctx.base, ctx.work, sh.int_names.size()};
+  Certifier cert{p, ctx.base, sh.int_names.size()};
   std::ostringstream body;
   if (!cert.branch(-1, body, 0)) return "";
   return body.str();
@@ -578,7 +340,8 @@ void extend_trace(const SharedProblem& sh,
         case ProofRecord::Kind::kLemma: {
           put_clause(text, "lem", lits, n);
           sync_context(sh, trace, context, st.context);
-          const std::string body = certify_lemma(sh, rec.lits, st.context);
+          const std::string body =
+              certify_lemma(sh, rec.lits, st.context.model);
           if (body.empty()) {
             text += "unproven\n";
             unproven = true;
@@ -641,6 +404,17 @@ Certificate build_certificate(const CertificateInputs& in,
   cert.proof_bytes = out.size();
   cert.proof_ms = sw.millis();
   return cert;
+}
+
+void FileProofSink::on_unsat_certificate(const Certificate& cert) {
+  ++count_;
+  if (!cert.complete) ++incomplete_;
+  total_bytes_ += cert.proof_bytes;
+  total_ms_ += cert.proof_ms;
+  std::ofstream out(prefix_ + std::to_string(count_) + ".proof");
+  out << cert.text;
+  out.close();
+  if (!out) ++failed_;
 }
 
 }  // namespace advocat::smt::native

@@ -20,9 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -154,49 +152,28 @@ class CertifierCache {
 Certificate build_certificate(const CertificateInputs& in,
                               CertifierCache& cache);
 
-/// Writes every certificate to `dir/proof_<n>.proof` (numbered in arrival
-/// order): the ready-made sink of docs/PROOFS.md. The bench harnesses and
-/// the test suites under ADVOCAT_PROOF_DIR keep sinks of their own.
+/// Writes the n-th certificate (numbered from 1 in arrival order) to
+/// `<prefix><n>.proof`: the ready-made sink of docs/PROOFS.md. A
+/// certificate whose file cannot be opened or written is counted in
+/// failed(), so none is lost without notice. One sink serves one session
+/// at a time; it takes no lock.
 class FileProofSink : public ProofSink {
  public:
-  explicit FileProofSink(std::string dir) : dir_(std::move(dir)) {}
+  explicit FileProofSink(std::string prefix) : prefix_(std::move(prefix)) {}
 
-  // A session reports its certificates one check at a time. The lock lets
-  // one sink serve sessions that run on different threads, such as whole
-  // sizing runs side by side.
-  void on_unsat_certificate(const Certificate& cert) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::string path =
-        dir_ + "/proof_" + std::to_string(count_++) + ".proof";
-    std::ofstream out(path);
-    out << cert.text;
-    total_bytes_ += cert.proof_bytes;
-    total_ms_ += cert.proof_ms;
-    if (!cert.complete) ++incomplete_;
-  }
+  void on_unsat_certificate(const Certificate& cert) override;
 
-  [[nodiscard]] std::size_t count() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-  [[nodiscard]] std::size_t incomplete() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return incomplete_;
-  }
-  [[nodiscard]] std::size_t total_bytes() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_bytes_;
-  }
-  [[nodiscard]] double total_ms() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_ms_;
-  }
+  [[nodiscard]] std::size_t count() const { return count_; }
+  [[nodiscard]] std::size_t incomplete() const { return incomplete_; }
+  [[nodiscard]] std::size_t failed() const { return failed_; }
+  [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
+  [[nodiscard]] double total_ms() const { return total_ms_; }
 
  private:
-  mutable std::mutex mu_;
-  std::string dir_;
+  std::string prefix_;
   std::size_t count_ = 0;
   std::size_t incomplete_ = 0;
+  std::size_t failed_ = 0;
   std::size_t total_bytes_ = 0;
   double total_ms_ = 0.0;
 };

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "backend_fixture.hpp"
 #include "proof_check.hpp"
 #include "smt/expr.hpp"
+#include "smt/proof.hpp"
 #include "smt/solver.hpp"
 
 namespace advocat::smt {
@@ -539,6 +542,34 @@ TEST(ProofMutation, OversizedCountsRejected) {
   }
 }
 
+// A hand-written lemma whose bounds only converge one unit per visit:
+// premises x − y ≤ −1 and y − x ≤ 0 under the context 0 ≤ x, y ≤ 10^6.
+// Tightening would need about 10^6 visits to cross x's bounds, far past
+// the 64 visits per premise row (6 rows), so a checker without that stop
+// would accept `f 2 lo0 1 1 hi0 1 1`.
+std::string slow_tightening_certificate(const std::string& body) {
+  return "advocat-proof 2\nmode native\nnvars 6\nnints 2\n"
+         "atom 1 le -1 2 0 1 1 -1\n"  // x − y ≤ −1
+         "atom 2 le 0 2 1 1 0 -1\n"   // y − x ≤ 0
+         "atom 3 le 0 1 0 -1\n"       // x ≥ 0
+         "atom 4 le 1000000 1 0 1\n"  // x ≤ 10^6
+         "atom 5 le 0 1 1 -1\n"       // y ≥ 0
+         "atom 6 le 1000000 1 1 1\n"  // y ≤ 10^6
+         "in 3 0\nin 4 0\nin 5 0\nin 6 0\nassume 1 0\nassume 2 0\n"
+         "ctx 3 4 5 6 0\nlem -1 -2 0\n" +
+         body + "\nend\nqed\n";
+}
+
+TEST(ProofMutation, TighteningStopsAtTheVisitBudget) {
+  const CheckResult crossing =
+      check_proof_text(slow_tightening_certificate("f 2 lo0 1 1 hi0 1 1"));
+  EXPECT_FALSE(crossing.ok);
+  EXPECT_EQ(crossing.reason, "lemma-invalid-farkas") << crossing.detail;
+  const CheckResult farkas =
+      check_proof_text(slow_tightening_certificate("f 2 p0 1 1 p1 1 1"));
+  EXPECT_TRUE(farkas.ok) << farkas.reason << ": " << farkas.detail;
+}
+
 TEST(ProofMutation, GarbageHeaderRejected) {
   const CheckResult r = check_proof_text("not a proof\n");
   EXPECT_FALSE(r.ok);
@@ -550,6 +581,39 @@ TEST(ProofMutation, AttestedCertificateAcceptedAsAttested) {
       check_proof_text("advocat-proof 2\nmode attested z3\nqed\n");
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.mode, "attested");
+}
+
+// ----------------------------------------------------------- file sink
+
+Certificate text_certificate(const std::string& text) {
+  Certificate cert;
+  cert.text = text;
+  cert.proof_bytes = text.size();
+  return cert;
+}
+
+TEST(FileProofSink, WritesNumberedCertificates) {
+  const std::string prefix = ::testing::TempDir() + "file_sink_test_";
+  native::FileProofSink sink(prefix);
+  sink.on_unsat_certificate(text_certificate("first\n"));
+  sink.on_unsat_certificate(text_certificate("second\n"));
+  EXPECT_EQ(sink.count(), 2u);
+  EXPECT_EQ(sink.failed(), 0u);
+  EXPECT_EQ(sink.total_bytes(), 13u);
+  std::ifstream in(prefix + "2.proof");
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "second");
+  std::remove((prefix + "1.proof").c_str());
+  std::remove((prefix + "2.proof").c_str());
+}
+
+TEST(FileProofSink, UnwritableCertificateIsCounted) {
+  native::FileProofSink sink(::testing::TempDir() +
+                             "no_such_directory/file_sink_test_");
+  sink.on_unsat_certificate(text_certificate("lost\n"));
+  EXPECT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.failed(), 1u);
 }
 
 }  // namespace

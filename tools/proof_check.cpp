@@ -5,13 +5,10 @@
 //     (problem `in` lines, `assume` hypotheses, verified derivations),
 //     with a permanent trail that only grows and a rollback point for the
 //     temporary assumptions of each reverse-unit-propagation check;
-//  2. an exact-integer worklist interval tightener (propagate() below)
-//     that MUST stay behaviorally identical to the certifier's copy in
-//     src/smt/proof.cpp — the same seeds, first-in first-out row visits,
-//     terms in order, Chvátal–Gomory rounding, stop at the first bound
-//     crossing or the visit budget — so a proof step can reference derived
-//     bounds as `lo<v>` / `hi<v>` without serializing their derivation.
-//     The level-0 context (`ctx` lines) is tightened once into base bounds
+//  2. the level-0 context (`ctx` lines), each literal re-derived from the
+//     clause set, and the worklist interval tightener of
+//     src/proof/tighten.hpp, which derives the bounds a proof step names
+//     as `lo<v>` / `hi<v>`. The context is tightened once into base bounds
 //     as it grows; each lemma tightens from them and rolls back;
 //  3. a recursive-descent verifier for lemma proof bodies: `f` Farkas
 //     combinations re-summed in exact rational arithmetic, and `s … alt …
@@ -33,216 +30,19 @@
 #include <utility>
 #include <vector>
 
+#include "proof/tighten.hpp"
 #include "util/bigint.hpp"
 #include "util/rational.hpp"
 
 namespace advocat::proofcheck {
 namespace {
 
+using tighten::Bounds;
+using tighten::Ineq;
+using tighten::Premises;
+using tighten::VarBound;
 using util::BigInt;
 using util::Rational;
-
-// ----------------------------------------------------------- arithmetic
-
-// floor(a/b) for b > 0 (BigInt division truncates toward zero).
-BigInt floor_div_big(const BigInt& a, const BigInt& b) {
-  BigInt q = a / b;
-  if (!(a % b).is_zero() && a.is_negative()) q -= BigInt(1);
-  return q;
-}
-
-struct Ineq {
-  std::vector<std::pair<int, std::int64_t>> terms;
-  BigInt bound;
-};
-
-struct VarBound {
-  bool has = false;
-  BigInt val;
-};
-
-// Derived bounds with an undo trail: a lemma and each split branch tighten
-// in place and roll back to where they started.
-struct Bounds {
-  struct Undo {
-    int var;
-    bool is_hi;
-    VarBound old;
-  };
-  std::vector<VarBound> lo, hi;
-  std::vector<Undo> trail;
-
-  VarBound& at(int v, bool is_hi) {
-    return (is_hi ? hi : lo)[static_cast<std::size_t>(v)];
-  }
-  void set(int v, bool is_hi, BigInt val) {
-    VarBound& b = at(v, is_hi);
-    trail.push_back(Undo{v, is_hi, b});
-    b.has = true;
-    b.val = std::move(val);
-  }
-  void undo_to(std::size_t mark) {
-    while (trail.size() > mark) {
-      Undo& u = trail.back();
-      at(u.var, u.is_hi) = std::move(u.old);
-      trail.pop_back();
-    }
-  }
-};
-
-// FIFO of premise rows awaiting a visit; a row is queued at most once.
-struct Worklist {
-  std::vector<int> queue;
-  std::size_t head = 0;
-  std::vector<char> queued;
-
-  void push(std::size_t r) {
-    if (queued[r] != 0) return;
-    queued[r] = 1;
-    queue.push_back(static_cast<int>(r));
-  }
-  void clear() {
-    for (std::size_t i = head; i < queue.size(); ++i) {
-      queued[static_cast<std::size_t>(queue[i])] = 0;
-    }
-    queue.clear();
-    head = 0;
-  }
-};
-
-// A term c·v reads v's lower bound when c > 0 and its upper bound
-// otherwise: the node of the bound a row reads.
-std::size_t reader_node(int v, std::int64_t c) {
-  return 2 * static_cast<std::size_t>(v) + (c > 0 ? 0 : 1);
-}
-
-constexpr std::size_t kVisitsPerRow = 64;
-
-// The level-0 context: rows added by `ctx` lines, the context rows that
-// read each bound, and the base bounds the context alone implies.
-struct Context {
-  std::vector<Ineq> rows;
-  std::vector<std::vector<int>> readers;  // reader_node -> context rows
-  Bounds base;
-  int crossed = -1;  // the context alone crosses this variable's bounds
-  Worklist work;
-};
-
-// The premises of one lemma: its own rows p0…p{n-1} (the negated clause
-// literals), then the context rows.
-struct Premises {
-  const std::vector<Ineq>& own;
-  const Context& ctx;
-
-  [[nodiscard]] std::size_t size() const {
-    return own.size() + ctx.rows.size();
-  }
-  [[nodiscard]] const Ineq& row(std::size_t i) const {
-    return i < own.size() ? own[i] : ctx.rows[i - own.size()];
-  }
-  // Queues every row that reads bound `node`, in premise order.
-  void queue_readers(std::size_t node, Worklist& wl) const {
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      for (const auto& [u, c] : own[i].terms) {
-        if (reader_node(u, c) == node) {
-          wl.push(i);
-          break;
-        }
-      }
-    }
-    if (node < ctx.readers.size()) {
-      for (const int r : ctx.readers[node]) {
-        wl.push(own.size() + static_cast<std::size_t>(r));
-      }
-    }
-  }
-};
-
-// The bound row `r` implies on the variable of its term `ti` from the
-// other terms' bounds (an upper bound for a positive coefficient, a lower
-// one otherwise), rounded to the integers into `out`; false when another
-// term's bound is missing. Exact: __int128 while every value fits in 64
-// bits, BigInt beyond (the __int128 path saves a sixth of a certified
-// sizing run; docs/BENCHMARKS.md has the ablation).
-bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
-  const std::int64_t c = r.terms[ti].second;
-  bool small = r.bound.fits_int64();
-  __int128 rest = 0;
-  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-    if (tj == ti) continue;
-    const auto [u, cu] = r.terms[tj];
-    const VarBound& b = st.at(u, cu <= 0);
-    if (!b.has) return false;
-    small = small && b.val.fits_int64() &&
-            !__builtin_add_overflow(
-                rest, static_cast<__int128>(cu) * b.val.to_int64(), &rest);
-  }
-  __int128 avail = 0;  // c·v ≤ avail
-  if (small && !__builtin_sub_overflow(static_cast<__int128>(
-                                           r.bound.to_int64()),
-                                       rest, &avail)) {
-    // c > 0: v ≤ floor(avail/c). c < 0: with cc = -c, v ≥ -(avail/cc),
-    // so lo = ceil(-avail/cc) = -floor(avail/cc).
-    const __int128 cc = c > 0 ? c : -static_cast<__int128>(c);
-    __int128 q = avail / cc;
-    if (avail % cc != 0 && avail < 0) --q;
-    if (c < 0) q = -q;
-    if (q >= INT64_MIN && q <= INT64_MAX) {
-      out = BigInt(static_cast<std::int64_t>(q));
-      return true;
-    }
-  }
-  BigInt big(0);
-  for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
-    if (tj == ti) continue;
-    const auto [u, cu] = r.terms[tj];
-    big += BigInt(cu) * st.at(u, cu <= 0).val;
-  }
-  const BigInt avail_big = r.bound - big;
-  out = c > 0 ? floor_div_big(avail_big, BigInt(c))
-              : -floor_div_big(avail_big, -BigInt(c));
-  return true;
-}
-
-// One row visit: each term in order is bounded by the row and the other
-// terms' bounds; a tightened bound queues the rows that read it. Returns
-// the first crossed variable, or -1.
-int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
-  BigInt nb;
-  for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
-    if (!implied_bound(r, ti, st, nb)) continue;
-    const auto [v, c] = r.terms[ti];
-    const bool is_hi = c > 0;
-    const VarBound& cur = st.at(v, is_hi);
-    if (!cur.has || (is_hi ? nb < cur.val : nb > cur.val)) {
-      st.set(v, is_hi, std::move(nb));
-      p.queue_readers(2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
-    }
-    const VarBound& lb = st.at(v, false);
-    const VarBound& hb = st.at(v, true);
-    if (lb.has && hb.has && lb.val > hb.val) return v;
-  }
-  return -1;
-}
-
-// Worklist interval tightening: visits the queued rows first-in first-out
-// until the queue drains, a bound crosses, or 64 visits per premise row
-// are spent. Returns the crossed variable, or -1; the queue is left empty.
-// Lockstep twin of propagate() in src/smt/proof.cpp — do not "improve"
-// one side.
-int propagate(const Premises& p, Bounds& st, Worklist& wl) {
-  const std::size_t budget = kVisitsPerRow * p.size();
-  std::size_t visits = 0;
-  int crossed = -1;
-  while (crossed < 0 && wl.head < wl.queue.size() && visits < budget) {
-    const auto r = static_cast<std::size_t>(wl.queue[wl.head++]);
-    wl.queued[r] = 0;
-    ++visits;
-    crossed = visit(p.row(r), p, st, wl);
-  }
-  wl.clear();
-  return crossed;
-}
 
 // ---------------------------------------------------------------- parsing
 
@@ -497,8 +297,7 @@ class Checker {
           return fail("parse-error", "bad or repeated nints");
         }
         saw_nints = true;
-        ctx_.base.lo.resize(nints_);
-        ctx_.base.hi.resize(nints_);
+        ctx_.base.grow(nints_);
         continue;
       }
       if (head == "atom") {
@@ -661,7 +460,7 @@ class Checker {
   // literal, so the check is vacuous there — the engine stopped assigning
   // values at ⊥. The new rows then re-tighten the base bounds.
   bool extend_context(const std::vector<int>& lits) {
-    const std::size_t first = ctx_.rows.size();
+    std::vector<Ineq> rows;
     for (const int l : lits) {
       const std::size_t key =
           2 * static_cast<std::size_t>(std::abs(l)) + (l < 0 ? 1 : 0);
@@ -680,22 +479,9 @@ class Checker {
         return false;
       }
       in_ctx_[key] = 1;
-      const int ri = static_cast<int>(ctx_.rows.size());
-      for (const auto& [v, c] : row.terms) {
-        const std::size_t node = reader_node(v, c);
-        if (ctx_.readers.size() <= node) ctx_.readers.resize(node + 1);
-        std::vector<int>& rs = ctx_.readers[node];
-        if (rs.empty() || rs.back() != ri) rs.push_back(ri);
-      }
-      ctx_.rows.push_back(std::move(row));
+      rows.push_back(std::move(row));
     }
-    ctx_.work.queued.resize(ctx_.rows.size(), 0);
-    if (ctx_.crossed >= 0) return true;
-    const std::vector<Ineq> none;
-    const Premises p{none, ctx_};
-    for (std::size_t i = first; i < ctx_.rows.size(); ++i) ctx_.work.push(i);
-    ctx_.crossed = propagate(p, ctx_.base, ctx_.work);
-    ctx_.base.trail.clear();  // the base bounds are permanent
+    ctx_.extend(std::move(rows));
     return true;
   }
 
@@ -790,8 +576,9 @@ class Checker {
   }
 
   // One proof branch whose last change is `seed` (a split's bound node, or
-  // -1 for the lemma's own rows): tighten (lockstep with the certifier),
-  // then a closing step or a split into two sub-branches.
+  // -1 for the lemma's own rows): tighten, then a closing step or a split
+  // into two sub-branches. A crossing needs no special case: the closing
+  // `f` step names the crossed bounds.
   bool check_branch(const std::vector<std::string_view>& body,
                     std::size_t& pos, const Premises& p, Bounds& st, int seed,
                     int depth) {
@@ -799,14 +586,7 @@ class Checker {
       fail("parse-error", "proof nesting too deep");
       return false;
     }
-    if (ctx_.crossed < 0) {
-      if (seed < 0) {
-        for (std::size_t i = 0; i < p.own.size(); ++i) ctx_.work.push(i);
-      } else {
-        p.queue_readers(static_cast<std::size_t>(seed), ctx_.work);
-      }
-      propagate(p, st, ctx_.work);
-    }
+    tighten::tighten_branch(p, st, seed);
     if (pos >= body.size()) {
       fail("lemma-open-branch", "proof body ends inside a branch");
       return false;
@@ -900,7 +680,6 @@ class Checker {
       }
     }
     const Premises p{own, ctx_};
-    ctx_.work.queued.resize(p.size(), 0);
     std::size_t pos = 0;
     const bool ok = check_branch(body, pos, p, ctx_.base, -1, 0);
     ctx_.base.undo_to(0);
@@ -917,7 +696,7 @@ class Checker {
   PropEngine engine_;
   std::vector<AtomInfo> atoms_;  // by boolean var; sized by `nvars`
   std::size_t nints_ = 0;
-  Context ctx_;
+  tighten::Context ctx_;
   std::vector<char> in_ctx_;  // literal -> in the context
   std::size_t lineno_ = 0;
   CheckResult res_;

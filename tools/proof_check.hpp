@@ -1,11 +1,15 @@
 // Standalone validator for advocat Unsat certificates (docs/PROOFS.md).
 //
-// Deliberately independent of the solver: the only shared code is the
-// exact arbitrary-precision arithmetic (util/bigint.hpp, util/rational.hpp)
-// — literal/rational primitives with no solver logic. Everything else
-// (parsing, unit propagation, interval tightening, Farkas validation) is
-// re-implemented here, so a bug in the solver's search or certificate
-// serializer cannot silently vouch for itself.
+// Deliberately independent of the solver. Shared with the certifier are
+// only the exact arbitrary-precision arithmetic (util/bigint.hpp,
+// util/rational.hpp) and the interval tightener (proof/tighten.hpp), none
+// of which holds solver logic. Parsing, unit propagation, the re-derivation
+// of every `ctx` literal and the Farkas and split checks are the checker's
+// own, so a bug in the solver's search or certificate serializer cannot
+// vouch for itself. Sharing the tightener does not weaken this: the
+// checker derives every `lo<v>` / `hi<v>` bound itself, and the certifier
+// only predicts them, so a wrong prediction can get a valid certificate
+// rejected but never a bad one accepted.
 //
 // A certificate is accepted only when:
 //  - every `rup` clause is derivable by reverse unit propagation from the
