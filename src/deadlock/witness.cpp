@@ -331,15 +331,7 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
                     &w.states_explored, &w.exhaustive);
   w.replayed = true;
   w.blocked = all_confirmed(w.claims);
-  if (!w.blocked || !options.minimize) {
-    if (w.blocked) {
-      for (std::size_t qi = 0; qi < sim.num_queues(); ++qi) {
-        if (!w.state.queues[qi].empty()) {
-          w.blocking_queues.push_back(
-              net.prim(sim.queue_prim(static_cast<int>(qi))).name);
-        }
-      }
-    }
+  if (!w.blocked) {
     w.replay_seconds = watch.seconds();
     return w;
   }

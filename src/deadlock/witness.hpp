@@ -64,9 +64,6 @@ struct WitnessOptions {
   /// Reachable-state budget per replay (the minimization pass re-replays
   /// once per removed-queue probe, each under the same budget).
   std::size_t max_states = 50'000;
-  /// Run the greedy blocking-queue-set minimization after a confirmed
-  /// replay.
-  bool minimize = true;
 };
 
 /// A decoded, replayed, and (when blocked) minimized deadlock witness.

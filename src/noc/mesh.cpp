@@ -102,7 +102,7 @@ MeshStats build_mesh(Network& net, const MeshConfig& config,
         std::string name = util::cat("q_", n, "_", kDirNames[d]);
         if (vcs > 1) name += util::cat("_v", v);
         in_q[static_cast<std::size_t>(n)][static_cast<std::size_t>(d)].push_back(
-            net.add_queue(name, config.link_capacity, config.link_fifo));
+            net.add_queue(name, config.link_capacity, /*fifo=*/false));
         ++stats.queues;
       }
     }

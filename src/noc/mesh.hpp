@@ -32,11 +32,9 @@ struct MeshConfig {
   int width = 2;
   int height = 2;
   std::size_t link_capacity = 2;  ///< per link input queue
-  /// Link queues are bags by default ("stall and move to the end of the
-  /// queue", the paper's semantics): a packet whose next hop or consumer is
-  /// unavailable does not block packets behind it. Set true for strict
-  /// FIFO links (ablation).
-  bool link_fifo = false;
+  /// Link queues are bags ("stall and move to the end of the queue", the
+  /// paper's semantics): a packet whose next hop or consumer is
+  /// unavailable does not block packets behind it.
   /// Optional per-node ejection bag between the local-delivery merge and
   /// the protocol automaton. 0 (default) = none: the automaton consumes
   /// straight from the link bags, which matches the paper's model and

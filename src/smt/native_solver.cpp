@@ -40,7 +40,6 @@ namespace advocat::smt {
 namespace {
 
 using native::Atom;
-using native::CertificateInputs;
 using native::CheckJob;
 using native::Clock;
 using native::Lit;
@@ -61,11 +60,11 @@ class NativeSolver final : public Solver {
 
   void add(ExprId assertion) override { roots_.push_back(assertion); }
 
-  // Turns proof logging on (or off) for every subsequent check. The
-  // session trace and lemma cache live for the solver's lifetime, so a
-  // sink attached before the first check certifies every later Unsat;
-  // attaching after checks have run yields certificates honestly marked
-  // incomplete (the earlier learning was never logged).
+  // Turns proof logging on (or off) for every subsequent check. The proof
+  // log lives for the solver's lifetime, so a sink attached before the
+  // first check certifies every later Unsat; attaching after checks have
+  // run yields certificates honestly marked incomplete (the earlier
+  // learning was never logged).
   void set_proof_sink(ProofSink* sink) override {
     Solver::set_proof_sink(sink);
     search_.set_proof_log(sink != nullptr ? &log_ : nullptr);
@@ -107,7 +106,13 @@ class NativeSolver final : public Solver {
       }
     }
     if (result == SatResult::Unsat && proof_sink() != nullptr) {
-      emit_certificate(assumption_lits);
+      // Every certificate replays the whole session's logged learning:
+      // learned clauses persist across checks.
+      std::vector<Lit> assume_lits = root_lits_;
+      assume_lits.insert(assume_lits.end(), assumption_lits.begin(),
+                         assumption_lits.end());
+      proof_sink()->on_unsat_certificate(log_.certificate(
+          sh_, assume_lits, trivially_unsat_, unlogged_checks_));
     }
     // Session stats = the search context's lifetime counters, plus why
     // this check stopped (only an Unknown has a reason).
@@ -317,39 +322,6 @@ class NativeSolver final : public Solver {
     return res;
   }
 
-  // ---------------------------------------------------------- orchestration
-
-  /// Serializes (and theory-certifies) the refutation this check just
-  /// produced and hands it to the sink. The session trace is cumulative —
-  /// learned clauses persist across checks, so every certificate replays
-  /// the whole session's logged learning.
-  void emit_certificate(const std::vector<Lit>& assumption_lits) {
-    CertificateInputs in;
-    in.sh = &sh_;
-    in.trace = &log_.records();
-    in.assume_lits = root_lits_;
-    in.assume_lits.insert(in.assume_lits.end(), assumption_lits.begin(),
-                          assumption_lits.end());
-    in.trivially_unsat = trivially_unsat_;
-    in.attached_mid_session = unlogged_checks_;
-    Certificate cert;
-    try {
-      cert = native::build_certificate(in, certifier_);
-    } catch (...) {
-      // Certification is best-effort under fault injection / allocation
-      // pressure: the verdict stands (it was reached before this point),
-      // so report an honestly unverifiable certificate rather than let
-      // the failure masquerade as an Unknown check result.
-      cert = Certificate{};
-      cert.mode = "attested";
-      cert.complete = false;
-      cert.reason = "native certificate construction aborted";
-      cert.text = "advocat-proof 2\nmode attested native-aborted\nqed\n";
-      cert.proof_bytes = cert.text.size();
-    }
-    proof_sink()->on_unsat_certificate(cert);
-  }
-
   const ExprFactory& f_;
 
   // Translation state (persists across check() calls).
@@ -365,12 +337,8 @@ class NativeSolver final : public Solver {
   SharedProblem sh_;
   SearchContext search_{sh_};
 
-  // Proof logging state (alive for the session; empty until a sink is
-  // attached). The certifier cache persists branch-and-cut re-derivations
-  // and the context model across certificates (incremental sessions
-  // re-serialize the cumulative trace on every Unsat).
+  // The session's proof state (empty until a sink is attached).
   ProofLog log_;
-  native::CertifierCache certifier_;
   bool unlogged_checks_ = false;
 };
 

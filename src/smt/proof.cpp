@@ -17,6 +17,7 @@
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -36,12 +37,28 @@ using tighten::VarBound;
 using util::BigInt;
 using util::Rational;
 
-// The level-0 context as the certifier sees it after `generation` context
-// records.
-struct CertifierContext {
-  tighten::Context model;
-  std::size_t generation = 0;
+// What ProofLog keeps between the certificates of a session: the
+// serialized problem and trace (both only grow) and the context model. A
+// record serializes to the same text in every certificate (a lemma's
+// premises are its literals plus the context logged before it), so each
+// record is serialized, and each lemma certified, once per session.
+struct ProofLog::State {
+  std::string atoms, clauses;  // `atom` lines; `in` lines incl. def units
+  std::size_t num_atoms = 0, num_clauses = 0, num_units = 0;
+  std::string trace;  // every committed record, each lemma certified
+  bool unproven = false;  // `trace` holds an `unproven` lemma
+  std::vector<std::vector<Lit>> context;  // the committed `ctx` records
+  // The context model: empty after a failed certificate, which may have
+  // folded records the committed trace does not hold.
+  std::optional<tighten::Context> model;
+
+  void extend_problem(const SharedProblem& sh);
+  void extend_trace(const SharedProblem& sh,
+                    const std::vector<ProofRecord>& records);
 };
+
+ProofLog::ProofLog() : state_(std::make_unique<State>()) {}
+ProofLog::~ProofLog() = default;
 
 namespace {
 
@@ -56,26 +73,20 @@ const StaticRow* atom_row(const SharedProblem& sh, Lit l) {
   return is_neg(l) ? &a.negation : &a.row;
 }
 
-// Folds the context records `records` (trace indices) the model has not
-// seen yet: a certificate only ever extends the trace.
-void sync_context(const SharedProblem& sh,
-                  const std::vector<ProofRecord>& trace,
-                  const std::vector<std::size_t>& records,
-                  CertifierContext& ctx) {
-  ctx.model.base.grow(sh.int_names.size());
-  for (; ctx.generation < records.size(); ++ctx.generation) {
-    const ProofRecord& rec = trace[records[ctx.generation]];
-    std::vector<Ineq> rows;
-    rows.reserve(rec.lits.size());
-    for (const Lit l : rec.lits) {
-      const StaticRow* r = atom_row(sh, l);
-      if (r == nullptr) {
-        throw std::logic_error("proof context literal is not a theory atom");
-      }
-      rows.push_back(Ineq{r->terms, BigInt(r->bound)});
+// Folds one `ctx` record into the context model.
+void fold_context(const SharedProblem& sh, const std::vector<Lit>& lits,
+                  tighten::Context& model) {
+  model.base.grow(sh.int_names.size());
+  std::vector<Ineq> rows;
+  rows.reserve(lits.size());
+  for (const Lit l : lits) {
+    const StaticRow* r = atom_row(sh, l);
+    if (r == nullptr) {
+      throw std::logic_error("proof context literal is not a theory atom");
     }
-    ctx.model.extend(std::move(rows));
+    rows.push_back(Ineq{r->terms, BigInt(r->bound)});
   }
+  model.extend(std::move(rows));
 }
 
 std::string rat_pair(const Rational& r) {
@@ -256,95 +267,79 @@ void put_clause(std::string& out, const char* head, const Lit* lits,
 
 }  // namespace
 
-// What build_certificate keeps between the certificates of a session: the
-// serialized problem and trace (both only grow) and the context model.
-struct CertifierCache::State {
-  std::string atoms, clauses;  // `atom` lines; `in` lines incl. def units
-  std::size_t num_atoms = 0, num_clauses = 0, num_units = 0;
-  std::string trace;  // records [0, num_records), each lemma certified
-  std::size_t num_records = 0;
-  bool unproven = false;  // `trace` holds an `unproven` lemma
-  std::vector<std::size_t> context_records;  // trace indices, in `trace`
-  CertifierContext context;
-};
-
-CertifierCache::CertifierCache() : state_(std::make_unique<State>()) {}
-CertifierCache::~CertifierCache() = default;
-
-namespace {
-
 // Serializes the atoms and problem clauses translated since the last
 // certificate (units follow the clauses: `in` lines are order-free).
-// Commits to `st` only at the end, so a throw leaves it as it was.
-void extend_problem(const SharedProblem& sh, CertifierCache::State& st) {
-  std::string atoms, clauses;
-  for (std::size_t i = st.num_atoms; i < sh.atoms.size(); ++i) {
+// Commits only at the end, so a throw leaves the state as it was.
+void ProofLog::State::extend_problem(const SharedProblem& sh) {
+  std::string new_atoms, new_clauses;
+  for (std::size_t i = num_atoms; i < sh.atoms.size(); ++i) {
     const StaticRow& r = sh.atoms[i].row;
-    atoms += "atom ";
-    put(atoms, sh.atom_var[i] + 1);
-    atoms += " le ";
-    put(atoms, r.bound);
-    atoms += ' ';
-    put(atoms, static_cast<std::int64_t>(r.terms.size()));
+    new_atoms += "atom ";
+    put(new_atoms, sh.atom_var[i] + 1);
+    new_atoms += " le ";
+    put(new_atoms, r.bound);
+    new_atoms += ' ';
+    put(new_atoms, static_cast<std::int64_t>(r.terms.size()));
     for (const auto& [v, c] : r.terms) {
-      atoms += ' ';
-      put(atoms, v);
-      atoms += ' ';
-      put(atoms, c);
+      new_atoms += ' ';
+      put(new_atoms, v);
+      new_atoms += ' ';
+      put(new_atoms, c);
     }
-    atoms += '\n';
+    new_atoms += '\n';
   }
-  for (std::size_t i = st.num_clauses; i < sh.clauses.size(); ++i) {
-    put_clause(clauses, "in", sh.clauses.begin(i), sh.clauses.len(i));
+  for (std::size_t i = num_clauses; i < sh.clauses.size(); ++i) {
+    put_clause(new_clauses, "in", sh.clauses.begin(i), sh.clauses.len(i));
   }
-  for (std::size_t i = st.num_units; i < sh.def_units.size(); ++i) {
-    put_clause(clauses, "in", &sh.def_units[i], 1);
+  for (std::size_t i = num_units; i < sh.def_units.size(); ++i) {
+    put_clause(new_clauses, "in", &sh.def_units[i], 1);
   }
   // Reserved first, so the appends that commit cannot throw.
-  st.atoms.reserve(st.atoms.size() + atoms.size());
-  st.clauses.reserve(st.clauses.size() + clauses.size());
-  st.atoms += atoms;
-  st.clauses += clauses;
-  st.num_atoms = sh.atoms.size();
-  st.num_clauses = sh.clauses.size();
-  st.num_units = sh.def_units.size();
+  atoms.reserve(atoms.size() + new_atoms.size());
+  clauses.reserve(clauses.size() + new_clauses.size());
+  atoms += new_atoms;
+  clauses += new_clauses;
+  num_atoms = sh.atoms.size();
+  num_clauses = sh.clauses.size();
+  num_units = sh.def_units.size();
 }
 
 // Serializes (and certifies) the records logged since the last
-// certificate. Commits to `st` only once every new record is done, so a
-// throw leaves the serialized trace as it was; the context model may by
-// then have folded records `st` does not list, so it is reset and rebuilt
-// from `st.context_records` by the next certificate.
-void extend_trace(const SharedProblem& sh,
-                  const std::vector<ProofRecord>& trace,
-                  CertifierCache::State& st) {
+// certificate. Commits only once every record is done, so a throw leaves
+// the serialized trace as it was; the context model may by then have
+// folded records the trace does not hold, so it is dropped and rebuilt
+// from the committed `ctx` records by the next certificate.
+void ProofLog::State::extend_trace(const SharedProblem& sh,
+                                   const std::vector<ProofRecord>& records) {
   std::string text;
-  bool unproven = st.unproven;
-  std::vector<std::size_t> context = st.context_records;
+  bool new_unproven = unproven;
+  std::vector<std::vector<Lit>> new_context;
   try {
-    for (std::size_t i = st.num_records; i < trace.size(); ++i) {
-      const ProofRecord& rec = trace[i];
+    if (!model) {
+      model.emplace();
+      for (const std::vector<Lit>& lits : context) {
+        fold_context(sh, lits, *model);
+      }
+    }
+    model->base.grow(sh.int_names.size());
+    for (const ProofRecord& rec : records) {
       const Lit* lits = rec.lits.data();
       const std::size_t n = rec.lits.size();
       switch (rec.kind) {
         case ProofRecord::Kind::kRup:
           put_clause(text, "rup", lits, n);
           break;
-        case ProofRecord::Kind::kDelete:
-          put_clause(text, "del", lits, n);
-          break;
         case ProofRecord::Kind::kContext:
           put_clause(text, "ctx", lits, n);
-          context.push_back(i);
+          fold_context(sh, rec.lits, *model);
+          new_context.push_back(rec.lits);
           break;
         case ProofRecord::Kind::kLemma: {
           put_clause(text, "lem", lits, n);
-          sync_context(sh, trace, context, st.context);
-          const std::string body =
-              certify_lemma(sh, rec.lits, st.context.model);
+          const std::string body = certify_lemma(sh, rec.lits, *model);
           if (body.empty()) {
             text += "unproven\n";
-            unproven = true;
+            new_unproven = true;
           } else {
             text += body;
           }
@@ -353,54 +348,59 @@ void extend_trace(const SharedProblem& sh,
         }
       }
     }
+    // Reserved first, so the appends that commit cannot throw.
+    trace.reserve(trace.size() + text.size());
+    context.reserve(context.size() + new_context.size());
   } catch (...) {
-    st.context = CertifierContext{};
+    model.reset();
     throw;
   }
-  st.trace += text;
-  st.num_records = trace.size();
-  st.unproven = unproven;
-  st.context_records = std::move(context);
+  trace += text;
+  unproven = new_unproven;
+  context.insert(context.end(), std::make_move_iterator(new_context.begin()),
+                 std::make_move_iterator(new_context.end()));
 }
 
-}  // namespace
-
-Certificate build_certificate(const CertificateInputs& in,
-                              CertifierCache& cache) {
+Certificate ProofLog::certificate(const SharedProblem& sh,
+                                  const std::vector<Lit>& assume_lits,
+                                  bool trivially_unsat,
+                                  bool attached_mid_session) {
   const util::Stopwatch sw;
   Certificate cert;
   cert.mode = "native";
   std::string& out = cert.text;
-  out = "advocat-proof 2\nmode native\n";
-  if (in.trivially_unsat) {
-    // Translation already derived the empty clause.
-    out += "in 0\nqed\n";
-    cert.proof_bytes = out.size();
-    cert.proof_ms = sw.millis();
-    return cert;
+  try {
+    out = "advocat-proof 2\nmode native\n";
+    if (trivially_unsat) {
+      out += "in 0\nqed\n";  // translation already derived the empty clause
+    } else {
+      State& st = *state_;
+      st.extend_problem(sh);
+      st.extend_trace(sh, pending_);
+      pending_.clear();
+      out.reserve(out.size() + 64 + st.atoms.size() + st.clauses.size() +
+                  16 * assume_lits.size() + st.trace.size());
+      out += "nvars ";
+      put(out, sh.num_bvars);
+      out += "\nnints ";
+      put(out, static_cast<std::int64_t>(sh.int_names.size()));
+      out += '\n';
+      out += st.atoms;
+      out += st.clauses;
+      for (const Lit l : assume_lits) put_clause(out, "assume", &l, 1);
+      out += st.trace;
+      out += "qed\n";
+      cert.complete = !attached_mid_session && !st.unproven;
+      cert.reason = attached_mid_session ? "proof sink attached mid-session"
+                    : st.unproven        ? "uncertified theory lemma"
+                                         : "";
+    }
+  } catch (...) {
+    cert.mode = "attested";
+    cert.complete = false;
+    cert.reason = "native certificate construction aborted";
+    out = "advocat-proof 2\nmode attested native-aborted\nqed\n";
   }
-
-  const SharedProblem& sh = *in.sh;
-  CertifierCache::State& st = cache.state();
-  extend_problem(sh, st);
-  extend_trace(sh, *in.trace, st);
-  out.reserve(out.size() + 64 + st.atoms.size() + st.clauses.size() +
-              16 * in.assume_lits.size() + st.trace.size());
-  out += "nvars ";
-  put(out, sh.num_bvars);
-  out += "\nnints ";
-  put(out, static_cast<std::int64_t>(sh.int_names.size()));
-  out += '\n';
-  out += st.atoms;
-  out += st.clauses;
-  for (const Lit l : in.assume_lits) put_clause(out, "assume", &l, 1);
-  out += st.trace;
-  out += "qed\n";
-
-  cert.complete = !in.attached_mid_session && !st.unproven;
-  cert.reason = in.attached_mid_session ? "proof sink attached mid-session"
-                : st.unproven           ? "uncertified theory lemma"
-                                        : "";
   cert.proof_bytes = out.size();
   cert.proof_ms = sw.millis();
   return cert;

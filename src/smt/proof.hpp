@@ -2,15 +2,14 @@
 //
 // While a ProofSink is installed, the SearchContext appends ProofRecords
 // to the session's ProofLog as it learns: non-tainted learned clauses (RUP
-// steps), theory lemmas (the implicit reason clauses of theory
-// propagations, theory-conflict clauses, and leaf blocking clauses), and
-// clause deletions. The log is the session trace: append order is
-// emission order.
+// steps) and theory lemmas (the implicit reason clauses of theory
+// propagations, theory-conflict clauses, and leaf blocking clauses). The
+// log is the session trace: append order is emission order.
 //
-// At an Unsat check boundary NativeSolver serializes the trace into a
+// At an Unsat check boundary the ProofLog serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
 // and theory-atom table, this check's assumption units, the ordered
-// rup/ctx/lem/del trace — each theory lemma carrying an inline branch-and-cut
+// rup/ctx/lem trace — each theory lemma carrying an inline branch-and-cut
 // proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
 // variable splits) produced here by re-deriving the
 // lemma's integer infeasibility with the exact rational simplex — and a
@@ -35,7 +34,6 @@ struct ProofRecord {
   enum class Kind : std::uint8_t {
     kRup,      ///< learned clause, checkable by reverse unit propagation
     kLemma,    ///< theory-valid clause, checkable by its inline proof
-    kDelete,   ///< advisory deletion (the checker keeps every clause)
     kContext,  ///< atom literals joining the level-0 context
   };
   Kind kind = Kind::kRup;
@@ -43,9 +41,11 @@ struct ProofRecord {
   std::vector<Lit> lits;
 };
 
-/// The session proof trace. Near-zero overhead: SearchContext holds a
-/// nullable pointer and logs only while a sink is installed; no SolveStats
-/// field is touched, so stats are bit-identical with and without logging.
+/// The proof state of one session: the trace logged since the last
+/// certificate, and everything certificate() keeps between certificates.
+/// Near-zero overhead: SearchContext holds a nullable pointer and logs
+/// only while a sink is installed; no SolveStats field is touched, so
+/// stats are bit-identical with and without logging.
 ///
 /// Leaf blocking clauses and conflict explanations omit level-0 literals
 /// (they are permanent), so a lemma clause alone need not be theory-valid:
@@ -56,6 +56,11 @@ struct ProofRecord {
 /// it has not held before.
 class ProofLog {
  public:
+  ProofLog();
+  ~ProofLog();
+  ProofLog(const ProofLog&) = delete;
+  ProofLog& operator=(const ProofLog&) = delete;
+
   /// Logs a learned clause.
   void log_rup(const Lit* lits, std::size_t n) {
     push(ProofRecord::Kind::kRup, lits, n);
@@ -88,69 +93,35 @@ class ProofLog {
     return true;
   }
 
-  void log_delete(const Lit* lits, std::size_t n) {
-    push(ProofRecord::Kind::kDelete, lits, n);
-  }
-
-  /// Every record logged so far, in emission order.
-  [[nodiscard]] const std::vector<ProofRecord>& records() const {
-    return records_;
-  }
+  /// The certificate of one Unsat check: the problem, `assume_lits` (root
+  /// assertions + this check's assumptions, the hypotheses of the
+  /// refutation) and the whole session trace so far. The records logged
+  /// since the previous certificate are serialized, each lemma certified
+  /// once, and released; the text before them is kept from the previous
+  /// certificate. `attached_mid_session` marks the certificate incomplete:
+  /// learning before the sink was attached was never logged. If the build
+  /// throws, the records wait for the next certificate and this one is an
+  /// attested `native-aborted` stub: the verdict was reached before
+  /// certification, so a failure here must not turn it into an Unknown.
+  Certificate certificate(const SharedProblem& sh,
+                          const std::vector<Lit>& assume_lits,
+                          bool trivially_unsat, bool attached_mid_session);
 
  private:
+  struct State;  // between certificates; defined in proof.cpp
+
   void push(ProofRecord::Kind kind, const Lit* lits, std::size_t n) {
     ProofRecord r;
     r.kind = kind;
     r.lits.assign(lits, lits + n);
-    records_.push_back(std::move(r));
+    pending_.push_back(std::move(r));
   }
 
-  std::vector<ProofRecord> records_;
+  std::vector<ProofRecord> pending_;  // logged since the last certificate
   std::unordered_set<std::string> lemma_seen_;
   std::vector<char> in_context_;  // literal -> already in the context
-};
-
-/// Everything build_certificate needs from the solver session.
-struct CertificateInputs {
-  const SharedProblem* sh = nullptr;
-  /// Session trace, in emission order.
-  const std::vector<ProofRecord>* trace = nullptr;
-  /// Root assertions + this check's assumption literals:
-  /// serialized as `assume` units, the hypotheses of the refutation.
-  std::vector<Lit> assume_lits;
-  bool trivially_unsat = false;
-  /// True when the sink was attached after checks had already run: the
-  /// earlier learned material cannot be reconstructed, so the certificate
-  /// is honest about being unverifiable.
-  bool attached_mid_session = false;
-};
-
-/// Certification state of one session. The trace only grows, and a
-/// record serializes to the same text in every certificate (a lemma's
-/// premises are its literals plus the context logged before it), so the
-/// serialized problem and trace are kept and extended by what was logged
-/// since the previous certificate: each lemma is certified once per
-/// session. The context model — the context's rows, a variable→row index
-/// and the base bounds the context alone implies — grows with the trace.
-class CertifierCache {
- public:
-  CertifierCache();
-  ~CertifierCache();
-  CertifierCache(const CertifierCache&) = delete;
-  CertifierCache& operator=(const CertifierCache&) = delete;
-
-  struct State;  // defined in proof.cpp
-  [[nodiscard]] State& state() { return *state_; }
-
- private:
   std::unique_ptr<State> state_;
 };
-
-/// Serializes (and theory-certifies) one Unsat check. Every certificate
-/// of a session holds the whole trace so far; `cache` carries the text
-/// and the context model from one certificate to the next.
-Certificate build_certificate(const CertificateInputs& in,
-                              CertifierCache& cache);
 
 /// Writes the n-th certificate (numbered from 1 in arrival order) to
 /// `<prefix><n>.proof`: the ready-made sink of docs/PROOFS.md. A

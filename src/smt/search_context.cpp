@@ -1053,13 +1053,6 @@ void SearchContext::reduce_db() {
   });
   const std::size_t victims = reduce_order_.size() / 2;
   for (std::size_t i = 0; i < victims; ++i) {
-    if (plog_ != nullptr) {
-      // Advisory only: the checker never applies deletions, but the trace
-      // records them so certificate consumers can reconstruct the live
-      // database if they care to.
-      plog_->log_delete(arena_.lits(reduce_order_[i]),
-                        arena_.size(reduce_order_[i]));
-    }
     arena_.mark_deleted(reduce_order_[i]);
     --num_learned_live_;
     ++stats_.deleted_clauses;

@@ -6,7 +6,7 @@
 //    linear atoms with their static theory rows, problem clauses and
 //    definitional units. Owned by NativeSolver, written only by
 //    translation *between* checks, and read by the search, by
-//    build_certificate and by the auditor.
+//    the session ProofLog and by the auditor.
 //  - SearchContext: everything mutable — trail, watch lists, EVSIDS
 //    activity heap, phase array, the learned-clause arena, interval
 //    bounds with their undo/provenance machinery, the exact simplex
@@ -152,8 +152,8 @@ class SearchContext {
   /// definite Sat/Unsat); see util::StopReason.
   [[nodiscard]] util::StopReason stop_reason() const { return last_stop_; }
   /// Attaches (or detaches, with nullptr) a proof log: while set,
-  /// non-tainted learned clauses, theory lemmas, and deletions are
-  /// recorded for certificate generation. Logging touches no SolveStats
+  /// non-tainted learned clauses and theory lemmas are recorded for
+  /// certificate generation. Logging touches no SolveStats
   /// field and makes no search decision, so verdicts and stats are
   /// identical with and without a log.
   void set_proof_log(ProofLog* log) { plog_ = log; }

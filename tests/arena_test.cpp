@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "proof_check.hpp"
 #include "smt/expr.hpp"
 #include "smt/solver.hpp"
 
@@ -140,6 +141,56 @@ TEST(Arena, CompactionPreservedAcrossPushPop) {
   ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats second = solver->solve_stats();
   EXPECT_LT(second.conflicts - first.conflicts, first.conflicts);
+}
+
+struct CaptureSink : ProofSink {
+  void on_unsat_certificate(const Certificate& cert) override {
+    certs.push_back(cert);
+  }
+  std::vector<Certificate> certs;
+};
+
+TEST(Arena, CertifiedAcrossReductions) {
+  // One session, two guarded refutations: boolean pigeonhole (RUP steps)
+  // and integer pigeonhole (theory lemmas), under the tiny reduction
+  // schedule. A reduction logs nothing, so every certificate is complete,
+  // accepted, and carries no `del` line.
+  ExprFactory f;
+  auto solver = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  solver->set_proof_sink(&sink);
+  const ExprId boolean = f.bool_var("ar_boolean");
+  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(f.implies(boolean, c));
+  const ExprId integer = f.bool_var("ar_integer");
+  constexpr std::size_t kPigeons = 5;  // integers in [0, kPigeons - 2]
+  std::vector<ExprId> x;
+  for (std::size_t p = 0; p < kPigeons; ++p) {
+    x.push_back(f.int_var("ar_x" + std::to_string(p)));
+    solver->add(f.implies(integer, f.le(f.int_const(0), x.back())));
+    solver->add(
+        f.implies(integer, f.le(x.back(), f.int_const(kPigeons - 2))));
+  }
+  for (std::size_t p = 0; p < kPigeons; ++p) {
+    for (std::size_t q = p + 1; q < kPigeons; ++q) {
+      const ExprId below = f.le(f.add({x[p], f.int_const(1)}), x[q]);
+      const ExprId above = f.le(f.add({x[q], f.int_const(1)}), x[p]);
+      solver->add(f.implies(integer, f.or_({below, above})));
+    }
+  }
+  ASSERT_EQ(solver->check_assuming({boolean}), SatResult::Unsat);
+  ASSERT_EQ(solver->check_assuming({integer}), SatResult::Unsat);
+  EXPECT_GT(solver->solve_stats().deleted_clauses, 0u);
+
+  ASSERT_EQ(sink.certs.size(), 2u);
+  for (const Certificate& cert : sink.certs) {
+    EXPECT_TRUE(cert.complete) << cert.reason;
+    const proofcheck::CheckResult r =
+        proofcheck::check_proof_text(cert.text);
+    EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+    EXPECT_EQ(r.mode, "native");
+    EXPECT_EQ(cert.text.find("\ndel "), std::string::npos);
+  }
+  EXPECT_NE(sink.certs[1].text.find("\nlem "), std::string::npos);
 }
 
 }  // namespace

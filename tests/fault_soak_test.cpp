@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <random>
@@ -24,6 +23,7 @@
 
 #include "advocat/verifier.hpp"
 #include "coherence/mi_abstract.hpp"
+#include "helpers.hpp"
 #include "proof_check.hpp"
 #include "smt/expr.hpp"
 #include "smt/solver.hpp"
@@ -281,20 +281,6 @@ struct CaptureSink : ProofSink {
   std::vector<Certificate> certs;
 };
 
-// When ADVOCAT_PROOF_DIR is set (the CI certification step), the soak's
-// certificates are also serialized for the standalone advocat-check
-// binary to revalidate out of process.
-void dump_certs(const CaptureSink& sink) {
-  static const char* dir = std::getenv("ADVOCAT_PROOF_DIR");
-  if (dir == nullptr) return;
-  static std::size_t serial = 0;
-  for (const Certificate& cert : sink.certs) {
-    std::ofstream out(std::string(dir) + "/soak_" + std::to_string(serial++) +
-                      ".proof");
-    out << cert.text;
-  }
-}
-
 TEST(FaultSoak, NeverAWrongVerdictAcrossRandomSchedules) {
   FaultGuard guard;
   const int schedules = soak_schedules();
@@ -357,7 +343,7 @@ TEST(FaultSoak, NeverAWrongVerdictAcrossRandomSchedules) {
     }
     EXPECT_EQ(sink.certs.size(), unsat_checks)
         << "certificates != Unsat checks: spec=" << spec << " seed=" << seed;
-    dump_certs(sink);
+    testing::dump_certs(sink.certs, "soak_");
     for (std::size_t i = 0; i < sink.certs.size(); ++i) {
       const Certificate& cert = sink.certs[i];
       const proofcheck::CheckResult res =

@@ -1,8 +1,17 @@
-// Shared test fixtures: the paper's Fig. 1 running example and small
-// utility builders.
+// Shared test fixtures: the paper's Fig. 1 running example, small
+// utility builders and the certificate writer of the certification tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "automata/builder.hpp"
+#include "smt/proof.hpp"
+#include "smt/solver.hpp"
 #include "xmas/network.hpp"
 
 namespace advocat::testing {
@@ -49,5 +58,21 @@ struct RunningExample {
     net.connect(src_t, 0, aut_t, 1);
   }
 };
+
+/// When ADVOCAT_PROOF_DIR is set (the CI certification steps), writes
+/// every certificate to `<dir>/<stem><n>.proof`, n counting from 1 per
+/// stem, so the standalone advocat-check binary revalidates the same
+/// refutations out of process. A certificate that cannot be written fails
+/// the test.
+inline void dump_certs(const std::vector<smt::Certificate>& certs,
+                       const std::string& stem) {
+  static const char* dir = std::getenv("ADVOCAT_PROOF_DIR");
+  if (dir == nullptr) return;
+  static std::map<std::string, smt::native::FileProofSink> sinks;
+  smt::native::FileProofSink& sink =
+      sinks.try_emplace(stem, std::string(dir) + "/" + stem).first->second;
+  for (const smt::Certificate& cert : certs) sink.on_unsat_certificate(cert);
+  EXPECT_EQ(sink.failed(), 0u) << "certificates lost under " << dir;
+}
 
 }  // namespace advocat::testing

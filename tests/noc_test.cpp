@@ -90,7 +90,7 @@ TEST(Mesh, EjectionBagOptional) {
   TestMesh mesh(config);
   EXPECT_TRUE(mesh.net.validate().empty());
   EXPECT_EQ(mesh.stats.queues, 12u);  // 8 links + 4 bags
-  // Ejection bags are bags, link queues honor link_fifo (default bag).
+  // Ejection bags and link queues are all bags.
   std::size_t bags = 0;
   for (PrimId q : mesh.net.prims_of_kind(xmas::PrimKind::Queue)) {
     if (!mesh.net.prim(q).fifo) ++bags;

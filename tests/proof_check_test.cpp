@@ -507,6 +507,17 @@ TEST(ProofMutation, VersionOneHeaderRejected) {
   EXPECT_EQ(r.reason, "bad-header") << r.detail;
 }
 
+TEST(ProofMutation, DelLineRejected) {
+  // The grammar has no deletions: a `del` line is not skipped but refused.
+  std::string text = interval_clash_certificate();
+  const std::size_t at = text.find("\nlem ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + 1, "del" + line_at(text, at + 1).substr(3));
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
 TEST(ProofMutation, RepeatedAtomRejected) {
   std::string text = interval_clash_certificate();
   // Define the first atom twice: a variable has one meaning per

@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "advocat/verifier.hpp"
+#include "helpers.hpp"
 #include "proof_check.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
@@ -205,25 +205,11 @@ struct CaptureSink : smt::ProofSink {
   std::vector<smt::Certificate> certs;
 };
 
-// When ADVOCAT_PROOF_DIR is set (the CI certification step), every
-// captured certificate is also serialized so the standalone advocat-check
-// binary revalidates the same refutations out of process.
-void dump_certs(const CaptureSink& sink) {
-  static const char* dir = std::getenv("ADVOCAT_PROOF_DIR");
-  if (dir == nullptr) return;
-  static std::size_t serial = 0;
-  for (const smt::Certificate& cert : sink.certs) {
-    std::ofstream out(std::string(dir) + "/fuzz_" + std::to_string(serial++) +
-                      ".proof");
-    out << cert.text;
-  }
-}
-
 // Runs the checker over every captured certificate. Complete certificates
 // must validate as replayable native proofs; incomplete ones must say why
 // and still parse as (attested) certificates.
 void expect_all_certified(const CaptureSink& sink, const std::string& where) {
-  dump_certs(sink);
+  testing::dump_certs(sink.certs, "fuzz_");
   for (std::size_t i = 0; i < sink.certs.size(); ++i) {
     const smt::Certificate& cert = sink.certs[i];
     const proofcheck::CheckResult res = proofcheck::check_proof_text(cert.text);

@@ -304,11 +304,9 @@ class Checker {
         if (!parse_atom(ls)) return result();
         continue;
       }
-      if (head == "in" || head == "assume" || head == "rup" ||
-          head == "del") {
+      if (head == "in" || head == "assume" || head == "rup") {
         std::vector<int> lits;
         if (!parse_lits(ls, lits)) return result();
-        if (head == "del") continue;  // advisory: every clause is kept
         if (head == "rup") {
           ++res_.steps;
           if (!engine_.rup_holds(lits)) {
