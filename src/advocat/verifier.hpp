@@ -38,8 +38,8 @@ struct VerifyOptions {
   bool use_invariants = true;
   /// Assert the unprojected flow system with nonnegative λ/κ variables
   /// (extension; subsumes the equalities and prunes candidates whose only
-  /// flow completions need negative counters — required for the
-  /// GEM5-style MI protocol).
+  /// flow completions need negative counters). No bench or example sets
+  /// it; both MI protocols, GEM5-style included, size without it.
   bool use_flow_completion = false;
   /// Wall-clock limit per check; 0 = unlimited. Folded into the solver's
   /// budget together with budget.deadline_ms (the tighter of the two wins).
@@ -86,8 +86,9 @@ struct VerifyResult {
   /// Static-analysis findings for the session's network (warnings only —
   /// errors reject the network at construction; see docs/ANALYSIS.md).
   std::vector<analysis::Diagnostic> diagnostics;
-  /// Wall-clock cost of the pre-encoding static analysis, in milliseconds.
-  /// Paid once at session construction and repeated in every result.
+  /// Wall-clock cost of the pre-encoding static analysis, in milliseconds,
+  /// without the T-derivation it runs (that is typing_seconds). Paid once
+  /// at session construction and repeated in every result.
   double analysis_ms = 0.0;
 
   /// Solver search effort, cumulative over the session up to and including
@@ -188,7 +189,8 @@ class Verifier {
   /// this session. Compares primitives, wiring, colors, automaton
   /// skeletons, and the derived per-channel typing (a semantic
   /// fingerprint of the std::function-valued parts: function maps, switch
-  /// routes, transition guards/transforms). Function bodies that diverge
+  /// routes, transition guards/transforms); a derivation that left out an
+  /// out-of-range result is incompatible. Function bodies that diverge
   /// without moving any color past the typing are undetectable and remain
   /// the caller's contract.
   [[nodiscard]] bool probe_compatible(const xmas::Network& other) const;

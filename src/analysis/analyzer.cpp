@@ -1,24 +1,18 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
-#include "xmas/typing.hpp"
 
 namespace advocat::analysis {
 
 using xmas::ChanId;
-using xmas::ColorId;
-using xmas::ColorSet;
-using xmas::set_insert;
-using xmas::set_union;
 using xmas::kNoChan;
 using xmas::Network;
 using xmas::Primitive;
-using xmas::PrimId;
 using xmas::PrimKind;
 
 const char* to_string(Severity severity) {
@@ -90,9 +84,8 @@ void emit(AnalysisResult& result, Severity severity, std::string rule,
 }
 
 /// port-connectivity + duplicate-name + parameters: the structural rules.
-/// Mirrors Network::validate (kept for API compatibility) but reports
-/// structured diagnostics. Returns true when the net is structurally sound
-/// enough for the semantic passes.
+/// Returns true when the net is structurally sound enough for the semantic
+/// passes.
 bool check_structure(const Network& net, AnalysisResult& result) {
   const std::size_t before = result.diagnostics.size();
   std::unordered_set<std::string> names;
@@ -241,128 +234,12 @@ void check_combinational_cycles(const Network& net, AnalysisResult& result) {
   }
 }
 
-/// The guarded T-derivation: the same forward fixpoint as Typing::derive,
-/// but every std::function-valued parameter is range-checked before its
-/// result is used — Typing::derive (and the encoder after it) index ports
-/// and colors with those results, so an out-of-range route or emission
-/// must be caught here, before anything downstream runs.
-std::vector<ColorSet> derive_checked(const Network& net,
-                                     AnalysisResult& result) {
-  std::vector<ColorSet> T(net.num_channels());
-  // Violations are collected keyed by message so the fixpoint's repeated
-  // visits do not repeat diagnostics, and emission order is deterministic.
-  std::map<std::string, Diagnostic> violations;
-  auto violation = [&](const Primitive& p, std::string message) {
-    Diagnostic d{Severity::Error, "type-consistency", p.name, "",
-                 std::move(message)};
-    violations.emplace(d.component + "|" + d.message, std::move(d));
-  };
-  const auto num_colors = static_cast<ColorId>(net.colors().size());
-  auto color_name = [&](ColorId d) { return net.colors().name(d); };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Primitive& p : net.prims()) {
-      auto in = [&](std::size_t port) -> const ColorSet& {
-        return T[static_cast<std::size_t>(p.in[port])];
-      };
-      auto out = [&](std::size_t port) -> ColorSet& {
-        return T[static_cast<std::size_t>(p.out[port])];
-      };
-      switch (p.kind) {
-        case PrimKind::Source:
-          for (ColorId d : p.source_colors) {
-            if (d < 0 || d >= num_colors) {
-              violation(p, util::cat("source color ", d,
-                                     " outside the color table"));
-              continue;
-            }
-            changed |= set_insert(out(0), d);
-          }
-          break;
-        case PrimKind::Queue:
-          changed |= set_union(out(0), in(0));
-          break;
-        case PrimKind::Function:
-          for (ColorId d : in(0)) {
-            const ColorId f = p.func(d);
-            if (f < 0 || f >= num_colors) {
-              violation(p, util::cat("func(", color_name(d), ") = ", f,
-                                     " outside the color table [0, ",
-                                     num_colors, ")"));
-              continue;
-            }
-            changed |= set_insert(out(0), f);
-          }
-          break;
-        case PrimKind::Fork:
-          changed |= set_union(out(0), in(0));
-          changed |= set_union(out(1), in(0));
-          break;
-        case PrimKind::Join:
-          changed |= set_union(out(0), in(0));
-          break;
-        case PrimKind::Switch:
-          for (ColorId d : in(0)) {
-            const int port = p.route(d);
-            if (port < 0 || static_cast<std::size_t>(port) >= p.out.size()) {
-              violation(p, util::cat("route(", color_name(d), ") = ", port,
-                                     " outside the out-ports [0, ",
-                                     p.out.size(), ")"));
-              continue;
-            }
-            changed |= set_insert(out(static_cast<std::size_t>(port)), d);
-          }
-          break;
-        case PrimKind::Merge:
-          for (std::size_t port = 0; port < p.in.size(); ++port) {
-            changed |= set_union(out(0), in(port));
-          }
-          break;
-        case PrimKind::Automaton: {
-          const xmas::Automaton& a = net.automaton_of(p);
-          for (std::size_t ti = 0; ti < a.transitions.size(); ++ti) {
-            const xmas::AutTransition& t = a.transitions[ti];
-            for (int i = 0; i < a.num_in; ++i) {
-              for (ColorId d : in(static_cast<std::size_t>(i))) {
-                if (!t.guard(i, d)) continue;
-                const auto em = t.transform(i, d);
-                if (!em) continue;
-                const auto [o, d2] = *em;
-                if (o < 0 || static_cast<std::size_t>(o) >= p.out.size()) {
-                  violation(p, util::cat("transition ", t.label, " emits on ",
-                                         "out-port ", o,
-                                         " outside [0, ", p.out.size(), ")"));
-                  continue;
-                }
-                if (d2 < 0 || d2 >= num_colors) {
-                  violation(p, util::cat("transition ", t.label, " emits ",
-                                         "color ", d2,
-                                         " outside the color table"));
-                  continue;
-                }
-                changed |= set_insert(out(static_cast<std::size_t>(o)), d2);
-              }
-            }
-          }
-          break;
-        }
-        case PrimKind::Sink:
-          break;
-      }
-    }
-  }
-  for (auto& [key, d] : violations) result.diagnostics.push_back(std::move(d));
-  return T;
-}
-
 /// dead-channel + unreachable-sink warnings over the checked typing.
-void check_liveness(const Network& net, const std::vector<ColorSet>& T,
+void check_liveness(const Network& net, const xmas::Typing& T,
                     AnalysisResult& result) {
   const std::size_t n = net.num_channels();
   for (std::size_t c = 0; c < n; ++c) {
-    if (T[c].empty()) {
+    if (T.of(static_cast<ChanId>(c)).empty()) {
       result.dead_channels.push_back(static_cast<ChanId>(c));
       emit(result, Severity::Warning, "dead-channel", "",
            net.channel_name(static_cast<ChanId>(c)),
@@ -397,7 +274,7 @@ void check_liveness(const Network& net, const std::vector<ColorSet>& T,
     }
   }
   for (std::size_t c = 0; c < n; ++c) {
-    if (reaches[c] == 0 && !T[c].empty()) {
+    if (reaches[c] == 0 && !T.of(static_cast<ChanId>(c)).empty()) {
       emit(result, Severity::Warning, "unreachable-sink", "",
            net.channel_name(static_cast<ChanId>(c)),
            "packets here can never reach a sink or automaton");
@@ -412,9 +289,15 @@ AnalysisResult analyze(const Network& net) {
   const bool wired = check_structure(net, result);
   check_combinational_cycles(net, result);
   if (!wired || result.has_errors()) return result;
-  const std::size_t before = result.diagnostics.size();
-  const std::vector<ColorSet> T = derive_checked(net, result);
-  if (result.diagnostics.size() != before) return result;  // type errors
+  const util::Stopwatch watch;
+  const xmas::Typing& T = result.typing.emplace(xmas::Typing::derive(net));
+  result.typing_seconds = watch.seconds();
+  // type-consistency: every result the derivation left out.
+  for (const xmas::Typing::Skip& s : T.skipped()) {
+    emit(result, Severity::Error, "type-consistency", net.prim(s.prim).name,
+         "", s.message);
+  }
+  if (!T.skipped().empty()) return result;
   check_liveness(net, T, result);
   return result;
 }

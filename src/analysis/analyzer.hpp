@@ -19,23 +19,29 @@
 //                                 a net has no least fixed point, so the
 //                                 xMAS semantics the paper builds on is
 //                                 undefined for it
-//   type-consistency    (error)   over the derived per-channel color sets:
-//                                 switch routes stay within the out-ports,
-//                                 function images and automaton emissions
-//                                 stay within the color table / port range
+//   type-consistency    (error)   every result xmas::Typing::derive left
+//                                 out: a switch route or emission port
+//                                 outside the out-ports, a source color,
+//                                 function image or emitted color outside
+//                                 the color table
 //   dead-channel        (warning) T(c) = ∅: no packet can ever appear
 //   unreachable-sink    (warning) a typed channel whose packets can never
 //                                 reach a consumer (sink, join token port,
 //                                 or automaton)
 //
-// Errors reject the network (core::Verifier throws std::invalid_argument
-// carrying them); warnings are surfaced through VerifyResult.
+// Diagnostics come in a fixed order: the structural rules by primitive
+// then by channel, combinational cycles, type-consistency by primitive
+// then message, then the warnings by channel. Errors reject the network
+// (core::Verifier throws std::invalid_argument carrying them); warnings
+// are surfaced through VerifyResult.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "xmas/network.hpp"
+#include "xmas/typing.hpp"
 
 namespace advocat::analysis {
 
@@ -62,6 +68,12 @@ struct AnalysisResult {
   /// Channels with an empty derived color set, ascending. Only populated
   /// when the network has no errors (the sets are meaningless otherwise).
   std::vector<xmas::ChanId> dead_channels;
+  /// The T-derivation, run once the structural and combinational-cycle
+  /// rules pass; a network without errors always has one (core::Verifier
+  /// encodes with it).
+  std::optional<xmas::Typing> typing;
+  /// Wall clock of that derivation, in seconds.
+  double typing_seconds = 0.0;
 
   [[nodiscard]] bool has_errors() const;
   [[nodiscard]] std::size_t num_errors() const;

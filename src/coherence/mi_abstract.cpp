@@ -16,7 +16,7 @@ using xmas::PrimId;
 namespace {
 
 // Automaton port conventions shared by cache and directory.
-constexpr int kNetIn = 0;   // packets from the ejection bag
+constexpr int kNetIn = 0;   // packets delivered by the mesh
 constexpr int kCoreIn = 1;  // trigger tokens from the local core
 constexpr int kNetOut = 0;  // injected packets
 
@@ -124,7 +124,6 @@ MiAbstractSystem build_mi_abstract(const MiAbstractConfig& config) {
   mesh.width = config.width;
   mesh.height = config.height;
   mesh.link_capacity = config.queue_capacity;
-  mesh.eject_capacity = config.eject_capacity;
   mesh.num_vcs = config.num_vcs;
   if (config.num_vcs == 2) mesh.vc_of = mi_abstract_vc_class;
   else if (config.num_vcs > 2) mesh.vc_of = mi_abstract_vc_class_by_type;

@@ -41,9 +41,6 @@ struct MiAbstractConfig {
   int height = 2;
   int directory_node = -1;  ///< -1: last node (lower-right)
   std::size_t queue_capacity = 2;  ///< link queues (bags, stall & requeue)
-  /// Optional ejection bag capacity; 0 (default) = consume straight from
-  /// the link queues, the paper's model. See noc::MeshConfig.
-  std::size_t eject_capacity = 0;
   /// 1 = no VCs; 2 = request (cache→dir) vs response (dir→cache) classes;
   /// 4 = one class per message type (the paper's "VCs for different message
   /// types", after Dally & Seitz).

@@ -113,7 +113,7 @@ xmas::Automaton build_directory(Network& net, int dir,
         util::cat("I:getx", r, "?/data!"));
     b.on(br, kNetIn, data_ack).go(util::cat("M(", r, ")")).label(
         util::cat("B", r, ":data_ack?"));
-    // While busy, every putx waits in the ejection bag; it is answered
+    // While busy, every putx waits in the link bags; it is answered
     // (acked or nacked as superseded) once the transfer completes.
   }
   for (int c : caches) {
@@ -206,7 +206,6 @@ MiGem5System build_mi_gem5(const MiGem5Config& config) {
   mesh.width = config.width;
   mesh.height = config.height;
   mesh.link_capacity = config.queue_capacity;
-  mesh.eject_capacity = config.eject_capacity;
   mesh.num_vcs = config.num_vcs;
   if (config.num_vcs > 1) mesh.vc_of = mi_gem5_vc_class;
   sys.mesh_stats = noc::build_mesh(net, mesh, hooks);

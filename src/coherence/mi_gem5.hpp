@@ -35,7 +35,7 @@
 //   M(c) --[getx?(r)]          / fwd_getx!(→c)#r --> B(r)
 //   M(c) --[putx?(c)]          / wb_ack!(→c)     --> I
 //
-// Unconsumable packets wait in the ejection bag (the paper's stall &
+// Unconsumable packets wait in the link bags (the paper's stall &
 // requeue): in particular every putx arriving while the directory is busy
 // in B(r) simply waits there until the ownership transfer completes. The
 // protocol is deadlock-free under synchronous handshaking (checked with
@@ -68,7 +68,6 @@ struct MiGem5Config {
   /// Node running the DMA requester instead of a cache; -1 disables DMA.
   int dma_node = 0;
   std::size_t queue_capacity = 4;  ///< link queues (bags, stall & requeue)
-  std::size_t eject_capacity = 0;  ///< 0 = no ejection queue (paper model)
   /// 1 = no VCs; 3 = request / forward / response classes.
   int num_vcs = 1;
 };

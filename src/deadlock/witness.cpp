@@ -369,7 +369,6 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
       }
     }
   }
-  w.minimal = true;
   w.state_text = sim.describe(w.state);
   for (std::size_t qi = 0; qi < sim.num_queues(); ++qi) {
     if (!w.state.queues[qi].empty()) {
@@ -398,7 +397,7 @@ std::string Witness::to_string() const {
   if (blocked) {
     os << "  blocking queues:";
     for (const std::string& q : blocking_queues) os << " " << q;
-    os << (minimal ? " (minimal)" : "") << "\n";
+    os << "\n";
   }
   if (replayed) {
     os << "  replay cost: " << replay_seconds << " s; " << minimize_replays
@@ -428,8 +427,7 @@ std::string Witness::to_json() const {
     if (i != 0) os << ",";
     os << "\"" << json_escape(blocking_queues[i]) << "\"";
   }
-  os << "],\"minimal\":" << (minimal ? "true" : "false") << ",\"state\":\""
-     << json_escape(state_text) << "\"}";
+  os << "],\"state\":\"" << json_escape(state_text) << "\"}";
   return os.str();
 }
 

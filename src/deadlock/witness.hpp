@@ -103,11 +103,9 @@ struct Witness {
   bool blocked = false;
 
   /// Names of the queues whose contents the blockage needs, after greedy
-  /// minimization (only populated when blocked).
+  /// minimization (only populated when blocked): emptying any single one
+  /// breaks the blockage.
   std::vector<std::string> blocking_queues;
-  /// The minimization ran to a fixpoint: emptying any single queue in
-  /// blocking_queues breaks the blockage.
-  bool minimal = false;
 
   [[nodiscard]] std::string to_string() const;
   /// JSON object per the schema in docs/PROOFS.md.

@@ -90,12 +90,10 @@ MeshStats build_mesh(Network& net, const MeshConfig& config,
       if (neighbor(w, h, n, d) != -1) dirs[static_cast<std::size_t>(n)].push_back(d);
     }
   }
-  // 1. Link input queues in_q[n][d][v] (packets arriving from direction d)
-  //    and ejection bags.
+  // 1. Link input queues in_q[n][d][v] (packets arriving from direction d).
   std::vector<std::vector<std::vector<PrimId>>> in_q(
       static_cast<std::size_t>(nodes),
       std::vector<std::vector<PrimId>>(kNumDirs));
-  std::vector<PrimId> eject(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     for (int d : dirs[static_cast<std::size_t>(n)]) {
       for (int v = 0; v < vcs; ++v) {
@@ -105,14 +103,6 @@ MeshStats build_mesh(Network& net, const MeshConfig& config,
             net.add_queue(name, config.link_capacity, /*fifo=*/false));
         ++stats.queues;
       }
-    }
-    if (config.eject_capacity > 0) {
-      eject[static_cast<std::size_t>(n)] =
-          net.add_queue(util::cat("q_", n, "_ej"), config.eject_capacity,
-                        /*fifo=*/false);
-      ++stats.queues;
-    } else {
-      eject[static_cast<std::size_t>(n)] = -1;
     }
   }
 
@@ -247,7 +237,7 @@ MeshStats build_mesh(Network& net, const MeshConfig& config,
         }
       }
     }
-    // Ejection: local ports of all switches into the bag.
+    // Ejection: local ports of all switches into the automaton.
     std::vector<std::pair<PrimId, int>> locals =
         extra_eject_inputs[static_cast<std::size_t>(n)];
     for (int dd : dirs[static_cast<std::size_t>(n)]) {
@@ -260,16 +250,9 @@ MeshStats build_mesh(Network& net, const MeshConfig& config,
     }
     locals.emplace_back(inj_sw[static_cast<std::size_t>(n)].prim,
                         inj_sw[static_cast<std::size_t>(n)].local_port);
-    // Consumer side: either the optional ejection bag or the automaton
-    // in-port directly.
-    PrimId consumer = hooks[static_cast<std::size_t>(n)].automaton;
-    int consumer_port = hooks[static_cast<std::size_t>(n)].net_in_port;
-    if (eject[static_cast<std::size_t>(n)] != -1) {
-      net.connect(eject[static_cast<std::size_t>(n)], 0, consumer,
-                  consumer_port);
-      consumer = eject[static_cast<std::size_t>(n)];
-      consumer_port = 0;
-    }
+    // Consumer side: the automaton in-port, straight from the link bags.
+    const PrimId consumer = hooks[static_cast<std::size_t>(n)].automaton;
+    const int consumer_port = hooks[static_cast<std::size_t>(n)].net_in_port;
     if (locals.size() == 1) {
       net.connect(locals[0].first, locals[0].second, consumer, consumer_port);
     } else {

@@ -1,18 +1,17 @@
 // 2D-mesh network-on-chip generator (the paper's case-study fabric).
 //
 // Store-and-forward wormhole-free switching: every directed link terminates
-// in a FIFO input queue at the receiving router; XY (dimension-ordered)
+// in a *bag* input queue at the receiving router; XY (dimension-ordered)
 // routing picks the next hop; fair merges arbitrate each output link.
-// Protocol packets are delivered into a per-node *bag* ejection queue — the
-// protocol automaton may consume any stored packet, which models the
-// paper's "stall and move to the end of the queue" semantics. Injection has
-// no private queue: an automaton's emission must win space in the first-hop
-// link queue directly (this is what makes the paper's Fig. 3 cross-layer
-// deadlock possible).
+// Protocol packets are delivered through a local merge straight into the
+// node's automaton, which may consume any stored packet of a link bag —
+// the paper's "stall and move to the end of the queue" semantics.
+// Injection has no private queue either: an automaton's emission must win
+// space in the first-hop link queue directly (this is what makes the
+// paper's Fig. 3 cross-layer deadlock possible).
 //
 // With num_vcs > 1 every link input queue is replicated per virtual-channel
-// class and `vc_of` assigns message colors to classes; the ejection bag is
-// shared (consumption order at the protocol is already free).
+// class and `vc_of` assigns message colors to classes.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +30,10 @@ inline constexpr int kNumDirs = 4;
 struct MeshConfig {
   int width = 2;
   int height = 2;
-  std::size_t link_capacity = 2;  ///< per link input queue
-  /// Link queues are bags ("stall and move to the end of the queue", the
-  /// paper's semantics): a packet whose next hop or consumer is
-  /// unavailable does not block packets behind it.
-  /// Optional per-node ejection bag between the local-delivery merge and
-  /// the protocol automaton. 0 (default) = none: the automaton consumes
-  /// straight from the link bags, which matches the paper's model and
-  /// keeps the counts-based SMT abstraction precise. >0 = bag capacity
-  /// (ablation; adds a FIFO-blind indirection that can cost precision).
-  std::size_t eject_capacity = 0;
+  /// Per link input queue. Link queues are bags ("stall and move to the
+  /// end of the queue", the paper's semantics): a packet whose next hop or
+  /// consumer is unavailable does not block packets behind it.
+  std::size_t link_capacity = 2;
   int num_vcs = 1;  ///< 1 = no virtual channels
   /// Maps a color to its VC class in [0, num_vcs); required when
   /// num_vcs > 1.
@@ -51,7 +44,7 @@ struct MeshConfig {
 /// layer before the mesh is built.
 struct NodeHook {
   xmas::PrimId automaton = -1;
-  int net_in_port = 0;   ///< automaton in-port fed by the ejection bag
+  int net_in_port = 0;   ///< automaton in-port fed by the local merge
   int net_out_port = 0;  ///< automaton out-port that injects packets
 };
 

@@ -25,6 +25,7 @@
 #include "linalg/simplex.hpp"
 #include "proof/tighten.hpp"
 #include "util/bigint.hpp"
+#include "util/fault.hpp"
 #include "util/rational.hpp"
 #include "util/stopwatch.hpp"
 
@@ -344,6 +345,10 @@ void ProofLog::State::extend_trace(const SharedProblem& sh,
             text += body;
           }
           text += "end\n";
+          // A BigInt allocation fault latched while certifying is taken
+          // here, between lemmas: it aborts this certificate into the
+          // stub instead of reaching the next check's search.
+          if (util::fault::take_deferred()) throw util::fault::FaultInjected{};
           break;
         }
       }

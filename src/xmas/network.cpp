@@ -1,7 +1,6 @@
 #include "xmas/network.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/strings.hpp"
 
@@ -153,71 +152,6 @@ std::string Network::channel_name(ChanId id) const {
   if (!c.name.empty()) return c.name;
   return util::cat(prim(c.initiator).name, ".", c.init_port, ">",
                    prim(c.target).name, ".", c.tgt_port);
-}
-
-std::vector<std::string> Network::validate() const {
-  std::vector<std::string> errors;
-  std::unordered_set<std::string> names;
-  for (std::size_t i = 0; i < prims_.size(); ++i) {
-    const Primitive& p = prims_[i];
-    if (!names.insert(p.name).second)
-      errors.push_back("duplicate primitive name: " + p.name);
-    for (std::size_t port = 0; port < p.in.size(); ++port) {
-      if (p.in[port] == kNoChan)
-        errors.push_back(util::cat(p.name, ": in-port ", port, " unconnected"));
-    }
-    for (std::size_t port = 0; port < p.out.size(); ++port) {
-      if (p.out[port] == kNoChan)
-        errors.push_back(util::cat(p.name, ": out-port ", port, " unconnected"));
-    }
-    switch (p.kind) {
-      case PrimKind::Queue:
-        if (p.capacity == 0) errors.push_back(p.name + ": zero capacity");
-        break;
-      case PrimKind::Source:
-        if (p.source_colors.empty())
-          errors.push_back(p.name + ": source without colors");
-        break;
-      case PrimKind::Function:
-        if (!p.func) errors.push_back(p.name + ": function without mapping");
-        break;
-      case PrimKind::Switch:
-        if (!p.route) errors.push_back(p.name + ": switch without routing");
-        break;
-      case PrimKind::Automaton: {
-        if (p.automaton < 0 ||
-            static_cast<std::size_t>(p.automaton) >= automata_.size()) {
-          errors.push_back(p.name + ": bad automaton index");
-          break;
-        }
-        const Automaton& a = automata_[static_cast<std::size_t>(p.automaton)];
-        if (a.states.empty()) errors.push_back(p.name + ": automaton without states");
-        if (a.initial < 0 || a.initial >= a.num_states())
-          errors.push_back(p.name + ": bad initial state");
-        for (const auto& t : a.transitions) {
-          if (t.from < 0 || t.from >= a.num_states() || t.to < 0 ||
-              t.to >= a.num_states()) {
-            errors.push_back(p.name + ": transition with bad state: " + t.label);
-          }
-          if (!t.guard || !t.transform)
-            errors.push_back(p.name + ": transition missing guard/transform: " +
-                             t.label);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  for (std::size_t c = 0; c < chans_.size(); ++c) {
-    const Channel& ch = chans_[c];
-    if (ch.initiator < 0 ||
-        static_cast<std::size_t>(ch.initiator) >= prims_.size() ||
-        ch.target < 0 || static_cast<std::size_t>(ch.target) >= prims_.size()) {
-      errors.push_back(util::cat("channel ", c, ": dangling endpoint"));
-    }
-  }
-  return errors;
 }
 
 std::size_t Network::num_prims_desugared() const {

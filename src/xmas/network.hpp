@@ -9,6 +9,9 @@
 // (queue, function, source, sink, fork, join, switch, merge) plus IO
 // automata. Switch and merge are generalized to N ports, which desugars to
 // the binary versions; analyses treat them natively.
+//
+// The builders check what one call can see (port numbers, arity, queue
+// capacity); analysis::analyze checks the whole network.
 #pragma once
 
 #include <cstdint>
@@ -117,11 +120,6 @@ class Network {
 
   /// Channel display name (explicit name or "initiator.port>target.port").
   [[nodiscard]] std::string channel_name(ChanId id) const;
-
-  /// Structural validation: every port wired exactly once, parameters
-  /// present, automaton indices in range, port counts consistent. Returns a
-  /// list of human-readable problems (empty = valid).
-  [[nodiscard]] std::vector<std::string> validate() const;
 
   /// Counts all primitives after desugaring N-way switches/merges into
   /// binary trees — the convention the paper's "2844 primitives" uses.

@@ -11,8 +11,16 @@
 //   merge.out   ⊇ ∪_j T(in_j)
 //   automaton out-port o ⊇ {d' | ∃ transition t, in-port i, d ∈ T(in_i):
 //                                ε_t(i,d) ∧ φ_t(i,d) = (o,d')}
+//
+// The derivation is total over the std::function-valued parameters: a
+// source color, function image or emitted color outside the color table,
+// and a switch route or emission port outside the primitive's out-ports,
+// is left out of every set and recorded as a Skip. The analyzer reports
+// each skip as a type-consistency error (docs/ANALYSIS.md).
 #pragma once
 
+#include <compare>
+#include <string>
 #include <vector>
 
 #include "xmas/network.hpp"
@@ -21,7 +29,15 @@ namespace advocat::xmas {
 
 class Typing {
  public:
-  /// Runs the fixpoint; O(iterations × channels × colors).
+  /// A parameter result the derivation left out of the color sets.
+  struct Skip {
+    PrimId prim = -1;
+    std::string message;  ///< e.g. "route(req) = 7 outside the out-ports [0, 2)"
+    auto operator<=>(const Skip&) const = default;
+  };
+
+  /// Runs the fixpoint; O(iterations × channels × colors). Every port of
+  /// `net` must be wired (analysis::analyze checks that first).
   static Typing derive(const Network& net);
 
   [[nodiscard]] const ColorSet& of(ChanId c) const { return sets_.at(static_cast<std::size_t>(c)); }
@@ -30,8 +46,12 @@ class Typing {
   /// Total number of (channel, color) pairs — the analyses' variable budget.
   [[nodiscard]] std::size_t num_pairs() const;
 
+  /// The out-of-range results, each once, by primitive then message.
+  [[nodiscard]] const std::vector<Skip>& skipped() const { return skipped_; }
+
  private:
   std::vector<ColorSet> sets_;
+  std::vector<Skip> skipped_;
 };
 
 }  // namespace advocat::xmas

@@ -4,6 +4,7 @@
 // minimal capacity on every backend, with the warnings on the result.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -128,6 +129,46 @@ TEST(AnalyzerTest, OutOfRangeFunctionImageIsATypeError) {
   const AnalysisResult r = analyze(net);
   EXPECT_TRUE(r.has_errors());
   EXPECT_TRUE(has_rule(r, "type-consistency", Severity::Error));
+}
+
+/// src -> automaton "aut" -> sink, one transition that emits `emission`
+/// for every packet it consumes.
+xmas::Network emitter_net(xmas::Emission emission) {
+  xmas::Network net;
+  const xmas::ColorId d = net.colors().intern("d");
+  xmas::Automaton a;
+  a.name = "aut";
+  a.states = {"s"};
+  a.num_in = 1;
+  a.num_out = 1;
+  xmas::AutTransition t;
+  t.guard = [](int, xmas::ColorId) { return true; };
+  t.transform = [emission](int, xmas::ColorId) {
+    return std::optional<xmas::Emission>(emission);
+  };
+  t.label = "fwd";
+  a.transitions.push_back(std::move(t));
+  const xmas::PrimId aut = net.add_automaton(std::move(a));
+  net.connect(net.add_source("src", {d}), 0, aut, 0);
+  net.connect(aut, 0, net.add_sink("sink"), 0);
+  return net;
+}
+
+TEST(AnalyzerTest, OutOfRangeEmissionIsATypeError) {
+  // Port 1,000,000 of a one-port automaton, then color 99 of a one-color
+  // table: each is one type-consistency error on "aut".
+  for (const xmas::Emission& emission :
+       {xmas::Emission{1'000'000, 0}, xmas::Emission{0, 99}}) {
+    const AnalysisResult r = analyze(emitter_net(emission));
+    ASSERT_EQ(r.num_errors(), 1u) << r.to_string();
+    const Diagnostic& d = r.diagnostics.front();
+    EXPECT_EQ(d.rule, "type-consistency");
+    EXPECT_EQ(d.component, "aut");
+    EXPECT_NE(d.message.find(emission.first == 0 ? "color 99" : "out-port 1000000"),
+              std::string::npos)
+        << d.message;
+  }
+  EXPECT_FALSE(analyze(emitter_net({0, 0})).has_errors());
 }
 
 TEST(AnalyzerTest, DeadChannelIsAWarning) {

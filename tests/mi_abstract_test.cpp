@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "advocat/verifier.hpp"
+#include "analysis/analyzer.hpp"
 #include "coherence/mi_abstract.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
@@ -21,9 +22,8 @@ namespace {
 
 TEST(MiAbstract2x2, NetworkValidates) {
   coh::MiAbstractSystem sys = coh::build_mi_abstract({});
-  const auto problems = sys.net.validate();
-  EXPECT_TRUE(problems.empty())
-      << (problems.empty() ? "" : problems.front());
+  const analysis::AnalysisResult r = analysis::analyze(sys.net);
+  EXPECT_FALSE(r.has_errors()) << r.to_string();
   EXPECT_EQ(sys.cache_nodes.size(), 3u);
   // 2x2 mesh: 8 link queues (no ejection queues in the paper model).
   EXPECT_EQ(sys.net.num_queues(), 8u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "advocat/verifier.hpp"
+#include "analysis/analyzer.hpp"
 #include "backend_fixture.hpp"
 #include "coherence/mi_gem5.hpp"
 #include "sim/explorer.hpp"
@@ -15,8 +16,8 @@ namespace {
 
 TEST(MiGem5, NetworkValidates) {
   coh::MiGem5System sys = coh::build_mi_gem5({});
-  const auto problems = sys.net.validate();
-  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems[0]);
+  const analysis::AnalysisResult r = analysis::analyze(sys.net);
+  EXPECT_FALSE(r.has_errors()) << r.to_string();
   // 2x2 with one directory and one DMA node leaves two caches.
   EXPECT_EQ(sys.cache_nodes.size(), 2u);
 }
@@ -122,7 +123,7 @@ TEST(MiGem5, VcClassesAreConsistent) {
   config.queue_capacity = 3;
   config.num_vcs = 3;
   coh::MiGem5System sys = coh::build_mi_gem5(config);
-  EXPECT_TRUE(sys.net.validate().empty());
+  EXPECT_FALSE(analysis::analyze(sys.net).has_errors());
   const core::VerifyResult result = core::verify(sys.net);
   EXPECT_TRUE(result.deadlock_free()) << result.report.to_string();
 }

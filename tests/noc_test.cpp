@@ -1,6 +1,7 @@
 // Mesh generator: XY routing, structure, VC replication.
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.hpp"
 #include "automata/builder.hpp"
 #include "noc/mesh.hpp"
 #include "xmas/typing.hpp"
@@ -56,11 +57,15 @@ struct TestMesh {
 TEST(Mesh, StructureValidates2x2) {
   MeshConfig config;
   TestMesh mesh(config);
-  const auto problems = mesh.net.validate();
-  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems[0]);
+  const analysis::AnalysisResult r = analysis::analyze(mesh.net);
+  EXPECT_FALSE(r.has_errors()) << r.to_string();
   // 2x2: 8 directed links -> 8 input queues, no ejection queues.
   EXPECT_EQ(mesh.stats.queues, 8u);
   EXPECT_EQ(mesh.net.num_queues(), 8u);
+  // Every link queue is a bag.
+  for (PrimId q : mesh.net.prims_of_kind(xmas::PrimKind::Queue)) {
+    EXPECT_FALSE(mesh.net.prim(q).fifo) << mesh.net.prim(q).name;
+  }
 }
 
 TEST(Mesh, StructureValidatesRectangularAnd1xN) {
@@ -69,9 +74,8 @@ TEST(Mesh, StructureValidatesRectangularAnd1xN) {
     config.width = w;
     config.height = h;
     TestMesh mesh(config);
-    const auto problems = mesh.net.validate();
-    EXPECT_TRUE(problems.empty())
-        << w << "x" << h << ": " << (problems.empty() ? "" : problems[0]);
+    const analysis::AnalysisResult r = analysis::analyze(mesh.net);
+    EXPECT_FALSE(r.has_errors()) << w << "x" << h << ": " << r.to_string();
   }
 }
 
@@ -80,22 +84,8 @@ TEST(Mesh, VcReplicationMultipliesLinkQueues) {
   config.num_vcs = 2;
   config.vc_of = [](const xmas::ColorData& c) { return c.src % 2; };
   TestMesh mesh(config);
-  EXPECT_TRUE(mesh.net.validate().empty());
+  EXPECT_FALSE(analysis::analyze(mesh.net).has_errors());
   EXPECT_EQ(mesh.stats.queues, 16u);  // 8 links x 2 VCs
-}
-
-TEST(Mesh, EjectionBagOptional) {
-  MeshConfig config;
-  config.eject_capacity = 3;
-  TestMesh mesh(config);
-  EXPECT_TRUE(mesh.net.validate().empty());
-  EXPECT_EQ(mesh.stats.queues, 12u);  // 8 links + 4 bags
-  // Ejection bags and link queues are all bags.
-  std::size_t bags = 0;
-  for (PrimId q : mesh.net.prims_of_kind(xmas::PrimKind::Queue)) {
-    if (!mesh.net.prim(q).fifo) ++bags;
-  }
-  EXPECT_EQ(bags, 12u);
 }
 
 TEST(Mesh, TypingFollowsXyRoutes) {

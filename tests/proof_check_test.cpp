@@ -19,6 +19,7 @@
 #include "smt/expr.hpp"
 #include "smt/proof.hpp"
 #include "smt/solver.hpp"
+#include "util/fault.hpp"
 
 namespace advocat::smt {
 namespace {
@@ -205,6 +206,70 @@ TEST(ProofCertificate, BoundsBeyondInt64Certified) {
   const CheckResult w_r = check_proof_text(weaker);
   EXPECT_FALSE(w_r.ok);
   EXPECT_EQ(w_r.reason, "lemma-invalid-farkas") << w_r.detail;
+}
+
+// A bigint_alloc fault that arrives while an Unsat is certified aborts
+// that certificate into the attested stub and nothing else: the verdicts
+// stand, the next search never sees the fault, and the next certificate
+// carries the aborted one's records. Three copies of the shape above,
+// each added just before its own check: x ≥ 2w ≥ 10^19 holds at level 0,
+// so certifying the check folds a context bound beyond 64 bits, and the
+// assumptions y, z ≤ 4·10^18 refute it.
+TEST(ProofCertificate, FaultDuringCertificationYieldsOneStub) {
+  struct Run {
+    std::vector<SatResult> verdicts;
+    std::vector<std::uint64_t> arrivals;  // bigint_alloc, after each check
+    std::vector<Certificate> certs;
+  };
+  // Every `spec` below counts arrivals; a huge arrival number never fires.
+  auto run = [](const std::string& spec, bool logged) {
+    util::fault::configure(spec.c_str());
+    ExprFactory f;
+    auto s = make_solver(f, Backend::Native);
+    CaptureSink sink;
+    if (logged) s->set_proof_sink(&sink);
+    Run r;
+    for (int k = 0; k < 3; ++k) {
+      const std::string n = std::to_string(k);
+      const ExprId x = f.int_var("x" + n);
+      const ExprId y = f.int_var("y" + n);
+      const ExprId z = f.int_var("z" + n);
+      const ExprId w = f.int_var("w" + n);
+      s->add(f.le(f.mul_const(2, w), x));
+      s->add(f.le(x, f.add({y, z})));
+      s->add(f.le(f.int_const(5'000'000'000'000'000'000), w));
+      r.verdicts.push_back(
+          s->check_assuming({f.le(y, f.int_const(4'000'000'000'000'000'000)),
+                             f.le(z, f.int_const(4'000'000'000'000'000'000))}));
+      r.arrivals.push_back(util::fault::arrivals(util::fault::Site::kBigIntAlloc));
+    }
+    r.certs = sink.certs;
+    util::fault::configure("");
+    return r;
+  };
+  const std::string counting = "bigint_alloc@1000000000000";
+  const Run search = run(counting, false);
+  const Run clean = run(counting, true);
+  ASSERT_EQ(clean.verdicts, std::vector<SatResult>(3, SatResult::Unsat));
+  ASSERT_EQ(clean.certs.size(), 3u);
+  // The first arrival of the second certification comes after the first
+  // check (search and certification) and the second check's search.
+  const std::uint64_t at =
+      clean.arrivals[0] + (search.arrivals[1] - search.arrivals[0]) + 1;
+  ASSERT_LE(at, clean.arrivals[1]) << "the second certification allocates";
+  const Run faulted = run("bigint_alloc@" + std::to_string(at), true);
+
+  EXPECT_EQ(faulted.verdicts, clean.verdicts);
+  ASSERT_EQ(faulted.certs.size(), 3u);
+  EXPECT_EQ(faulted.certs[1].text,
+            "advocat-proof 2\nmode attested native-aborted\nqed\n");
+  EXPECT_FALSE(faulted.certs[1].complete);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    EXPECT_TRUE(faulted.certs[i].complete) << faulted.certs[i].reason;
+    EXPECT_EQ(faulted.certs[i].text, clean.certs[i].text) << "certificate " << i;
+    const CheckResult r = check_proof_text(faulted.certs[i].text);
+    EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  }
 }
 
 TEST(ProofCertificate, AssumptionRefutationCertified) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "advocat/verifier.hpp"
+#include "analysis/analyzer.hpp"
 #include "backend_fixture.hpp"
 #include "deadlock/encoder.hpp"
 #include "helpers.hpp"
@@ -25,7 +26,7 @@ ADVOCAT_INSTANTIATE_BACKENDS(RunningExampleBackend);
 
 TEST(RunningExample, ValidatesAndTypes) {
   RunningExample rx;
-  EXPECT_TRUE(rx.net.validate().empty());
+  EXPECT_FALSE(analysis::analyze(rx.net).has_errors());
   const xmas::Typing typing = xmas::Typing::derive(rx.net);
   // q0 carries requests only, q1 acknowledgments only.
   const auto& q0 = rx.net.prim(rx.q0);

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -297,6 +298,47 @@ TEST_P(QueueSizing, ShapeChangingFactoryIsRejected) {
   o.max_capacity = 8;
   o.verify = options();
   EXPECT_THROW((void)find_minimal_queue_size(make, o), std::invalid_argument);
+}
+
+TEST_P(QueueSizing, OutOfRangeEmissionInACandidateIsRejected) {
+  // src -> automaton -> queue -> dead sink deadlocks at every capacity, so
+  // the ladder climbs past make_net(1), the checked session network. From
+  // capacity 3 on the automaton emits on out-port 1,000,000 of one: the
+  // candidate's derivation must skip that emission, not index the port.
+  auto make = [](std::size_t cap) {
+    xmas::Network net;
+    const xmas::ColorId d = net.colors().intern("d");
+    const int port = cap == 1 ? 0 : 1'000'000;
+    xmas::Automaton a;
+    a.name = "aut";
+    a.states = {"s"};
+    a.num_in = 1;
+    a.num_out = 1;
+    xmas::AutTransition t;
+    t.guard = [](int, xmas::ColorId) { return true; };
+    t.transform = [port](int, xmas::ColorId c) {
+      return std::optional<xmas::Emission>({port, c});
+    };
+    t.label = "fwd";
+    a.transitions.push_back(std::move(t));
+    const xmas::PrimId aut = net.add_automaton(std::move(a));
+    const xmas::PrimId q = net.add_queue("q", cap);
+    net.connect(net.add_source("src", {d}), 0, aut, 0);
+    net.connect(aut, 0, q, 0);
+    net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
+    return net;
+  };
+  QueueSizingOptions o;
+  o.min_capacity = 1;
+  o.max_capacity = 8;
+  o.verify = options();
+  try {
+    (void)find_minimal_queue_size(make, o);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("make_net(3)"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_P(QueueSizing, RejectsMinCapacityAboveMax) {

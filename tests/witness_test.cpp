@@ -102,14 +102,13 @@ TEST_P(WitnessBackend, JoinStarvationConfirmedAndMinimal) {
   ASSERT_TRUE(w.replayed);
   EXPECT_TRUE(w.exhaustive);
   EXPECT_TRUE(w.blocked) << w.to_string();
-  EXPECT_TRUE(w.minimal);
   // The packet wedged in q is the whole deadlock.
   ASSERT_EQ(w.blocking_queues, std::vector<std::string>{"q"});
   expect_no_proper_subset_blocked(n.net, w);
   // JSON carries the machine-readable verdict (schema: docs/PROOFS.md).
   const std::string json = w.to_json();
   EXPECT_NE(json.find("\"blocked\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"minimal\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"blocking_queues\":[\"q\"]"), std::string::npos);
 }
 
 TEST_P(WitnessBackend, MinimizedWitnessStillBlocked) {
@@ -155,7 +154,6 @@ TEST_P(WitnessBackend, Fig1CandidateWithoutInvariantsIsReplayed) {
   ASSERT_TRUE(w.replayed);
   ASSERT_EQ(w.claims.size(), r.report.fired.size());
   if (w.blocked) {
-    EXPECT_TRUE(w.minimal);
     expect_no_proper_subset_blocked(rx.net, w);
   } else {
     const bool any_not_confirmed =
@@ -216,7 +214,6 @@ TEST(WitnessMesh, StuckConsumersConfirmedBlocked) {
   ASSERT_TRUE(w.replayed);
   ASSERT_FALSE(w.claims.empty());
   if (w.blocked) {
-    EXPECT_TRUE(w.minimal);
     expect_no_proper_subset_blocked(m.net, w);
   } else {
     // Bounded replay may run out of budget on the fabric state space, but
@@ -339,7 +336,6 @@ TEST(WitnessPin, Mi3x3Dir3Capacity4ConfirmedAndMinimal) {
   EXPECT_EQ(w.states_explored, 1u);
   EXPECT_TRUE(w.exhaustive);
   EXPECT_TRUE(w.blocked) << w.to_string();
-  EXPECT_TRUE(w.minimal);
   EXPECT_EQ(w.blocking_queues, (std::vector<std::string>{"q_3_S", "q_6_N"}));
   EXPECT_EQ(claim_lines(w.claims),
             (std::vector<std::string>{
@@ -381,7 +377,6 @@ TEST(WitnessPin, Mi3x3Dir0Capacity10TruncatedAtBudget) {
   EXPECT_EQ(w.states_explored, 5'000u);
   EXPECT_FALSE(w.exhaustive);
   EXPECT_FALSE(w.blocked);
-  EXPECT_FALSE(w.minimal);
   EXPECT_TRUE(w.blocking_queues.empty());
   EXPECT_EQ(w.minimize_replays, 0u);
   EXPECT_EQ(w.minimize_states, 0u);

@@ -1,6 +1,7 @@
-// xMAS core: colors, network construction, validation, typing, DOT export.
+// xMAS core: colors, network construction, typing, DOT export.
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.hpp"
 #include "xmas/color.hpp"
 #include "xmas/dot_export.hpp"
 #include "xmas/network.hpp"
@@ -46,27 +47,7 @@ TEST(Network, ConnectRejectsDoubleWiring) {
   EXPECT_THROW(net.connect(src, 0, q, 0), std::logic_error);
   EXPECT_THROW(net.connect(q, 5, sink, 0), std::out_of_range);
   net.connect(q, 0, sink, 0);
-  EXPECT_TRUE(net.validate().empty());
-}
-
-TEST(Network, ValidateFindsDanglingPorts) {
-  Network net;
-  const ColorId tok = net.colors().intern("tok");
-  net.add_source("src", {tok});
-  const auto problems = net.validate();
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("src"), std::string::npos);
-}
-
-TEST(Network, ValidateFindsDuplicateNames) {
-  Network net;
-  const ColorId tok = net.colors().intern("tok");
-  const PrimId a = net.add_source("x", {tok});
-  const PrimId b = net.add_sink("x");
-  net.connect(a, 0, b, 0);
-  const auto problems = net.validate();
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("duplicate"), std::string::npos);
+  EXPECT_FALSE(analysis::analyze(net).has_errors());
 }
 
 TEST(Network, BuilderParameterChecks) {
@@ -119,7 +100,7 @@ TEST(Typing, PropagatesThroughPrimitives) {
   const ChanId q_in = net.connect(mg, 0, q, 0);
   const ChanId q_out = net.connect(q, 0, sink, 0);
 
-  ASSERT_TRUE(net.validate().empty());
+  ASSERT_FALSE(analysis::analyze(net).has_errors());
   const Typing typing = Typing::derive(net);
   EXPECT_EQ(typing.of(sw1), ColorSet{blue});
   EXPECT_EQ(typing.of(fn_out), ColorSet{green});
@@ -146,7 +127,7 @@ TEST(Typing, ForkAndJoin) {
   const ChanId tj = net.connect(tok, 0, join, 1);   // token side
   const ChanId out = net.connect(join, 0, s2, 0);
 
-  ASSERT_TRUE(net.validate().empty());
+  ASSERT_FALSE(analysis::analyze(net).has_errors());
   const Typing typing = Typing::derive(net);
   EXPECT_EQ(typing.of(fa), ColorSet{d});
   EXPECT_EQ(typing.of(fb), ColorSet{d});
