@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -331,9 +332,12 @@ QueueSizingResult find_minimal_queue_size(
   Verifier session(make_net(options.min_capacity), vo);
 
   // Probes one capacity and records it; true when proven deadlock-free.
+  // The first probe, min_capacity, reuses the session's own network.
   auto proven_free = [&](std::size_t cap) {
-    const xmas::Network candidate = make_net(cap);
-    if (!session.probe_compatible(candidate)) {
+    std::optional<xmas::Network> built;
+    if (cap != options.min_capacity) built.emplace(make_net(cap));
+    const xmas::Network& candidate = built ? *built : session.network();
+    if (built && !session.probe_compatible(candidate)) {
       throw std::invalid_argument(
           "find_minimal_queue_size: make_net(" + std::to_string(cap) +
           ") differs from make_net(" + std::to_string(options.min_capacity) +

@@ -262,9 +262,11 @@ struct QueueSizingResult {
 
   // Instrumentation (see SessionStats): a whole sizing run costs one
   // validation + one invariant generation + one encode, and one solver
-  // check per probe. (Each probe additionally builds the candidate
-  // network and derives its typing as the probe_compatible fingerprint;
-  // that contract check is not a pipeline stage and is not counted here.)
+  // check per probe. make_net is called once per probe: the first probe
+  // (min_capacity) reuses the session's network, and each later one
+  // builds its candidate and derives its typing as the probe_compatible
+  // fingerprint; that contract check is not a pipeline stage and is not
+  // counted here.
   std::size_t validations = 0;
   std::size_t invariant_generations = 0;
   std::size_t encodes = 0;

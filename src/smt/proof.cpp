@@ -1,19 +1,21 @@
-// Certificate generation: re-derives each logged theory lemma's integer
-// infeasibility as an explicit branch-and-cut proof tree (interval
-// tightening with Chvátal–Gomory rounding, single-variable splits, and
-// exact Farkas combinations from a fresh rational simplex), then serializes
-// the session trace into the line grammar the standalone checker
-// (tools/proof_check.cpp) validates.
+// Certificate generation: writes each logged theory lemma's proof and
+// serializes the session trace into the line grammar the standalone
+// checker (tools/proof_check.cpp) validates.
+//
+// A lemma the solver's simplex refuted by one Farkas combination carries
+// that combination as its hint, written verbatim as the lemma's one `f`
+// step. Every other lemma (a bound entailment, an integer conflict, a
+// leaf refuted by branching) is closed by interval tightening with
+// Chvátal–Gomory rounding, bisecting the narrowest finite interval when
+// tightening stalls. There is no second arithmetic decision procedure.
 //
 // The interval tightening is proof/tighten.hpp, the code the checker runs
 // too, so a proof step can reference derived bounds as `lo<v>` / `hi<v>`
 // without serializing every intermediate derivation: the checker reaches
 // the same bound state on its own. What is the certifier's own is the
-// context model kept per session, the simplex fallback, the split choice
-// and the serialization.
+// context model kept per session, the split choice and the serialization.
 #include "smt/proof.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
@@ -22,7 +24,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "linalg/simplex.hpp"
 #include "proof/tighten.hpp"
 #include "util/bigint.hpp"
 #include "util/fault.hpp"
@@ -94,12 +95,11 @@ std::string rat_pair(const Rational& r) {
   return r.num().to_string() + " " + r.den().to_string();
 }
 
-// Certifier for one lemma: tightens the base bounds in place (the caller
-// rolls them back).
+// Certifier for a lemma without a hint: tightens the base bounds in place
+// (the caller rolls them back).
 struct Certifier {
   const Premises& p;
   Bounds& st;
-  std::size_t num_vars;
   int steps_left = 20000;
 
   // Closes the branch whose last change is `seed`: a bound node (a split
@@ -119,68 +119,20 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
     return true;
   }
 
-  // 2. Exact rational simplex over every premise row plus the current
-  // bounds; an infeasibility yields the Farkas combination verbatim. A
-  // tag names a bound (kind 'l' / 'h', variable) or a premise ('p', i).
-  linalg::Simplex spx;
-  std::vector<std::pair<char, std::size_t>> tags;
-  bool infeasible = false;
-  for (std::size_t v = 0; v < num_vars && !infeasible; ++v) {
-    const VarBound& lb = st.lo[v];
-    const VarBound& hb = st.hi[v];
-    if (!lb.has && !hb.has) continue;
-    const int x = spx.var(static_cast<std::int32_t>(v));
-    if (lb.has) {
-      tags.emplace_back('l', v);
-      infeasible = !spx.assert_lower(x, Rational(lb.val),
-                                     static_cast<int>(tags.size() - 1));
-    }
-    if (!infeasible && hb.has) {
-      tags.emplace_back('h', v);
-      infeasible = !spx.assert_upper(x, Rational(hb.val),
-                                     static_cast<int>(tags.size() - 1));
-    }
-  }
-  for (std::size_t i = 0; i < p.size() && !infeasible; ++i) {
+  // 2. A constant premise 0 ≤ b with b negative refutes itself; tightening
+  // reads no constant row.
+  for (std::size_t i = 0; i < p.size(); ++i) {
     const Ineq& r = p.row(i);
-    if (r.terms.empty()) {
-      if (r.bound.is_negative()) {
-        out << "f 1 p" << i << " 1 1\n";  // 0 ≤ negative: immediate
-        return true;
-      }
-      continue;
+    if (r.terms.empty() && r.bound.is_negative()) {
+      out << "f 1 p" << i << " 1 1\n";
+      return true;
     }
-    std::vector<std::pair<std::int32_t, std::int64_t>> terms;
-    terms.reserve(r.terms.size());
-    for (const auto& [v, c] : r.terms) {
-      terms.emplace_back(static_cast<std::int32_t>(v), c);
-    }
-    const int s = spx.add_slack(terms);
-    tags.emplace_back('p', i);
-    infeasible = !spx.assert_upper(s, Rational(r.bound),
-                                   static_cast<int>(tags.size() - 1));
-  }
-  if (!infeasible) infeasible = !spx.check();
-  if (infeasible) {
-    std::ostringstream f;
-    int n = 0;
-    for (const linalg::FarkasTerm& t : spx.farkas()) {
-      if (t.mult.is_zero() || t.mult.is_negative()) continue;
-      const auto& [kind, idx] = tags[static_cast<std::size_t>(t.tag)];
-      f << " " << (kind == 'p' ? "p" : kind == 'l' ? "lo" : "hi") << idx
-        << " " << rat_pair(t.mult);
-      ++n;
-    }
-    out << "f " << n << f.str() << "\n";
-    return true;
   }
 
-  // 3. Rationally feasible: split on an unfixed variable. Prefer the
-  // narrowest finite interval; fall back to cutting at the simplex
-  // vertex value for half-open intervals.
+  // 3. Bisect the narrowest finite interval of an unfixed variable.
   int best = -1;
   std::optional<BigInt> best_width;
-  for (std::size_t v = 0; v < num_vars; ++v) {
+  for (std::size_t v = 0; v < st.lo.size(); ++v) {
     const VarBound& lb = st.lo[v];
     const VarBound& hb = st.hi[v];
     if (!lb.has || !hb.has || lb.val == hb.val) continue;
@@ -190,28 +142,9 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
       best = static_cast<int>(v);
     }
   }
-  BigInt cut;
-  if (best >= 0) {
-    cut = st.at(best, false).val + tighten::floor_div(*best_width, BigInt(2));
-  } else {
-    // No finite-width variable: cut a half-open one at its vertex value.
-    for (std::size_t v = 0; v < num_vars; ++v) {
-      const VarBound& lb = st.lo[v];
-      const VarBound& hb = st.hi[v];
-      if (lb.has && hb.has) continue;
-      if (!lb.has && !hb.has) continue;
-      const int x = spx.var(static_cast<std::int32_t>(v));
-      const Rational& val = spx.value(x);
-      BigInt k = tighten::floor_div(val.num(), val.den());
-      if (hb.has && k >= hb.val) k = hb.val - BigInt(1);
-      if (lb.has && k < lb.val) k = lb.val;
-      best = static_cast<int>(v);
-      cut = k;
-      break;
-    }
-    if (best < 0) return false;  // everything fixed yet feasible: the
-                                 // lemma is not certifiable this way
-  }
+  if (best < 0) return false;  // no finite interval left to bisect
+  const BigInt cut =
+      st.at(best, false).val + tighten::floor_div(*best_width, BigInt(2));
   out << "s " << best << " " << cut.to_string() << "\n";
   const int node = 2 * best;  // + 1 for the upper bound
   const std::size_t mark = st.trail.size();
@@ -227,12 +160,22 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
 }
 
 // Certifies one lemma against the context model; returns the proof body
-// ("" on failure). The base bounds are restored on every exit.
-std::string certify_lemma(const SharedProblem& sh, const std::vector<Lit>& lits,
+// ("" on failure). A hint is written as the one Farkas step: multiplier i
+// weighs premise p<i>, the negation of lemma literal i. Without one, the
+// certifier tightens and bisects; the base bounds are restored on every
+// exit.
+std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec,
                           tighten::Context& ctx) {
+  if (!rec.hint.empty()) {
+    std::string f = "f " + std::to_string(rec.hint.size());
+    for (std::size_t i = 0; i < rec.hint.size(); ++i) {
+      f += " p" + std::to_string(i) + " " + rat_pair(rec.hint[i]);
+    }
+    return f + "\n";
+  }
   std::vector<Ineq> own;
-  own.reserve(lits.size());
-  for (const Lit l : lits) {
+  own.reserve(rec.lits.size());
+  for (const Lit l : rec.lits) {
     // Premise: the negated clause literal.
     const StaticRow* r = atom_row(sh, neg(l));
     if (r == nullptr) return "";  // not a theory atom (defensive)
@@ -243,7 +186,7 @@ std::string certify_lemma(const SharedProblem& sh, const std::vector<Lit>& lits,
     Bounds& b;
     ~Rollback() { b.undo_to(0); }
   } rollback{ctx.base};
-  Certifier cert{p, ctx.base, sh.int_names.size()};
+  Certifier cert{p, ctx.base};
   std::ostringstream body;
   if (!cert.branch(-1, body, 0)) return "";
   return body.str();
@@ -337,7 +280,7 @@ void ProofLog::State::extend_trace(const SharedProblem& sh,
           break;
         case ProofRecord::Kind::kLemma: {
           put_clause(text, "lem", lits, n);
-          const std::string body = certify_lemma(sh, rec.lits, *model);
+          const std::string body = certify_lemma(sh, rec, *model);
           if (body.empty()) {
             text += "unproven\n";
             new_unproven = true;

@@ -3,18 +3,18 @@
 // While a ProofSink is installed, the SearchContext appends ProofRecords
 // to the session's ProofLog as it learns: non-tainted learned clauses (RUP
 // steps) and theory lemmas (the implicit reason clauses of theory
-// propagations, theory-conflict clauses, and leaf blocking clauses). The
-// log is the session trace: append order is emission order.
+// propagations, theory-conflict clauses, and leaf blocking clauses). A
+// lemma the solver's simplex refuted by one Farkas combination carries
+// that combination's multipliers as its hint. The log is the session
+// trace: append order is emission order.
 //
 // At an Unsat check boundary the ProofLog serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
 // and theory-atom table, this check's assumption units, the ordered
-// rup/ctx/lem trace — each theory lemma carrying an inline branch-and-cut
-// proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
-// variable splits) produced here by re-deriving the
-// lemma's integer infeasibility with the exact rational simplex — and a
-// closing `qed`. tools/proof_check.cpp validates the result with zero
-// dependencies on solver code.
+// rup/ctx/lem trace — each theory lemma carrying an inline proof: the
+// hint as one Farkas step, or else Chvátal–Gomory interval tightening
+// with bisecting splits — and a closing `qed`. tools/proof_check.cpp
+// validates the result with zero dependencies on solver code.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 
 #include "smt/search_context.hpp"
 #include "smt/solver.hpp"
+#include "util/rational.hpp"
 
 namespace advocat::smt::native {
 
@@ -39,6 +40,9 @@ struct ProofRecord {
   Kind kind = Kind::kRup;
   /// The clause; for kContext the literals added to the context.
   std::vector<Lit> lits;
+  /// kLemma: the solver's (positive) Farkas multiplier of each literal's
+  /// negation, or empty when no single combination refuted the clause.
+  std::vector<util::Rational> hint;
 };
 
 /// The proof state of one session: the trace logged since the last
@@ -66,13 +70,15 @@ class ProofLog {
     push(ProofRecord::Kind::kRup, lits, n);
   }
 
-  /// Logs a theory lemma, deduplicated by literal set (theory propagations
-  /// re-derive the same implication many times per check). `level0` holds
-  /// atom literals asserted at level 0; those not yet in the context are
-  /// logged first, as one kContext record. Returns false for a duplicate,
-  /// which logs nothing (the caller keeps `level0` for the next lemma).
+  /// Logs a theory lemma with its `hint` (ProofRecord::hint),
+  /// deduplicated by literal set (theory propagations re-derive the same
+  /// implication many times per check). `level0` holds atom literals
+  /// asserted at level 0; those not yet in the context are logged first,
+  /// as one kContext record. Returns false for a duplicate, which logs
+  /// nothing (the caller keeps `level0` for the next lemma).
   bool log_lemma(const Lit* lits, std::size_t n,
-                 const std::vector<Lit>& level0) {
+                 const std::vector<Lit>& level0,
+                 const std::vector<util::Rational>& hint) {
     std::vector<Lit> sorted(lits, lits + n);
     std::sort(sorted.begin(), sorted.end());
     std::string key(reinterpret_cast<const char*>(sorted.data()),
@@ -90,6 +96,7 @@ class ProofLog {
       push(ProofRecord::Kind::kContext, fresh.data(), fresh.size());
     }
     push(ProofRecord::Kind::kLemma, lits, n);
+    pending_.back().hint = hint;
     return true;
   }
 

@@ -280,7 +280,7 @@ void SearchContext::rewind_blog(std::size_t mark) {
 // Activation also asserts the row's bound in the simplex (tagged by row
 // index), so the tableau's bounds follow the trail. A bound that crosses
 // one already asserted on the same linear form is a two-row Farkas
-// conflict, reported by activate_theory.
+// conflict (multiplier 1 each), reported by activate_theory.
 void SearchContext::activate_row(const StaticRow* r, Lit cause) {
   const int ri = static_cast<int>(active_rows_.size());
   active_rows_.push_back(r);
@@ -293,6 +293,9 @@ void SearchContext::activate_row(const StaticRow* r, Lit cause) {
   row_work_.push_back(ri);
   if (!stx_.assert_row(*r, ri) && sconf_rows_.empty()) {
     sconf_rows_ = stx_.crossing();
+    if (plog_ != nullptr) {
+      sconf_mults_.assign(sconf_rows_.size(), util::Rational(1));
+    }
   }
 }
 
@@ -343,10 +346,11 @@ bool SearchContext::scan_violated_row() {
 // unbounded flow cycle is refuted in a handful of pivots instead of walked
 // one unit at a time).
 bool SearchContext::simplex_refute() {
-  const SimplexTheory::Result res = stx_.check();
+  SimplexTheory::Result res = stx_.check();
   sync_theory_stats();
   if (res.verdict != SimplexTheory::Verdict::Infeasible) return false;
-  sconf_rows_ = res.conflict_rows;
+  sconf_rows_ = std::move(res.conflict_rows);
+  sconf_mults_ = std::move(res.multipliers);
   return true;
 }
 
@@ -357,12 +361,15 @@ void SearchContext::sync_theory_stats() {
 
 // Turns the pending simplex conflict into theory_conflict_ literals: the
 // negated activating atoms of the Farkas rows (one row per atom literal).
+// The clause is a theory lemma, logged with the simplex's multipliers.
 void SearchContext::emit_simplex_conflict() {
   for (const int ri : sconf_rows_) {
     theory_conflict_.push_back(
         neg(active_row_lit_[static_cast<std::size_t>(ri)]));
   }
+  log_theory_lemma(theory_conflict_, sconf_mults_);
   sconf_rows_.clear();
+  sconf_mults_.clear();
 }
 
 // Explains the pending theory conflict in theory_conflict_: the Farkas
@@ -380,6 +387,7 @@ void SearchContext::explain_interval_conflict() {
   }
   ++stats_.conflicts_interval_integer;
   collect_theory_lits(trail_.size(), theory_conflict_);
+  log_theory_lemma(theory_conflict_, {});
 }
 
 // Interval tightening to fixpoint over the worklist; true on conflict.
@@ -596,7 +604,7 @@ bool SearchContext::propagate_entailed_atoms() {
           lemma_scratch_.assign(1, mk_lit(v, entailed < 0));
           lemma_scratch_.insert(lemma_scratch_.end(), expl_scratch_.begin(),
                                 expl_scratch_.end());
-          log_theory_lemma(lemma_scratch_);
+          log_theory_lemma(lemma_scratch_, {});
         }
         const bool ok = enqueue(mk_lit(v, entailed < 0), kReasonTheory);
         (void)ok;  // the variable was unassigned
@@ -813,7 +821,8 @@ void SearchContext::collect_theory_lits(std::size_t limit,
 // propagation and adds to the premise set. Within a check the level-0
 // trail prefix only grows, so each of its literals is handed to the log
 // once (proof_scratch_ keeps them until a lemma is actually logged).
-void SearchContext::log_theory_lemma(const std::vector<Lit>& clause) {
+void SearchContext::log_theory_lemma(const std::vector<Lit>& clause,
+                                     const std::vector<util::Rational>& hint) {
   if (plog_ == nullptr) return;
   const std::size_t l0 =
       levels_.empty() ? trail_.size() : levels_.front().trail;
@@ -823,7 +832,7 @@ void SearchContext::log_theory_lemma(const std::vector<Lit>& clause) {
       proof_scratch_.push_back(l);
     }
   }
-  if (plog_->log_lemma(clause.data(), clause.size(), proof_scratch_)) {
+  if (plog_->log_lemma(clause.data(), clause.size(), proof_scratch_, hint)) {
     proof_scratch_.clear();
   }
 }
@@ -1127,11 +1136,12 @@ SatResult SearchContext::int_complete() {
       }
     }
   }
-  const SimplexTheory::Result res = stx_.check_integer(int_vars);
+  SimplexTheory::Result res = stx_.check_integer(int_vars);
   sync_theory_stats();
   switch (res.verdict) {
     case SimplexTheory::Verdict::Infeasible:
-      sconf_rows_ = res.conflict_rows;
+      sconf_rows_ = std::move(res.conflict_rows);
+      sconf_mults_ = std::move(res.multipliers);
       return SatResult::Unsat;
     case SimplexTheory::Verdict::IntegerModel:
       capture_model(res.model);
@@ -1172,6 +1182,7 @@ void SearchContext::reset_search() {
   proof_scratch_.clear();
   row_work_.clear();
   sconf_rows_.clear();
+  sconf_mults_.clear();
   clear_dirty();
 
   // Compact the clause arena: drop tombstones and tainted clauses. Safe
@@ -1290,7 +1301,6 @@ SatResult SearchContext::run_check() {
       theory_conflict_.clear();
       if (confl.kind == Conflict::kTheory) {
         explain_interval_conflict();
-        if (plog_ != nullptr) log_theory_lemma(theory_conflict_);
       } else {
         ++stats_.conflicts_clause;
       }
@@ -1341,18 +1351,13 @@ SatResult SearchContext::run_check() {
     // Block this combination of theory atoms. For a refuted leaf the
     // blocking clause is a theory lemma — the atoms of the simplex's
     // refutation; for an Unknown leaf it is the full asserted-atom set,
-    // which is *not* entailed — it (and everything learned after it) is
-    // tainted and the final Unsat degrades to Unknown.
+    // which is *not* entailed and never logged — it (and everything learned
+    // after it) is tainted and the final Unsat degrades to Unknown.
     theory_conflict_.clear();
     if (!sconf_rows_.empty()) {
       emit_simplex_conflict();
     } else {
       collect_theory_lits(trail_.size(), theory_conflict_);
-    }
-    if (plog_ != nullptr && leaf == SatResult::Unsat) {
-      // Only a refuted leaf's blocking clause is theory-entailed; an
-      // Unknown leaf's clause is a search heuristic and taints the run.
-      log_theory_lemma(theory_conflict_);
     }
     if (!resolve_conflict(theory_conflict_.data(), theory_conflict_.size(),
                           -1)) {

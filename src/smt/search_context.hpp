@@ -31,6 +31,7 @@
 #include "smt/simplex_theory.hpp"
 #include "smt/solver.hpp"
 #include "smt/theory.hpp"
+#include "util/rational.hpp"
 
 namespace advocat::smt::native {
 
@@ -156,7 +157,10 @@ class SearchContext {
   /// certificate generation. Logging touches no SolveStats
   /// field and makes no search decision, so verdicts and stats are
   /// identical with and without a log.
-  void set_proof_log(ProofLog* log) { plog_ = log; }
+  void set_proof_log(ProofLog* log) {
+    plog_ = log;
+    stx_.set_hints(log != nullptr);
+  }
 
  private:
   // Read-only deep invariant checks under ADVOCAT_AUDIT (smt/audit.hpp).
@@ -235,9 +239,11 @@ class SearchContext {
               int& lbd_out);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
   // Records `clause` as a theory lemma (first extending the log's level-0
-  // atom context, which leaf blocking clauses omit as permanent). No-op
+  // atom context, which leaf blocking clauses omit as permanent), with
+  // `hint`, the simplex's Farkas multiplier per literal, or none. No-op
   // while no proof log is attached.
-  void log_theory_lemma(const std::vector<Lit>& clause);
+  void log_theory_lemma(const std::vector<Lit>& clause,
+                        const std::vector<util::Rational>& hint);
   void maybe_restart_or_reduce();
   void reduce_db();
   void compact_arena();
@@ -302,6 +308,9 @@ class SearchContext {
   // trail: exactly the active rows are asserted, tagged by row index.
   SimplexTheory stx_;
   std::vector<int> sconf_rows_;  // pending simplex conflict: row indices
+  // Its Farkas multiplier per row, while a proof log is attached and one
+  // combination refutes.
+  std::vector<util::Rational> sconf_mults_;
 
   // CDCL working state.
   std::vector<double> activity_;

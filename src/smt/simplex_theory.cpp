@@ -237,6 +237,16 @@ SimplexTheory::Result SimplexTheory::decide(const std::vector<int>* int_vars) {
     if (out.verdict != Verdict::Infeasible) return out;
   } else {
     collect_farkas_tags(used);
+    if (hints_) {
+      // One combination, no cut: its tags are distinct, so the multipliers
+      // in tag order line up with the sorted tags below.
+      std::vector<linalg::FarkasTerm> terms = spx_.farkas();
+      std::sort(terms.begin(), terms.end(),
+                [](const auto& a, const auto& b) { return a.tag < b.tag; });
+      for (linalg::FarkasTerm& t : terms) {
+        out.multipliers.push_back(std::move(t.mult));
+      }
+    }
   }
 
   // Infeasible: the refutation's row tags, each once.

@@ -16,7 +16,8 @@
 //
 // Verdicts are exact or honest: `Infeasible` comes with a Farkas
 // explanation mapped back to row tags (the SMT layer learns it as a
-// theory clause); `IntegerModel` is a full integer assignment for every
+// theory clause) and, while hints are on, with its exact multipliers (the
+// clause's proof); `IntegerModel` is a full integer assignment for every
 // requested variable; `Feasible` means rationally feasible but
 // integer-openness remains (rational-only mode, or the branch budget ran
 // out) — the caller keeps its Unknown degradation.
@@ -45,6 +46,9 @@ class SimplexTheory {
     Verdict verdict = Verdict::Feasible;
     /// Infeasible: tags of the asserted rows the refutation used.
     std::vector<int> conflict_rows;
+    /// Infeasible by one Farkas combination (no integer branching), while
+    /// hints are on: the exact multiplier of each conflict_rows entry.
+    std::vector<linalg::Rational> multipliers;
     /// IntegerModel: value per requested integer variable.
     std::vector<theory::Pin> model;
   };
@@ -53,8 +57,12 @@ class SimplexTheory {
   /// bounds already asserted. False when it crosses an asserted bound on
   /// the same linear form; crossing() then names the refuting tags.
   bool assert_row(const theory::Row& row, int tag);
-  /// Tags of the last refutation assert_row reported.
+  /// Tags of the last refutation assert_row reported; each row's Farkas
+  /// multiplier is 1.
   [[nodiscard]] const std::vector<int>& crossing() const { return crossing_; }
+
+  /// Whether Result::multipliers is filled (while a proof log is attached).
+  void set_hints(bool on) { hints_ = on; }
 
   /// Bound-trail mark for retract_to(); LIFO, like the caller's trail.
   [[nodiscard]] std::size_t mark() const { return spx_.mark(); }
@@ -115,6 +123,7 @@ class SimplexTheory {
   std::vector<int> crossing_;
   std::uint64_t explanations_ = 0;
   std::uint64_t branch_budget_ = 0;  // per-check node budget (see .cpp)
+  bool hints_ = false;
 };
 
 }  // namespace advocat::smt

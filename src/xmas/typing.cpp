@@ -14,6 +14,10 @@ Typing Typing::derive(const Network& net) {
   std::set<Skip> skipped;
   const auto num_colors = static_cast<ColorId>(net.colors().size());
   auto color_name = [&](ColorId d) { return net.colors().name(d); };
+  // Unwired ports: an in-port reads the empty set, and an out-port writes
+  // to `dropped`, which nothing reads (it only grows, so the fixpoint ends).
+  const ColorSet none;
+  ColorSet dropped;
 
   bool changed = true;
   while (changed) {
@@ -21,10 +25,12 @@ Typing Typing::derive(const Network& net) {
     for (std::size_t id = 0; id < net.num_prims(); ++id) {
       const Primitive& p = net.prims()[id];
       auto in = [&](std::size_t port) -> const ColorSet& {
-        return T[static_cast<std::size_t>(p.in[port])];
+        const ChanId c = p.in[port];
+        return c == kNoChan ? none : T[static_cast<std::size_t>(c)];
       };
       auto out = [&](std::size_t port) -> ColorSet& {
-        return T[static_cast<std::size_t>(p.out[port])];
+        const ChanId c = p.out[port];
+        return c == kNoChan ? dropped : T[static_cast<std::size_t>(c)];
       };
       auto skip = [&](std::string message) {
         skipped.insert(Skip{static_cast<PrimId>(id), std::move(message)});

@@ -36,8 +36,9 @@ class Typing {
     auto operator<=>(const Skip&) const = default;
   };
 
-  /// Runs the fixpoint; O(iterations × channels × colors). Every port of
-  /// `net` must be wired (analysis::analyze checks that first).
+  /// Runs the fixpoint; O(iterations × channels × colors). Total over
+  /// unwired ports: an unwired in-port contributes no colors, and colors
+  /// bound for an unwired out-port are dropped.
   static Typing derive(const Network& net);
 
   [[nodiscard]] const ColorSet& of(ChanId c) const { return sets_.at(static_cast<std::size_t>(c)); }

@@ -11,10 +11,13 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "advocat/verifier.hpp"
 #include "backend_fixture.hpp"
+#include "coherence/mi_abstract.hpp"
 #include "proof_check.hpp"
 #include "smt/expr.hpp"
 #include "smt/proof.hpp"
@@ -355,6 +358,43 @@ TEST(ProofCertificate, EqualityAndDisequalityCertified) {
               c.integer_conflicts);
     EXPECT_EQ(s->solve_stats().leaves_refuted, c.leaves_refuted);
   }
+}
+
+// On the MI meshes no lemma needs a search: a Farkas conflict's proof is
+// the solver's own combination, and every other lemma crosses a bound by
+// tightening from the lemma's rows. Each lemma body is therefore one `f`
+// line; an `s` line would mean a lemma fell back to bisection.
+TEST(ProofCertificate, MeshSizingNeedsNoSearch) {
+  auto make = [](std::size_t cap) {
+    coh::MiAbstractConfig config;
+    config.width = 3;
+    config.height = 3;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  CaptureSink sink;
+  core::QueueSizingOptions o;
+  o.verify.backend = Backend::Native;
+  o.verify.proof_sink = &sink;
+  EXPECT_EQ(core::find_minimal_queue_size(make, o).minimal_capacity, 11u);
+  ASSERT_FALSE(sink.certs.empty());
+  std::size_t lemmas = 0;
+  for (const Certificate& cert : sink.certs) {
+    EXPECT_TRUE(cert.complete) << cert.reason;
+    const CheckResult r = check_proof_text(cert.text);
+    EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+    EXPECT_EQ(count_lines(cert.text, "s"), 0u);
+    std::istringstream in(cert.text);
+    std::string line, body, end;
+    while (std::getline(in, line)) {
+      if (line.rfind("lem ", 0) != 0) continue;
+      ++lemmas;
+      ASSERT_TRUE(std::getline(in, body) && std::getline(in, end));
+      EXPECT_EQ(body.rfind("f ", 0), 0u) << body;
+      EXPECT_EQ(end, "end") << line;
+    }
+  }
+  EXPECT_GT(lemmas, 0u);
 }
 
 TEST(ProofCertificate, MidSessionAttachMarkedIncomplete) {

@@ -223,6 +223,26 @@ TEST_P(QueueSizing, SizingRunsThePipelineExactlyOnce) {
   EXPECT_EQ(r.solver_checks, r.probes.size());
 }
 
+TEST_P(QueueSizing, FactoryBuildsEachProbedNetworkOnce) {
+  // The session is built from make_net(min_capacity), and the first probe
+  // reuses it: one factory call per probe, none for the session itself.
+  std::size_t calls = 0;
+  auto make = [&calls](std::size_t cap) {
+    ++calls;
+    coh::MiAbstractConfig config;
+    config.queue_capacity = cap;
+    return std::move(coh::build_mi_abstract(config).net);
+  };
+  QueueSizingOptions o;
+  o.min_capacity = 1;
+  o.max_capacity = 16;
+  o.verify = options();
+  const QueueSizingResult r = find_minimal_queue_size(make, o);
+  EXPECT_EQ(r.minimal_capacity, 3u);
+  EXPECT_GE(r.probes.size(), 2u);
+  EXPECT_EQ(calls, r.probes.size());
+}
+
 TEST_P(QueueSizing, MinimalCapacityMatchesOneShotVerify) {
   // The one-shot verify() is the reference: the sized minimum must verify
   // deadlock-free on its own, and one below it must not.

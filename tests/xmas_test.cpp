@@ -165,6 +165,30 @@ TEST(Typing, AutomatonEmissions) {
   EXPECT_EQ(typing.of(out), ColorSet{pong});
 }
 
+// The derivation is total over unwired ports: the analyzer rejects such a
+// net, but deriving it directly must neither read nor write past the
+// channel table (ASan's _GLIBCXX_ASSERTIONS build checks the indexing).
+TEST(Typing, UnwiredPortsContributeNothing) {
+  Network net;
+  const ColorId d = net.colors().intern("d");
+  net.add_source("dangling", {d});  // output unwired
+  const PrimId src = net.add_source("src", {d});
+  const PrimId mg = net.add_merge("mg", 2);  // in-port 1 unwired
+  const PrimId fork = net.add_fork("fork");  // out-port 1 unwired
+  const PrimId sink = net.add_sink("sink");
+  net.connect(src, 0, mg, 0);
+  const ChanId mid = net.connect(mg, 0, fork, 0);
+  const ChanId out = net.connect(fork, 0, sink, 0);
+
+  ASSERT_TRUE(analysis::analyze(net).has_errors());
+  const Typing typing = Typing::derive(net);
+  EXPECT_EQ(typing.num_channels(), 3u);
+  EXPECT_EQ(typing.of(mid), ColorSet{d});
+  EXPECT_EQ(typing.of(out), ColorSet{d});
+  EXPECT_EQ(typing.num_pairs(), 3u);
+  EXPECT_TRUE(typing.skipped().empty());
+}
+
 TEST(DotExport, ProducesWellFormedDigraph) {
   Network net;
   const ColorId tok = net.colors().intern("tok");
