@@ -107,7 +107,8 @@ class JsonLine {
         .field("mean_conflict_lits", s.mean_conflict_lits)
         .field("entailed_propagations",
                static_cast<std::size_t>(s.entailed_propagations))
-        .field("mean_entailed_expl_lits", s.mean_entailed_expl_lits)
+        .field("entailed_explained",
+               static_cast<std::size_t>(s.entailed_explained))
         .field("decisions", static_cast<std::size_t>(s.decisions))
         .field("propagations", static_cast<std::size_t>(s.propagations))
         .field("restarts", static_cast<std::size_t>(s.restarts))

@@ -51,8 +51,7 @@ void Auditor::check_search(const SearchContext& ctx, const char* site) {
   for (std::size_t i = 0; i < ctx.levels_.size(); ++i) {
     const SearchContext::LevelMark& m = ctx.levels_[i];
     if (m.trail < prev_trail || m.trail > nt || m.rows > ctx.active_rows_.size() ||
-        m.undo > ctx.undo_.size() || m.expl > ctx.expl_pool_.size() ||
-        m.blog > ctx.blog_.size()) {
+        m.undo > ctx.undo_.size() || m.blog > ctx.blog_.size()) {
       fail("level-marks", "level " + std::to_string(i + 1) +
                               ": mark out of range or non-monotone");
     }
@@ -381,6 +380,13 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
         fail("interval-crossed", "int var " + std::to_string(v) + ": lo " +
                                      std::to_string(ctx.lo_[v]) + " > hi " +
                                      std::to_string(ctx.hi_[v]));
+      }
+    }
+    // Conflict analysis is a cancellation point too (explaining an
+    // entailed literal polls bump_ops); its scratch must not outlive it.
+    for (std::size_t v = 0; v < ctx.seen_.size(); ++v) {
+      if (ctx.seen_[v] != 0) {
+        fail("analysis-scratch", "seen flag left set on v" + std::to_string(v));
       }
     }
   }

@@ -23,9 +23,10 @@
 //    audit (basis partition, row identities, slack-interning canonicity).
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
-// every integer interval; a check boundary reached through a Timeout is
-// *not* settled (the exception can unwind between an interval crossing and
-// its explanation) and skips that check.
+// every integer interval and clear conflict-analysis scratch; a check
+// boundary reached through a Timeout is *not* settled (the exception can
+// unwind between an interval crossing and its explanation, or inside
+// analysis) and skips those checks.
 #pragma once
 
 #include <string>
@@ -53,7 +54,7 @@ class Auditor {
   static void check_search(const SearchContext& ctx, const char* site);
   /// Full pass: check_search plus arena, watches, reasons, rows, bounds,
   /// and the simplex layer. `bounds_settled` additionally requires lo ≤ hi
-  /// everywhere.
+  /// everywhere and no analysis `seen_` flag set.
   static void check_deep(const SearchContext& ctx, const char* site,
                          bool bounds_settled);
 };

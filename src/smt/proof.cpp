@@ -119,17 +119,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
     return true;
   }
 
-  // 2. A constant premise 0 ≤ b with b negative refutes itself; tightening
-  // reads no constant row.
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const Ineq& r = p.row(i);
-    if (r.terms.empty() && r.bound.is_negative()) {
-      out << "f 1 p" << i << " 1 1\n";
-      return true;
-    }
-  }
-
-  // 3. Bisect the narrowest finite interval of an unfixed variable.
+  // 2. Bisect the narrowest finite interval of an unfixed variable.
   int best = -1;
   std::optional<BigInt> best_width;
   for (std::size_t v = 0; v < st.lo.size(); ++v) {

@@ -551,12 +551,31 @@ void SearchContext::expl_run(std::vector<Lit>& atoms_out) {
   }
 }
 
-// Enqueues unassigned atom literals the current bounds entail, with an
-// eagerly-stored provenance explanation (the few atoms whose rows
-// produced the entailing bounds) so conflict analysis can resolve them;
-// the boolean search then never has to rediscover them by conflict.
-// Only atoms over variables whose bounds changed since the last scan
-// are re-evaluated (set_bound records them in dirty_vars_).
+// Explains an entailed literal when conflict analysis resolves on it (few
+// ever are). The walk is seeded with the bound entries the decisive row
+// status read — min-side bounds for a forced-false row, max-side for
+// forced-true — as they stood at propagation: entry_before reads only
+// entries older than expl_mark_, and those (with the rows they cite) stay
+// in place while the literal is assigned, so the reason is the one an
+// eager walk at propagation would have produced.
+void SearchContext::entailed_reason(Lit l, std::vector<Lit>& out) {
+  const int v = var_of(l);
+  const int mark = static_cast<int>(expl_mark_[static_cast<std::size_t>(v)]);
+  const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
+  const StaticRow& row = sh_.atoms[static_cast<std::size_t>(ai)].row;
+  expl_begin();
+  for (const auto& [u, c] : row.terms) {
+    const int e = entry_before(bnode(u, is_neg(l) ? c < 0 : c > 0), mark);
+    if (e >= 0) expl_push(e);
+  }
+  expl_run(out);
+}
+
+// Enqueues unassigned atom literals the current bounds entail, marking
+// where the bound log stood so analysis can explain them later
+// (entailed_reason); the boolean search then never has to rediscover
+// them by conflict. Only atoms over variables whose bounds changed since
+// the last scan are re-evaluated (set_bound records them in dirty_vars_).
 bool SearchContext::propagate_entailed_atoms() {
   bool any = false;
   scan_stamp_.resize(sh_.atoms.size(), 0);
@@ -573,40 +592,19 @@ bool SearchContext::propagate_entailed_atoms() {
       const StaticRow& row = sh_.atoms[static_cast<std::size_t>(ai)].row;
       const int entailed = row_status(row);  // +1 atom true, -1 atom false
       if (entailed != 0) {
-        // Seed the walk with the bound entries the decisive row status
-        // read: min-side bounds for a forced-false row (its minimum
-        // already exceeds the bound), max-side bounds for forced-true.
-        expl_begin();
-        const int now = static_cast<int>(blog_.size());
-        for (const auto& [u, c] : row.terms) {
-          const int e = entry_before(bnode(u, entailed < 0 ? c < 0 : c > 0),
-                                     now);
-          if (e >= 0) expl_push(e);
-        }
-        // Explanation must be captured now: bounds keep tightening
-        // after this enqueue, and a later snapshot could cite atoms
-        // assigned *after* this literal, breaking the analyzer's
-        // reverse-trail walk.
-        expl_scratch_.clear();
-        expl_run(expl_scratch_);
-        expl_off_[static_cast<std::size_t>(v)] =
-            static_cast<std::uint32_t>(expl_pool_.size());
-        expl_len_[static_cast<std::size_t>(v)] =
-            static_cast<std::uint32_t>(expl_scratch_.size());
-        expl_pool_.insert(expl_pool_.end(), expl_scratch_.begin(),
-                          expl_scratch_.end());
+        const Lit l = mk_lit(v, entailed < 0);
+        expl_mark_[static_cast<std::size_t>(v)] =
+            static_cast<std::uint32_t>(blog_.size());
         ++stats_.entailed_propagations;
-        entailed_expl_lits_ += expl_scratch_.size();
-        if (plog_ != nullptr) {
-          // The implicit reason clause of this theory propagation: the
-          // enqueued literal plus its explanation (already in clause
-          // form — expl_run emits negated antecedents).
-          lemma_scratch_.assign(1, mk_lit(v, entailed < 0));
-          lemma_scratch_.insert(lemma_scratch_.end(), expl_scratch_.begin(),
-                                expl_scratch_.end());
-          log_theory_lemma(lemma_scratch_, {});
+        // Below the first decision the reason is logged at once, before
+        // `l` can join the context: the checker derives level-0 atoms,
+        // and a refuted assumption, by unit propagation.
+        if (plog_ != nullptr && current_level() <= prefix_levels_) {
+          reason_scratch_.assign(1, l);
+          entailed_reason(l, reason_scratch_);
+          log_theory_lemma(reason_scratch_, {});
         }
-        const bool ok = enqueue(mk_lit(v, entailed < 0), kReasonTheory);
+        const bool ok = enqueue(l, kReasonTheory);
         (void)ok;  // the variable was unassigned
         any = true;
       }
@@ -771,7 +769,7 @@ int SearchContext::pick_branch() {
 void SearchContext::push_level() {
   ++undo_era_;
   levels_.push_back(LevelMark{trail_.size(), active_rows_.size(),
-                              undo_.size(), expl_pool_.size(), blog_.size()});
+                              undo_.size(), blog_.size()});
 }
 
 void SearchContext::backjump(int target) {
@@ -791,7 +789,6 @@ void SearchContext::backjump(int target) {
   deactivate_rows_to(mark.rows);
   undo_to(mark.undo);
   rewind_blog(mark.blog);
-  expl_pool_.resize(mark.expl);
   row_work_.clear();
   clear_dirty();  // loosened bounds cannot newly entail anything
   levels_.resize(static_cast<std::size_t>(target));
@@ -871,11 +868,14 @@ int SearchContext::analyze(const Lit* conflict, std::size_t nconf,
     if (--counter == 0) break;
     const int r = reason_[static_cast<std::size_t>(v)];
     if (r == kReasonTheory) {
-      // The eagerly-stored provenance explanation captured at enqueue
-      // time: the negated atoms whose rows entailed this literal.
-      const std::uint32_t off = expl_off_[static_cast<std::size_t>(v)];
-      const std::uint32_t len = expl_len_[static_cast<std::size_t>(v)];
-      for (std::uint32_t i = 0; i < len; ++i) consider(expl_pool_[off + i]);
+      // Explained (and its reason logged) only now that analysis reads it.
+      reason_scratch_.assign(1, p);
+      entailed_reason(p, reason_scratch_);
+      ++stats_.entailed_explained;
+      log_theory_lemma(reason_scratch_, {});
+      for (std::size_t i = 1; i < reason_scratch_.size(); ++i) {
+        consider(reason_scratch_[i]);
+      }
     } else {
       // r >= 0: counter > 0 guarantees a resolvable (propagated) literal.
       bump_clause(r);
@@ -1215,6 +1215,9 @@ void SearchContext::reset_search() {
   assign_.resize(nv, kUndef);
   reason_.resize(nv, kReasonNone);
   level_.resize(nv, 0);
+  // A stop inside analyze() leaves its scratch set.
+  for (const int v : to_clear_) seen_[static_cast<std::size_t>(v)] = 0;
+  to_clear_.clear();
   seen_.resize(nv, 0);
   // Activities restart fresh each check, with a tiny edge for theory
   // atoms: deciding atoms first lets bounds propagation fix the gate
@@ -1251,9 +1254,7 @@ void SearchContext::reset_search() {
   row_occ_.resize(n);
   dirty_stamp_.resize(n, 0);
   scan_stamp_.resize(sh_.atoms.size(), 0);
-  expl_pool_.clear();
-  expl_off_.resize(nv, 0);
-  expl_len_.resize(nv, 0);
+  expl_mark_.resize(nv, 0);
   saw_unknown_ = false;
   prefix_placed_ = prefix_levels_ = 0;
   conflicts_since_restart_ = 0;
@@ -1408,11 +1409,6 @@ SatResult SearchContext::solve(const CheckJob& job) {
     Auditor::check_deep(*this, "check-boundary", /*bounds_settled=*/false);
   }
   stats_.learned_kept = num_learned_live_;
-  if (stats_.entailed_propagations > 0) {
-    stats_.mean_entailed_expl_lits =
-        static_cast<double>(entailed_expl_lits_) /
-        static_cast<double>(stats_.entailed_propagations);
-  }
   stats_.arena_bytes = arena_.bytes();  // gauge, like learned_kept
   if (stats_.arena_bytes > stats_.peak_arena_bytes) {
     stats_.peak_arena_bytes = stats_.arena_bytes;

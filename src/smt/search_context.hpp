@@ -107,6 +107,8 @@ struct SharedProblem {
   std::vector<std::vector<int>> atom_occ;   // int var -> atom indices
   // A deque keeps every atom's rows at a stable address while translation
   // appends: active rows and the simplex's slack cache hold row pointers.
+  // No atom row is constant: le_atom, the only atom constructor, folds an
+  // empty row into the true literal, so every row has a term.
   std::deque<Atom> atoms;
   std::vector<std::string> int_names;
   std::vector<std::pair<int, std::string>> named_bools;
@@ -202,6 +204,9 @@ class SearchContext {
   void emit_row_atom(int ri, std::vector<Lit>& atoms_out);
   void expl_push(int e);
   void expl_run(std::vector<Lit>& atoms_out);
+  // Appends the reason of entailed literal `l` (negated atoms, clause
+  // form) to `out`, walking the bound log as it stood at propagation.
+  void entailed_reason(Lit l, std::vector<Lit>& out);
   bool propagate_entailed_atoms();
   void clear_dirty();
 
@@ -225,7 +230,7 @@ class SearchContext {
 
   // ----------------------------------------------------- levels, backjump
   struct LevelMark {
-    std::size_t trail, rows, undo, expl, blog;
+    std::size_t trail, rows, undo, blog;
   };
   void push_level();
   void backjump(int target);
@@ -318,7 +323,9 @@ class SearchContext {
   double cla_inc_ = 1.0;
   std::vector<int> heap_;      // activity max-heap of variables
   std::vector<int> heap_pos_;  // var -> heap index or -1
-  std::vector<char> seen_;     // analysis scratch
+  // Analysis scratch: seen_ is all 0 outside analyze(); to_clear_ lists
+  // the vars it set, so reset_search can clear it after a stop inside.
+  std::vector<char> seen_;
   std::vector<int> to_clear_;
   std::vector<Lit> learnt_;
   std::vector<Lit> theory_conflict_;
@@ -326,7 +333,7 @@ class SearchContext {
   ProofLog* plog_ = nullptr;        // proof trace, nullptr = logging off
   std::vector<Lit> proof_scratch_;  // level-0 atoms not yet handed to plog_
   std::size_t level0_scanned_ = 0;  // level-0 trail prefix scanned for them
-  std::vector<Lit> lemma_scratch_;  // lemma-clause assembly scratch
+  std::vector<Lit> reason_scratch_;  // an entailed literal's reason clause
   std::vector<int> reduce_order_;
   // Provenance-explanation machinery (see the .cpp section comment).
   struct BoundLog {
@@ -340,9 +347,7 @@ class SearchContext {
   std::vector<std::uint64_t> entry_seen_;  // per log entry, stamped
   std::vector<std::uint64_t> row_seen_;    // per active row: atom emitted
   std::uint64_t expl_gen_ = 0;
-  std::vector<Lit> expl_pool_;  // stored explanations, level-scoped
-  std::vector<Lit> expl_scratch_;
-  std::vector<std::uint32_t> expl_off_, expl_len_;  // per var, theory reason
+  std::vector<std::uint32_t> expl_mark_;  // var -> blog_ size at propagation
   std::uint64_t conflicts_since_restart_ = 0;
   std::uint64_t restart_seq_ = 0;
   std::uint64_t restart_limit_ = 0;
@@ -360,7 +365,6 @@ class SearchContext {
   // Results of the last solve + lifetime counters.
   SolveStats stats_;
   std::uint64_t conflict_lits_ = 0;  // Σ conflict sizes (mean_conflict_lits)
-  std::uint64_t entailed_expl_lits_ = 0;  // Σ entailed-atom explanation sizes
   util::StopReason last_stop_ = util::StopReason::kNone;
   Model model_;
 };

@@ -70,19 +70,16 @@ SimplexTheory::SlackRef SimplexTheory::intern_slack(const theory::Row& row) {
 
 bool SimplexTheory::assert_row(const theory::Row& row, int tag) {
   crossing_.clear();
-  bool ok = true;
-  if (row.terms.empty()) {  // constant row: 0 ≤ bound, refuted by itself
-    ok = row.bound >= 0;
-    if (!ok) crossing_.push_back(tag);
-  } else {
-    const SlackRef s = slack_for(row);
-    // Σ terms ≤ b  ⇔  canonical ≤ b   (positive sign)
-    //            ⇔  canonical ≥ −b   (negated sign)
-    ok = s.negated ? spx_.assert_lower(s.var, Rational(-row.bound), tag)
-                   : spx_.assert_upper(s.var, Rational(row.bound), tag);
-    if (!ok) collect_farkas_tags(crossing_);
+  const SlackRef s = slack_for(row);
+  // Σ terms ≤ b  ⇔  canonical ≤ b   (positive sign)
+  //            ⇔  canonical ≥ −b   (negated sign)
+  const bool ok = s.negated
+                      ? spx_.assert_lower(s.var, Rational(-row.bound), tag)
+                      : spx_.assert_upper(s.var, Rational(row.bound), tag);
+  if (!ok) {
+    collect_farkas_tags(crossing_);
+    ++explanations_;
   }
-  if (!ok) ++explanations_;
   return ok;
 }
 

@@ -53,9 +53,10 @@ class SimplexTheory {
     std::vector<theory::Pin> model;
   };
 
-  /// Asserts `row` (Σ terms ≤ bound) with tag `tag` ≥ 0 on top of the
-  /// bounds already asserted. False when it crosses an asserted bound on
-  /// the same linear form; crossing() then names the refuting tags.
+  /// Asserts `row` (Σ terms ≤ bound, at least one term) with tag `tag` ≥ 0
+  /// on top of the bounds already asserted. False when it crosses an
+  /// asserted bound on the same linear form; crossing() then names the
+  /// refuting tags.
   bool assert_row(const theory::Row& row, int tag);
   /// Tags of the last refutation assert_row reported; each row's Farkas
   /// multiplier is 1.

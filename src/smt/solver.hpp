@@ -56,11 +56,11 @@ struct SolveStats {
   /// (clause, theory explanation or leaf blocking clause).
   double mean_conflict_lits = 0.0;
   /// Native backend: atom literals the interval bounds entailed and the
-  /// search enqueued as theory propagations, and the mean literal count
-  /// of their stored explanations (the reasons conflict analysis resolves
-  /// them by).
+  /// search enqueued as theory propagations, and the explanations
+  /// conflict analysis computed for those it resolved on (no other is
+  /// explained; the 3x3 dir 0 sizing run: 5,750 and 204).
   std::uint64_t entailed_propagations = 0;
-  double mean_entailed_expl_lits = 0.0;
+  std::uint64_t entailed_explained = 0;
   std::uint64_t decisions = 0;     ///< branching decisions
   std::uint64_t propagations = 0;  ///< literals enqueued by propagation
   std::uint64_t restarts = 0;      ///< search restarts (Luby schedule)

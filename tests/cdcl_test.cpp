@@ -430,6 +430,56 @@ TEST(Cdcl, EveryBudgetKindDegradesWithItsOwnReasonAndClearsCleanly) {
   }
 }
 
+// Integer pigeonhole: p pigeons x_i in [0, h), pairwise distinct. Unsat
+// for p > h, and refuted through entailed atoms: every distinctness
+// disjunct is a bound the intervals can entail.
+std::vector<ExprId> int_pigeonhole(ExprFactory& f, int pigeons, int holes) {
+  std::vector<ExprId> constraints;
+  std::vector<ExprId> x;
+  for (int p = 0; p < pigeons; ++p) {
+    x.push_back(f.int_var("iph_x" + std::to_string(p)));
+    constraints.push_back(f.le(f.int_const(0), x.back()));
+    constraints.push_back(f.le(x.back(), f.int_const(holes - 1)));
+  }
+  for (std::size_t a = 0; a < x.size(); ++a) {
+    for (std::size_t b = a + 1; b < x.size(); ++b) {
+      constraints.push_back(f.not_(f.eq(x[a], x[b])));
+    }
+  }
+  return constraints;
+}
+
+TEST(Cdcl, StopInsideConflictAnalysisLeavesTheSessionReusable) {
+  // Explaining an entailed literal polls the cancellation point, so a
+  // budget can stop a check inside conflict analysis: its conflict is
+  // counted, its clause not yet learned. The sweep moves a propagation
+  // budget across every poll of each search; after each stop the same
+  // session re-checks with the auditor on, whose check-begin pass
+  // (analysis-scratch) aborts on an analysis flag the stop left set.
+  int stops = 0;
+  int in_analysis = 0;
+  for (const auto& [pigeons, holes] : {std::pair{5, 4}, std::pair{6, 5}}) {
+    std::uint64_t budget = 1;
+    for (;;) {
+      ExprFactory f;
+      auto solver = make_solver(f, Backend::Native);
+      for (ExprId c : int_pigeonhole(f, pigeons, holes)) solver->add(c);
+      solver->set_budget({.max_propagations = budget});
+      if (solver->check() != SatResult::Unknown) break;  // search fits
+      const SolveStats s = solver->solve_stats();
+      ASSERT_EQ(s.stop_reason, util::StopReason::kPropagationBudget);
+      ++stops;
+      if (s.conflicts == s.learned_clauses + 1) ++in_analysis;
+      budget = s.propagations + 1;
+      solver->set_budget({});
+      ASSERT_EQ(solver->check(), SatResult::Unsat)
+          << pigeons << " pigeons, budget " << budget;
+    }
+  }
+  // 3 of the 110 stops land in analysis; this keeps the sweep honest.
+  EXPECT_GT(in_analysis, 0) << "no stop of " << stops << " hit analysis";
+}
+
 TEST(Cdcl, CrossThreadCancelInterruptsAndReArms) {
   // cancel() from another thread must stop an in-flight check promptly
   // with Unknown(cancelled), and — like the budget kinds above — must not

@@ -522,9 +522,9 @@ TEST(SolverCounters, SizingRefutesNoLeafAndExplainsWithFarkasRows) {
 }
 
 // Entailed-atom propagation is counted where it happens: 3x3 dir 0 pins the
-// number of entailed atoms and the mean size of their explanations, and a
-// proof sink (which logs every explanation as a theory lemma) moves
-// neither.
+// number of entailed atoms and of the explanations conflict analysis
+// computed for them, and a proof sink (which logs each explanation
+// analysis computes as a theory lemma) moves neither.
 TEST(SolverCounters, EntailedPropagationsPinnedAndUnperturbedByLogging) {
   class DiscardSink : public smt::ProofSink {
    public:
@@ -540,10 +540,9 @@ TEST(SolverCounters, EntailedPropagationsPinnedAndUnperturbedByLogging) {
   ASSERT_EQ(plain.minimal_capacity, 11u);
   const smt::SolveStats& s = plain.solve_stats;
   EXPECT_EQ(s.entailed_propagations, 5'750u);
-  EXPECT_DOUBLE_EQ(s.mean_entailed_expl_lits, 48'089.0 / 5'750.0);
+  EXPECT_EQ(s.entailed_explained, 204u);
   EXPECT_EQ(logged.solve_stats.entailed_propagations, s.entailed_propagations);
-  EXPECT_EQ(logged.solve_stats.mean_entailed_expl_lits,
-            s.mean_entailed_expl_lits);
+  EXPECT_EQ(logged.solve_stats.entailed_explained, s.entailed_explained);
   EXPECT_EQ(logged.solve_stats.conflicts, s.conflicts);
 }
 
