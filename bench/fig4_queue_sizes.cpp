@@ -93,6 +93,7 @@ struct CellResult {
   std::size_t proofs_incomplete = 0;
   std::size_t proof_bytes = 0;
   double proof_ms = 0.0;
+  std::size_t proof_splits = 0;
   std::size_t proofs_unwritten = 0;
 };
 
@@ -143,6 +144,7 @@ int main(int argc, char** argv) {
             cell.proofs_incomplete = sink.incomplete();
             cell.proof_bytes = sink.total_bytes();
             cell.proof_ms = sink.total_ms();
+            cell.proof_splits = sink.total_splits();
             cell.proofs_unwritten = sink.failed();
           });
       for (int y = 0; y < k; ++y) {
@@ -174,6 +176,7 @@ int main(int argc, char** argv) {
               .field("proofs_incomplete", cell.proofs_incomplete)
               .field("proof_bytes", cell.proof_bytes)
               .field("proof_ms", cell.proof_ms)
+              .field("proof_splits", cell.proof_splits)
               .field("seconds", r.seconds)
               .print();
           if (cell.proofs_unwritten != 0) {

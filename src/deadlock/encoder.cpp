@@ -1,5 +1,6 @@
 #include "deadlock/encoder.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "deadlock/varnames.hpp"
@@ -13,18 +14,80 @@ using xmas::PrimId;
 using xmas::PrimKind;
 using xmas::Primitive;
 
-namespace {
-
-std::uint64_t key(ChanId c, ColorId d) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c)) << 32) |
-         static_cast<std::uint32_t>(d);
-}
-
-}  // namespace
-
 Encoder::Encoder(const xmas::Network& net, const xmas::Typing& typing,
                  smt::ExprFactory& factory, EncoderOptions options)
-    : net_(net), typing_(typing), f_(factory), options_(options) {}
+    : net_(net), typing_(typing), f_(factory), options_(options) {
+  pair_base_.reserve(net_.num_channels() + 1);
+  std::size_t pairs = 0;
+  for (std::size_t c = 0; c < net_.num_channels(); ++c) {
+    pair_base_.push_back(pairs);
+    pairs += typing_.of(static_cast<ChanId>(c)).size();
+  }
+  pair_base_.push_back(pairs);
+  block_vars_.assign(pairs, smt::kNoExpr);
+  idle_vars_.assign(pairs, smt::kNoExpr);
+  occ_vars_.assign(pairs, smt::kNoExpr);
+  idle_all_.assign(net_.num_channels(), smt::kNoExpr);
+  queue_block_.assign(net_.num_prims(), smt::kNoExpr);
+  chan_names_.resize(net_.num_channels());
+  std::size_t states = 0;
+  for (const xmas::Automaton& a : net_.automata()) {
+    state_base_.push_back(states);
+    states += static_cast<std::size_t>(a.num_states());
+  }
+  state_vars_.assign(states, smt::kNoExpr);
+  dead_vars_.assign(net_.automata().size(), smt::kNoExpr);
+  derive_firings();
+}
+
+std::size_t Encoder::pair(ChanId c, ColorId d) const {
+  const ColorSet& set = typing_.of(c);
+  const auto it = std::lower_bound(set.begin(), set.end(), d);
+  if (it == set.end() || *it != d) {
+    throw std::logic_error("Encoder: color " + net_.colors().name(d) +
+                           " is not in the typing of " + net_.channel_name(c));
+  }
+  return pair_base_[static_cast<std::size_t>(c)] +
+         static_cast<std::size_t>(it - set.begin());
+}
+
+void Encoder::derive_firings() {
+  accepted_.assign(block_vars_.size(), 0);
+  produced_.assign(block_vars_.size(), 0);
+  for (std::size_t ai = 0; ai < net_.automata().size(); ++ai) {
+    const xmas::Automaton& a = net_.automata()[ai];
+    const Primitive& p = net_.prim(net_.automaton_prim(static_cast<int>(ai)));
+    transition_base_.push_back(firing_begin_.size());
+    for (const auto& t : a.transitions) {
+      firing_begin_.push_back(firings_.size());
+      for (int i = 0; i < a.num_in; ++i) {
+        const ChanId in = p.in[static_cast<std::size_t>(i)];
+        if (in == xmas::kNoChan) continue;
+        for (ColorId d : typing_.of(in)) {
+          if (!t.guard(i, d)) continue;
+          accepted_[pair(in, d)] = 1;
+          const Firing& fire = firings_.emplace_back(Firing{in, d, t.transform(i, d)});
+          const auto& em = fire.em;
+          if (!em.has_value() || em->first < 0 ||
+              static_cast<std::size_t>(em->first) >= p.out.size()) {
+            continue;
+          }
+          const ChanId out = p.out[static_cast<std::size_t>(em->first)];
+          if (out != xmas::kNoChan && xmas::set_contains(typing_.of(out), em->second)) {
+            produced_[pair(out, em->second)] = 1;
+          }
+        }
+      }
+    }
+  }
+  firing_begin_.push_back(firings_.size());
+}
+
+const std::string& Encoder::chan_name(ChanId c) {
+  std::string& name = chan_names_[static_cast<std::size_t>(c)];
+  if (name.empty()) name = net_.channel_name(c);
+  return name;
+}
 
 smt::ExprId Encoder::capacity_expr(PrimId queue) {
   if (options_.symbolic_capacities) {
@@ -35,9 +98,9 @@ smt::ExprId Encoder::capacity_expr(PrimId queue) {
 }
 
 smt::ExprId Encoder::occ(PrimId queue, ColorId d) {
-  auto [it, fresh] = occ_vars_.try_emplace(key(queue, d));
-  if (fresh) it->second = f_.int_var(occ_var_name(net_, queue, d));
-  return it->second;
+  smt::ExprId& var = occ_vars_[pair(net_.prim(queue).in[0], d)];
+  if (var == smt::kNoExpr) var = f_.int_var(occ_var_name(net_, queue, d));
+  return var;
 }
 
 smt::ExprId Encoder::nonneg(smt::ExprId v) {
@@ -45,48 +108,50 @@ smt::ExprId Encoder::nonneg(smt::ExprId v) {
 }
 
 smt::ExprId Encoder::state(int automaton_index, int s) {
-  auto [it, fresh] = state_vars_.try_emplace(key(automaton_index, s));
-  if (fresh) it->second = f_.int_var(state_var_name(net_, automaton_index, s));
-  return it->second;
+  const std::size_t base = state_base_.at(static_cast<std::size_t>(automaton_index));
+  smt::ExprId& var = state_vars_[base + static_cast<std::size_t>(s)];
+  if (var == smt::kNoExpr) var = f_.int_var(state_var_name(net_, automaton_index, s));
+  return var;
 }
 
 smt::ExprId Encoder::block(ChanId c, ColorId d) {
-  const std::uint64_t k = key(c, d);
-  auto it = block_vars_.find(k);
-  if (it != block_vars_.end()) return it->second;
+  const std::size_t k = pair(c, d);
+  if (block_vars_[k] != smt::kNoExpr) return block_vars_[k];
   const smt::ExprId var = f_.bool_var(
-      "Blk[" + net_.channel_name(c) + ":" + net_.colors().name(d) + "]");
-  block_vars_.emplace(k, var);  // insert before recursing (cycles)
+      bracket_name("Blk[", {chan_name(c), ":", net_.colors().name(d)}));
+  block_vars_[k] = var;  // before recursing (cycles)
   defs_.push_back(f_.iff(var, block_rhs(c, d)));
   return var;
 }
 
 smt::ExprId Encoder::idle(ChanId c, ColorId d) {
-  const std::uint64_t k = key(c, d);
-  auto it = idle_vars_.find(k);
-  if (it != idle_vars_.end()) return it->second;
+  const std::size_t k = pair(c, d);
+  if (idle_vars_[k] != smt::kNoExpr) return idle_vars_[k];
   const smt::ExprId var = f_.bool_var(
-      "Idl[" + net_.channel_name(c) + ":" + net_.colors().name(d) + "]");
-  idle_vars_.emplace(k, var);
+      bracket_name("Idl[", {chan_name(c), ":", net_.colors().name(d)}));
+  idle_vars_[k] = var;
   defs_.push_back(f_.iff(var, idle_rhs(c, d)));
   return var;
 }
 
 smt::ExprId Encoder::dead(int automaton_index) {
-  auto it = dead_vars_.find(automaton_index);
-  if (it != dead_vars_.end()) return it->second;
-  const xmas::Automaton& a =
-      net_.automata().at(static_cast<std::size_t>(automaton_index));
-  const smt::ExprId var = f_.bool_var("Dead[" + a.name + "]");
-  dead_vars_.emplace(automaton_index, var);
+  const auto ai = static_cast<std::size_t>(automaton_index);
+  if (dead_vars_.at(ai) != smt::kNoExpr) return dead_vars_[ai];
+  const smt::ExprId var =
+      f_.bool_var(bracket_name("Dead[", {net_.automata()[ai].name}));
+  dead_vars_[ai] = var;
   defs_.push_back(f_.iff(var, dead_rhs(automaton_index)));
   return var;
 }
 
 smt::ExprId Encoder::idle_all(ChanId c) {
+  const auto ci = static_cast<std::size_t>(c);
+  if (idle_all_.at(ci) != smt::kNoExpr) return idle_all_[ci];
   std::vector<smt::ExprId> parts;
   for (ColorId d : typing_.of(c)) parts.push_back(idle(c, d));
-  return f_.and_(std::move(parts));
+  const smt::ExprId all = f_.and_(parts);
+  idle_all_[ci] = all;
+  return all;
 }
 
 smt::ExprId Encoder::block_of_emission(
@@ -96,38 +161,47 @@ smt::ExprId Encoder::block_of_emission(
   return block(prim.out.at(static_cast<std::size_t>(port)), color);
 }
 
+smt::ExprId Encoder::queue_block_rhs(PrimId q) {
+  const auto qi = static_cast<std::size_t>(q);
+  if (queue_block_[qi] != smt::kNoExpr) return queue_block_[qi];
+  const Primitive& p = net_.prim(q);
+  const ColorSet& stored = typing_.of(p.in[0]);
+  // full: Σ_d' #q.d' = capacity
+  std::vector<smt::ExprId> occs;
+  for (ColorId d2 : stored) occs.push_back(occ(q, d2));
+  const smt::ExprId full = f_.eq(f_.add(occs), capacity_expr(q));
+  const ColorSet& out_colors = typing_.of(p.out[0]);
+  smt::ExprId rhs = smt::kNoExpr;
+  if (p.fifo) {
+    // FIFO: blocked iff full and some stored packet (potentially at the
+    // head) is permanently stuck.
+    std::vector<smt::ExprId> some_stuck;
+    for (ColorId d2 : out_colors) {
+      some_stuck.push_back(f_.and_(
+          {f_.ge(occ(q, d2), f_.int_const(1)), block(p.out[0], d2)}));
+    }
+    rhs = f_.and_({full, f_.or_(some_stuck)});
+  } else {
+    // Bag ("stall & requeue"): blocked iff full and *every* stored packet
+    // is permanently stuck (any consumable packet eventually frees space).
+    std::vector<smt::ExprId> all_stuck;
+    for (ColorId d2 : out_colors) {
+      all_stuck.push_back(f_.or_(
+          {f_.eq(occ(q, d2), f_.int_const(0)), block(p.out[0], d2)}));
+    }
+    rhs = f_.and_({full, f_.and_(all_stuck)});
+  }
+  queue_block_[qi] = rhs;
+  return rhs;
+}
+
 smt::ExprId Encoder::block_rhs(ChanId c, ColorId d) {
   const xmas::Channel& ch = net_.channel(c);
   const Primitive& p = net_.prim(ch.target);
   const int port = ch.tgt_port;
   switch (p.kind) {
-    case PrimKind::Queue: {
-      const PrimId q = ch.target;
-      const ColorSet& stored = typing_.of(p.in[0]);
-      // full: Σ_d' #q.d' = capacity
-      std::vector<smt::ExprId> occs;
-      for (ColorId d2 : stored) occs.push_back(occ(q, d2));
-      const smt::ExprId full = f_.eq(f_.add(occs), capacity_expr(q));
-      const ColorSet& out_colors = typing_.of(p.out[0]);
-      if (p.fifo) {
-        // FIFO: blocked iff full and some stored packet (potentially at the
-        // head) is permanently stuck.
-        std::vector<smt::ExprId> some_stuck;
-        for (ColorId d2 : out_colors) {
-          some_stuck.push_back(f_.and_(
-              {f_.ge(occ(q, d2), f_.int_const(1)), block(p.out[0], d2)}));
-        }
-        return f_.and_({full, f_.or_(std::move(some_stuck))});
-      }
-      // Bag ("stall & requeue"): blocked iff full and *every* stored packet
-      // is permanently stuck (any consumable packet eventually frees space).
-      std::vector<smt::ExprId> all_stuck;
-      for (ColorId d2 : out_colors) {
-        all_stuck.push_back(f_.or_(
-            {f_.eq(occ(q, d2), f_.int_const(0)), block(p.out[0], d2)}));
-      }
-      return f_.and_({full, f_.and_(std::move(all_stuck))});
-    }
+    case PrimKind::Queue:
+      return queue_block_rhs(ch.target);
     case PrimKind::Sink:
       return f_.bool_const(!p.fair);  // fair sink never blocks; dead always
     case PrimKind::Function:
@@ -148,7 +222,7 @@ smt::ExprId Encoder::block_rhs(ChanId c, ColorId d) {
       for (ColorId d2 : typing_.of(data_in)) {
         parts.push_back(f_.or_({idle(data_in, d2), block(p.out[0], d2)}));
       }
-      return f_.and_(std::move(parts));
+      return f_.and_(parts);
     }
     case PrimKind::Switch: {
       const int out_port = p.route(d);
@@ -160,19 +234,10 @@ smt::ExprId Encoder::block_rhs(ChanId c, ColorId d) {
       // Fair arbitration: an input is permanently refused only if the
       // output is permanently blocked.
       return block(p.out[0], d);
-    case PrimKind::Automaton: {
-      const xmas::Automaton& a = net_.automaton_of(p);
-      bool some_guard = false;
-      for (const auto& t : a.transitions) {
-        if (t.guard(port, d)) {
-          some_guard = true;
-          break;
-        }
-      }
+    case PrimKind::Automaton:
       // Paper: block(i,d) = (∀t. ¬ε(i,d)) ∨ dead_A.
-      if (!some_guard) return f_.bool_const(true);
+      if (accepted_[pair(c, d)] == 0) return f_.bool_const(true);
       return dead(p.automaton);
-    }
     case PrimKind::Source:
       break;  // sources have no in-ports
   }
@@ -203,7 +268,7 @@ smt::ExprId Encoder::idle_rhs(ChanId c, ColorId d) {
       for (ColorId d0 : typing_.of(p.in[0])) {
         if (p.func(d0) == d) parts.push_back(idle(p.in[0], d0));
       }
-      return f_.and_(std::move(parts));
+      return f_.and_(parts);
     }
     case PrimKind::Fork: {
       // This output sees d iff the input offers it and the *other* output
@@ -223,28 +288,12 @@ smt::ExprId Encoder::idle_rhs(ChanId c, ColorId d) {
       for (ChanId in : p.in) {
         if (xmas::set_contains(typing_.of(in), d)) parts.push_back(idle(in, d));
       }
-      return f_.and_(std::move(parts));
+      return f_.and_(parts);
     }
-    case PrimKind::Automaton: {
-      const xmas::Automaton& a = net_.automaton_of(p);
+    case PrimKind::Automaton:
       // Paper: idle(o,d') = (∀t,i,d. ε(i,d) -> φ(i,d) ≠ (o,d')) ∨ dead_A.
-      bool some_producer = false;
-      for (const auto& t : a.transitions) {
-        for (int i = 0; i < a.num_in && !some_producer; ++i) {
-          for (ColorId d0 : typing_.of(p.in[static_cast<std::size_t>(i)])) {
-            if (!t.guard(i, d0)) continue;
-            auto em = t.transform(i, d0);
-            if (em.has_value() && em->first == port && em->second == d) {
-              some_producer = true;
-              break;
-            }
-          }
-        }
-        if (some_producer) break;
-      }
-      if (!some_producer) return f_.bool_const(true);
+      if (produced_[pair(c, d)] == 0) return f_.bool_const(true);
       return dead(p.automaton);
-    }
     case PrimKind::Sink:
       break;  // sinks have no out-ports
   }
@@ -255,29 +304,29 @@ smt::ExprId Encoder::dead_rhs(int automaton_index) {
   const xmas::Automaton& a =
       net_.automata().at(static_cast<std::size_t>(automaton_index));
   const Primitive& p = net_.prim(net_.automaton_prim(automaton_index));
+  const std::size_t base =
+      transition_base_[static_cast<std::size_t>(automaton_index)];
   std::vector<smt::ExprId> per_state;
   for (int s = 0; s < a.num_states(); ++s) {
     std::vector<smt::ExprId> all_transitions_dead;
-    for (const auto& t : a.transitions) {
-      if (t.from != s) continue;
+    for (std::size_t ti = 0; ti < a.transitions.size(); ++ti) {
+      if (a.transitions[ti].from != s) continue;
       // A transition is dead iff every packet that could trigger it either
       // never arrives (idle) or cannot be forwarded (block of φ).
       std::vector<smt::ExprId> parts;
-      for (int i = 0; i < a.num_in; ++i) {
-        const ChanId in = p.in[static_cast<std::size_t>(i)];
-        for (ColorId d : typing_.of(in)) {
-          if (!t.guard(i, d)) continue;
-          parts.push_back(f_.or_(
-              {block_of_emission(p, t.transform(i, d)), idle(in, d)}));
-        }
+      for (std::size_t k = firing_begin_[base + ti];
+           k < firing_begin_[base + ti + 1]; ++k) {
+        const Firing& fire = firings_[k];
+        parts.push_back(
+            f_.or_({block_of_emission(p, fire.em), idle(fire.in, fire.d)}));
       }
-      all_transitions_dead.push_back(f_.and_(std::move(parts)));
+      all_transitions_dead.push_back(f_.and_(parts));
     }
     per_state.push_back(
         f_.and_({f_.eq(state(automaton_index, s), f_.int_const(1)),
-                 f_.and_(std::move(all_transitions_dead))}));
+                 f_.and_(all_transitions_dead)}));
   }
-  return f_.or_(std::move(per_state));
+  return f_.or_(per_state);
 }
 
 Encoding Encoder::encode() {
@@ -325,7 +374,7 @@ Encoding Encoder::encode() {
     if (!s.fair) continue;
     std::vector<smt::ExprId> parts;
     for (ColorId d : s.source_colors) parts.push_back(block(s.out[0], d));
-    const smt::ExprId e = f_.or_(std::move(parts));
+    const smt::ExprId e = f_.or_(parts);
     enc.disjuncts.emplace_back("source_blocked:" + s.name, e);
     disjuncts.push_back(e);
   }
@@ -336,7 +385,7 @@ Encoding Encoder::encode() {
       parts.push_back(
           f_.and_({f_.ge(occ(qid, d), f_.int_const(1)), block(q.out[0], d)}));
     }
-    const smt::ExprId e = f_.or_(std::move(parts));
+    const smt::ExprId e = f_.or_(parts);
     enc.disjuncts.emplace_back("packet_stuck:" + q.name, e);
     disjuncts.push_back(e);
   }
@@ -345,7 +394,7 @@ Encoding Encoder::encode() {
     enc.disjuncts.emplace_back("dead:" + net_.automata()[ai].name, e);
     disjuncts.push_back(e);
   }
-  enc.deadlock = f_.or_(std::move(disjuncts));
+  enc.deadlock = f_.or_(disjuncts);
   enc.definitions = defs_;
   return enc;
 }

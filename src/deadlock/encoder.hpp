@@ -25,8 +25,8 @@
 // designs do.
 #pragma once
 
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/expr.hpp"
@@ -95,6 +95,8 @@ class Encoder {
   smt::ExprId block_rhs(ChanId c, ColorId d);
   smt::ExprId idle_rhs(ChanId c, ColorId d);
   smt::ExprId dead_rhs(int automaton_index);
+  /// A queue's block right-hand side: the same for every color.
+  smt::ExprId queue_block_rhs(xmas::PrimId q);
 
   /// The queue's capacity as an expression: the symbolic variable under
   /// EncoderOptions::symbolic_capacities, the baked-in constant otherwise.
@@ -109,20 +111,45 @@ class Encoder {
   smt::ExprId block_of_emission(const xmas::Primitive& prim,
                                 const std::optional<xmas::Emission>& em);
 
+  /// Dense index of the typed pair (c, d), d ∈ T(c): the key of every
+  /// per-(channel, color) table. Throws std::logic_error for an untyped
+  /// pair, which no well-formed network's equations reach.
+  [[nodiscard]] std::size_t pair(ChanId c, ColorId d) const;
+  /// Runs every automaton's guards and transforms once: records each
+  /// transition's firings and marks, per typed pair, the in-pairs some
+  /// guard accepts and the out-pairs some firing emits.
+  void derive_firings();
+  const std::string& chan_name(ChanId c);
+
   const xmas::Network& net_;
   const xmas::Typing& typing_;
   smt::ExprFactory& f_;
   EncoderOptions options_;
 
-  // Memoization keyed by (channel|queue|automaton, color|state). Block, idle
-  // and dead definitions are appended to defs_ on first creation; a key
-  // present in the map with a pending definition is fine because the
-  // variable already exists.
-  std::unordered_map<std::uint64_t, smt::ExprId> block_vars_;
-  std::unordered_map<std::uint64_t, smt::ExprId> idle_vars_;
-  std::unordered_map<std::uint64_t, smt::ExprId> occ_vars_;
-  std::unordered_map<std::uint64_t, smt::ExprId> state_vars_;
-  std::unordered_map<int, smt::ExprId> dead_vars_;
+  // Memoized ids, kNoExpr until created. Block, idle and dead definitions
+  // are appended to defs_ on first creation; the id is stored before the
+  // right-hand side is built, so a cycle back to it finds the variable.
+  std::vector<std::size_t> pair_base_;       // per channel, then the total
+  std::vector<smt::ExprId> block_vars_;      // per pair
+  std::vector<smt::ExprId> idle_vars_;       // per pair
+  std::vector<smt::ExprId> occ_vars_;        // per pair of the queue's in-channel
+  std::vector<smt::ExprId> idle_all_;        // per channel
+  std::vector<smt::ExprId> queue_block_;     // per primitive (queues only)
+  std::vector<std::size_t> state_base_;      // per automaton
+  std::vector<smt::ExprId> state_vars_;      // per (automaton, state)
+  std::vector<smt::ExprId> dead_vars_;       // per automaton
+  /// One (in-channel, color) a transition's guard accepts, and φ of it.
+  struct Firing {
+    ChanId in;
+    ColorId d;
+    std::optional<xmas::Emission> em;
+  };
+  std::vector<Firing> firings_;              // by transition, then (in-port, color)
+  std::vector<std::size_t> firing_begin_;    // per transition of every automaton, then the total
+  std::vector<std::size_t> transition_base_; // per automaton: its first transition
+  std::vector<char> accepted_;               // per pair
+  std::vector<char> produced_;               // per pair
+  std::vector<std::string> chan_names_;      // per channel, built on first use
   std::vector<smt::ExprId> defs_;
   bool encoded_ = false;
 };

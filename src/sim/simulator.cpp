@@ -181,6 +181,56 @@ std::uint32_t Successors::load(std::size_t index) const {
   return load_element(cur_.data(), index, sim_.width_);
 }
 
+std::size_t Successors::colour_index(ColorId d) const {
+  if (d < 0 || static_cast<std::size_t>(d) >= net_.colors().size()) {
+    throw std::out_of_range("sim::Successors: unknown colour " + std::to_string(d));
+  }
+  return static_cast<std::size_t>(d);
+}
+
+std::int32_t Successors::mapped(PrimId id, const Primitive& p, ColorId d) {
+  constexpr std::int32_t kUnknown = std::numeric_limits<std::int32_t>::min();
+  const std::size_t colors = net_.colors().size();
+  if (mapped_.empty()) mapped_.assign(net_.num_prims() * colors, kUnknown);
+  std::int32_t& m = mapped_[static_cast<std::size_t>(id) * colors + colour_index(d)];
+  if (m == kUnknown) m = p.kind == PrimKind::Switch ? p.route(d) : p.func(d);
+  return m;
+}
+
+Successors::FiringRange Successors::firings(int a, int state, int port,
+                                            ColorId d) {
+  const auto& automata = net_.automata();
+  const std::size_t colors = net_.colors().size();
+  if (firing_base_.empty()) {
+    std::size_t total = 0;
+    for (const xmas::Automaton& x : automata) {
+      firing_base_.push_back(total);
+      total += static_cast<std::size_t>(x.num_states()) *
+               static_cast<std::size_t>(x.num_in) * colors;
+    }
+    firing_index_.assign(total, FiringRange{});
+  }
+  const xmas::Automaton& aut = automata[static_cast<std::size_t>(a)];
+  if (state < 0 || state >= aut.num_states() || port < 0 || port >= aut.num_in) {
+    throw std::out_of_range("sim::Successors: bad automaton state or port on " + aut.name);
+  }
+  const std::size_t row = static_cast<std::size_t>(state) *
+                              static_cast<std::size_t>(aut.num_in) +
+                          static_cast<std::size_t>(port);
+  FiringRange& r = firing_index_[firing_base_[static_cast<std::size_t>(a)] +
+                                 row * colors + colour_index(d)];
+  if (r.count >= 0) return r;
+  const auto first = static_cast<std::uint32_t>(firings_.size());
+  for (const auto& t : aut.transitions) {
+    if (t.from != state || !t.guard(port, d)) continue;
+    const auto em = t.transform(port, d);
+    firings_.push_back(em.has_value() ? Firing{t.to, true, em->first, em->second}
+                                      : Firing{t.to, false, 0, xmas::kNoColor});
+  }
+  r = FiringRange{first, static_cast<std::int32_t>(firings_.size() - first)};
+  return r;
+}
+
 ColorId Successors::stored(int q, int pos) const {
   return static_cast<ColorId>(load(start_[static_cast<std::size_t>(q)] +
                                    static_cast<std::size_t>(pos)));
@@ -249,10 +299,10 @@ void Successors::accepts(ChanId c, ColorId d, int depth, Then k) {
       if (p.fair) k();
       return;
     case PrimKind::Function:
-      accepts(p.out[0], p.func(d), depth + 1, k);
+      accepts(p.out[0], mapped(ch.target, p, d), depth + 1, k);
       return;
     case PrimKind::Switch: {
-      const int out = p.route(d);
+      const int out = mapped(ch.target, p, d);
       if (out < 0 || static_cast<std::size_t>(out) >= p.out.size()) return;
       accepts(p.out[static_cast<std::size_t>(out)], d, depth + 1, k);
       return;
@@ -280,16 +330,16 @@ void Successors::accepts(ChanId c, ColorId d, int depth, Then k) {
       return;
     }
     case PrimKind::Automaton: {
-      const xmas::Automaton& a = net_.automaton_of(p);
       const auto cur = static_cast<int>(load(aut_start_ + static_cast<std::size_t>(p.automaton)));
-      for (const auto& t : a.transitions) {
-        if (t.from != cur || !t.guard(port, d)) continue;
-        fx_.moves.emplace_back(p.automaton, t.to);
-        const auto em = t.transform(port, d);
-        if (!em.has_value()) {
+      const FiringRange r = firings(p.automaton, cur, port, d);
+      for (std::int32_t i = 0; i < r.count; ++i) {
+        // By value: a nested expansion may grow firings_.
+        const Firing f = firings_[r.first + static_cast<std::uint32_t>(i)];
+        fx_.moves.emplace_back(p.automaton, f.to);
+        if (!f.emits) {
           k();
         } else {
-          accepts(p.out.at(static_cast<std::size_t>(em->first)), em->second,
+          accepts(p.out.at(static_cast<std::size_t>(f.port)), f.color,
                   depth + 1, k);
         }
         fx_.moves.pop_back();
@@ -332,13 +382,13 @@ void Successors::offers(ChanId c, int depth, OfferThen k) {
       return;
     }
     case PrimKind::Function: {
-      auto mapped = [&](ColorId o) { k(p.func(o)); };
-      offers(p.in[0], depth + 1, OfferThen(mapped));
+      auto image = [&](ColorId o) { k(mapped(ch.initiator, p, o)); };
+      offers(p.in[0], depth + 1, OfferThen(image));
       return;
     }
     case PrimKind::Switch: {
       auto routed = [&](ColorId o) {
-        if (p.route(o) == port) k(o);
+        if (mapped(ch.initiator, p, o) == port) k(o);
       };
       offers(p.in[0], depth + 1, OfferThen(routed));
       return;

@@ -28,7 +28,14 @@
 // non-owning callbacks, and builds each successor straight into a reused
 // buffer: no allocation per state or per event. Event labels (`src!c`,
 // `q>c`) are built on demand from (initiator, colour) by label().
-// Simulator::events() is a wrapper over the same enumerator.
+// Simulator::events() is a wrapper over the same enumerator. The
+// network's std::function parameters are called once per argument: an
+// enumerator memoises switch routes and function images per (primitive,
+// colour), and each automaton's firings per (state, in-port, colour) as
+// (target state, emission) lists in transition order, so the enumeration
+// order is the same as calling them afresh. A colour outside the network's
+// colour table that reaches a switch, function or automaton throws
+// std::out_of_range, as one pushed into a queue does.
 #pragma once
 
 #include <cstddef>
@@ -201,6 +208,25 @@ class Successors {
   /// and hands it to the callback.
   void emit();
   [[nodiscard]] std::uint32_t load(std::size_t index) const;
+  /// `p.route(d)` of a switch or `p.func(d)` of a function `id`, memoised.
+  std::int32_t mapped(xmas::PrimId id, const xmas::Primitive& p,
+                      xmas::ColorId d);
+  /// One transition automaton `a` can take in `state` consuming colour d
+  /// on in-port `port`: its target state and its emission, if any.
+  struct Firing {
+    int to = 0;
+    bool emits = false;
+    int port = 0;
+    xmas::ColorId color = xmas::kNoColor;
+  };
+  struct FiringRange {
+    std::uint32_t first = 0;
+    std::int32_t count = -1;  // -1: not computed yet
+  };
+  /// The firings of (a, state, port, d) in transition order, as a range
+  /// of firings_ (computed on first use).
+  FiringRange firings(int a, int state, int port, xmas::ColorId d);
+  [[nodiscard]] std::size_t colour_index(xmas::ColorId d) const;
 
   const Simulator& sim_;
   const xmas::Network& net_;
@@ -215,6 +241,11 @@ class Successors {
   xmas::ColorId color_ = xmas::kNoColor;
   Ref<void(const Step&)>* sink_ = nullptr;
   std::size_t emitted_ = 0;
+  // Memoised network parameters, allocated on first use.
+  std::vector<std::int32_t> mapped_;        // per (primitive, colour)
+  std::vector<std::size_t> firing_base_;    // per automaton
+  std::vector<FiringRange> firing_index_;   // per (automaton, state, port, colour)
+  std::vector<Firing> firings_;
   static constexpr int kMaxDepth = 64;
 };
 

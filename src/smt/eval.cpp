@@ -5,10 +5,10 @@
 namespace advocat::smt {
 
 bool eval_bool(const ExprFactory& f, const Model& m, ExprId e) {
-  const Node& n = f.node(e);
+  const Node n = f.node(e);
   switch (n.op) {
     case Op::BoolConst: return n.value != 0;
-    case Op::BoolVar: return m.bool_value(n.name);
+    case Op::BoolVar: return m.bool_value(std::string(n.name));
     case Op::Not: return !eval_bool(f, m, n.kids[0]);
     case Op::And:
       for (ExprId k : n.kids) {
@@ -31,10 +31,10 @@ bool eval_bool(const ExprFactory& f, const Model& m, ExprId e) {
 }
 
 std::int64_t eval_int(const ExprFactory& f, const Model& m, ExprId e) {
-  const Node& n = f.node(e);
+  const Node n = f.node(e);
   switch (n.op) {
     case Op::IntConst: return n.value;
-    case Op::IntVar: return m.int_value(n.name);
+    case Op::IntVar: return m.int_value(std::string(n.name));
     case Op::Add: {
       std::int64_t sum = 0;
       for (ExprId k : n.kids) sum += eval_int(f, m, k);

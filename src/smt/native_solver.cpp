@@ -23,11 +23,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -131,13 +132,20 @@ class NativeSolver final : public Solver {
     return sh_.num_bvars++;
   }
 
-  int int_var(ExprId id, const std::string& name) {
-    auto it = int_index_.find(id);
-    if (it != int_index_.end()) return it->second;
-    const int v = static_cast<int>(sh_.int_names.size());
-    sh_.int_names.push_back(name);
-    int_index_.emplace(id, v);
-    return v;
+  int int_var(ExprId id, std::string_view name) {
+    int& slot = memo_slot(int_index_, id);
+    if (slot < 0) {
+      slot = static_cast<int>(sh_.int_names.size());
+      sh_.int_names.emplace_back(name);
+    }
+    return slot;
+  }
+
+  // Per-ExprId memo entry (-1 until set), grown with the factory.
+  static int& memo_slot(std::vector<int>& memo, ExprId id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= memo.size()) memo.resize(i + 1, -1);
+    return memo[i];
   }
 
   void add_clause(std::vector<Lit> c) {
@@ -155,84 +163,118 @@ class NativeSolver final : public Solver {
     }
   }
 
-  void linearize(ExprId id, std::int64_t scale,
-                 std::map<int, std::int64_t>& coeffs, std::int64_t& constant) {
-    const Node& n = f_.node(id);
+  using Term = std::pair<int, std::int64_t>;
+  using Terms = std::vector<Term>;
+
+  // Appends scale·id to terms_ (one term per variable occurrence) and its
+  // constant part to `constant`.
+  void linearize(ExprId id, std::int64_t scale, std::int64_t& constant) {
+    const Node n = f_.node(id);
     switch (n.op) {
       case Op::IntConst: constant += scale * n.value; break;
-      case Op::IntVar: coeffs[int_var(id, n.name)] += scale; break;
+      case Op::IntVar: terms_.emplace_back(int_var(id, n.name), scale); break;
       case Op::Add:
-        for (ExprId k : n.kids) linearize(k, scale, coeffs, constant);
+        for (ExprId k : n.kids) linearize(k, scale, constant);
         break;
       case Op::MulConst:
-        linearize(n.kids[0], scale * n.value, coeffs, constant);
+        linearize(n.kids[0], scale * n.value, constant);
         break;
       default:
         throw std::logic_error("native solver: expected integer expression");
     }
   }
 
-  using Terms = std::vector<std::pair<int, std::int64_t>>;
-
-  static std::string form_key(char op, const Terms& terms,
-                              std::int64_t bound) {
-    std::string key(1, op);
-    for (const auto& [v, c] : terms) {
-      key += std::to_string(v) + "*" + std::to_string(c) + ",";
-    }
-    return key + std::to_string(bound);
+  static void negate(std::span<Term> terms) {
+    for (Term& t : terms) t.second = -t.second;
   }
 
-  static Terms negated(Terms terms) {
-    for (auto& t : terms) t.second = -t.second;
-    return terms;
+  // An atom's form: Σ terms ≤ bound (`is_eq` false) or Σ terms = bound.
+  static std::uint64_t form_hash(bool is_eq, std::span<const Term> terms,
+                                 std::int64_t bound) {
+    std::uint64_t h = (is_eq ? 0x51ull : 0x3cull) * 0x9e3779b97f4a7c15ull;
+    h = (h ^ static_cast<std::uint64_t>(bound)) * 0x100000001b3ull;
+    for (const auto& [v, c] : terms) {
+      h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+      h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ull;
+    }
+    return h ^ (h >> 29);
+  }
+
+  // The boolean var of a form translated before, or -1. A form is
+  // compared against its atom's row: an equality gate's row is that of
+  // its `≤` half, which has the gate's canonical terms and bound.
+  int find_form(std::uint64_t h, bool is_eq, std::span<const Term> terms,
+                std::int64_t bound) const {
+    auto [it, end] = atom_index_.equal_range(h);
+    for (; it != end; ++it) {
+      const Form& form = it->second;
+      const StaticRow& row = sh_.atoms[static_cast<std::size_t>(form.atom)].row;
+      if (form.is_eq == is_eq && row.bound == bound &&
+          std::ranges::equal(row.terms, terms)) {
+        return form.var;
+      }
+    }
+    return -1;
   }
 
   Lit translate_atom(const Node& n) {
-    std::map<int, std::int64_t> coeffs;
+    terms_.clear();
     std::int64_t constant = 0;
-    linearize(n.kids[0], 1, coeffs, constant);
-    linearize(n.kids[1], -1, coeffs, constant);
-    Terms terms;
-    for (const auto& [v, c] : coeffs) {
-      if (c != 0) terms.emplace_back(v, c);
+    linearize(n.kids[0], 1, constant);
+    linearize(n.kids[1], -1, constant);
+    // Canonical form: sorted by variable, one term each, no zeros.
+    std::sort(terms_.begin(), terms_.end(),
+              [](const Term& a, const Term& b) { return a.first < b.first; });
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < terms_.size();) {
+      Term t = terms_[i];
+      for (++i; i < terms_.size() && terms_[i].first == t.first; ++i) {
+        t.second += terms_[i].second;
+      }
+      if (t.second != 0) terms_[out++] = t;
     }
+    terms_.resize(out);
     std::int64_t bound = -constant;
-    if (n.op == Op::Le) return le_atom(std::move(terms), bound);
+    if (n.op == Op::Le) return le_atom(terms_, bound);
 
     // Σ c·x = b is a gate over the bound pair Σ ≤ b and −Σ ≤ −b, so no
     // disequality ever reaches the theory: a false gate just asks the
     // boolean search to refute one of the two bounds.
-    if (terms.empty()) return mk_lit(sh_.true_var, bound != 0);
+    if (terms_.empty()) return mk_lit(sh_.true_var, bound != 0);
     // Divisibility cut at translation time: Σ c·x = b with gcd(c) ∤ b has
     // no integer solution, so the equality is the constant false — no
     // search ever has to discover it.
     std::int64_t g = 0;
-    for (const auto& [v, c] : terms) g = std::gcd(g, c < 0 ? -c : c);
+    for (const auto& [v, c] : terms_) g = std::gcd(g, c < 0 ? -c : c);
     if (g > 1 && bound % g != 0) return mk_lit(sh_.true_var, true);
-    if (terms[0].second < 0) {  // canonical sign for dedup
-      terms = negated(std::move(terms));
+    if (terms_[0].second < 0) {  // canonical sign for dedup
+      negate(terms_);
       bound = -bound;
     }
-    std::string key = form_key('=', terms, bound);
-    const auto it = atom_index_.find(key);
-    if (it != atom_index_.end()) return mk_lit(it->second, false);
-    const Lit le = le_atom(terms, bound);
-    const Lit ge = le_atom(negated(terms), -bound);
+    const std::uint64_t h = form_hash(true, terms_, bound);
+    if (const int v = find_form(h, true, terms_, bound); v >= 0) {
+      return mk_lit(v, false);
+    }
+    const Lit le = le_atom(terms_, bound);
+    negate(terms_);
+    const Lit ge = le_atom(terms_, -bound);
     const Lit gate = mk_lit(new_bvar(), false);
     add_clause({neg(gate), le});
     add_clause({neg(gate), ge});
     add_clause({neg(le), neg(ge), gate});
-    atom_index_.emplace(std::move(key), var_of(gate));
+    atom_index_.emplace(
+        h, Form{sh_.atom_of_var[static_cast<std::size_t>(var_of(le))],
+                var_of(gate), true});
     return gate;
   }
 
   // The theory atom Σ terms ≤ bound, hash-consed by its exact form.
-  Lit le_atom(Terms terms, std::int64_t bound) {
+  Lit le_atom(std::span<const Term> terms, std::int64_t bound) {
     if (terms.empty()) return mk_lit(sh_.true_var, bound < 0);
-    std::string key = form_key('<', terms, bound);
-    const auto it = atom_index_.find(key);
-    if (it != atom_index_.end()) return mk_lit(it->second, false);
+    const std::uint64_t h = form_hash(false, terms, bound);
+    if (const int v = find_form(h, false, terms, bound); v >= 0) {
+      return mk_lit(v, false);
+    }
     const int v = new_bvar();
     const int ai = static_cast<int>(sh_.atoms.size());
     sh_.atom_of_var[static_cast<std::size_t>(v)] = ai;
@@ -245,17 +287,17 @@ class NativeSolver final : public Solver {
       sh_.atom_occ[static_cast<std::size_t>(iv)].push_back(ai);
     }
     Atom a;
-    a.negation = StaticRow{negated(terms), -bound - 1};  // ¬(Σ ≤ b)
-    a.row = StaticRow{std::move(terms), bound};
+    a.row = StaticRow{Terms(terms.begin(), terms.end()), bound};
+    a.negation = StaticRow{a.row.terms, -bound - 1};  // ¬(Σ ≤ b)
+    negate(a.negation.terms);
     sh_.atoms.push_back(std::move(a));
-    atom_index_.emplace(std::move(key), v);
+    atom_index_.emplace(h, Form{ai, v, false});
     return mk_lit(v, false);
   }
 
   Lit translate_bool(ExprId id) {
-    auto memo = lit_memo_.find(id);
-    if (memo != lit_memo_.end()) return memo->second;
-    const Node& n = f_.node(id);
+    if (const Lit memo = memo_slot(lit_memo_, id); memo >= 0) return memo;
+    const Node n = f_.node(id);
     Lit res = 0;
     switch (n.op) {
       case Op::BoolConst: res = mk_lit(sh_.true_var, n.value == 0); break;
@@ -318,7 +360,7 @@ class NativeSolver final : public Solver {
       default:
         throw std::logic_error("native solver: expected boolean expression");
     }
-    lit_memo_.emplace(id, res);
+    memo_slot(lit_memo_, id) = res;
     return res;
   }
 
@@ -327,9 +369,17 @@ class NativeSolver final : public Solver {
   // Translation state (persists across check() calls).
   std::vector<ExprId> roots_;
   std::vector<Lit> root_lits_;  // per translated root, aligned with roots_
-  std::unordered_map<ExprId, Lit> lit_memo_;
-  std::unordered_map<ExprId, int> int_index_;
-  std::unordered_map<std::string, int> atom_index_;
+  std::vector<Lit> lit_memo_;   // by ExprId, -1 until translated
+  std::vector<int> int_index_;  // by ExprId, -1 until numbered
+  // A translated atom form: the atom whose row holds its terms and bound,
+  // and the boolean var standing for it (the gate's, for an equality).
+  struct Form {
+    int atom = -1;
+    int var = -1;
+    bool is_eq = false;
+  };
+  std::unordered_multimap<std::uint64_t, Form> atom_index_;  // by form_hash
+  Terms terms_;  // translate_atom's linearization buffer
   bool trivially_unsat_ = false;
 
   // The encoded problem and the search context that persists learning

@@ -48,6 +48,7 @@ struct ProofLog::State {
   std::string atoms, clauses;  // `atom` lines; `in` lines incl. def units
   std::size_t num_atoms = 0, num_clauses = 0, num_units = 0;
   std::string trace;  // every committed record, each lemma certified
+  std::size_t splits = 0;  // `s` steps in `trace`
   bool unproven = false;  // `trace` holds an `unproven` lemma
   std::vector<std::vector<Lit>> context;  // the committed `ctx` records
   // The context model: empty after a failed certificate, which may have
@@ -101,6 +102,7 @@ struct Certifier {
   const Premises& p;
   Bounds& st;
   int steps_left = 20000;
+  std::size_t splits = 0;  // `s` steps written
 
   // Closes the branch whose last change is `seed`: a bound node (a split
   // cut), or -1 for the lemma's own rows.
@@ -136,6 +138,7 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
   const BigInt cut =
       st.at(best, false).val + tighten::floor_div(*best_width, BigInt(2));
   out << "s " << best << " " << cut.to_string() << "\n";
+  ++splits;
   const int node = 2 * best;  // + 1 for the upper bound
   const std::size_t mark = st.trail.size();
   st.set(best, true, cut);
@@ -152,10 +155,10 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
 // Certifies one lemma against the context model; returns the proof body
 // ("" on failure). A hint is written as the one Farkas step: multiplier i
 // weighs premise p<i>, the negation of lemma literal i. Without one, the
-// certifier tightens and bisects; the base bounds are restored on every
-// exit.
+// certifier tightens and bisects, adding its bisections to `splits`; the
+// base bounds are restored on every exit.
 std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec,
-                          tighten::Context& ctx) {
+                          tighten::Context& ctx, std::size_t& splits) {
   if (!rec.hint.empty()) {
     std::string f = "f " + std::to_string(rec.hint.size());
     for (std::size_t i = 0; i < rec.hint.size(); ++i) {
@@ -179,6 +182,7 @@ std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec,
   Certifier cert{p, ctx.base};
   std::ostringstream body;
   if (!cert.branch(-1, body, 0)) return "";
+  splits += cert.splits;
   return body.str();
 }
 
@@ -246,6 +250,7 @@ void ProofLog::State::extend_problem(const SharedProblem& sh) {
 void ProofLog::State::extend_trace(const SharedProblem& sh,
                                    const std::vector<ProofRecord>& records) {
   std::string text;
+  std::size_t new_splits = splits;
   bool new_unproven = unproven;
   std::vector<std::vector<Lit>> new_context;
   try {
@@ -270,7 +275,7 @@ void ProofLog::State::extend_trace(const SharedProblem& sh,
           break;
         case ProofRecord::Kind::kLemma: {
           put_clause(text, "lem", lits, n);
-          const std::string body = certify_lemma(sh, rec, *model);
+          const std::string body = certify_lemma(sh, rec, *model, new_splits);
           if (body.empty()) {
             text += "unproven\n";
             new_unproven = true;
@@ -294,6 +299,7 @@ void ProofLog::State::extend_trace(const SharedProblem& sh,
     throw;
   }
   trace += text;
+  splits = new_splits;
   unproven = new_unproven;
   context.insert(context.end(), std::make_move_iterator(new_context.begin()),
                  std::make_move_iterator(new_context.end()));
@@ -328,6 +334,7 @@ Certificate ProofLog::certificate(const SharedProblem& sh,
       for (const Lit l : assume_lits) put_clause(out, "assume", &l, 1);
       out += st.trace;
       out += "qed\n";
+      cert.splits = st.splits;
       cert.complete = !attached_mid_session && !st.unproven;
       cert.reason = attached_mid_session ? "proof sink attached mid-session"
                     : st.unproven        ? "uncertified theory lemma"
@@ -349,6 +356,7 @@ void FileProofSink::on_unsat_certificate(const Certificate& cert) {
   if (!cert.complete) ++incomplete_;
   total_bytes_ += cert.proof_bytes;
   total_ms_ += cert.proof_ms;
+  total_splits_ += cert.splits;
   std::ofstream out(prefix_ + std::to_string(count_) + ".proof");
   out << cert.text;
   out.close();

@@ -146,6 +146,8 @@ class FileProofSink : public ProofSink {
   [[nodiscard]] std::size_t failed() const { return failed_; }
   [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
   [[nodiscard]] double total_ms() const { return total_ms_; }
+  /// Sum of Certificate::splits over the certificates received.
+  [[nodiscard]] std::size_t total_splits() const { return total_splits_; }
 
  private:
   std::string prefix_;
@@ -154,6 +156,7 @@ class FileProofSink : public ProofSink {
   std::size_t failed_ = 0;
   std::size_t total_bytes_ = 0;
   double total_ms_ = 0.0;
+  std::size_t total_splits_ = 0;
 };
 
 /// Renders a literal in the certificate's DIMACS-signed form: variable v

@@ -34,7 +34,7 @@ inline ExprId row_expr(ExprFactory& f, const linalg::SparseRow& row,
     terms.push_back(f.mul_const(e.coeff.num().to_int64(), var_of(e.col)));
   }
   const ExprId lhs =
-      terms.empty() ? f.int_const(0) : f.add(std::move(terms));
+      terms.empty() ? f.int_const(0) : f.add(terms);
   const ExprId rhs = f.int_const(-row.constant().num().to_int64());
   return is_eq ? f.eq(lhs, rhs) : f.le(lhs, rhs);
 }

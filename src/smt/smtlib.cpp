@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <sstream>
+#include <string_view>
 
 namespace advocat::smt {
 
@@ -9,7 +10,7 @@ namespace {
 
 // SMT-LIB symbols may not contain most punctuation; wrap anything unusual
 // in |...| quoting.
-std::string symbol(const std::string& name) {
+std::string symbol(std::string_view name) {
   bool simple = !name.empty();
   for (char c : name) {
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
@@ -18,12 +19,12 @@ std::string symbol(const std::string& name) {
       break;
     }
   }
-  if (simple) return name;
-  return "|" + name + "|";
+  if (simple) return std::string(name);
+  return "|" + std::string(name) + "|";
 }
 
 void emit(const ExprFactory& f, ExprId id, std::ostream& os) {
-  const Node& n = f.node(id);
+  const Node n = f.node(id);
   auto emit_nary = [&](const char* op) {
     os << "(" << op;
     for (ExprId k : n.kids) {

@@ -115,6 +115,9 @@ struct Certificate {
   std::string reason;     ///< why complete is false ("" when complete)
   double proof_ms = 0.0;  ///< wall time spent certifying + serializing
   std::size_t proof_bytes = 0;  ///< text.size(), for BENCH_JSON tracking
+  /// Bisecting splits (`s` steps) in the certificate's trace: lemmas that
+  /// neither a Farkas hint nor tightening alone closed.
+  std::size_t splits = 0;
 };
 
 /// Receives one Certificate per Unsat check. Install with

@@ -156,14 +156,14 @@ class Z3Solver final : public Solver {
   z3::expr translate(ExprId id) {
     auto it = cache_.find(id);
     if (it != cache_.end()) return it->second;
-    const Node& n = factory_.node(id);
+    const Node n = factory_.node(id);
     auto kid = [&](std::size_t i) { return translate(n.kids[i]); };
     z3::expr result(ctx_);
     switch (n.op) {
       case Op::BoolConst: result = ctx_.bool_val(n.value != 0); break;
       case Op::IntConst: result = ctx_.int_val(static_cast<std::int64_t>(n.value)); break;
-      case Op::BoolVar: result = ctx_.bool_const(n.name.c_str()); break;
-      case Op::IntVar: result = ctx_.int_const(n.name.c_str()); break;
+      case Op::BoolVar: result = ctx_.bool_const(std::string(n.name).c_str()); break;
+      case Op::IntVar: result = ctx_.int_const(std::string(n.name).c_str()); break;
       case Op::Not: result = !kid(0); break;
       case Op::Implies: result = z3::implies(kid(0), kid(1)); break;
       case Op::Iff: result = kid(0) == kid(1); break;

@@ -18,7 +18,14 @@ ColorId ColorTable::intern(const ColorData& data) {
   auto it = index_.find(data);
   if (it != index_.end()) return it->second;
   const ColorId id = static_cast<ColorId>(colors_.size());
+  std::string name = data.type;
+  if (data.src >= 0 || data.dst >= 0) {
+    name += util::cat("(", static_cast<int>(data.src), "->",
+                      static_cast<int>(data.dst), ")");
+  }
+  if (data.tag >= 0) name += util::cat("#", static_cast<int>(data.tag));
   colors_.push_back(data);
+  names_.push_back(std::move(name));
   index_.emplace(data, id);
   return id;
 }
@@ -27,16 +34,6 @@ ColorId ColorTable::intern(const std::string& type, int src, int dst, int tag) {
   return intern(ColorData{type, static_cast<std::int16_t>(src),
                           static_cast<std::int16_t>(dst),
                           static_cast<std::int16_t>(tag)});
-}
-
-std::string ColorTable::name(ColorId id) const {
-  const ColorData& c = get(id);
-  std::string out = c.type;
-  if (c.src >= 0 || c.dst >= 0) {
-    out += util::cat("(", static_cast<int>(c.src), "->", static_cast<int>(c.dst), ")");
-  }
-  if (c.tag >= 0) out += util::cat("#", static_cast<int>(c.tag));
-  return out;
 }
 
 bool set_insert(ColorSet& set, ColorId id) {

@@ -39,14 +39,16 @@ class ColorTable {
   [[nodiscard]] const ColorData& get(ColorId id) const { return colors_.at(static_cast<std::size_t>(id)); }
   [[nodiscard]] std::size_t size() const { return colors_.size(); }
 
-  /// Rendering like "get(0->3)" or "token".
-  [[nodiscard]] std::string name(ColorId id) const;
+  /// Rendering like "get(0->3)" or "token", built once when interned. The
+  /// reference is invalidated by the next intern of a new color.
+  [[nodiscard]] const std::string& name(ColorId id) const { return names_.at(static_cast<std::size_t>(id)); }
 
  private:
   struct Hash {
     std::size_t operator()(const ColorData& c) const;
   };
   std::vector<ColorData> colors_;
+  std::vector<std::string> names_;
   std::unordered_map<ColorData, ColorId, Hash> index_;
 };
 

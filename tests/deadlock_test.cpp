@@ -3,11 +3,15 @@
 // available backend; the verdicts must agree.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "advocat/verifier.hpp"
 #include "automata/builder.hpp"
 #include "backend_fixture.hpp"
+#include "coherence/mi_abstract.hpp"
 #include "deadlock/checker.hpp"
 #include "deadlock/encoder.hpp"
+#include "invariants/generator.hpp"
 #include "smt/smtlib.hpp"
 #include "xmas/typing.hpp"
 
@@ -183,6 +187,94 @@ TEST_P(Deadlock, BagQueueBlocksOnlyWhenAllStoredStuck) {
     net.connect(sw, 1, net.add_sink("dead", /*fair=*/false), 0);
     // Either way a b-packet can wedge the single-slot queue.
     EXPECT_FALSE(run(net).deadlock_free()) << "fifo=" << fifo;
+  }
+}
+
+// Pins a whole session's expression table: the encoder's nodes, then the
+// invariants built into the same factory, as a Verifier constructs them.
+// Node ids, the variable order and the definitions feed every solver
+// counter, so a factory or encoder change must leave all of them as they
+// are. Everything is folded into one FNV-1a-64 hash per session.
+struct EncodingPin {
+  std::size_t nodes = 0;
+  std::size_t definitions = 0;
+  std::uint64_t variables = 0;
+  std::uint64_t table = 0;
+};
+
+EncodingPin pin_session(int k, int dir, bool symbolic) {
+  std::uint64_t h = 0;
+  auto reset = [&h] { h = 0xcbf29ce484222325ULL; };
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h = (h ^ (v & 0xffU)) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_text = [&](std::string_view s) {
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+    mix(0x0aU);
+  };
+  coh::MiAbstractConfig config;
+  config.width = k;
+  config.height = k;
+  config.directory_node = dir;
+  const coh::MiAbstractSystem sys = coh::build_mi_abstract(config);
+  const xmas::Typing typing = xmas::Typing::derive(sys.net);
+  smt::ExprFactory f;
+  Encoder encoder(sys.net, typing, f, {.symbolic_capacities = symbolic});
+  const Encoding enc = encoder.encode();
+  const std::vector<smt::ExprId> invariants =
+      inv::generate(sys.net, typing).to_smt(f);
+
+  EncodingPin pin;
+  pin.nodes = f.size();
+  pin.definitions = enc.definitions.size();
+  reset();
+  for (const auto& [name, is_bool] : f.variables()) {
+    mix_text(name);
+    mix(is_bool ? 1 : 0);
+  }
+  pin.variables = h;
+  reset();
+  for (std::size_t id = 0; id < f.size(); ++id) {
+    const auto& n = f.node(static_cast<smt::ExprId>(id));
+    mix(static_cast<std::uint64_t>(n.op));
+    mix(static_cast<std::uint64_t>(n.value));
+    mix_text(n.name);
+    mix(n.kids.size());
+    for (const smt::ExprId kid : n.kids) mix(static_cast<std::uint64_t>(kid));
+  }
+  for (const smt::ExprId e : enc.all_assertions()) mix(static_cast<std::uint64_t>(e));
+  for (const auto& [tag, e] : enc.disjuncts) {
+    mix_text(tag);
+    mix(static_cast<std::uint64_t>(e));
+  }
+  for (const smt::ExprId e : invariants) mix(static_cast<std::uint64_t>(e));
+  pin.table = h;
+  return pin;
+}
+
+TEST(DeadlockEncoding, SessionExpressionTablePinned) {
+  struct Case {
+    int k;
+    int dir;
+    bool symbolic;
+    EncodingPin want;
+  };
+  const Case cases[] = {
+      {2, 0, false, {682, 186, 0x3cf9aa4ec042e061ULL, 0xc13c77c9e24bb73fULL}},
+      {2, 0, true, {697, 186, 0x40efaad0a45e9721ULL, 0x39f42b95f8ed7f06ULL}},
+      {3, 4, false, {1898, 523, 0x6d3bc2db066c8df0ULL, 0x234f8beaf2855958ULL}},
+      {3, 4, true, {1945, 523, 0xb990f20862bed4f0ULL, 0xf3e308e1afcc7b37ULL}},
+  };
+  for (const Case& c : cases) {
+    const EncodingPin got = pin_session(c.k, c.dir, c.symbolic);
+    SCOPED_TRACE(::testing::Message() << c.k << "x" << c.k << " dir " << c.dir
+                                      << (c.symbolic ? " symbolic" : " plain"));
+    EXPECT_EQ(got.nodes, c.want.nodes);
+    EXPECT_EQ(got.definitions, c.want.definitions);
+    EXPECT_EQ(got.variables, c.want.variables);
+    EXPECT_EQ(got.table, c.want.table);
   }
 }
 

@@ -297,13 +297,16 @@ TEST(ProofCertificate, AssumptionRefutationCertified) {
 // x's bounds until its budget runs out, the violated-row scan finds the
 // crossed row, and the rationally feasible rows leave the asserted atoms
 // as the explanation (an integer conflict); on a wide one the leaf's
-// simplex refutes.
+// simplex refutes. The split counts pin how many of the certifier's
+// bisections the lemmas without a Farkas hint need (0 once tightening
+// alone crosses a bound).
 TEST(ProofCertificate, EqualityAndDisequalityCertified) {
   struct Case {
     const char* name;
     std::function<void(ExprFactory&, Solver&)> assert_all;
     std::uint64_t integer_conflicts;
     std::uint64_t leaves_refuted;
+    std::size_t splits;  // the certificate's bisecting splits
   };
   auto parity = [](std::int64_t w) {
     return [w](ExprFactory& f, Solver& s) {
@@ -317,9 +320,9 @@ TEST(ProofCertificate, EqualityAndDisequalityCertified) {
     };
   };
   const std::vector<Case> cases = {
-      {"parity W=20", parity(20), 1, 0},
-      {"parity W=200", parity(200), 1, 0},
-      {"parity W=2000", parity(2000), 0, 1},
+      {"parity W=20", parity(20), 1, 0, 0},
+      {"parity W=200", parity(200), 1, 0, 1},
+      {"parity W=2000", parity(2000), 0, 1, 7},
       {"seed 1881",
        [](ExprFactory& f, Solver& s) {
          // 2a − 3b − 3c = −150 ∧ −3a + 2b − 3c = −137, a, b, c ∈ [0, 60].
@@ -337,7 +340,7 @@ TEST(ProofCertificate, EqualityAndDisequalityCertified) {
            s.add(f.le(v, f.int_const(60)));
          }
        },
-       0, 1},
+       0, 1, 57},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -357,6 +360,8 @@ TEST(ProofCertificate, EqualityAndDisequalityCertified) {
     EXPECT_EQ(s->solve_stats().conflicts_interval_integer,
               c.integer_conflicts);
     EXPECT_EQ(s->solve_stats().leaves_refuted, c.leaves_refuted);
+    EXPECT_EQ(sink.certs[0].splits, count_lines(sink.certs[0].text, "s"));
+    EXPECT_EQ(sink.certs[0].splits, c.splits);
   }
 }
 
@@ -387,6 +392,7 @@ TEST(ProofCertificate, MeshSizingNeedsNoSearch) {
     const CheckResult r = check_proof_text(cert.text);
     EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
     EXPECT_EQ(count_lines(cert.text, "s"), 0u);
+    EXPECT_EQ(cert.splits, 0u);
     std::istringstream in(cert.text);
     std::string line, body, end;
     while (std::getline(in, line)) {

@@ -2,6 +2,9 @@
 // backends (native always; Z3 when compiled in — both must agree).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "backend_fixture.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
@@ -42,6 +45,86 @@ TEST(ExprFactory, ArithmeticFolding) {
   EXPECT_EQ(f.mul_const(2, f.mul_const(3, x)), f.mul_const(6, x));
   EXPECT_EQ(f.le(f.int_const(1), f.int_const(2)), f.bool_const(true));
   EXPECT_EQ(f.eq(f.int_const(1), f.int_const(2)), f.bool_const(false));
+}
+
+// Past 100K nodes the hash-cons table has grown many times: every id
+// keeps its node, and building any node again finds it.
+TEST(ExprFactory, IdsStableAndHitsAcrossTableGrowth) {
+  ExprFactory f;
+  std::vector<ExprId> vars;
+  std::vector<ExprId> built;
+  for (int i = 0; i < 25'000; ++i) {
+    vars.push_back(f.int_var("x" + std::to_string(i)));
+  }
+  for (int i = 0; i < 25'000; ++i) {
+    const ExprId x = vars[static_cast<std::size_t>(i)];
+    const ExprId y = vars[static_cast<std::size_t>((i * 7919) % 25'000)];
+    built.push_back(f.le(f.add({x, f.mul_const(3, y)}), f.int_const(1000 + i)));
+  }
+  ASSERT_GT(f.size(), 100'000u);
+  const std::size_t size = f.size();
+  const ExprId first = built.front();
+  const Node n = f.node(first);
+  EXPECT_EQ(n.op, Op::Le);
+  for (int i = 0; i < 25'000; ++i) {
+    const ExprId x = vars[static_cast<std::size_t>(i)];
+    const ExprId y = vars[static_cast<std::size_t>((i * 7919) % 25'000)];
+    EXPECT_EQ(f.le(f.add({f.mul_const(3, y), x}), f.int_const(1000 + i)),
+              built[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(f.int_var("x" + std::to_string(i)), x);
+  }
+  EXPECT_EQ(f.size(), size);  // every rebuild was a hit
+  EXPECT_EQ(f.node(first).kids.data(), n.kids.data());  // hits invalidate nothing
+  EXPECT_EQ(f.to_string(f.node(first).kids[1]), "1000");
+}
+
+// Cached constants are whatever id the constant got when first built, so
+// caching never reorders ids; constants outside the cache hash-cons too.
+TEST(ExprFactory, CachedConstantsKeepTheirFirstId) {
+  ExprFactory f;
+  const ExprId x = f.int_var("x");
+  const ExprId sum = f.add({x, f.int_const(5)});
+  const ExprId five = f.node(sum).kids[1];
+  EXPECT_EQ(five, x + 1);
+  EXPECT_EQ(f.int_const(5), five);
+  const ExprId big = f.int_const(1'000'000);
+  EXPECT_EQ(big, sum + 1);
+  EXPECT_EQ(f.int_const(1'000'000), big);
+  const ExprId no = f.bool_const(false);
+  EXPECT_EQ(no, big + 1);
+  EXPECT_EQ(f.and_({f.bool_var("p"), f.bool_const(false)}), no);
+  EXPECT_EQ(f.bool_const(true), no + 2);  // after p's node
+}
+
+TEST(ExprFactory, RedeclaringWithTheOtherSortThrows) {
+  ExprFactory f;
+  const ExprId p = f.bool_var("p");
+  const ExprId n = f.int_var("n");
+  EXPECT_THROW(f.int_var("p"), std::logic_error);
+  EXPECT_THROW(f.bool_var("n"), std::logic_error);
+  EXPECT_EQ(f.bool_var("p"), p);
+  EXPECT_EQ(f.int_var("n"), n);
+  EXPECT_EQ(f.variables().size(), 2u);
+}
+
+// Node's contract: a view stays valid until a node is created; a lookup
+// that finds its node (a hit, a redeclaration) leaves it valid.
+TEST(ExprFactory, NodeViewsSurviveLookups) {
+  ExprFactory f;
+  const ExprId p = f.bool_var("p");
+  const ExprId q = f.bool_var("q");
+  const ExprId both = f.and_({p, q});
+  const Node var = f.node(p);
+  const Node conj = f.node(both);
+  EXPECT_EQ(var.name, "p");
+  ASSERT_EQ(conj.kids.size(), 2u);
+  EXPECT_EQ(f.and_({q, p}), both);
+  EXPECT_EQ(f.bool_var("p"), p);
+  EXPECT_EQ(var.name, "p");
+  EXPECT_EQ(var.name.data(), f.node(p).name.data());
+  EXPECT_EQ(conj.kids.data(), f.node(both).kids.data());
+  EXPECT_EQ(conj.kids[0], p);
+  EXPECT_EQ(conj.kids[1], q);
 }
 
 TEST(Eval, MatchesExpectedSemantics) {
