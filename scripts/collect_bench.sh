@@ -32,8 +32,10 @@
 # root) and prints per-scenario and total old/new ratios, so the
 # cross-PR perf trajectory is visible directly in CI logs. It then lists
 # every sequential native fig4 cell (probe_threads 1) whose conflicts,
-# decisions or propagations differ from that trajectory: those counters
-# are deterministic, so a listed cell means the search itself changed.
+# decisions or propagations differ from that trajectory, or whose
+# theory_pivots or farkas_explanations do where both trajectories record
+# them: those counters are deterministic, so a listed cell means the
+# search or the simplex itself changed.
 # Both diffs are informational only — they never change the exit status
 # (timings on shared CI runners are too noisy to gate on, and a search
 # change may be intended).
@@ -210,6 +212,8 @@ PYEOF
 import json, sys
 
 COUNTERS = ("conflicts", "decisions", "propagations")
+# Compared where both trajectories record them (older ones may not).
+SIMPLEX = ("theory_pivots", "farkas_explanations")
 
 def cells(path):
     rows = {}
@@ -233,7 +237,8 @@ changed = 0
 print(f"collect_bench: sequential native fig4 counters vs {sys.argv[1]}:")
 for mesh, node in shared:
     o, n = old[(mesh, node)], new[(mesh, node)]
-    diffs = [f"{k} {o[k]} -> {n[k]}" for k in COUNTERS if o[k] != n[k]]
+    keys = COUNTERS + tuple(k for k in SIMPLEX if k in o and k in n)
+    diffs = [f"{k} {o[k]} -> {n[k]}" for k in keys if o[k] != n[k]]
     if diffs:
         changed += 1
         print(f"  {mesh}x{mesh} dir {node}: " + ", ".join(diffs))

@@ -98,6 +98,29 @@ grep -q '^  1 of 2 cells changed$' log \
 if grep -q 'dir 0:\|dir 2:' log; then
   fail "unchanged or parallel cell listed: $(cat log)"
 fi
+# A cell whose search counters hold but whose simplex pivots moved is
+# listed too; a trajectory without the simplex counters compares only the
+# search ones.
+pivots() {  # pivots <node> [theory_pivots]: none recorded when omitted
+  printf '{"bench":"fig4_queue_sizes","backend":"native","mesh":2,'
+  printf '"directory_node":%s,"conflicts":1,"decisions":2,' "$1"
+  if [ $# -gt 1 ]; then
+    printf '"theory_pivots":%s,"farkas_explanations":4,' "$2"
+  fi
+  printf '"propagations":3}\n'
+}
+{ pivots 0 5; pivots 1 6; pivots 2; } > BENCH_PR17.json
+{
+  echo '#!/bin/sh'
+  printf "echo 'BENCH_JSON %s'\n" "$(pivots 0 5)" "$(pivots 1 7)" \
+    "$(pivots 2 9)"
+} > build/bench/fig4_queue_sizes
+ADVOCAT_SMOKE='' BENCH_PR='' "$collect" build BENCH_PR18.json 2> log \
+  || fail "collection over the pivot stub failed: $(cat log)"
+grep -q '^  2x2 dir 1: theory_pivots 6 -> 7$' log \
+  || fail "cell with changed pivots not listed: $(cat log)"
+grep -q '^  1 of 3 cells changed$' log \
+  || fail "wrong changed-cell count with pivots: $(cat log)"
 cd ..
 
 # Smoke guard: a native fig4 cell reporting "conclusive":false fails a

@@ -10,10 +10,11 @@ std::size_t CsrTableau::add_row(int owner, const SparseRow& expr) {
   s.off = static_cast<std::uint32_t>(cols_.size());
   s.len = static_cast<std::uint32_t>(expr.entries().size());
   s.cap = s.len;
+  const auto r = static_cast<std::uint32_t>(spans_.size());
   cols_.reserve(cols_.size() + s.len);
   coeffs_.reserve(coeffs_.size() + s.len);
   for (const Entry& e : expr.entries()) {
-    count_col(e.col, 1);
+    link(e.col, r);
     cols_.push_back(e.col);
     coeffs_.push_back(e.coeff);
   }
@@ -36,10 +37,18 @@ const Rational* CsrTableau::find(std::size_t r, std::int32_t col) const {
   return coeffs_.data() + s.off + static_cast<std::size_t>(it - begin);
 }
 
-void CsrTableau::count_col(std::int32_t col, int delta) {
+void CsrTableau::link(std::int32_t col, std::uint32_t r) {
   const auto c = static_cast<std::size_t>(col);
-  if (c >= col_count_.size()) col_count_.resize(c + 1, 0);
-  col_count_[c] += delta;
+  if (c >= col_rows_.size()) col_rows_.resize(c + 1);
+  std::vector<std::uint32_t>& rows = col_rows_[c];
+  const std::size_t before = rows.capacity();
+  rows.insert(std::lower_bound(rows.begin(), rows.end(), r), r);
+  list_words_ += rows.capacity() - before;
+}
+
+void CsrTableau::unlink(std::int32_t col, std::uint32_t r) {
+  std::vector<std::uint32_t>& rows = col_rows_[static_cast<std::size_t>(col)];
+  rows.erase(std::lower_bound(rows.begin(), rows.end(), r));
 }
 
 SparseRow CsrTableau::to_sparse(std::size_t r) const {
@@ -52,9 +61,26 @@ SparseRow CsrTableau::to_sparse(std::size_t r) const {
   return SparseRow::from_sorted(std::move(entries));
 }
 
-void CsrTableau::write_row(Span& s, const std::vector<Entry>& entries) {
-  for (std::uint32_t i = 0; i < s.len; ++i) count_col(cols_[s.off + i], -1);
-  for (const Entry& e : entries) count_col(e.col, 1);
+void CsrTableau::write_row(std::size_t r, const std::vector<Entry>& entries) {
+  Span& s = spans_[r];
+  // Both column lists are sorted: one merge finds the columns the row
+  // gains and loses, and only their row lists change.
+  const auto row = static_cast<std::uint32_t>(r);
+  std::uint32_t oi = 0;
+  std::size_t ni = 0;
+  while (oi < s.len || ni < entries.size()) {
+    const std::int32_t old_col = oi < s.len ? cols_[s.off + oi] : 0;
+    if (ni == entries.size() || (oi < s.len && old_col < entries[ni].col)) {
+      unlink(old_col, row);
+      ++oi;
+    } else if (oi == s.len || entries[ni].col < old_col) {
+      link(entries[ni].col, row);
+      ++ni;
+    } else {
+      ++oi;
+      ++ni;
+    }
+  }
   if (entries.size() <= s.cap) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       cols_[s.off + i] = entries[i].col;
@@ -85,7 +111,7 @@ void CsrTableau::write_row(Span& s, const std::vector<Entry>& entries) {
 }
 
 void CsrTableau::replace_row(std::size_t r, const std::vector<Entry>& entries) {
-  write_row(spans_[r], entries);
+  write_row(r, entries);
   maybe_compact();
 }
 
@@ -171,15 +197,24 @@ std::string CsrTableau::audit() const {
   if (live_cap + wasted_ > cols_.size()) {
     return "csr: live capacity + waste exceeds pool";
   }
-  std::vector<std::int32_t> counts(col_count_.size(), 0);
-  for (const Span& s : spans_) {
+  std::vector<std::vector<std::uint32_t>> lists(col_rows_.size());
+  for (std::size_t r = 0; r < spans_.size(); ++r) {
+    const Span& s = spans_[r];
     for (std::uint32_t i = 0; i < s.len; ++i) {
       const auto c = static_cast<std::size_t>(cols_[s.off + i]);
-      if (c >= counts.size()) return "csr: column without a count";
-      ++counts[c];
+      if (c >= lists.size()) return "csr: column without a row list";
+      lists[c].push_back(static_cast<std::uint32_t>(r));
     }
   }
-  if (counts != col_count_) return "csr: column counts disagree with rows";
+  std::size_t words = 0;
+  for (std::size_t c = 0; c < col_rows_.size(); ++c) {
+    if (lists[c] != col_rows_[c]) {
+      return "csr column " + std::to_string(c) +
+             ": row list disagrees with the rows";
+    }
+    words += col_rows_[c].capacity();
+  }
+  if (words != list_words_) return "csr: row-list capacity miscounted";
   return {};
 }
 

@@ -1,12 +1,13 @@
 // Packed CSR-style storage for the simplex tableau.
 //
-// The Dutertre–de Moura pivot loops in simplex.cpp touch every tableau row
-// per update (binary-searching each row for the entering column), so the
-// row entries' memory layout dominates the solver's cache behaviour. A
-// vector-of-SparseRow layout scatters each row's entries behind two levels
+// A vector-of-SparseRow layout scatters each row's entries behind two levels
 // of indirection; this class stores every row's columns and coefficients in
 // two contiguous pools addressed by per-row {offset, length, capacity}
-// spans, so a full-tableau sweep walks memory forward.
+// spans. Alongside the rows it keeps, for every column, the ascending list
+// of rows that mention it, so the Dutertre–de Moura update and pivot loops
+// in simplex.cpp visit only the few rows holding a column instead of
+// sweeping the tableau. A row rewrite walks the old and new sorted columns
+// together and links or unlinks only the columns that changed.
 //
 // Rows are addressed by a stable index (the same index VarState::basic_row
 // uses). Rewriting a row with more entries than its span capacity relocates
@@ -20,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/sparse_row.hpp"
@@ -54,10 +57,17 @@ class CsrTableau {
   /// The stored coefficient of column `col` in row `r`, or null when
   /// absent; invalidated by any mutation of the tableau.
   [[nodiscard]] const Rational* find(std::size_t r, std::int32_t col) const;
+  /// The rows mentioning column `col`, ascending; invalidated by any
+  /// mutation of the tableau.
+  [[nodiscard]] std::span<const std::uint32_t> rows_with(
+      std::int32_t col) const {
+    const auto c = static_cast<std::size_t>(col);
+    if (c >= col_rows_.size()) return {};
+    return col_rows_[c];
+  }
   /// Number of rows mentioning column `col`.
   [[nodiscard]] std::int32_t col_count(std::int32_t col) const {
-    const auto c = static_cast<std::size_t>(col);
-    return c < col_count_.size() ? col_count_[c] : 0;
+    return static_cast<std::int32_t>(rows_with(col).size());
   }
 
   /// Copies row `r` out into SparseRow form (for the cold paths that reuse
@@ -78,10 +88,18 @@ class CsrTableau {
   /// Pool words currently wasted by relocated spans (audit/bench hook).
   [[nodiscard]] std::size_t wasted() const { return wasted_; }
   [[nodiscard]] std::size_t pool_size() const { return cols_.size(); }
+  /// Bytes held by the per-column row lists (their capacities plus one
+  /// list header per column).
+  [[nodiscard]] std::size_t list_bytes() const {
+    return list_words_ * sizeof(std::uint32_t) +
+           col_rows_.size() * sizeof(std::vector<std::uint32_t>);
+  }
 
   /// Structural self-check of the span bookkeeping (spans in bounds,
-  /// columns strictly increasing, no stored zeros, waste accounting).
-  /// Returns "" when consistent, else a description of the violation.
+  /// columns strictly increasing, no stored zeros, waste accounting) and
+  /// of the column lists (exactly the rows mentioning each column,
+  /// ascending). Returns "" when consistent, else a description of the
+  /// violation.
   [[nodiscard]] std::string audit() const;
 
  private:
@@ -91,13 +109,16 @@ class CsrTableau {
     std::uint32_t cap = 0;
   };
 
-  void write_row(Span& s, const std::vector<Entry>& entries);
+  void write_row(std::size_t r, const std::vector<Entry>& entries);
   void maybe_compact();
-  void count_col(std::int32_t col, int delta);
+  void link(std::int32_t col, std::uint32_t r);
+  void unlink(std::int32_t col, std::uint32_t r);
 
   std::vector<int> owners_;
   std::vector<Span> spans_;
-  std::vector<std::int32_t> col_count_;  // column -> rows mentioning it
+  // column -> the rows mentioning it, ascending
+  std::vector<std::vector<std::uint32_t>> col_rows_;
+  std::size_t list_words_ = 0;       // summed capacities of col_rows_
   std::vector<std::int32_t> cols_;   // all rows' columns, span-addressed
   std::vector<Rational> coeffs_;     // parallel coefficient pool
   std::size_t wasted_ = 0;           // words abandoned by span relocation

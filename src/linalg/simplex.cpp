@@ -106,10 +106,9 @@ bool Simplex::assert_lower(int x, const Rational& b, int tag) {
 
 void Simplex::update(int x, const Rational& v) {
   const Rational delta = v - vars_[static_cast<std::size_t>(x)].beta;
-  for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
-    if (const Rational* c = tab_.find(r, x)) {
-      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += *c * delta;
-    }
+  for (const std::uint32_t r : tab_.rows_with(x)) {
+    vars_[static_cast<std::size_t>(tab_.owner(r))].beta +=
+        *tab_.find(r, x) * delta;
   }
   vars_[static_cast<std::size_t>(x)].beta = v;
 }
@@ -127,15 +126,15 @@ void Simplex::pivot_and_update(int leave, int enter, const Rational& v) {
       (v - vars_[static_cast<std::size_t>(leave)].beta) / a;
   vars_[static_cast<std::size_t>(leave)].beta = v;
   vars_[static_cast<std::size_t>(enter)].beta += theta;
-  // One sweep finds the other rows mentioning `enter`: their values move
-  // now, and the row pivot below substitutes into exactly those rows.
+  // The other rows mentioning `enter`, ascending: their values move now,
+  // and the row pivot below substitutes into exactly those rows (it edits
+  // the column lists, so they are copied out first).
   pivot_rows_.clear();
-  for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
+  for (const std::uint32_t r : tab_.rows_with(enter)) {
     if (r == ri) continue;
-    if (const Rational* c = tab_.find(r, enter)) {
-      vars_[static_cast<std::size_t>(tab_.owner(r))].beta += *c * theta;
-      pivot_rows_.emplace_back(r, *c);
-    }
+    const Rational& c = *tab_.find(r, enter);
+    vars_[static_cast<std::size_t>(tab_.owner(r))].beta += c * theta;
+    pivot_rows_.emplace_back(r, c);
   }
 
   // Row pivot: from  leave = a·enter + rest  derive

@@ -33,6 +33,10 @@
 // sparse); after a fixed number of iterations in one check() the choice
 // falls back to Bland's rule (smallest index), so check() terminates on
 // every input without perturbation. The solver is fully deterministic.
+//
+// The tableau (csr_tableau.hpp) keeps the ascending list of rows that
+// mention each column, so moving a non-basic value and pivoting visit only
+// the rows holding that column, never the whole tableau.
 #pragma once
 
 #include <cstdint>
@@ -120,14 +124,15 @@ class Simplex {
   /// later retract_to()/check() recovers.
   void set_tick(std::function<void()> tick) { tick_ = std::move(tick); }
 
-  /// Inline bytes held by the tableau pools (CSR entries, variable states,
-  /// bound trail). Feeds the solver's memory ceiling; BigInt limbs that
-  /// spill to the heap are gauged separately (util::BigInt
-  /// heap_bytes_in_use), so the two add without double counting the
-  /// inline representation.
+  /// Inline bytes held by the tableau pools (CSR entries, column lists,
+  /// variable states, bound trail). Feeds the solver's memory ceiling;
+  /// BigInt heap records (header and limbs) are gauged separately
+  /// (util::BigInt heap_bytes_in_use), so the two add without double
+  /// counting the inline representation.
   [[nodiscard]] std::size_t pool_bytes() const {
     return tab_.pool_size() * (sizeof(std::int32_t) + sizeof(Rational)) +
-           vars_.size() * sizeof(VarState) + trail_.size() * sizeof(TrailEntry);
+           tab_.list_bytes() + vars_.size() * sizeof(VarState) +
+           trail_.size() * sizeof(TrailEntry);
   }
 
  private:
@@ -161,8 +166,9 @@ class Simplex {
   std::vector<VarState> vars_;
   // Tableau rows: x_owner(r) = row(r), where each row mentions non-basic
   // extended variables only (constants never occur — callers fold them into
-  // bounds). Stored in packed CSR form so the per-pivot full-tableau sweeps
-  // walk contiguous memory; VarState::basic_row indexes into it.
+  // bounds). Stored in packed CSR form with per-column row lists, so an
+  // update or pivot visits only the rows holding its column;
+  // VarState::basic_row indexes into it.
   CsrTableau tab_;
   std::vector<std::pair<std::int32_t, int>> col_index_;  // sorted col → var
   std::vector<TrailEntry> trail_;

@@ -118,10 +118,11 @@ std::string SparseRow::to_string(
     const bool neg = constant_.is_negative();
     Rational mag = neg ? -constant_ : constant_;
     if (first) {
-      out += (neg ? "-" : "") + mag.to_string();
+      if (neg) out += "-";
     } else {
-      out += (neg ? " - " : " + ") + mag.to_string();
+      out += neg ? " - " : " + ";
     }
+    out += mag.to_string();
   }
   out += " = 0";
   return out;

@@ -138,8 +138,10 @@ void Auditor::check_search(const SearchContext& ctx, const char* site) {
     if (hp >= 0 && (static_cast<std::size_t>(hp) >= ctx.heap_.size() ||
                     ctx.heap_[static_cast<std::size_t>(hp)] !=
                         static_cast<int>(v))) {
-      fail("heap-inverse", "v" + std::to_string(v) + ": heap_pos " +
-                               std::to_string(hp) + " does not point back");
+      std::string detail = "v";  // appended: GCC 12 -O3 -Wrestrict
+      detail += std::to_string(v) + ": heap_pos " + std::to_string(hp) +
+                " does not point back";
+      fail("heap-inverse", detail);
     }
     if (ctx.assign_[v] == kUndef && hp < 0) {
       fail("heap-membership",

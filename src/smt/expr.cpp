@@ -226,12 +226,15 @@ ExprId ExprFactory::mul_const(std::int64_t c, ExprId e) {
 
 std::string ExprFactory::to_string(ExprId id) const {
   const Node n = node(id);
-  auto join_kids = [&](const char* sep) {
-    std::string out;
+  // Appended piece by piece: GCC 12 at -O3 misreads `"(" + string` (an
+  // insert at the front) as an overlapping memcpy (-Wrestrict).
+  auto paren_kids = [&](const char* sep) {
+    std::string out = "(";
     for (std::size_t i = 0; i < n.kids.size(); ++i) {
       if (i) out += sep;
       out += to_string(n.kids[i]);
     }
+    out += ')';
     return out;
   };
   switch (n.op) {
@@ -239,14 +242,18 @@ std::string ExprFactory::to_string(ExprId id) const {
     case Op::IntConst: return std::to_string(n.value);
     case Op::BoolVar:
     case Op::IntVar: return std::string(n.name);
-    case Op::And: return "(" + join_kids(" & ") + ")";
-    case Op::Or: return "(" + join_kids(" | ") + ")";
-    case Op::Not: return "!" + to_string(n.kids[0]);
-    case Op::Implies: return "(" + join_kids(" -> ") + ")";
-    case Op::Iff: return "(" + join_kids(" <-> ") + ")";
-    case Op::Eq: return "(" + join_kids(" = ") + ")";
-    case Op::Le: return "(" + join_kids(" <= ") + ")";
-    case Op::Add: return "(" + join_kids(" + ") + ")";
+    case Op::And: return paren_kids(" & ");
+    case Op::Or: return paren_kids(" | ");
+    case Op::Not: {
+      std::string out = "!";
+      out += to_string(n.kids[0]);
+      return out;
+    }
+    case Op::Implies: return paren_kids(" -> ");
+    case Op::Iff: return paren_kids(" <-> ");
+    case Op::Eq: return paren_kids(" = ");
+    case Op::Le: return paren_kids(" <= ");
+    case Op::Add: return paren_kids(" + ");
     case Op::MulConst:
       return std::to_string(n.value) + "*" + to_string(n.kids[0]);
   }

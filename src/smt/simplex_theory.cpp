@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_set>
 
 #include "util/fault.hpp"
 
@@ -35,11 +36,23 @@ BigInt floor_big(const Rational& v) {
   return q;
 }
 
+// Hash of a row's canonical form (leading coefficient made positive),
+// computed from its terms.
+std::uint64_t form_hash(const theory::Row& row) {
+  const bool negated = row.terms.front().second < 0;
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (const auto& [v, c] : row.terms) {
+    h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+    h = (h ^ static_cast<std::uint64_t>(negated ? -c : c)) * 0x100000001b3ull;
+  }
+  return h ^ (h >> 29);
+}
+
 }  // namespace
 
 SimplexTheory::SlackRef SimplexTheory::slack_for(const theory::Row& row) {
   // Hot path: rows are stable immutable atom members, so re-activation
-  // across checks resolves by pointer with no string traffic.
+  // across checks resolves by pointer.
   const auto it = row_slack_.find(&row);
   if (it != row_slack_.end()) return it->second;
   const SlackRef ref = intern_slack(row);
@@ -52,20 +65,35 @@ SimplexTheory::SlackRef SimplexTheory::intern_slack(const theory::Row& row) {
   // mirrored bounds on the canonical slack, so an equality's ≤/≥ pair and
   // every re-activation share one tableau row.
   const bool negated = row.terms.front().second < 0;
-  std::string key;
-  for (const auto& [v, c] : row.terms) {
-    key += std::to_string(v) + "*" + std::to_string(negated ? -c : c) + ",";
-  }
-  auto it = slack_index_.find(key);
-  if (it != slack_index_.end()) return {it->second.var, negated};
+  const std::uint64_t h = form_hash(row);
+  if (const int v = find_slack(h, row); v >= 0) return {v, negated};
   std::vector<std::pair<std::int32_t, std::int64_t>> terms;
   terms.reserve(row.terms.size());
   for (const auto& [v, c] : row.terms) {
     terms.emplace_back(static_cast<std::int32_t>(v), negated ? -c : c);
   }
-  const SlackRef ref{spx_.add_slack(terms), false};
-  slack_index_.emplace(std::move(key), ref);
-  return {ref.var, negated};
+  const int var = spx_.add_slack(terms);
+  slack_index_.emplace(h, Form{&row, var});
+  return {var, negated};
+}
+
+int SimplexTheory::find_slack(std::uint64_t h, const theory::Row& row) const {
+  // Two rows have the same canonical form when their terms agree up to
+  // each row's own sign.
+  const bool negated = row.terms.front().second < 0;
+  auto [it, end] = slack_index_.equal_range(h);
+  for (; it != end; ++it) {
+    const theory::Row& form = *it->second.row;
+    const bool flip = negated != (form.terms.front().second < 0);
+    if (std::ranges::equal(form.terms, row.terms,
+                           [flip](const auto& a, const auto& b) {
+                             return a.first == b.first &&
+                                    a.second == (flip ? -b.second : b.second);
+                           })) {
+      return it->second.var;
+    }
+  }
+  return -1;
 }
 
 bool SimplexTheory::assert_row(const theory::Row& row, int tag) {
@@ -174,37 +202,32 @@ SimplexTheory::Verdict SimplexTheory::branch(const std::vector<int>& int_vars,
 }
 
 std::string SimplexTheory::audit() const {
-  // Canonical-sign uniqueness: every canonical form owns exactly one
-  // slack, every cached slack is canonical (never stored negated), and
-  // slack ids are valid tableau variables.
-  std::unordered_map<int, const std::string*> owner_of;
-  for (const auto& [key, ref] : slack_index_) {
-    if (ref.negated) {
-      return "slack_index_[" + key + "]: stored negated (non-canonical)";
+  // Canonical-form uniqueness: every canonical form owns exactly one
+  // slack (no two index entries share a form or a slack), each entry sits
+  // under its form's hash, and slack ids are valid tableau variables.
+  std::unordered_set<int> owned;
+  for (const auto& [h, form] : slack_index_) {
+    const auto bad = [&form](const char* why) {
+      return "slack var " + std::to_string(form.var) + why;
+    };
+    if (form.var < 0 || static_cast<std::size_t>(form.var) >= spx_.num_vars()) {
+      return bad(": out of range");
     }
-    if (ref.var < 0 || static_cast<std::size_t>(ref.var) >= spx_.num_vars()) {
-      return "slack_index_[" + key + "]: slack var " +
-             std::to_string(ref.var) + " out of range";
+    if (form_hash(*form.row) != h) return bad(": filed under a stale hash");
+    if (find_slack(h, *form.row) != form.var) {
+      return bad(": its canonical form owns another slack");
     }
-    const auto [it, fresh] = owner_of.emplace(ref.var, &key);
-    if (!fresh) {
-      return "slack var " + std::to_string(ref.var) +
-             " owned by two canonical forms: " + *it->second + " and " + key;
+    if (!owned.insert(form.var).second) {
+      return bad(": owned by two canonical forms");
     }
   }
   // The by-pointer row cache must agree with the canonical index.
   for (const auto& [row, ref] : row_slack_) {
-    const bool negated = row->terms.front().second < 0;
-    std::string key;
-    for (const auto& [v, c] : row->terms) {
-      key += std::to_string(v) + "*" + std::to_string(negated ? -c : c) + ",";
-    }
-    const auto it = slack_index_.find(key);
-    if (it == slack_index_.end()) {
-      return "row_slack_ entry with no canonical form: " + key;
-    }
-    if (it->second.var != ref.var || ref.negated != negated) {
-      return "row_slack_ entry disagrees with canonical index: " + key;
+    const int var = find_slack(form_hash(*row), *row);
+    if (var != ref.var || ref.negated != (row->terms.front().second < 0)) {
+      return "row_slack_ entry for slack var " + std::to_string(ref.var) +
+             (var < 0 ? ": no canonical form"
+                      : ": disagrees with the canonical index");
     }
   }
   return spx_.audit();

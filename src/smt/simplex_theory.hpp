@@ -102,8 +102,17 @@ class SimplexTheory {
     bool negated = false;
   };
 
+  // A canonical form's slack: `row` is the first row interned with that
+  // form (rows are immutable atom members that outlive the theory).
+  struct Form {
+    const theory::Row* row = nullptr;
+    int var = -1;
+  };
+
   SlackRef slack_for(const theory::Row& row);
   SlackRef intern_slack(const theory::Row& row);
+  // The slack of the canonical form of `row` (form hash `h`), or -1.
+  [[nodiscard]] int find_slack(std::uint64_t h, const theory::Row& row) const;
   // Shared body of check()/check_integer(): integer completion when
   // `int_vars` is non-null; every cut it asserts is retracted before it
   // returns.
@@ -116,11 +125,11 @@ class SimplexTheory {
 
   linalg::Simplex spx_;
   // Two-level interning: by row identity (rows are stable, immutable atom
-  // members — re-activation across checks is the hot case and stays
-  // string-free), then by canonical form (distinct Row objects with the
+  // members — re-activation across checks is the hot case), then by
+  // canonical form, hashed from the terms (distinct Row objects with the
   // same form, e.g. the ≤/≥ halves of an equality, share one slack).
   std::unordered_map<const theory::Row*, SlackRef> row_slack_;
-  std::unordered_map<std::string, SlackRef> slack_index_;
+  std::unordered_multimap<std::uint64_t, Form> slack_index_;
   std::vector<int> crossing_;
   std::uint64_t explanations_ = 0;
   std::uint64_t branch_budget_ = 0;  // per-check node budget (see .cpp)

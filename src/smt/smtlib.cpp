@@ -19,8 +19,11 @@ std::string symbol(std::string_view name) {
       break;
     }
   }
-  if (simple) return std::string(name);
-  return "|" + std::string(name) + "|";
+  std::string out;
+  if (!simple) out += '|';
+  out += name;
+  if (!simple) out += '|';
+  return out;
 }
 
 void emit(const ExprFactory& f, ExprId id, std::ostream& os) {

@@ -27,28 +27,20 @@ void Rational::normalize() {
   }
 }
 
-Rational Rational::operator-() const {
-  Rational r = *this;
-  r.num_ = -r.num_;
-  return r;
-}
-
-// Integer operands (denominator 1 — nearly every coefficient of a
-// network-flow tableau) skip the cross products and the gcd: an integer
-// result is already canonical.
-Rational Rational::operator+(const Rational& rhs) const {
-  if (is_integer() && rhs.is_integer()) return Rational(num_ + rhs.num_);
+Rational Rational::add_fraction(const Rational& rhs) const {
   return Rational(num_ * rhs.den_ + rhs.num_ * den_, den_ * rhs.den_);
 }
 
-Rational Rational::operator-(const Rational& rhs) const {
-  if (is_integer() && rhs.is_integer()) return Rational(num_ - rhs.num_);
+Rational Rational::sub_fraction(const Rational& rhs) const {
   return Rational(num_ * rhs.den_ - rhs.num_ * den_, den_ * rhs.den_);
 }
 
-Rational Rational::operator*(const Rational& rhs) const {
-  if (is_integer() && rhs.is_integer()) return Rational(num_ * rhs.num_);
+Rational Rational::mul_fraction(const Rational& rhs) const {
   return Rational(num_ * rhs.num_, den_ * rhs.den_);
+}
+
+std::strong_ordering Rational::compare_fraction(const Rational& rhs) const {
+  return (num_ * rhs.den_) <=> (rhs.num_ * den_);
 }
 
 Rational Rational::operator/(const Rational& rhs) const {
@@ -59,11 +51,6 @@ Rational Rational::operator/(const Rational& rhs) const {
 Rational Rational::reciprocal() const {
   if (is_zero()) throw std::domain_error("Rational: reciprocal of zero");
   return Rational(den_, num_);
-}
-
-std::strong_ordering Rational::operator<=>(const Rational& rhs) const {
-  if (is_integer() && rhs.is_integer()) return num_ <=> rhs.num_;
-  return (num_ * rhs.den_) <=> (rhs.num_ * den_);
 }
 
 std::string Rational::to_string() const {

@@ -3,6 +3,11 @@
 // Invariant: denominator > 0 and gcd(|num|, den) == 1 at all times (the
 // constructor and every arithmetic operator re-normalize), so equality is
 // structural.
+//
+// Integer operands (denominator 1 — nearly every coefficient of a
+// network-flow tableau) take inline paths for + − × <=> that skip the cross
+// products and the gcd: an integer result is already canonical. The
+// fraction paths live in rational.cpp.
 #pragma once
 
 #include <compare>
@@ -28,10 +33,23 @@ class Rational {
   [[nodiscard]] bool is_integer() const { return den_.is_one(); }
   [[nodiscard]] bool is_one() const { return num_.is_one() && den_.is_one(); }
 
-  Rational operator-() const;
-  Rational operator+(const Rational& rhs) const;
-  Rational operator-(const Rational& rhs) const;
-  Rational operator*(const Rational& rhs) const;
+  Rational operator-() const {
+    Rational r = *this;
+    r.num_ = -r.num_;
+    return r;
+  }
+  Rational operator+(const Rational& rhs) const {
+    if (is_integer() && rhs.is_integer()) return Rational(num_ + rhs.num_);
+    return add_fraction(rhs);
+  }
+  Rational operator-(const Rational& rhs) const {
+    if (is_integer() && rhs.is_integer()) return Rational(num_ - rhs.num_);
+    return sub_fraction(rhs);
+  }
+  Rational operator*(const Rational& rhs) const {
+    if (is_integer() && rhs.is_integer()) return Rational(num_ * rhs.num_);
+    return mul_fraction(rhs);
+  }
   /// Throws std::domain_error on division by zero.
   Rational operator/(const Rational& rhs) const;
   [[nodiscard]] Rational reciprocal() const;
@@ -42,7 +60,10 @@ class Rational {
   Rational& operator/=(const Rational& rhs) { return *this = *this / rhs; }
 
   bool operator==(const Rational& rhs) const = default;
-  std::strong_ordering operator<=>(const Rational& rhs) const;
+  std::strong_ordering operator<=>(const Rational& rhs) const {
+    if (is_integer() && rhs.is_integer()) return num_ <=> rhs.num_;
+    return compare_fraction(rhs);
+  }
 
   /// "3", "-3", or "3/4".
   [[nodiscard]] std::string to_string() const;
@@ -53,9 +74,16 @@ class Rational {
 
  private:
   void normalize();
+  [[nodiscard]] Rational add_fraction(const Rational& rhs) const;
+  [[nodiscard]] Rational sub_fraction(const Rational& rhs) const;
+  [[nodiscard]] Rational mul_fraction(const Rational& rhs) const;
+  [[nodiscard]] std::strong_ordering compare_fraction(
+      const Rational& rhs) const;
 
   BigInt num_;
   BigInt den_;  // always > 0
 };
+
+static_assert(sizeof(Rational) == 32, "Rational is two two-word BigInts");
 
 }  // namespace advocat::util

@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <iterator>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bigint.hpp"
 
@@ -225,6 +228,190 @@ TEST(BigInt, BoundaryPromoteDemoteRoundTrip) {
   EXPECT_EQ(over / BigInt(-1), min);
   EXPECT_EQ(min.abs(), over);
   EXPECT_EQ(BigInt::gcd(min, min), over) << "gcd is the (positive) 2^63";
+}
+
+// ---- two-word layout ------------------------------------------------------
+//
+// A BigInt is one int64 plus one owning pointer to a heap record, and the
+// form stays canonical through every operator, copy, move and assignment.
+
+static_assert(sizeof(BigInt) == 16);
+
+// By value: a cached static would hold heap bytes the gauge tests count.
+BigInt two_pow_63() { return BigInt::from_string("9223372036854775808"); }
+
+TEST(BigIntLayout, RoundTripsAtTheBoundary) {
+  const struct {
+    const char* text;
+    bool small;
+  } cases[] = {
+      {"-9223372036854775808", true},   // INT64_MIN
+      {"-9223372036854775809", false},  // INT64_MIN - 1
+      {"9223372036854775806", true},    // INT64_MAX - 1
+      {"9223372036854775807", true},    // INT64_MAX
+      {"9223372036854775808", false},   // INT64_MAX + 1 == 2^63
+      {"-9223372036854775807", true},   // -INT64_MAX
+  };
+  for (const auto& c : cases) {
+    const BigInt v = BigInt::from_string(c.text);
+    EXPECT_EQ(v.to_string(), c.text);
+    EXPECT_EQ(v.fits_int64(), c.small) << c.text;
+    const BigInt copy = v;
+    BigInt moved_into = BigInt(v);
+    EXPECT_EQ(copy, v) << c.text;
+    EXPECT_EQ(moved_into, v) << c.text;
+    EXPECT_EQ(BigInt::from_string(v.to_string()), v) << c.text;
+    EXPECT_EQ(-(-v), v) << c.text;
+  }
+  EXPECT_EQ(BigInt(INT64_MIN).to_int64(), INT64_MIN);
+  EXPECT_EQ(BigInt(INT64_MAX).to_int64(), INT64_MAX);
+  EXPECT_THROW((void)two_pow_63().to_int64(), std::overflow_error);
+  EXPECT_EQ(BigInt(INT64_MAX) + BigInt(1), two_pow_63());
+  EXPECT_EQ(BigInt(INT64_MIN) - BigInt(1) + BigInt(1), BigInt(INT64_MIN));
+}
+
+TEST(BigIntLayout, EveryOperatorDemotesAndPromotes) {
+  const std::uint64_t start = BigInt::heap_bytes_in_use();
+  {
+    const BigInt big = two_pow_63();                      // heap
+    const BigInt bigger = big * BigInt(2);                // 2^64, heap
+    EXPECT_FALSE(bigger.fits_int64());
+    // heap -> small
+    EXPECT_TRUE((big + BigInt(-1)).fits_int64());         // INT64_MAX
+    EXPECT_EQ(big + BigInt(-1), BigInt(INT64_MAX));
+    EXPECT_TRUE((big - BigInt(1)).fits_int64());
+    EXPECT_TRUE((big * BigInt(-1)).fits_int64());         // INT64_MIN
+    EXPECT_EQ(big * BigInt(-1), BigInt(INT64_MIN));
+    EXPECT_TRUE((big * BigInt(0)).fits_int64());
+    EXPECT_TRUE((bigger / BigInt(4)).fits_int64());       // 2^62
+    EXPECT_EQ(bigger / BigInt(4), BigInt(std::int64_t{1} << 62));
+    EXPECT_TRUE((bigger % BigInt(7)).fits_int64());       // 2^64 mod 7 == 2
+    EXPECT_EQ(bigger % BigInt(7), BigInt(2));
+    EXPECT_TRUE((bigger - bigger).fits_int64());
+    EXPECT_TRUE((bigger - bigger).is_zero());
+    // small -> heap
+    EXPECT_FALSE((BigInt(INT64_MAX) + BigInt(1)).fits_int64());
+    EXPECT_FALSE((BigInt(INT64_MIN) - BigInt(1)).fits_int64());
+    EXPECT_FALSE((BigInt(INT64_MIN) * BigInt(-1)).fits_int64());
+    EXPECT_FALSE((BigInt(INT64_MIN) / BigInt(-1)).fits_int64());
+    EXPECT_EQ(BigInt(INT64_MIN) % BigInt(-1), BigInt(0));
+    EXPECT_FALSE((-BigInt(INT64_MIN)).fits_int64());
+
+    // The compound assignments, both directions.
+    BigInt a = BigInt(INT64_MAX);
+    a += BigInt(1);
+    EXPECT_FALSE(a.fits_int64());
+    a += BigInt(-1);
+    EXPECT_TRUE(a.fits_int64());
+    EXPECT_EQ(a, BigInt(INT64_MAX));
+    a -= BigInt(-1);
+    EXPECT_FALSE(a.fits_int64());
+    a -= BigInt(1);
+    EXPECT_TRUE(a.fits_int64());
+    a = BigInt(INT64_MIN);
+    a *= BigInt(-1);
+    EXPECT_FALSE(a.fits_int64());
+    a *= BigInt(-1);
+    EXPECT_TRUE(a.fits_int64());
+    EXPECT_EQ(a, BigInt(INT64_MIN));
+    a /= BigInt(-1);
+    EXPECT_FALSE(a.fits_int64());
+    a /= BigInt(2);
+    EXPECT_TRUE(a.fits_int64());
+    EXPECT_EQ(a, BigInt(std::int64_t{1} << 62));
+
+    // Copy and move assignment, every pairing of the two forms.
+    BigInt c = BigInt(5);
+    c = big;                              // small <- heap (copy)
+    EXPECT_EQ(c, big);
+    c = BigInt(7);                        // heap <- small (move)
+    EXPECT_TRUE(c.fits_int64());
+    EXPECT_EQ(c, BigInt(7));
+    c = bigger;                           // small <- heap (copy)
+    c = big;                              // heap <- heap (copy)
+    EXPECT_EQ(c, big);
+    const BigInt seven(7);
+    c = seven;                            // heap <- small (copy)
+    EXPECT_TRUE(c.fits_int64());
+    EXPECT_EQ(c, seven);
+    c = BigInt(bigger);                   // small <- heap (move)
+    EXPECT_EQ(c, bigger);
+    c = BigInt(big);                      // heap <- heap (move)
+    EXPECT_EQ(c, big);
+    EXPECT_NE(c, bigger);
+    EXPECT_NE(c, BigInt(0));
+  }
+  EXPECT_EQ(BigInt::heap_bytes_in_use(), start);
+}
+
+TEST(BigIntLayout, MovedFromValueIsReusable) {
+  const std::uint64_t start = BigInt::heap_bytes_in_use();
+  {
+    BigInt heap = two_pow_63() * BigInt(3);
+    const BigInt taken = std::move(heap);
+    EXPECT_EQ(taken, two_pow_63() * BigInt(3));
+    // NOLINTBEGIN(bugprone-use-after-move) the moved-from state is the
+    // subject under test.
+    heap = BigInt(11);
+    EXPECT_EQ(heap + BigInt(1), BigInt(12));
+    heap = taken;
+    EXPECT_EQ(heap, taken);
+    BigInt small = BigInt(-4);
+    BigInt other = std::move(small);
+    small = two_pow_63();
+    small += BigInt(-1);
+    EXPECT_EQ(small, BigInt(INT64_MAX));
+    EXPECT_EQ(other, BigInt(-4));
+    BigInt self = two_pow_63();
+    BigInt& alias = self;
+    self = std::move(alias);
+    EXPECT_EQ(self, two_pow_63()) << "self-move keeps the value";
+    self = alias;
+    EXPECT_EQ(self, two_pow_63()) << "self-copy keeps the value";
+    // NOLINTEND(bugprone-use-after-move)
+  }
+  EXPECT_EQ(BigInt::heap_bytes_in_use(), start);
+}
+
+TEST(BigIntLayout, HeapGaugeCountsTheWholeRecord) {
+  const std::uint64_t start = BigInt::heap_bytes_in_use();
+  {
+    const BigInt big = two_pow_63();  // two limbs
+    const std::uint64_t one = BigInt::heap_bytes_in_use() - start;
+    // The record's header (sign and sizes) is counted with its limbs.
+    EXPECT_GT(one, 2 * sizeof(std::uint32_t));
+    const BigInt copy = big;
+    const std::uint64_t two = BigInt::heap_bytes_in_use() - start;
+    EXPECT_GT(two - one, 2 * sizeof(std::uint32_t));
+    const BigInt demoted = big + BigInt(-1);  // written on the heap, freed
+    EXPECT_TRUE(demoted.fits_int64());
+    EXPECT_EQ(BigInt::heap_bytes_in_use() - start, two);
+  }
+  EXPECT_EQ(BigInt::heap_bytes_in_use(), start);
+}
+
+TEST(BigIntLayout, HeapGaugeReturnsAfterMixedCopiesAndMoves) {
+  const std::uint64_t start = BigInt::heap_bytes_in_use();
+  {
+    std::vector<BigInt> values;
+    BigInt acc = two_pow_63();
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(acc);                // copy
+      values.push_back(BigInt(i));          // small
+      acc = acc * BigInt(3) - BigInt(i);    // grows on the heap
+      if (i % 3 == 0) {
+        BigInt moved = std::move(values[values.size() / 2]);  // move
+        values.push_back(std::move(moved));
+      }
+    }
+    EXPECT_GT(BigInt::heap_bytes_in_use(), start);
+    std::vector<BigInt> copies = values;
+    std::swap(copies[1], copies[copies.size() - 1]);
+    values.erase(values.begin(), values.begin() + 20);
+    copies = std::move(values);
+    for (BigInt& v : copies) v = v / BigInt(INT64_MAX);
+  }
+  EXPECT_EQ(BigInt::heap_bytes_in_use(), start);
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "linalg/csr_tableau.hpp"
 #include "linalg/eliminator.hpp"
 #include "linalg/simplex.hpp"
 #include "linalg/sparse_row.hpp"
@@ -66,7 +68,9 @@ TEST(SparseRow, NormalizeIntegerForcesPositiveLead) {
 
 TEST(SparseRow, ToStringRendering) {
   const SparseRow r = row_of({{0, 1}, {1, -2}}, 3);
-  const auto name = [](std::int32_t c) { return "x" + std::to_string(c); };
+  const auto name = [](std::int32_t c) {
+    return std::string("x").append(std::to_string(c));
+  };
   EXPECT_EQ(r.to_string(name), "x0 - 2*x1 + 3 = 0");
 }
 
@@ -247,7 +251,9 @@ TEST(Eliminator, RingTiesBreakToLowestColumn) {
     std::vector<std::string> out;
     for (const SparseRow& r : rows) {
       out.push_back(r.to_string(
-          [](std::int32_t c) { return "x" + std::to_string(c); }));
+          [](std::int32_t c) {
+            return std::string("x").append(std::to_string(c));
+          }));
     }
     return out;
   };
@@ -499,6 +505,98 @@ TEST_P(SimplexProperty, VerdictsAreCertified) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
+
+// The column lists: after every add, rewrite and pivot merge each column
+// lists exactly the rows holding it, ascending, and audit() agrees.
+TEST(CsrTableau, ColumnListsFollowEveryRowRewrite) {
+  CsrTableau t;
+  const auto rows = [&](std::int32_t col) {
+    const auto span = t.rows_with(col);
+    return std::vector<std::uint32_t>(span.begin(), span.end());
+  };
+  using Rows = std::vector<std::uint32_t>;
+  t.add_row(10, form_of({{0, 1}, {2, 3}}));
+  t.add_row(11, form_of({{1, 1}, {2, -1}}));
+  t.add_row(12, form_of({{0, 2}, {1, 1}}));
+  EXPECT_EQ(rows(0), (Rows{0, 2}));
+  EXPECT_EQ(rows(1), (Rows{1, 2}));
+  EXPECT_EQ(rows(2), (Rows{0, 1}));
+  EXPECT_TRUE(rows(9).empty()) << "a column past the lists holds no rows";
+  EXPECT_EQ(t.col_count(2), 2);
+  EXPECT_EQ(t.audit(), "");
+
+  // Row 0 drops column 0, keeps 2 and gains 4 (and outgrows its span).
+  t.replace_row(0, form_of({{2, 1}, {3, 1}, {4, 5}}).entries());
+  EXPECT_EQ(rows(0), (Rows{2}));
+  EXPECT_EQ(rows(3), (Rows{0}));
+  EXPECT_EQ(rows(4), (Rows{0}));
+  EXPECT_EQ(t.audit(), "");
+
+  // Substitute column 1 := x5 - x2 into row 2 (the pivot merge): column 1
+  // leaves the row, 5 joins it, and 2 joins it in ascending place.
+  t.pivot_merge(2, 1, Rational(1), form_of({{2, -1}, {5, 1}}));
+  EXPECT_EQ(rows(1), (Rows{1}));
+  EXPECT_EQ(rows(2), (Rows{0, 1, 2}));
+  EXPECT_EQ(rows(5), (Rows{2}));
+  EXPECT_EQ(t.audit(), "");
+
+  // Shrinking rewrites reuse the span; an emptied row leaves every list.
+  t.replace_row(1, {});
+  EXPECT_EQ(rows(1), (Rows{}));
+  EXPECT_EQ(rows(2), (Rows{0, 2}));
+  EXPECT_EQ(t.audit(), "");
+}
+
+// A seeded sequence of slack definitions, bound asserts, checks and
+// retractions on one small Simplex, with the deep audit (the tableau's
+// row identities and its column lists) clean after every call.
+class SimplexAuditedSequence : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexAuditedSequence, AuditCleanAfterEveryCall) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  std::uniform_int_distribution<int> coeff(-4, 4);
+  std::uniform_int_distribution<int> bound(-8, 8);
+  constexpr int kCols = 7;
+  Simplex s;
+  std::vector<int> vars;
+  for (int c = 0; c < kCols; ++c) vars.push_back(s.var(c));
+  std::vector<std::size_t> marks;
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (int step = 0; step < 300; ++step) {
+    const unsigned op = static_cast<unsigned>(rng() % 10);
+    if (op < 2) {
+      std::vector<std::pair<std::int32_t, std::int64_t>> terms;
+      for (int c = 0; c < kCols; ++c) {
+        const int a = (rng() % 2 == 0) ? coeff(rng) : 0;
+        if (a != 0) terms.emplace_back(c, a);
+      }
+      if (terms.empty()) terms.emplace_back(static_cast<int>(rng() % kCols), 1);
+      vars.push_back(s.add_slack(terms));
+    } else if (op < 6) {
+      const int x = vars[rng() % vars.size()];
+      const Rational b(bound(rng));
+      if (rng() % 2 == 0) (void)s.assert_upper(x, b, step);
+      else (void)s.assert_lower(x, b, step);
+    } else if (op < 8) {
+      if (s.check()) ++feasible;
+      else ++infeasible;
+    } else if (op == 8) {
+      marks.push_back(s.mark());
+    } else if (!marks.empty()) {
+      s.retract_to(marks.back());
+      marks.pop_back();
+    } else {
+      s.retract_to(0);
+    }
+    ASSERT_EQ(s.audit(), "") << "after step " << step << " (op " << op << ")";
+  }
+  EXPECT_GT(feasible + infeasible, 0u);
+  EXPECT_GT(s.stats().pivots, 0u) << "the sequence must exercise pivots";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimplexAuditedSequence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 }  // namespace
 }  // namespace advocat::linalg

@@ -497,7 +497,8 @@ TEST(ProofMutation, PerturbedFarkasMultiplierRejected) {
   ASSERT_NE(sp, std::string::npos);
   sp = text.find(' ', sp + 1);               // after <ref>
   ASSERT_NE(sp, std::string::npos);
-  text.insert(sp + 1, "7");  // 1 -> 71, or any num -> 7num
+  // 1 -> 71, or any num -> 7num
+  text.insert(text.begin() + static_cast<std::ptrdiff_t>(sp + 1), '7');
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.reason, "lemma-invalid-farkas") << r.detail;
@@ -513,7 +514,7 @@ TEST(ProofMutation, SwappedLiteralRejected) {
   if (text[lit] == '-') {
     text.erase(lit, 1);
   } else {
-    text.insert(lit, "-");
+    text.insert(text.begin() + static_cast<std::ptrdiff_t>(lit), '-');
   }
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);
@@ -575,7 +576,7 @@ TEST(ProofMutation, UnderivedContextLiteralRejected) {
   if (text[lit] == '-') {
     text.erase(lit, 1);
   } else {
-    text.insert(lit, "-");
+    text.insert(text.begin() + static_cast<std::ptrdiff_t>(lit), '-');
   }
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);

@@ -47,6 +47,38 @@ TEST(Rational, ToString) {
   EXPECT_EQ(Rational(BigInt(8), BigInt(4)).to_string(), "2");
 }
 
+static_assert(sizeof(Rational) == 32);
+
+// The inline integer paths (+ − × <=>) and the out-of-line fraction paths
+// agree, also on numerators beyond int64 and on mixed operands.
+TEST(Rational, IntegerPathsAgreeWithFractionArithmetic) {
+  const BigInt big = BigInt(INT64_MAX) + BigInt(1);
+  const Rational values[] = {
+      Rational(0),          Rational(1),
+      Rational(-7),         Rational(INT64_MAX),
+      Rational(INT64_MIN),  Rational(big),
+      Rational(-big * big), Rational(BigInt(-3), BigInt(4)),
+      Rational(big, BigInt(3)),
+  };
+  // The cross-product formulas, through the normalizing constructor.
+  const auto add = [](const Rational& a, const Rational& b) {
+    return Rational(a.num() * b.den() + b.num() * a.den(), a.den() * b.den());
+  };
+  const auto mul = [](const Rational& a, const Rational& b) {
+    return Rational(a.num() * b.num(), a.den() * b.den());
+  };
+  for (const Rational& a : values) {
+    for (const Rational& b : values) {
+      EXPECT_EQ(a + b, add(a, b)) << a.to_string() << " + " << b.to_string();
+      EXPECT_EQ(a - b, add(a, -b)) << a.to_string() << " - " << b.to_string();
+      EXPECT_EQ(a * b, mul(a, b)) << a.to_string() << " * " << b.to_string();
+      EXPECT_EQ(a < b, a.num() * b.den() < b.num() * a.den())
+          << a.to_string() << " < " << b.to_string();
+      EXPECT_EQ(a == b, a.num() == b.num() && a.den() == b.den());
+    }
+  }
+}
+
 // Field axioms on random values.
 class RationalProperty : public ::testing::TestWithParam<int> {};
 

@@ -314,7 +314,8 @@ TEST(Simulator, ManyColoursPackWide) {
   Network net;
   xmas::ColorSet colours;
   for (int i = 0; i < 300; ++i) {
-    colours.push_back(net.colors().intern("c" + std::to_string(i)));
+    colours.push_back(
+        net.colors().intern(std::string("c").append(std::to_string(i))));
   }
   const PrimId src = net.add_source("src", colours);
   const PrimId q = net.add_queue("q", 1);

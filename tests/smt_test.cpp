@@ -54,7 +54,7 @@ TEST(ExprFactory, IdsStableAndHitsAcrossTableGrowth) {
   std::vector<ExprId> vars;
   std::vector<ExprId> built;
   for (int i = 0; i < 25'000; ++i) {
-    vars.push_back(f.int_var("x" + std::to_string(i)));
+    vars.push_back(f.int_var(std::string("x").append(std::to_string(i))));
   }
   for (int i = 0; i < 25'000; ++i) {
     const ExprId x = vars[static_cast<std::size_t>(i)];
@@ -71,7 +71,7 @@ TEST(ExprFactory, IdsStableAndHitsAcrossTableGrowth) {
     const ExprId y = vars[static_cast<std::size_t>((i * 7919) % 25'000)];
     EXPECT_EQ(f.le(f.add({f.mul_const(3, y), x}), f.int_const(1000 + i)),
               built[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(f.int_var("x" + std::to_string(i)), x);
+    EXPECT_EQ(f.int_var(std::string("x").append(std::to_string(i))), x);
   }
   EXPECT_EQ(f.size(), size);  // every rebuild was a hit
   EXPECT_EQ(f.node(first).kids.data(), n.kids.data());  // hits invalidate nothing
@@ -294,7 +294,7 @@ TEST_P(SolverRoundTrip, ModelSatisfiesAssertions) {
   std::vector<ExprId> assertions;
   std::vector<ExprId> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(f.int_var("v" + std::to_string(i)));
+    vars.push_back(f.int_var(std::string("v").append(std::to_string(i))));
     assertions.push_back(f.le(f.int_const(0), vars.back()));
     assertions.push_back(f.le(vars.back(), f.int_const(i + 1)));
   }

@@ -66,7 +66,7 @@ Network random_network(std::mt19937_64& rng, bool* all_sources_fair) {
     const std::size_t at = which(rng) % open.size();
     auto [prim, port] = open[at];
     open.erase(open.begin() + static_cast<std::ptrdiff_t>(at));
-    const std::string name = "p" + std::to_string(id++);
+    const std::string name = std::string("p").append(std::to_string(id++));
     switch (pick(rng)) {
       case 0: {
         const PrimId q = net.add_queue(name, static_cast<std::size_t>(qcap(rng)),
@@ -135,7 +135,9 @@ Network random_network(std::mt19937_64& rng, bool* all_sources_fair) {
         net.add_queue("tq" + std::to_string(k), static_cast<std::size_t>(qcap(rng)));
     net.connect(prim, port, q, 0);
     const bool fair = which(rng) < 85;  // some dead sinks => some deadlocks
-    net.connect(q, 0, net.add_sink("t" + std::to_string(k), fair), 0);
+    net.connect(
+        q, 0, net.add_sink(std::string("t").append(std::to_string(k)), fair),
+        0);
     ++k;
   }
   return net;

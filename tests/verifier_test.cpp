@@ -305,7 +305,8 @@ TEST_P(QueueSizing, ShapeChangingFactoryIsRejected) {
     // One pipeline stage per unit of capacity; every queue has capacity 1,
     // and the tail sink is dead below capacity 3, fair at and above it.
     for (std::size_t i = 0; i < cap; ++i) {
-      const xmas::PrimId q = net.add_queue("q" + std::to_string(i), 1);
+      const xmas::PrimId q =
+          net.add_queue(std::string("q").append(std::to_string(i)), 1);
       net.connect(prev, out, q, 0);
       prev = q;
       out = 0;
