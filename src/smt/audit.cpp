@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "smt/search_context.hpp"
@@ -51,7 +52,7 @@ void Auditor::check_search(const SearchContext& ctx, const char* site) {
   for (std::size_t i = 0; i < ctx.levels_.size(); ++i) {
     const SearchContext::LevelMark& m = ctx.levels_[i];
     if (m.trail < prev_trail || m.trail > nt || m.rows > ctx.active_rows_.size() ||
-        m.undo > ctx.undo_.size() || m.blog > ctx.blog_.size()) {
+        m.blog > ctx.blog_.size()) {
       fail("level-marks", "level " + std::to_string(i + 1) +
                               ": mark out of range or non-monotone");
     }
@@ -384,6 +385,43 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
                                      std::to_string(ctx.hi_[v]));
       }
     }
+    // The bound log is the bounds' undo log: each bound is the value its
+    // node's latest entry set, or ∓∞ when the node has none, and a node's
+    // chain runs back in time.
+    if (ctx.bhead_.size() != 2 * ctx.lo_.size()) {
+      fail("bound-log-chain", std::to_string(ctx.bhead_.size()) +
+                                  " bound nodes vs " +
+                                  std::to_string(ctx.lo_.size()) +
+                                  " int vars");
+    }
+    for (std::size_t node = 0; node < ctx.bhead_.size(); ++node) {
+      const bool is_hi = (node & 1) != 0;
+      const std::int64_t bound = (is_hi ? ctx.hi_ : ctx.lo_)[node >> 1];
+      const int head = ctx.bhead_[node];
+      const auto bad = [&](const std::string& why) {
+        fail("bound-log-chain", "int var " + std::to_string(node >> 1) +
+                                    (is_hi ? " hi " : " lo ") +
+                                    std::to_string(bound) + ": " + why);
+      };
+      if (head >= static_cast<int>(ctx.blog_.size())) {
+        bad("head entry " + std::to_string(head) + " past the log");
+      }
+      const std::int64_t implied =
+          head >= 0 ? ctx.blog_[static_cast<std::size_t>(head)].val
+          : is_hi   ? std::numeric_limits<std::int64_t>::max()
+                    : std::numeric_limits<std::int64_t>::min();
+      if (bound != implied) {
+        bad("the log implies " + std::to_string(implied));
+      }
+      for (int e = head; e >= 0;
+           e = ctx.blog_[static_cast<std::size_t>(e)].prev) {
+        const SearchContext::BoundLog& le =
+            ctx.blog_[static_cast<std::size_t>(e)];
+        if (le.node != static_cast<int>(node) || le.prev >= e) {
+          bad("entry " + std::to_string(e) + " is misfiled in the chain");
+        }
+      }
+    }
     // Conflict analysis is a cancellation point too (explaining an
     // entailed literal polls bump_ops); its scratch must not outlive it.
     for (std::size_t v = 0; v < ctx.seen_.size(); ++v) {
@@ -394,8 +432,8 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
   }
 
   // The exact simplex layer audits itself (basis partition, row
-  // identities, slack canonicity); its invariants hold at every site —
-  // the deadline poll throws before any tableau mutation.
+  // identities, one slack per linear form); its invariants hold at every
+  // site — the deadline poll throws before any tableau mutation.
   const std::string spx = ctx.stx_.audit();
   if (!spx.empty()) fail("simplex", spx);
 }

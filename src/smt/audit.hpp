@@ -20,10 +20,12 @@
 //    counters), the exactly-once two-watched-literal invariant, reason
 //    validity for every implied trail literal, active-row/occurrence
 //    agreement, interval-bound sanity, and the exact simplex layer's own
-//    audit (basis partition, row identities, slack-interning canonicity).
+//    audit (basis partition, row identities, no slack shared by two
+//    linear forms).
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
-// every integer interval and clear conflict-analysis scratch; a check
+// every integer interval, every bound equal to what its bound-log chain
+// implies, and clear conflict-analysis scratch; a check
 // boundary reached through a Timeout is *not* settled (the exception can
 // unwind between an interval crossing and its explanation, or inside
 // analysis) and skips those checks.
@@ -54,7 +56,8 @@ class Auditor {
   static void check_search(const SearchContext& ctx, const char* site);
   /// Full pass: check_search plus arena, watches, reasons, rows, bounds,
   /// and the simplex layer. `bounds_settled` additionally requires lo ≤ hi
-  /// everywhere and no analysis `seen_` flag set.
+  /// everywhere, bounds that agree with the bound log, and no analysis
+  /// `seen_` flag set.
   static void check_deep(const SearchContext& ctx, const char* site,
                          bool bounds_settled);
 };

@@ -165,6 +165,26 @@ class NativeSolver final : public Solver {
 
   using Term = std::pair<int, std::int64_t>;
   using Terms = std::vector<Term>;
+  // Hash of a linear form's terms (form_index_ keys).
+  struct TermsHash {
+    std::size_t operator()(const Terms& terms) const {
+      std::uint64_t h = 0x9e3779b97f4a7c15ull;
+      for (const auto& [v, c] : terms) {
+        h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+        h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ull;
+      }
+      return h ^ (h >> 29);
+    }
+  };
+
+  // An atom translated on a form: Σ form ≤ bound (negated: −Σ form ≤
+  // bound), or the equality gate Σ form = bound, and its boolean var.
+  struct FormAtom {
+    std::int64_t bound;
+    bool negated;
+    bool is_eq;
+    int var;
+  };
 
   // Appends scale·id to terms_ (one term per variable occurrence) and its
   // constant part to `constant`.
@@ -188,30 +208,26 @@ class NativeSolver final : public Solver {
     for (Term& t : terms) t.second = -t.second;
   }
 
-  // An atom's form: Σ terms ≤ bound (`is_eq` false) or Σ terms = bound.
-  static std::uint64_t form_hash(bool is_eq, std::span<const Term> terms,
-                                 std::int64_t bound) {
-    std::uint64_t h = (is_eq ? 0x51ull : 0x3cull) * 0x9e3779b97f4a7c15ull;
-    h = (h ^ static_cast<std::uint64_t>(bound)) * 0x100000001b3ull;
-    for (const auto& [v, c] : terms) {
-      h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
-      h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ull;
-    }
-    return h ^ (h >> 29);
+  // The id of the sign-canonical linear form of `terms` (leading
+  // coefficient positive; numbered when new), and whether `terms` carry
+  // the negated sign.
+  std::pair<int, bool> form_of(std::span<const Term> terms) {
+    const bool negated = terms.front().second < 0;
+    canon_.assign(terms.begin(), terms.end());
+    if (negated) negate(canon_);
+    const auto [it, fresh] = form_index_.try_emplace(
+        canon_, static_cast<int>(form_atoms_.size()));
+    if (fresh) form_atoms_.emplace_back();
+    return {it->second, negated};
   }
 
-  // The boolean var of a form translated before, or -1. A form is
-  // compared against its atom's row: an equality gate's row is that of
-  // its `≤` half, which has the gate's canonical terms and bound.
-  int find_form(std::uint64_t h, bool is_eq, std::span<const Term> terms,
-                std::int64_t bound) const {
-    auto [it, end] = atom_index_.equal_range(h);
-    for (; it != end; ++it) {
-      const Form& form = it->second;
-      const StaticRow& row = sh_.atoms[static_cast<std::size_t>(form.atom)].row;
-      if (form.is_eq == is_eq && row.bound == bound &&
-          std::ranges::equal(row.terms, terms)) {
-        return form.var;
+  // The boolean var of the atom `key` (var ignored) translated before on
+  // form `form`, or -1.
+  int find_atom(int form, const FormAtom& key) const {
+    for (const FormAtom& a : form_atoms_[static_cast<std::size_t>(form)]) {
+      if (a.bound == key.bound && a.negated == key.negated &&
+          a.is_eq == key.is_eq) {
+        return a.var;
       }
     }
     return -1;
@@ -251,10 +267,9 @@ class NativeSolver final : public Solver {
       negate(terms_);
       bound = -bound;
     }
-    const std::uint64_t h = form_hash(true, terms_, bound);
-    if (const int v = find_form(h, true, terms_, bound); v >= 0) {
-      return mk_lit(v, false);
-    }
+    const int form = form_of(terms_).first;
+    FormAtom key{bound, /*negated=*/false, /*is_eq=*/true, -1};
+    if (const int v = find_atom(form, key); v >= 0) return mk_lit(v, false);
     const Lit le = le_atom(terms_, bound);
     negate(terms_);
     const Lit ge = le_atom(terms_, -bound);
@@ -262,19 +277,17 @@ class NativeSolver final : public Solver {
     add_clause({neg(gate), le});
     add_clause({neg(gate), ge});
     add_clause({neg(le), neg(ge), gate});
-    atom_index_.emplace(
-        h, Form{sh_.atom_of_var[static_cast<std::size_t>(var_of(le))],
-                var_of(gate), true});
+    key.var = var_of(gate);
+    form_atoms_[static_cast<std::size_t>(form)].push_back(key);
     return gate;
   }
 
   // The theory atom Σ terms ≤ bound, hash-consed by its exact form.
   Lit le_atom(std::span<const Term> terms, std::int64_t bound) {
     if (terms.empty()) return mk_lit(sh_.true_var, bound < 0);
-    const std::uint64_t h = form_hash(false, terms, bound);
-    if (const int v = find_form(h, false, terms, bound); v >= 0) {
-      return mk_lit(v, false);
-    }
+    const auto [form, negated] = form_of(terms);
+    FormAtom key{bound, negated, /*is_eq=*/false, -1};
+    if (const int v = find_atom(form, key); v >= 0) return mk_lit(v, false);
     const int v = new_bvar();
     const int ai = static_cast<int>(sh_.atoms.size());
     sh_.atom_of_var[static_cast<std::size_t>(v)] = ai;
@@ -290,8 +303,10 @@ class NativeSolver final : public Solver {
     a.row = StaticRow{Terms(terms.begin(), terms.end()), bound};
     a.negation = StaticRow{a.row.terms, -bound - 1};  // ¬(Σ ≤ b)
     negate(a.negation.terms);
+    a.form = form;
     sh_.atoms.push_back(std::move(a));
-    atom_index_.emplace(h, Form{ai, v, false});
+    key.var = v;
+    form_atoms_[static_cast<std::size_t>(form)].push_back(key);
     return mk_lit(v, false);
   }
 
@@ -371,15 +386,12 @@ class NativeSolver final : public Solver {
   std::vector<Lit> root_lits_;  // per translated root, aligned with roots_
   std::vector<Lit> lit_memo_;   // by ExprId, -1 until translated
   std::vector<int> int_index_;  // by ExprId, -1 until numbered
-  // A translated atom form: the atom whose row holds its terms and bound,
-  // and the boolean var standing for it (the gate's, for an equality).
-  struct Form {
-    int atom = -1;
-    int var = -1;
-    bool is_eq = false;
-  };
-  std::unordered_multimap<std::uint64_t, Form> atom_index_;  // by form_hash
+  // The one linear-form index, two levels deep: sign-canonical terms to
+  // the form id (Atom::form), then that form's few translated atoms.
+  std::unordered_map<Terms, int, TermsHash> form_index_;
+  std::vector<std::vector<FormAtom>> form_atoms_;  // by form id
   Terms terms_;  // translate_atom's linearization buffer
+  Terms canon_;  // form_of's sign-canonical key buffer
   bool trivially_unsat_ = false;
 
   // The encoded problem and the search context that persists learning

@@ -233,26 +233,15 @@ int SearchContext::propagate_bool() {
   return kClauseRefUndef;
 }
 
-// Undo entries are deduplicated per era (one per variable side between
-// two restore points): interval propagation on an infeasible integer
-// cycle can walk a bound by 1 for billions of steps, and logging every
-// *value* would exhaust memory long before the tightening budget
-// triggers. The provenance log (blog_) is NOT deduplicated — each
-// derivation appends one entry so explanations can walk derivation
-// time — but it is rewound in lockstep with every undo mark and its
-// growth between marks is bounded by the same tightening budget.
+// Every derivation appends one bound-log entry, so explanations can walk
+// derivation time and rewind_blog can restore the bounds. The log is not
+// deduplicated: between two level marks its growth is bounded by the
+// tightening budget of propagate_rows.
 void SearchContext::set_bound(int v, bool is_hi, std::int64_t val, int ri) {
-  auto& slot = is_hi ? hi_[static_cast<std::size_t>(v)]
-                     : lo_[static_cast<std::size_t>(v)];
-  auto& stamp = is_hi ? hi_stamp_[static_cast<std::size_t>(v)]
-                      : lo_stamp_[static_cast<std::size_t>(v)];
-  if (stamp != undo_era_) {
-    stamp = undo_era_;
-    undo_.push_back(UndoEntry{v, is_hi, slot});
-  }
-  slot = val;
+  (is_hi ? hi_ : lo_)[static_cast<std::size_t>(v)] = val;
   const int node = bnode(v, is_hi);
-  blog_.push_back(BoundLog{node, ri, bhead_[static_cast<std::size_t>(node)]});
+  blog_.push_back(
+      BoundLog{node, ri, bhead_[static_cast<std::size_t>(node)], val});
   bhead_[static_cast<std::size_t>(node)] = static_cast<int>(blog_.size()) - 1;
   if (dirty_stamp_[static_cast<std::size_t>(v)] != dirty_gen_) {
     dirty_stamp_[static_cast<std::size_t>(v)] = dirty_gen_;
@@ -260,28 +249,26 @@ void SearchContext::set_bound(int v, bool is_hi, std::int64_t val, int ri) {
   }
 }
 
-void SearchContext::undo_to(std::size_t mark) {
-  while (undo_.size() > mark) {
-    const UndoEntry& u = undo_.back();
-    (u.is_hi ? hi_[static_cast<std::size_t>(u.var)]
-             : lo_[static_cast<std::size_t>(u.var)]) = u.old_bound;
-    undo_.pop_back();
-  }
-  ++undo_era_;  // stamps from before the restore are no longer valid
-}
-
+// Pops the log back to `mark`, restoring each popped entry's bound to the
+// one it overwrote: its predecessor's value, or ∓∞ at the chain's start.
 void SearchContext::rewind_blog(std::size_t mark) {
   while (blog_.size() > mark) {
-    bhead_[static_cast<std::size_t>(blog_.back().node)] = blog_.back().prev;
+    const BoundLog& e = blog_.back();
+    const bool is_hi = (e.node & 1) != 0;
+    (is_hi ? hi_ : lo_)[static_cast<std::size_t>(e.node >> 1)] =
+        e.prev >= 0 ? blog_[static_cast<std::size_t>(e.prev)].val
+                    : (is_hi ? kPosInf : kNegInf);
+    bhead_[static_cast<std::size_t>(e.node)] = e.prev;
     blog_.pop_back();
   }
 }
 
 // Activation also asserts the row's bound in the simplex (tagged by row
-// index), so the tableau's bounds follow the trail. A bound that crosses
-// one already asserted on the same linear form is a two-row Farkas
-// conflict (multiplier 1 each), reported by activate_theory.
-void SearchContext::activate_row(const StaticRow* r, Lit cause) {
+// index, on the slack of its linear form `form`), so the tableau's bounds
+// follow the trail. A bound that crosses one already asserted on the same
+// form is a two-row Farkas conflict (multiplier 1 each), reported by
+// activate_theory.
+void SearchContext::activate_row(const StaticRow* r, int form, Lit cause) {
   const int ri = static_cast<int>(active_rows_.size());
   active_rows_.push_back(r);
   active_row_lit_.push_back(cause);
@@ -291,7 +278,7 @@ void SearchContext::activate_row(const StaticRow* r, Lit cause) {
     row_occ_[static_cast<std::size_t>(v)].push_back(ri);
   }
   row_work_.push_back(ri);
-  if (!stx_.assert_row(*r, ri) && sconf_rows_.empty()) {
+  if (!stx_.assert_row(*r, form, ri) && sconf_rows_.empty()) {
     sconf_rows_ = stx_.crossing();
     if (plog_ != nullptr) {
       sconf_mults_.assign(sconf_rows_.size(), util::Rational(1));
@@ -320,21 +307,10 @@ void SearchContext::deactivate_rows_to(std::size_t mark) {
 // divergent lap keeps re-queuing itself on top), so check every active
 // row once before giving up — a definite conflict beats an Unknown leaf.
 bool SearchContext::scan_violated_row() {
-  for (std::size_t ri = 0; ri < active_rows_.size(); ++ri) {
+  for (const StaticRow* r : active_rows_) {
     bump_ops();
-    const StaticRow& r = *active_rows_[ri];
-    __int128 minsum = 0;
-    bool finite = true;
-    for (const auto& [v, c] : r.terms) {
-      const std::int64_t b = c > 0 ? lo_[static_cast<std::size_t>(v)]
-                                   : hi_[static_cast<std::size_t>(v)];
-      if (b == kNegInf || b == kPosInf) {
-        finite = false;
-        break;
-      }
-      minsum += static_cast<__int128>(c) * b;
-    }
-    if (finite && minsum > r.bound) return true;
+    const Activity min = activity(*r, /*max_side=*/false);
+    if (min.ninf == 0 && min.sum > r->bound) return true;
   }
   return false;
 }
@@ -347,16 +323,10 @@ bool SearchContext::scan_violated_row() {
 // one unit at a time).
 bool SearchContext::simplex_refute() {
   SimplexTheory::Result res = stx_.check();
-  sync_theory_stats();
   if (res.verdict != SimplexTheory::Verdict::Infeasible) return false;
   sconf_rows_ = std::move(res.conflict_rows);
   sconf_mults_ = std::move(res.multipliers);
   return true;
-}
-
-void SearchContext::sync_theory_stats() {
-  stats_.theory_pivots = stx_.pivots();
-  stats_.farkas_explanations = stx_.explanations();
 }
 
 // Turns the pending simplex conflict into theory_conflict_ literals: the
@@ -381,7 +351,6 @@ void SearchContext::explain_interval_conflict() {
   if (sconf_rows_.empty()) simplex_refute();
   if (!sconf_rows_.empty()) {
     ++stats_.conflicts_interval_farkas;
-    sync_theory_stats();  // a bound crossing never ran a check
     emit_simplex_conflict();
     return;
   }
@@ -407,15 +376,7 @@ bool SearchContext::propagate_rows() {
     const int ri = row_work_.back();
     row_work_.pop_back();
     const StaticRow& r = *active_rows_[static_cast<std::size_t>(ri)];
-
-    __int128 minsum = 0;
-    int ninf = 0;
-    for (const auto& [v, c] : r.terms) {
-      const std::int64_t b = c > 0 ? lo_[static_cast<std::size_t>(v)]
-                                   : hi_[static_cast<std::size_t>(v)];
-      if (b == kNegInf || b == kPosInf) ++ninf;
-      else minsum += static_cast<__int128>(c) * b;
-    }
+    const auto [minsum, ninf] = activity(r, /*max_side=*/false);
     if (ninf == 0 && minsum > r.bound) {
       row_work_.clear();
       return true;
@@ -480,7 +441,7 @@ bool SearchContext::activate_theory() {
     const int ai = sh_.atom_of_var[static_cast<std::size_t>(v)];
     if (ai < 0) continue;
     const Atom& a = sh_.atoms[static_cast<std::size_t>(ai)];
-    activate_row(is_neg(l) ? &a.negation : &a.row, l);
+    activate_row(is_neg(l) ? &a.negation : &a.row, a.form, l);
   }
   if (!sconf_rows_.empty()) {  // bound crossing in the simplex
     row_work_.clear();
@@ -631,23 +592,26 @@ SearchContext::Conflict SearchContext::propagate_all() {
   }
 }
 
+SearchContext::Activity SearchContext::activity(const StaticRow& r,
+                                                bool max_side) const {
+  Activity a;
+  for (const auto& [v, c] : r.terms) {
+    const std::int64_t b = (c > 0) != max_side
+                               ? lo_[static_cast<std::size_t>(v)]
+                               : hi_[static_cast<std::size_t>(v)];
+    if (b == kNegInf || b == kPosInf) ++a.ninf;
+    else a.sum += static_cast<__int128>(c) * b;
+  }
+  return a;
+}
+
 // Entailment of an atom's ≤-row under the current bounds: +1 forced true,
 // -1 forced false, 0 open.
 int SearchContext::row_status(const StaticRow& r) const {
-  __int128 minsum = 0, maxsum = 0;
-  int min_inf = 0, max_inf = 0;
-  for (const auto& [v, c] : r.terms) {
-    const std::int64_t lo = lo_[static_cast<std::size_t>(v)];
-    const std::int64_t hi = hi_[static_cast<std::size_t>(v)];
-    const std::int64_t toward_min = c > 0 ? lo : hi;
-    const std::int64_t toward_max = c > 0 ? hi : lo;
-    if (toward_min == kNegInf || toward_min == kPosInf) ++min_inf;
-    else minsum += static_cast<__int128>(c) * toward_min;
-    if (toward_max == kNegInf || toward_max == kPosInf) ++max_inf;
-    else maxsum += static_cast<__int128>(c) * toward_max;
-  }
-  if (min_inf == 0 && minsum > r.bound) return -1;
-  if (max_inf == 0 && maxsum <= r.bound) return +1;
+  const Activity min = activity(r, /*max_side=*/false);
+  if (min.ninf == 0 && min.sum > r.bound) return -1;
+  const Activity max = activity(r, /*max_side=*/true);
+  if (max.ninf == 0 && max.sum <= r.bound) return +1;
   return 0;
 }
 
@@ -767,9 +731,8 @@ int SearchContext::pick_branch() {
 // ------------------------------------------------------ levels, backjump
 
 void SearchContext::push_level() {
-  ++undo_era_;
-  levels_.push_back(LevelMark{trail_.size(), active_rows_.size(),
-                              undo_.size(), blog_.size()});
+  levels_.push_back(
+      LevelMark{trail_.size(), active_rows_.size(), blog_.size()});
 }
 
 void SearchContext::backjump(int target) {
@@ -787,7 +750,6 @@ void SearchContext::backjump(int target) {
   qhead_ = mark.trail;
   theory_head_ = mark.trail;
   deactivate_rows_to(mark.rows);
-  undo_to(mark.undo);
   rewind_blog(mark.blog);
   row_work_.clear();
   clear_dirty();  // loosened bounds cannot newly entail anything
@@ -1137,7 +1099,6 @@ SatResult SearchContext::int_complete() {
     }
   }
   SimplexTheory::Result res = stx_.check_integer(int_vars);
-  sync_theory_stats();
   switch (res.verdict) {
     case SimplexTheory::Verdict::Infeasible:
       sconf_rows_ = std::move(res.conflict_rows);
@@ -1156,7 +1117,7 @@ SatResult SearchContext::int_complete() {
 
 // Prepares the search state for a fresh check while keeping everything
 // that is expensive to rebuild: the clause database (problem *and*
-// learned clauses) and the bounds-undo machinery. Tainted clauses from a
+// learned clauses) and the bound log's capacity. Tainted clauses from a
 // previous check's Unknown-degraded leaves are purged here — they are the
 // only learned material that is not entailed — and the arena is compacted
 // over clauses tombstoned by reduce_db() before the watch lists are
@@ -1168,7 +1129,6 @@ void SearchContext::reset_search() {
   levels_.clear();
   deactivate_rows_to(0);
   stx_.retract_to(0);  // a Timeout can unwind past a check's cut retraction
-  undo_to(0);
   rewind_blog(0);
   polarity_.resize(static_cast<std::size_t>(sh_.num_bvars), kUndef);
   for (Lit l : trail_) {
@@ -1249,8 +1209,6 @@ void SearchContext::reset_search() {
   lo_.resize(n, kNegInf);
   hi_.resize(n, kPosInf);
   bhead_.resize(2 * n, -1);
-  lo_stamp_.resize(n, 0);
-  hi_stamp_.resize(n, 0);
   row_occ_.resize(n);
   dirty_stamp_.resize(n, 0);
   scan_stamp_.resize(sh_.atoms.size(), 0);
@@ -1402,6 +1360,10 @@ SatResult SearchContext::solve(const CheckJob& job) {
     // Honest degradation (integer-open leaves): still never silent.
     last_stop_ = util::StopReason::kDegraded;
   }
+  // The simplex counts its own work; one sync covers every exit, a stopped
+  // check's pivots included.
+  stats_.theory_pivots = stx_.pivots();
+  stats_.farkas_explanations = stx_.explanations();
   if (audit_enabled()) {
     // A Timeout can unwind between an interval crossing and its
     // explanation, leaving the crossed interval until the next reset —

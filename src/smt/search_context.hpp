@@ -9,9 +9,10 @@
 //    the session ProofLog and by the auditor.
 //  - SearchContext: everything mutable — trail, watch lists, EVSIDS
 //    activity heap, phase array, the learned-clause arena, interval
-//    bounds with their undo/provenance machinery, the exact simplex
-//    theory state, and the ops/deadline polling. One context lives for
-//    the solver session, so learned clauses persist across checks.
+//    bounds with their bound log (provenance and undo in one), the
+//    exact simplex theory state, and the ops/deadline polling. One
+//    context lives for the solver session, so learned clauses persist
+//    across checks.
 //
 // A SearchContext solves one CheckJob at a time: root assertions at level
 // 0, then the per-check assumptions each on its own decision level, then
@@ -54,10 +55,14 @@ using StaticRow = theory::Row;
 
 // A theory atom Σ terms ≤ bound (translation turns an equality into a gate
 // over two of these). Asserted true it activates `row`, asserted false its
-// integer complement `negation`: −Σ terms ≤ −bound − 1.
+// integer complement `negation`: −Σ terms ≤ −bound − 1. Both rows have
+// the same sign-canonical linear form (Σ terms up to sign, leading
+// coefficient positive); translation numbers those forms, and `form` is
+// this atom's — the simplex keeps one slack per form id.
 struct Atom {
   StaticRow row;
   StaticRow negation;
+  int form = -1;
 };
 
 // One watch-list entry: the watching clause plus a *blocker* literal — a
@@ -106,7 +111,7 @@ struct SharedProblem {
   std::vector<int> atom_var;                // atom index -> bool var
   std::vector<std::vector<int>> atom_occ;   // int var -> atom indices
   // A deque keeps every atom's rows at a stable address while translation
-  // appends: active rows and the simplex's slack cache hold row pointers.
+  // appends: the search's active rows are row pointers.
   // No atom row is constant: le_atom, the only atom constructor, folds an
   // empty row into the true literal, so every row has a term.
   std::deque<Atom> atoms;
@@ -185,14 +190,12 @@ class SearchContext {
   // ------------------------------------------------------------ propagate
   int propagate_bool();
   void set_bound(int v, bool is_hi, std::int64_t val, int ri);
-  void undo_to(std::size_t mark);
   void rewind_blog(std::size_t mark);
-  void activate_row(const StaticRow* r, Lit cause);
+  void activate_row(const StaticRow* r, int form, Lit cause);
   void deactivate_rows_to(std::size_t mark);
   bool scan_violated_row();
   bool simplex_refute();
   void explain_interval_conflict();
-  void sync_theory_stats();
   void emit_simplex_conflict();
   bool propagate_rows();
   bool activate_theory();
@@ -215,6 +218,14 @@ class SearchContext {
     int ci = -1;  // kClause only
   };
   Conflict propagate_all();
+  // A row's activity on one side under the current bounds: Σ c·b over its
+  // min-side bounds (lo for positive coefficients, hi for negative), or
+  // its max-side ones, with the infinite bounds counted instead of summed.
+  struct Activity {
+    __int128 sum = 0;
+    int ninf = 0;
+  };
+  [[nodiscard]] Activity activity(const StaticRow& r, bool max_side) const;
   [[nodiscard]] int row_status(const StaticRow& r) const;
   [[nodiscard]] bool decide_phase_negated(int v) const;
 
@@ -230,7 +241,7 @@ class SearchContext {
 
   // ----------------------------------------------------- levels, backjump
   struct LevelMark {
-    std::size_t trail, rows, undo, blog;
+    std::size_t trail, rows, blog;
   };
   void push_level();
   void backjump(int target);
@@ -286,15 +297,9 @@ class SearchContext {
   std::vector<Lit> assume_q_;    // this check's assumptions
   int prefix_placed_ = 0;        // prefix literals placed (1:1 with levels)
   int prefix_levels_ = 0;        // levels occupied by the placed prefix
+  // Interval bounds: each is the `val` of its bound node's latest log
+  // entry (blog_ below), or ∓∞ when the node has none.
   std::vector<std::int64_t> lo_, hi_;
-  std::vector<std::uint64_t> lo_stamp_, hi_stamp_;
-  std::uint64_t undo_era_ = 1;
-  struct UndoEntry {
-    int var;
-    bool is_hi;
-    std::int64_t old_bound;
-  };
-  std::vector<UndoEntry> undo_;
   std::vector<const StaticRow*> active_rows_;
   std::vector<Lit> active_row_lit_;  // activating atom literal, per row
   std::vector<std::size_t> row_stx_mark_;  // simplex trail mark, per row
@@ -335,11 +340,14 @@ class SearchContext {
   std::size_t level0_scanned_ = 0;  // level-0 trail prefix scanned for them
   std::vector<Lit> reason_scratch_;  // an entailed literal's reason clause
   std::vector<int> reduce_order_;
-  // Provenance-explanation machinery (see the .cpp section comment).
+  // Provenance-explanation machinery (see the .cpp section comment). The
+  // bound log is also the bounds' undo log: rewinding an entry restores
+  // its node's bound to the `val` of `prev`.
   struct BoundLog {
-    int node;  // 2*var + (is_hi ? 1 : 0)
-    int row;   // active-row index that derived the bound
-    int prev;  // previous log entry for `node`, or -1
+    int node;          // 2*var + (is_hi ? 1 : 0)
+    int row;           // active-row index that derived the bound
+    int prev;          // previous log entry for `node`, or -1
+    std::int64_t val;  // the bound this entry set
   };
   std::vector<BoundLog> blog_;  // chronological bound-derivation log
   std::vector<int> bhead_;      // bound node -> latest log entry or -1

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "util/fault.hpp"
 
@@ -36,74 +35,28 @@ BigInt floor_big(const Rational& v) {
   return q;
 }
 
-// Hash of a row's canonical form (leading coefficient made positive),
-// computed from its terms.
-std::uint64_t form_hash(const theory::Row& row) {
-  const bool negated = row.terms.front().second < 0;
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const auto& [v, c] : row.terms) {
-    h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
-    h = (h ^ static_cast<std::uint64_t>(negated ? -c : c)) * 0x100000001b3ull;
-  }
-  return h ^ (h >> 29);
-}
-
 }  // namespace
 
-SimplexTheory::SlackRef SimplexTheory::slack_for(const theory::Row& row) {
-  // Hot path: rows are stable immutable atom members, so re-activation
-  // across checks resolves by pointer.
-  const auto it = row_slack_.find(&row);
-  if (it != row_slack_.end()) return it->second;
-  const SlackRef ref = intern_slack(row);
-  row_slack_.emplace(&row, ref);
-  return ref;
-}
-
-SimplexTheory::SlackRef SimplexTheory::intern_slack(const theory::Row& row) {
-  // Canonical sign: leading coefficient positive. A negated form asserts
-  // mirrored bounds on the canonical slack, so an equality's ≤/≥ pair and
-  // every re-activation share one tableau row.
-  const bool negated = row.terms.front().second < 0;
-  const std::uint64_t h = form_hash(row);
-  if (const int v = find_slack(h, row); v >= 0) return {v, negated};
-  std::vector<std::pair<std::int32_t, std::int64_t>> terms;
-  terms.reserve(row.terms.size());
-  for (const auto& [v, c] : row.terms) {
-    terms.emplace_back(static_cast<std::int32_t>(v), negated ? -c : c);
-  }
-  const int var = spx_.add_slack(terms);
-  slack_index_.emplace(h, Form{&row, var});
-  return {var, negated};
-}
-
-int SimplexTheory::find_slack(std::uint64_t h, const theory::Row& row) const {
-  // Two rows have the same canonical form when their terms agree up to
-  // each row's own sign.
-  const bool negated = row.terms.front().second < 0;
-  auto [it, end] = slack_index_.equal_range(h);
-  for (; it != end; ++it) {
-    const theory::Row& form = *it->second.row;
-    const bool flip = negated != (form.terms.front().second < 0);
-    if (std::ranges::equal(form.terms, row.terms,
-                           [flip](const auto& a, const auto& b) {
-                             return a.first == b.first &&
-                                    a.second == (flip ? -b.second : b.second);
-                           })) {
-      return it->second.var;
-    }
-  }
-  return -1;
-}
-
-bool SimplexTheory::assert_row(const theory::Row& row, int tag) {
+bool SimplexTheory::assert_row(const theory::Row& row, int form, int tag) {
   crossing_.clear();
-  const SlackRef s = slack_for(row);
+  // Canonical sign: leading coefficient positive. A negated row asserts
+  // the mirrored bound on its form's slack.
+  const bool negated = row.terms.front().second < 0;
+  const auto f = static_cast<std::size_t>(form);
+  if (f >= slack_.size()) slack_.resize(f + 1, -1);
+  if (slack_[f] < 0) {
+    std::vector<std::pair<std::int32_t, std::int64_t>> terms;
+    terms.reserve(row.terms.size());
+    for (const auto& [v, c] : row.terms) {
+      terms.emplace_back(static_cast<std::int32_t>(v), negated ? -c : c);
+    }
+    slack_[f] = spx_.add_slack(terms);
+  }
   // Σ terms ≤ b  ⇔  canonical ≤ b   (positive sign)
   //            ⇔  canonical ≥ −b   (negated sign)
-  const bool ok = s.negated
-                      ? spx_.assert_lower(s.var, Rational(-row.bound), tag)
-                      : spx_.assert_upper(s.var, Rational(row.bound), tag);
+  const bool ok = negated
+                      ? spx_.assert_lower(slack_[f], Rational(-row.bound), tag)
+                      : spx_.assert_upper(slack_[f], Rational(row.bound), tag);
   if (!ok) {
     collect_farkas_tags(crossing_);
     ++explanations_;
@@ -202,32 +155,21 @@ SimplexTheory::Verdict SimplexTheory::branch(const std::vector<int>& int_vars,
 }
 
 std::string SimplexTheory::audit() const {
-  // Canonical-form uniqueness: every canonical form owns exactly one
-  // slack (no two index entries share a form or a slack), each entry sits
-  // under its form's hash, and slack ids are valid tableau variables.
-  std::unordered_set<int> owned;
-  for (const auto& [h, form] : slack_index_) {
-    const auto bad = [&form](const char* why) {
-      return "slack var " + std::to_string(form.var) + why;
+  // One slack per linear form: every created slack is a tableau variable,
+  // and no two forms share one.
+  std::vector<char> owned(spx_.num_vars(), 0);
+  for (std::size_t f = 0; f < slack_.size(); ++f) {
+    const int var = slack_[f];
+    if (var < 0) continue;
+    const auto bad = [var, f](const char* why) {
+      return "slack var " + std::to_string(var) + " of form " +
+             std::to_string(f) + why;
     };
-    if (form.var < 0 || static_cast<std::size_t>(form.var) >= spx_.num_vars()) {
+    if (static_cast<std::size_t>(var) >= owned.size()) {
       return bad(": out of range");
     }
-    if (form_hash(*form.row) != h) return bad(": filed under a stale hash");
-    if (find_slack(h, *form.row) != form.var) {
-      return bad(": its canonical form owns another slack");
-    }
-    if (!owned.insert(form.var).second) {
-      return bad(": owned by two canonical forms");
-    }
-  }
-  // The by-pointer row cache must agree with the canonical index.
-  for (const auto& [row, ref] : row_slack_) {
-    const int var = find_slack(form_hash(*row), *row);
-    if (var != ref.var || ref.negated != (row->terms.front().second < 0)) {
-      return "row_slack_ entry for slack var " + std::to_string(ref.var) +
-             (var < 0 ? ": no canonical form"
-                      : ": disagrees with the canonical index");
+    if (owned[static_cast<std::size_t>(var)]++ != 0) {
+      return bad(": shared with another form");
     }
   }
   return spx_.audit();

@@ -2,9 +2,10 @@
 // rows onto the incremental rational simplex (linalg/simplex.hpp).
 //
 // The bridge owns one persistent Simplex per search context. Tableau
-// structure is permanent and deduplicated: each distinct linear form gets
-// one slack variable, keyed by its canonical sign (leading coefficient
-// positive), so a ≤ atom and its negation — and re-activations of the same
+// structure is permanent and deduplicated: translation numbers each
+// distinct sign-canonical linear form (leading coefficient positive), and
+// the bridge creates one slack variable per form id at the form's first
+// assertion, so a ≤ atom and its negation — and re-activations of the same
 // row across checks and probes — all land on the same slack.
 //
 // Bounds follow the caller's trail (Dutertre & de Moura, CAV 2006): the
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "linalg/simplex.hpp"
@@ -54,10 +54,11 @@ class SimplexTheory {
   };
 
   /// Asserts `row` (Σ terms ≤ bound, at least one term) with tag `tag` ≥ 0
-  /// on top of the bounds already asserted. False when it crosses an
-  /// asserted bound on the same linear form; crossing() then names the
-  /// refuting tags.
-  bool assert_row(const theory::Row& row, int tag);
+  /// on top of the bounds already asserted. `form` ≥ 0 is the id of the
+  /// row's sign-canonical linear form: rows with one id must have the same
+  /// terms up to sign. False when it crosses an asserted bound on the same
+  /// form; crossing() then names the refuting tags.
+  bool assert_row(const theory::Row& row, int form, int tag);
   /// Tags of the last refutation assert_row reported; each row's Farkas
   /// multiplier is 1.
   [[nodiscard]] const std::vector<int>& crossing() const { return crossing_; }
@@ -87,32 +88,13 @@ class SimplexTheory {
   /// Inline tableau pool bytes (memory-ceiling input; see Simplex).
   [[nodiscard]] std::size_t pool_bytes() const { return spx_.pool_bytes(); }
 
-  /// Deep self-audit: slack interning consistency (canonical-sign
-  /// uniqueness — one slack per canonical form, row cache in agreement
-  /// with the canonical index) plus the underlying tableau's own audit.
+  /// Deep self-audit: every form's slack is a tableau variable and no two
+  /// forms share one, plus the underlying tableau's own audit.
   /// Returns "" when every invariant holds, else a description of the
   /// first violation (see smt/audit.hpp).
   [[nodiscard]] std::string audit() const;
 
  private:
-  // Slack handle for a canonical form: negated forms assert mirrored
-  // bounds on the positively-signed slack.
-  struct SlackRef {
-    int var = -1;
-    bool negated = false;
-  };
-
-  // A canonical form's slack: `row` is the first row interned with that
-  // form (rows are immutable atom members that outlive the theory).
-  struct Form {
-    const theory::Row* row = nullptr;
-    int var = -1;
-  };
-
-  SlackRef slack_for(const theory::Row& row);
-  SlackRef intern_slack(const theory::Row& row);
-  // The slack of the canonical form of `row` (form hash `h`), or -1.
-  [[nodiscard]] int find_slack(std::uint64_t h, const theory::Row& row) const;
   // Shared body of check()/check_integer(): integer completion when
   // `int_vars` is non-null; every cut it asserts is retracted before it
   // returns.
@@ -124,12 +106,7 @@ class SimplexTheory {
   void collect_farkas_tags(std::vector<int>& used) const;
 
   linalg::Simplex spx_;
-  // Two-level interning: by row identity (rows are stable, immutable atom
-  // members — re-activation across checks is the hot case), then by
-  // canonical form, hashed from the terms (distinct Row objects with the
-  // same form, e.g. the ≤/≥ halves of an equality, share one slack).
-  std::unordered_map<const theory::Row*, SlackRef> row_slack_;
-  std::unordered_multimap<std::uint64_t, Form> slack_index_;
+  std::vector<int> slack_;  // form id -> its slack var, -1 until asserted
   std::vector<int> crossing_;
   std::uint64_t explanations_ = 0;
   std::uint64_t branch_budget_ = 0;  // per-check node budget (see .cpp)

@@ -79,7 +79,10 @@ struct SolveStats {
   std::uint64_t theory_pivots = 0;
   /// Farkas infeasibility explanations the simplex layer produced (bound
   /// crossings, infeasible checks, refuted leaves): the rows that explain
-  /// interval conflicts and leaf blocking clauses.
+  /// interval conflicts and leaf blocking clauses. Both simplex counters
+  /// are read from the simplex once, as the check returns, on every exit
+  /// path: a check stopped early (deadline, budget, cancel, fault)
+  /// includes its own pivots and explanations.
   std::uint64_t farkas_explanations = 0;
   /// Bytes held by the search context's packed clause arena (gauge, like
   /// learned_kept: the size at the last check boundary, not a cumulative

@@ -10,6 +10,10 @@
 //    ≤ atom its row; a false one the strict complement  −Σ ≤ −bound−1,
 //    exact over integers — equalities are gates over two ≤ atoms), so
 //    activating a row is always justified by exactly one atom literal.
+//  - Linear-form identity is decided once, by translation: each atom
+//    carries the id of its rows' sign-canonical form (Σ terms up to sign,
+//    leading coefficient positive), and the simplex keeps one slack per
+//    id, so an atom, its negation and an equality's two bounds share one.
 //  - Every theory deduction is explained as a set of *row tags* naming
 //    the asserted rows it used (indices into the activation order, mapping
 //    back to the activating atom literals). First-UIP conflict analysis

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "proof_check.hpp"
+#include "helpers.hpp"
 #include "smt/expr.hpp"
 #include "smt/solver.hpp"
 
@@ -31,40 +32,10 @@ const int kEnvSetup = [] {
   return 0;
 }();
 
-// Pigeonhole PHP(p, h): unsat for p > h and resolution-hard, so it
-// generates thousands of learned clauses — the arena churn workload.
-std::vector<ExprId> pigeonhole(ExprFactory& f, int pigeons, int holes) {
-  std::vector<ExprId> constraints;
-  std::vector<std::vector<ExprId>> in(
-      static_cast<std::size_t>(pigeons),
-      std::vector<ExprId>(static_cast<std::size_t>(holes)));
-  for (int p = 0; p < pigeons; ++p) {
-    for (int h = 0; h < holes; ++h) {
-      in[static_cast<std::size_t>(p)][static_cast<std::size_t>(h)] =
-          f.bool_var("ar_p" + std::to_string(p) + "h" + std::to_string(h));
-    }
-  }
-  for (int p = 0; p < pigeons; ++p) {
-    constraints.push_back(f.or_(in[static_cast<std::size_t>(p)]));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        constraints.push_back(
-            f.or_({f.not_(in[static_cast<std::size_t>(p1)]
-                            [static_cast<std::size_t>(h)]),
-                   f.not_(in[static_cast<std::size_t>(p2)]
-                            [static_cast<std::size_t>(h)])}));
-      }
-    }
-  }
-  return constraints;
-}
-
 TEST(Arena, CompactionFiresUnderChurnAndAuditStaysGreen) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 7, 6, "ar_")) solver->add(c);
   ASSERT_EQ(solver->check(), SatResult::Unsat);
 
   const SolveStats& s = solver->solve_stats();
@@ -84,7 +55,7 @@ TEST(Arena, GcRoundTripIsDeterministic) {
   for (SolveStats& out : runs) {
     ExprFactory f;
     auto solver = make_solver(f, Backend::Native);
-    for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
+    for (ExprId c : testing::pigeonhole(f, 7, 6, "ar_")) solver->add(c);
     ASSERT_EQ(solver->check(), SatResult::Unsat);
     out = solver->solve_stats();
   }
@@ -105,7 +76,7 @@ TEST(Arena, IncrementalProbesSurviveCompaction) {
   // final satisfiable probe must produce a correct model.
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 7, 6, "ar_")) solver->add(c);
   const ExprId guard = f.bool_var("ar_guard");
 
   ASSERT_EQ(solver->check_assuming({guard}), SatResult::Unsat);
@@ -122,7 +93,7 @@ TEST(Arena, IncrementalProbesSurviveCompaction) {
   // must never lose the ability to answer Sat with a sound model.
   ExprFactory f2;
   auto solver2 = make_solver(f2, Backend::Native);
-  for (ExprId c : pigeonhole(f2, 6, 6)) solver2->add(c);
+  for (ExprId c : testing::pigeonhole(f2, 6, 6, "ar_")) solver2->add(c);
   ASSERT_EQ(solver2->check(), SatResult::Sat);
 }
 
@@ -133,7 +104,7 @@ TEST(Arena, CompactionPreservedAcrossPushPop) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
 
-  const std::vector<ExprId> php = pigeonhole(f, 7, 6);
+  const std::vector<ExprId> php = testing::pigeonhole(f, 7, 6, "ar_");
   ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats first = solver->solve_stats();
   EXPECT_GT(first.arena_compactions, 0u);
@@ -160,7 +131,7 @@ TEST(Arena, CertifiedAcrossReductions) {
   CaptureSink sink;
   solver->set_proof_sink(&sink);
   const ExprId boolean = f.bool_var("ar_boolean");
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(f.implies(boolean, c));
+  for (ExprId c : testing::pigeonhole(f, 7, 6, "ar_")) solver->add(f.implies(boolean, c));
   const ExprId integer = f.bool_var("ar_integer");
   constexpr std::size_t kPigeons = 5;  // integers in [0, kPigeons - 2]
   std::vector<ExprId> x;

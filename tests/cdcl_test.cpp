@@ -16,6 +16,7 @@
 
 #include "backend_fixture.hpp"
 #include "smt/eval.hpp"
+#include "helpers.hpp"
 #include "smt/expr.hpp"
 #include "smt/solver.hpp"
 #include "util/budget.hpp"
@@ -32,39 +33,11 @@ const int kAuditOn = [] {
   return 0;
 }();
 
-// Pigeonhole principle PHP(p, h): p pigeons into h holes. Unsat for p > h,
-// and famously resolution-hard — a reliable conflict generator.
-std::vector<ExprId> pigeonhole(ExprFactory& f, int pigeons, int holes) {
-  std::vector<ExprId> constraints;
-  std::vector<std::vector<ExprId>> in(
-      static_cast<std::size_t>(pigeons),
-      std::vector<ExprId>(static_cast<std::size_t>(holes)));
-  for (int p = 0; p < pigeons; ++p) {
-    for (int h = 0; h < holes; ++h) {
-      in[static_cast<std::size_t>(p)][static_cast<std::size_t>(h)] =
-          f.bool_var("php_p" + std::to_string(p) + "h" + std::to_string(h));
-    }
-  }
-  for (int p = 0; p < pigeons; ++p) {
-    constraints.push_back(f.or_(in[static_cast<std::size_t>(p)]));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        constraints.push_back(f.or_(
-            {f.not_(in[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)]),
-             f.not_(in[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)])}));
-      }
-    }
-  }
-  return constraints;
-}
-
 TEST(Cdcl, LearnsClausesAndKeepsThemAcrossPop) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
 
-  const std::vector<ExprId> php = pigeonhole(f, 7, 6);
+  const std::vector<ExprId> php = testing::pigeonhole(f, 7, 6, "php_");
   ASSERT_EQ(solver->check_assuming(php), SatResult::Unsat);
   const SolveStats first = solver->solve_stats();
   EXPECT_GT(first.conflicts, 0u);
@@ -96,7 +69,7 @@ TEST(Cdcl, LearningCarriesAcrossAssumptionProbes) {
   // later probes instead of being discarded with the assumptions.
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 7, 6)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 7, 6, "php_")) solver->add(c);
   const ExprId guard = f.bool_var("cdcl_guard");
 
   ASSERT_EQ(solver->check_assuming({guard}), SatResult::Unsat);
@@ -151,7 +124,7 @@ TEST(Cdcl, RestartsAreDeterministic) {
   auto run = [](SolveStats& out) {
     ExprFactory f;
     auto solver = make_solver(f, Backend::Native);
-    for (ExprId c : pigeonhole(f, 8, 7)) solver->add(c);
+    for (ExprId c : testing::pigeonhole(f, 8, 7, "php_")) solver->add(c);
     const SatResult r = solver->check();
     out = solver->solve_stats();
     return r;
@@ -171,7 +144,7 @@ TEST(Cdcl, RestartsAreDeterministic) {
 TEST(Cdcl, DeletesLearnedClausesUnderPressure) {
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 8, 7)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 8, 7, "php_")) solver->add(c);
   ASSERT_EQ(solver->check(), SatResult::Unsat);
   const SolveStats& s = solver->solve_stats();
   EXPECT_GT(s.deleted_clauses, 0u)
@@ -387,7 +360,7 @@ TEST(Cdcl, TimeoutReturnsUnknownPromptly) {
   // loops). PHP(11,10) takes far longer than the 50ms budget.
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 11, 10)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 11, 10, "php_")) solver->add(c);
   solver->set_budget({.deadline_ms = 50});
   util::Stopwatch watch;
   EXPECT_EQ(solver->check(), SatResult::Unknown);
@@ -416,7 +389,7 @@ TEST(Cdcl, EveryBudgetKindDegradesWithItsOwnReasonAndClearsCleanly) {
   for (const Case& c : cases) {
     ExprFactory f;
     auto solver = make_solver(f, Backend::Native);
-    for (ExprId cl : pigeonhole(f, 9, 8)) solver->add(cl);
+    for (ExprId cl : testing::pigeonhole(f, 9, 8, "php_")) solver->add(cl);
     solver->set_budget(c.budget);
     ASSERT_EQ(solver->check(), SatResult::Unknown)
         << "PHP(9,8) must not fit inside the tight " << c.name << " budget";
@@ -486,7 +459,7 @@ TEST(Cdcl, CrossThreadCancelInterruptsAndReArms) {
   // leak into the next check on the same session.
   ExprFactory f;
   auto solver = make_solver(f, Backend::Native);
-  for (ExprId c : pigeonhole(f, 11, 10)) solver->add(c);
+  for (ExprId c : testing::pigeonhole(f, 11, 10, "php_")) solver->add(c);
   util::Stopwatch watch;
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -518,7 +491,7 @@ TEST(Cdcl, TightBudgetDifferentialOutcomesAcrossBackends) {
     std::mt19937_64 rng(master());
     ExprFactory f;
     const int pigeons = std::uniform_int_distribution<int>(4, 7)(rng);
-    const auto clauses = pigeonhole(f, pigeons, pigeons - 1);
+    const auto clauses = testing::pigeonhole(f, pigeons, pigeons - 1, "php_");
     util::ResourceBudget budget;
     budget.max_conflicts = std::uniform_int_distribution<std::uint64_t>(
         1, 40)(rng);

@@ -136,35 +136,6 @@ TEST(FaultSpec, SiteNamesRoundTrip) {
 
 // -------------------------------------------------------- soak harness
 
-// Pigeonhole PHP(p, h): Unsat for p > h and resolution-hard, so learned
-// clauses and theory calls genuinely accrue fault arrivals before any
-// verdict.
-std::vector<ExprId> pigeonhole(ExprFactory& f, int pigeons, int holes) {
-  std::vector<ExprId> clauses;
-  std::vector<std::vector<ExprId>> in(
-      static_cast<std::size_t>(pigeons),
-      std::vector<ExprId>(static_cast<std::size_t>(holes)));
-  for (int p = 0; p < pigeons; ++p) {
-    for (int h = 0; h < holes; ++h) {
-      in[static_cast<std::size_t>(p)][static_cast<std::size_t>(h)] =
-          f.bool_var("fk_p" + std::to_string(p) + "h" + std::to_string(h));
-    }
-  }
-  for (int p = 0; p < pigeons; ++p) {
-    clauses.push_back(f.or_(in[static_cast<std::size_t>(p)]));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        clauses.push_back(f.or_(
-            {f.not_(in[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)]),
-             f.not_(in[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)])}));
-      }
-    }
-  }
-  return clauses;
-}
-
 // Bounded-domain incremental fuzz session, shared by the reference and
 // the faulted run: the same seed replays the same assertion DAG and the
 // same push/pop/check sequence, where push and pop grow and shrink a stack
@@ -221,7 +192,7 @@ struct FuzzScript {
       solver.add(f.le(v, f.int_const(6)));
     }
     if (with_php) {
-      for (ExprId c : pigeonhole(f, 6, 5)) solver.add(c);
+      for (ExprId c : testing::pigeonhole(f, 6, 5, "fk_")) solver.add(c);
     }
     const int asserts = std::uniform_int_distribution<int>(1, 3)(rng);
     for (int i = 0; i < asserts; ++i) solver.add(formula(3));

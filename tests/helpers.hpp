@@ -59,6 +59,34 @@ struct RunningExample {
   }
 };
 
+/// Pigeonhole principle PHP(p, h): p pigeons into h holes, one boolean
+/// `<prefix>p<i>h<j>` per placement. Unsat for p > h and resolution-hard,
+/// so it is a reliable generator of conflicts and learned clauses.
+inline std::vector<smt::ExprId> pigeonhole(smt::ExprFactory& f, int pigeons,
+                                           int holes,
+                                           const std::string& prefix) {
+  const auto at = [](int i) { return static_cast<std::size_t>(i); };
+  std::vector<smt::ExprId> constraints;
+  std::vector<std::vector<smt::ExprId>> in(
+      at(pigeons), std::vector<smt::ExprId>(at(holes)));
+  for (int p = 0; p < pigeons; ++p) {
+    for (int h = 0; h < holes; ++h) {
+      in[at(p)][at(h)] = f.bool_var(prefix + "p" + std::to_string(p) + "h" +
+                                    std::to_string(h));
+    }
+  }
+  for (int p = 0; p < pigeons; ++p) constraints.push_back(f.or_(in[at(p)]));
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        constraints.push_back(
+            f.or_({f.not_(in[at(p1)][at(h)]), f.not_(in[at(p2)][at(h)])}));
+      }
+    }
+  }
+  return constraints;
+}
+
 /// When ADVOCAT_PROOF_DIR is set (the CI certification steps), writes
 /// every certificate to `<dir>/<stem><n>.proof`, n counting from 1 per
 /// stem, so the standalone advocat-check binary revalidates the same
