@@ -38,8 +38,7 @@ int Simplex::add_slack(
     const Rational c(coeff);
     const VarState& vs = vars_[static_cast<std::size_t>(x)];
     if (vs.basic_row >= 0) {
-      expr.add_scaled(
-          tab_.to_sparse(static_cast<std::size_t>(vs.basic_row)), c);
+      expr.add_scaled(tab_.row(static_cast<std::size_t>(vs.basic_row)), c);
     } else {
       expr.add(x, c);
     }
@@ -49,7 +48,7 @@ int Simplex::add_slack(
   vars_[static_cast<std::size_t>(s)].beta = std::move(beta);
   vars_[static_cast<std::size_t>(s)].basic_row =
       static_cast<int>(tab_.num_rows());
-  tab_.add_row(s, expr);
+  tab_.add_row(s, expr.entries());
   return s;
 }
 
@@ -139,12 +138,19 @@ void Simplex::pivot_and_update(int leave, int enter, const Rational& v) {
 
   // Row pivot: from  leave = a·enter + rest  derive
   // enter = (1/a)·leave − rest/a  and substitute in every other row.
-  SparseRow nr = tab_.to_sparse(ri);
-  nr.add(enter, -a);            // rest
-  nr.scale(-a.reciprocal());    // −rest/a
-  nr.add(leave, a.reciprocal());
+  const Rational inv = a.reciprocal();
+  const Rational neg_inv = -inv;
+  const std::span<const Entry> row = tab_.row(ri);
+  std::vector<Entry> nr;
+  nr.reserve(row.size());  // `enter` leaves, `leave` joins
+  for (const Entry& e : row) {
+    if (e.col != enter) nr.push_back(Entry{e.col, e.coeff * neg_inv});
+  }
+  nr.insert(std::lower_bound(nr.begin(), nr.end(), leave,
+                             [](const Entry& e, int c) { return e.col < c; }),
+            Entry{leave, inv});
   for (const auto& [r, c] : pivot_rows_) tab_.pivot_merge(r, enter, c, nr);
-  tab_.replace_row(ri, nr.entries());
+  tab_.replace_row(ri, std::move(nr));
   tab_.set_owner(ri, enter);
   vars_[static_cast<std::size_t>(enter)].basic_row = static_cast<int>(ri);
   vars_[static_cast<std::size_t>(leave)].basic_row = -1;
@@ -160,12 +166,9 @@ void Simplex::explain_row(int x, bool below) {
   const VarState& vs = vars_[static_cast<std::size_t>(x)];
   farkas_.push_back(
       {below ? vs.lo_tag : vs.hi_tag, Rational(1)});
-  const std::size_t ri = static_cast<std::size_t>(vs.basic_row);
-  const std::int32_t* cols = tab_.row_cols(ri);
-  const Rational* coeffs = tab_.row_coeffs(ri);
-  for (std::uint32_t i = 0; i < tab_.row_len(ri); ++i) {
-    const VarState& u = vars_[static_cast<std::size_t>(cols[i])];
-    const Rational& c = coeffs[i];
+  for (const auto& [col, c] :
+       tab_.row(static_cast<std::size_t>(vs.basic_row))) {
+    const VarState& u = vars_[static_cast<std::size_t>(col)];
     const bool at_hi = below ? !c.is_negative() : c.is_negative();
     farkas_.push_back({at_hi ? u.hi_tag : u.lo_tag,
                        c.is_negative() ? -c : c});
@@ -175,7 +178,7 @@ void Simplex::explain_row(int x, bool below) {
 
 std::string Simplex::audit() const {
   const auto bad = [](const std::string& what) { return what; };
-  // CSR span bookkeeping first: everything below trusts the spans.
+  // Tableau bookkeeping first: everything below trusts the column lists.
   if (std::string what = tab_.audit(); !what.empty()) return bad(what);
   const int nv = static_cast<int>(vars_.size());
   // Basis/nonbasis partition, both directions.
@@ -220,21 +223,16 @@ std::string Simplex::audit() const {
   // β(owner) = expr(β) holds exactly.
   for (std::size_t r = 0; r < tab_.num_rows(); ++r) {
     Rational sum;
-    const std::int32_t* cols = tab_.row_cols(r);
-    const Rational* coeffs = tab_.row_coeffs(r);
-    for (std::uint32_t i = 0; i < tab_.row_len(r); ++i) {
-      if (cols[i] < 0 || cols[i] >= nv) {
+    for (const auto& [col, c] : tab_.row(r)) {
+      if (col < 0 || col >= nv) {
         return bad("row " + std::to_string(r) + ": column " +
-                   std::to_string(cols[i]) + " out of range");
+                   std::to_string(col) + " out of range");
       }
-      if (vars_[static_cast<std::size_t>(cols[i])].basic_row >= 0) {
+      if (vars_[static_cast<std::size_t>(col)].basic_row >= 0) {
         return bad("row " + std::to_string(r) + ": mentions basic var " +
-                   std::to_string(cols[i]));
+                   std::to_string(col));
       }
-      if (coeffs[i].is_zero()) {
-        return bad("row " + std::to_string(r) + ": explicit zero coefficient");
-      }
-      sum += coeffs[i] * vars_[static_cast<std::size_t>(cols[i])].beta;
+      sum += c * vars_[static_cast<std::size_t>(col)].beta;
     }
     if (!(sum == vars_[static_cast<std::size_t>(tab_.owner(r))].beta)) {
       return bad("row " + std::to_string(r) + ": beta(owner) != expr(beta)");
@@ -249,7 +247,6 @@ std::string Simplex::audit() const {
 }
 
 bool Simplex::check() {
-  ++stats_.checks;
   for (std::uint64_t iter = 0;; ++iter) {
     if (tick_) tick_();
     // Bland's rule: smallest violating basic variable.
@@ -276,20 +273,18 @@ bool Simplex::check() {
     // Entering variable: the suitable one in the fewest rows (the pivot
     // rewrites exactly those, and the tableau stays sparse), smallest id
     // first; past kBlandAfter iterations, the smallest suitable id.
-    const std::int32_t* cols = tab_.row_cols(ri);
-    const Rational* coeffs = tab_.row_coeffs(ri);
     const bool bland = iter >= kBlandAfter;
     int enter = -1;
     std::int32_t fewest = 0;
-    for (std::uint32_t i = 0; i < tab_.row_len(ri); ++i) {
-      const VarState& u = vars_[static_cast<std::size_t>(cols[i])];
-      const bool want_up = below == !coeffs[i].is_negative();
+    for (const auto& [col, c] : tab_.row(ri)) {
+      const VarState& u = vars_[static_cast<std::size_t>(col)];
+      const bool want_up = below == !c.is_negative();
       const bool can = want_up ? (!u.has_hi || u.beta < u.hi)
                                : (!u.has_lo || u.beta > u.lo);
       if (!can) continue;
-      const std::int32_t n = tab_.col_count(cols[i]);
+      const std::int32_t n = tab_.col_count(col);
       if (enter < 0 || n < fewest) {
-        enter = cols[i];
+        enter = col;
         fewest = n;
       }
       if (bland) break;

@@ -34,9 +34,9 @@
 // falls back to Bland's rule (smallest index), so check() terminates on
 // every input without perturbation. The solver is fully deterministic.
 //
-// The tableau (csr_tableau.hpp) keeps the ascending list of rows that
-// mention each column, so moving a non-basic value and pivoting visit only
-// the rows holding that column, never the whole tableau.
+// The tableau (tableau.hpp) keeps the ascending list of rows that mention
+// each column, so moving a non-basic value and pivoting visit only the rows
+// holding that column, never the whole tableau.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,8 @@
 #include <string>
 #include <vector>
 
-#include "linalg/csr_tableau.hpp"
 #include "linalg/sparse_row.hpp"
+#include "linalg/tableau.hpp"
 
 namespace advocat::linalg {
 
@@ -59,7 +59,6 @@ struct FarkasTerm {
 /// Cumulative effort/result counters for one Simplex instance.
 struct SimplexStats {
   std::uint64_t pivots = 0;     ///< pivot-and-update steps performed
-  std::uint64_t checks = 0;     ///< check() calls
   std::uint64_t conflicts = 0;  ///< Farkas certificates extracted
 };
 
@@ -124,14 +123,13 @@ class Simplex {
   /// later retract_to()/check() recovers.
   void set_tick(std::function<void()> tick) { tick_ = std::move(tick); }
 
-  /// Inline bytes held by the tableau pools (CSR entries, column lists,
+  /// Inline bytes held by the simplex (tableau rows and column lists,
   /// variable states, bound trail). Feeds the solver's memory ceiling;
   /// BigInt heap records (header and limbs) are gauged separately
   /// (util::BigInt heap_bytes_in_use), so the two add without double
   /// counting the inline representation.
   [[nodiscard]] std::size_t pool_bytes() const {
-    return tab_.pool_size() * (sizeof(std::int32_t) + sizeof(Rational)) +
-           tab_.list_bytes() + vars_.size() * sizeof(VarState) +
+    return tab_.bytes() + vars_.size() * sizeof(VarState) +
            trail_.size() * sizeof(TrailEntry);
   }
 
@@ -166,10 +164,9 @@ class Simplex {
   std::vector<VarState> vars_;
   // Tableau rows: x_owner(r) = row(r), where each row mentions non-basic
   // extended variables only (constants never occur — callers fold them into
-  // bounds). Stored in packed CSR form with per-column row lists, so an
-  // update or pivot visits only the rows holding its column;
-  // VarState::basic_row indexes into it.
-  CsrTableau tab_;
+  // bounds). The per-column row lists let an update or pivot visit only
+  // the rows holding its column; VarState::basic_row indexes into it.
+  Tableau tab_;
   std::vector<std::pair<std::int32_t, int>> col_index_;  // sorted col → var
   std::vector<TrailEntry> trail_;
   std::vector<FarkasTerm> farkas_;

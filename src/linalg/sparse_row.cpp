@@ -31,24 +31,31 @@ Rational SparseRow::coeff(std::int32_t col) const {
 
 void SparseRow::add_scaled(const SparseRow& other, const Rational& factor) {
   if (factor.is_zero()) return;
+  add_scaled(other.entries_, factor);
+  constant_ += other.constant_ * factor;
+}
+
+void SparseRow::add_scaled(std::span<const Entry> terms,
+                           const Rational& factor) {
+  if (factor.is_zero()) return;
   // Merge two sorted entry lists into a reused scratch buffer: elimination
   // calls this in a tight loop, and reusing one buffer's capacity avoids a
   // fresh allocation (plus the discarded old list) per call.
   static thread_local std::vector<Entry> merged;
   merged.clear();
-  merged.reserve(entries_.size() + other.entries_.size());
+  merged.reserve(entries_.size() + terms.size());
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < entries_.size() || j < other.entries_.size()) {
-    if (j == other.entries_.size() ||
-        (i < entries_.size() && entries_[i].col < other.entries_[j].col)) {
+  while (i < entries_.size() || j < terms.size()) {
+    if (j == terms.size() ||
+        (i < entries_.size() && entries_[i].col < terms[j].col)) {
       merged.push_back(entries_[i++]);
-    } else if (i == entries_.size() || other.entries_[j].col < entries_[i].col) {
-      Rational c = other.entries_[j].coeff * factor;
-      if (!c.is_zero()) merged.push_back(Entry{other.entries_[j].col, std::move(c)});
+    } else if (i == entries_.size() || terms[j].col < entries_[i].col) {
+      Rational c = terms[j].coeff * factor;
+      if (!c.is_zero()) merged.push_back(Entry{terms[j].col, std::move(c)});
       ++j;
     } else {
-      Rational c = entries_[i].coeff + other.entries_[j].coeff * factor;
+      Rational c = entries_[i].coeff + terms[j].coeff * factor;
       if (!c.is_zero()) merged.push_back(Entry{entries_[i].col, std::move(c)});
       ++i;
       ++j;
@@ -56,7 +63,6 @@ void SparseRow::add_scaled(const SparseRow& other, const Rational& factor) {
   }
   // Swap rather than move so the scratch keeps (and grows) its capacity.
   entries_.swap(merged);
-  constant_ += other.constant_ * factor;
 }
 
 void SparseRow::scale(const Rational& factor) {

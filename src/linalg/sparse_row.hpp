@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,15 +27,6 @@ class SparseRow {
  public:
   SparseRow() = default;
 
-  /// Builds a row directly from entries that are already sorted by column
-  /// and free of zero coefficients (the class invariant); used by the CSR
-  /// tableau to rehydrate a packed row without per-entry insertion.
-  static SparseRow from_sorted(std::vector<Entry> entries) {
-    SparseRow r;
-    r.entries_ = std::move(entries);
-    return r;
-  }
-
   /// Adds `c` to the coefficient of column `col` (drops the entry when the
   /// sum is zero).
   void add(std::int32_t col, const Rational& c);
@@ -50,6 +42,9 @@ class SparseRow {
 
   /// row += factor * other (including the constant term).
   void add_scaled(const SparseRow& other, const Rational& factor);
+  /// row += factor * Σ terms, for `terms` sorted by column and zero-free
+  /// (a row without its constant, e.g. a simplex tableau row).
+  void add_scaled(std::span<const Entry> terms, const Rational& factor);
   void scale(const Rational& factor);
 
   /// Multiplies by the least common multiple of all denominators and divides

@@ -374,7 +374,7 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
     }
   }
 
-  // Interval bounds: only meaningful at settled sites — a Timeout can
+  // Interval bounds: only meaningful at settled sites — a stop can
   // unwind between an interval crossing and its explanation, leaving the
   // crossed interval until the next reset.
   if (bounds_settled) {

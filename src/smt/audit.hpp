@@ -25,10 +25,10 @@
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
 // every integer interval, every bound equal to what its bound-log chain
-// implies, and clear conflict-analysis scratch; a check
-// boundary reached through a Timeout is *not* settled (the exception can
-// unwind between an interval crossing and its explanation, or inside
-// analysis) and skips those checks.
+// implies, and clear conflict-analysis scratch; a check boundary reached
+// through a util::Stop or an injected fault is *not* settled (the
+// exception can unwind between an interval crossing and its explanation,
+// or inside analysis) and skips those checks.
 #pragma once
 
 #include <string>

@@ -89,7 +89,9 @@ SearchContext::SearchContext(const SharedProblem& shared) : sh_(shared) {
 // covers them all.
 void SearchContext::bump_ops() {
   if ((++ops_ & 0x3ff) != 0) return;
-  if (deadline_active_ && Clock::now() > deadline_) throw Timeout{};
+  if (deadline_active_ && Clock::now() > deadline_) {
+    throw util::Stop{util::StopReason::kDeadline};
+  }
   ++slow_polls_;
   if (job_ != nullptr) {
     if (job_->cancel != nullptr &&
@@ -1128,7 +1130,7 @@ void SearchContext::reset_search() {
   // phase hints.
   levels_.clear();
   deactivate_rows_to(0);
-  stx_.retract_to(0);  // a Timeout can unwind past a check's cut retraction
+  stx_.retract_to(0);  // a stop can unwind past a check's cut retraction
   rewind_blog(0);
   polarity_.resize(static_cast<std::size_t>(sh_.num_bvars), kUndef);
   for (Lit l : trail_) {
@@ -1346,9 +1348,6 @@ SatResult SearchContext::solve(const CheckJob& job) {
   // run_check starts with reset_search().
   try {
     out = run_check();
-  } catch (const Timeout&) {
-    out = SatResult::Unknown;
-    last_stop_ = util::StopReason::kDeadline;
   } catch (const util::Stop& s) {
     out = SatResult::Unknown;
     last_stop_ = s.reason;
@@ -1365,7 +1364,7 @@ SatResult SearchContext::solve(const CheckJob& job) {
   stats_.theory_pivots = stx_.pivots();
   stats_.farkas_explanations = stx_.explanations();
   if (audit_enabled()) {
-    // A Timeout can unwind between an interval crossing and its
+    // A stop can unwind between an interval crossing and its
     // explanation, leaving the crossed interval until the next reset —
     // checked relaxed.
     Auditor::check_deep(*this, "check-boundary", /*bounds_settled=*/false);

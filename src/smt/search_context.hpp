@@ -98,8 +98,6 @@ class PackedClauses {
   std::vector<std::uint32_t> off_{0};
 };
 
-struct Timeout {};  // deadline exceeded (thrown from bump_ops)
-
 /// The encoded problem, read-only while a check runs. Append-only:
 /// translation (between checks) grows it; nothing is ever removed or
 /// reordered, so the search syncs by remembering how many clauses it has

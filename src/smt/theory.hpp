@@ -21,8 +21,10 @@
 //    lets refutations learned from either theory persist across checks.
 //
 // The layers divide the work by strength and cost: interval propagation is
-// cheap, runs to a budget on every assertion batch, and carries per-bound
-// provenance for eager atom entailment; the simplex holds the same rows'
+// cheap, runs to a budget on every assertion batch, and entails atoms from
+// its bounds — an entailed atom keeps one bound-log mark and is explained
+// on demand (SearchContext::entailed_reason) only when conflict analysis
+// resolves on it; the simplex holds the same rows'
 // bounds in step with the trail, is exact and complete over the rationals,
 // explains interval conflicts with its Farkas rows, and decides the
 // rows when tightening exhausts its budget. At a full boolean assignment

@@ -71,7 +71,8 @@ enum class StopReason : std::uint8_t {
 /// Per-check resource ceilings. Every field is independent and 0 means
 /// unlimited; a default-constructed budget changes nothing. The memory
 /// ceiling governs the solver-owned pools: clause arena bytes + BigInt
-/// heap bytes + CSR/simplex pool bytes (see docs/ROBUSTNESS.md).
+/// heap bytes + simplex bytes (tableau rows and column lists, variable
+/// states, bound trail; see docs/ROBUSTNESS.md).
 struct ResourceBudget {
   unsigned deadline_ms = 0;            ///< wall clock per check (0 = none)
   std::uint64_t max_conflicts = 0;     ///< CDCL conflicts per check
@@ -85,8 +86,9 @@ struct ResourceBudget {
   }
 };
 
-/// Thrown (from a cooperative cancellation point) when a budget ceiling is
-/// hit; callers catch it at the check boundary and surface the reason.
+/// Thrown (from a cooperative cancellation point) when the deadline passes,
+/// a budget ceiling is hit or a cancel is observed; callers catch it at
+/// the check boundary and surface the reason.
 /// Intentionally not a std::exception: nothing between the cancellation
 /// point and the check boundary is allowed to swallow it.
 struct Stop {

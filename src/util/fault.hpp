@@ -25,7 +25,7 @@
 // the solver's cooperative cancellation point (SearchContext::bump_ops)
 // consumes the latch via take_deferred() and throws FaultInjected from
 // exactly the same program points a deadline can, so every fault unwind
-// rides the Timeout-proven exception-safety path. A fault latched while
+// rides the deadline-proven exception-safety path. A fault latched while
 // an Unsat is certified is taken after the lemma it arrived in
 // (ProofLog, src/smt/proof.cpp) and aborts that certificate instead.
 #pragma once

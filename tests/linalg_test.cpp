@@ -9,10 +9,10 @@
 #include <utility>
 #include <vector>
 
-#include "linalg/csr_tableau.hpp"
 #include "linalg/eliminator.hpp"
 #include "linalg/simplex.hpp"
 #include "linalg/sparse_row.hpp"
+#include "linalg/tableau.hpp"
 
 namespace advocat::linalg {
 namespace {
@@ -508,16 +508,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,
 
 // The column lists: after every add, rewrite and pivot merge each column
 // lists exactly the rows holding it, ascending, and audit() agrees.
-TEST(CsrTableau, ColumnListsFollowEveryRowRewrite) {
-  CsrTableau t;
+TEST(Tableau, ColumnListsFollowEveryRowRewrite) {
+  Tableau t;
   const auto rows = [&](std::int32_t col) {
     const auto span = t.rows_with(col);
     return std::vector<std::uint32_t>(span.begin(), span.end());
   };
   using Rows = std::vector<std::uint32_t>;
-  t.add_row(10, form_of({{0, 1}, {2, 3}}));
-  t.add_row(11, form_of({{1, 1}, {2, -1}}));
-  t.add_row(12, form_of({{0, 2}, {1, 1}}));
+  t.add_row(10, form_of({{0, 1}, {2, 3}}).entries());
+  t.add_row(11, form_of({{1, 1}, {2, -1}}).entries());
+  t.add_row(12, form_of({{0, 2}, {1, 1}}).entries());
   EXPECT_EQ(rows(0), (Rows{0, 2}));
   EXPECT_EQ(rows(1), (Rows{1, 2}));
   EXPECT_EQ(rows(2), (Rows{0, 1}));
@@ -525,7 +525,7 @@ TEST(CsrTableau, ColumnListsFollowEveryRowRewrite) {
   EXPECT_EQ(t.col_count(2), 2);
   EXPECT_EQ(t.audit(), "");
 
-  // Row 0 drops column 0, keeps 2 and gains 4 (and outgrows its span).
+  // Row 0 drops column 0, keeps 2 and gains 3 and 4.
   t.replace_row(0, form_of({{2, 1}, {3, 1}, {4, 5}}).entries());
   EXPECT_EQ(rows(0), (Rows{2}));
   EXPECT_EQ(rows(3), (Rows{0}));
@@ -534,16 +534,78 @@ TEST(CsrTableau, ColumnListsFollowEveryRowRewrite) {
 
   // Substitute column 1 := x5 - x2 into row 2 (the pivot merge): column 1
   // leaves the row, 5 joins it, and 2 joins it in ascending place.
-  t.pivot_merge(2, 1, Rational(1), form_of({{2, -1}, {5, 1}}));
+  t.pivot_merge(2, 1, Rational(1), form_of({{2, -1}, {5, 1}}).entries());
   EXPECT_EQ(rows(1), (Rows{1}));
   EXPECT_EQ(rows(2), (Rows{0, 1, 2}));
   EXPECT_EQ(rows(5), (Rows{2}));
   EXPECT_EQ(t.audit(), "");
 
-  // Shrinking rewrites reuse the span; an emptied row leaves every list.
+  // An emptied row leaves every list.
   t.replace_row(1, {});
   EXPECT_EQ(rows(1), (Rows{}));
   EXPECT_EQ(rows(2), (Rows{0, 2}));
+  EXPECT_EQ(t.audit(), "");
+}
+
+// A pivot merge whose shared column cancels to zero drops it from the row
+// and from the column's list; the surviving shared column keeps its place.
+TEST(Tableau, PivotMergeCancellationUnlinksTheColumn) {
+  Tableau t;
+  t.add_row(10, form_of({{0, 2}, {1, 3}, {2, 2}}).entries());
+  t.add_row(11, form_of({{1, 1}, {3, 1}}).entries());
+  ASSERT_EQ(t.audit(), "");
+
+  // Column 0 := x1 - x2 + x4, weighted by row 0's coefficient 2: column 1
+  // becomes 3 + 2 = 5, column 2 cancels (2 - 2 = 0), column 4 joins as 2.
+  t.pivot_merge(0, 0, Rational(2), form_of({{1, 1}, {2, -1}, {4, 1}}).entries());
+  EXPECT_EQ(t.row(0).size(), 2u);
+  EXPECT_EQ(t.coeff(0, 1), Rational(5));
+  EXPECT_EQ(t.find(0, 2), nullptr) << "a cancelled column is not stored";
+  EXPECT_EQ(t.coeff(0, 4), Rational(2));
+  EXPECT_TRUE(t.rows_with(0).empty());
+  EXPECT_TRUE(t.rows_with(2).empty()) << "the cancelled column is unlinked";
+  EXPECT_EQ(t.col_count(1), 2);
+  EXPECT_EQ(t.col_count(4), 1);
+  EXPECT_EQ(t.audit(), "");
+}
+
+// A row grown by one pivot merge and shrunk by the next keeps exact lists
+// and capacity counts at every step, and its values stay those of the
+// same substitutions on a SparseRow.
+TEST(Tableau, RowGrowsThenShrinks) {
+  Tableau t;
+  t.add_row(20, form_of({{0, 1}, {9, 1}}).entries());
+  t.add_row(21, form_of({{0, 1}}).entries());
+  SparseRow mirror = form_of({{0, 1}, {9, 1}});
+  ASSERT_EQ(t.audit(), "");
+
+  // Grow: column 0 := Σ x1..x6.
+  const SparseRow wide =
+      form_of({{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}});
+  t.pivot_merge(0, 0, Rational(1), wide.entries());
+  mirror.add(0, Rational(-1));
+  mirror.add_scaled(wide, Rational(1));
+  EXPECT_EQ(t.row(0).size(), 7u);
+  EXPECT_TRUE(std::equal(t.row(0).begin(), t.row(0).end(),
+                         mirror.entries().begin(), mirror.entries().end()));
+  for (std::int32_t c = 1; c <= 6; ++c) EXPECT_EQ(t.col_count(c), 1) << c;
+  EXPECT_EQ(t.col_count(0), 1) << "row 1 still holds column 0";
+  EXPECT_EQ(t.audit(), "");
+
+  // Shrink: column 3 := x7 - x1 - x2 - x4 - x5 - x6 cancels five columns.
+  const SparseRow narrow =
+      form_of({{1, -1}, {2, -1}, {4, -1}, {5, -1}, {6, -1}, {7, 1}});
+  t.pivot_merge(0, 3, Rational(1), narrow.entries());
+  mirror.add(3, Rational(-1));
+  mirror.add_scaled(narrow, Rational(1));
+  EXPECT_EQ(t.row(0).size(), 2u);
+  EXPECT_TRUE(std::equal(t.row(0).begin(), t.row(0).end(),
+                         mirror.entries().begin(), mirror.entries().end()));
+  for (const std::int32_t c : {1, 2, 3, 4, 5, 6}) {
+    EXPECT_TRUE(t.rows_with(c).empty()) << c;
+  }
+  EXPECT_EQ(t.col_count(7), 1);
+  EXPECT_EQ(t.col_count(9), 1);
   EXPECT_EQ(t.audit(), "");
 }
 
