@@ -127,7 +127,6 @@ VerifyResult Verifier::run_check(
 
   VerifyResult result;
   result.report.num_definitions = enc_.definitions.size();
-  result.report.encode_seconds = construct_encode_seconds_;
 
   util::Stopwatch solve;
   bool fault_unwound = false;
@@ -140,9 +139,8 @@ VerifyResult Verifier::run_check(
     result.report.result = smt::SatResult::Unknown;
     fault_unwound = true;
   }
-  result.report.solve_seconds = solve.seconds();
-  result.report.solve_stats = solver_->solve_stats();
-  result.solve_stats = result.report.solve_stats;
+  result.solve_seconds = solve.seconds();
+  result.solve_stats = solver_->solve_stats();
   if (result.report.result == smt::SatResult::Unknown) {
     // Every degraded verdict carries a reason — never a silent Unknown.
     result.stop_reason =
@@ -175,7 +173,6 @@ VerifyResult Verifier::run_check(
   result.typing_seconds = construct_typing_seconds_;
   result.invariant_seconds = invariant_seconds_;
   result.encode_seconds = construct_encode_seconds_;
-  result.solve_seconds = result.report.solve_seconds;
   result.total_seconds =
       watch.seconds() + (construction_charged_ ? 0.0 : construct_seconds_);
   construction_charged_ = true;

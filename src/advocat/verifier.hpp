@@ -92,10 +92,11 @@ struct VerifyResult {
   double analysis_ms = 0.0;
 
   /// Solver search effort, cumulative over the session up to and including
-  /// this check (mirrors report.solve_stats). On the native backend the
-  /// learned-clause fields show CDCL working across incremental probes:
-  /// learned_kept > 0 after a check means later probes on the session
-  /// start from those clauses instead of re-refuting shared substructure.
+  /// this check (see smt::SolveStats: exact for the native backend,
+  /// best-effort for Z3). On the native backend the learned-clause fields
+  /// show CDCL working across incremental probes: learned_kept > 0 after a
+  /// check means later probes on the session start from those clauses
+  /// instead of re-refuting shared substructure.
   smt::SolveStats solve_stats;
 
   /// Why this check degraded to Unknown (kNone after a definite verdict).
@@ -108,8 +109,7 @@ struct VerifyResult {
 
   double typing_seconds = 0.0;
   double invariant_seconds = 0.0;
-  /// Encode vs solve split (mirrors report.encode_seconds /
-  /// report.solve_seconds). For a session the encode cost is paid once at
+  /// Encode vs solve split. For a session the encode cost is paid once at
   /// construction and repeated verbatim in every result; solve_seconds is
   /// this check's marginal cost.
   double encode_seconds = 0.0;

@@ -14,8 +14,7 @@ std::string Report::to_string() const {
      << (deadlock_free() ? "deadlock-free"
                          : (result == smt::SatResult::Sat ? "deadlock candidate"
                                                           : "unknown"))
-     << " (encode " << encode_seconds << "s, solve " << solve_seconds << "s, "
-     << num_definitions << " definitions)\n";
+     << " (" << num_definitions << " definitions)\n";
   if (result == smt::SatResult::Sat) {
     for (const auto& t : fired) os << "  fired: " << t << "\n";
     for (const auto& q : queue_contents) os << "  " << q << "\n";

@@ -27,12 +27,7 @@ struct Report {
   /// "automaton: state" lines of the candidate (Sat only).
   std::vector<std::string> automaton_states;
 
-  double encode_seconds = 0.0;
-  double solve_seconds = 0.0;
   std::size_t num_definitions = 0;
-  /// Session-cumulative solver effort at the time of this check (see
-  /// smt::SolveStats; exact for the native backend, best-effort for Z3).
-  smt::SolveStats solve_stats;
 
   [[nodiscard]] std::string to_string() const;
 };

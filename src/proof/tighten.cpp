@@ -1,12 +1,30 @@
 // Worklist interval tightening; the rules are in tighten.hpp.
 #include "proof/tighten.hpp"
 
+#include <algorithm>
+
 namespace advocat::tighten {
 namespace {
 
 using util::BigInt;
 
 constexpr std::size_t kVisitsPerRow = 64;
+
+// FIFO of premise rows awaiting a visit; a row is queued at most once.
+// `readers` holds a (bound node, row) pair per premise term, sorted: the
+// rows that read a bound, in premise order.
+struct Worklist {
+  std::vector<int> queue;
+  std::size_t head = 0;
+  std::vector<char> queued;
+  std::vector<std::pair<std::size_t, std::size_t>> readers;
+
+  void push(std::size_t r) {
+    if (queued[r] != 0) return;
+    queued[r] = 1;
+    queue.push_back(static_cast<int>(r));
+  }
+};
 
 // A term c·v reads v's lower bound when c > 0 and its upper bound
 // otherwise: the node of the bound a row reads (and a tightening writes
@@ -16,20 +34,10 @@ std::size_t reader_node(int v, std::int64_t c) {
 }
 
 // Queues every premise row that reads bound `node`, in premise order.
-void queue_readers(const Premises& p, std::size_t node, Worklist& wl) {
-  for (std::size_t i = 0; i < p.own.size(); ++i) {
-    for (const auto& [u, c] : p.own[i].terms) {
-      if (reader_node(u, c) == node) {
-        wl.push(i);
-        break;
-      }
-    }
-  }
-  if (node < p.ctx.readers.size()) {
-    for (const int r : p.ctx.readers[node]) {
-      wl.push(p.own.size() + static_cast<std::size_t>(r));
-    }
-  }
+void queue_readers(std::size_t node, Worklist& wl) {
+  auto it = std::lower_bound(wl.readers.begin(), wl.readers.end(),
+                             std::pair<std::size_t, std::size_t>{node, 0});
+  for (; it != wl.readers.end() && it->first == node; ++it) wl.push(it->second);
 }
 
 // The bound row `r` implies on the variable of its term `ti` from the
@@ -81,7 +89,7 @@ bool implied_bound(const Ineq& r, std::size_t ti, Bounds& st, BigInt& out) {
 // One row visit: each term in order is bounded by the row and the other
 // terms' bounds; a tightened bound queues the rows that read it. Returns
 // the first crossed variable, or -1.
-int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
+int visit(const Ineq& r, Bounds& st, Worklist& wl) {
   BigInt nb;
   for (std::size_t ti = 0; ti < r.terms.size(); ++ti) {
     if (!implied_bound(r, ti, st, nb)) continue;
@@ -90,7 +98,7 @@ int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
     const VarBound& cur = st.at(v, is_hi);
     if (!cur.has || (is_hi ? nb < cur.val : nb > cur.val)) {
       st.set(v, is_hi, std::move(nb));
-      queue_readers(p, 2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
+      queue_readers(2 * static_cast<std::size_t>(v) + (is_hi ? 1 : 0), wl);
     }
     const VarBound& lb = st.at(v, false);
     const VarBound& hb = st.at(v, true);
@@ -101,7 +109,7 @@ int visit(const Ineq& r, const Premises& p, Bounds& st, Worklist& wl) {
 
 // Visits the queued rows first-in first-out until the queue drains (a
 // fixpoint), a bound crosses, or 64 visits per premise row are spent.
-// Returns the crossed variable, or -1; the queue is left empty.
+// Returns the crossed variable, or -1.
 int propagate(const Premises& p, Bounds& st, Worklist& wl) {
   const std::size_t budget = kVisitsPerRow * p.size();
   std::size_t visits = 0;
@@ -110,9 +118,8 @@ int propagate(const Premises& p, Bounds& st, Worklist& wl) {
     const auto r = static_cast<std::size_t>(wl.queue[wl.head++]);
     wl.queued[r] = 0;
     ++visits;
-    crossed = visit(p.row(r), p, st, wl);
+    crossed = visit(p[r], st, wl);
   }
-  wl.clear();
   return crossed;
 }
 
@@ -124,35 +131,19 @@ BigInt floor_div(const BigInt& a, const BigInt& b) {
   return q;
 }
 
-void Context::extend(std::vector<Ineq> fresh) {
-  const std::size_t first = rows.size();
-  for (Ineq& r : fresh) {
-    const int ri = static_cast<int>(rows.size());
-    for (const auto& [v, c] : r.terms) {
-      const std::size_t node = reader_node(v, c);
-      if (readers.size() <= node) readers.resize(node + 1);
-      std::vector<int>& rs = readers[node];
-      if (rs.empty() || rs.back() != ri) rs.push_back(ri);
-    }
-    rows.push_back(std::move(r));
-  }
-  work.queued.resize(rows.size(), 0);
-  if (crossed >= 0) return;
-  const std::vector<Ineq> none;
-  const Premises p{none, *this};
-  for (std::size_t i = first; i < rows.size(); ++i) work.push(i);
-  crossed = propagate(p, base, work);
-  base.trail.clear();  // the base bounds are permanent
-}
-
 int tighten_branch(const Premises& p, Bounds& st, int seed) {
-  if (p.ctx.crossed >= 0) return p.ctx.crossed;
-  Worklist& wl = p.ctx.work;
-  wl.queued.resize(p.size(), 0);
+  Worklist wl;
+  wl.queued.assign(p.size(), 0);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    for (const auto& [u, c] : p[i].terms) {
+      wl.readers.emplace_back(reader_node(u, c), i);
+    }
+  }
+  std::sort(wl.readers.begin(), wl.readers.end());
   if (seed < 0) {
-    for (std::size_t i = 0; i < p.own.size(); ++i) wl.push(i);
+    for (std::size_t i = 0; i < p.size(); ++i) wl.push(i);
   } else {
-    queue_readers(p, static_cast<std::size_t>(seed), wl);
+    queue_readers(static_cast<std::size_t>(seed), wl);
   }
   return propagate(p, st, wl);
 }

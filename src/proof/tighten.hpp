@@ -8,9 +8,7 @@
 //
 // The rules (docs/PROOFS.md, "Interval tightening"):
 //
-//  - Context::extend appends context rows and re-tightens the base bounds
-//    from their previous state, seeded by the new rows;
-//  - a lemma starts from the base bounds, seeded by its own rows; a split
+//  - a lemma starts from empty bounds, seeded by its own rows; a split
 //    branch starts from its parent's bounds plus the cut, seeded by the
 //    rows that read the cut bound;
 //  - rows are visited first-in first-out, each queued at most once; a
@@ -74,66 +72,17 @@ struct Bounds {
   }
 };
 
-/// FIFO of premise rows awaiting a visit; a row is queued at most once.
-struct Worklist {
-  std::vector<int> queue;
-  std::size_t head = 0;
-  std::vector<char> queued;
-
-  void push(std::size_t r) {
-    if (queued[r] != 0) return;
-    queued[r] = 1;
-    queue.push_back(static_cast<int>(r));
-  }
-  void clear() {
-    for (std::size_t i = head; i < queue.size(); ++i) {
-      queued[static_cast<std::size_t>(queue[i])] = 0;
-    }
-    queue.clear();
-    head = 0;
-  }
-};
-
 /// floor(a/b) for b > 0 (BigInt division truncates toward zero).
 [[nodiscard]] util::BigInt floor_div(const util::BigInt& a,
                                      const util::BigInt& b);
 
-/// The level-0 context: its rows (premises p<n>… of a lemma with n own
-/// rows), the context rows that read each bound, and the base bounds the
-/// context alone implies. `base` must cover every column a row names
-/// (Bounds::grow).
-struct Context {
-  std::vector<Ineq> rows;
-  std::vector<std::vector<int>> readers;  // bound node -> context rows
-  Bounds base;
-  int crossed = -1;  // the context alone crosses this variable's bounds
-  Worklist work;
-
-  /// Appends `fresh` and re-tightens the base bounds from their previous
-  /// state, seeded by the new rows in order. The base bounds stay
-  /// permanent; once `crossed` is set they no longer change.
-  void extend(std::vector<Ineq> fresh);
-};
-
-/// The premises of one lemma: its own rows p0…p{n-1} (the negated clause
-/// literals), then the context rows.
-struct Premises {
-  const std::vector<Ineq>& own;
-  Context& ctx;  // its worklist serves the lemma's branches
-
-  [[nodiscard]] std::size_t size() const {
-    return own.size() + ctx.rows.size();
-  }
-  [[nodiscard]] const Ineq& row(std::size_t i) const {
-    return i < own.size() ? own[i] : ctx.rows[i - own.size()];
-  }
-};
+/// The premises of one lemma, p0…p{n-1}: its negated clause literals.
+using Premises = std::vector<Ineq>;
 
 /// Tightens one proof branch in place: seeded by the lemma's own rows when
 /// `seed` < 0, otherwise by the rows that read bound node `seed` (2v for
 /// v's lower bound, 2v+1 for its upper bound, the bound a split cut set).
-/// Returns the crossed variable, or -1. When the context alone crosses,
-/// returns that variable without tightening.
+/// Returns the crossed variable, or -1.
 int tighten_branch(const Premises& p, Bounds& st, int seed);
 
 }  // namespace advocat::tighten

@@ -13,16 +13,14 @@
 // too, so a proof step can reference derived bounds as `lo<v>` / `hi<v>`
 // without serializing every intermediate derivation: the checker reaches
 // the same bound state on its own. What is the certifier's own is the
-// context model kept per session, the split choice and the serialization.
+// split choice and the serialization.
 #include "smt/proof.hpp"
 
 #include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 
 #include "proof/tighten.hpp"
 #include "util/bigint.hpp"
@@ -40,20 +38,17 @@ using util::BigInt;
 using util::Rational;
 
 // What ProofLog keeps between the certificates of a session: the
-// serialized problem and trace (both only grow) and the context model. A
-// record serializes to the same text in every certificate (a lemma's
-// premises are its literals plus the context logged before it), so each
-// record is serialized, and each lemma certified, once per session.
+// serialized problem and trace, both only growing. A record serializes to
+// the same text in every certificate (a lemma's premises are its own
+// literals), so each record is serialized, and each lemma certified, once
+// per session.
 struct ProofLog::State {
   std::string atoms, clauses;  // `atom` lines; `in` lines incl. def units
   std::size_t num_atoms = 0, num_clauses = 0, num_units = 0;
   std::string trace;  // every committed record, each lemma certified
   std::size_t splits = 0;  // `s` steps in `trace`
   bool unproven = false;  // `trace` holds an `unproven` lemma
-  std::vector<std::vector<Lit>> context;  // the committed `ctx` records
-  // The context model: empty after a failed certificate, which may have
-  // folded records the committed trace does not hold.
-  std::optional<tighten::Context> model;
+  Bounds bounds;  // empty between lemmas: each lemma tightens from none
 
   void extend_problem(const SharedProblem& sh);
   void extend_trace(const SharedProblem& sh,
@@ -76,28 +71,12 @@ const StaticRow* atom_row(const SharedProblem& sh, Lit l) {
   return is_neg(l) ? &a.negation : &a.row;
 }
 
-// Folds one `ctx` record into the context model.
-void fold_context(const SharedProblem& sh, const std::vector<Lit>& lits,
-                  tighten::Context& model) {
-  model.base.grow(sh.int_names.size());
-  std::vector<Ineq> rows;
-  rows.reserve(lits.size());
-  for (const Lit l : lits) {
-    const StaticRow* r = atom_row(sh, l);
-    if (r == nullptr) {
-      throw std::logic_error("proof context literal is not a theory atom");
-    }
-    rows.push_back(Ineq{r->terms, BigInt(r->bound)});
-  }
-  model.extend(std::move(rows));
-}
-
 std::string rat_pair(const Rational& r) {
   return r.num().to_string() + " " + r.den().to_string();
 }
 
-// Certifier for a lemma without a hint: tightens the base bounds in place
-// (the caller rolls them back).
+// Certifier for a lemma without a hint: tightens the bounds in place (the
+// caller rolls them back).
 struct Certifier {
   const Premises& p;
   Bounds& st;
@@ -152,13 +131,13 @@ bool Certifier::branch(int seed, std::ostringstream& out, int depth) {
   return true;
 }
 
-// Certifies one lemma against the context model; returns the proof body
-// ("" on failure). A hint is written as the one Farkas step: multiplier i
-// weighs premise p<i>, the negation of lemma literal i. Without one, the
-// certifier tightens and bisects, adding its bisections to `splits`; the
-// base bounds are restored on every exit.
+// Certifies one lemma; returns the proof body ("" on failure). A hint is
+// written as the one Farkas step: multiplier i weighs premise p<i>, the
+// negation of lemma literal i. Without one, the certifier tightens `st`
+// from empty and bisects, adding its bisections to `splits`; `st` is
+// emptied again on every exit.
 std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec,
-                          tighten::Context& ctx, std::size_t& splits) {
+                          Bounds& st, std::size_t& splits) {
   if (!rec.hint.empty()) {
     std::string f = "f " + std::to_string(rec.hint.size());
     for (std::size_t i = 0; i < rec.hint.size(); ++i) {
@@ -166,20 +145,19 @@ std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec,
     }
     return f + "\n";
   }
-  std::vector<Ineq> own;
-  own.reserve(rec.lits.size());
+  Premises p;
+  p.reserve(rec.lits.size());
   for (const Lit l : rec.lits) {
     // Premise: the negated clause literal.
     const StaticRow* r = atom_row(sh, neg(l));
     if (r == nullptr) return "";  // not a theory atom (defensive)
-    own.push_back(Ineq{r->terms, BigInt(r->bound)});
+    p.push_back(Ineq{r->terms, BigInt(r->bound)});
   }
-  const Premises p{own, ctx};
   struct Rollback {
     Bounds& b;
     ~Rollback() { b.undo_to(0); }
-  } rollback{ctx.base};
-  Certifier cert{p, ctx.base};
+  } rollback{st};
+  Certifier cert{p, st};
   std::ostringstream body;
   if (!cert.branch(-1, body, 0)) return "";
   splits += cert.splits;
@@ -244,65 +222,38 @@ void ProofLog::State::extend_problem(const SharedProblem& sh) {
 
 // Serializes (and certifies) the records logged since the last
 // certificate. Commits only once every record is done, so a throw leaves
-// the serialized trace as it was; the context model may by then have
-// folded records the trace does not hold, so it is dropped and rebuilt
-// from the committed `ctx` records by the next certificate.
+// the serialized trace as it was.
 void ProofLog::State::extend_trace(const SharedProblem& sh,
                                    const std::vector<ProofRecord>& records) {
   std::string text;
   std::size_t new_splits = splits;
   bool new_unproven = unproven;
-  std::vector<std::vector<Lit>> new_context;
-  try {
-    if (!model) {
-      model.emplace();
-      for (const std::vector<Lit>& lits : context) {
-        fold_context(sh, lits, *model);
-      }
+  bounds.grow(sh.int_names.size());
+  for (const ProofRecord& rec : records) {
+    const Lit* lits = rec.lits.data();
+    const std::size_t n = rec.lits.size();
+    if (rec.kind == ProofRecord::Kind::kRup) {
+      put_clause(text, "rup", lits, n);
+      continue;
     }
-    model->base.grow(sh.int_names.size());
-    for (const ProofRecord& rec : records) {
-      const Lit* lits = rec.lits.data();
-      const std::size_t n = rec.lits.size();
-      switch (rec.kind) {
-        case ProofRecord::Kind::kRup:
-          put_clause(text, "rup", lits, n);
-          break;
-        case ProofRecord::Kind::kContext:
-          put_clause(text, "ctx", lits, n);
-          fold_context(sh, rec.lits, *model);
-          new_context.push_back(rec.lits);
-          break;
-        case ProofRecord::Kind::kLemma: {
-          put_clause(text, "lem", lits, n);
-          const std::string body = certify_lemma(sh, rec, *model, new_splits);
-          if (body.empty()) {
-            text += "unproven\n";
-            new_unproven = true;
-          } else {
-            text += body;
-          }
-          text += "end\n";
-          // A BigInt allocation fault latched while certifying is taken
-          // here, between lemmas: it aborts this certificate into the
-          // stub instead of reaching the next check's search.
-          if (util::fault::take_deferred()) throw util::fault::FaultInjected{};
-          break;
-        }
-      }
+    put_clause(text, "lem", lits, n);
+    const std::string body = certify_lemma(sh, rec, bounds, new_splits);
+    if (body.empty()) {
+      text += "unproven\n";
+      new_unproven = true;
+    } else {
+      text += body;
     }
-    // Reserved first, so the appends that commit cannot throw.
-    trace.reserve(trace.size() + text.size());
-    context.reserve(context.size() + new_context.size());
-  } catch (...) {
-    model.reset();
-    throw;
+    text += "end\n";
+    // A BigInt allocation fault latched while certifying is taken here,
+    // between lemmas: it aborts this certificate into the stub instead of
+    // reaching the next check's search.
+    if (util::fault::take_deferred()) throw util::fault::FaultInjected{};
   }
+  trace.reserve(trace.size() + text.size());  // so the append cannot throw
   trace += text;
   splits = new_splits;
   unproven = new_unproven;
-  context.insert(context.end(), std::make_move_iterator(new_context.begin()),
-                 std::make_move_iterator(new_context.end()));
 }
 
 Certificate ProofLog::certificate(const SharedProblem& sh,
@@ -314,7 +265,7 @@ Certificate ProofLog::certificate(const SharedProblem& sh,
   cert.mode = "native";
   std::string& out = cert.text;
   try {
-    out = "advocat-proof 2\nmode native\n";
+    out = "advocat-proof 3\nmode native\n";
     if (trivially_unsat) {
       out += "in 0\nqed\n";  // translation already derived the empty clause
     } else {
@@ -344,7 +295,7 @@ Certificate ProofLog::certificate(const SharedProblem& sh,
     cert.mode = "attested";
     cert.complete = false;
     cert.reason = "native certificate construction aborted";
-    out = "advocat-proof 2\nmode attested native-aborted\nqed\n";
+    out = "advocat-proof 3\nmode attested native-aborted\nqed\n";
   }
   cert.proof_bytes = out.size();
   cert.proof_ms = sw.millis();

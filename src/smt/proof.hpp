@@ -11,7 +11,7 @@
 // At an Unsat check boundary the ProofLog serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
 // and theory-atom table, this check's assumption units, the ordered
-// rup/ctx/lem trace — each theory lemma carrying an inline proof: the
+// rup/lem trace — each theory lemma carrying an inline proof: the
 // hint as one Farkas step, or else Chvátal–Gomory interval tightening
 // with bisecting splits — and a closing `qed`. tools/proof_check.cpp
 // validates the result with zero dependencies on solver code.
@@ -33,13 +33,11 @@ namespace advocat::smt::native {
 /// One entry of the session proof trace.
 struct ProofRecord {
   enum class Kind : std::uint8_t {
-    kRup,      ///< learned clause, checkable by reverse unit propagation
-    kLemma,    ///< theory-valid clause, checkable by its inline proof
-    kContext,  ///< atom literals joining the level-0 context
+    kRup,    ///< learned clause, checkable by reverse unit propagation
+    kLemma,  ///< theory-valid clause, checkable by its inline proof
   };
   Kind kind = Kind::kRup;
-  /// The clause; for kContext the literals added to the context.
-  std::vector<Lit> lits;
+  std::vector<Lit> lits;  // the clause
   /// kLemma: the solver's (positive) Farkas multiplier of each literal's
   /// negation, or empty when no single combination refuted the clause.
   std::vector<util::Rational> hint;
@@ -49,15 +47,8 @@ struct ProofRecord {
 /// certificate, and everything certificate() keeps between certificates.
 /// Near-zero overhead: SearchContext holds a nullable pointer and logs
 /// only while a sink is installed; no SolveStats field is touched, so
-/// stats are bit-identical with and without logging.
-///
-/// Leaf blocking clauses and conflict explanations omit level-0 literals
-/// (they are permanent), so a lemma clause alone need not be theory-valid:
-/// its premises include the *context*, every atom literal the search has
-/// held at level 0 so far. The context is a set that only grows across
-/// the session (level 0 only gains consequences of the growing root and
-/// clause sets), logged as kContext records that carry just the literals
-/// it has not held before.
+/// stats are bit-identical with and without logging. Every lemma is
+/// theory-valid on its own: its premises are its negated literals.
 class ProofLog {
  public:
   ProofLog();
@@ -72,32 +63,16 @@ class ProofLog {
 
   /// Logs a theory lemma with its `hint` (ProofRecord::hint),
   /// deduplicated by literal set (theory propagations re-derive the same
-  /// implication many times per check). `level0` holds atom literals
-  /// asserted at level 0; those not yet in the context are logged first,
-  /// as one kContext record. Returns false for a duplicate, which logs
-  /// nothing (the caller keeps `level0` for the next lemma).
-  bool log_lemma(const Lit* lits, std::size_t n,
-                 const std::vector<Lit>& level0,
+  /// implication many times per check).
+  void log_lemma(const Lit* lits, std::size_t n,
                  const std::vector<util::Rational>& hint) {
     std::vector<Lit> sorted(lits, lits + n);
     std::sort(sorted.begin(), sorted.end());
     std::string key(reinterpret_cast<const char*>(sorted.data()),
                     sorted.size() * sizeof(Lit));
-    if (!lemma_seen_.insert(std::move(key)).second) return false;
-    std::vector<Lit> fresh;
-    for (const Lit l : level0) {
-      const auto i = static_cast<std::size_t>(l);
-      if (i >= in_context_.size()) in_context_.resize(i + 1, 0);
-      if (in_context_[i] != 0) continue;
-      in_context_[i] = 1;
-      fresh.push_back(l);
-    }
-    if (!fresh.empty()) {
-      push(ProofRecord::Kind::kContext, fresh.data(), fresh.size());
-    }
+    if (!lemma_seen_.insert(std::move(key)).second) return;
     push(ProofRecord::Kind::kLemma, lits, n);
     pending_.back().hint = hint;
-    return true;
   }
 
   /// The certificate of one Unsat check: the problem, `assume_lits` (root
@@ -126,7 +101,6 @@ class ProofLog {
 
   std::vector<ProofRecord> pending_;  // logged since the last certificate
   std::unordered_set<std::string> lemma_seen_;
-  std::vector<char> in_context_;  // literal -> already in the context
   std::unique_ptr<State> state_;
 };
 

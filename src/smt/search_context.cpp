@@ -348,7 +348,8 @@ void SearchContext::emit_simplex_conflict() {
 // rows of the simplex when it refutes the active rows (the common case —
 // a few atoms). An integer-only conflict — the active rows are rationally
 // feasible — is blocked by every asserted atom above level 0: tightening
-// read only active rows, so that clause is entailed.
+// read only active rows, so that clause is entailed. The logged lemma
+// lists the level-0 atoms too, so that it is valid on its own.
 void SearchContext::explain_interval_conflict() {
   if (sconf_rows_.empty()) simplex_refute();
   if (!sconf_rows_.empty()) {
@@ -357,8 +358,12 @@ void SearchContext::explain_interval_conflict() {
     return;
   }
   ++stats_.conflicts_interval_integer;
-  collect_theory_lits(trail_.size(), theory_conflict_);
-  log_theory_lemma(theory_conflict_, {});
+  collect_theory_lits(theory_conflict_, /*level0=*/false);
+  if (plog_ != nullptr) {
+    reason_scratch_.clear();
+    collect_theory_lits(reason_scratch_, /*level0=*/true);
+    log_theory_lemma(reason_scratch_, {});
+  }
 }
 
 // Interval tightening to fixpoint over the worklist; true on conflict.
@@ -559,9 +564,9 @@ bool SearchContext::propagate_entailed_atoms() {
         expl_mark_[static_cast<std::size_t>(v)] =
             static_cast<std::uint32_t>(blog_.size());
         ++stats_.entailed_propagations;
-        // Below the first decision the reason is logged at once, before
-        // `l` can join the context: the checker derives level-0 atoms,
-        // and a refuted assumption, by unit propagation.
+        // Below the first decision the reason is logged at once: the
+        // checker's `rup` and `qed` steps derive level-0 and
+        // assumption-prefix literals by unit propagation through it.
         if (plog_ != nullptr && current_level() <= prefix_levels_) {
           reason_scratch_.assign(1, l);
           entailed_reason(l, reason_scratch_);
@@ -763,39 +768,20 @@ void SearchContext::backjump(int target) {
 
 // -------------------------------------------------- learning (first UIP)
 
-void SearchContext::collect_theory_lits(std::size_t limit,
-                                        std::vector<Lit>& out) const {
-  for (std::size_t i = 0; i < limit; ++i) {
-    const Lit l = trail_[i];
+void SearchContext::collect_theory_lits(std::vector<Lit>& out,
+                                        bool level0) const {
+  for (const Lit l : trail_) {
     const int v = var_of(l);
-    if (level_[static_cast<std::size_t>(v)] == 0) continue;  // permanent
+    if (!level0 && level_[static_cast<std::size_t>(v)] == 0) continue;
     if (sh_.atom_of_var[static_cast<std::size_t>(v)] >= 0) {
       out.push_back(neg(l));
     }
   }
 }
 
-// Records a theory-valid clause in the proof trace. Leaf blocking clauses
-// (collect_theory_lits) skip level-0 literals as permanent, so the clause
-// alone need not be theory-valid: the log's context holds every atom
-// literal asserted at level 0, which the checker re-derives by unit
-// propagation and adds to the premise set. Within a check the level-0
-// trail prefix only grows, so each of its literals is handed to the log
-// once (proof_scratch_ keeps them until a lemma is actually logged).
 void SearchContext::log_theory_lemma(const std::vector<Lit>& clause,
                                      const std::vector<util::Rational>& hint) {
-  if (plog_ == nullptr) return;
-  const std::size_t l0 =
-      levels_.empty() ? trail_.size() : levels_.front().trail;
-  for (; level0_scanned_ < l0; ++level0_scanned_) {
-    const Lit l = trail_[level0_scanned_];
-    if (sh_.atom_of_var[static_cast<std::size_t>(var_of(l))] >= 0) {
-      proof_scratch_.push_back(l);
-    }
-  }
-  if (plog_->log_lemma(clause.data(), clause.size(), proof_scratch_, hint)) {
-    proof_scratch_.clear();
-  }
+  if (plog_ != nullptr) plog_->log_lemma(clause.data(), clause.size(), hint);
 }
 
 // First-UIP conflict analysis; see the pre-split solver for the full
@@ -1140,31 +1126,26 @@ void SearchContext::reset_search() {
   }
   trail_.clear();
   qhead_ = theory_head_ = 0;
-  level0_scanned_ = 0;
-  proof_scratch_.clear();
   row_work_.clear();
   sconf_rows_.clear();
   sconf_mults_.clear();
   clear_dirty();
 
-  // Compact the clause arena: drop tombstones and tainted clauses. Safe
-  // only here — the trail is empty, so no clause is locked as a reason
-  // and the watch invariant is vacuous (the lists are rebuilt below).
+  // Compact the clause arena: tombstone the tainted clauses, then drop
+  // every tombstone. Safe only here — the trail is empty, so no reason
+  // slot holds a clause, and the watch lists are rebuilt below, so no
+  // stored ref needs relocating.
   if (num_tainted_ > 0 || arena_has_tombstones_) {
-    ClauseArena fresh;
     for (ClauseRef ci = arena_.first(); ci != kClauseRefUndef;
          ci = arena_.next(ci)) {
-      if (arena_.deleted(ci)) continue;
-      if (arena_.tainted(ci)) {
+      if (arena_.tainted(ci) && !arena_.deleted(ci)) {
+        arena_.mark_deleted(ci);
         --num_learned_live_;
         ++stats_.deleted_clauses;
-        continue;
       }
-      fresh.alloc(arena_.lits(ci), arena_.size(ci), arena_.learned(ci),
-                  /*tainted=*/false, arena_.prior(ci), arena_.lbd(ci),
-                  arena_.act(ci));
     }
-    arena_ = std::move(fresh);
+    arena_.begin_compact();
+    arena_.finish_compact();
     num_tainted_ = 0;
     arena_has_tombstones_ = false;
     ++stats_.arena_compactions;
@@ -1318,7 +1299,7 @@ SatResult SearchContext::run_check() {
     if (!sconf_rows_.empty()) {
       emit_simplex_conflict();
     } else {
-      collect_theory_lits(trail_.size(), theory_conflict_);
+      collect_theory_lits(theory_conflict_, /*level0=*/false);
     }
     if (!resolve_conflict(theory_conflict_.data(), theory_conflict_.size(),
                           -1)) {

@@ -245,17 +245,18 @@ class SearchContext {
   void backjump(int target);
 
   // ------------------------------------------------- learning (first UIP)
-  void collect_theory_lits(std::size_t limit, std::vector<Lit>& out) const;
+  // Appends the negation of every atom literal on the trail to `out`; the
+  // level-0 ones (permanent) only when `level0`.
+  void collect_theory_lits(std::vector<Lit>& out, bool level0) const;
   // Conflict literals arrive as a raw span: clause conflicts point straight
   // into the arena (no copy), theory conflicts into theory_conflict_. The
   // span is consumed before any arena allocation can invalidate it.
   int analyze(const Lit* conflict, std::size_t nconf, ClauseRef conflict_ci,
               int& lbd_out);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
-  // Records `clause` as a theory lemma (first extending the log's level-0
-  // atom context, which leaf blocking clauses omit as permanent), with
-  // `hint`, the simplex's Farkas multiplier per literal, or none. No-op
-  // while no proof log is attached.
+  // Records `clause`, valid on its own, as a theory lemma with `hint`, the
+  // simplex's Farkas multiplier per literal, or none. No-op while no proof
+  // log is attached.
   void log_theory_lemma(const std::vector<Lit>& clause,
                         const std::vector<util::Rational>& hint);
   void maybe_restart_or_reduce();
@@ -333,10 +334,8 @@ class SearchContext {
   std::vector<Lit> learnt_;
   std::vector<Lit> theory_conflict_;
   std::vector<int> lbd_levels_;
-  ProofLog* plog_ = nullptr;        // proof trace, nullptr = logging off
-  std::vector<Lit> proof_scratch_;  // level-0 atoms not yet handed to plog_
-  std::size_t level0_scanned_ = 0;  // level-0 trail prefix scanned for them
-  std::vector<Lit> reason_scratch_;  // an entailed literal's reason clause
+  ProofLog* plog_ = nullptr;  // proof trace, nullptr = logging off
+  std::vector<Lit> reason_scratch_;  // a reason or lemma clause being built
   std::vector<int> reduce_order_;
   // Provenance-explanation machinery (see the .cpp section comment). The
   // bound log is also the bounds' undo log: rewinding an entry restores

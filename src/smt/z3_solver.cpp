@@ -96,7 +96,7 @@ class Z3Solver final : public Solver {
           cert.mode = "attested";
           cert.complete = false;
           cert.reason = "z3 backend: verdict attested, not replayable";
-          cert.text = "advocat-proof 2\nmode attested z3\nqed\n";
+          cert.text = "advocat-proof 3\nmode attested z3\nqed\n";
           cert.proof_bytes = cert.text.size();
           proof_sink()->on_unsat_certificate(cert);
         }

@@ -133,8 +133,8 @@ TEST(ProofCertificate, IncrementalSessionCertifiesEveryUnsat) {
 
 // Two ints sized by a growing session: each round adds root bounds (which
 // land at level 0) and then refutes an assumption only the level-0 rows
-// contradict. The proof context grows between the Unsat checks, so a later
-// certificate carries one `ctx` line per round.
+// contradict. The level-0 facts grow between the Unsat checks, and each
+// lemma lists the ones its proof reads.
 std::vector<Certificate> growing_context_certificates() {
   ExprFactory f;
   auto s = make_solver(f, Backend::Native);
@@ -168,10 +168,6 @@ TEST(ProofCertificate, GrowingContextCertifiesEveryUnsat) {
     const CheckResult r = check_proof_text(cert.text);
     EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
   }
-  // The context is logged as deltas: the first certificate's context
-  // line, then the literals the second round added.
-  EXPECT_EQ(count_lines(certs[0].text, "ctx"), 1u);
-  EXPECT_GT(count_lines(certs[1].text, "ctx"), 1u);
 }
 
 TEST(ProofCertificate, BoundsBeyondInt64Certified) {
@@ -214,10 +210,12 @@ TEST(ProofCertificate, BoundsBeyondInt64Certified) {
 // A bigint_alloc fault that arrives while an Unsat is certified aborts
 // that certificate into the attested stub and nothing else: the verdicts
 // stand, the next search never sees the fault, and the next certificate
-// carries the aborted one's records. Three copies of the shape above,
-// each added just before its own check: x ≥ 2w ≥ 10^19 holds at level 0,
-// so certifying the check folds a context bound beyond 64 bits, and the
-// assumptions y, z ≤ 4·10^18 refute it.
+// carries the aborted one's records. Three copies of one shape, each added
+// just before its own check: x ≥ 100w ≥ 10^19 with x ≤ y + z, refuted by
+// the assumptions y, z ≤ 4·10^17. With u ≥ 0 the atom x + u ≥ 1 of a
+// non-unit clause is entailed below the first decision, so its reason is
+// logged; that lemma has no hint, and tightening it derives x ≥ 10^19,
+// beyond 64 bits, so certifying the check allocates.
 TEST(ProofCertificate, FaultDuringCertificationYieldsOneStub) {
   struct Run {
     std::vector<SatResult> verdicts;
@@ -238,12 +236,16 @@ TEST(ProofCertificate, FaultDuringCertificationYieldsOneStub) {
       const ExprId y = f.int_var("y" + n);
       const ExprId z = f.int_var("z" + n);
       const ExprId w = f.int_var("w" + n);
-      s->add(f.le(f.mul_const(2, w), x));
+      const ExprId u = f.int_var("u" + n);
       s->add(f.le(x, f.add({y, z})));
-      s->add(f.le(f.int_const(5'000'000'000'000'000'000), w));
+      s->add(f.le(f.mul_const(100, w), x));
+      s->add(f.le(f.int_const(100'000'000'000'000'000), w));
+      s->add(f.le(f.int_const(0), u));
+      s->add(f.or_({f.le(f.int_const(1), f.add({x, u})),
+                    f.bool_var("p" + n)}));
       r.verdicts.push_back(
-          s->check_assuming({f.le(y, f.int_const(4'000'000'000'000'000'000)),
-                             f.le(z, f.int_const(4'000'000'000'000'000'000))}));
+          s->check_assuming({f.le(y, f.int_const(400'000'000'000'000'000)),
+                             f.le(z, f.int_const(400'000'000'000'000'000))}));
       r.arrivals.push_back(util::fault::arrivals(util::fault::Site::kBigIntAlloc));
     }
     r.certs = sink.certs;
@@ -265,7 +267,7 @@ TEST(ProofCertificate, FaultDuringCertificationYieldsOneStub) {
   EXPECT_EQ(faulted.verdicts, clean.verdicts);
   ASSERT_EQ(faulted.certs.size(), 3u);
   EXPECT_EQ(faulted.certs[1].text,
-            "advocat-proof 2\nmode attested native-aborted\nqed\n");
+            "advocat-proof 3\nmode attested native-aborted\nqed\n");
   EXPECT_FALSE(faulted.certs[1].complete);
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
     EXPECT_TRUE(faulted.certs[i].complete) << faulted.certs[i].reason;
@@ -288,6 +290,17 @@ TEST(ProofCertificate, AssumptionRefutationCertified) {
   EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
 }
 
+// x = 2y ∧ x = 2z+1 with 0 ≤ x ≤ w: rationally feasible, integer-infeasible.
+void assert_parity(ExprFactory& f, Solver& s, std::int64_t w) {
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  const ExprId z = f.int_var("z");
+  s.add(f.eq(x, f.mul_const(2, y)));
+  s.add(f.eq(x, f.add({f.mul_const(2, z), f.int_const(1)})));
+  s.add(f.le(f.int_const(0), x));
+  s.add(f.le(x, f.int_const(w)));
+}
+
 // Equalities whose refutation is integer-only (the rows are rationally
 // feasible) certify on bounded domains of any width the leaf's simplex
 // search covers: parity x = 2y ∧ x = 2z+1 with 0 ≤ x ≤ W, and a random
@@ -299,7 +312,9 @@ TEST(ProofCertificate, AssumptionRefutationCertified) {
 // as the explanation (an integer conflict); on a wide one the leaf's
 // simplex refutes. The split counts pin how many of the certifier's
 // bisections the lemmas without a Farkas hint need (0 once tightening
-// alone crosses a bound).
+// alone crosses a bound). Each lemma is tightened from empty bounds over
+// its own rows, with 64 visits per row: W=2000's leaf lemma lists six rows,
+// so every branch gets 384 visits before it is bisected.
 TEST(ProofCertificate, EqualityAndDisequalityCertified) {
   struct Case {
     const char* name;
@@ -309,20 +324,12 @@ TEST(ProofCertificate, EqualityAndDisequalityCertified) {
     std::size_t splits;  // the certificate's bisecting splits
   };
   auto parity = [](std::int64_t w) {
-    return [w](ExprFactory& f, Solver& s) {
-      const ExprId x = f.int_var("x");
-      const ExprId y = f.int_var("y");
-      const ExprId z = f.int_var("z");
-      s.add(f.eq(x, f.mul_const(2, y)));
-      s.add(f.eq(x, f.add({f.mul_const(2, z), f.int_const(1)})));
-      s.add(f.le(f.int_const(0), x));
-      s.add(f.le(x, f.int_const(w)));
-    };
+    return [w](ExprFactory& f, Solver& s) { assert_parity(f, s, w); };
   };
   const std::vector<Case> cases = {
       {"parity W=20", parity(20), 1, 0, 0},
       {"parity W=200", parity(200), 1, 0, 1},
-      {"parity W=2000", parity(2000), 0, 1, 7},
+      {"parity W=2000", parity(2000), 0, 1, 15},
       {"seed 1881",
        [](ExprFactory& f, Solver& s) {
          // 2a − 3b − 3c = −150 ∧ −3a + 2b − 3c = −137, a, b, c ∈ [0, 60].
@@ -483,7 +490,7 @@ TEST(ProofMutation, DroppedProblemClauseRejected) {
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(r.reason == "qed-failed" || r.reason == "rup-failed" ||
-              r.reason == "ctx-underived" || r.reason == "lemma-unproven")
+              r.reason == "lemma-unproven")
       << r.reason;
 }
 
@@ -566,41 +573,6 @@ std::string line_at(const std::string& text, std::size_t at) {
   return text.substr(at, text.find('\n', at) + 1 - at);
 }
 
-TEST(ProofMutation, UnderivedContextLiteralRejected) {
-  std::string text = growing_context_certificates().back().text;
-  // Negate the first context literal: the clause set derives its
-  // complement, so the `ctx` line cannot vouch for it.
-  const std::size_t at = text.find("\nctx ");
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t lit = at + 5;
-  if (text[lit] == '-') {
-    text.erase(lit, 1);
-  } else {
-    text.insert(text.begin() + static_cast<std::ptrdiff_t>(lit), '-');
-  }
-  const CheckResult r = check_proof_text(text);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.reason, "ctx-underived") << r.detail;
-}
-
-TEST(ProofMutation, ContextIntroducedAfterItsLemmaRejected) {
-  std::string text = growing_context_certificates().back().text;
-  // The second round's lemma is proved from the rows its `ctx` line adds;
-  // moved past the lemma, they are not premises of it yet.
-  const std::size_t at = text.rfind("\nctx ");
-  ASSERT_NE(at, std::string::npos);
-  const std::string ctx = line_at(text, at + 1);
-  const std::size_t end = text.find("\nend\n", at);
-  ASSERT_NE(end, std::string::npos);
-  text.insert(end + 5, ctx);
-  text.erase(at + 1, ctx.size());
-  ASSERT_TRUE(check_proof_text(growing_context_certificates().back().text)
-                  .ok);
-  const CheckResult r = check_proof_text(text);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.reason, "lemma-bad-ref") << r.detail;
-}
-
 TEST(ProofMutation, PremiseRefPastThePremisesRejected) {
   std::string text = growing_context_certificates().back().text;
   // Point the first Farkas term at a premise index no lemma has.
@@ -614,24 +586,62 @@ TEST(ProofMutation, PremiseRefPastThePremisesRejected) {
   EXPECT_EQ(r.reason, "lemma-bad-ref") << r.detail;
 }
 
-TEST(ProofMutation, VersionOneHeaderRejected) {
+// The integer conflict of parity W=20 is logged with every asserted atom,
+// level 0 included: its proof tightens x's bounds until they cross, which
+// needs x ≤ 20. With that literal dropped from the `lem` line, no premise
+// row supplies the bound, so the lemma no longer proves itself.
+TEST(ProofMutation, LemmaLeaningOnAnUnlistedFactRejected) {
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  assert_parity(f, *s, 20);
+  ASSERT_EQ(s->check(), SatResult::Unsat);
+  ASSERT_EQ(s->solve_stats().conflicts_interval_integer, 1u);
+  ASSERT_EQ(sink.certs.size(), 1u);
+  std::string text = sink.certs[0].text;
+  ASSERT_TRUE(check_proof_text(text).ok);
+  // The atom x ≤ 20 (`atom <v> le 20 1 <x> 1`), asserted at level 0.
+  const std::size_t atom_at = text.find(" le 20 1 ");
+  ASSERT_NE(atom_at, std::string::npos);
+  const std::size_t var_at = text.rfind("atom ", atom_at) + 5;
+  const std::string lit =
+      " -" + text.substr(var_at, atom_at - var_at) + " ";
+  ASSERT_NE(text.find("\nassume " + lit.substr(2) + "0\n"), std::string::npos)
+      << "x <= 20 is asserted";
+  const std::size_t lem = text.find("\nlem ");
+  ASSERT_NE(lem, std::string::npos);
+  const std::size_t drop = text.find(lit, lem);
+  ASSERT_LT(drop, text.find('\n', lem + 1)) << "the lemma lists x <= 20";
+  text.erase(drop, lit.size() - 1);
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.reason == "lemma-bad-ref" ||
+              r.reason == "lemma-invalid-farkas")
+      << r.reason << ": " << r.detail;
+}
+
+TEST(ProofMutation, VersionTwoHeaderRejected) {
   std::string text = interval_clash_certificate();
-  ASSERT_EQ(text.rfind("advocat-proof 2\n", 0), 0u);
-  text.replace(0, 15, "advocat-proof 1");
+  ASSERT_EQ(text.rfind("advocat-proof 3\n", 0), 0u);
+  text.replace(0, 15, "advocat-proof 2");
   const CheckResult r = check_proof_text(text);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.reason, "bad-header") << r.detail;
 }
 
 TEST(ProofMutation, DelLineRejected) {
-  // The grammar has no deletions: a `del` line is not skipped but refused.
-  std::string text = interval_clash_certificate();
-  const std::size_t at = text.find("\nlem ");
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at + 1, "del" + line_at(text, at + 1).substr(3));
-  const CheckResult r = check_proof_text(text);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+  // The grammar has no deletions and no level-0 context: a `del` or a
+  // `ctx` line is not skipped but refused.
+  for (const char* head : {"del", "ctx"}) {
+    std::string text = interval_clash_certificate();
+    const std::size_t at = text.find("\nlem ");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + 1, head + line_at(text, at + 1).substr(3));
+    const CheckResult r = check_proof_text(text);
+    EXPECT_FALSE(r.ok) << head;
+    EXPECT_EQ(r.reason, "parse-error") << head << ": " << r.detail;
+  }
 }
 
 TEST(ProofMutation, RepeatedAtomRejected) {
@@ -651,7 +661,7 @@ TEST(ProofMutation, RepeatedNintsRejected) {
   for (const char* sizes : {"nvars 1\nnints 0\nnints 0\n",
                             "nvars 1\nnints 1\nnints 1\n"}) {
     const CheckResult r = check_proof_text(
-        std::string("advocat-proof 2\nmode native\n") + sizes +
+        std::string("advocat-proof 3\nmode native\n") + sizes +
         "in 0\nqed\n");
     EXPECT_FALSE(r.ok) << sizes;
     EXPECT_EQ(r.reason, "parse-error") << sizes;
@@ -663,19 +673,19 @@ TEST(ProofMutation, OversizedCountsRejected) {
   for (const char* sizes : {"nvars 999999999999999\n",
                             "nvars 1\nnints 999999999999999\n"}) {
     const CheckResult r = check_proof_text(
-        std::string("advocat-proof 2\nmode native\n") + sizes + "qed\n");
+        std::string("advocat-proof 3\nmode native\n") + sizes + "qed\n");
     EXPECT_FALSE(r.ok) << sizes;
     EXPECT_EQ(r.reason, "parse-error") << sizes;
   }
 }
 
 // A hand-written lemma whose bounds only converge one unit per visit:
-// premises x − y ≤ −1 and y − x ≤ 0 under the context 0 ≤ x, y ≤ 10^6.
-// Tightening would need about 10^6 visits to cross x's bounds, far past
-// the 64 visits per premise row (6 rows), so a checker without that stop
-// would accept `f 2 lo0 1 1 hi0 1 1`.
+// premises x − y ≤ −1 and y − x ≤ 0, with 0 ≤ x, y ≤ 10^6. Tightening
+// would need about 10^6 visits to cross x's bounds, far past the 64 visits
+// per premise row (6 rows), so a checker without that stop would accept
+// `f 2 lo0 1 1 hi0 1 1`.
 std::string slow_tightening_certificate(const std::string& body) {
-  return "advocat-proof 2\nmode native\nnvars 6\nnints 2\n"
+  return "advocat-proof 3\nmode native\nnvars 6\nnints 2\n"
          "atom 1 le -1 2 0 1 1 -1\n"  // x − y ≤ −1
          "atom 2 le 0 2 1 1 0 -1\n"   // y − x ≤ 0
          "atom 3 le 0 1 0 -1\n"       // x ≥ 0
@@ -683,7 +693,7 @@ std::string slow_tightening_certificate(const std::string& body) {
          "atom 5 le 0 1 1 -1\n"       // y ≥ 0
          "atom 6 le 1000000 1 1 1\n"  // y ≤ 10^6
          "in 3 0\nin 4 0\nin 5 0\nin 6 0\nassume 1 0\nassume 2 0\n"
-         "ctx 3 4 5 6 0\nlem -1 -2 0\n" +
+         "lem -1 -2 -3 -4 -5 -6 0\n" +
          body + "\nend\nqed\n";
 }
 
@@ -705,7 +715,7 @@ TEST(ProofMutation, GarbageHeaderRejected) {
 
 TEST(ProofMutation, AttestedCertificateAcceptedAsAttested) {
   const CheckResult r =
-      check_proof_text("advocat-proof 2\nmode attested z3\nqed\n");
+      check_proof_text("advocat-proof 3\nmode attested z3\nqed\n");
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.mode, "attested");
 }

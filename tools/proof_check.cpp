@@ -5,11 +5,9 @@
 //     (problem `in` lines, `assume` hypotheses, verified derivations),
 //     with a permanent trail that only grows and a rollback point for the
 //     temporary assumptions of each reverse-unit-propagation check;
-//  2. the level-0 context (`ctx` lines), each literal re-derived from the
-//     clause set, and the worklist interval tightener of
-//     src/proof/tighten.hpp, which derives the bounds a proof step names
-//     as `lo<v>` / `hi<v>`. The context is tightened once into base bounds
-//     as it grows; each lemma tightens from them and rolls back;
+//  2. the worklist interval tightener of src/proof/tighten.hpp, which
+//     derives the bounds a proof step names as `lo<v>` / `hi<v>`: each
+//     lemma tightens from empty bounds over its own rows and rolls back;
 //  3. a recursive-descent verifier for lemma proof bodies: `f` Farkas
 //     combinations re-summed in exact rational arithmetic, and `s … alt …
 //     join` single-variable splits (integer tautologies, so any split is
@@ -255,8 +253,8 @@ class Checker {
       if (saw_qed) return fail("parse-error", "content after qed");
       if (lineno_ == 1) {
         std::string_view ver;
-        if (head != "advocat-proof" || !ls.next(ver) || ver != "2") {
-          return fail("bad-header", "expected 'advocat-proof 2'");
+        if (head != "advocat-proof" || !ls.next(ver) || ver != "3") {
+          return fail("bad-header", "expected 'advocat-proof 3'");
         }
         continue;
       }
@@ -288,7 +286,6 @@ class Checker {
         }
         engine_.set_num_vars(n);
         atoms_.assign(n + 1, AtomInfo{});
-        in_ctx_.assign(2 * (n + 1), 0);
         continue;
       }
       if (head == "nints") {
@@ -297,7 +294,7 @@ class Checker {
           return fail("parse-error", "bad or repeated nints");
         }
         saw_nints = true;
-        ctx_.base.grow(nints_);
+        bounds_.grow(nints_);
         continue;
       }
       if (head == "atom") {
@@ -315,11 +312,6 @@ class Checker {
         }
         engine_.add_clause(std::move(lits));
         ++res_.clauses;
-        continue;
-      }
-      if (head == "ctx") {
-        std::vector<int> lits;
-        if (!parse_lits(ls, lits) || !extend_context(lits)) return result();
         continue;
       }
       if (head == "lem") {
@@ -411,8 +403,8 @@ class Checker {
       fail("parse-error", "line " + std::to_string(lineno_) + ": bad atom");
       return false;
     }
-    // One meaning per variable: context rows are copied at their `ctx`
-    // line, while a lemma's own rows are read from this table.
+    // One meaning per variable: a lemma's rows are read from this table
+    // when its `lem` line is checked.
     if (atoms_[bvar].present) {
       fail("parse-error",
            "line " + std::to_string(lineno_) + ": repeated atom");
@@ -451,38 +443,6 @@ class Checker {
     return true;
   }
 
-  // A `ctx` line: every literal not yet in the context must itself be a
-  // consequence of the clause set so far — the solver had it at decision
-  // level 0. A conflicted DB (e.g. an assumption contradicting a unit
-  // problem clause: the trivially-unsat session shape) entails every
-  // literal, so the check is vacuous there — the engine stopped assigning
-  // values at ⊥. The new rows then re-tighten the base bounds.
-  bool extend_context(const std::vector<int>& lits) {
-    std::vector<Ineq> rows;
-    for (const int l : lits) {
-      const std::size_t key =
-          2 * static_cast<std::size_t>(std::abs(l)) + (l < 0 ? 1 : 0);
-      if (in_ctx_[key] != 0) continue;  // already in the context
-      Ineq row;
-      if (!atom_row(l, row)) {
-        fail("lemma-bad-ref", "line " + std::to_string(lineno_) +
-                                  ": context literal " + std::to_string(l) +
-                                  " is not a theory atom");
-        return false;
-      }
-      if (!engine_.conflicted() && engine_.value(l) != 1) {
-        fail("ctx-underived", "line " + std::to_string(lineno_) +
-                                  ": literal " + std::to_string(l) +
-                                  " does not follow from the clause set");
-        return false;
-      }
-      in_ctx_[key] = 1;
-      rows.push_back(std::move(row));
-    }
-    ctx_.extend(std::move(rows));
-    return true;
-  }
-
   // Resolves a Farkas reference by index: `p<i>` names premise row i,
   // `lo<v>` / `hi<v>` the current derived bounds on integer var v. Returns
   // false (with reason set) on a dangling ref.
@@ -498,7 +458,7 @@ class Checker {
                                        idx);
       if (res.ec == std::errc() && res.ptr == end) {
         if (premise && idx < p.size()) {
-          out = p.row(idx);
+          out = p[idx];
           return true;
         }
         const VarBound* b =
@@ -637,10 +597,9 @@ class Checker {
   }
 
   // Full lemma check: proof body through `end`, then the branch-and-cut
-  // verification against the lemma's premises — its negated literals,
-  // then the current context — from the context's base bounds (or, for
-  // an `unproven` marker, rejection unless plain reverse unit propagation
-  // already entails the clause).
+  // verification against the lemma's premises — its negated literals —
+  // from empty bounds (or, for an `unproven` marker, rejection unless
+  // plain reverse unit propagation already entails the clause).
   bool check_lemma(const std::vector<int>& lits) {
     std::vector<std::string_view> body;
     std::string_view line;
@@ -669,18 +628,17 @@ class Checker {
       return false;
     }
 
-    std::vector<Ineq> own(lits.size());
+    Premises p(lits.size());
     for (std::size_t i = 0; i < lits.size(); ++i) {
-      if (!atom_row(-lits[i], own[i])) {
+      if (!atom_row(-lits[i], p[i])) {
         fail("lemma-bad-ref", "premise " + std::to_string(i) +
                                   " is not a theory atom");
         return false;
       }
     }
-    const Premises p{own, ctx_};
     std::size_t pos = 0;
-    const bool ok = check_branch(body, pos, p, ctx_.base, -1, 0);
-    ctx_.base.undo_to(0);
+    const bool ok = check_branch(body, pos, p, bounds_, -1, 0);
+    bounds_.undo_to(0);
     if (!ok) return false;
     if (pos != body.size()) {
       fail("parse-error", "trailing proof steps after the branch closed");
@@ -694,8 +652,7 @@ class Checker {
   PropEngine engine_;
   std::vector<AtomInfo> atoms_;  // by boolean var; sized by `nvars`
   std::size_t nints_ = 0;
-  tighten::Context ctx_;
-  std::vector<char> in_ctx_;  // literal -> in the context
+  Bounds bounds_;  // empty between lemmas
   std::size_t lineno_ = 0;
   CheckResult res_;
 };

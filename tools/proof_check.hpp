@@ -3,21 +3,20 @@
 // Deliberately independent of the solver. Shared with the certifier are
 // only the exact arbitrary-precision arithmetic (util/bigint.hpp,
 // util/rational.hpp) and the interval tightener (proof/tighten.hpp), none
-// of which holds solver logic. Parsing, unit propagation, the re-derivation
-// of every `ctx` literal and the Farkas and split checks are the checker's
-// own, so a bug in the solver's search or certificate serializer cannot
-// vouch for itself. Sharing the tightener does not weaken this: the
-// checker derives every `lo<v>` / `hi<v>` bound itself, and the certifier
-// only predicts them, so a wrong prediction can get a valid certificate
-// rejected but never a bad one accepted.
+// of which holds solver logic. Parsing, unit propagation and the Farkas and
+// split checks are the checker's own, so a bug in the solver's search or
+// certificate serializer cannot vouch for itself. Sharing the tightener
+// does not weaken this: the checker derives every `lo<v>` / `hi<v>` bound
+// itself, and the certifier only predicts them, so a wrong prediction can
+// get a valid certificate rejected but never a bad one accepted.
 //
 // A certificate is accepted only when:
 //  - every `rup` clause is derivable by reverse unit propagation from the
 //    problem clauses, the `assume` hypotheses, and earlier derived clauses;
 //  - every `lem` clause carries an inline branch-and-cut proof that checks
 //    under exact rational re-substitution (Farkas combinations cancel and
-//    cross zero; splits are integer tautologies), with every `ctx` literal
-//    independently re-derived; and
+//    cross zero; splits are integer tautologies) from the clause's own
+//    negated literals alone; and
 //  - `qed` closes the file and the accumulated clause set propagates to a
 //    contradiction.
 // Rejections name the first failing ingredient (see CheckResult::reason).
@@ -32,7 +31,7 @@ struct CheckResult {
   /// Rejection reason, stable across releases (mutation tests key on it):
   /// "parse-error", "bad-header", "rup-failed", "lemma-unproven",
   /// "lemma-invalid-farkas", "lemma-open-branch", "lemma-bad-ref",
-  /// "ctx-underived", "truncated", "qed-failed".
+  /// "truncated", "qed-failed".
   /// Empty when ok.
   std::string reason;
   /// Free-text location/context for the failure (line number, step).
