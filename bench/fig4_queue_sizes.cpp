@@ -24,29 +24,19 @@
 // With ADVOCAT_PROOF_DIR set, every cell writes its certificates to
 // `<dir>/fig4_<backend>_k<k>_d<dir>_<n>.proof` through its own
 // smt::native::FileProofSink; a certificate that cannot be written exits 1.
-// A `--position-threads N` flag (default 1) runs the directory-position
-// sweep itself in parallel: every cell of a mesh's grid is an independent
-// sizing problem (its own nets, Verifier sessions, and solver), so cells
-// are computed into a results vector with util::parallel_for and printed
-// serially in grid order afterwards — output and verdicts are identical to
-// the serial sweep.
+// Every cell is one sequential sizing run, printed as soon as it is sized.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "advocat/verifier.hpp"
 #include "bench_util.hpp"
 #include "coherence/mi_abstract.hpp"
 #include "smt/proof.hpp"
-#include "util/parallel.hpp"
 
 using namespace advocat;
 
 namespace {
-
-unsigned g_position_threads = 1;
 
 core::QueueSizingResult size_run(int k, int dir_node, smt::Backend backend,
                                  smt::ProofSink* sink) {
@@ -85,34 +75,13 @@ std::size_t reference_capacity(int k, int dir) {
   }
 }
 
-/// One directory position's sizing run, computed cell-by-cell (possibly in
-/// parallel) and printed later in grid order.
-struct CellResult {
-  core::QueueSizingResult sizing;
-  std::size_t proofs = 0;
-  std::size_t proofs_incomplete = 0;
-  std::size_t proof_bytes = 0;
-  double proof_ms = 0.0;
-  std::size_t proof_splits = 0;
-  std::size_t proofs_unwritten = 0;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--position-threads") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      g_position_threads =
-          n < 1 ? 1 : (n > 256 ? 256u : static_cast<unsigned>(n));
-    }
-  }
+int main() {
   bench::header("E4 / Fig. 4", "minimal queue sizes found by ADVOCAT");
-  if (g_position_threads > 1) {
-    std::printf("(parallel position sweep: %u threads)\n", g_position_threads);
-  }
 
   const int max_k = bench::smoke() ? 2 : (bench::full_scale() ? 5 : 4);
+  const char* proof_dir = std::getenv("ADVOCAT_PROOF_DIR");
   int status = 0;
   for (const smt::Backend backend :
        {smt::Backend::Native, smt::Backend::Z3}) {
@@ -121,38 +90,20 @@ int main(int argc, char** argv) {
       std::printf("\n[%s] %dx%d mesh, minimal safe queue size per directory "
                   "position:\n",
                   smt::to_string(backend), k, k);
-      // Each cell is an independent sizing problem; compute them all first
-      // (in parallel when asked), then print in grid order so the output
-      // is byte-identical to the serial sweep.
-      std::vector<CellResult> cells(static_cast<std::size_t>(k) * k);
-      const char* proof_dir = std::getenv("ADVOCAT_PROOF_DIR");
-      util::parallel_for(
-          cells.size(), g_position_threads, [&, proof_dir](std::size_t i) {
-            const int dir = static_cast<int>(i);
-            CellResult& cell = cells[i];
-            if (proof_dir == nullptr) {
-              cell.sizing = size_run(k, dir, backend, nullptr);
-              return;
-            }
-            // Each cell owns its sink, and a cell's probes run one at a
-            // time.
-            smt::native::FileProofSink sink(
-                std::string(proof_dir) + "/fig4_" + smt::to_string(backend) +
-                "_k" + std::to_string(k) + "_d" + std::to_string(dir) + "_");
-            cell.sizing = size_run(k, dir, backend, &sink);
-            cell.proofs = sink.count();
-            cell.proofs_incomplete = sink.incomplete();
-            cell.proof_bytes = sink.total_bytes();
-            cell.proof_ms = sink.total_ms();
-            cell.proof_splits = sink.total_splits();
-            cell.proofs_unwritten = sink.failed();
-          });
       for (int y = 0; y < k; ++y) {
         std::printf("  ");
         for (int x = 0; x < k; ++x) {
           const int dir = y * k + x;
-          const CellResult& cell = cells[static_cast<std::size_t>(dir)];
-          const core::QueueSizingResult& r = cell.sizing;
+          // Each cell owns its sink; it is attached (and its counters
+          // move) only under ADVOCAT_PROOF_DIR.
+          smt::native::FileProofSink sink(
+              proof_dir == nullptr
+                  ? std::string()
+                  : std::string(proof_dir) + "/fig4_" +
+                        smt::to_string(backend) + "_k" + std::to_string(k) +
+                        "_d" + std::to_string(dir) + "_");
+          const core::QueueSizingResult r = size_run(
+              k, dir, backend, proof_dir == nullptr ? nullptr : &sink);
           const bool conclusive = r.unknown_probes == 0;
           const std::size_t reference = reference_capacity(k, dir);
           std::printf("%4zu", r.minimal_capacity);
@@ -160,8 +111,6 @@ int main(int argc, char** argv) {
               .field("backend", smt::to_string(backend))
               .field("mesh", k)
               .field("directory_node", dir)
-              .field("position_threads",
-                     static_cast<std::size_t>(g_position_threads))
               .field("minimal_capacity", r.minimal_capacity)
               .field("conclusive", conclusive)
               .field("unknown_probes", r.unknown_probes)
@@ -172,17 +121,17 @@ int main(int argc, char** argv) {
               .field("analysis_ms", r.analysis_ms)
               .field("diagnostics", r.diagnostics)
               .solver_stats(r.solve_stats)
-              .field("proofs", cell.proofs)
-              .field("proofs_incomplete", cell.proofs_incomplete)
-              .field("proof_bytes", cell.proof_bytes)
-              .field("proof_ms", cell.proof_ms)
-              .field("proof_splits", cell.proof_splits)
+              .field("proofs", sink.count())
+              .field("proofs_incomplete", sink.incomplete())
+              .field("proof_bytes", sink.total_bytes())
+              .field("proof_ms", sink.total_ms())
+              .field("proof_splits", sink.total_splits())
               .field("seconds", r.seconds)
               .print();
-          if (cell.proofs_unwritten != 0) {
+          if (sink.failed() != 0) {
             std::printf("\nPROOF WRITE FAILED: %zu of %zu certificates not "
                         "written at mesh=%d dir=%d backend=%s\n",
-                        cell.proofs_unwritten, cell.proofs, k, dir,
+                        sink.failed(), sink.count(), k, dir,
                         smt::to_string(backend));
             status = 1;
           }

@@ -137,20 +137,11 @@ void Simplex::pivot_and_update(int leave, int enter, const Rational& v) {
   }
 
   // Row pivot: from  leave = a·enter + rest  derive
-  // enter = (1/a)·leave − rest/a  and substitute in every other row.
-  const Rational inv = a.reciprocal();
-  const Rational neg_inv = -inv;
-  const std::span<const Entry> row = tab_.row(ri);
-  std::vector<Entry> nr;
-  nr.reserve(row.size());  // `enter` leaves, `leave` joins
-  for (const Entry& e : row) {
-    if (e.col != enter) nr.push_back(Entry{e.col, e.coeff * neg_inv});
-  }
-  nr.insert(std::lower_bound(nr.begin(), nr.end(), leave,
-                             [](const Entry& e, int c) { return e.col < c; }),
-            Entry{leave, inv});
+  // enter = (1/a)·leave − rest/a  in place, and substitute it in every
+  // other row.
+  tab_.pivot_row(ri, enter, leave, a.reciprocal());
+  const std::span<const Entry> nr = tab_.row(ri);
   for (const auto& [r, c] : pivot_rows_) tab_.pivot_merge(r, enter, c, nr);
-  tab_.replace_row(ri, std::move(nr));
   tab_.set_owner(ri, enter);
   vars_[static_cast<std::size_t>(enter)].basic_row = static_cast<int>(ri);
   vars_[static_cast<std::size_t>(leave)].basic_row = -1;

@@ -42,27 +42,31 @@ void Tableau::unlink(std::int32_t col, std::uint32_t r) {
   rows.erase(std::lower_bound(rows.begin(), rows.end(), r));
 }
 
-void Tableau::replace_row(std::size_t r, std::vector<Entry> entries) {
+void Tableau::pivot_row(std::size_t r, std::int32_t enter,
+                        std::int32_t leave, const Rational& inv) {
   std::vector<Entry>& row = rows_[r];
-  // Both column lists are sorted: one walk finds the columns the row
-  // gains and loses, and only their row lists change.
-  const auto ri = static_cast<std::uint32_t>(r);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < row.size() || j < entries.size()) {
-    if (j == entries.size() ||
-        (i < row.size() && row[i].col < entries[j].col)) {
-      unlink(row[i++].col, ri);
-    } else if (i == row.size() || entries[j].col < row[i].col) {
-      link(entries[j++].col, ri);
-    } else {
-      ++i;
-      ++j;
-    }
+  const auto by_col = [](const Entry& e, std::int32_t c) {
+    return e.col < c;
+  };
+  // `enter`'s slot moves to `leave`'s sorted place (`leave` owns the row,
+  // so it is not in it): one rotation shifts the entries in between.
+  auto slot = std::lower_bound(row.begin(), row.end(), enter, by_col);
+  const auto place = std::lower_bound(row.begin(), row.end(), leave, by_col);
+  if (place > slot) {
+    std::rotate(slot, slot + 1, place);
+    slot = place - 1;
+  } else {
+    std::rotate(place, slot, slot + 1);
+    slot = place;
   }
-  entry_cap_ += entries.capacity();
-  entry_cap_ -= row.capacity();
-  row = std::move(entries);
+  const Rational neg_inv = -inv;
+  for (auto it = row.begin(); it != row.end(); ++it) {
+    if (it != slot) it->coeff *= neg_inv;
+  }
+  *slot = Entry{leave, inv};
+  const auto ri = static_cast<std::uint32_t>(r);
+  unlink(enter, ri);
+  link(leave, ri);
 }
 
 void Tableau::pivot_merge(std::size_t r, std::int32_t enter,

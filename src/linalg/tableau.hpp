@@ -55,9 +55,13 @@ class Tableau {
     return static_cast<std::int32_t>(rows_with(col).size());
   }
 
-  /// Replaces row `r`'s entries with `entries` (sorted, zero-free), moved
-  /// in; only the columns the row gains or loses change their lists.
-  void replace_row(std::size_t r, std::vector<Entry> entries);
+  /// Pivots row `r` (owned by `leave`) in place onto column `enter`:
+  /// from  leave = a·enter + rest  it stores  enter = inv·leave − inv·rest
+  /// with inv = 1/a. Every other entry is multiplied by −inv, `enter`
+  /// leaves the row and `leave` joins it with coefficient `inv`; only
+  /// those two columns change their lists, and no storage is allocated.
+  void pivot_row(std::size_t r, std::int32_t enter, std::int32_t leave,
+                 const Rational& inv);
 
   /// row(r) := (row(r) without column `enter`) + factor·nr, computed with
   /// exactly SparseRow::add_scaled's merge arithmetic. `nr` must not

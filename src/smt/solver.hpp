@@ -112,9 +112,14 @@ struct SolveStats {
 struct Certificate {
   std::string text;       ///< the certificate body (see docs/PROOFS.md)
   std::string mode;       ///< "native", or "attested <backend>"
-  bool complete = true;   ///< false when some ingredient could not be
-                          ///< certified (reason says which); the checker
-                          ///< will reject an incomplete certificate
+  bool complete = true;   ///< false when the solver could not certify
+                          ///< some ingredient (reason says which): the
+                          ///< text is an attested stub, holds an
+                          ///< `unproven` lemma, or misses the session's
+                          ///< start. Not the checker's verdict:
+                          ///< advocat-check accepts an attested stub as
+                          ///< `mode attested`, and an `unproven` lemma
+                          ///< that reverse unit propagation entails.
   std::string reason;     ///< why complete is false ("" when complete)
   double proof_ms = 0.0;  ///< wall time spent certifying + serializing
   std::size_t proof_bytes = 0;  ///< text.size(), for BENCH_JSON tracking

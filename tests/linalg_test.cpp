@@ -506,7 +506,7 @@ TEST_P(SimplexProperty, VerdictsAreCertified) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 
-// The column lists: after every add, rewrite and pivot merge each column
+// The column lists: after every add, row pivot and pivot merge each column
 // lists exactly the rows holding it, ascending, and audit() agrees.
 TEST(Tableau, ColumnListsFollowEveryRowRewrite) {
   Tableau t;
@@ -514,10 +514,14 @@ TEST(Tableau, ColumnListsFollowEveryRowRewrite) {
     const auto span = t.rows_with(col);
     return std::vector<std::uint32_t>(span.begin(), span.end());
   };
+  const auto row_is = [&](std::size_t r, const SparseRow& want) {
+    return std::equal(t.row(r).begin(), t.row(r).end(),
+                      want.entries().begin(), want.entries().end());
+  };
   using Rows = std::vector<std::uint32_t>;
   t.add_row(10, form_of({{0, 1}, {2, 3}}).entries());
   t.add_row(11, form_of({{1, 1}, {2, -1}}).entries());
-  t.add_row(12, form_of({{0, 2}, {1, 1}}).entries());
+  t.add_row(3, form_of({{0, 2}, {1, 1}}).entries());
   EXPECT_EQ(rows(0), (Rows{0, 2}));
   EXPECT_EQ(rows(1), (Rows{1, 2}));
   EXPECT_EQ(rows(2), (Rows{0, 1}));
@@ -525,25 +529,48 @@ TEST(Tableau, ColumnListsFollowEveryRowRewrite) {
   EXPECT_EQ(t.col_count(2), 2);
   EXPECT_EQ(t.audit(), "");
 
-  // Row 0 drops column 0, keeps 2 and gains 3 and 4.
-  t.replace_row(0, form_of({{2, 1}, {3, 1}, {4, 5}}).entries());
-  EXPECT_EQ(rows(0), (Rows{2}));
-  EXPECT_EQ(rows(3), (Rows{0}));
-  EXPECT_EQ(rows(4), (Rows{0}));
+  // Pivot row 0 (x10 = x0 + 3·x2) onto column 2:
+  // x2 = (1/3)·x10 − (1/3)·x0. Column 2 leaves the row, 10 joins it last.
+  const Rational third(BigInt(1), BigInt(3));
+  t.pivot_row(0, 2, 10, third);
+  t.set_owner(0, 2);
+  SparseRow want;
+  want.add(0, -third);
+  want.add(10, third);
+  EXPECT_TRUE(row_is(0, want));
+  EXPECT_EQ(rows(0), (Rows{0, 2}));
+  EXPECT_EQ(rows(2), (Rows{1}));
+  EXPECT_EQ(rows(10), (Rows{0}));
   EXPECT_EQ(t.audit(), "");
 
-  // Substitute column 1 := x5 - x2 into row 2 (the pivot merge): column 1
-  // leaves the row, 5 joins it, and 2 joins it in ascending place.
-  t.pivot_merge(2, 1, Rational(1), form_of({{2, -1}, {5, 1}}).entries());
+  // Substitute column 1 := x4 + x5 - x2 into row 2 (the pivot merge):
+  // column 1 leaves the row, 4 and 5 join it, and 2 joins it in
+  // ascending place.
+  t.pivot_merge(2, 1, Rational(1),
+                form_of({{2, -1}, {4, 1}, {5, 1}}).entries());
   EXPECT_EQ(rows(1), (Rows{1}));
-  EXPECT_EQ(rows(2), (Rows{0, 1, 2}));
+  EXPECT_EQ(rows(2), (Rows{1, 2}));
+  EXPECT_EQ(rows(4), (Rows{2}));
   EXPECT_EQ(rows(5), (Rows{2}));
   EXPECT_EQ(t.audit(), "");
 
-  // An emptied row leaves every list.
-  t.replace_row(1, {});
-  EXPECT_EQ(rows(1), (Rows{}));
-  EXPECT_EQ(rows(2), (Rows{0, 2}));
+  // Pivot row 2 (x3 = 2·x0 − x2 + x4 + x5) onto its last column: the
+  // owner joins before column 4, x5 = x3 − 2·x0 + x2 − x4.
+  t.pivot_row(2, 5, 3, Rational(1));
+  t.set_owner(2, 5);
+  EXPECT_TRUE(row_is(2, form_of({{0, -2}, {2, 1}, {3, 1}, {4, -1}})));
+  EXPECT_EQ(rows(3), (Rows{2}));
+  EXPECT_EQ(rows(4), (Rows{2}));
+  EXPECT_TRUE(rows(5).empty());
+  EXPECT_EQ(t.audit(), "");
+
+  // Pivot row 1 (x11 = x1 − x2) onto its first column: x1 = x11 + x2.
+  t.pivot_row(1, 1, 11, Rational(1));
+  t.set_owner(1, 1);
+  EXPECT_TRUE(row_is(1, form_of({{2, 1}, {11, 1}})));
+  EXPECT_TRUE(rows(1).empty());
+  EXPECT_EQ(rows(2), (Rows{1, 2}));
+  EXPECT_EQ(rows(11), (Rows{1}));
   EXPECT_EQ(t.audit(), "");
 }
 

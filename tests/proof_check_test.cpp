@@ -707,6 +707,21 @@ TEST(ProofMutation, TighteningStopsAtTheVisitBudget) {
   EXPECT_TRUE(farkas.ok) << farkas.reason << ": " << farkas.detail;
 }
 
+// The checker tightens a branch only when its step reads a derived bound,
+// and it finds one anywhere in the step: here `lo0` (x ≥ 5, from p1) is
+// the third term, after two premises (x + y ≤ 3 and y ≥ 0).
+TEST(ProofMutation, DerivedBoundPastTheFirstTermAccepted) {
+  const CheckResult r = check_proof_text(
+      "advocat-proof 3\nmode native\nnvars 3\nnints 2\n"
+      "atom 1 le 3 2 0 1 1 1\n"  // x + y ≤ 3
+      "atom 2 le -5 1 0 -1\n"    // x ≥ 5
+      "atom 3 le 0 1 1 -1\n"     // y ≥ 0
+      "in 1 0\nin 2 0\nin 3 0\n"
+      "lem -1 -2 -3 0\nf 3 p0 1 1 p2 1 1 lo0 1 1\nend\nqed\n");
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  EXPECT_EQ(r.mode, "native");
+}
+
 TEST(ProofMutation, GarbageHeaderRejected) {
   const CheckResult r = check_proof_text("not a proof\n");
   EXPECT_FALSE(r.ok);

@@ -533,10 +533,22 @@ class Checker {
     return true;
   }
 
+  // True when a Farkas step's terms name a derived bound (`lo<v>` or
+  // `hi<v>`) anywhere; no multiplier token starts with a letter.
+  static bool reads_bound(Tokens ls) {
+    std::string_view tok;
+    while (ls.next(tok)) {
+      if (tok.starts_with("lo") || tok.starts_with("hi")) return true;
+    }
+    return false;
+  }
+
   // One proof branch whose last change is `seed` (a split's bound node, or
-  // -1 for the lemma's own rows): tighten, then a closing step or a split
-  // into two sub-branches. A crossing needs no special case: the closing
-  // `f` step names the crossed bounds.
+  // -1 for the lemma's own rows): a closing step or a split into two
+  // sub-branches. The branch is tightened first only when its step reads
+  // derived bounds: a split (its children start from them) or an `f` step
+  // naming one. A crossing needs no special case: the closing `f` step
+  // names the crossed bounds.
   bool check_branch(const std::vector<std::string_view>& body,
                     std::size_t& pos, const Premises& p, Bounds& st, int seed,
                     int depth) {
@@ -544,7 +556,6 @@ class Checker {
       fail("parse-error", "proof nesting too deep");
       return false;
     }
-    tighten::tighten_branch(p, st, seed);
     if (pos >= body.size()) {
       fail("lemma-open-branch", "proof body ends inside a branch");
       return false;
@@ -553,6 +564,9 @@ class Checker {
     Tokens ls(body[pos++]);
     std::string_view head;
     ls.next(head);
+    if (head == "s" || (head == "f" && reads_bound(ls))) {
+      tighten::tighten_branch(p, st, seed);
+    }
     if (head == "f") return check_farkas(ls, p, st);
     if (head == "s") {
       int var = 0;
