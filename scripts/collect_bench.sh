@@ -35,8 +35,11 @@
 # decisions or propagations differ from that trajectory, or whose
 # theory_pivots or farkas_explanations do where both trajectories record
 # them: those counters are deterministic, so a listed cell means the
-# search or the simplex itself changed.
-# Both diffs are informational only — they never change the exit status
+# search or the simplex itself changed. Last it lists every fig3
+# explorer_states and tab_baseline_mc explicit_states that differ ("k of n
+# simulator rows changed"): a listed row means the simulator's semantics or
+# its BFS order changed.
+# The diffs are informational only — they never change the exit status
 # (timings on shared CI runners are too noisy to gate on, and a search
 # change may be intended).
 set -eu
@@ -243,6 +246,37 @@ for mesh, node in shared:
         changed += 1
         print(f"  {mesh}x{mesh} dir {node}: " + ", ".join(diffs))
 print(f"  {changed} of {len(shared)} cells changed")
+
+# The simulator's state counts are deterministic too: fig3's explorer and
+# tab_baseline_mc's explicit-state baseline, per (mesh, capacity).
+SIM = {"fig3_crosslayer_deadlock": "explorer_states",
+       "tab_baseline_mc": "explicit_states"}
+
+def sim_rows(path):
+    rows = {}
+    for line in open(path):
+        try:
+            j = json.loads(line)
+        except ValueError:
+            continue
+        key = SIM.get(j.get("bench"))
+        if key is None or key not in j:
+            continue
+        ident = tuple((k, j[k]) for k in ("mesh", "capacity") if k in j)
+        rows[(j["bench"], ident)] = j[key]
+    return rows
+
+old, new = sim_rows(sys.argv[1]), sim_rows(sys.argv[2])
+shared = sorted(k for k in new if k in old)
+changed = 0
+print(f"collect_bench: simulator state counts vs {sys.argv[1]}:")
+for bench, ident in shared:
+    o, n = old[(bench, ident)], new[(bench, ident)]
+    if o != n:
+        changed += 1
+        where = " ".join(f"{k} {v}" for k, v in ident)
+        print(f"  {bench} {where}: {SIM[bench]} {o} -> {n}")
+print(f"  {changed} of {len(shared)} simulator rows changed")
 PYEOF
 fi
 exit "$status"

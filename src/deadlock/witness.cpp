@@ -26,8 +26,8 @@ struct Claim {
   int automaton = -1;      ///< Dead
 };
 
-Claim parse_tag(const xmas::Network& net, const sim::Simulator& sim,
-                const std::string& tag) {
+Claim parse_tag(const sim::Simulator& sim, const std::string& tag) {
+  const xmas::Network& net = sim.net();
   Claim c;
   c.tag = tag;
   const auto colon = tag.find(':');
@@ -92,22 +92,25 @@ const char* to_string(ClaimStatus s) {
 
 namespace {
 
-/// The replay behind replay_claims. With `stop_at_refutation` the search
-/// ends at the first refuted claim; the claims not refuted by then are
-/// Inconclusive. The minimisation probes use it: a probe counts only when
-/// every claim is confirmed.
-std::vector<WitnessClaim> replay(const xmas::Network& net,
+/// The replay behind replay_claims, on a caller's enumerator (its memo
+/// tables carry over from one replay to the next). With
+/// `stop_at_refutation` the search ends at the first refuted claim; the
+/// claims not refuted by then are Inconclusive. The minimisation probes use
+/// it: a probe counts only when every claim is confirmed.
+std::vector<WitnessClaim> replay(const sim::Simulator& sim,
+                                 sim::Successors& successors,
                                  const sim::State& state,
-                                 const std::vector<std::string>& tags,
+                                 const std::vector<Claim>& claims,
                                  std::size_t max_states,
                                  bool stop_at_refutation,
                                  std::size_t* states_explored,
                                  bool* exhaustive) {
-  const sim::Simulator sim(net);
-  std::vector<Claim> claims;
-  claims.reserve(tags.size());
-  for (const std::string& t : tags) claims.push_back(parse_tag(net, sim, t));
-
+  const xmas::Network& net = sim.net();
+  // The claims each event can bear on, by initiator, popped queue ordinal
+  // and moved automaton.
+  std::vector<std::vector<std::size_t>> by_source(net.num_prims());
+  std::vector<std::vector<std::size_t>> by_queue(sim.num_queues());
+  std::vector<std::vector<std::size_t>> by_automaton(net.automata().size());
   // Per-claim refutation evidence gathered during the sweep.
   std::vector<std::string> refuted_by(claims.size());
   // PacketStuck: the colors stored at the witness state, minus every color
@@ -115,11 +118,23 @@ std::vector<WitnessClaim> replay(const xmas::Network& net,
   std::vector<std::set<ColorId>> stuck(claims.size());
   std::size_t refuted = 0;
   for (std::size_t i = 0; i < claims.size(); ++i) {
-    if (claims[i].kind == Claim::Kind::PacketStuck) {
-      const auto& content =
-          state.queues[static_cast<std::size_t>(claims[i].queue_ordinal)];
-      stuck[i].insert(content.begin(), content.end());
-      refuted += stuck[i].empty();
+    const Claim& c = claims[i];
+    switch (c.kind) {
+      case Claim::Kind::SourceBlocked:
+        by_source[static_cast<std::size_t>(c.source)].push_back(i);
+        break;
+      case Claim::Kind::PacketStuck: {
+        const auto q = static_cast<std::size_t>(c.queue_ordinal);
+        by_queue[q].push_back(i);
+        stuck[i].insert(state.queues[q].begin(), state.queues[q].end());
+        refuted += stuck[i].empty();
+        break;
+      }
+      case Claim::Kind::Dead:
+        by_automaton[static_cast<std::size_t>(c.automaton)].push_back(i);
+        break;
+      case Claim::Kind::Unknown:
+        break;
     }
   }
 
@@ -128,7 +143,6 @@ std::vector<WitnessClaim> replay(const xmas::Network& net,
   std::vector<std::uint8_t> packed;
   sim.pack(state, packed);
   visited.insert(packed);
-  sim::Successors successors(sim);
   bool truncated = false;
   bool stopped = false;
   std::size_t explored = 0;
@@ -139,37 +153,27 @@ std::vector<WitnessClaim> replay(const xmas::Network& net,
     }
     ++explored;
     successors.for_each(visited[at], [&](const sim::Step& e) {
-      for (std::size_t i = 0; i < claims.size(); ++i) {
-        const Claim& c = claims[i];
-        switch (c.kind) {
-          case Claim::Kind::SourceBlocked:
-            if (e.initiator == c.source && refuted_by[i].empty()) {
-              refuted_by[i] = "reachable injection: " + sim.label(e.initiator, e.color);
-              ++refuted;
-            }
-            break;
-          case Claim::Kind::PacketStuck:
-            for (const auto& [qo, pos] : e.effects.pops) {
-              if (qo == c.queue_ordinal && !stuck[i].empty()) {
-                stuck[i].erase(successors.stored(qo, pos));
-                refuted += stuck[i].empty();
-              }
-            }
-            break;
-          case Claim::Kind::Dead:
-            if (refuted_by[i].empty()) {
-              for (const auto& [ai, to] : e.effects.moves) {
-                (void)to;  // a self-loop transition still fires
-                if (ai == c.automaton) {
-                  refuted_by[i] = "reachable transition: " + sim.label(e.initiator, e.color);
-                  ++refuted;
-                  break;
-                }
-              }
-            }
-            break;
-          case Claim::Kind::Unknown:
-            break;
+      for (const std::size_t i : by_source[static_cast<std::size_t>(e.initiator)]) {
+        if (refuted_by[i].empty()) {
+          refuted_by[i] = "reachable injection: " + sim.label(e.initiator, e.color);
+          ++refuted;
+        }
+      }
+      for (const auto& [qo, pos] : e.effects.pops) {
+        for (const std::size_t i : by_queue[static_cast<std::size_t>(qo)]) {
+          if (!stuck[i].empty()) {
+            stuck[i].erase(successors.stored(qo, pos));
+            refuted += stuck[i].empty();
+          }
+        }
+      }
+      for (const auto& [ai, to] : e.effects.moves) {
+        (void)to;  // a self-loop transition still fires
+        for (const std::size_t i : by_automaton[static_cast<std::size_t>(ai)]) {
+          if (refuted_by[i].empty()) {
+            refuted_by[i] = "reachable transition: " + sim.label(e.initiator, e.color);
+            ++refuted;
+          }
         }
       }
       if (visited.size() < max_states) {
@@ -225,6 +229,14 @@ std::vector<WitnessClaim> replay(const xmas::Network& net,
   return out;
 }
 
+std::vector<Claim> parse_tags(const sim::Simulator& sim,
+                              const std::vector<std::string>& tags) {
+  std::vector<Claim> claims;
+  claims.reserve(tags.size());
+  for (const std::string& t : tags) claims.push_back(parse_tag(sim, t));
+  return claims;
+}
+
 }  // namespace
 
 std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
@@ -233,8 +245,10 @@ std::vector<WitnessClaim> replay_claims(const xmas::Network& net,
                                         std::size_t max_states,
                                         std::size_t* states_explored,
                                         bool* exhaustive) {
-  return replay(net, state, tags, max_states, /*stop_at_refutation=*/false,
-                states_explored, exhaustive);
+  const sim::Simulator sim(net);
+  sim::Successors successors(sim);
+  return replay(sim, successors, state, parse_tags(sim, tags), max_states,
+                /*stop_at_refutation=*/false, states_explored, exhaustive);
 }
 
 namespace {
@@ -246,20 +260,17 @@ bool all_confirmed(const std::vector<WitnessClaim>& claims) {
   });
 }
 
-/// Tags still applicable to `state`: packet_stuck claims for queues that
+/// Claims still applicable to `state`: packet_stuck claims for queues that
 /// are now empty make no assertion and are dropped.
-std::vector<std::string> applicable_tags(const xmas::Network& net,
-                                         const sim::Simulator& sim,
-                                         const sim::State& state,
-                                         const std::vector<std::string>& tags) {
-  std::vector<std::string> out;
-  for (const std::string& t : tags) {
-    const Claim c = parse_tag(net, sim, t);
+std::vector<Claim> applicable(const sim::State& state,
+                              const std::vector<Claim>& claims) {
+  std::vector<Claim> out;
+  for (const Claim& c : claims) {
     if (c.kind == Claim::Kind::PacketStuck &&
         state.queues[static_cast<std::size_t>(c.queue_ordinal)].empty()) {
       continue;
     }
-    out.push_back(t);
+    out.push_back(c);
   }
   return out;
 }
@@ -325,10 +336,12 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
   if (!w.consistent) return w;
 
   // ---- replay: verify every fired claim from the decoded state.
-  std::vector<std::string> tags = applicable_tags(net, sim, w.state, fired);
-  w.claims =
-      replay_claims(net, w.state, tags, options.max_states,
-                    &w.states_explored, &w.exhaustive);
+  // One enumerator serves the replay and every minimization probe.
+  sim::Successors successors(sim);
+  std::vector<Claim> claims = applicable(w.state, parse_tags(sim, fired));
+  w.claims = replay(sim, successors, w.state, claims, options.max_states,
+                    /*stop_at_refutation=*/false, &w.states_explored,
+                    &w.exhaustive);
   w.replayed = true;
   w.blocked = all_confirmed(w.claims);
   if (!w.blocked) {
@@ -348,13 +361,12 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
       if (w.state.queues[qi].empty()) continue;
       sim::State probe = w.state;
       probe.queues[qi].clear();
-      const std::vector<std::string> probe_tags =
-          applicable_tags(net, sim, probe, tags);
-      if (probe_tags.empty()) continue;  // nothing left to claim: essential
+      std::vector<Claim> probe_claims = applicable(probe, claims);
+      if (probe_claims.empty()) continue;  // nothing left to claim: essential
       bool probe_exhaustive = false;
       std::size_t probe_states = 0;
       const std::vector<WitnessClaim> verdicts =
-          replay(net, probe, probe_tags, options.max_states,
+          replay(sim, successors, probe, probe_claims, options.max_states,
                  /*stop_at_refutation=*/true, &probe_states,
                  &probe_exhaustive);
       ++w.minimize_replays;
@@ -364,7 +376,7 @@ Witness build_witness(const xmas::Network& net, const xmas::Typing& typing,
         w.claims = verdicts;
         w.states_explored = probe_states;
         w.exhaustive = probe_exhaustive;
-        tags = probe_tags;
+        claims = std::move(probe_claims);
         removed = true;
       }
     }

@@ -28,6 +28,11 @@
 //                 confirmed, so each probe replay stops at its first
 //                 refuted claim.
 //
+// The tags are parsed once, and one sim::Successors enumerator, with its
+// resolved routes and memo tables, serves the replay and every
+// minimization probe. Each replay looks the claims an event can bear on
+// up by its initiator, popped queue and moved automaton.
+//
 // The result is attached to core::VerifyResult as the Sat-side
 // counterpart of the Unsat proof certificate (docs/PROOFS.md).
 #pragma once

@@ -62,6 +62,7 @@ Simulator::Simulator(const xmas::Network& net) : net_(net) {
     queue_ordinal_[static_cast<std::size_t>(q)] = static_cast<int>(queue_ids_.size());
     queue_ids_.push_back(q);
     capacity_.push_back(net.prim(q).capacity);
+    fifo_.push_back(net.prim(q).fifo);
     largest = std::max(largest, net.prim(q).capacity);
   }
   for (const xmas::Automaton& a : net.automata()) {
@@ -174,8 +175,37 @@ std::string Simulator::describe(const State& s) const {
 Successors::Successors(const Simulator& sim)
     : sim_(sim),
       net_(sim.net_),
+      automaton_ids_(sim.net_.automata().size(), -1),
       len_(sim.num_queues()),
-      start_(sim.num_queues()) {}
+      start_(sim.num_queues()),
+      offer_begin_(sim.num_queues() + 1),
+      seen_(sim.net_.colors().size(), 0),
+      route_row_(sim.net_.channels().size(), -1) {
+  for (PrimId a : net_.prims_of_kind(PrimKind::Automaton)) {
+    automaton_ids_[static_cast<std::size_t>(net_.prim(a).automaton)] = a;
+  }
+  std::size_t lists = 0;
+  for (PrimId sid : sim.fair_sources_) {
+    Injector s;
+    s.id = sid;
+    s.out = net_.prim(sid).out[0];
+    s.lists = lists;
+    if (s.out != xmas::kNoChan) {
+      const xmas::Channel& ch = net_.channel(s.out);
+      const Primitive& t = net_.prim(ch.target);
+      if (t.kind == PrimKind::Automaton) {
+        s.automaton = t.automaton;
+        s.port = ch.tgt_port;
+      }
+    }
+    lists += s.automaton < 0
+                 ? 1
+                 : static_cast<std::size_t>(
+                       net_.automata()[static_cast<std::size_t>(s.automaton)].num_states());
+    injectors_.push_back(s);
+  }
+  colour_lists_.assign(lists, Range{});
+}
 
 std::uint32_t Successors::load(std::size_t index) const {
   return load_element(cur_.data(), index, sim_.width_);
@@ -197,8 +227,7 @@ std::int32_t Successors::mapped(PrimId id, const Primitive& p, ColorId d) {
   return m;
 }
 
-Successors::FiringRange Successors::firings(int a, int state, int port,
-                                            ColorId d) {
+Successors::Range Successors::firings(int a, int state, int port, ColorId d) {
   const auto& automata = net_.automata();
   const std::size_t colors = net_.colors().size();
   if (firing_base_.empty()) {
@@ -208,7 +237,7 @@ Successors::FiringRange Successors::firings(int a, int state, int port,
       total += static_cast<std::size_t>(x.num_states()) *
                static_cast<std::size_t>(x.num_in) * colors;
     }
-    firing_index_.assign(total, FiringRange{});
+    firing_index_.assign(total, Range{});
   }
   const xmas::Automaton& aut = automata[static_cast<std::size_t>(a)];
   if (state < 0 || state >= aut.num_states() || port < 0 || port >= aut.num_in) {
@@ -217,8 +246,8 @@ Successors::FiringRange Successors::firings(int a, int state, int port,
   const std::size_t row = static_cast<std::size_t>(state) *
                               static_cast<std::size_t>(aut.num_in) +
                           static_cast<std::size_t>(port);
-  FiringRange& r = firing_index_[firing_base_[static_cast<std::size_t>(a)] +
-                                 row * colors + colour_index(d)];
+  Range& r = firing_index_[firing_base_[static_cast<std::size_t>(a)] +
+                           row * colors + colour_index(d)];
   if (r.count >= 0) return r;
   const auto first = static_cast<std::uint32_t>(firings_.size());
   for (const auto& t : aut.transitions) {
@@ -227,8 +256,112 @@ Successors::FiringRange Successors::firings(int a, int state, int port,
     firings_.push_back(em.has_value() ? Firing{t.to, true, em->first, em->second}
                                       : Firing{t.to, false, 0, xmas::kNoColor});
   }
-  r = FiringRange{first, static_cast<std::int32_t>(firings_.size() - first)};
+  r = Range{first, static_cast<std::int32_t>(firings_.size() - first)};
   return r;
+}
+
+Successors::Route Successors::route(ChanId c, ColorId d) {
+  const auto ci = static_cast<std::size_t>(c);
+  if (ci >= route_row_.size()) {
+    throw std::out_of_range("sim::Successors: no channel " + std::to_string(c));
+  }
+  std::int32_t& row = route_row_[ci];
+  if (row < 0) {
+    row = static_cast<std::int32_t>(routes_.size());
+    routes_.resize(routes_.size() + net_.colors().size());
+  }
+  Route& r = routes_[static_cast<std::size_t>(row) + colour_index(d)];
+  if (r.hops >= 0) return r;
+  // The one walk through the stateless hops. Past kMaxDepth hops the
+  // route is dead from any depth (this also ends a combinational loop).
+  r.hops = 0;
+  for (int hops = 0; hops <= kMaxDepth; ++hops) {
+    (void)colour_index(d);  // every colour a route carries is in the table
+    const xmas::Channel& ch = net_.channel(c);
+    const PrimId id = ch.target;
+    const Primitive& p = net_.prim(id);
+    Route::To to = Route::To::Dead;
+    std::int32_t target = id;
+    switch (p.kind) {
+      case PrimKind::Function:
+        d = mapped(id, p, d);
+        c = p.out[0];
+        continue;
+      case PrimKind::Merge:
+        c = p.out[0];
+        continue;
+      case PrimKind::Switch: {
+        const int out = mapped(id, p, d);
+        if (out < 0 || static_cast<std::size_t>(out) >= p.out.size()) return r;
+        c = p.out[static_cast<std::size_t>(out)];
+        continue;
+      }
+      case PrimKind::Queue:
+        to = Route::To::Queue;
+        target = sim_.ordinal_of(id);
+        break;
+      case PrimKind::Sink:
+        if (p.fair) to = Route::To::Sink;
+        break;
+      case PrimKind::Automaton:
+        to = Route::To::Automaton;
+        target = p.automaton;
+        break;
+      case PrimKind::Fork:
+        to = Route::To::Fork;
+        break;
+      case PrimKind::Join:
+        to = Route::To::Join;
+        break;
+      case PrimKind::Source:
+        break;
+    }
+    r = Route{to, static_cast<std::int8_t>(hops),
+              static_cast<std::int16_t>(ch.tgt_port), target, d};
+    return r;
+  }
+  return r;
+}
+
+bool Successors::may_take(const Route& r) {
+  const auto t = static_cast<std::size_t>(r.target);
+  switch (r.to) {
+    case Route::To::Dead:
+      return false;
+    case Route::To::Queue:
+      return len_[t] < sim_.capacity_[t];
+    case Route::To::Automaton:
+      return firings(r.target, static_cast<int>(load(aut_start_ + t)), r.port,
+                     r.color).count > 0;
+    case Route::To::Sink:
+    case Route::To::Fork:
+    case Route::To::Join:
+      return true;
+  }
+  return true;
+}
+
+std::span<const ColorId> Successors::injectable(const Injector& s) {
+  std::size_t state = 0;
+  if (s.automaton >= 0) {
+    state = load(aut_start_ + static_cast<std::size_t>(s.automaton));
+    const xmas::Automaton& aut = net_.automata()[static_cast<std::size_t>(s.automaton)];
+    if (state >= static_cast<std::size_t>(aut.num_states())) {
+      throw std::out_of_range("sim::Successors: bad automaton state on " + aut.name);
+    }
+  }
+  Range& r = colour_lists_[s.lists + state];
+  if (r.count < 0) {
+    const auto first = static_cast<std::uint32_t>(colour_pool_.size());
+    for (ColorId d : net_.prim(s.id).source_colors) {
+      if (s.automaton < 0 ||
+          firings(s.automaton, static_cast<int>(state), s.port, d).count > 0) {
+        colour_pool_.push_back(d);
+      }
+    }
+    r = Range{first, static_cast<std::int32_t>(colour_pool_.size() - first)};
+  }
+  return {colour_pool_.data() + r.first, static_cast<std::size_t>(r.count)};
 }
 
 ColorId Successors::stored(int q, int pos) const {
@@ -256,70 +389,91 @@ std::size_t Successors::run(const std::uint8_t* packed,
   sink_ = &f;
   emitted_ = 0;
 
+  // What each queue offers: a FIFO its head; a bag the first occurrence of
+  // each distinct stored colour (identical colours are interchangeable).
+  offer_pos_.clear();
+  for (std::size_t q = 0; q < queues; ++q) {
+    offer_begin_[q] = offer_pos_.size();
+    if (len_[q] == 0) continue;
+    if (sim_.fifo_[q]) {
+      offer_pos_.push_back(0);
+      continue;
+    }
+    if (++stamp_ == 0) {  // wrapped: no colour may look seen
+      std::fill(seen_.begin(), seen_.end(), 0);
+      stamp_ = 1;
+    }
+    for (std::uint32_t i = 0; i < len_[q]; ++i) {
+      std::uint32_t& seen =
+          seen_[colour_index(stored(static_cast<int>(q), static_cast<int>(i)))];
+      if (seen == stamp_) continue;
+      seen = stamp_;
+      offer_pos_.push_back(i);
+    }
+  }
+  offer_begin_[queues] = offer_pos_.size();
+
   // Initiation points are the storage producers: sources and queues.
-  for (PrimId sid : sim_.fair_sources_) {
-    const Primitive& src = net_.prim(sid);
-    initiator_ = sid;
-    for (ColorId d : src.source_colors) {
+  auto done = [this] { emit(); };
+  for (const Injector& s : injectors_) {
+    initiator_ = s.id;
+    // colour_pool_ grows only in injectable(), so the span stays valid.
+    for (ColorId d : injectable(s)) {
       color_ = d;
-      auto done = [this] { emit(); };
-      accepts(src.out[0], d, 0, Then(done));
+      accepts(s.out, d, 0, Then(done));
     }
   }
   for (std::size_t qi = 0; qi < queues; ++qi) {
+    const auto q = static_cast<int>(qi);
     const PrimId qid = sim_.queue_ids_[qi];
     const ChanId out = net_.prim(qid).out[0];
     initiator_ = qid;
-    auto transfer = [this, out](ColorId c) {
+    for (std::size_t i = offer_begin_[qi]; i < offer_begin_[qi + 1]; ++i) {
+      const auto pos = static_cast<int>(offer_pos_[i]);
+      const ColorId c = stored(q, pos);
+      const Route r = route(out, c);
+      if (!may_take(r)) continue;
+      fx_.pops.emplace_back(q, pos);
       color_ = c;
-      auto done = [this] { emit(); };
-      accepts(out, c, 0, Then(done));
-    };
-    offers(out, 0, OfferThen(transfer));
+      deliver(r, 0, Then(done));
+      fx_.pops.pop_back();
+    }
   }
   sink_ = nullptr;
   return emitted_;
 }
 
-void Successors::accepts(ChanId c, ColorId d, int depth, Then k) {
+void Successors::deliver(Route r, int depth, Then k) {
+  depth += r.hops;
   if (depth > kMaxDepth) return;
-  const xmas::Channel& ch = net_.channel(c);
-  const Primitive& p = net_.prim(ch.target);
-  const int port = ch.tgt_port;
-  switch (p.kind) {
-    case PrimKind::Queue: {
-      const int q = sim_.ordinal_of(ch.target);
-      if (len_[static_cast<std::size_t>(q)] >= sim_.capacity_[static_cast<std::size_t>(q)]) return;
-      fx_.pushes.emplace_back(q, d);
+  switch (r.to) {
+    case Route::To::Dead:
+      return;
+    case Route::To::Queue: {
+      const auto q = static_cast<std::size_t>(r.target);
+      if (len_[q] >= sim_.capacity_[q]) return;
+      fx_.pushes.emplace_back(r.target, r.color);
       k();
       fx_.pushes.pop_back();
       return;
     }
-    case PrimKind::Sink:
-      if (p.fair) k();
+    case Route::To::Sink:
+      k();
       return;
-    case PrimKind::Function:
-      accepts(p.out[0], mapped(ch.target, p, d), depth + 1, k);
-      return;
-    case PrimKind::Switch: {
-      const int out = mapped(ch.target, p, d);
-      if (out < 0 || static_cast<std::size_t>(out) >= p.out.size()) return;
-      accepts(p.out[static_cast<std::size_t>(out)], d, depth + 1, k);
+    case Route::To::Fork: {
+      const Primitive& p = net_.prim(r.target);
+      auto second = [&] { accepts(p.out[1], r.color, depth + 1, k); };
+      accepts(p.out[0], r.color, depth + 1, Then(second));
       return;
     }
-    case PrimKind::Merge:
-      accepts(p.out[0], d, depth + 1, k);
-      return;
-    case PrimKind::Fork: {
-      auto second = [&] { accepts(p.out[1], d, depth + 1, k); };
-      accepts(p.out[0], d, depth + 1, Then(second));
-      return;
-    }
-    case PrimKind::Join: {
+    case Route::To::Join: {
       // A join fires when both inputs transfer; the packet on the data
       // input (port 0) is copied to the output.
-      if (port == 0) {
-        auto with_token = [&](ColorId) { accepts(p.out[0], d, depth + 1, k); };
+      const Primitive& p = net_.prim(r.target);
+      if (r.port == 0) {
+        auto with_token = [&](ColorId) {
+          accepts(p.out[0], r.color, depth + 1, k);
+        };
         offers(p.in[1], depth + 1, OfferThen(with_token));
       } else {
         auto with_data = [&](ColorId data) {
@@ -329,25 +483,24 @@ void Successors::accepts(ChanId c, ColorId d, int depth, Then k) {
       }
       return;
     }
-    case PrimKind::Automaton: {
-      const auto cur = static_cast<int>(load(aut_start_ + static_cast<std::size_t>(p.automaton)));
-      const FiringRange r = firings(p.automaton, cur, port, d);
-      for (std::int32_t i = 0; i < r.count; ++i) {
+    case Route::To::Automaton: {
+      const auto a = static_cast<std::size_t>(r.target);
+      const auto cur = static_cast<int>(load(aut_start_ + a));
+      const Range fr = firings(r.target, cur, r.port, r.color);
+      for (std::int32_t i = 0; i < fr.count; ++i) {
         // By value: a nested expansion may grow firings_.
-        const Firing f = firings_[r.first + static_cast<std::uint32_t>(i)];
-        fx_.moves.emplace_back(p.automaton, f.to);
+        const Firing f = firings_[fr.first + static_cast<std::uint32_t>(i)];
+        fx_.moves.emplace_back(r.target, f.to);
         if (!f.emits) {
           k();
         } else {
-          accepts(p.out.at(static_cast<std::size_t>(f.port)), f.color,
-                  depth + 1, k);
+          accepts(net_.prim(automaton_ids_[a]).out.at(static_cast<std::size_t>(f.port)),
+                  f.color, depth + 1, k);
         }
         fx_.moves.pop_back();
       }
       return;
     }
-    case PrimKind::Source:
-      return;
   }
 }
 
@@ -364,19 +517,11 @@ void Successors::offers(ChanId c, int depth, OfferThen k) {
       return;
     case PrimKind::Queue: {
       const int q = sim_.ordinal_of(ch.initiator);
-      const std::uint32_t n = len_[static_cast<std::size_t>(q)];
-      // FIFO: the head only. Bag: any stored packet (first occurrence of
-      // each distinct colour; identical colours are interchangeable).
-      const std::uint32_t offered = p.fifo ? std::min<std::uint32_t>(n, 1) : n;
-      for (std::uint32_t i = 0; i < offered; ++i) {
-        const ColorId color = stored(q, static_cast<int>(i));
-        bool seen = false;
-        for (std::uint32_t j = 0; j < i && !seen; ++j) {
-          seen = stored(q, static_cast<int>(j)) == color;
-        }
-        if (seen) continue;
-        fx_.pops.emplace_back(q, static_cast<int>(i));
-        k(color);
+      const auto qi = static_cast<std::size_t>(q);
+      for (std::size_t i = offer_begin_[qi]; i < offer_begin_[qi + 1]; ++i) {
+        const auto pos = static_cast<int>(offer_pos_[i]);
+        fx_.pops.emplace_back(q, pos);
+        k(stored(q, pos));
         fx_.pops.pop_back();
       }
       return;
@@ -451,12 +596,6 @@ void Successors::emit() {
     for (const auto& pop : pops) n -= pop.first == q;
     for (const auto& push : pushes) n += push.first == q;
     if (n > sim_.capacity_[static_cast<std::size_t>(q)]) return;
-  }
-  for (const auto& push : pushes) {
-    if (push.second < 0 || static_cast<std::size_t>(push.second) >= net_.colors().size()) {
-      throw std::out_of_range("sim::Successors: event pushes unknown colour " +
-                              std::to_string(push.second));
-    }
   }
 
   // Copy the untouched runs whole; rebuild the touched queues.

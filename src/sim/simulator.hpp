@@ -28,14 +28,27 @@
 // non-owning callbacks, and builds each successor straight into a reused
 // buffer: no allocation per state or per event. Event labels (`src!c`,
 // `q>c`) are built on demand from (initiator, colour) by label().
-// Simulator::events() is a wrapper over the same enumerator. The
-// network's std::function parameters are called once per argument: an
-// enumerator memoises switch routes and function images per (primitive,
-// colour), and each automaton's firings per (state, in-port, colour) as
-// (target state, emission) lists in transition order, so the enumeration
-// order is the same as calling them afresh. A colour outside the network's
-// colour table that reaches a switch, function or automaton throws
-// std::out_of_range, as one pushed into a queue does.
+// Simulator::events() is a wrapper over the same enumerator.
+//
+// Only the work that depends on the state is done per state. Switches,
+// functions and merges hold nothing, so a packet of colour d on channel c
+// always takes the same path through them: an enumerator resolves each
+// (channel, colour) once, on first use, to the first primitive whose
+// answer depends on the state (a queue, sink, automaton, fork or join), the
+// colour that arrives there and the number of hops it took, which still
+// counts towards the depth cut. A fair source wired to an automaton keeps
+// one list per state of that automaton of the colours that have a firing
+// there, in source-colour order; a queue offers each distinct stored
+// colour once (found with a generation stamp), and neither starts a
+// transfer whose resolved target is a full queue or an automaton with no
+// firing. The network's std::function parameters are called once per
+// argument: an enumerator memoises switch routes and function images per
+// (primitive, colour), and each automaton's firings per (state, in-port,
+// colour) as (target state, emission) lists in transition order, so the
+// enumeration order is the same as calling them afresh. Every colour a
+// route carries is checked when the route is resolved: one outside the
+// network's colour table throws std::out_of_range, whether it then reaches
+// a switch, function, automaton, queue or sink.
 #pragma once
 
 #include <cstddef>
@@ -151,6 +164,7 @@ class Simulator {
   std::vector<int> queue_ordinal_;          // PrimId -> dense queue index (-1)
   std::vector<xmas::PrimId> queue_ids_;     // dense queue index -> PrimId
   std::vector<std::size_t> capacity_;       // dense queue index -> capacity
+  std::vector<bool> fifo_;                  // dense queue index -> FIFO?
   unsigned width_ = 1;
 };
 
@@ -197,13 +211,57 @@ class Successors {
   using Then = Ref<void()>;
   using OfferThen = Ref<void(xmas::ColorId)>;
 
+  /// Where a packet of some colour on some channel ends up after the
+  /// switches, functions and merges behind it: the first primitive whose
+  /// answer depends on the state.
+  struct Route {
+    enum class To : std::uint8_t { Dead, Queue, Sink, Automaton, Fork, Join };
+    To to = To::Dead;
+    /// Function/Switch/Merge hops to the target; -1 until resolved.
+    std::int8_t hops = -1;
+    /// The target's in-port.
+    std::int16_t port = 0;
+    /// Queue ordinal, automaton index, or the fork's or join's PrimId.
+    std::int32_t target = 0;
+    /// The colour that arrives at the target.
+    xmas::ColorId color = xmas::kNoColor;
+  };
+  /// A range of a memo pool; count -1 until computed.
+  struct Range {
+    std::uint32_t first = 0;
+    std::int32_t count = -1;
+  };
+  /// A fair source. When it is wired straight to an automaton (`automaton`
+  /// >= 0), colour_lists_[lists + s] holds its colours that have a firing
+  /// in the automaton's state s; otherwise colour_lists_[lists] holds all
+  /// its colours.
+  struct Injector {
+    xmas::PrimId id = -1;
+    xmas::ChanId out = xmas::kNoChan;
+    int automaton = -1;
+    int port = 0;
+    std::size_t lists = 0;
+  };
+
   std::size_t run(const std::uint8_t* packed, Ref<void(const Step&)> f);
   /// Ways the target side of channel `c` can absorb a packet of colour
   /// `d`: each one leaves its effects on the stack while `k` runs.
-  void accepts(xmas::ChanId c, xmas::ColorId d, int depth, Then k);
+  void accepts(xmas::ChanId c, xmas::ColorId d, int depth, Then k) {
+    deliver(route(c, d), depth, k);
+  }
+  /// accepts() past the resolved hops of `r`.
+  void deliver(Route r, int depth, Then k);
   /// Packets the initiator side of channel `c` can present right now,
   /// likewise.
   void offers(xmas::ChanId c, int depth, OfferThen k);
+  /// The resolved route of colour `d` on channel `c` (resolved on first
+  /// use; throws std::out_of_range for a colour outside the table).
+  Route route(xmas::ChanId c, xmas::ColorId d);
+  /// False when `r` leads nowhere in the current state: no route, a full
+  /// queue, or an automaton with no firing.
+  bool may_take(const Route& r);
+  /// The colours fair source `s` may inject in the current state.
+  std::span<const xmas::ColorId> injectable(const Injector& s);
   /// Checks the stacked effects are jointly feasible, builds the successor
   /// and hands it to the callback.
   void emit();
@@ -219,21 +277,26 @@ class Successors {
     int port = 0;
     xmas::ColorId color = xmas::kNoColor;
   };
-  struct FiringRange {
-    std::uint32_t first = 0;
-    std::int32_t count = -1;  // -1: not computed yet
-  };
   /// The firings of (a, state, port, d) in transition order, as a range
   /// of firings_ (computed on first use).
-  FiringRange firings(int a, int state, int port, xmas::ColorId d);
+  Range firings(int a, int state, int port, xmas::ColorId d);
   [[nodiscard]] std::size_t colour_index(xmas::ColorId d) const;
 
   const Simulator& sim_;
   const xmas::Network& net_;
+  std::vector<Injector> injectors_;       // the fair sources, network order
+  std::vector<xmas::PrimId> automaton_ids_;  // automaton index -> PrimId
   std::vector<std::uint8_t> cur_;    // packed state being expanded
   std::vector<std::uint32_t> len_;   // its queue lengths
   std::vector<std::size_t> start_;   // element index of each queue's front
   std::size_t aut_start_ = 0;        // element index of the automaton states
+  // The positions of the first occurrence of each distinct colour every
+  // queue offers in the current state: offer_begin_[q] to
+  // offer_begin_[q + 1] in offer_pos_. seen_ holds a colour's stamp.
+  std::vector<std::uint32_t> offer_pos_;
+  std::vector<std::size_t> offer_begin_;
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t stamp_ = 0;
   Effects fx_;                       // the event under construction
   std::vector<int> touched_;         // queues the event pops or pushes
   std::vector<std::uint8_t> next_;   // the successor being built
@@ -241,10 +304,14 @@ class Successors {
   xmas::ColorId color_ = xmas::kNoColor;
   Ref<void(const Step&)>* sink_ = nullptr;
   std::size_t emitted_ = 0;
-  // Memoised network parameters, allocated on first use.
+  // Memoised network parameters, filled on first use.
+  std::vector<std::int32_t> route_row_;     // per channel: first route, or -1
+  std::vector<Route> routes_;               // per (used channel, colour)
+  std::vector<Range> colour_lists_;         // per (injector, automaton state)
+  std::vector<xmas::ColorId> colour_pool_;
   std::vector<std::int32_t> mapped_;        // per (primitive, colour)
   std::vector<std::size_t> firing_base_;    // per automaton
-  std::vector<FiringRange> firing_index_;   // per (automaton, state, port, colour)
+  std::vector<Range> firing_index_;         // per (automaton, state, port, colour)
   std::vector<Firing> firings_;
   static constexpr int kMaxDepth = 64;
 };

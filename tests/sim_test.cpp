@@ -356,5 +356,102 @@ TEST(Simulator, CapacityAbove65535PacksWidest) {
   EXPECT_FALSE(sim.is_deadlock(s));
 }
 
+// A fair source in front of `hops` stateless hops (identity functions
+// alternating with merges whose second input is left unwired) and a queue. With `echo` the source
+// first feeds an automaton that re-emits the packet into the chain, one
+// level deeper. The enumerator resolves the hops once and still cuts at
+// kMaxDepth (64): the queue is reached at depth hops, or hops + 1.
+Network chain_to_queue(int hops, bool echo) {
+  Network net;
+  const ColorId d = net.colors().intern("d");
+  const PrimId src = net.add_source("src", {d});
+  PrimId from = src;
+  if (echo) {
+    aut::AutomatonBuilder b("echo", {"s"});
+    b.in_ports(1).out_ports(1);
+    b.on("s", 0, d).emit(0, d).label("echo");
+    const PrimId a = net.add_automaton(b.build());
+    net.connect(src, 0, a, 0);
+    from = a;
+  }
+  for (int i = 0; i < hops; ++i) {
+    const std::string name = "h" + std::to_string(i);
+    const PrimId hop = i % 2 == 0
+                           ? net.add_function(name, [](ColorId c) { return c; })
+                           : net.add_merge(name, 2);
+    net.connect(from, 0, hop, 0);
+    from = hop;
+  }
+  const PrimId q = net.add_queue("q", 1);
+  net.connect(from, 0, q, 0);
+  net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
+  return net;
+}
+
+TEST(Simulator, DepthCutFallsBetween64And65Hops) {
+  for (const bool echo : {false, true}) {
+    const int before = echo ? 1 : 0;  // the automaton's own level
+    const Network at64 = chain_to_queue(64 - before, echo);
+    const Network at65 = chain_to_queue(65 - before, echo);
+    const Simulator reached(at64);
+    const Simulator cut(at65);
+    const auto events = reached.events(reached.initial());
+    ASSERT_EQ(events.size(), 1u) << "echo " << echo;
+    EXPECT_EQ(events[0].label, "src!d");
+    EXPECT_EQ(events[0].next.queues[0].size(), 1u);
+    EXPECT_TRUE(cut.events(cut.initial()).empty()) << "echo " << echo;
+  }
+}
+
+// A colour outside the colour table throws std::out_of_range once a route
+// carries it: into a switch, a function or an automaton, or pushed into a
+// queue as a function image or an automaton emission.
+TEST(Simulator, ColourOutsideTheTableThrows) {
+  constexpr ColorId kBad = 99;
+  const auto throws = [](const Network& net) {
+    const Simulator sim(net);
+    EXPECT_THROW((void)sim.events(sim.initial()), std::out_of_range);
+  };
+  // (source colour, what the source feeds) -> queue -> dead sink.
+  const auto build = [](bool bad_source, auto&& middle) {
+    Network net;
+    const ColorId d = net.colors().intern("d");
+    const PrimId src = net.add_source("src", {bad_source ? kBad : d});
+    const PrimId q = net.add_queue("q", 1);
+    middle(net, src, q, d);
+    net.connect(q, 0, net.add_sink("sink", /*fair=*/false), 0);
+    return net;
+  };
+  const auto via = [](Network& net, PrimId src, PrimId q, PrimId hop) {
+    net.connect(src, 0, hop, 0);
+    net.connect(hop, 0, q, 0);
+  };
+  const auto echo = [](Network& net, ColorId in, ColorId out) {
+    aut::AutomatonBuilder b("echo", {"s"});
+    b.in_ports(1).out_ports(1);
+    b.on("s", 0, in).emit(0, out).label("echo");
+    return net.add_automaton(b.build());
+  };
+  // Into a switch.
+  throws(build(true, [&](Network& net, PrimId src, PrimId q, ColorId) {
+    via(net, src, q, net.add_switch("sw", 2, [](ColorId) { return 0; }));
+  }));
+  // Into a function.
+  throws(build(true, [&](Network& net, PrimId src, PrimId q, ColorId) {
+    via(net, src, q, net.add_function("fn", [](ColorId c) { return c; }));
+  }));
+  // Into an automaton.
+  throws(build(true, [&](Network& net, PrimId src, PrimId q, ColorId d) {
+    via(net, src, q, echo(net, d, d));
+  }));
+  // Pushed into a queue: a function image, an automaton emission.
+  throws(build(false, [&](Network& net, PrimId src, PrimId q, ColorId) {
+    via(net, src, q, net.add_function("fn", [](ColorId) { return kBad; }));
+  }));
+  throws(build(false, [&](Network& net, PrimId src, PrimId q, ColorId d) {
+    via(net, src, q, echo(net, d, kBad));
+  }));
+}
+
 }  // namespace
 }  // namespace advocat::sim

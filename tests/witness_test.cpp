@@ -394,6 +394,34 @@ TEST(WitnessPin, Mi3x3Dir0Capacity10TruncatedAtBudget) {
             }));
 }
 
+// The replay perfbench's certified_3x3 runs: dir 4 one below its minimal
+// capacity (5), under the default 50,000-state budget, which it uses up.
+TEST(WitnessPin, Mi3x3Dir4Capacity4TruncatedAtDefaultBudget) {
+  const Network net = mi3x3(4, 4);
+  const core::VerifyResult r =
+      verify_with_witness(net, deadlock::WitnessOptions{}.max_states);
+  ASSERT_EQ(r.report.result, smt::SatResult::Sat);
+  ASSERT_TRUE(r.witness.has_value());
+  const Witness& w = *r.witness;
+  EXPECT_TRUE(w.replayed);
+  EXPECT_EQ(w.states_explored, 50'000u);
+  EXPECT_FALSE(w.exhaustive);
+  EXPECT_FALSE(w.blocked);
+  EXPECT_EQ(w.minimize_replays, 0u);
+  const std::string budget = " inconclusive state budget exhausted";
+  EXPECT_EQ(claim_lines(w.claims),
+            (std::vector<std::string>{
+                "source_blocked:core1" + budget,
+                "source_blocked:core4" + budget,
+                "source_blocked:core8" + budget,
+                "packet_stuck:q_1_S" + budget,
+                "packet_stuck:q_4_N" + budget,
+                "dead:cache1" + budget,
+                "dead:dir" + budget,
+                "dead:cache8" + budget,
+            }));
+}
+
 TEST(WitnessPin, RefutedClaimsCarryTheirEvent) {
   // Emptying either blocking queue of the dir-3 witness breaks it; the
   // refuting events are pinned by label.
