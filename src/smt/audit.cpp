@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "smt/search_context.hpp"
@@ -436,6 +437,27 @@ void Auditor::check_deep(const SearchContext& ctx, const char* site,
   // site — the deadline poll throws before any tableau mutation.
   const std::string spx = ctx.stx_.audit();
   if (!spx.empty()) fail("simplex", spx);
+}
+
+void Auditor::check_interval_fixpoint(const SearchContext& ctx) {
+  // A budget stop leaves the rows short of their fixpoint until a
+  // backjump below its level.
+  if (!audit_enabled() || ctx.cut_level_ >= 0) return;
+  for (std::size_t ri = 0; ri < ctx.active_rows_.size(); ++ri) {
+    const StaticRow& r = *ctx.active_rows_[ri];
+    const SearchContext::Activity min = ctx.activity(r, /*max_side=*/false);
+    for (const auto& [v, c] : r.terms) {
+      const std::optional<std::int64_t> nb = ctx.derive_bound(r, min, v, c);
+      if (!nb) continue;
+      const std::int64_t cur = (c > 0 ? ctx.hi_ : ctx.lo_)[
+          static_cast<std::size_t>(v)];
+      if (c > 0 ? *nb >= cur : *nb <= cur) continue;  // clamped, no change
+      audit_fail("propagate-rows", "interval-fixpoint",
+                 "active row " + std::to_string(ri) + " tightens int var " +
+                     std::to_string(v) + (c > 0 ? " hi " : " lo ") +
+                     std::to_string(cur) + " to " + std::to_string(*nb));
+    }
+  }
 }
 
 }  // namespace advocat::smt::native

@@ -22,6 +22,8 @@
 //    agreement, interval-bound sanity, and the exact simplex layer's own
 //    audit (basis partition, row identities, no slack shared by two
 //    linear forms).
+//  - check_interval_fixpoint (every propagate_rows that empties its
+//    worklist): no active row derives a tighter bound.
 //
 // Audit sites marked `bounds_settled` additionally require lo ≤ hi on
 // every integer interval, every bound equal to what its bound-log chain
@@ -60,6 +62,10 @@ class Auditor {
   /// `seen_` flag set.
   static void check_deep(const SearchContext& ctx, const char* site,
                          bool bounds_settled);
+  /// Interval propagation reached its fixpoint: no active row derives a
+  /// bound tighter than the current one (SearchContext::derive_bound).
+  /// Run where propagate_rows empties its worklist.
+  static void check_interval_fixpoint(const SearchContext& ctx);
 };
 
 }  // namespace advocat::smt::native

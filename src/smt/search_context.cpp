@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "smt/audit.hpp"
 #include "smt/proof.hpp"
@@ -371,11 +372,19 @@ void SearchContext::explain_interval_conflict() {
 // unit per lap (no finite convergence), so refinement stops after a
 // budget proportional to the active system — sound, merely less pruning;
 // the simplex then decides the active rows (simplex_refute).
+//
+// A popped row is gated by one pass over its terms before the per-term
+// derivation (derive_bound). With S = bound − minsum, term (v, c) can
+// tighten v only if ⌊S/|c|⌋ < hi−lo, i.e. only if S < |c|·(hi−lo), for
+// either sign of c. So a row whose sides are all finite and whose widest
+// term |c|·(hi−lo) is at most S derives nothing, and a row with two
+// unbounded min sides derives nothing either: both skip the derivation.
 bool SearchContext::propagate_rows() {
   std::uint64_t budget = 64 * active_rows_.size() + 1024;
   while (!row_work_.empty()) {
     if (budget == 0) {
       row_work_.clear();
+      if (cut_level_ < 0) cut_level_ = current_level();
       if (scan_violated_row()) return true;
       return simplex_refute();
     }
@@ -383,59 +392,83 @@ bool SearchContext::propagate_rows() {
     const int ri = row_work_.back();
     row_work_.pop_back();
     const StaticRow& r = *active_rows_[static_cast<std::size_t>(ri)];
-    const auto [minsum, ninf] = activity(r, /*max_side=*/false);
-    if (ninf == 0 && minsum > r.bound) {
+    Activity min;
+    __int128 widest = 0;
+    bool open = false;  // some term has an unbounded side
+    for (const auto& [v, c] : r.terms) {
+      const std::int64_t lo = lo_[static_cast<std::size_t>(v)];
+      const std::int64_t hi = hi_[static_cast<std::size_t>(v)];
+      const std::int64_t b = c > 0 ? lo : hi;
+      if (b == kNegInf || b == kPosInf) ++min.ninf;
+      else min.sum += static_cast<__int128>(c) * b;
+      if (lo == kNegInf || hi == kPosInf) {
+        open = true;
+      } else {
+        const __int128 w = (static_cast<__int128>(hi) - lo) *
+                           (c > 0 ? static_cast<__int128>(c)
+                                  : -static_cast<__int128>(c));
+        if (w > widest) widest = w;
+      }
+    }
+    if (min.ninf == 0 && min.sum > r.bound) {
       row_work_.clear();
       return true;
     }
+    if (min.ninf >= 2 || (!open && widest <= r.bound - min.sum)) continue;
     for (const auto& [v, c] : r.terms) {
       bump_ops();
-      const std::int64_t b = c > 0 ? lo_[static_cast<std::size_t>(v)]
-                                   : hi_[static_cast<std::size_t>(v)];
-      const bool self_inf = (b == kNegInf || b == kPosInf);
-      if (ninf - (self_inf ? 1 : 0) > 0) continue;  // another var unbounded
-      const __int128 rest =
-          self_inf ? minsum : minsum - static_cast<__int128>(c) * b;
-      const __int128 slack = static_cast<__int128>(r.bound) - rest;
-      // Derived bounds are clamped only toward looseness: a bound beyond
-      // +/-kBoundClamp is either dropped (no information) or relaxed to
-      // the clamp, never tightened past what the row entails — claiming
-      // a tighter bound than entailed could turn Sat into Unsat.
-      bool changed = false;
-      if (c > 0) {  // c·v ≤ slack  →  v ≤ ⌊slack/c⌋
-        const __int128 nb = floor_div(slack, c);
-        if (nb <= kBoundClamp && nb < hi_[static_cast<std::size_t>(v)]) {
-          set_bound(v, true,
-                    nb < -kBoundClamp ? -kBoundClamp
-                                      : static_cast<std::int64_t>(nb),
-                    ri);
-          changed = true;
-        }
-      } else {  // c·v ≤ slack, c<0  →  v ≥ ⌈slack/c⌉ = -⌊slack/(-c)⌋
-        const __int128 nb = -floor_div(slack, -c);
-        if (nb >= -kBoundClamp && nb > lo_[static_cast<std::size_t>(v)]) {
-          set_bound(v, false,
-                    nb > kBoundClamp ? kBoundClamp
-                                     : static_cast<std::int64_t>(nb),
-                    ri);
-          changed = true;
-        }
+      const std::optional<std::int64_t> nb = derive_bound(r, min, v, c);
+      if (!nb) continue;
+      set_bound(v, /*is_hi=*/c > 0, *nb, ri);
+      --budget;
+      if (lo_[static_cast<std::size_t>(v)] > hi_[static_cast<std::size_t>(v)]) {
+        row_work_.clear();
+        return true;
       }
-      if (changed) {
-        --budget;
-        if (lo_[static_cast<std::size_t>(v)] >
-            hi_[static_cast<std::size_t>(v)]) {
-          row_work_.clear();
-          return true;
-        }
-        for (int rj : row_occ_[static_cast<std::size_t>(v)]) {
-          row_work_.push_back(rj);
-        }
-        if (budget == 0) break;
+      for (int rj : row_occ_[static_cast<std::size_t>(v)]) {
+        row_work_.push_back(rj);
       }
+      if (budget == 0) break;
     }
   }
+  if (audit_enabled()) Auditor::check_interval_fixpoint(*this);
   return false;
+}
+
+// The derivation rule, the one place it is written: row r with min
+// activity `min` under the current bounds bounds term (v, c) by
+// c·v ≤ bound − (min activity of the other terms), which holds only when
+// every other min side is finite. Returns the new hi (c > 0) or lo
+// (c < 0) of v when the unclamped bound is tighter than the current one
+// (relaxed to the clamp, it may equal the current one), else nullopt.
+std::optional<std::int64_t> SearchContext::derive_bound(const StaticRow& r,
+                                                        const Activity& min,
+                                                        int v,
+                                                        std::int64_t c) const {
+  const std::int64_t b = c > 0 ? lo_[static_cast<std::size_t>(v)]
+                               : hi_[static_cast<std::size_t>(v)];
+  const bool self_inf = (b == kNegInf || b == kPosInf);
+  if (min.ninf - (self_inf ? 1 : 0) > 0) return std::nullopt;
+  const __int128 rest =
+      self_inf ? min.sum : min.sum - static_cast<__int128>(c) * b;
+  const __int128 slack = static_cast<__int128>(r.bound) - rest;
+  // Derived bounds are clamped only toward looseness: a bound beyond
+  // +/-kBoundClamp is either dropped (no information) or relaxed to the
+  // clamp, never tightened past what the row entails — claiming a
+  // tighter bound than entailed could turn Sat into Unsat.
+  if (c > 0) {  // c·v ≤ slack  →  v ≤ ⌊slack/c⌋
+    const __int128 nb = floor_div(slack, c);
+    if (nb > kBoundClamp || nb >= hi_[static_cast<std::size_t>(v)]) {
+      return std::nullopt;
+    }
+    return nb < -kBoundClamp ? -kBoundClamp : static_cast<std::int64_t>(nb);
+  }
+  // c·v ≤ slack, c<0  →  v ≥ ⌈slack/c⌉ = -⌊slack/(-c)⌋
+  const __int128 nb = -floor_div(slack, -c);
+  if (nb < -kBoundClamp || nb <= lo_[static_cast<std::size_t>(v)]) {
+    return std::nullopt;
+  }
+  return nb > kBoundClamp ? kBoundClamp : static_cast<std::int64_t>(nb);
 }
 
 // Activates the theory rows of atoms assigned since the last call and
@@ -761,6 +794,7 @@ void SearchContext::backjump(int target) {
   row_work_.clear();
   clear_dirty();  // loosened bounds cannot newly entail anything
   levels_.resize(static_cast<std::size_t>(target));
+  if (target < cut_level_) cut_level_ = -1;
   prefix_placed_ = std::min(prefix_placed_, target);
   prefix_levels_ = std::min(prefix_levels_, target);
   if (audit_enabled()) Auditor::check_search(*this, "backjump");
@@ -1127,6 +1161,7 @@ void SearchContext::reset_search() {
   trail_.clear();
   qhead_ = theory_head_ = 0;
   row_work_.clear();
+  cut_level_ = -1;
   sconf_rows_.clear();
   sconf_mults_.clear();
   clear_dirty();
@@ -1152,8 +1187,10 @@ void SearchContext::reset_search() {
   }
 
   // Grow per-variable structures for material translated since the last
-  // check, then rebuild the watch lists from scratch (cheap relative to
-  // a solver call, and it sweeps the lazily-dropped watch entries).
+  // check, then rebuild the watch lists from the arena (cheap relative to
+  // a solver call, and it sweeps the lazily-dropped watch entries). Each
+  // list is emptied, not freed, so a check refills the storage of the
+  // last one.
   const auto nv = static_cast<std::size_t>(sh_.num_bvars);
   assign_.resize(nv, kUndef);
   reason_.resize(nv, kReasonNone);
@@ -1178,7 +1215,8 @@ void SearchContext::reset_search() {
   heap_pos_.assign(nv, -1);
   heap_.clear();
   for (int v = 0; v < sh_.num_bvars; ++v) heap_insert(v);
-  watches_.assign(2 * nv, {});
+  for (auto& ws : watches_) ws.clear();
+  watches_.resize(2 * nv);
   for (ClauseRef ci = arena_.first(); ci != kClauseRefUndef;
        ci = arena_.next(ci)) {
     // Everything learned before this boundary counts as cross-check

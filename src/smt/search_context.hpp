@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,6 +225,11 @@ class SearchContext {
     int ninf = 0;
   };
   [[nodiscard]] Activity activity(const StaticRow& r, bool max_side) const;
+  // The bound term (v, c) of row r derives from the row's min activity
+  // `min`, when it tightens v's current one before clamping: v's hi for
+  // c > 0, its lo for c < 0.
+  [[nodiscard]] std::optional<std::int64_t> derive_bound(
+      const StaticRow& r, const Activity& min, int v, std::int64_t c) const;
   [[nodiscard]] int row_status(const StaticRow& r) const;
   [[nodiscard]] bool decide_phase_negated(int v) const;
 
@@ -304,6 +310,11 @@ class SearchContext {
   std::vector<std::size_t> row_stx_mark_;  // simplex trail mark, per row
   std::vector<std::vector<int>> row_occ_;  // int var -> active row indices
   std::vector<int> row_work_;
+  // The lowest level at which propagate_rows stopped on its budget, short
+  // of the fixpoint, or -1; a backjump below it and reset_search clear
+  // it. Read only by the auditor, which checks the fixpoint only while it
+  // is -1.
+  int cut_level_ = -1;
   std::vector<Val> polarity_;    // saved phases
   std::vector<int> dirty_vars_;  // int vars with bound changes to rescan
   std::vector<std::uint64_t> dirty_stamp_;

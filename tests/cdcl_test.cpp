@@ -232,10 +232,15 @@ TEST(Cdcl, DegradedIntegerOpenSearchStaysUnknown) {
 // soundness bug during development (provenance explanations built over
 // the mutable current-source graph lost the grounding bound of
 // self-referential tightening laps and learned a clause the theory did
-// not entail); it pins the chronological-log fix.
+// not entail); it pins the chronological-log fix. The native search
+// effort summed over every session is pinned too: its coefficients span
+// -3..3 and a quarter of its rounds leave variables unbounded, so it
+// reaches the interval-propagation paths (non-unit coefficients, a single
+// unbounded term, the bound clamp) that no mesh benchmark does.
 TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
   const bool with_z3 = backend_available(Backend::Z3);
   std::mt19937_64 master(20260728);
+  SolveStats total;
   for (int round = 0; round < 200; ++round) {
     std::mt19937_64 rng(master());
     ExprFactory f;
@@ -351,6 +356,57 @@ TEST(Cdcl, DifferentialFuzzAcrossBackendsAndSeeds) {
         }
       }
     }
+    const SolveStats& s = solvers[0]->solve_stats();
+    total.conflicts += s.conflicts;
+    total.decisions += s.decisions;
+    total.propagations += s.propagations;
+    total.entailed_propagations += s.entailed_propagations;
+    total.theory_pivots += s.theory_pivots;
+  }
+  EXPECT_EQ(total.conflicts, 124u);
+  EXPECT_EQ(total.decisions, 986u);
+  EXPECT_EQ(total.propagations, 2288u);
+  EXPECT_EQ(total.entailed_propagations, 279u);
+  EXPECT_EQ(total.theory_pivots, 544u);
+}
+
+TEST(Cdcl, DerivedBoundsPastTheClampAreRelaxedOrDropped) {
+  // Interval propagation keeps every derived bound inside +/-2^60: a bound
+  // past the clamp on its loose side is relaxed to the clamp, one past it
+  // on its tight side is dropped. No random session reaches the clamp, so
+  // each of the four cases gets a row here (two with |c| > 1) and an atom
+  // that only the unclamped bound would decide: the atom stays open, so
+  // nothing is entailed and the search decides it. Each case has its own
+  // session: a relaxed bound is derived again at the clamp each time its
+  // row is popped, until the tightening budget runs out, and that would
+  // leave the other rows unpropagated.
+  const std::int64_t big = std::int64_t{1} << 62;
+  struct Case {
+    const char* what;
+    std::int64_t cv, cy, bound;  // cv·v + cy·y ≤ bound, with y = 0
+    bool atom_le;                // the atom: v ≤ at, or at ≤ v
+    std::int64_t at;
+  };
+  const Case cases[] = {
+      {"hi floor(-2^62/3) relaxed", 3, -1, -big, true, -(big / 4) - 1},
+      {"lo -2^62 dropped", -1, 1, big, true, -big - 1},
+      {"hi 2^62 dropped", 1, -1, big, false, big + 1},
+      {"lo 2^61 relaxed", -2, 1, -big, false, big / 2},
+  };
+  for (const Case& c : cases) {
+    ExprFactory f;
+    auto solver = make_solver(f, Backend::Native);
+    const ExprId y = f.int_var("cl_y");
+    const ExprId v = f.int_var("cl_v");
+    solver->add(f.le(f.int_const(0), y));
+    solver->add(f.le(y, f.int_const(0)));
+    solver->add(f.le(f.add({f.mul_const(c.cv, v), f.mul_const(c.cy, y)}),
+                     f.int_const(c.bound)));
+    const ExprId at = f.int_const(c.at);
+    solver->add(f.or_({c.atom_le ? f.le(v, at) : f.le(at, v),
+                       f.bool_var("cl_p")}));
+    EXPECT_EQ(solver->check(), SatResult::Sat) << c.what;
+    EXPECT_EQ(solver->solve_stats().entailed_propagations, 0u) << c.what;
   }
 }
 
